@@ -9,7 +9,7 @@ COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
 COVER_PKGS = ./internal/dataflow/... ./internal/graph/... ./internal/shuffle/... ./internal/streaming/... ./internal/sched/... ./internal/planner/...
 
-.PHONY: build test lint cover bench-smoke fuzz-smoke profile
+.PHONY: build test lint cover bench-smoke fuzz-smoke profile calibrate
 
 build:
 	$(GO) build ./...
@@ -73,12 +73,22 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
-# Short fuzz smoke over the row format: each fuzz target runs for a few
-# seconds on top of its seeded corpus (decode robustness, normalized-key
-# order agreement, and the batch wire format round-trip). CI runs this on
-# every push; longer local sessions just raise -fuzztime.
+# Planner calibration probe: the ext10 size sweep on the real engines, each
+# cell printed beside sim.Estimate's prediction with its residual, then the
+# fixed part and per-MiB slope of every configuration. The [ANCHOR ext10]
+# constants in internal/sim/estimate.go are read off this output; re-run it
+# after any change that moves an engine's per-record cost.
+calibrate:
+	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -calibrate
+
+# Short fuzz smoke over the byte decoders: each fuzz target runs for a few
+# seconds on top of its seeded corpus (row decode robustness, normalized-key
+# order agreement, the batch wire format round-trip, and arbitrary bytes
+# into derived struct/slice/map decoders). CI runs this on every push;
+# longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKeyOrder$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBatch$$' -fuzztime $(FUZZTIME) ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde

@@ -10,6 +10,7 @@
 //	benchrunner -run all -md out.md  # write an EXPERIMENTS-style markdown report
 //	benchrunner -run all -json out.json  # machine-readable reports (CI artifact)
 //	benchrunner -run ext11 -cpuprofile cpu.pprof -memprofile mem.pprof  # hot-path profiling
+//	benchrunner -calibrate         # ext10 size sweep, measured vs sim.Estimate (make calibrate)
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 func main() {
 	runID := flag.String("run", "", "experiment ids (fig1..fig17, tab1..tab7, ext1..ext11), comma-separated, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids")
+	calibrate := flag.Bool("calibrate", false, "run the ext10 size sweep and print measured vs sim.Estimate with residuals")
 	md := flag.String("md", "", "also write a markdown report to this file")
 	jsonOut := flag.String("json", "", "also write the reports as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
@@ -91,6 +93,13 @@ func main() {
 		}
 	}
 
+	if *calibrate {
+		if err := experiments.Calibrate(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			r, _ := experiments.Get(id)

@@ -53,6 +53,7 @@ func mrGraphInput[V any](g *Graph[V]) (c *mapreduce.Cluster, ids []int64, readEd
 		return nil, nil, nil, err
 	}
 	codec := serde.Of[datagen.Edge](c.Style())
+	c.Metrics().CodecFallbacks.Add(int64(codec.Fallbacks))
 	file := fmt.Sprintf("dataflow/graph-%d/edges", g.edges.Node().ID)
 	enc := serde.EncodeAll(codec, nil, edges)
 	c.FS().WriteFile(file, enc)
@@ -148,6 +149,7 @@ func pregelMapReduce[V, M any](g *Graph[V],
 	}
 
 	stateCodec := serde.OfPair[int64, mrVertex[V]](c.Style())
+	c.Metrics().CodecFallbacks.Add(int64(stateCodec.Fallbacks))
 	stateFile := fmt.Sprintf("dataflow/graph-%d/state", g.edges.Node().ID)
 	supersteps := 0
 	err = mapreduce.Iterate(c, maxIter, func(round int) error {

@@ -165,6 +165,7 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 	style := c.Style()
 	dataCodec := serde.Of[T](style)
 	stateCodec := serde.OfPair[K, S](style)
+	c.Metrics().CodecFallbacks.Add(int64(dataCodec.Fallbacks + stateCodec.Fallbacks))
 	dataFile := fmt.Sprintf("dataflow/iter-%d/input", it.node.ID)
 	stateFile := fmt.Sprintf("dataflow/iter-%d/state", it.node.ID)
 

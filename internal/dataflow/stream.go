@@ -57,6 +57,11 @@ type Stream[T any] struct {
 
 // ReadStream opens src as a typed stream on s.
 func ReadStream[T any](s *Session, src StreamSource[T]) *Stream[T] {
+	// A source that serializes its records resolved their codec before any
+	// session existed; the job that reads it accounts for it.
+	if c, ok := src.(interface{ CodecFallbacks() int }); ok {
+		s.Metrics().CodecFallbacks.Add(int64(c.CodecFallbacks()))
+	}
 	return &Stream[T]{s: s, parts: src.Partitions(), sealed: src.Sealed, end: src.End, poll: src.Poll}
 }
 

@@ -47,6 +47,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 		parents:     []planParent{{ds: parent, exchange: true}},
 	}
 	codec := serde.Of[T](e.style)
+	e.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
 	set := e.curShuffleSettings()
 	if less == nil {
 		// A non-keyed edge has no order to sort by; it stays a pipelined

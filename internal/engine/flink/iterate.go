@@ -267,7 +267,9 @@ func MapWithBroadcast[T, U, B any](d *DataSet[T], bc *DataSet[B], f func(T, []B)
 			// engine's TypeInfo codec — measured, not the old ×16 estimate.
 			// It ships from the driver to the task nodes, so it counts as a
 			// remote read (keeps ShuffleBytesRead = Local + Remote).
-			enc := serde.EncodeAll(serde.Of[B](e.style), nil, bv.data)
+			codec := serde.Of[B](e.style)
+			e.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
+			enc := serde.EncodeAll(codec, nil, bv.data)
 			e.metrics.AddShuffleRead(int64(len(enc)), false)
 		})
 		if bv.err != nil {

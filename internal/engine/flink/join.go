@@ -68,6 +68,7 @@ func coGroupInternal[L, R any, K comparable, U any](left *DataSet[L], right *Dat
 	}
 	lCodec := serde.Of[L](e.style)
 	rCodec := serde.Of[R](e.style)
+	e.metrics.CodecFallbacks.Add(int64(lCodec.Fallbacks + rCodec.Fallbacks))
 
 	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
 		lchans := ctx.makeChannels(left.parallelism, q)

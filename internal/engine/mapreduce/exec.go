@@ -31,6 +31,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 		partition = defaultPartition[K]
 	}
 	codec := serde.OfPair[K, V](c.style)
+	c.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
 	// Resolve the shuffle settings once per job: both phases must agree on
 	// strategy and codec even if an adaptive re-plan rewrites the
 	// configuration at the mid-job barrier; the corrected settings take

@@ -108,8 +108,8 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 
 	ctx := r.ctx
 	numParts := part.NumPartitions()
-	style := ctx.style
-	pairCodec := serde.PairCodec(style, serde.Of[K](style), serde.Of[C](style))
+	pairCodec := serde.OfPair[K, C](ctx.style)
+	ctx.metrics.CodecFallbacks.Add(int64(pairCodec.Fallbacks))
 
 	sd := &shuffleDep{
 		id:       int(ctx.nextShuffle.Add(1)),
@@ -218,7 +218,8 @@ func CollectAsMap[K comparable, V any](r *RDD[core.Pair[K, V]]) (map[K]V, error)
 	if err != nil {
 		return nil, err
 	}
-	codec := serde.PairCodec(r.ctx.style, serde.Of[K](r.ctx.style), serde.Of[V](r.ctx.style))
+	codec := serde.OfPair[K, V](r.ctx.style)
+	r.ctx.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
 	var sample int64
 	n := len(pairs)
 	if n > 0 {

@@ -130,6 +130,7 @@ func (r *RDD[T]) Persist(level StorageLevel) *RDD[T] {
 		// Every level needs the codec: memory levels for size estimation,
 		// disk levels for the serialized representation.
 		r.codec = serde.Of[T](r.ctx.style)
+		r.ctx.metrics.CodecFallbacks.Add(int64(r.codec.Fallbacks))
 	}
 	return r
 }

@@ -54,6 +54,12 @@ type JobMetrics struct {
 	CombineInputRecords    atomic.Int64
 	CombineOutputRecs      atomic.Int64
 	SchedulingRounds       atomic.Int64
+	// CodecFallbacks counts the codec resolutions that landed on the
+	// per-record encoding/gob fallback (serde.Codec.Fallbacks, added once
+	// where an engine resolves a codec, not per record). It is zero for
+	// every built-in workload; anything else means a record type is paying
+	// a cost no mechanism of the paper explains.
+	CodecFallbacks atomic.Int64
 	// Latency holds per-record ingest→emit latencies for streaming jobs;
 	// batch jobs leave it empty. See LatencySketch.
 	Latency LatencySketch
@@ -117,6 +123,7 @@ type Snapshot struct {
 	Recomputations         int64
 	CombineRatio           float64
 	SchedulingRounds       int64
+	CodecFallbacks         int64
 }
 
 // StageEvent is one stage-boundary observation: the stage's name and the
@@ -177,5 +184,6 @@ func (m *JobMetrics) Snapshot() Snapshot {
 		Recomputations:         m.Recomputations.Load(),
 		CombineRatio:           m.CombineRatio(),
 		SchedulingRounds:       m.SchedulingRounds.Load(),
+		CodecFallbacks:         m.CodecFallbacks.Load(),
 	}
 }

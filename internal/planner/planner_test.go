@@ -103,8 +103,10 @@ func TestPlanForPinsEngine(t *testing.T) {
 }
 
 // TestSimCostDecisions pins the static decisions the ext10 probe sweep
-// validated: Spark+hash for WordCount, the sort strategy at low parallelism
-// for TeraSort, never lz at laptop bandwidth — across two sizes.
+// validated: the pipelined engine at low parallelism (its two
+// strategies measure level there) for WordCount and TeraSort, the sort
+// strategy for TeraSort on a staged engine, never lz at laptop bandwidth —
+// across two sizes.
 func TestSimCostDecisions(t *testing.T) {
 	p := &Planner{Spec: laptopSpec(), Provider: SimCost{}, Parallelisms: []int{2, 8}}
 	for _, bytes := range []int64{192 * 1024, 768 * 1024} {
@@ -112,15 +114,24 @@ func TestSimCostDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wc.Chosen.Engine != "spark" || wc.Chosen.Strategy != "hash" || wc.Chosen.Compress != "none" {
-			t.Errorf("WordCount bytes=%d: chose %s, want spark/hash/none", bytes, wc.Chosen)
+		if wc.Chosen.Engine != "flink" || wc.Chosen.Parallelism != 2 || wc.Chosen.Compress != "none" {
+			t.Errorf("WordCount bytes=%d: chose %s, want flink/*/p=2/none", bytes, wc.Chosen)
 		}
-		ts, err := p.Plan(PlanSpec{Workload: "TeraSort", Shape: Sort, Input: InputStats{Bytes: bytes, Records: bytes / 100}})
+		tera := PlanSpec{Workload: "TeraSort", Shape: Sort, Input: InputStats{Bytes: bytes, Records: bytes / 100}}
+		ts, err := p.Plan(tera)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.Chosen.Engine != "flink" || ts.Chosen.Compress != "none" || ts.Chosen.Parallelism != 2 {
+			t.Errorf("TeraSort bytes=%d: chose %s, want flink/*/p=2/none", bytes, ts.Chosen)
+		}
+		// On a staged engine the map-side order is worth keeping.
+		ts, err = p.PlanFor("spark", tera)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ts.Chosen.Strategy != "sort" || ts.Chosen.Compress != "none" || ts.Chosen.Parallelism != 2 {
-			t.Errorf("TeraSort bytes=%d: chose %s, want sort/none/p=2", bytes, ts.Chosen)
+			t.Errorf("TeraSort on spark bytes=%d: chose %s, want sort/none/p=2", bytes, ts.Chosen)
 		}
 	}
 }
@@ -133,16 +144,17 @@ func TestApplyNeverOverridesExplicitKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Chosen.Strategy != "hash" {
-		t.Fatalf("precondition: planner wants hash, got %s", d.Chosen)
+	pinned := "sort" // the opposite of the plan
+	if d.Chosen.Strategy == "sort" {
+		pinned = "hash"
 	}
 
 	conf := core.NewConfig().
-		Set(core.ShuffleStrategy, "sort"). // user pinned the opposite of the plan
+		Set(core.ShuffleStrategy, pinned).
 		SetInt(mapreduce.MRReduceTasks, 64)
 	d.Apply(conf)
 
-	if got := conf.String(core.ShuffleStrategy, ""); got != "sort" {
+	if got := conf.String(core.ShuffleStrategy, ""); got != pinned {
 		t.Fatalf("planner overrode explicit %s: %q", core.ShuffleStrategy, got)
 	}
 	if got := conf.Int(mapreduce.MRReduceTasks, 0); got != 64 {

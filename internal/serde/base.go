@@ -36,6 +36,7 @@ func wrap[T any](style Style, typeName string, tag byte, base Codec[T]) Codec[T]
 				v, n, err := base.Decode(src[len(hdr):])
 				return v, n + len(hdr), err
 			},
+			Fallbacks: base.Fallbacks,
 		}
 	case Kryo:
 		return Codec[T]{
@@ -54,6 +55,7 @@ func wrap[T any](style Style, typeName string, tag byte, base Codec[T]) Codec[T]
 				v, n, err := base.Decode(src[1:])
 				return v, n + 1, err
 			},
+			Fallbacks: base.Fallbacks,
 		}
 	default:
 		return base
@@ -70,6 +72,10 @@ const (
 	tagPair
 	tagSlice
 	tagGob
+	tagStruct
+	tagMap
+	tagUint64
+	tagFloat32
 )
 
 // rawString encodes a varint length followed by the bytes.

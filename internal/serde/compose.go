@@ -27,6 +27,7 @@ func PairCodec[K comparable, V any](s Style, kc Codec[K], vc Codec[V]) Codec[cor
 			}
 			return core.Pair[K, V]{Key: k, Value: v}, n + m, nil
 		},
+		Fallbacks: kc.Fallbacks + vc.Fallbacks,
 	}
 	return wrap(s, "scala.Tuple2", tagPair, base)
 }
@@ -42,8 +43,11 @@ func SliceCodec[T any](s Style, ec Codec[T]) Codec[[]T] {
 			return dst
 		},
 		Decode: func(src []byte) ([]T, int, error) {
+			// Every element is at least one byte, so a length beyond the
+			// bytes that remain is corrupt; checked before it sizes the
+			// allocation.
 			l, n := binary.Uvarint(src)
-			if n <= 0 {
+			if n <= 0 || l > uint64(len(src)-n) {
 				return nil, 0, ErrShortBuffer
 			}
 			out := make([]T, 0, l)
@@ -58,6 +62,7 @@ func SliceCodec[T any](s Style, ec Codec[T]) Codec[[]T] {
 			}
 			return out, off, nil
 		},
+		Fallbacks: ec.Fallbacks,
 	}
 	return wrap(s, "java.util.ArrayList", tagSlice, base)
 }

@@ -53,6 +53,11 @@ var ErrShortBuffer = errors.New("serde: short buffer")
 type Codec[T any] struct {
 	Encode func(dst []byte, v T) []byte
 	Decode func(src []byte) (T, int, error)
+	// Fallbacks counts the parts of T this codec hands to encoding/gob
+	// because they have no structural encoding (see Of); zero for every
+	// codec built from registered, scalar and derived parts. Engines add it
+	// to metrics.JobMetrics.CodecFallbacks where they resolve a codec.
+	Fallbacks int
 }
 
 // legacyAlloc, when set, makes Append and EncodeAll emulate the

@@ -132,17 +132,21 @@ func TestStyleSizeOrdering(t *testing.T) {
 func TestGobFallbackRoundTrip(t *testing.T) {
 	type odd struct {
 		A string
-		B []int
+		B *int
 	}
 	for _, s := range allStyles {
-		c := GobCodec[odd](s)
-		in := odd{A: "x", B: []int{1, 2, 3}}
+		c := Of[odd](s)
+		if c.Fallbacks != 1 {
+			t.Fatalf("style %v: Fallbacks = %d, want 1 (the pointer field)", s, c.Fallbacks)
+		}
+		seven := 7
+		in := odd{A: "x", B: &seven}
 		buf := c.Encode(nil, in)
 		got, n, err := c.Decode(buf)
 		if err != nil || n != len(buf) {
 			t.Fatalf("style %v gob: err=%v n=%d len=%d", s, err, n, len(buf))
 		}
-		if got.A != in.A || len(got.B) != 3 {
+		if got.A != in.A || got.B == nil || *got.B != 7 {
 			t.Errorf("style %v gob mismatch: %+v", s, got)
 		}
 	}

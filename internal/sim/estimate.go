@@ -24,29 +24,39 @@ import (
 // per-task overheads, explicit disk/net terms from the cluster spec.
 //
 // Constants follow calibrate.go's provenance discipline:
-//   - [ANCHOR ext10] fitted once against the ext10 probe sweep on the real
+//   - [ANCHOR ext10] fitted against the ext10 probe sweep on the real
 //     engines (2 nodes × 8 cores, WordCount 192 KB-768 KB, TeraSort
-//     4k-16k records; see EXPERIMENTS.md), then validated on the other
-//     cells without refitting.
+//     4k-16k records), then validated on the other cells without
+//     refitting. `make calibrate` re-runs that sweep and prints every cell
+//     beside Estimate with its residual, and each configuration's fixed
+//     part and per-MiB slope; a constant's comment names the rows it is
+//     read from. The slopes in that table include the I/O terms below
+//     (0.0065 s/MiB on WordCount, 0.004 on TeraSort at the probe's spec).
+//     The flink constants are from the current sweep; the spark and
+//     mapreduce ones predate the vectorized layer and read 1.3-2× high on
+//     it, uniformly, which keeps every ranking within an engine.
 //   - [MECH] structural, not fitted.
 const (
 	// Fixed per-job overhead: session setup, stage scheduling, driver
-	// round-trips. [ANCHOR ext10] intercepts of the size sweeps.
+	// round-trips. [ANCHOR ext10] intercepts of the size sweeps (flink:
+	// mean of its eight rows, 1.6…4.2 ms on WordCount, ≈ 0 on TeraSort).
 	estFixedSpark = 0.003
 	estFixedMR    = 0.004
-	estFixedFlink = 0.090 // pipeline deployment + channel allocation
+	estFixedFlink = 0.002 // pipeline deployment + channel allocation
 
 	// Aggregate-shape CPU, wall-seconds per input MiB at 16 busy slots.
-	// [ANCHOR ext10] WordCount slope per engine.
+	// [ANCHOR ext10] WordCount slope per engine (flink: the hash/p=2 slope
+	// 0.0284 less I/O and two channels' worth of estFlinkChanCPU).
 	estAggCPUSpark = 0.049
 	estAggCPUMR    = 0.158
-	estAggCPUFlink = 0.200
+	estAggCPUFlink = 0.021
 
 	// Sort-shape CPU (map + sort + merge pipeline), same units.
-	// [ANCHOR ext10] TeraSort slope per engine.
+	// [ANCHOR ext10] TeraSort slope per engine (flink: its two sort-strategy
+	// slopes, mean 0.0107, less I/O).
 	estSortCPUSpark = 0.016
 	estSortCPUMR    = 0.0156
-	estSortCPUFlink = 0.180
+	estSortCPUFlink = 0.0067
 
 	// Scan-shape CPU: no shuffle, a filter/count pass. [MECH] roughly half
 	// the aggregate map cost (no combine, no pair lifting).
@@ -59,13 +69,18 @@ const (
 	//   - a Sort plan under the hash strategy loses the map-side order and
 	//     pays a full reduce-side re-sort: + estResortCPU per shuffled MiB.
 	// estAggSortCPU is Spark's slope; MapReduce's merge pipeline absorbs
-	// the useless sort almost for free, and Flink's sorted exchange
-	// measurably BEATS its hash path on aggregates. [ANCHOR ext10]
+	// the useless sort almost for free, and Flink's sorted exchange comes
+	// out level with or just under its hash path on aggregates (sort minus
+	// hash slope: -0.0018 at p=2, -0.0013 at p=8). [ANCHOR ext10]
 	estAggSortCPU   = 0.038
 	estAggSortMR    = 0.006
-	estAggSortFlink = -0.030
+	estAggSortFlink = -0.0015
 	estResortCPU    = 0.0045
 	estResortMR     = 0.0073
+	// Flink's hash exchange keeps the Sort plan pipelined and sorts at the
+	// consumer; its sort exchange breaks the pipeline to ship sorted runs.
+	// The two measure level (TeraSort slopes 0.0109 hash, 0.0112 sort).
+	estResortFlink = 0.0
 
 	// Per-reduce-task overhead of materialized shuffles (merge fan-in,
 	// task launch, segment bookkeeping). [ANCHOR ext10] p=2 → p=8 deltas.
@@ -73,8 +88,9 @@ const (
 
 	// Flink's per-partition exchange cost on small-record aggregates: more
 	// consumers → more channels and more per-packet work. Wall-seconds per
-	// input MiB per unit of parallelism. [ANCHOR ext10] WordCount p sweep.
-	estFlinkChanCPU = 0.045
+	// input MiB per unit of parallelism. [ANCHOR ext10] WordCount p sweep:
+	// (p=8 slope − p=2 slope) / 6, 0.00052 under hash and 0.0006 under sort.
+	estFlinkChanCPU = 0.00055
 
 	// LZ shuffle compression: CPU cost per input MiB pushed through the
 	// codec vs wire bytes halved. At laptop scale the in-memory "network"
@@ -106,12 +122,15 @@ const (
 	// distinct fraction (scaled by how far DistinctFrac sits above the
 	// calibrated default). [ANCHOR ext10] unique-key WordCount probe:
 	//   - Spark and Flink push every uncombined record through the
-	//     exchange; Flink's per-record channel work dominates its cost.
+	//     exchange; Flink pays about twice Spark's price per record (its
+	//     four unique-key rows: per-wave time less the fixed part, over
+	//     0.1875 MiB, less the aggregate, channel and I/O terms —
+	//     0.058…0.081).
 	//   - MapReduce's hash combine table degrades hardest (bucket scans at
 	//     ~1 distinct key per record) while its sort path stays flat — the
 	//     hash→sort strategy flip the adaptive experiments exercise.
 	estCardCPUSpark = 0.033
-	estCardCPUFlink = 2.1
+	estCardCPUFlink = 0.073
 	estCardHashMR   = 0.040
 
 	// MapReduce's barriered reduce phase parallelizes the hash-bucket
@@ -260,8 +279,11 @@ func Estimate(plan PlanStats, in InputStats, p Params) (CostEstimate, error) {
 		body += aggSort * miB * cpuScale
 	case plan.Shape == EstSort && strat == shuffle.Hash:
 		resort := estResortCPU
-		if p.Engine == MapReduce {
+		switch p.Engine {
+		case MapReduce:
 			resort = estResortMR
+		case Flink:
+			resort = estResortFlink
 		}
 		body += resort * miB * cpuScale
 	}

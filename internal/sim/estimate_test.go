@@ -62,8 +62,10 @@ func TestEstimateWordCountRankings(t *testing.T) {
 		if sparkHash.Seconds >= mrHash.Seconds {
 			t.Errorf("bytes=%d: spark (%v) should beat mapreduce (%v)", bytes, sparkHash.Seconds, mrHash.Seconds)
 		}
-		if mrHash.Seconds >= flink.Seconds {
-			t.Errorf("bytes=%d: mapreduce (%v) should beat flink (%v) on WordCount", bytes, mrHash.Seconds, flink.Seconds)
+		// The pipelined exchange — no materialized shuffle, no stage
+		// barrier — is the fastest WordCount of the sweep.
+		if flink.Seconds >= sparkHash.Seconds {
+			t.Errorf("bytes=%d: flink (%v) should beat spark (%v) on WordCount", bytes, flink.Seconds, sparkHash.Seconds)
 		}
 	}
 

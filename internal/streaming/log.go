@@ -105,6 +105,11 @@ func OpenLog[T any](fs *dfs.FS, name string, partitions int) (*Log[T], error) {
 // SetClock replaces the ingest clock (tests inject a deterministic one).
 func (l *Log[T]) SetClock(now func() int64) { l.clock = now }
 
+// CodecFallbacks reports how much of the record codec rests on the gob
+// fallback (serde.Codec.Fallbacks); dataflow.ReadStream adds it to the
+// reading session's metrics.
+func (l *Log[T]) CodecFallbacks() int { return l.codec.Fallbacks }
+
 // Partitions returns the partition count.
 func (l *Log[T]) Partitions() int { return len(l.parts) }
 

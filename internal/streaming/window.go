@@ -12,7 +12,7 @@ import (
 // Cell is the partial aggregate of one (key, window): the user accumulator
 // plus the ingest stamps of the records folded in, which become latency
 // samples at emission. Fields are exported because micro-batch cells ride
-// the engines' shuffle (gob-encoded).
+// the engines' shuffle, whose codec is derived from the exported fields.
 type Cell[A any] struct {
 	Agg     A
 	Ingests []int64

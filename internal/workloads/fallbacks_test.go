@@ -1,0 +1,107 @@
+package workloads
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/datagen"
+	"repro/internal/streaming"
+)
+
+// TestNoBuiltInWorkloadFallsBackToGob runs every built-in workload on every
+// engine and requires that no codec resolution landed on the per-record
+// encoding/gob fallback. A record type that does is paying a serializer
+// cost none of the paper's mechanisms explains, which is how flink once
+// ran TeraSort nine times slower than spark; the counter is what keeps
+// that from coming back unnoticed.
+func TestNoBuiltInWorkloadFallsBackToGob(t *testing.T) {
+	text := datagen.Text(21, 8*1024, 10)
+	logs := datagen.GrepText(5, 200, "NEEDLE", 0.1)
+	tera := datagen.TeraGen(13, 200)
+	points, _ := datagen.KMeansPoints(17, 200, 3, 2.0)
+	edges := datagen.RMAT(29, datagen.GraphSpec{Name: "fallbacks", Vertices: 32, Edges: 100})
+	txns := GenTxns(7, 200, 10, 1.0)
+
+	for _, engine := range dataflow.Names() {
+		engine := engine
+		t.Run(engine, func(t *testing.T) {
+			s := paritySession(t, engine)
+			s.FS().WriteFile("wiki", text)
+			s.FS().WriteFile("logs", logs)
+			s.FS().WriteFile("tera-in", tera)
+			check := func(workload string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", workload, err)
+				}
+				if n := s.Metrics().CodecFallbacks.Load(); n != 0 {
+					t.Fatalf("%s on %s: %d codec resolutions fell back to encoding/gob", workload, engine, n)
+				}
+			}
+			check("WordCount", WordCount(s, "wiki", "wc-out"))
+			_, err := Grep(s, "logs", "NEEDLE")
+			check("Grep", err)
+			check("TeraSort", TeraSort(s, "tera-in", "tera-out", TeraPartitioner(tera, 4)))
+			_, err = KMeans(s, points, 3, 3)
+			check("K-Means", err)
+			_, _, err = PageRank(s, edges, 3)
+			check("PageRank", err)
+			_, _, err = ConnectedComponents(s, edges, 20)
+			check("ConnectedComponents", err)
+			_, _, err = SSSP(s, edges, 0, 20)
+			check("SSSP", err)
+			_, err = RegionRevenue(s, txns, 4)
+			check("RegionRevenue", err)
+
+			// The counter counts: a pointer has no structural encoding.
+			one := int64(1)
+			pairs := dataflow.MapToPair(dataflow.FromSlice(s, txns, 2), func(t Txn) core.Pair[string, *int64] {
+				return core.KV(t.Region, &one)
+			})
+			if _, err := dataflow.CollectAsMap(dataflow.ReduceByKey(pairs, func(a, _ *int64) *int64 { return a })); err != nil {
+				t.Fatal(err)
+			}
+			if s.Metrics().CodecFallbacks.Load() == 0 {
+				t.Errorf("%s shuffled Pair[string,*int64] without counting a fallback", engine)
+			}
+		})
+	}
+
+	// CTRWindows under both streaming lowerings.
+	var conf *core.Config
+	streamConf := func(c *core.Config) {
+		c.SetBytes(core.BufferSize, 64)
+		c.SetDuration(core.StreamingWindowSize, 50*time.Millisecond)
+		c.SetDuration(core.StreamingWatermarkBound, 10*time.Millisecond)
+		conf = c
+	}
+	times, clicks := GenClicks(99, 200, 5, 0.1, 0.05, 2.0, 15.0)
+	for _, lowering := range []struct {
+		name, engine string
+		run          func(*dataflow.WindowedAggregation[Click, int64, CTRAgg], *core.Config) (*streaming.Result[int64, CTRAgg], error)
+	}{
+		{"micro-batch", "spark", streaming.RunMicroBatch[Click, int64, CTRAgg]},
+		{"per-event", "flink", streaming.RunPerEvent[Click, int64, CTRAgg]},
+	} {
+		s := paritySessionConf(t, lowering.engine, streamConf)
+		log := streaming.NewLog[Click](s.FS(), "clicks", 2)
+		for i := range clicks {
+			if _, err := log.Append(i%2, times[i], clicks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log.Seal()
+		res, err := lowering.run(CTRWindows(s, log, conf), conf)
+		if err != nil {
+			t.Fatalf("CTRWindows %s: %v", lowering.name, err)
+		}
+		if len(res.Windows) == 0 {
+			t.Errorf("CTRWindows %s emitted no windows", lowering.name)
+		}
+		if n := s.Metrics().CodecFallbacks.Load(); n != 0 {
+			t.Errorf("CTRWindows %s: %d codec resolutions fell back to encoding/gob", lowering.name, n)
+		}
+	}
+}
