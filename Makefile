@@ -9,7 +9,7 @@ COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
 COVER_PKGS = ./internal/dataflow/... ./internal/graph/... ./internal/shuffle/... ./internal/streaming/... ./internal/sched/... ./internal/planner/...
 
-.PHONY: build test lint cover bench-smoke fuzz-smoke profile calibrate
+.PHONY: build test lint cover bench-smoke fuzz-smoke profile calibrate bench-pair
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,18 @@ profile:
 # after any change that moves an engine's per-record cost.
 calibrate:
 	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -calibrate
+
+# Base-vs-working-tree comparison on one workload of the repo benchmark
+# (BENCHMARK.json): `make bench-pair BASE=HEAD~1 WORKLOAD=wordcount` builds
+# ./bench at BASE (a git worktree in a temp dir) and here, runs ten
+# alternating pairs of BENCHMARK.json's run_seconds (24 s; the protocol has
+# no knobs) with result files kept out of bench/out, and prints
+# each side's median and quartiles per end-to-end metric. This box's speed
+# drifts 10-30 % over minutes; nothing short of alternating pairs separates
+# a change from the drift. Takes about ten minutes.
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>"; exit 2; }
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
 
 # Short fuzz smoke over the byte decoders: each fuzz target runs for a few
 # seconds on top of its seeded corpus (row decode robustness, normalized-key

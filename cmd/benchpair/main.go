@@ -1,0 +1,204 @@
+// Benchpair compares a base commit with the working tree on one workload
+// of the repo benchmark, the way a performance claim must be judged: the
+// machine's speed drifts by 10–30 % over minutes, so single runs of two
+// commits are not comparable — alternating pairs are.
+//
+// Usage (make bench-pair BASE=<ref> WORKLOAD=<name>):
+//
+//	benchpair -base HEAD~1 -workload wordcount
+//
+// It checks BASE out into a git worktree in a temporary directory, builds
+// ./bench there and in the working tree, and runs ten pairs of
+// BENCHMARK.json's run_seconds each, the two sides of a pair on the same seed
+// and the side that goes first alternating: the protocol is fixed so that
+// two tables are always comparable. Result files go to the temporary
+// directory, never into bench/out. Per end-to-end metric it prints each side's median and
+// quartiles over the runs, how many pairs the working tree won, and whether
+// the medians differ by more than the base's own quartile distance — the
+// rule BENCHMARK.json's driver applies to a claimed gain. The exit status
+// is non-zero only when a run failed, never because of what was measured.
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+)
+
+// result is the benchmark's last line of standard output.
+type result struct {
+	Correct bool `json:"correct"`
+	Failed  int  `json:"failed"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	} `json:"metrics"`
+}
+
+// pairs is the number of base/head pairs a comparison runs.
+const pairs = 10
+
+func main() {
+	base := flag.String("base", "", "git ref of the commit to compare the working tree against")
+	workload := flag.String("workload", "", "benchmark workload (wordcount, grep, terasort, pagerank)")
+	seed := flag.Int("seed", 101, "seed of the first pair; pair i runs both sides on seed+i")
+	flag.Parse()
+	if *base == "" || *workload == "" {
+		fmt.Fprintln(os.Stderr, "usage: benchpair -base <ref> -workload <name> [-seed 101]")
+		os.Exit(2)
+	}
+	if err := run(*base, *workload, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpair:", err)
+		os.Exit(1)
+	}
+}
+
+// runSeconds reads how long one run measures from the working tree's
+// BENCHMARK.json.
+func runSeconds() (int, error) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return 0, err
+	}
+	var decl struct {
+		RunSeconds int `json:"run_seconds"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		return 0, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if decl.RunSeconds <= 0 {
+		return 0, fmt.Errorf("BENCHMARK.json: run_seconds = %d", decl.RunSeconds)
+	}
+	return decl.RunSeconds, nil
+}
+
+func run(base, workload string, seed int) error {
+	seconds, err := runSeconds()
+	if err != nil {
+		return err
+	}
+	tmp, err := os.MkdirTemp("", "benchpair-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	tree := filepath.Join(tmp, "base")
+	if err := command("", "git", "worktree", "add", "--detach", tree, base).Run(); err != nil {
+		return fmt.Errorf("check out %s: %w", base, err)
+	}
+	defer command("", "git", "worktree", "remove", "--force", tree).Run()
+
+	bins := map[string]string{"base": filepath.Join(tmp, "bench-base"), "head": filepath.Join(tmp, "bench-head")}
+	for side, dir := range map[string]string{"base": tree, "head": ""} {
+		if err := command(dir, "go", "build", "-o", bins[side], "./bench").Run(); err != nil {
+			return fmt.Errorf("build ./bench at %s: %w", side, err)
+		}
+	}
+
+	values := map[string]map[string][]float64{"base": {}, "head": {}} // side → metric → one value per pair
+	units := map[string]string{}
+	for i := 0; i < pairs; i++ {
+		order := []string{"base", "head"}
+		if i%2 == 1 {
+			order = []string{"head", "base"}
+		}
+		for _, side := range order {
+			cmd := command("", bins[side], "-workload", workload, "-seed", fmt.Sprint(seed+i),
+				"-seconds", fmt.Sprint(seconds), "-trace", "0", "-out", filepath.Join(tmp, "out-"+side))
+			var out bytes.Buffer
+			cmd.Stdout = &out
+			if err := cmd.Run(); err != nil {
+				return fmt.Errorf("pair %d, %s: %w", i+1, side, err)
+			}
+			lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
+			var r result
+			if err := json.Unmarshal(lines[len(lines)-1], &r); err != nil {
+				return fmt.Errorf("pair %d, %s: result line: %w", i+1, side, err)
+			}
+			if !r.Correct || r.Failed > 0 {
+				return fmt.Errorf("pair %d, %s: %d jobs failed", i+1, side, r.Failed)
+			}
+			for name, m := range r.Metrics {
+				values[side][name] = append(values[side][name], m.Value)
+				units[name] = m.Unit
+			}
+		}
+		fmt.Fprintf(os.Stderr, "pair %d/%d done (seed %d, %s first)\n", i+1, pairs, seed+i, order[0])
+	}
+
+	fmt.Printf("%s, %d pairs × %d s, seeds %d–%d, base %s; every metric is lower-is-better\n",
+		workload, pairs, seconds, seed, seed+pairs-1, base)
+	printTable(os.Stdout, values["base"], values["head"], units)
+	return nil
+}
+
+// printTable writes one row per metric: each side's median and quartiles,
+// the pairs head won, and whether the medians are further apart than base's
+// quartile distance. base and head map a metric to one value per pair.
+func printTable(w io.Writer, base, head map[string][]float64, units map[string]string) {
+	names := make([]string, 0, len(units))
+	for name := range units {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-26s %-11s %30s %30s %9s  %s\n", "metric", "unit", "base median [q1, q3]", "head median [q1, q3]", "head wins", "medians apart by more than base q3−q1")
+	for _, name := range names {
+		b, h := base[name], head[name]
+		if len(b) != len(h) {
+			// One commit's bench does not report this metric (every run
+			// of a side prints the same names).
+			side := "base"
+			if len(b) < len(h) {
+				side = "head"
+			}
+			fmt.Fprintf(w, "%-26s %-11s only on %s\n", name, units[name], side)
+			continue
+		}
+		wins := 0
+		for i := range b {
+			if h[i] < b[i] {
+				wins++
+			}
+		}
+		bq, hq := quartiles(b), quartiles(h)
+		apart := "no"
+		if math.Abs(bq[1]-hq[1]) > bq[2]-bq[0] {
+			apart = "yes"
+		}
+		fmt.Fprintf(w, "%-26s %-11s %30s %30s %6d/%-2d  %s\n", name, units[name],
+			fmt.Sprintf("%.4g [%.4g, %.4g]", bq[1], bq[0], bq[2]),
+			fmt.Sprintf("%.4g [%.4g, %.4g]", hq[1], hq[0], hq[2]), wins, len(b), apart)
+	}
+}
+
+// command runs in dir ("" = the working tree) with its output on stderr,
+// so standard output carries the table only.
+func command(dir, name string, args ...string) *exec.Cmd {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	return cmd
+}
+
+// quartiles returns q1, the median and q3, interpolating between ranks as
+// the benchmark's own summaries do.
+func quartiles(xs []float64) [3]float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	var q [3]float64
+	for i, p := range []float64{0.25, 0.5, 0.75} {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(s)-1)
+		q[i] = s[lo] + (pos-float64(lo))*(s[hi]-s[lo])
+	}
+	return q
+}

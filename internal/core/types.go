@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 )
@@ -81,32 +80,38 @@ func ParseByteSize(s string) (ByteSize, error) {
 // HashKey hashes any comparable key to a well-mixed 64-bit value. Common
 // key types used by the workloads (strings, integers, byte arrays) take a
 // fast path; anything else is formatted and hashed, which is slow but
-// correct — mirroring how generic serializers fall back to reflection.
+// correct — mirroring how generic serializers fall back to reflection. The
+// switch is over a pointer to the key, which fits an interface word as is:
+// switching on any(k) would box the key, one heap allocation per string.
 func HashKey[K comparable](k K) uint64 {
-	switch v := any(k).(type) {
-	case string:
-		return hashBytes([]byte(v))
-	case int:
-		return mix64(uint64(v))
-	case int32:
-		return mix64(uint64(v))
-	case int64:
-		return mix64(uint64(v))
-	case uint32:
-		return mix64(uint64(v))
-	case uint64:
-		return mix64(v)
-	case [10]byte:
-		return hashBytes(v[:])
+	switch p := any(&k).(type) {
+	case *string:
+		return fnv1a(*p)
+	case *int:
+		return mix64(uint64(*p))
+	case *int32:
+		return mix64(uint64(*p))
+	case *int64:
+		return mix64(uint64(*p))
+	case *uint32:
+		return mix64(uint64(*p))
+	case *uint64:
+		return mix64(*p)
+	case *[10]byte:
+		return fnv1a(p[:])
 	default:
-		return hashBytes([]byte(fmt.Sprintf("%v", v)))
+		return fnv1a(fmt.Sprintf("%v", k))
 	}
 }
 
-func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// fnv1a is 64-bit FNV-1a exactly as hash/fnv computes it, inlined so that
+// hashing a key allocates neither a hasher nor a byte copy of a string.
+func fnv1a[B string | []byte](b B) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
+	}
+	return h
 }
 
 // mix64 is the splitmix64 finalizer; it turns sequential integers into

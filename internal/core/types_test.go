@@ -86,6 +86,51 @@ func TestHashKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestHashKeyGolden pins the hash values themselves: partition assignment,
+// flink's key-hash order and so cross-engine parity are functions of them,
+// so a faster HashKey must return exactly what the fmt/hash-fnv form did.
+func TestHashKeyGolden(t *testing.T) {
+	type odd struct{ A, B int }
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{`""`, HashKey(""), 0xcbf29ce484222325},
+		{`"word"`, HashKey("word"), 0x7058fcf636683f3d},
+		{`"the quick brown fox"`, HashKey("the quick brown fox"), 0x59aeb7b40bd8c122},
+		{"int(-7)", HashKey(int(-7)), 0x6c1e186443822970},
+		{"int32(-7)", HashKey(int32(-7)), 0x6c1e186443822970},
+		{"int64(42)", HashKey(int64(42)), 0xbdd732262feb6e95},
+		{"uint32(42)", HashKey(uint32(42)), 0xbdd732262feb6e95},
+		{"uint64(1<<63)", HashKey(uint64(1) << 63), 0x481ec0a212a9f3db},
+		{"[10]byte", HashKey([10]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}), 0x909856bd77277e52},
+		{"struct (fmt fallback)", HashKey(odd{1, 2}), 0x433afdc69ac990ba},
+		{"float64 (fmt fallback)", HashKey(3.5), 0x5714061822379de3},
+		{"uint8 (fmt fallback)", HashKey(uint8(200)), 0x603ec818278d901d},
+	} {
+		if c.got != c.want {
+			t.Errorf("HashKey(%s) = %#x, want %#x", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestHashKeyDoesNotAllocate: the hash sits under every partitioner, route
+// and combine-table insert, once per record.
+func TestHashKeyDoesNotAllocate(t *testing.T) {
+	var sink uint64
+	s, i, b := "vadalor", int64(42), [10]byte{1, 2, 3}
+	for name, fn := range map[string]func(){
+		"string":   func() { sink += HashKey(s) },
+		"int64":    func() { sink += HashKey(i) },
+		"[10]byte": func() { sink += HashKey(b) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("HashKey(%s) allocates %v times per call", name, n)
+		}
+	}
+	_ = sink
+}
+
 func TestHashKeyIntMixing(t *testing.T) {
 	// Sequential keys must spread over partitions; count collisions mod 16.
 	buckets := make([]int, 16)

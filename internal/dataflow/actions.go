@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"cmp"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -156,13 +155,13 @@ func SaveBytes[T any](d *Dataset[T], name string, enc func(T) []byte) error {
 // writeConcat materializes partitions to one DFS file in partition order
 // and charges the write.
 func writeConcat[T any](s *Session, name string, parts [][]T, enc func(T) []byte) error {
-	var sb strings.Builder
+	var out []byte
 	for _, part := range parts {
 		for _, v := range part {
-			sb.Write(enc(v))
+			out = append(out, enc(v)...)
 		}
 	}
-	s.FS().WriteFile(name, []byte(sb.String()))
-	s.Metrics().DiskBytesWritten.Add(int64(sb.Len()))
+	s.FS().WriteFile(name, out)
+	s.Metrics().DiskBytesWritten.Add(int64(len(out)))
 	return nil
 }

@@ -3,7 +3,7 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/dfs"
@@ -160,11 +160,50 @@ func countRecords[K cmp.Ordered, V any](parts [][]core.Pair[K, V]) int {
 }
 
 // defaultPartition hashes the key's string form, the HashPartitioner
-// default.
+// default: FNV-32a over the bytes fmt's %v prints. It runs once per emitted
+// record, so strings hash in place and integers through a stack buffer;
+// the remaining ordered kinds (floats, named types) are formatted.
 func defaultPartition[K cmp.Ordered](k K, reduces int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%v", k)
-	return int(h.Sum32() % uint32(reduces))
+	var buf [20]byte // the longest decimal: -9223372036854775808
+	var text []byte
+	switch p := any(&k).(type) {
+	case *string:
+		return int(fnv32a(*p) % uint32(reduces))
+	case *int:
+		text = strconv.AppendInt(buf[:0], int64(*p), 10)
+	case *int8:
+		text = strconv.AppendInt(buf[:0], int64(*p), 10)
+	case *int16:
+		text = strconv.AppendInt(buf[:0], int64(*p), 10)
+	case *int32:
+		text = strconv.AppendInt(buf[:0], int64(*p), 10)
+	case *int64:
+		text = strconv.AppendInt(buf[:0], *p, 10)
+	case *uint:
+		text = strconv.AppendUint(buf[:0], uint64(*p), 10)
+	case *uint8:
+		text = strconv.AppendUint(buf[:0], uint64(*p), 10)
+	case *uint16:
+		text = strconv.AppendUint(buf[:0], uint64(*p), 10)
+	case *uint32:
+		text = strconv.AppendUint(buf[:0], uint64(*p), 10)
+	case *uint64:
+		text = strconv.AppendUint(buf[:0], *p, 10)
+	case *uintptr:
+		text = strconv.AppendUint(buf[:0], uint64(*p), 10)
+	default:
+		text = fmt.Appendf(nil, "%v", k)
+	}
+	return int(fnv32a(text) % uint32(reduces))
+}
+
+// fnv32a is 32-bit FNV-1a exactly as hash/fnv computes it.
+func fnv32a[B string | []byte](b B) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint32(b[i])) * 16777619
+	}
+	return h
 }
 
 // replicaNode returns the node holding block i of a DFS file (for the

@@ -1,8 +1,11 @@
 package mapreduce
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -262,5 +265,55 @@ func TestWriteTextOutput(t *testing.T) {
 	body := string(f.Contents())
 	if !strings.Contains(body, "a\t1") || !strings.Contains(body, "b\t1") {
 		t.Errorf("unexpected text output: %q", body)
+	}
+}
+
+// fmtPartition is defaultPartition as it was first written — FNV-32a fed by
+// fmt — kept as the reference: a record must never change partition.
+func fmtPartition[K cmp.Ordered](k K, reduces int) int {
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%v", k)
+	return int(h.Sum32() % uint32(reduces))
+}
+
+func checkPartition[K cmp.Ordered](t *testing.T, keys ...K) {
+	t.Helper()
+	for _, k := range keys {
+		for _, reduces := range []int{1, 2, 7, 64, 1 << 20} {
+			if got, want := defaultPartition(k, reduces), fmtPartition(k, reduces); got != want {
+				t.Errorf("defaultPartition(%T %v, %d) = %d, fmt form gives %d", k, k, reduces, got, want)
+			}
+		}
+	}
+}
+
+func TestDefaultPartitionMatchesFmtForm(t *testing.T) {
+	type word string
+	type id int
+	checkPartition(t, "", "the", "vadalor", "naïve ☃", strings.Repeat("k", 300))
+	checkPartition(t, word("named"))
+	checkPartition(t, 0, -1, 42, math.MaxInt, math.MinInt)
+	checkPartition(t, id(-7))
+	checkPartition[int8](t, 0, -128, 127)
+	checkPartition[int16](t, 0, math.MinInt16, math.MaxInt16)
+	checkPartition[int32](t, 0, math.MinInt32, math.MaxInt32)
+	checkPartition[int64](t, 0, math.MinInt64, math.MaxInt64)
+	checkPartition[uint](t, 0, 9, math.MaxUint)
+	checkPartition[uint8](t, 0, 255)
+	checkPartition[uint16](t, 0, math.MaxUint16)
+	checkPartition[uint32](t, 0, math.MaxUint32)
+	checkPartition[uint64](t, 0, math.MaxUint64)
+	checkPartition[uintptr](t, 0, math.MaxUint64)
+	checkPartition[float32](t, 0, -1.5, 1e20, float32(math.Inf(1)))
+	checkPartition(t, 0.0, 3.25, -1e-7, 1e21, math.NaN(), math.Inf(-1))
+
+	s, i := "vadalor", int64(42)
+	for name, fn := range map[string]func(){
+		"string": func() { defaultPartition(s, 2) },
+		"int64":  func() { defaultPartition(i, 2) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("defaultPartition(%s) allocates %v times per record", name, n)
+		}
 	}
 }

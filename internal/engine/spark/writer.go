@@ -11,8 +11,11 @@ import (
 // combiner type, fed through the configured strategy — tungsten-sort-style
 // spill-and-merge by default, hash-bucketed with spark.shuffle.manager=hash
 // or shuffle.strategy=hash — and the finished blocks register with the
-// shuffle service as this task's map output. Memory is granted from the
-// executor heap's shuffle fraction; a refused grant spills.
+// shuffle service as this task's map output. With map-side combine the core
+// folds each lifted record into its key's entry as it arrives (Spark's
+// PartitionedAppendOnlyMap), under either strategy. Memory is granted from
+// the executor heap's shuffle fraction, per held entry; a refused grant
+// spills.
 type mapWriter[K comparable, V, C any] struct {
 	tc             *taskContext
 	sd             *shuffleDep

@@ -285,8 +285,14 @@ func TestExt10AdaptiveExecution(t *testing.T) {
 		t.Errorf("ext10 trace should record the hash→sort switch:\n%s", trace)
 	}
 	// The one timing assertion compares two best-of-N runs of the same
-	// waves on the same engine, three of four waves on different settings;
-	// the measured ratio is ≈ 0.9, the slack is for a loaded machine.
+	// waves on the same engine, three of four waves on different settings.
+	// The ratio measured ≈ 0.9 while mapreduce's hash path kept a slice per
+	// key; with the shuffle core's combine table it no longer loses as much
+	// on unique keys and the ratio is ≈ 1.0, so the 0.3 of slack now has to
+	// cover all of a loaded machine's drift. Taken against the fixed sweep's
+	// value, measured seconds earlier, the gate tripped under `go test ./...`
+	// (1.60×); ext10AdaptiveCell therefore re-measures the held static start
+	// in alternation with the adaptive runs (five more 60 ms runs).
 	const prefix = "adaptive vs its static start: "
 	found := false
 	for _, note := range rep.Notes {

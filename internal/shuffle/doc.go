@@ -9,17 +9,38 @@
 //
 //   - Hash: hash-bucketed repartition. Records are routed to their reduce
 //     partition and serialized immediately into per-partition buffers;
-//     buffers can flush downstream as they fill (pipelined exchange).
-//     Map-side combining, when requested, runs in a hash table that drains
-//     under memory pressure. This is Flink's pipelined repartition and
-//     Spark's legacy hash shuffle manager.
-//   - Sort: sort-based shuffle. Records are buffered and spilled as sorted,
-//     combined runs whenever the host engine's memory grant is refused or
-//     the spill threshold is reached; Close merges the runs into one final
-//     segment per partition. With a record order (Spec.Less) this is
-//     Hadoop's spill-and-merge pipeline; without one it degrades to
-//     partition-id grouping only — exactly what Spark's tungsten-sort does
-//     (it sorts on the partition-id prefix, never on the key).
+//     buffers can flush downstream as they fill (pipelined exchange). This
+//     is Flink's pipelined repartition and Spark's legacy hash shuffle
+//     manager.
+//   - Sort: sort-based shuffle. Records are held and spilled as sorted runs
+//     whenever the host engine's memory grant is refused or the spill
+//     threshold is reached; Close merges the runs into one final segment
+//     per partition. With a record order (Spec.Less) this is Hadoop's
+//     spill-and-merge pipeline; without one it degrades to partition-id
+//     grouping only — exactly what Spark's tungsten-sort does (it sorts on
+//     the partition-id prefix, never on the key).
+//
+// # Map-side combining
+//
+// There is one pairwise combine in the core, and both strategies use it: a
+// writer whose Spec sets Merge folds each record into its key's entry of an
+// open-addressed combine table the moment it arrives (Spark's
+// PartitionedAppendOnlyMap: fold on insert, spill the map, not the input).
+// What such a writer holds is therefore one record per distinct key, in
+// first-seen order, and everything downstream sees exactly that: SpillRecs,
+// SpillBytes and the Env.Mem grants count held entries — as Spark's
+// size-estimated map counts its own size, not its input's — and a sort
+// writer partitions, sorts and spills entries, a hash writer drains them
+// into its buckets. A thousand arrivals of ten keys never spill.
+//
+// CombineRun, Hadoop's sort-then-combine, stays run-level and is used when
+// Merge is nil: the writer holds every arrival (so thresholds count
+// arrivals), and at cut or drain time makes equal keys adjacent — by Less
+// when the edge has an order, through the table's key index otherwise —
+// and hands the whole run to the combiner. Sorted runs merged at Close are
+// combined again across runs, pairwise or run-level as the Spec says;
+// unordered runs concatenate, so a key spilled twice reaches the reducer
+// twice, which folds by key anyway.
 //
 // # Strategy matrix (engine × strategy)
 //

@@ -51,11 +51,12 @@ type Settings struct {
 	Kind Kind
 	// Compress is the block codec; nil stores blocks raw and unframed.
 	Compress Compressor
-	// SpillBytes caps the encoded bytes a sort writer buffers before it
+	// SpillBytes caps the encoded bytes a sort writer holds before it
 	// spills a run (core.ShuffleSpillThreshold; 0 = no byte cap).
 	SpillBytes int64
-	// SpillRecs caps buffered records before a sort-writer spill (engine
-	// defaults, e.g. MapReduce's io.sort.records; 0 = no record cap).
+	// SpillRecs caps held records before a sort-writer spill (engine
+	// defaults, e.g. MapReduce's io.sort.records; 0 = no record cap). Under
+	// a pairwise combiner the held records are one per distinct key.
 	SpillRecs int
 	// FlushBytes is the hash writer's per-bucket pipelined flush threshold
 	// (0 = buckets only flush at Close — a materialized shuffle).
@@ -201,11 +202,12 @@ type Spec[R any] struct {
 	NormKey func(v R, dst []byte) []byte
 	// Same reports key equality, required by Merge and CombineRun.
 	Same func(a, b R) bool
-	// Hash is the key hash for the hash strategy's combine table, required
-	// when Merge or CombineRun is set (core.HashKey over the record's key).
+	// Hash is the key hash for the combine table, required when Merge or
+	// CombineRun is set (core.HashKey over the record's key).
 	Hash func(R) uint64
 	// Merge is the pairwise map-side combiner (nil disables pairwise
-	// combining).
+	// combining): under both strategies a record folds into its key's
+	// entry as it arrives.
 	Merge func(a, b R) R
 	// CombineRun is the run-level combiner (Hadoop's Combine over a sorted
 	// run): it receives records grouped so equal keys are adjacent and

@@ -109,7 +109,9 @@ func TestWriterStrategiesAgree(t *testing.T) {
 func TestSortWriterBlocksAreKeySorted(t *testing.T) {
 	recs, _ := wordRecords(3000)
 	spec := pairSpec(3, true)
-	set := Settings{Kind: Sort, SpillRecs: 500}
+	// The threshold counts held entries — distinct keys — so it sits below
+	// the 200-word vocabulary.
+	set := Settings{Kind: Sort, SpillRecs: 50}
 	m := &metrics.JobMetrics{}
 	blocks := map[int]Block{}
 	w := NewWriter(spec, Env{Settings: set, Metrics: m, Emit: func(part int, b Block) error {
@@ -125,7 +127,7 @@ func TestSortWriterBlocksAreKeySorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.SpillCount.Load() == 0 {
-		t.Error("no spills despite a 500-record threshold over 3000 records")
+		t.Error("no spills despite a 50-entry threshold over 200 distinct keys")
 	}
 	for part, blk := range blocks {
 		seg, err := DecodeBlocks(set, spec.Codec, []Block{blk})
@@ -297,7 +299,7 @@ func (s *memStore) Remove(h string) { delete(s.m, h); s.removes++ }
 func TestSortWriterSpillStoreLifecycle(t *testing.T) {
 	recs, want := wordRecords(4000)
 	store := &memStore{}
-	env := Env{Settings: Settings{Kind: Sort, SpillRecs: 700}, Metrics: &metrics.JobMetrics{}, Spill: store}
+	env := Env{Settings: Settings{Kind: Sort, SpillRecs: 60}, Metrics: &metrics.JobMetrics{}, Spill: store}
 	got := runWriter(t, pairSpec(2, true), env, recs)
 	for k, v := range want {
 		if got[k] != v {
@@ -496,38 +498,16 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 		}
 		return out
 	}
-	// Canonical per-partition form: the hash writer's combine table drains
-	// in map order, so hash+combine bytes are nondeterministic run to run —
-	// compare decoded, key-sorted records there; raw bytes everywhere else.
-	canon := func(m map[int][]byte, sortRecs bool) map[int]string {
-		out := map[int]string{}
-		for p, data := range m {
-			if !sortRecs {
-				out[p] = string(data)
-				continue
-			}
-			decoded, err := serde.DecodeAll(pairSpec(4, false).Codec, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sort.Slice(decoded, func(i, j int) bool { return decoded[i].Key < decoded[j].Key })
-			var buf []byte
-			for _, kv := range decoded {
-				buf = append(buf, fmt.Sprintf("%s=%d;", kv.Key, kv.Value)...)
-			}
-			out[p] = string(buf)
-		}
-		return out
-	}
+	// The combine table keeps first-seen order, so even hash+combine blocks
+	// are deterministic: raw bytes compare everywhere.
 	for _, kind := range []Kind{Hash, Sort} {
 		for _, combine := range []bool{false, true} {
-			sortRecs := kind == Hash && combine
-			want := canon(wire(1, kind, combine, Settings{}), sortRecs)
+			want := wire(1, kind, combine, Settings{})
 			for _, batch := range []int{3, 64, 256, 4096} {
-				got := canon(wire(batch, kind, combine, Settings{}), sortRecs)
+				got := wire(batch, kind, combine, Settings{})
 				for p, w := range want {
-					if got[p] != w {
-						t.Fatalf("%v/combine=%v batch=%d: partition %d contents differ", kind, combine, batch, p)
+					if !bytes.Equal(got[p], w) {
+						t.Fatalf("%v/combine=%v batch=%d: partition %d bytes differ", kind, combine, batch, p)
 					}
 				}
 			}
@@ -536,7 +516,7 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 	// Pipelined/spilling settings move block boundaries, not contents: the
 	// concatenated decode must agree record-set-wise.
 	for _, kind := range []Kind{Hash, Sort} {
-		set := Settings{FlushBytes: 512, SpillRecs: 700}
+		set := Settings{FlushBytes: 512, SpillRecs: 70}
 		m := &metrics.JobMetrics{}
 		got := runWriter(t, pairSpec(4, true), Env{Settings: Settings{Kind: kind, FlushBytes: set.FlushBytes, SpillRecs: set.SpillRecs}, Metrics: m}, recs)
 		out := map[int][]byte{}

@@ -1,0 +1,156 @@
+package shuffle
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+)
+
+// TestCombineTableMatchesMapFold drives the table against a plain map fold
+// with Hash forced onto five values: every probe chain is full of distinct
+// keys sharing a hash, which must never merge, and 3 000 keys take the index
+// from 64 slots through seven doublings. Entries must stay in first-seen
+// order, and a reset table must behave like a new one.
+func TestCombineTableMatchesMapFold(t *testing.T) {
+	spec := pairSpec(1, true)
+	spec.Hash = func(p core.Pair[string, int64]) uint64 { return uint64(len(p.Key)+int(p.Key[0])) % 5 }
+	tab := newCombineTable(&spec)
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 2; round++ {
+		want := map[string]int64{}
+		var order []string
+		for i := 0; i < 20000; i++ {
+			k := fmt.Sprintf("%c%d", 'a'+rune(rng.Intn(3)), rng.Intn(1000))
+			v := int64(rng.Intn(9))
+			if _, ok := want[k]; !ok {
+				order = append(order, k)
+			}
+			want[k] += v
+			tab.add(core.KV(k, v))
+		}
+		if len(tab.entries) != len(order) {
+			t.Fatalf("round %d: %d entries for %d distinct keys", round, len(tab.entries), len(order))
+		}
+		if len(tab.slots) < 2*len(order) || len(tab.slots) <= tableMinSlots {
+			t.Errorf("round %d: %d slots index %d entries — the table never grew", round, len(tab.slots), len(order))
+		}
+		for i, e := range tab.entries {
+			if e.Key != order[i] {
+				t.Fatalf("round %d: entry %d is %q, first-seen order has %q", round, i, e.Key, order[i])
+			}
+			if e.Value != want[e.Key] {
+				t.Errorf("round %d: fold[%s] = %d, want %d", round, e.Key, e.Value, want[e.Key])
+			}
+		}
+		tab.reset()
+	}
+}
+
+func TestGroupByKeyKeepsFirstSeenAndArrivalOrder(t *testing.T) {
+	spec := pairSpec(1, false)
+	spec.Hash = func(core.Pair[string, int64]) uint64 { return 7 } // every key collides
+	run := []core.Pair[string, int64]{
+		core.KV("b", int64(1)), core.KV("a", int64(2)), core.KV("b", int64(3)),
+		core.KV("c", int64(4)), core.KV("a", int64(5)), core.KV("b", int64(6)),
+	}
+	want := []core.Pair[string, int64]{
+		core.KV("b", int64(1)), core.KV("b", int64(3)), core.KV("b", int64(6)),
+		core.KV("a", int64(2)), core.KV("a", int64(5)),
+		core.KV("c", int64(4)),
+	}
+	if got := groupByKey(run, &spec); !reflect.DeepEqual(got, want) {
+		t.Errorf("groupByKey = %v, want %v", got, want)
+	}
+}
+
+// wideRecords draws from a vocabulary wide enough that the held entries of
+// a combining writer cross several memCheckEvery boundaries.
+func wideRecords(n, vocab int) ([]core.Pair[string, int64], map[string]int64) {
+	rng := rand.New(rand.NewSource(17))
+	recs := make([]core.Pair[string, int64], n)
+	want := map[string]int64{}
+	for i := range recs {
+		w := fmt.Sprintf("w%05d", rng.Intn(vocab))
+		recs[i] = core.KV(w, int64(1))
+		want[w]++
+	}
+	return recs, want
+}
+
+// TestCombiningWriterSpillsOnRefusedGrant: grants are asked for per
+// memCheckEvery HELD entries, so a writer refused after two grants spills
+// (sort) or drains (hash) with ~3 k distinct keys in hand, more than once
+// over 9 000 keys — and what the reduce side folds out of its blocks is what
+// it folds out of the never-refused writer's.
+func TestCombiningWriterSpillsOnRefusedGrant(t *testing.T) {
+	recs, want := wideRecords(40000, 9000)
+	for _, kind := range []Kind{Hash, Sort} {
+		for _, runLevel := range []bool{false, true} {
+			name := fmt.Sprintf("%v/runLevel=%v", kind, runLevel)
+			spec := pairSpec(3, !runLevel)
+			if runLevel {
+				spec.Less = nil
+				spec.CombineRun = sumRuns(t, name)
+			}
+			roomy := &metrics.JobMetrics{}
+			base := runWriter(t, spec, Env{Settings: Settings{Kind: kind}, Metrics: roomy}, recs)
+			if roomy.SpillCount.Load() != 0 {
+				t.Fatalf("%s: %d spills with every grant honoured", name, roomy.SpillCount.Load())
+			}
+			// No spill: the combiner saw every record once and left one per
+			// key, whichever structure did the folding.
+			if in, out := roomy.CombineInputRecords.Load(), roomy.CombineOutputRecs.Load(); in != int64(len(recs)) || out != int64(len(want)) {
+				t.Errorf("%s: combine counted %d → %d, want %d → %d", name, in, out, len(recs), len(want))
+			}
+
+			tight := &metrics.JobMetrics{}
+			var granted, freed int64
+			got := runWriter(t, spec, Env{
+				Settings: Settings{Kind: kind},
+				Metrics:  tight,
+				Mem: func(n int64) bool {
+					if granted >= 2*memQuantum {
+						return false
+					}
+					granted += n
+					return true
+				},
+				Free: func(n int64) { freed += n },
+			}, recs)
+			if tight.SpillCount.Load() < 2 {
+				t.Errorf("%s: %d spills with grants refused after two quanta", name, tight.SpillCount.Load())
+			}
+			if freed != granted {
+				t.Errorf("%s: freed %d of %d granted bytes", name, freed, granted)
+			}
+			if !reflect.DeepEqual(got, base) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: reduced output differs between the spilling and the no-spill writer", name)
+			}
+		}
+	}
+}
+
+// sumRuns is a run-level combiner that fails the test when a key reaches it
+// in two separate groups of one run.
+func sumRuns(t *testing.T, name string) func(run []core.Pair[string, int64]) []core.Pair[string, int64] {
+	return func(run []core.Pair[string, int64]) []core.Pair[string, int64] {
+		var out []core.Pair[string, int64]
+		seen := map[string]bool{}
+		for _, kv := range run {
+			if n := len(out); n > 0 && out[n-1].Key == kv.Key {
+				out[n-1].Value += kv.Value
+				continue
+			}
+			if seen[kv.Key] {
+				t.Errorf("%s: CombineRun got key %q in two groups of one run", name, kv.Key)
+			}
+			seen[kv.Key] = true
+			out = append(out, kv)
+		}
+		return out
+	}
+}

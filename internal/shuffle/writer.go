@@ -13,8 +13,9 @@ import (
 
 // hashWriter is the bucketed repartition: records are serialized into
 // per-partition buffers as they arrive and can flush downstream before
-// end-of-input (the pipelined exchange). Map-side combining runs in a hash
-// table that drains into the buckets when the memory grant is refused.
+// end-of-input (the pipelined exchange). Map-side combining holds records in
+// the combine table, which drains into the buckets when the memory grant is
+// refused.
 type hashWriter[R any] struct {
 	spec Spec[R]
 	env  Env
@@ -22,53 +23,41 @@ type hashWriter[R any] struct {
 	bufs [][]byte
 	recs []int64
 
-	groups  map[uint64][]R // combine table, bucketed by key hash
-	keys    int            // distinct keys since the last memory check
+	held    combineTable[R] // combining only: folded entries, or CombineRun's arrivals
 	granted int64
 	inRecs  int64
 	outRecs int64
 }
 
 func newHashWriter[R any](spec Spec[R], env Env) *hashWriter[R] {
-	w := &hashWriter[R]{
+	return &hashWriter[R]{
 		spec: spec,
 		env:  env,
 		bufs: make([][]byte, spec.NumParts),
 		recs: make([]int64, spec.NumParts),
+		held: newCombineTable(&spec),
 	}
-	if spec.combining() {
-		w.groups = make(map[uint64][]R)
-	}
-	return w
 }
 
-// Write implements Writer.
+// Write implements Writer. Memory is asked for once per memCheckEvery held
+// records — distinct keys under Merge, arrivals under CombineRun.
 func (w *hashWriter[R]) Write(rec R) error {
-	if w.groups == nil {
+	if !w.spec.combining() {
 		_, err := w.emit(rec)
 		return err
 	}
 	w.inRecs++
-	h := w.spec.Hash(rec)
-	g := w.groups[h]
-	if w.spec.Merge != nil {
-		for i := range g {
-			if w.spec.Same(g[i], rec) {
-				g[i] = w.spec.Merge(g[i], rec)
-				return nil
-			}
-		}
+	before := len(w.held.entries)
+	w.held.add(rec)
+	n := len(w.held.entries)
+	if n == before || n%memCheckEvery != 0 || w.env.Mem == nil {
+		return nil
 	}
-	w.groups[h] = append(g, rec)
-	w.keys++
-	if w.keys%memCheckEvery == 0 && w.env.Mem != nil {
-		if w.env.Mem(memQuantum) {
-			w.granted += memQuantum
-		} else if err := w.drain(true); err != nil {
-			return err
-		}
+	if w.env.Mem(memQuantum) {
+		w.granted += memQuantum
+		return nil
 	}
-	return nil
+	return w.drain(true)
 }
 
 // WriteBatch implements Writer. The combining path still inserts record by
@@ -77,7 +66,7 @@ func (w *hashWriter[R]) Write(rec R) error {
 // out of the record loop — one threshold scan per batch instead of one
 // per record.
 func (w *hashWriter[R]) WriteBatch(recs []R) error {
-	if w.groups != nil {
+	if w.spec.combining() {
 		for _, rec := range recs {
 			if err := w.Write(rec); err != nil {
 				return err
@@ -112,29 +101,23 @@ func (w *hashWriter[R]) WriteBatch(recs []R) error {
 // memory-pressure drain (counted as a spill, like the tungsten aggregation
 // map falling back to its buckets).
 func (w *hashWriter[R]) drain(spilled bool) error {
-	if len(w.groups) == 0 {
+	run := w.held.entries
+	if len(run) == 0 {
 		return nil
 	}
-	var bytes int64
-	var out int64
-	for _, g := range w.groups {
-		run := g
-		if w.spec.Merge == nil {
-			// g is one hash bucket already; only colliding keys compare.
-			run = combineAdjacent(groupSameAdjacent(g, w.spec.Same), w.spec)
-		}
-		for _, rec := range run {
-			n, err := w.emit(rec)
-			if err != nil {
-				return err
-			}
-			bytes += int64(n)
-			out++
-		}
+	if w.spec.Merge == nil {
+		run = w.spec.CombineRun(groupByKey(run, &w.spec))
 	}
-	w.groups = make(map[uint64][]R)
-	w.keys = 0
-	w.outRecs += out
+	var bytes int64
+	for _, rec := range run {
+		n, err := w.emit(rec)
+		if err != nil {
+			return err
+		}
+		bytes += int64(n)
+	}
+	w.outRecs += int64(len(run))
+	w.held.reset()
 	if spilled && w.env.Metrics != nil {
 		w.env.Metrics.SpillCount.Add(1)
 		w.env.Metrics.SpillBytes.Add(bytes)
@@ -178,7 +161,7 @@ func (w *hashWriter[R]) flush(p int) error {
 // Close implements Writer: drain the combine table, emit one final block
 // per partition (empty ones included) and release granted memory.
 func (w *hashWriter[R]) Close() error {
-	if w.groups != nil {
+	if w.spec.combining() {
 		if err := w.drain(false); err != nil {
 			return err
 		}
@@ -216,15 +199,19 @@ type runSeg struct {
 	recs   int64
 }
 
-// sortWriter is the spill-and-merge shuffle: records buffer until the
+// sortWriter is the spill-and-merge shuffle: records are held until the
 // memory grant is refused or a threshold trips, then spill as a partitioned
-// (and, with Less, sorted and combined) run; Close merges every run into
-// one final segment per partition.
+// (and, with Less, sorted) run; Close merges every run into one final
+// segment per partition. With Merge set the held records are the combine
+// table's entries — one per distinct key, folded on arrival, as Spark's
+// size-estimated PartitionedAppendOnlyMap holds them — so every threshold and
+// memory grant counts entries, and a run is combined before it is cut.
 type sortWriter[R any] struct {
 	spec Spec[R]
 	env  Env
 
-	buf         []R
+	held        combineTable[R]
+	arrived     int64      // records written since the last cut
 	runs        [][]runSeg // runs[i][part]
 	granted     int64
 	bytesPerRec float64 // running encoded-size estimate for SpillBytes
@@ -233,30 +220,34 @@ type sortWriter[R any] struct {
 }
 
 func newSortWriter[R any](spec Spec[R], env Env) *sortWriter[R] {
-	return &sortWriter[R]{spec: spec, env: env, bytesPerRec: 64}
+	return &sortWriter[R]{spec: spec, env: env, held: newCombineTable(&spec), bytesPerRec: 64}
 }
 
 // Write implements Writer. Route validation happens in cut (the one place
-// Route must run anyway), so the buffering fast path is a plain append plus
+// Route must run anyway), so the fast path is an append or a fold plus
 // threshold checks.
 func (w *sortWriter[R]) Write(rec R) error {
-	w.buf = append(w.buf, rec)
-	return w.check(len(w.buf) - 1)
-}
-
-// WriteBatch implements Writer: the whole batch appends in one copy and the
-// spill/memory thresholds are consulted once, at batch granularity.
-func (w *sortWriter[R]) WriteBatch(recs []R) error {
-	before := len(w.buf)
-	w.buf = append(w.buf, recs...)
+	before := len(w.held.entries)
+	w.held.add(rec)
+	w.arrived++
 	return w.check(before)
 }
 
-// check applies the spill and memory-pressure thresholds after the buffer
-// grew from `before` records to its current length. Memory is granted one
+// WriteBatch implements Writer: without a pairwise combiner the whole batch
+// appends in one copy; either way the spill/memory thresholds are consulted
+// once, at batch granularity.
+func (w *sortWriter[R]) WriteBatch(recs []R) error {
+	before := len(w.held.entries)
+	w.held.addAll(recs)
+	w.arrived += int64(len(recs))
+	return w.check(before)
+}
+
+// check applies the spill and memory-pressure thresholds after the held
+// records grew from `before` to their current count. Memory is granted one
 // quantum per memCheckEvery records crossed, matching the per-record path.
 func (w *sortWriter[R]) check(before int) error {
-	n := len(w.buf)
+	n := len(w.held.entries)
 	set := w.env.Settings
 	if set.SpillRecs > 0 && n >= set.SpillRecs {
 		return w.spill()
@@ -276,17 +267,21 @@ func (w *sortWriter[R]) check(before int) error {
 	return nil
 }
 
-// cut partitions, orders and combines the buffered records, returning one
+// cut partitions, orders and combines the held records, returning one
 // record slice per partition (the in-memory form of a run). A record routed
 // outside [0, NumParts) surfaces here as an error.
 func (w *sortWriter[R]) cut() ([][]R, error) {
 	parts := make([][]R, w.spec.NumParts)
-	for _, rec := range w.buf {
+	for _, rec := range w.held.entries {
 		p := w.spec.Route(rec)
 		if p < 0 || p >= w.spec.NumParts {
 			return nil, fmt.Errorf("shuffle: record routed to partition %d of %d", p, w.spec.NumParts)
 		}
 		parts[p] = append(parts[p], rec)
+	}
+	if w.spec.Merge != nil && w.env.Metrics != nil {
+		w.env.Metrics.CombineInputRecords.Add(w.arrived)
+		w.env.Metrics.CombineOutputRecs.Add(int64(len(w.held.entries)))
 	}
 	for p, part := range parts {
 		if w.spec.Less != nil {
@@ -295,17 +290,25 @@ func (w *sortWriter[R]) cut() ([][]R, error) {
 			} else {
 				sort.SliceStable(part, func(i, j int) bool { return w.spec.Less(part[i], part[j]) })
 			}
-		} else if w.spec.combining() {
-			part = groupFirstSeen(part, w.spec)
 		}
-		parts[p] = w.combine(part)
+		if w.spec.Merge == nil && w.spec.CombineRun != nil {
+			// Run-level combine: the entries are arrivals, and CombineRun
+			// wants equal keys adjacent. (Under Merge they are unique.)
+			if w.spec.Less == nil {
+				part = groupByKey(part, &w.spec)
+			}
+			part = w.combine(part)
+		}
+		parts[p] = part
 	}
-	w.buf = w.buf[:0]
+	w.held.reset()
+	w.arrived = 0
 	return parts, nil
 }
 
-// combine folds a partition slice whose equal keys are adjacent, counting
-// the reduction like the engines' combiners do.
+// combine folds a partition slice whose equal keys are adjacent — a run
+// under CombineRun, or sorted runs merged at Close — counting the reduction
+// like the engines' combiners do.
 func (w *sortWriter[R]) combine(part []R) []R {
 	if !w.spec.combining() || len(part) == 0 {
 		return part
@@ -319,9 +322,9 @@ func (w *sortWriter[R]) combine(part []R) []R {
 	return part
 }
 
-// spill materializes the current buffer as one run.
+// spill materializes the held records as one run.
 func (w *sortWriter[R]) spill() error {
-	if len(w.buf) == 0 {
+	if len(w.held.entries) == 0 {
 		return nil
 	}
 	parts, err := w.cut()
@@ -462,55 +465,6 @@ func SortByNormKey[R any](part []R, key func(v R, dst []byte) []byte) {
 }
 
 // --- shared combine helpers -------------------------------------------------
-
-// groupFirstSeen reorders records so equal keys (per Same) are adjacent,
-// keeping hash buckets in first-seen order and records in arrival order —
-// the adjacency CombineRun and combineAdjacent need when no order exists.
-// Records bucket by Hash first, so the pairwise Same scan only runs inside
-// a bucket: expected O(n) over the partition, not O(n²).
-func groupFirstSeen[R any](recs []R, spec Spec[R]) []R {
-	if len(recs) < 2 {
-		return recs
-	}
-	order := make([]uint64, 0, len(recs))
-	buckets := make(map[uint64][]R, len(recs))
-	for _, rec := range recs {
-		h := spec.Hash(rec)
-		g, ok := buckets[h]
-		if !ok {
-			order = append(order, h)
-		}
-		buckets[h] = append(g, rec)
-	}
-	out := make([]R, 0, len(recs))
-	for _, h := range order {
-		out = append(out, groupSameAdjacent(buckets[h], spec.Same)...)
-	}
-	return out
-}
-
-// groupSameAdjacent is the pairwise grouping behind groupFirstSeen, run on
-// one hash bucket, where only colliding keys ever compare.
-func groupSameAdjacent[R any](recs []R, same func(a, b R) bool) []R {
-	if len(recs) < 2 {
-		return recs
-	}
-	out := make([]R, 0, len(recs))
-	used := make([]bool, len(recs))
-	for i := range recs {
-		if used[i] {
-			continue
-		}
-		out = append(out, recs[i])
-		for j := i + 1; j < len(recs); j++ {
-			if !used[j] && same(recs[i], recs[j]) {
-				out = append(out, recs[j])
-				used[j] = true
-			}
-		}
-	}
-	return out
-}
 
 // combineAdjacent folds runs of equal keys (which must already be
 // adjacent): pairwise with Merge, or through CombineRun.

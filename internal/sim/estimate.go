@@ -32,30 +32,49 @@ import (
 //     part and per-MiB slope; a constant's comment names the rows it is
 //     read from. The slopes in that table include the I/O terms below
 //     (0.0065 s/MiB on WordCount, 0.004 on TeraSort at the probe's spec).
-//     The flink constants are from the current sweep; the spark and
-//     mapreduce ones predate the vectorized layer and read 1.3-2× high on
-//     it, uniformly, which keeps every ranking within an engine.
+//     The numbers quoted are per-cell medians over six sweeps of the state
+//     in which the shuffle core folds map-side combines on arrival; one
+//     sweep scatters ±10 % around them (a 768 KiB WordCount cell: ±3 ms).
+//     The aggregate constants of all three engines are from those sweeps
+//     (core.HashKey sits under every engine's WordCount), so is everything
+//     spark and mapreduce, and flink's fixed part; flink's Sort-shape and
+//     channel constants are from the sweep before and still fit (TeraSort
+//     slopes 0.0096-0.0107 against 0.0107).
 //   - [MECH] structural, not fitted.
 const (
-	// Fixed per-job overhead: session setup, stage scheduling, driver
-	// round-trips. [ANCHOR ext10] intercepts of the size sweeps (flink:
-	// mean of its eight rows, 1.6…4.2 ms on WordCount, ≈ 0 on TeraSort).
-	estFixedSpark = 0.003
-	estFixedMR    = 0.004
-	estFixedFlink = 0.002 // pipeline deployment + channel allocation
+	// Fixed part of a job's cost line. [ANCHOR ext10] mean intercept of an
+	// engine's eight size sweeps, and never under 1 ms — one rule for all
+	// three, because at these sizes the fixed part decides between engines:
+	// spark 1.7…2.8 ms on WordCount and -0.6…0.8 on TeraSort, mean 1.1;
+	// flink 2.3…5.2 and -1.2…-0.7, mean 1.5; mapreduce -1.0…1.6 over all
+	// eight, mean 0.1, which the floor lifts to 1. The floor is the
+	// resolution of the fit: an intercept is a two-point extrapolation that
+	// scatters ±1 ms between rows of one engine, and it is not job overhead
+	// — a 20-record TeraSort or a 1 KiB WordCount measures 0.03-0.16 ms on
+	// every engine and configuration alike — but the curvature of the sweep
+	// below its smallest size. Even at half a millisecond mapreduce takes a
+	// 192 KiB TeraSort from spark/sort, where it measures third: flink
+	// 1.8-1.95 ms, spark/sort/p=2 2.46, mapreduce/sort/p=2 2.67 (medians of
+	// five best-of-7 sweeps).
+	estFixedSpark = 0.001
+	estFixedMR    = 0.001
+	estFixedFlink = 0.0015
 
 	// Aggregate-shape CPU, wall-seconds per input MiB at 16 busy slots.
-	// [ANCHOR ext10] WordCount slope per engine (flink: the hash/p=2 slope
-	// 0.0284 less I/O and two channels' worth of estFlinkChanCPU).
-	estAggCPUSpark = 0.049
-	estAggCPUMR    = 0.158
-	estAggCPUFlink = 0.021
+	// [ANCHOR ext10] WordCount slope per engine less I/O: spark the mean of
+	// its two hash slopes (0.0293, 0.0263), mapreduce its hash/p=2 slope
+	// (0.0767), flink its hash/p=2 slope (0.0194) less two channels' worth
+	// of estFlinkChanCPU.
+	estAggCPUSpark = 0.021
+	estAggCPUMR    = 0.070
+	estAggCPUFlink = 0.012
 
 	// Sort-shape CPU (map + sort + merge pipeline), same units.
-	// [ANCHOR ext10] TeraSort slope per engine (flink: its two sort-strategy
-	// slopes, mean 0.0107, less I/O).
-	estSortCPUSpark = 0.016
-	estSortCPUMR    = 0.0156
+	// [ANCHOR ext10] TeraSort sort-strategy slopes per engine less I/O
+	// (spark 0.0102 and 0.0103, mapreduce 0.0130 and 0.0118; flink: its two
+	// sort-strategy slopes, mean 0.0107).
+	estSortCPUSpark = 0.006
+	estSortCPUMR    = 0.0085
 	estSortCPUFlink = 0.0067
 
 	// Scan-shape CPU: no shuffle, a filter/count pass. [MECH] roughly half
@@ -63,28 +82,42 @@ const (
 	estScanFactor = 0.5
 
 	// Strategy asymmetries. [ANCHOR ext10]:
-	//   - an Aggregate under the sort strategy pushes every record through
-	//     the spill-sort writer for nothing (the reduce side folds by key
-	//     anyway): + estAggSortCPU per input MiB;
+	//   - an Aggregate under the sort strategy: + estAggSort* per input
+	//     MiB over the engine's hash path;
 	//   - a Sort plan under the hash strategy loses the map-side order and
-	//     pays a full reduce-side re-sort: + estResortCPU per shuffled MiB.
-	// estAggSortCPU is Spark's slope; MapReduce's merge pipeline absorbs
-	// the useless sort almost for free, and Flink's sorted exchange comes
-	// out level with or just under its hash path on aggregates (sort minus
-	// hash slope: -0.0018 at p=2, -0.0013 at p=8). [ANCHOR ext10]
-	estAggSortCPU   = 0.038
-	estAggSortMR    = 0.006
-	estAggSortFlink = -0.0015
-	estResortCPU    = 0.0045
-	estResortMR     = 0.0073
+	//     pays a full reduce-side re-sort: + estResort* per shuffled MiB.
+	// Every writer now folds a combined record into its key's entry as it
+	// arrives, so the sort writer no longer buffers and regroups an
+	// aggregate's input (that was Spark's + 0.038) and holds one entry per
+	// key like the hash writer does. Spark's sort path comes out just under
+	// its hash path (sort minus hash slope: -0.0054 at p=2, -0.0026 at
+	// p=8); Flink's sorted exchange just over (+0.0042, +0.0007).
+	// MapReduce's is read from its 192 KiB rows, the wave size the adaptive
+	// cell plans at, where sort and hash/p=2 measure level (14.1, 13.75
+	// against 14.1 ms). At 768 KiB its sort rows run 10 % under hash/p=2
+	// and 6 % under hash/p=8 — inside hash/p=8's quartile distance over the
+	// six sweeps (49-56.5 ms) — a crossing one slope cannot carry; the
+	// model reads those two cells 10-15 % high.
+	estAggSortCPU   = -0.004
+	estAggSortMR    = -0.001
+	estAggSortFlink = 0.0025
+	// TeraSort hash minus sort slopes: spark 0.0023 and 0.0017, mapreduce
+	// 0.0015 and 0.0020.
+	estResortCPU = 0.002
+	estResortMR  = 0.0018
 	// Flink's hash exchange keeps the Sort plan pipelined and sorts at the
 	// consumer; its sort exchange breaks the pipeline to ship sorted runs.
 	// The two measure level (TeraSort slopes 0.0109 hash, 0.0112 sort).
 	estResortFlink = 0.0
 
 	// Per-reduce-task overhead of materialized shuffles (merge fan-in,
-	// task launch, segment bookkeeping). [ANCHOR ext10] p=2 → p=8 deltas.
-	estPerReduceTask = 0.0007
+	// task launch, segment bookkeeping). [ANCHOR ext10] p=2 → p=8 deltas of
+	// the TeraSort rows, where nothing else varies with p: +1.4 ms on
+	// spark/sort at both sizes, -0.9…+1.2 on the other six, mean 0.4 over
+	// six more tasks. (WordCount rows get faster at p=8, by 0.4…2.7 ms:
+	// the reduce-side fold spreads out, which only estMRHashParGain
+	// models.)
+	estPerReduceTask = 0.0001
 
 	// Flink's per-partition exchange cost on small-record aggregates: more
 	// consumers → more channels and more per-packet work. Wall-seconds per
@@ -120,23 +153,28 @@ const (
 
 	// High-cardinality penalties, wall-seconds per input MiB at the full
 	// distinct fraction (scaled by how far DistinctFrac sits above the
-	// calibrated default). [ANCHOR ext10] unique-key WordCount probe:
+	// calibrated default). [ANCHOR ext10] unique-key WordCount probe, per
+	// 192 KiB wave:
 	//   - Spark and Flink push every uncombined record through the
-	//     exchange; Flink pays about twice Spark's price per record (its
-	//     four unique-key rows: per-wave time less the fixed part, over
-	//     0.1875 MiB, less the aggregate, channel and I/O terms —
-	//     0.058…0.081).
-	//   - MapReduce's hash combine table degrades hardest (bucket scans at
-	//     ~1 distinct key per record) while its sort path stays flat — the
-	//     hash→sort strategy flip the adaptive experiments exercise.
-	estCardCPUSpark = 0.033
-	estCardCPUFlink = 0.073
-	estCardHashMR   = 0.040
+	//     exchange: a row's per-wave time less the fixed part, over
+	//     0.1875 MiB, less the aggregate, strategy, channel and I/O terms
+	//     (spark 0.018…0.030 over its four rows, flink 0.051…0.066; Flink
+	//     pays about twice Spark's price per record).
+	//   - MapReduce's hash path buffers every arrival and groups the lot
+	//     through the combine table at drain, which a combiner that removes
+	//     nothing makes pure overhead, while its sort path was going to
+	//     sort anyway: hash minus sort at equal p is 1.6 ms a wave at p=2
+	//     and 1.7 at p=8, over the default-cardinality gap — the hash→sort
+	//     strategy flip the adaptive experiments exercise.
+	estCardCPUSpark = 0.025
+	estCardCPUFlink = 0.060
+	estCardHashMR   = 0.012
 
 	// MapReduce's barriered reduce phase parallelizes the hash-bucket
-	// merge across reducers: measured p=2 → p=8 gain on hash aggregates
-	// (~8ms at 192 KB, ~10-39ms at 768 KB). [ANCHOR ext10]
-	estMRHashParGain = 0.05
+	// merge across reducers: measured p=2 → p=8 gain on hash aggregates,
+	// 1.4 ms at 192 KiB (3.8 ms at 768 KiB), over 0.75 of the input.
+	// [ANCHOR ext10]
+	estMRHashParGain = 0.010
 
 	// estCalibSlots is the busy-slot count the CPU slopes were fitted at.
 	// [ANCHOR ext10] 2 nodes × 8 cores.

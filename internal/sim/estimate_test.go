@@ -53,8 +53,14 @@ func TestEstimateWordCountRankings(t *testing.T) {
 		mrHash := mustEstimate(t, plan, in, MapReduce, "hash", "none", 8)
 		flink := mustEstimate(t, plan, in, Flink, "hash", "none", 2)
 
-		if sparkHash.Seconds >= sparkSort.Seconds {
-			t.Errorf("bytes=%d: spark hash (%v) should beat sort (%v) on aggregates", bytes, sparkHash.Seconds, sparkSort.Seconds)
+		// This pin read "hash beats sort" while spark's sort writer buffered
+		// every (word, 1) pair and regrouped the buffer at cut time. It now
+		// folds a pair into its key's entry on arrival, as the hash writer
+		// does, and the calibration sweep has the sort path level with or
+		// just under the hash path: 20.7 against 24.1 ms at 768 KiB/p=2, 20.1
+		// against 21.4 at p=8, within 0.3 ms of each other at 192 KiB.
+		if sparkSort.Seconds > sparkHash.Seconds {
+			t.Errorf("bytes=%d: spark sort (%v) should not lose to hash (%v) on aggregates", bytes, sparkSort.Seconds, sparkHash.Seconds)
 		}
 		if sparkHash.Seconds >= sparkLZ.Seconds {
 			t.Errorf("bytes=%d: lz compression (%v) should not pay at laptop bandwidth (none=%v)", bytes, sparkLZ.Seconds, sparkHash.Seconds)
