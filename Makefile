@@ -9,7 +9,7 @@ COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
 COVER_PKGS = ./internal/dataflow/... ./internal/graph/... ./internal/shuffle/... ./internal/streaming/... ./internal/sched/... ./internal/planner/...
 
-.PHONY: build test lint cover bench-smoke fuzz-smoke profile calibrate bench-pair
+.PHONY: build test lint cover bench-smoke bench-tiny fuzz-smoke profile calibrate ext10-gates bench-pair
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,17 @@ bench-smoke:
 	GOGC=$(BENCH_GOGC) $(GO) test -bench 'Ext|EngineWordCount|AblationPipelining|RawSpeed' -benchtime $(BENCHTIME) -run '^$$' .
 	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext7,ext8,ext9,ext10,ext11 -json BENCH_smoke.json
 
+# The repo benchmark (BENCHMARK.json) at smoke-test scale, for correctness
+# only: all four workloads on all three engines, every job checked against
+# the single-threaded references. Fails unless there are four result lines,
+# each with correct = true and failed = 0; the timings mean nothing at this
+# scale. Result files go to a temp directory, not bench/out. CI runs this.
+bench-tiny:
+	$(GO) run ./bench -scale tiny -seconds 2 -out "$${TMPDIR:-/tmp}/bench-tiny" | awk ' \
+		{ print } \
+		/^\{/ { n++; if ($$0 !~ /^\{"correct":true,"attempted":[0-9]+,"failed":0,/) bad++ } \
+		END { if (n != 4 || bad) { print "bench-tiny: " n+0 " result lines, " bad+0 " of them not correct"; exit 1 } }'
+
 # CPU + allocation profiles of the per-record hot paths (the ext9/ext11
 # raw-speed families) under the same pinned GOGC as bench-smoke. Inspect
 # with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
@@ -80,6 +91,15 @@ profile:
 # after any change that moves an engine's per-record cost.
 calibrate:
 	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -calibrate
+
+# ext10's wall-clock ratio gates (static planner regret ≤ 1.5× the measured
+# oracle above a 5 ms gap; adaptive ≤ 1.3× its held static start). Each
+# ratio is re-measured in alternating runs by the experiment itself; they
+# are millisecond-scale, so run this alone on the machine — it is not part
+# of `go test ./...`, where TestExt10AdaptiveExecution keeps only the
+# mechanism assertions.
+ext10-gates:
+	EXT10_GATES=1 $(GO) test -count=1 -run '^TestExt10Gates$$' -v ./internal/experiments
 
 # Base-vs-working-tree comparison on one workload of the repo benchmark
 # (BENCHMARK.json): `make bench-pair BASE=HEAD~1 WORKLOAD=wordcount` builds

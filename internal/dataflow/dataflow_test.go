@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -323,6 +324,41 @@ func TestSortByKeyTotalOrder(t *testing.T) {
 		}
 		if len(got) != len(keys) {
 			t.Errorf("%s: lost records: %v", engine, got)
+		}
+	}
+}
+
+// TestNarrowChainRunsInsideTasks pins where user functions run: on every
+// backend the first call of a narrow operator's function happens after a
+// task has been launched — on mapreduce too, where the chain is the map
+// phase of the consuming job and not a driver-side pass before its wave.
+// One operator takes the per-operator lowering, two take the fused one.
+func TestNarrowChainRunsInsideTasks(t *testing.T) {
+	for _, engine := range dataflow.Names() {
+		for _, fused := range []bool{false, true} {
+			s := session(t, engine)
+			s.FS().WriteFile("t", []byte(strings.Repeat("a b c\n", 10000)))
+			var launchedAtFirstCall atomic.Int64
+			words := dataflow.FlatMap(dataflow.TextFile(s, "t"), func(l string) []string {
+				launchedAtFirstCall.CompareAndSwap(0, s.Metrics().TasksLaunched.Load())
+				return strings.Fields(l)
+			})
+			if fused {
+				words = dataflow.Filter(words, func(w string) bool { return w != "b" })
+			}
+			if got := s.Metrics().RecordsRead.Load(); got != 0 {
+				t.Errorf("%s: RecordsRead = %d before any action", engine, got)
+			}
+			n, err := dataflow.Count(words)
+			if err != nil {
+				t.Fatalf("%s: %v", engine, err)
+			}
+			if want := map[bool]int64{false: 30000, true: 20000}[fused]; n != want {
+				t.Errorf("%s fused=%v: Count = %d, want %d", engine, fused, n, want)
+			}
+			if launchedAtFirstCall.Load() == 0 {
+				t.Errorf("%s fused=%v: FlatMap ran before any task was launched", engine, fused)
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Operator fusion: consecutive narrow operators (Map, Filter, FlatMap)
 // collapse into ONE compiled kernel and lower as ONE physical operator per
-// backend — spark.FusedNarrow, flink.FusedChain, or a single mrFrag stage —
+// backend — spark.FusedNarrow, flink.FusedChain, or one per-split mrFrag step —
 // instead of one engine node and one intermediate slice per operator. The
 // logical plan is untouched: every operator still gets its Node, so PlanOf
 // and the per-engine plan renderings are unchanged; only the lowering
@@ -62,9 +62,10 @@ func (b *recBatch[T]) forEachLive(fn func(T)) {
 	}
 }
 
-// erasedLoad is a type-erased mrFrag load: per-split record slices (each a
-// boxed []R), preferred nodes and the charged input bytes.
-type erasedLoad = func() ([]any, func(int) int, int64, error)
+// erasedLoad is a type-erased mrFrag load: the split count, part(i)
+// yielding split i's records as a boxed []R when called, preferred nodes
+// and the charged input bytes.
+type erasedLoad = func() (n int, part func(i int) any, pref func(int) int, bytes int64, err error)
 
 // fchain records the fusible narrow chain ending at its owning dataset.
 type fchain struct {
@@ -125,16 +126,12 @@ func newChain[R any](root *Dataset[R], node *Node, step, vstep func(sink any) an
 			if err != nil {
 				return nil, err
 			}
-			return func() ([]any, func(int) int, int64, error) {
+			return func() (int, func(int) any, func(int) int, int64, error) {
 				sp, err := in.load()
 				if err != nil {
-					return nil, nil, 0, err
+					return 0, nil, nil, 0, err
 				}
-				parts := make([]any, len(sp.parts))
-				for i := range sp.parts {
-					parts[i] = sp.parts[i]
-				}
-				return parts, sp.pref, sp.bytes, nil
+				return sp.n, func(i int) any { return sp.part(i) }, sp.pref, sp.bytes, nil
 			}, nil
 		},
 	}
@@ -286,18 +283,18 @@ func lowerFused[U any](d *Dataset[U]) (rep any, handled bool, err error) {
 		}
 		c := mrCluster(d.s)
 		return &mrFrag[U]{c: c, load: func() (mrSplits[U], error) {
-			partsAny, pref, bytes, err := load()
+			n, part, pref, bytes, err := load()
 			if err != nil {
 				return mrSplits[U]{}, err
 			}
-			parts := make([][]U, len(partsAny))
-			for i, pa := range partsAny {
+			// One kernel instance per split, compiled where the split is
+			// evaluated: in its map task.
+			return mrSplits[U]{n: n, part: func(i int) []U {
 				var out []U
 				feed := compile(func(us []U) { out = append(out, us...) })
-				drive(pa, feed)
-				parts[i] = out
-			}
-			return mrSplits[U]{parts: parts, pref: pref, bytes: bytes}, nil
+				drive(part(i), feed)
+				return out
+			}, pref: pref, bytes: bytes}, nil
 		}}, true, nil
 	}
 }

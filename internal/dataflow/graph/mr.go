@@ -87,6 +87,13 @@ func mrGraphInput[V any](g *Graph[V]) (c *mapreduce.Cluster, ids []int64, readEd
 	return c, ids, readEdges, nil
 }
 
+// edgeInput splits the staged edges one map task per node, charging bytes
+// as the map phase's DFS read.
+func edgeInput(c *mapreduce.Cluster, edges []datagen.Edge, bytes int64) mapreduce.Input[datagen.Edge] {
+	splits := mapreduce.SplitSlice(c, edges, 0)
+	return mapreduce.SplitsInput(c, len(splits), func(m int) []datagen.Edge { return splits[m] }, nil, bytes)
+}
+
 // messageJob runs one superstep's job: scan the staged edges, emit
 // messages from vertices lookup marks active, fold mergeMsg map-side and
 // reduce-side.
@@ -100,8 +107,7 @@ func messageJob[V, M any](c *mapreduce.Cluster, name string,
 	if err != nil {
 		return nil, err
 	}
-	splits := mapreduce.SplitSlice(c, edges, 0)
-	in := mapreduce.SplitsInput(c, splits, nil, bytes)
+	in := edgeInput(c, edges, bytes)
 	fold := foldWith(mergeMsg)
 	job := mapreduce.Job[datagen.Edge, int64, M]{
 		Name: name,
@@ -248,7 +254,7 @@ func aggregateMapReduce[V, M any](g *Graph[V],
 		Combine: func(_ int64, vs []M) M { return fold(vs) },
 		Reduce:  func(k int64, vs []M, emit func(int64, M)) { emit(k, fold(vs)) },
 	}
-	out, err := mapreduce.Run(c, job, mapreduce.SplitsInput(c, mapreduce.SplitSlice(c, edges, 0), nil, bytes))
+	out, err := mapreduce.Run(c, job, edgeInput(c, edges, bytes))
 	if err != nil {
 		return nil, err
 	}

@@ -174,10 +174,7 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 	enc := serde.EncodeAll(dataCodec, nil, sp.records())
 	c.FS().WriteFile(dataFile, enc)
 	c.Metrics().DiskBytesWritten.Add(int64(len(enc)))
-	numSplits := len(sp.parts)
-	if numSplits == 0 {
-		numSplits = 1
-	}
+	numSplits := max(sp.n, 1)
 
 	state := it.clonedState()
 	err = mapreduce.Iterate(c, it.iters, func(round int) error {
@@ -204,7 +201,7 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 		if err != nil {
 			return err
 		}
-		in := mapreduce.SplitsInput(c, mapreduce.SplitSlice(c, recs, numSplits), nil, df.Size())
+		in := splitsOf(mapreduce.SplitSlice(c, recs, numSplits), nil, df.Size())
 		job := mapreduce.Job[T, K, V]{
 			Name:    fmt.Sprintf("Iterate#%d", round+1),
 			Reduces: len(state),
@@ -214,7 +211,7 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 				emit(k, foldValues(vs, it.combine))
 			},
 		}
-		out, err := mapreduce.Run(c, job, in)
+		out, err := mapreduce.Run(c, job, in.input(c))
 		if err != nil {
 			return err
 		}

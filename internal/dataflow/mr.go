@@ -5,39 +5,57 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/engine/mapreduce"
 )
 
 // This file is the MapReduce half of the lowering: a Dataset[T] lowers to
-// an *mrFrag[T] — a splittable input with every narrow operator fused into
-// its record stream, i.e. the map phase of the NEXT job. Each shuffle
-// boundary (ReduceByKey, SortByKey) or job-shaped action (Count) turns the
-// frag into a full two-phase job on the real engine: spill-sorted map
+// an *mrFrag[T] — a splittable input with every narrow operator composed
+// into its per-split reader, i.e. the map phase of the NEXT job. Each
+// shuffle boundary (ReduceByKey, SortByKey) or job-shaped action (Count)
+// turns the frag into a full two-phase job on the real engine: map task i
+// reads split i and runs the fused chain over it, then spill-sorted map
 // output, a materialization barrier, shuffle and sort-merge reduce.
 // Nothing is cached anywhere: re-consuming a frag (a second action, an
 // iteration round) re-reads the input and re-runs the chain, the repeated
 // cost that Spark's persistence and Flink's native iterations eliminate.
 
-// mrSplits is one materialization of a frag's stream: records per input
-// split, their preferred nodes, and the byte volume the map phase charges
-// as DFS reads.
+// mrSplits is one evaluation of a frag's stream, split by split: part(i)
+// yields split i's records — reading the block and running the narrow chain
+// when it is called, which is inside map task i once a job consumes the
+// frag, so parts of different splits run concurrently — with the splits'
+// preferred nodes and the byte volume the map phase charges as DFS reads.
 type mrSplits[T any] struct {
-	parts [][]T
+	n     int
+	part  func(i int) []T
 	pref  func(int) int
 	bytes int64
 }
 
-// records flattens the splits in split order.
+// splitsOf wraps partitions that already exist (a reduce output, a split
+// slice) in the per-split form.
+func splitsOf[T any](parts [][]T, pref func(int) int, bytes int64) mrSplits[T] {
+	return mrSplits[T]{n: len(parts), part: func(i int) []T { return parts[i] }, pref: pref, bytes: bytes}
+}
+
+// records evaluates the splits in order on the caller's goroutine — the
+// driver reading a job's output directory back — and flattens them.
 func (sp mrSplits[T]) records() []T {
 	var out []T
-	for _, p := range sp.parts {
-		out = append(out, p...)
+	for i := 0; i < sp.n; i++ {
+		out = append(out, sp.part(i)...)
 	}
 	return out
 }
 
-// mrFrag is the MapReduce lowering of a Dataset: load materializes the
-// fused map-side stream (called once per consuming job — no caching).
+// input hands the splits to the engine as the next job's input.
+func (sp mrSplits[T]) input(c *mapreduce.Cluster) mapreduce.Input[T] {
+	return mapreduce.SplitsInput(c, sp.n, sp.part, sp.pref, sp.bytes)
+}
+
+// mrFrag is the MapReduce lowering of a Dataset: load opens the inputs and
+// runs the upstream jobs (called once per consuming job — no caching); the
+// map-side stream itself is evaluated per split by whoever consumes it.
 type mrFrag[T any] struct {
 	c    *mapreduce.Cluster
 	load func() (mrSplits[T], error)
@@ -46,28 +64,27 @@ type mrFrag[T any] struct {
 // mrCluster asserts the session's engine handle.
 func mrCluster(s *Session) *mapreduce.Cluster { return s.handle().(*mapreduce.Cluster) }
 
-// textFrag reads a DFS file as lines, one split per block.
-func textFrag(s *Session, name string) *mrFrag[string] {
+// fileFrag reads a DFS file one split per block through read.
+func fileFrag[T any](s *Session, name, what string, read func(f *dfs.File, block int) []T) *mrFrag[T] {
 	c := mrCluster(s)
-	return &mrFrag[string]{c: c, load: func() (mrSplits[string], error) {
+	return &mrFrag[T]{c: c, load: func() (mrSplits[T], error) {
 		f, err := c.FS().Open(name)
 		if err != nil {
-			return mrSplits[string]{}, fmt.Errorf("dataflow: mapreduce text source: %w", err)
+			return mrSplits[T]{}, fmt.Errorf("dataflow: mapreduce %s source: %w", what, err)
 		}
-		return mrSplits[string]{parts: f.LineSplits(), pref: f.PreferredNode, bytes: f.Size()}, nil
+		return mrSplits[T]{n: f.NumBlocks(), part: func(i int) []T { return read(f, i) },
+			pref: f.PreferredNode, bytes: f.Size()}, nil
 	}}
+}
+
+// textFrag reads a DFS file as lines, one split per block.
+func textFrag(s *Session, name string) *mrFrag[string] {
+	return fileFrag(s, name, "text", (*dfs.File).Lines)
 }
 
 // binaryFrag reads fixed-width records, one split per block.
 func binaryFrag(s *Session, name string, recSize int) *mrFrag[[]byte] {
-	c := mrCluster(s)
-	return &mrFrag[[]byte]{c: c, load: func() (mrSplits[[]byte], error) {
-		f, err := c.FS().Open(name)
-		if err != nil {
-			return mrSplits[[]byte]{}, fmt.Errorf("dataflow: mapreduce binary source: %w", err)
-		}
-		return mrSplits[[]byte]{parts: f.FixedRecordSplits(recSize), pref: f.PreferredNode, bytes: f.Size()}, nil
-	}}
+	return fileFrag(s, name, "binary", func(f *dfs.File, i int) [][]byte { return f.FixedRecords(i, recSize) })
 }
 
 // sliceFrag splits an in-memory slice with the engine's own rule, so the
@@ -75,22 +92,19 @@ func binaryFrag(s *Session, name string, recSize int) *mrFrag[[]byte] {
 func sliceFrag[T any](s *Session, data []T, parallelism int) *mrFrag[T] {
 	c := mrCluster(s)
 	return &mrFrag[T]{c: c, load: func() (mrSplits[T], error) {
-		return mrSplits[T]{parts: mapreduce.SplitSlice(c, data, parallelism), pref: c.Runtime().NodeFor}, nil
+		return splitsOf(mapreduce.SplitSlice(c, data, parallelism), c.Runtime().NodeFor, 0), nil
 	}}
 }
 
-// fragNarrow fuses a per-split transform into the map-side stream.
+// fragNarrow composes a per-split transform onto the map-side stream.
 func fragNarrow[T, U any](in *mrFrag[T], f func([]T) []U) *mrFrag[U] {
 	return &mrFrag[U]{c: in.c, load: func() (mrSplits[U], error) {
 		sp, err := in.load()
 		if err != nil {
 			return mrSplits[U]{}, err
 		}
-		parts := make([][]U, len(sp.parts))
-		for i, p := range sp.parts {
-			parts[i] = f(p)
-		}
-		return mrSplits[U]{parts: parts, pref: sp.pref, bytes: sp.bytes}, nil
+		return mrSplits[U]{n: sp.n, part: func(i int) []U { return f(sp.part(i)) },
+			pref: sp.pref, bytes: sp.bytes}, nil
 	}}
 }
 
@@ -119,11 +133,11 @@ func fragReduceByKey[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], f func(V
 			Combine: func(_ K, vs []V) V { return foldValues(vs, f) },
 			Reduce:  func(k K, vs []V, emit func(K, V)) { emit(k, foldValues(vs, f)) },
 		}
-		out, err := mapreduce.Run(c, job, mapreduce.SplitsInput(c, sp.parts, sp.pref, sp.bytes))
+		out, err := mapreduce.Run(c, job, sp.input(c))
 		if err != nil {
 			return mrSplits[core.Pair[K, V]]{}, err
 		}
-		return mrSplits[core.Pair[K, V]]{parts: out.Partitions, pref: c.Runtime().NodeFor}, nil
+		return splitsOf(out.Partitions, c.Runtime().NodeFor, 0), nil
 	}}
 }
 
@@ -143,11 +157,11 @@ func fragSortByKey[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], part core.
 			Map:       func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
 			Partition: func(k K, _ int) int { return part.Partition(k) },
 		}
-		out, err := mapreduce.Run(c, job, mapreduce.SplitsInput(c, sp.parts, sp.pref, sp.bytes))
+		out, err := mapreduce.Run(c, job, sp.input(c))
 		if err != nil {
 			return mrSplits[core.Pair[K, V]]{}, err
 		}
-		return mrSplits[core.Pair[K, V]]{parts: out.Partitions, pref: c.Runtime().NodeFor}, nil
+		return splitsOf(out.Partitions, c.Runtime().NodeFor, 0), nil
 	}}
 }
 
@@ -167,7 +181,7 @@ func (f *mrFrag[T]) count() (int64, error) {
 			emit(k, foldValues(vs, func(a, b int64) int64 { return a + b }))
 		},
 	}
-	out, err := mapreduce.Run(f.c, job, mapreduce.SplitsInput(f.c, sp.parts, sp.pref, sp.bytes))
+	out, err := mapreduce.Run(f.c, job, sp.input(f.c))
 	if err != nil {
 		return 0, err
 	}
@@ -197,8 +211,8 @@ func (f *mrFrag[T]) saveText(name string) error {
 	}
 	var buf []byte
 	records := int64(0)
-	for _, part := range sp.parts {
-		for _, v := range part {
+	for i := 0; i < sp.n; i++ {
+		for _, v := range sp.part(i) {
 			buf = append(buf, fmt.Sprint(v)...)
 			buf = append(buf, '\n')
 			records++
@@ -217,8 +231,8 @@ func (f *mrFrag[T]) saveBytes(name string, enc func(T) []byte) error {
 		return err
 	}
 	var buf []byte
-	for _, part := range sp.parts {
-		for _, v := range part {
+	for i := 0; i < sp.n; i++ {
+		for _, v := range sp.part(i) {
 			buf = append(buf, enc(v)...)
 		}
 	}

@@ -1,8 +1,15 @@
 // Package dfs is an in-memory HDFS stand-in: files are sequences of
-// fixed-size blocks placed round-robin with replication across nodes. Both
-// engines read inputs from it (one input split per block, with HDFS's
-// record-boundary conventions) and write results back through it, so block
+// fixed-size blocks placed round-robin with replication across nodes. Every
+// engine reads inputs from it (one input split per block, with HDFS's
+// record-boundary conventions) and writes results back through it, so block
 // size and locality behave like the HDFS 2.7 deployment in the paper.
+//
+// A split is read by the task that consumes it: File.Lines(i) and
+// File.FixedRecords(i, n) return one block's records and are called from
+// inside spark's partition compute, flink's source subtasks and
+// mapreduce's map tasks — nothing reads or copies a whole file on the
+// driver. LineSplits and FixedRecordSplits are those readers looped over
+// every block.
 package dfs
 
 import (
@@ -29,14 +36,12 @@ type FS struct {
 type File struct {
 	Name   string
 	Blocks []Block
-	size   int64
 
-	// Flattened view, built lazily once (the file never changes after
-	// WriteFile): contents as one contiguous span plus cumulative block end
-	// offsets, shared by every scanner so repeated reads do not re-copy.
-	flatOnce sync.Once
-	flatData []byte
-	cumEnds  []int
+	// data is the buffer the file was written with: block i is
+	// data[i*blockSize:][:len(Blocks[i].Data)], the flat view the per-block
+	// readers use to finish a record that crosses a block boundary.
+	data      []byte
+	blockSize int
 }
 
 // Block is one block with its replica placement.
@@ -76,7 +81,7 @@ func (fs *FS) BlockSize() core.ByteSize { return core.ByteSize(fs.blockSize) }
 func (fs *FS) WriteFile(name string, data []byte) *File {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := &File{Name: name, size: int64(len(data))}
+	f := &File{Name: name, data: data, blockSize: fs.blockSize}
 	for off := 0; off < len(data) || off == 0; off += fs.blockSize {
 		end := off + fs.blockSize
 		if end > len(data) {
@@ -136,7 +141,7 @@ func (fs *FS) List() []string {
 }
 
 // Size returns the file's byte length.
-func (f *File) Size() int64 { return f.size }
+func (f *File) Size() int64 { return int64(len(f.data)) }
 
 // NumBlocks returns the number of blocks (at least 1, even for empty
 // files, matching HDFS metadata behaviour for zero-length files).
@@ -151,23 +156,17 @@ func (f *File) PreferredNode(i int) int {
 	return f.Blocks[i].Replicas[0]
 }
 
-// Contents concatenates all blocks; tests and actions like collect use it.
+// Contents returns a fresh copy of the file's bytes; tests and actions like
+// collect use it.
 func (f *File) Contents() []byte {
-	var buf bytes.Buffer
-	for _, b := range f.Blocks {
-		buf.Write(b.Data)
-	}
-	return buf.Bytes()
+	return f.AppendTo(make([]byte, 0, len(f.data)))
 }
 
 // AppendTo appends the file's contents to dst and returns the extended
 // slice — the pool-friendly read path (the caller brings a recycled
 // buffer instead of Contents allocating a fresh one).
 func (f *File) AppendTo(dst []byte) []byte {
-	for _, b := range f.Blocks {
-		dst = append(dst, b.Data...)
-	}
-	return dst
+	return append(dst, f.data...)
 }
 
 // Contiguous returns the file's bytes without copying when they live in a
@@ -180,152 +179,140 @@ func (f *File) Contiguous() ([]byte, bool) {
 	return nil, false
 }
 
-// flat returns the file's contents as one contiguous borrowed span plus
-// the cumulative block end offsets, built once and cached. Callers must
-// treat both as read-only.
-func (f *File) flat() ([]byte, []int) {
-	f.flatOnce.Do(func() {
-		ends := make([]int, len(f.Blocks))
-		off := 0
-		for i, b := range f.Blocks {
-			off += len(b.Data)
-			ends[i] = off
-		}
-		f.cumEnds = ends
-		if data, ok := f.Contiguous(); ok {
-			f.flatData = data
-			return
-		}
-		buf := make([]byte, 0, off)
-		for _, b := range f.Blocks {
-			buf = append(buf, b.Data...)
-		}
-		f.flatData = buf
-	})
-	return f.flatData, f.cumEnds
+// blockSpan returns block i's byte range [start, end) in f.data.
+func (f *File) blockSpan(i int) (int, int) {
+	start := i * f.blockSize
+	return start, start + len(f.Blocks[i].Data)
 }
 
-// blockSpan returns block i's byte range [start, end) in the flat view.
-func blockSpan(ends []int, i int) (int, int) {
-	if i == 0 {
-		return 0, ends[0]
+// lineSpan returns the byte range [lo, hi) of f.data holding the lines that
+// belong to block i under the HDFS input-split convention: every line
+// belongs to exactly one split — the one containing the line's first byte —
+// and a reader finishes a line that crosses its block boundary by reading
+// into the next block. hi is past the last line's newline (or the end of
+// the file); lo == hi when the block owns no line. No line is lost or
+// duplicated, which tests assert by reconciling against a plain line split
+// of the whole file.
+func (f *File) lineSpan(i int) (lo, hi int) {
+	start, end := f.blockSpan(i)
+	if start == end {
+		return start, start
 	}
-	return ends[i-1], ends[i]
+	lo = start
+	if i > 0 && f.data[start-1] != '\n' {
+		// The line containing byte `start` began in an earlier block.
+		nl := bytes.IndexByte(f.data[start:], '\n')
+		if nl < 0 || start+nl+1 >= end {
+			return start, start // the block lies inside one line
+		}
+		lo = start + nl + 1
+	}
+	// The line holding the block's last byte is the last one that starts
+	// inside the block.
+	nl := bytes.IndexByte(f.data[end-1:], '\n')
+	if nl < 0 {
+		return lo, len(f.data)
+	}
+	return lo, end + nl
 }
 
-// LineSplits returns one slice of complete lines per block using the HDFS
-// input-split convention: every line belongs to exactly one split — the one
-// containing the line's first byte — and a reader finishes a line that
-// crosses its block boundary by reading into the next block. No line is
-// lost or duplicated, which tests assert by reconciling against a plain
-// line split of the whole file.
-//
-// All lines are substrings of ONE string arena covering the file, so the
-// per-line cost is a slice header, not an allocation; ScanLines is the
-// []byte-view equivalent for callers that can avoid strings entirely.
-func (f *File) LineSplits() [][]string {
-	all, ends := f.flat()
-	splits := make([][]string, len(f.Blocks))
-	if len(all) == 0 {
-		return splits
+// Lines returns the lines belonging to block i (see lineSpan), without
+// their newlines. It is the reader every engine's text source calls from
+// inside the task that consumes the split. The lines are substrings of one
+// per-block string arena and the slice is sized by counting newlines first,
+// so a block costs two allocations however many lines it holds.
+func (f *File) Lines(i int) []string {
+	lo, hi := f.lineSpan(i)
+	if lo == hi {
+		return nil
 	}
-	arena := string(all) // the only per-call allocation of line storage
-	blockOf := func(pos int) int {
-		i := sort.SearchInts(ends, pos+1)
-		if i >= len(f.Blocks) {
-			i = len(f.Blocks) - 1
-		}
-		return i
+	arena := string(f.data[lo:hi])
+	n := strings.Count(arena, "\n")
+	if arena[len(arena)-1] != '\n' {
+		n++ // the file's final line has no newline
 	}
-	pos := 0
-	for pos < len(arena) {
-		nl := strings.IndexByte(arena[pos:], '\n')
-		var line string
-		next := len(arena)
-		if nl >= 0 {
-			line = arena[pos : pos+nl]
-			next = pos + nl + 1
-		} else {
-			line = arena[pos:]
-		}
-		b := blockOf(pos)
-		splits[b] = append(splits[b], line)
-		pos = next
-	}
-	return splits
-}
-
-// ScanLines calls fn once per line belonging to block i, under the same
-// split convention as LineSplits, passing a borrowed []byte view of the
-// line without its newline. This is the zero-alloc ingest path: no string
-// conversion, no per-block slice — the view aliases file storage and must
-// not be retained or written.
-func (f *File) ScanLines(i int, fn func(line []byte)) {
-	all, ends := f.flat()
-	if len(all) == 0 {
-		return
-	}
-	start, end := blockSpan(ends, i)
-	pos := start
-	if i > 0 {
-		// The line containing byte `start` belongs to an earlier block
-		// unless it begins exactly there (previous byte is a newline).
-		if all[start-1] != '\n' {
-			nl := bytes.IndexByte(all[start:], '\n')
-			if nl < 0 {
-				return // block is mid-line of the file's final line
-			}
-			pos = start + nl + 1
-		}
-	}
-	for pos < end {
-		nl := bytes.IndexByte(all[pos:], '\n')
+	lines := make([]string, n)
+	for k := range lines {
+		nl := strings.IndexByte(arena, '\n')
 		if nl < 0 {
-			fn(all[pos:len(all):len(all)])
-			return
+			lines[k] = arena
+			break
 		}
-		fn(all[pos : pos+nl : pos+nl])
-		pos += nl + 1
+		lines[k] = arena[:nl]
+		arena = arena[nl+1:]
 	}
+	return lines
 }
 
-// FixedRecordSplits returns per-block records of width recSize, assigning
-// each record to the block containing its first byte (records may straddle
-// blocks, as TeraSort's 100-byte records do over power-of-two block sizes).
-// Records are borrowed views over file storage.
-func (f *File) FixedRecordSplits(recSize int) [][][]byte {
-	if recSize <= 0 {
-		panic("dfs: record size must be positive")
-	}
-	all, ends := f.flat()
-	splits := make([][][]byte, len(f.Blocks))
-	for i := range f.Blocks {
-		f.scanFixed(all, ends, i, recSize, func(rec []byte) {
-			splits[i] = append(splits[i], rec)
-		})
+// LineSplits returns Lines(i) for every block.
+func (f *File) LineSplits() [][]string {
+	splits := make([][]string, len(f.Blocks))
+	for i := range splits {
+		splits[i] = f.Lines(i)
 	}
 	return splits
 }
 
-// ScanFixedRecords calls fn once per width-recSize record belonging to
-// block i (the block containing the record's first byte), passing borrowed
-// views — FixedRecordSplits without materializing per-block slices.
-func (f *File) ScanFixedRecords(i, recSize int, fn func(rec []byte)) {
+// ScanLines calls fn once per line belonging to block i, passing a borrowed
+// []byte view of the line without its newline — Lines without the string
+// arena: the view aliases file storage and must not be retained or written.
+func (f *File) ScanLines(i int, fn func(line []byte)) {
+	lo, hi := f.lineSpan(i)
+	for rest := f.data[lo:hi]; len(rest) > 0; {
+		nl := bytes.IndexByte(rest, '\n')
+		if nl < 0 {
+			fn(rest[:len(rest):len(rest)])
+			return
+		}
+		fn(rest[:nl:nl])
+		rest = rest[nl+1:]
+	}
+}
+
+// recordSpan returns the indices [first, last) of the width-recSize records
+// belonging to block i: those whose first byte lies in the block (records
+// may straddle blocks, as TeraSort's 100-byte records do over power-of-two
+// block sizes). A trailing partial record belongs to no block.
+func (f *File) recordSpan(i, recSize int) (first, last int) {
 	if recSize <= 0 {
 		panic("dfs: record size must be positive")
 	}
-	all, ends := f.flat()
-	f.scanFixed(all, ends, i, recSize, fn)
+	start, end := f.blockSpan(i)
+	first = (start + recSize - 1) / recSize
+	last = min((end+recSize-1)/recSize, len(f.data)/recSize)
+	return first, max(first, last)
 }
 
-func (f *File) scanFixed(all []byte, ends []int, i, recSize int, fn func(rec []byte)) {
-	start, end := blockSpan(ends, i)
-	// First record starting at or after `start`.
-	rec := (start + recSize - 1) / recSize
-	if i == 0 {
-		rec = 0
+// FixedRecords returns the records belonging to block i (see recordSpan)
+// as borrowed views over file storage, in a slice sized exactly — the
+// fixed-width counterpart of Lines, one allocation per block.
+func (f *File) FixedRecords(i, recSize int) [][]byte {
+	first, last := f.recordSpan(i, recSize)
+	if first == last {
+		return nil
 	}
-	for off := rec * recSize; off < end && off+recSize <= len(all); off += recSize {
-		fn(all[off : off+recSize : off+recSize])
+	recs := make([][]byte, last-first)
+	for k := range recs {
+		off := (first + k) * recSize
+		recs[k] = f.data[off : off+recSize : off+recSize]
+	}
+	return recs
+}
+
+// FixedRecordSplits returns FixedRecords(i, recSize) for every block.
+func (f *File) FixedRecordSplits(recSize int) [][][]byte {
+	splits := make([][][]byte, len(f.Blocks))
+	for i := range splits {
+		splits[i] = f.FixedRecords(i, recSize)
+	}
+	return splits
+}
+
+// ScanFixedRecords calls fn once per record belonging to block i, passing
+// borrowed views — FixedRecords without the per-block slice.
+func (f *File) ScanFixedRecords(i, recSize int, fn func(rec []byte)) {
+	first, last := f.recordSpan(i, recSize)
+	for off := first * recSize; off < last*recSize; off += recSize {
+		fn(f.data[off : off+recSize : off+recSize])
 	}
 }

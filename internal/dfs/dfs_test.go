@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/core"
 )
@@ -105,52 +104,83 @@ func TestLineSplitsNoTrailingNewline(t *testing.T) {
 	fs := New(2, 8, 1)
 	fs.WriteFile("t", []byte("abcdefghij klmno"))
 	f, _ := fs.Open("t")
-	var got []string
-	for _, s := range f.LineSplits() {
-		got = append(got, s...)
+	// One line, no newline: block 0 owns it whole, block 1 lies inside it.
+	if got := f.Lines(0); len(got) != 1 || got[0] != "abcdefghij klmno" {
+		t.Errorf("Lines(0) = %q", got)
 	}
-	if len(got) != 1 || got[0] != "abcdefghij klmno" {
-		t.Errorf("got %q", got)
+	if got := f.Lines(1); len(got) != 0 {
+		t.Errorf("Lines(1) = %q, want none", got)
 	}
 }
 
-func TestLineSplitsProperty(t *testing.T) {
-	fs := New(4, 32, 1)
-	f := func(raw []byte) bool {
-		// Build text from arbitrary bytes, normalizing NUL to 'a'.
-		for i, b := range raw {
-			if b == 0 {
-				raw[i] = 'a'
-			}
-		}
-		name := "p"
-		fs.WriteFile(name, raw)
-		file, err := fs.Open(name)
-		if err != nil {
-			return false
-		}
-		var joined []string
-		for _, s := range file.LineSplits() {
-			joined = append(joined, s...)
-		}
-		want := strings.Split(string(raw), "\n")
-		// strings.Split yields a trailing "" for trailing newline; the
-		// reader does not emit that empty final line.
-		if len(want) > 0 && want[len(want)-1] == "" {
-			want = want[:len(want)-1]
-		}
-		if len(joined) != len(want) {
-			return false
-		}
-		for i := range want {
-			if joined[i] != want[i] {
-				return false
-			}
-		}
-		return true
+// refLineSplits is the plain whole-file reference the per-block readers are
+// reconciled against: split the text at newlines (no final empty line after
+// a trailing newline) and give each line to the block holding its first
+// byte.
+func refLineSplits(raw []byte, blockSize int) [][]string {
+	splits := make([][]string, max(1, (len(raw)+blockSize-1)/blockSize))
+	lines := strings.Split(string(raw), "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	off := 0
+	for _, line := range lines {
+		splits[off/blockSize] = append(splits[off/blockSize], line)
+		off += len(line) + 1
+	}
+	return splits
+}
+
+// randomText draws n bytes of lowercase text with a newline every
+// `every` bytes on average — small values give many empty and one-byte
+// lines, large ones give lines that span several blocks and blocks that lie
+// wholly inside one line.
+func randomText(rng *rand.Rand, n, every int) []byte {
+	raw := make([]byte, n)
+	for i := range raw {
+		if rng.Intn(every) == 0 {
+			raw[i] = '\n'
+		} else {
+			raw[i] = byte('a' + rng.Intn(26))
+		}
+	}
+	return raw
+}
+
+func sameLines(got, want []string) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLineSplitsProperty reconciles Lines, block for block, with the
+// whole-file reference over random text and block sizes 1…40.
+func TestLineSplitsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 600; trial++ {
+		blockSize := 1 + rng.Intn(40)
+		raw := randomText(rng, rng.Intn(200), []int{2, 4, 30, 120}[trial%4])
+		fs := New(3, core.ByteSize(blockSize), 1)
+		f := fs.WriteFile("t", raw)
+		want := refLineSplits(raw, blockSize)
+		if f.NumBlocks() != len(want) {
+			t.Fatalf("trial %d: %d blocks, want %d", trial, f.NumBlocks(), len(want))
+		}
+		for b := range want {
+			if got := f.Lines(b); !sameLines(got, want[b]) {
+				t.Fatalf("trial %d block %d (bs=%d): Lines = %q, want %q\nraw=%q",
+					trial, b, blockSize, got, want[b], raw)
+			}
+		}
+		if got := f.LineSplits(); len(got) != len(want) {
+			t.Fatalf("trial %d: LineSplits has %d splits, want %d", trial, len(got), len(want))
+		}
 	}
 }
 
@@ -207,6 +237,16 @@ func TestEmptyFileHasOneBlock(t *testing.T) {
 	if got := f.LineSplits(); len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("empty file line splits = %v", got)
 	}
+	if got := f.Lines(0); len(got) != 0 {
+		t.Errorf("empty file Lines(0) = %q", got)
+	}
+	if got := f.FixedRecords(0, 10); len(got) != 0 {
+		t.Errorf("empty file FixedRecords(0) = %q", got)
+	}
+	f.ScanLines(0, func([]byte) { t.Error("ScanLines called back on an empty file") })
+	if got := f.Contents(); len(got) != 0 {
+		t.Errorf("empty file contents = %q", got)
+	}
 }
 
 func TestBlockSizeAccessor(t *testing.T) {
@@ -216,66 +256,56 @@ func TestBlockSizeAccessor(t *testing.T) {
 	}
 }
 
-// TestScanLinesMatchesLineSplits pins the zero-alloc scanner to the
-// reference splitter: for random text and block sizes, ScanLines over every
-// block must yield exactly LineSplits' lines, block for block.
+// TestScanLinesMatchesLineSplits pins the borrowed-view scanner to Lines:
+// for random text and block sizes, ScanLines over every block must yield
+// exactly that block's lines.
 func TestScanLinesMatchesLineSplits(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
+	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		blockSize := 1 + rng.Intn(40)
-		n := rng.Intn(200)
-		raw := make([]byte, n)
-		for i := range raw {
-			if rng.Intn(4) == 0 {
-				raw[i] = '\n'
-			} else {
-				raw[i] = byte('a' + rng.Intn(26))
-			}
-		}
+		raw := randomText(rng, rng.Intn(200), []int{4, 60}[trial%2])
 		fs := New(3, core.ByteSize(blockSize), 1)
-		fs.WriteFile("t", raw)
-		f, _ := fs.Open("t")
-		want := f.LineSplits()
+		f := fs.WriteFile("t", raw)
 		for b := 0; b < f.NumBlocks(); b++ {
 			var got []string
 			f.ScanLines(b, func(line []byte) {
 				got = append(got, string(line))
 			})
-			if len(got) != len(want[b]) {
-				t.Fatalf("trial %d block %d (bs=%d): %d lines, want %d\nraw=%q",
-					trial, b, blockSize, len(got), len(want[b]), raw)
-			}
-			for i := range got {
-				if got[i] != want[b][i] {
-					t.Fatalf("trial %d block %d line %d: %q want %q",
-						trial, b, i, got[i], want[b][i])
-				}
+			if want := f.Lines(b); !sameLines(got, want) {
+				t.Fatalf("trial %d block %d (bs=%d): scanned %q, Lines %q\nraw=%q",
+					trial, b, blockSize, got, want, raw)
 			}
 		}
 	}
 }
 
-// TestScanFixedRecordsMatchesSplits pins the per-block record scanner to
-// FixedRecordSplits across straddling widths.
+// TestScanFixedRecordsMatchesSplits reconciles FixedRecords with a plain
+// whole-file cut (record k belongs to the block holding byte k*recSize; a
+// trailing partial record to none) across widths that straddle blocks, and
+// pins ScanFixedRecords to it.
 func TestScanFixedRecordsMatchesSplits(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		recSize := 1 + rng.Intn(13)
 		blockSize := 1 + rng.Intn(40)
-		raw := make([]byte, recSize*rng.Intn(30))
+		raw := make([]byte, recSize*rng.Intn(30)+rng.Intn(recSize))
 		rng.Read(raw)
 		fs := New(3, core.ByteSize(blockSize), 1)
-		fs.WriteFile("t", raw)
-		f, _ := fs.Open("t")
-		want := f.FixedRecordSplits(recSize)
+		f := fs.WriteFile("t", raw)
+		want := make([][][]byte, f.NumBlocks())
+		for off := 0; off+recSize <= len(raw); off += recSize {
+			want[off/blockSize] = append(want[off/blockSize], raw[off:off+recSize])
+		}
 		for b := 0; b < f.NumBlocks(); b++ {
-			var got [][]byte
-			f.ScanFixedRecords(b, recSize, func(rec []byte) { got = append(got, rec) })
-			if len(got) != len(want[b]) {
-				t.Fatalf("trial %d block %d: %d records, want %d", trial, b, len(got), len(want[b]))
+			got := f.FixedRecords(b, recSize)
+			var scanned [][]byte
+			f.ScanFixedRecords(b, recSize, func(rec []byte) { scanned = append(scanned, rec) })
+			if len(got) != len(want[b]) || len(scanned) != len(want[b]) {
+				t.Fatalf("trial %d block %d (rec=%d bs=%d): %d records, %d scanned, want %d",
+					trial, b, recSize, blockSize, len(got), len(scanned), len(want[b]))
 			}
 			for i := range got {
-				if !bytes.Equal(got[i], want[b][i]) {
+				if !bytes.Equal(got[i], want[b][i]) || !bytes.Equal(scanned[i], want[b][i]) {
 					t.Fatalf("trial %d block %d record %d differs", trial, b, i)
 				}
 			}
@@ -283,24 +313,29 @@ func TestScanFixedRecordsMatchesSplits(t *testing.T) {
 	}
 }
 
-// TestLineSplitsSharesArena pins the one-allocation contract of the
-// rewritten LineSplits: every line must be a substring of one arena, so
-// per-line allocations are gone (headers aside).
+// TestLineSplitsSharesArena pins the readers' allocation contract: a block
+// costs its string arena plus one exactly-sized header slice however many
+// lines it holds (one slice for fixed records, nothing for the scanners),
+// and an empty block costs nothing.
 func TestLineSplitsSharesArena(t *testing.T) {
 	fs := New(2, 1024, 1)
-	var data []byte
-	for i := 0; i < 200; i++ {
-		data = append(data, []byte("line with some text\n")...)
+	f := fs.WriteFile("t", bytes.Repeat([]byte("line with some text\n"), 200))
+	for b := 0; b < f.NumBlocks(); b++ {
+		if n := testing.AllocsPerRun(20, func() { f.Lines(b) }); n > 2 {
+			t.Errorf("Lines(%d) allocates %.0f times for %d lines, want at most 2", b, n, len(f.Lines(b)))
+		}
+		if n := testing.AllocsPerRun(20, func() { f.FixedRecords(b, 20) }); n > 1 {
+			t.Errorf("FixedRecords(%d) allocates %.0f times, want at most 1", b, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { f.ScanLines(b, func([]byte) {}) }); n > 0 {
+			t.Errorf("ScanLines(%d) allocates %.0f times, want 0", b, n)
+		}
 	}
-	fs.WriteFile("t", data)
-	f, _ := fs.Open("t")
-	f.LineSplits() // warm the flat cache outside the measurement
-	allocs := testing.AllocsPerRun(20, func() {
-		f.LineSplits()
-	})
-	// One arena string + per-block header slices (grown geometrically):
-	// far below one allocation per line (200 lines).
-	if allocs > 40 {
-		t.Fatalf("LineSplits allocates %.0f/op for 200 lines; arena sharing broken", allocs)
+	if n := testing.AllocsPerRun(20, func() { f.LineSplits() }); n > float64(2*f.NumBlocks()+1) {
+		t.Errorf("LineSplits allocates %.0f times over %d blocks", n, f.NumBlocks())
+	}
+	inside := fs.WriteFile("one-line", bytes.Repeat([]byte("x"), 4096))
+	if n := testing.AllocsPerRun(20, func() { inside.Lines(2) }); n > 0 {
+		t.Errorf("Lines on a block inside one line allocates %.0f times, want 0", n)
 	}
 }

@@ -166,29 +166,15 @@ func FromSlice[T any](e *Env, data []T, parallelism int) *DataSet[T] {
 // ReadTextFile reads a DFS file as lines. Unlike Spark's one-task-per-
 // split model, Flink runs `parallelism` source subtasks that pull input
 // splits dynamically — a pipelined plan cannot time-share task waves, so
-// the source parallelism is bounded by slots, not by block count.
+// the source parallelism is bounded by slots, not by block count. Each
+// subtask reads a split when it pulls it, so a split's lines exist only
+// while they flow down the pipeline.
 func ReadTextFile(e *Env, name string) (*DataSet[string], error) {
 	f, err := e.fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("flink: readTextFile: %w", err)
 	}
-	splits := f.LineSplits()
-	p := sourceParallelism(e, len(splits))
-	ds := newSource(e, "DataSource", p,
-		func(task int) int { return f.PreferredNode(task) },
-		func(task int, emit func([]string) error) error {
-			for s := task; s < len(splits); s += p {
-				e.metrics.RecordsRead.Add(int64(len(splits[s])))
-				if len(splits[s]) == 0 {
-					continue
-				}
-				if err := emit(splits[s]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	return ds, nil
+	return splitSource(e, f, f.Lines), nil
 }
 
 // ReadFixedRecords reads fixed-width binary records (Tera Sort input),
@@ -198,23 +184,28 @@ func ReadFixedRecords(e *Env, name string, recSize int) (*DataSet[[]byte], error
 	if err != nil {
 		return nil, fmt.Errorf("flink: readFixedRecords: %w", err)
 	}
-	splits := f.FixedRecordSplits(recSize)
-	p := sourceParallelism(e, len(splits))
-	ds := newSource(e, "DataSource", p,
-		func(task int) int { return f.PreferredNode(task) },
-		func(task int, emit func([][]byte) error) error {
-			for s := task; s < len(splits); s += p {
-				e.metrics.RecordsRead.Add(int64(len(splits[s])))
-				if len(splits[s]) == 0 {
+	return splitSource(e, f, func(s int) [][]byte { return f.FixedRecords(s, recSize) }), nil
+}
+
+// splitSource builds the file source: subtask t reads splits t, t+p, …
+// through read, inside its own pull loop, and emits each non-empty one.
+func splitSource[T any](e *Env, f *dfs.File, read func(split int) []T) *DataSet[T] {
+	n := f.NumBlocks()
+	p := sourceParallelism(e, n)
+	return newSource(e, "DataSource", p, f.PreferredNode,
+		func(task int, emit func([]T) error) error {
+			for s := task; s < n; s += p {
+				recs := read(s)
+				e.metrics.RecordsRead.Add(int64(len(recs)))
+				if len(recs) == 0 {
 					continue
 				}
-				if err := emit(splits[s]); err != nil {
+				if err := emit(recs); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-	return ds, nil
 }
 
 // sourceParallelism bounds source subtasks by the default parallelism and

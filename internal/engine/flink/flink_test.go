@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -566,5 +567,36 @@ func TestBackpressureSmallBuffers(t *testing.T) {
 	}
 	if total != 5000 {
 		t.Errorf("sum of counts = %d, want 5000", total)
+	}
+}
+
+// TestReadTextFileReadsInSubtasks pins where a split is read: building
+// DataSource → Filter touches no block (no record counted, a handful of
+// allocations however many lines and blocks the file has); the source
+// subtasks of the first job read the splits they pull.
+func TestReadTextFileReadsInSubtasks(t *testing.T) {
+	e := testEnv(t, nil)
+	text := []byte(strings.Repeat("a line of some forty bytes, give or take\n", 1<<20/41))
+	lines := int64(len(text) / 41)
+	e.FS().WriteFile("big", text)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ds, err := ReadTextFile(e, "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := Filter(ds, func(l string) bool { return len(l) > 0 })
+	runtime.ReadMemStats(&after)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 32 || b > 16<<10 {
+		t.Errorf("building DataSource→Filter allocated %d times, %d bytes; want O(1)", n, b)
+	}
+	if got := e.Metrics().RecordsRead.Load(); got != 0 {
+		t.Errorf("RecordsRead = %d before any job, want 0", got)
+	}
+	if n, err := Count(kept); err != nil || n != lines {
+		t.Fatalf("Count = %d, %v; want %d", n, err, lines)
+	}
+	if got := e.Metrics().RecordsRead.Load(); got != lines {
+		t.Errorf("RecordsRead = %d after Count, want %d", got, lines)
 	}
 }

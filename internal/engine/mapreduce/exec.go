@@ -57,7 +57,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 			node = in.pref(m)
 		}
 		mapTasks[m] = cluster.Task{Node: node, Fn: func() error {
-			return runMapTask(c, jobID, name, m, in.splits[m], splitBytes, reduces, set, job, partition, codec)
+			return runMapTask(c, jobID, name, m, in.read, splitBytes, reduces, set, job, partition, codec)
 		}}
 	}
 	err := c.rt.RunTasks(mapTasks)
@@ -144,16 +144,17 @@ func (s *dfsSpillStore) Read(name string) ([]byte, error) {
 
 func (s *dfsSpillStore) Remove(name string) { s.c.fs.Delete(name) }
 
-// runMapTask maps one split through the shared shuffle core and
+// runMapTask reads split m, maps it through the shared shuffle core and
 // materializes its partitioned map output. Under the engine's default sort
 // strategy the writer spills sorted, combined runs to the DFS whenever the
 // io.sort buffer fills and merges them into one sorted segment per reduce
 // partition — Hadoop's map side, verbatim. Under shuffle.strategy=hash the
 // segments stay unsorted and the reduce side sorts after the fetch.
 func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, m int,
-	split []I, splitBytes int64, reduces int, set shuffle.Settings,
+	read func(m int) []I, splitBytes int64, reduces int, set shuffle.Settings,
 	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]]) error {
 	c.metrics.TasksLaunched.Add(1)
+	split := read(m)
 	c.metrics.DiskBytesRead.Add(splitBytes)
 	c.metrics.RecordsRead.Add(int64(len(split)))
 

@@ -50,16 +50,18 @@ func (j Job[I, K, V]) Operators() []string {
 }
 
 // Input is a splittable job input: one split per DFS block, each with its
-// preferred (data-local) node, like a Hadoop InputFormat.
+// preferred (data-local) node, like a Hadoop InputFormat. It holds no
+// records: map task m calls read(m) for its split, so reading — and
+// whatever pipeline the caller composed into read — runs inside the task.
 type Input[I any] struct {
-	file   string
-	splits [][]I
-	pref   func(split int) int
-	bytes  int64
+	n     int
+	read  func(m int) []I
+	pref  func(split int) int
+	bytes int64
 }
 
 // NumSplits returns the number of map tasks the input produces.
-func (in Input[I]) NumSplits() int { return len(in.splits) }
+func (in Input[I]) NumSplits() int { return in.n }
 
 // TextInput reads a DFS file as lines, one split per block with HDFS
 // record-boundary conventions (TextInputFormat).
@@ -68,7 +70,7 @@ func TextInput(c *Cluster, name string) (Input[string], error) {
 	if err != nil {
 		return Input[string]{}, fmt.Errorf("mapreduce: textInput: %w", err)
 	}
-	return Input[string]{file: name, splits: f.LineSplits(), pref: f.PreferredNode, bytes: f.Size()}, nil
+	return Input[string]{n: f.NumBlocks(), read: f.Lines, pref: f.PreferredNode, bytes: f.Size()}, nil
 }
 
 // FixedRecordInput reads fixed-width binary records, one split per block —
@@ -78,13 +80,15 @@ func FixedRecordInput(c *Cluster, name string, recSize int) (Input[[]byte], erro
 	if err != nil {
 		return Input[[]byte]{}, fmt.Errorf("mapreduce: fixedRecordInput: %w", err)
 	}
-	return Input[[]byte]{file: name, splits: f.FixedRecordSplits(recSize), pref: f.PreferredNode, bytes: f.Size()}, nil
+	read := func(m int) [][]byte { return f.FixedRecords(m, recSize) }
+	return Input[[]byte]{n: f.NumBlocks(), read: read, pref: f.PreferredNode, bytes: f.Size()}, nil
 }
 
 // SliceInput splits an in-memory slice over numSplits map tasks
 // (the testing analog of spark.Parallelize; placement is round-robin).
 func SliceInput[I any](c *Cluster, data []I, numSplits int) Input[I] {
-	return Input[I]{file: "(slice)", splits: SplitSlice(c, data, numSplits), pref: c.rt.NodeFor}
+	splits := SplitSlice(c, data, numSplits)
+	return SplitsInput(c, len(splits), func(m int) []I { return splits[m] }, nil, 0)
 }
 
 // SplitSlice is the engine's slice-partitioning rule: one split per map
@@ -110,16 +114,17 @@ func SplitSlice[I any](c *Cluster, data []I, numSplits int) [][]I {
 	return splits
 }
 
-// SplitsInput wraps pre-partitioned in-memory records as a job input,
-// preserving split boundaries, preferred nodes and the byte volume the map
-// phase charges as DFS reads — the entry point for callers that fuse their
-// own record pipelines into the map phase (the dataflow layer's lowering).
-// A nil pref places splits round-robin like SliceInput.
-func SplitsInput[I any](c *Cluster, splits [][]I, pref func(split int) int, bytes int64) Input[I] {
+// SplitsInput builds a job input of n splits from the caller's own reader,
+// with the splits' preferred nodes and the byte volume the map phase
+// charges as DFS reads — the entry point for callers that fuse their own
+// record pipelines into the map phase (the dataflow layer's lowering):
+// read(m) runs inside map task m, concurrently with the other splits'. A
+// nil pref places splits round-robin like SliceInput.
+func SplitsInput[I any](c *Cluster, n int, read func(m int) []I, pref func(split int) int, bytes int64) Input[I] {
 	if pref == nil {
 		pref = c.rt.NodeFor
 	}
-	return Input[I]{file: "(splits)", splits: splits, pref: pref, bytes: bytes}
+	return Input[I]{n: n, read: read, pref: pref, bytes: bytes}
 }
 
 // Output is one job's reduce output, kept per reduce partition in key

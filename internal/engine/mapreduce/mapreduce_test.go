@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -315,5 +317,59 @@ func TestDefaultPartitionMatchesFmtForm(t *testing.T) {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("defaultPartition(%s) allocates %v times per record", name, n)
 		}
+	}
+}
+
+// TestTextInputReadsInMapTasks pins where a split is read: TextInput
+// touches no block (no record counted, a handful of allocations however
+// many lines and blocks the file has); map task m reads split m, after it
+// has been launched.
+func TestTextInputReadsInMapTasks(t *testing.T) {
+	c := fixture(t, nil)
+	text := []byte(strings.Repeat("a line of some forty bytes, give or take\n", 1<<20/41))
+	lines := int64(len(text) / 41)
+	c.FS().WriteFile("big", text)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	in, err := TextInput(c, "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 32 || b > 16<<10 {
+		t.Errorf("TextInput over %d splits allocated %d times, %d bytes; want O(1)", in.NumSplits(), n, b)
+	}
+	if got := c.Metrics().RecordsRead.Load(); got != 0 {
+		t.Errorf("RecordsRead = %d before the job, want 0", got)
+	}
+	var launchedAtFirstMap atomic.Int64
+	job := Job[string, int, int64]{
+		Name:    "Count",
+		Reduces: 1,
+		Map: func(_ string, emit func(int, int64)) {
+			launchedAtFirstMap.CompareAndSwap(0, c.Metrics().TasksLaunched.Load())
+			emit(0, 1)
+		},
+		Combine: func(_ int, vs []int64) int64 { return int64(len(vs)) },
+		Reduce: func(k int, vs []int64, emit func(int, int64)) {
+			var n int64
+			for _, v := range vs {
+				n += v
+			}
+			emit(k, n)
+		},
+	}
+	out, err := Run(c, job, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Pairs(); len(got) != 1 || got[0].Value != lines {
+		t.Errorf("count = %v, want %d", got, lines)
+	}
+	if got := c.Metrics().RecordsRead.Load(); got != lines {
+		t.Errorf("RecordsRead = %d after the job, want %d", got, lines)
+	}
+	if launchedAtFirstMap.Load() == 0 {
+		t.Error("Map ran before any task was launched")
 	}
 }

@@ -153,35 +153,37 @@ func Parallelize[T any](c *Context, data []T, numParts int) *RDD[T] {
 
 // TextFile reads a DFS file as an RDD of lines, one partition per HDFS
 // block, with the block's first replica as the preferred location
-// (newAPIHadoopFile in the paper's Tera Sort description).
+// (newAPIHadoopFile in the paper's Tera Sort description). A partition is
+// read by the task that computes it, every time it is computed: nothing is
+// read when the RDD is built, and only persistence avoids the re-read.
 func TextFile(c *Context, name string) (*RDD[string], error) {
 	f, err := c.fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("spark: textFile: %w", err)
 	}
-	splits := f.LineSplits()
-	r := newRDD(c, "TextFile", core.OpSource, len(splits), nil,
+	r := newRDD(c, "TextFile", core.OpSource, f.NumBlocks(), nil,
 		func(p int, tc *taskContext) ([]string, error) {
-			tc.metrics.RecordsRead.Add(int64(len(splits[p])))
-			return splits[p], nil
+			lines := f.Lines(p)
+			tc.metrics.RecordsRead.Add(int64(len(lines)))
+			return lines, nil
 		})
-	r.pref = func(p int) int { return f.PreferredNode(p) }
+	r.pref = f.PreferredNode
 	return r, nil
 }
 
 // BinaryRecords reads fixed-width records, one partition per block — the
-// input format of Tera Sort.
+// input format of Tera Sort — read in the computing task like TextFile.
 func BinaryRecords(c *Context, name string, recSize int) (*RDD[[]byte], error) {
 	f, err := c.fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("spark: binaryRecords: %w", err)
 	}
-	splits := f.FixedRecordSplits(recSize)
-	r := newRDD(c, "BinaryRecords", core.OpSource, len(splits), nil,
+	r := newRDD(c, "BinaryRecords", core.OpSource, f.NumBlocks(), nil,
 		func(p int, tc *taskContext) ([][]byte, error) {
-			tc.metrics.RecordsRead.Add(int64(len(splits[p])))
-			return splits[p], nil
+			recs := f.FixedRecords(p, recSize)
+			tc.metrics.RecordsRead.Add(int64(len(recs)))
+			return recs, nil
 		})
-	r.pref = func(p int) int { return f.PreferredNode(p) }
+	r.pref = f.PreferredNode
 	return r, nil
 }

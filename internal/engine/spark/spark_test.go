@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -575,5 +576,36 @@ func TestUnpersist(t *testing.T) {
 	r.Unpersist()
 	if r.fullyCached() {
 		t.Error("unpersist left blocks behind")
+	}
+}
+
+// TestTextFileReadsInTasks pins where a split is read: building
+// TextFile → Filter touches no block (no record counted, a handful of
+// allocations however many lines and blocks the file has); the tasks of
+// the first action read one block each.
+func TestTextFileReadsInTasks(t *testing.T) {
+	c := testContext(t, nil)
+	text := []byte(strings.Repeat("a line of some forty bytes, give or take\n", 1<<20/41))
+	lines := int64(len(text) / 41)
+	c.FS().WriteFile("big", text)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := TextFile(c, "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := Filter(r, func(l string) bool { return len(l) > 0 })
+	runtime.ReadMemStats(&after)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 32 || b > 16<<10 {
+		t.Errorf("building TextFile→Filter over %d blocks allocated %d times, %d bytes; want O(1)", r.NumPartitions(), n, b)
+	}
+	if got := c.Metrics().RecordsRead.Load(); got != 0 {
+		t.Errorf("RecordsRead = %d before any action, want 0", got)
+	}
+	if n, err := Count(kept); err != nil || n != lines {
+		t.Fatalf("Count = %d, %v; want %d", n, err, lines)
+	}
+	if got := c.Metrics().RecordsRead.Load(); got != lines {
+		t.Errorf("RecordsRead = %d after Count, want %d", got, lines)
 	}
 }

