@@ -101,16 +101,18 @@ calibrate:
 ext10-gates:
 	EXT10_GATES=1 $(GO) test -count=1 -run '^TestExt10Gates$$' -v ./internal/experiments
 
-# Base-vs-working-tree comparison on one workload of the repo benchmark
+# Base-vs-working-tree comparison on workloads of the repo benchmark
 # (BENCHMARK.json): `make bench-pair BASE=HEAD~1 WORKLOAD=wordcount` builds
 # ./bench at BASE (a git worktree in a temp dir) and here, runs ten
 # alternating pairs of BENCHMARK.json's run_seconds (24 s; the protocol has
 # no knobs) with result files kept out of bench/out, and prints
-# each side's median and quartiles per end-to-end metric. This box's speed
-# drifts 10-30 % over minutes; nothing short of alternating pairs separates
-# a change from the drift. Takes about ten minutes.
+# each side's median and quartiles per end-to-end metric. WORKLOAD is one
+# name, a comma-separated list (WORKLOAD=terasort,grep) or `all`: one table
+# per workload, so a claim and its no-regression rows come from one command.
+# This box's speed drifts 10-30 % over minutes; nothing short of alternating
+# pairs separates a change from the drift. Takes about ten minutes a workload.
 bench-pair:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>"; exit 2; }
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>[,<name>...]|all"; exit 2; }
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
 
 # Short fuzz smoke over the byte decoders: each fuzz target runs for a few

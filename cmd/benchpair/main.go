@@ -1,14 +1,19 @@
-// Benchpair compares a base commit with the working tree on one workload
-// of the repo benchmark, the way a performance claim must be judged: the
+// Benchpair compares a base commit with the working tree on workloads of
+// the repo benchmark, the way a performance claim must be judged: the
 // machine's speed drifts by 10–30 % over minutes, so single runs of two
 // commits are not comparable — alternating pairs are.
 //
 // Usage (make bench-pair BASE=<ref> WORKLOAD=<name>):
 //
 //	benchpair -base HEAD~1 -workload wordcount
+//	benchpair -base HEAD~1 -workload terasort,grep
+//	benchpair -base HEAD~1 -workload all
 //
-// It checks BASE out into a git worktree in a temporary directory, builds
-// ./bench there and in the working tree, and runs ten pairs of
+// -workload takes one name, a comma-separated list, or "all" for every
+// workload BENCHMARK.json declares — a claim's table and its no-regression
+// tables from one command, one table per workload. It checks BASE out into
+// a git worktree in a temporary directory, builds ./bench there and in the
+// working tree, and runs, per workload, ten pairs of
 // BENCHMARK.json's run_seconds each, the two sides of a pair on the same seed
 // and the side that goes first alternating: the protocol is fixed so that
 // two tables are always comparable. Result files go to the temporary
@@ -29,7 +34,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // result is the benchmark's last line of standard output.
@@ -47,11 +54,11 @@ const pairs = 10
 
 func main() {
 	base := flag.String("base", "", "git ref of the commit to compare the working tree against")
-	workload := flag.String("workload", "", "benchmark workload (wordcount, grep, terasort, pagerank)")
+	workload := flag.String("workload", "", "benchmark workloads: a name, a comma-separated list, or all")
 	seed := flag.Int("seed", 101, "seed of the first pair; pair i runs both sides on seed+i")
 	flag.Parse()
 	if *base == "" || *workload == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchpair -base <ref> -workload <name> [-seed 101]")
+		fmt.Fprintln(os.Stderr, "usage: benchpair -base <ref> -workload <name>[,<name>...]|all [-seed 101]")
 		os.Exit(2)
 	}
 	if err := run(*base, *workload, *seed); err != nil {
@@ -60,27 +67,54 @@ func main() {
 	}
 }
 
-// runSeconds reads how long one run measures from the working tree's
-// BENCHMARK.json.
-func runSeconds() (int, error) {
+// declared reads from the working tree's BENCHMARK.json how long one run
+// measures and which workloads exist.
+func declared() (seconds int, workloads []string, err error) {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	var decl struct {
 		RunSeconds int `json:"run_seconds"`
+		Workloads  []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 	}
 	if err := json.Unmarshal(raw, &decl); err != nil {
-		return 0, fmt.Errorf("BENCHMARK.json: %w", err)
+		return 0, nil, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
 	if decl.RunSeconds <= 0 {
-		return 0, fmt.Errorf("BENCHMARK.json: run_seconds = %d", decl.RunSeconds)
+		return 0, nil, fmt.Errorf("BENCHMARK.json: run_seconds = %d", decl.RunSeconds)
 	}
-	return decl.RunSeconds, nil
+	for _, w := range decl.Workloads {
+		workloads = append(workloads, w.Name)
+	}
+	return decl.RunSeconds, workloads, nil
+}
+
+// pick resolves the -workload argument against the declared workloads: "all"
+// is every one of them, anything else a comma-separated list of their names.
+// A name the benchmark does not declare is an error here, before the first
+// ten minutes of runs and not after them.
+func pick(arg string, declared []string) ([]string, error) {
+	if arg == "all" {
+		return declared, nil
+	}
+	names := strings.Split(arg, ",")
+	for _, name := range names {
+		if !slices.Contains(declared, name) {
+			return nil, fmt.Errorf("workload %q is not one of %s", name, strings.Join(declared, ", "))
+		}
+	}
+	return names, nil
 }
 
 func run(base, workload string, seed int) error {
-	seconds, err := runSeconds()
+	seconds, all, err := declared()
+	if err != nil {
+		return err
+	}
+	workloads, err := pick(workload, all)
 	if err != nil {
 		return err
 	}
@@ -102,6 +136,16 @@ func run(base, workload string, seed int) error {
 		}
 	}
 
+	for _, workload := range workloads {
+		if err := compare(bins, tmp, workload, seed, seconds, base); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compare runs the ten pairs of one workload and prints its table.
+func compare(bins map[string]string, tmp, workload string, seed, seconds int, base string) error {
 	values := map[string]map[string][]float64{"base": {}, "head": {}} // side → metric → one value per pair
 	units := map[string]string{}
 	for i := 0; i < pairs; i++ {
@@ -115,22 +159,22 @@ func run(base, workload string, seed int) error {
 			var out bytes.Buffer
 			cmd.Stdout = &out
 			if err := cmd.Run(); err != nil {
-				return fmt.Errorf("pair %d, %s: %w", i+1, side, err)
+				return fmt.Errorf("%s pair %d, %s: %w", workload, i+1, side, err)
 			}
 			lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
 			var r result
 			if err := json.Unmarshal(lines[len(lines)-1], &r); err != nil {
-				return fmt.Errorf("pair %d, %s: result line: %w", i+1, side, err)
+				return fmt.Errorf("%s pair %d, %s: result line: %w", workload, i+1, side, err)
 			}
 			if !r.Correct || r.Failed > 0 {
-				return fmt.Errorf("pair %d, %s: %d jobs failed", i+1, side, r.Failed)
+				return fmt.Errorf("%s pair %d, %s: %d jobs failed", workload, i+1, side, r.Failed)
 			}
 			for name, m := range r.Metrics {
 				values[side][name] = append(values[side][name], m.Value)
 				units[name] = m.Unit
 			}
 		}
-		fmt.Fprintf(os.Stderr, "pair %d/%d done (seed %d, %s first)\n", i+1, pairs, seed+i, order[0])
+		fmt.Fprintf(os.Stderr, "%s pair %d/%d done (seed %d, %s first)\n", workload, i+1, pairs, seed+i, order[0])
 	}
 
 	fmt.Printf("%s, %d pairs × %d s, seeds %d–%d, base %s; every metric is lower-is-better\n",

@@ -23,3 +23,22 @@ func TestPrintTableMetricOnOneSide(t *testing.T) {
 		}
 	}
 }
+
+// -workload takes one name, a list, or "all"; an undeclared name is refused
+// before anything runs.
+func TestPickWorkloads(t *testing.T) {
+	declared := []string{"wordcount", "grep", "terasort"}
+	for arg, want := range map[string]string{
+		"grep":           "grep",
+		"terasort,grep":  "terasort,grep",
+		"all":            "wordcount,grep,terasort",
+		"pagerank":       "",
+		"grep,,terasort": "",
+		"":               "",
+	} {
+		got, err := pick(arg, declared)
+		if (err != nil) != (want == "") || strings.Join(got, ",") != want {
+			t.Errorf("pick(%q) = %v, %v; want %q", arg, got, err, want)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package dataflow
 
 import (
 	"cmp"
-	"sync"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/engine/flink"
@@ -87,81 +87,110 @@ func CollectAsMap[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]]) (map[K]V, e
 // SaveAsText writes one fmt line per record to the DFS, the text sink of
 // every engine (saveAsTextFile / writeAsText / TextOutputFormat-style).
 func SaveAsText[T any](d *Dataset[T], name string) error {
+	return SaveBytes(d, name, func(dst []byte, v T) []byte {
+		return append(fmt.Append(dst, v), '\n')
+	})
+}
+
+// SaveBytes writes every record through enc — which appends the record's
+// encoding to dst and returns the extended slice — concatenated in
+// partition order: the binary sink Tera Sort validates (records land
+// globally ordered when the upstream partitioner is a range partitioner).
+//
+// It is the one sink of every engine, and it runs where the paper's Table I
+// puts the last operator of a plan: inside the parallel tasks. The task that
+// produces a partition encodes it into that partition's own buffer — Spark's
+// result tasks a whole partition at a time, Flink's sink subtasks batch by
+// batch as the pipeline delivers, MapReduce in a wave of one task per output
+// split — and the driver only stitches the parts into the file. Nothing is
+// written unless every task succeeded.
+func SaveBytes[T any](d *Dataset[T], name string, enc func(dst []byte, v T) []byte) error {
+	var out sinkParts[T]
 	switch d.s.kind() {
 	case Spark:
 		r, err := repOf[*spark.RDD[T]](d)
 		if err != nil {
 			return err
 		}
-		return spark.SaveAsTextFile(r, name)
+		out = newSinkParts(r.NumPartitions(), enc)
+		if err := spark.ForeachPartition(r, out.put); err != nil {
+			return err
+		}
 	case Flink:
 		ds, err := repOf[*flink.DataSet[T]](d)
 		if err != nil {
 			return err
 		}
-		return flink.WriteAsText(ds, name)
+		out = newSinkParts(ds.Parallelism(), enc)
+		if err := flink.ForEach(ds, "DataSink", out.add); err != nil {
+			return err
+		}
 	default:
 		fr, err := repOf[*mrFrag[T]](d)
 		if err != nil {
 			return err
 		}
-		return fr.saveText(name)
+		sp, err := fr.load()
+		if err != nil {
+			return err
+		}
+		out = newSinkParts(sp.n, enc)
+		if err := sp.foreachPart(fr.c, out.put); err != nil {
+			return err
+		}
 	}
+	f := d.s.FS().WriteParts(name, out.bufs)
+	d.s.Metrics().DiskBytesWritten.Add(f.Size())
+	var recs int64
+	for _, n := range out.recs {
+		recs += n
+	}
+	d.s.Metrics().RecordsWritten.Add(recs)
+	return nil
 }
 
-// SaveBytes writes enc(record) concatenated in partition order — the
-// binary sink Tera Sort validates (records land globally ordered when the
-// upstream partitioner is a range partitioner).
-func SaveBytes[T any](d *Dataset[T], name string, enc func(T) []byte) error {
-	switch d.s.kind() {
-	case Spark:
-		r, err := repOf[*spark.RDD[T]](d)
-		if err != nil {
-			return err
-		}
-		parts := make([][]T, r.NumPartitions())
-		if err := spark.ForeachPartition(r, func(p int, data []T) error {
-			parts[p] = data
-			return nil
-		}); err != nil {
-			return err
-		}
-		return writeConcat(d.s, name, parts, enc)
-	case Flink:
-		ds, err := repOf[*flink.DataSet[T]](d)
-		if err != nil {
-			return err
-		}
-		parts := make([][]T, ds.Parallelism())
-		var mu sync.Mutex
-		if err := flink.ForEach(ds, "DataSink", func(p int, batch []T) error {
-			mu.Lock()
-			parts[p] = append(parts[p], batch...)
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			return err
-		}
-		return writeConcat(d.s, name, parts, enc)
-	default:
-		fr, err := repOf[*mrFrag[T]](d)
-		if err != nil {
-			return err
-		}
-		return fr.saveBytes(name, enc)
-	}
+// sinkParts holds a sink job's output while its tasks run: one buffer and
+// one record count per partition, each written only by the task that owns
+// the partition, so the tasks share nothing and need no lock.
+type sinkParts[T any] struct {
+	enc  func(dst []byte, v T) []byte
+	bufs [][]byte
+	recs []int64
 }
 
-// writeConcat materializes partitions to one DFS file in partition order
-// and charges the write.
-func writeConcat[T any](s *Session, name string, parts [][]T, enc func(T) []byte) error {
-	var out []byte
-	for _, part := range parts {
-		for _, v := range part {
-			out = append(out, enc(v)...)
+func newSinkParts[T any](n int, enc func(dst []byte, v T) []byte) sinkParts[T] {
+	return sinkParts[T]{enc: enc, bufs: make([][]byte, n), recs: make([]int64, n)}
+}
+
+// put encodes partition p from its complete records, replacing what an
+// earlier attempt of the task may have left.
+func (s sinkParts[T]) put(p int, recs []T) error {
+	s.bufs[p], s.recs[p] = nil, 0
+	return s.add(p, recs)
+}
+
+// add encodes the next records of partition p behind those already there.
+// The buffer is sized when the first records arrive, from the first one's
+// encoding times their number — exact for fixed-width records handed over
+// as a whole partition. A panic in the user's encoder fails the task, not
+// the process.
+func (s sinkParts[T]) add(p int, recs []T) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("dataflow: sink encoder panicked on partition %d: %v", p, r)
 		}
+	}()
+	buf := s.bufs[p]
+	rest := recs
+	if buf == nil && len(recs) > 0 {
+		first := s.enc(nil, recs[0])
+		buf = append(make([]byte, 0, len(first)*len(recs)), first...)
+		rest = recs[1:]
 	}
-	s.FS().WriteFile(name, out)
-	s.Metrics().DiskBytesWritten.Add(int64(len(out)))
+	for _, v := range rest {
+		buf = s.enc(buf, v)
+	}
+	s.bufs[p] = buf
+	s.recs[p] += int64(len(recs))
 	return nil
 }

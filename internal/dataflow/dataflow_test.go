@@ -309,8 +309,8 @@ func TestSortByKeyTotalOrder(t *testing.T) {
 		pairs := dataflow.MapToPair(dataflow.FromSlice(s, keys, 2),
 			func(k string) core.Pair[string, string] { return core.KV(k, "|") })
 		sorted := dataflow.SortByKey(pairs, part)
-		if err := dataflow.SaveBytes(sorted, "out", func(p core.Pair[string, string]) []byte {
-			return []byte(p.Key + p.Value)
+		if err := dataflow.SaveBytes(sorted, "out", func(dst []byte, p core.Pair[string, string]) []byte {
+			return append(append(dst, p.Key...), p.Value...)
 		}); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}

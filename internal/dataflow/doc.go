@@ -33,6 +33,23 @@
 //     iterations as chained jobs whose input and state round-trip through
 //     the DFS every round.
 //
+// The sinks run where Table I puts the last operator of a plan, inside the
+// parallel tasks. SaveBytes takes an append-style encoder,
+//
+//	err := dataflow.SaveBytes(sorted, "out", func(dst []byte, p core.Pair[string, string]) []byte {
+//		return append(append(dst, p.Key...), p.Value...)
+//	})
+//
+// and each output partition is encoded into its own buffer by the task that
+// produced it: spark's result tasks, flink's sink subtasks as batches arrive,
+// a wave of one task per split on mapreduce (which, for a plan with no
+// shuffle, is also where the split is read and the narrow chain runs). The
+// driver only stitches the parts into one file (dfs.FS.WriteParts) and counts
+// RecordsWritten and DiskBytesWritten, once, the same on every engine; a
+// task that fails — a panic in the encoder included — fails the action and
+// leaves no file. SaveAsText is that sink with fmt's formatting plus a
+// newline as the encoder.
+//
 // The same logical plan is also introspectable without executing:
 // PlanOf(s, workload, action, sink.Node()) asks the backend to lower it
 // into the engine's core.Plan, which is how cmd/planviz and experiment

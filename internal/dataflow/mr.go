@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/engine/mapreduce"
@@ -46,6 +47,22 @@ func (sp mrSplits[T]) records() []T {
 		out = append(out, sp.part(i)...)
 	}
 	return out
+}
+
+// foreachPart evaluates the splits as one wave of tasks on the cluster
+// runtime, task i handing split i's records to fn on the split's preferred
+// node — the OutputFormat end of a job's reduce tasks, or a whole map-only
+// job when no shuffle has consumed the frag yet (the read and the narrow
+// chain then run here, in parallel, not on the driver).
+func (sp mrSplits[T]) foreachPart(c *mapreduce.Cluster, fn func(i int, recs []T) error) error {
+	tasks := make([]cluster.Task, sp.n)
+	for i := range tasks {
+		tasks[i] = cluster.Task{Node: sp.pref(i), Fn: func() error {
+			c.Metrics().TasksLaunched.Add(1)
+			return fn(i, sp.part(i))
+		}}
+	}
+	return c.Runtime().RunTasks(tasks)
 }
 
 // input hands the splits to the engine as the next job's input.
@@ -200,43 +217,4 @@ func (f *mrFrag[T]) collect() ([]T, error) {
 		return nil, err
 	}
 	return sp.records(), nil
-}
-
-// saveText writes one fmt line per record to the DFS in split order,
-// charging the write like the engines' text sinks do.
-func (f *mrFrag[T]) saveText(name string) error {
-	sp, err := f.load()
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	records := int64(0)
-	for i := 0; i < sp.n; i++ {
-		for _, v := range sp.part(i) {
-			buf = append(buf, fmt.Sprint(v)...)
-			buf = append(buf, '\n')
-			records++
-		}
-	}
-	f.c.FS().WriteFile(name, buf)
-	f.c.Metrics().RecordsWritten.Add(records)
-	f.c.Metrics().DiskBytesWritten.Add(int64(len(buf)))
-	return nil
-}
-
-// saveBytes writes enc(record) concatenated in split order.
-func (f *mrFrag[T]) saveBytes(name string, enc func(T) []byte) error {
-	sp, err := f.load()
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for i := 0; i < sp.n; i++ {
-		for _, v := range sp.part(i) {
-			buf = append(buf, enc(v)...)
-		}
-	}
-	f.c.FS().WriteFile(name, buf)
-	f.c.Metrics().DiskBytesWritten.Add(int64(len(buf)))
-	return nil
 }

@@ -101,6 +101,15 @@ func (fs *FS) WriteFile(name string, data []byte) *File {
 	return f
 }
 
+// WriteParts stores the concatenation of parts under name — the commit step
+// of a parallel sink whose tasks each encoded one output partition: one
+// allocation of the exact total size (bytes.Join does not zero what it is
+// about to overwrite), one copy per part, and the same File (blocks,
+// placement, Contents, Lines) as WriteFile of the concatenation.
+func (fs *FS) WriteParts(name string, parts [][]byte) *File {
+	return fs.WriteFile(name, bytes.Join(parts, nil))
+}
+
 // Open returns a stored file.
 func (fs *FS) Open(name string) (*File, error) {
 	fs.mu.RLock()

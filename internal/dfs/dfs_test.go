@@ -339,3 +339,42 @@ func TestLineSplitsSharesArena(t *testing.T) {
 		t.Errorf("Lines on a block inside one line allocates %.0f times, want 0", n)
 	}
 }
+
+// TestWritePartsMatchesWriteFile: the stitched file of a parallel sink is the
+// file WriteFile makes of the concatenation — same blocks on the same nodes,
+// same contents and line splits — for no parts at all, for parts that are
+// all empty (one empty block, like an empty WriteFile) and for parts that
+// end inside, on and across block boundaries.
+func TestWritePartsMatchesWriteFile(t *testing.T) {
+	cases := map[string][][]byte{
+		"zero parts":      nil,
+		"all-empty parts": {nil, {}, nil},
+		"straddling parts": {
+			[]byte("ab\nc"), []byte("defgh\nijklmnop\nq"), nil, []byte("rs\ntuvw"), []byte("\n"), []byte("xyz"),
+		},
+		"parts on block boundaries": {[]byte("01234567"), []byte("89abcdef01234567"), []byte("x")},
+	}
+	for name, parts := range cases {
+		whole, stitched := New(3, 8, 2), New(3, 8, 2)
+		want := whole.WriteFile("f", bytes.Join(parts, nil))
+		got := stitched.WriteParts("f", parts)
+		if opened, err := stitched.Open("f"); err != nil || opened != got {
+			t.Fatalf("%s: Open after WriteParts = %v, %v", name, opened, err)
+		}
+		if got.Size() != want.Size() || got.NumBlocks() != want.NumBlocks() {
+			t.Fatalf("%s: %d bytes in %d blocks, want %d in %d", name, got.Size(), got.NumBlocks(), want.Size(), want.NumBlocks())
+		}
+		if !bytes.Equal(got.Contents(), want.Contents()) {
+			t.Errorf("%s: contents %q, want %q", name, got.Contents(), want.Contents())
+		}
+		for i := range want.Blocks {
+			if !bytes.Equal(got.Blocks[i].Data, want.Blocks[i].Data) || fmt.Sprint(got.Blocks[i].Replicas) != fmt.Sprint(want.Blocks[i].Replicas) {
+				t.Errorf("%s: block %d = %q on %v, want %q on %v", name, i,
+					got.Blocks[i].Data, got.Blocks[i].Replicas, want.Blocks[i].Data, want.Blocks[i].Replicas)
+			}
+			if g, w := got.Lines(i), want.Lines(i); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("%s: Lines(%d) = %q, want %q", name, i, g, w)
+			}
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package flink
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/cluster"
@@ -218,35 +216,4 @@ func Count[T any](d *DataSet[T]) (int64, error) {
 		total += c
 	}
 	return total, nil
-}
-
-// WriteAsText writes one line per record to the DFS (the DataSink of the
-// paper's plans).
-func WriteAsText[T any](d *DataSet[T], name string) error {
-	parts := make([][]string, d.parallelism)
-	var mu sync.Mutex
-	err := runJob(d, "DataSink", func(p int, batch []T) error {
-		lines := make([]string, len(batch))
-		for i, v := range batch {
-			lines[i] = fmt.Sprint(v)
-		}
-		mu.Lock()
-		parts[p] = append(parts[p], lines...)
-		mu.Unlock()
-		d.env.metrics.RecordsWritten.Add(int64(len(batch)))
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var sb strings.Builder
-	for _, lines := range parts {
-		for _, l := range lines {
-			sb.WriteString(l)
-			sb.WriteByte('\n')
-		}
-	}
-	d.env.fs.WriteFile(name, []byte(sb.String()))
-	d.env.metrics.DiskBytesWritten.Add(int64(sb.Len()))
-	return nil
 }

@@ -505,21 +505,6 @@ func TestHashCombineStrategyAblation(t *testing.T) {
 	}
 }
 
-func TestWriteAsText(t *testing.T) {
-	e := testEnv(t, nil)
-	ds := FromSlice(e, []string{"x", "y", "z"}, 2)
-	if err := WriteAsText(ds, "out"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := e.FS().Open("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(f.Contents()) != "x\ny\nz\n" {
-		t.Errorf("sink wrote %q", f.Contents())
-	}
-}
-
 func TestGroupReduce(t *testing.T) {
 	e := testEnv(t, nil)
 	ds := FromSlice(e, []core.Pair[string, int64]{

@@ -282,18 +282,12 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		sort.SliceStable(merged, func(i, j int) bool { return less(merged[i], merged[j]) })
 	}
 
-	var out []core.Pair[K, V]
-	emit := func(k K, v V) {
-		out = append(out, core.KV(k, v))
-		c.metrics.RecordsWritten.Add(1)
-	}
 	if job.Reduce == nil {
-		// Identity reducer: pass the merged stream through in key order.
-		for _, kv := range merged {
-			emit(kv.Key, kv.Value)
-		}
-		return out, nil
+		// Identity reducer: the merged stream, in key order, is the output.
+		return merged, nil
 	}
+	var out []core.Pair[K, V]
+	emit := func(k K, v V) { out = append(out, core.KV(k, v)) }
 	for i := 0; i < len(merged); {
 		j := i + 1
 		for j < len(merged) && merged[j].Key == merged[i].Key {

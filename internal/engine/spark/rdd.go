@@ -3,7 +3,6 @@ package spark
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -370,35 +369,6 @@ func ForeachPartition[T any](r *RDD[T], f func(int, []T) error) error {
 	return runJob(r, "ForeachPartition", func(p int, data []T, tc *taskContext) error {
 		return f(p, data)
 	})
-}
-
-// SaveAsTextFile writes one line per record to the DFS, formatting with
-// fmt.Sprint, and records the bytes as DFS writes (the paper's save
-// action).
-func SaveAsTextFile[T any](r *RDD[T], name string) error {
-	parts := make([][]string, r.numParts)
-	err := runJob(r, "SaveAsTextFile", func(p int, data []T, tc *taskContext) error {
-		lines := make([]string, len(data))
-		for i, v := range data {
-			lines[i] = fmt.Sprint(v)
-		}
-		parts[p] = lines
-		tc.metrics.RecordsWritten.Add(int64(len(data)))
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var sb strings.Builder
-	for _, lines := range parts {
-		for _, l := range lines {
-			sb.WriteString(l)
-			sb.WriteByte('\n')
-		}
-	}
-	r.ctx.fs.WriteFile(name, []byte(sb.String()))
-	r.ctx.metrics.DiskBytesWritten.Add(int64(sb.Len()))
-	return nil
 }
 
 // SortPartitionsBy sorts every partition locally (no shuffle); combined

@@ -437,21 +437,6 @@ func TestPlanOf(t *testing.T) {
 	}
 }
 
-func TestSaveAsTextFile(t *testing.T) {
-	c := testContext(t, nil)
-	r := Parallelize(c, []string{"x", "y", "z"}, 2)
-	if err := SaveAsTextFile(r, "out"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.FS().Open("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(f.Contents()) != "x\ny\nz\n" {
-		t.Errorf("saved contents = %q", f.Contents())
-	}
-}
-
 func TestCoalesce(t *testing.T) {
 	c := testContext(t, nil)
 	r := Parallelize(c, []int64{1, 2, 3, 4, 5, 6, 7, 8}, 8)

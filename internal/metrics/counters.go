@@ -47,13 +47,16 @@ type JobMetrics struct {
 	TasksLaunched          atomic.Int64
 	Stages                 atomic.Int64
 	RecordsRead            atomic.Int64
-	RecordsWritten         atomic.Int64
-	CacheHits              atomic.Int64
-	CacheMisses            atomic.Int64
-	Recomputations         atomic.Int64
-	CombineInputRecords    atomic.Int64
-	CombineOutputRecs      atomic.Int64
-	SchedulingRounds       atomic.Int64
+	// RecordsWritten counts the records a sink wrote to the DFS, once, so it
+	// is the same on every engine for one job; a reduce phase whose output
+	// stays in memory writes nothing.
+	RecordsWritten      atomic.Int64
+	CacheHits           atomic.Int64
+	CacheMisses         atomic.Int64
+	Recomputations      atomic.Int64
+	CombineInputRecords atomic.Int64
+	CombineOutputRecs   atomic.Int64
+	SchedulingRounds    atomic.Int64
 	// CodecFallbacks counts the codec resolutions that landed on the
 	// per-record encoding/gob fallback (serde.Codec.Fallbacks, added once
 	// where an engine resolves a codec, not per record). It is zero for

@@ -406,7 +406,20 @@ func (w *sortWriter[R]) Close() error {
 			// (tungsten's partition-prefix sort never orders keys).
 			final = Concat(segs)
 		}
-		enc := serde.EncodeAll(w.spec.Codec, memory.DefaultPool.Get(memQuantum), final)
+		// One quantum holds a small block. A block whose first record says
+		// it will be larger — its encoding times the record count, plus a
+		// sixteenth — moves to a pooled buffer of that size before the rest
+		// is encoded, rather than doubling its way up to megabytes.
+		enc := memory.DefaultPool.Get(memQuantum)
+		if len(final) > 0 {
+			enc = serde.EncodeAll(w.spec.Codec, enc, final[:1])
+			if size := len(enc) * len(final); size+size/16 > cap(enc) {
+				first := enc
+				enc = append(memory.DefaultPool.Get(size+size/16), first...)
+				memory.DefaultPool.Put(first)
+			}
+			enc = serde.EncodeAll(w.spec.Codec, enc, final[1:])
+		}
 		if err := w.env.Emit(p, seal(w.env.Settings, enc, int64(len(final)))); err != nil {
 			return err
 		}

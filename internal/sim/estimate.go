@@ -44,7 +44,11 @@ import (
 //     |est/meas − 1| median had left 0.25 (0.27 over those sweeps, 0.20
 //     with the re-read constants; three sweeps taken while the box ran a
 //     quarter slower read 0.36 and 0.31); spark (0.16) and mapreduce
-//     (0.10) were inside it and keep their constants.
+//     (0.10) were inside it and keep their constants. The three Sort-shape
+//     constants were scaled once more when output partitions came to be
+//     written inside tasks (TeraSort cells had moved to 1.3-2.3× under the
+//     estimate; after it spark 0.10-0.19, flink 0.16-0.20, mapreduce
+//     0.11-0.20 over two sweeps).
 //   - [MECH] structural, not fitted.
 const (
 	// Fixed part of a job's cost line. [ANCHOR ext10] mean intercept of an
@@ -74,13 +78,20 @@ const (
 	estAggCPUMR    = 0.070
 	estAggCPUFlink = 0.013
 
-	// Sort-shape CPU (map + sort + merge pipeline), same units.
-	// [ANCHOR ext10] TeraSort sort-strategy slopes per engine less I/O
-	// (spark 0.0102 and 0.0103, mapreduce 0.0130 and 0.0118, flink 0.0102
-	// and 0.0101).
-	estSortCPUSpark = 0.006
-	estSortCPUMR    = 0.0085
-	estSortCPUFlink = 0.0062
+	// Sort-shape CPU (map + sort + merge + sink pipeline), same units.
+	// [ANCHOR ext10] TeraSort sort-strategy slopes per engine less I/O.
+	// With the sink still a serial encode loop on the driver they were spark
+	// 0.0102 and 0.0103, mapreduce 0.0130 and 0.0118, flink 0.0102 and
+	// 0.0101; with output partitions encoded inside the tasks that produce
+	// them the same rows measure, in six sweeps alternated with that earlier
+	// state, 0.74 and 0.81 of it on spark, 0.80 and 0.88 on mapreduce, 0.61
+	// and 0.63 on flink (whose sorted partition reaches the sink as one
+	// batch). The constants are the earlier slopes times those ratios — the
+	// box ran a tenth slower than when the other constants were read, so
+	// the ratio carries over and the absolute slopes do not.
+	estSortCPUSpark = 0.004
+	estSortCPUMR    = 0.0065
+	estSortCPUFlink = 0.002
 
 	// Scan-shape CPU: no shuffle, a filter/count pass. [MECH] roughly half
 	// the aggregate map cost (no combine, no pair lifting).

@@ -415,3 +415,60 @@ func formatVertexMap[V any](m map[int64]V, format func(V) string) string {
 	}
 	return sb.String()
 }
+
+// TestSinkCountersAgreeAcrossEngines: the one sink counts what it wrote once,
+// the same on every engine. After a single WordCount or TeraSort job
+// RecordsWritten is the number of output records, and DiskBytesWritten — less
+// the shuffle files spark and mapreduce materialise, which flink's pipelined
+// exchange never writes — is the size of the output file.
+func TestSinkCountersAgreeAcrossEngines(t *testing.T) {
+	text := datagen.Text(21, 64<<10, 10)
+	tera := datagen.TeraGen(22, 2000)
+	part := TeraPartitioner(tera, 2)
+	jobs := []struct {
+		name string
+		run  func(s *dataflow.Session) error
+		recs func(out []byte) int64
+	}{
+		{"WordCount", func(s *dataflow.Session) error { return WordCount(s, "in", "out") },
+			func(out []byte) int64 { return int64(bytes.Count(out, []byte("\n"))) }},
+		{"TeraSort", func(s *dataflow.Session) error { return TeraSort(s, "in", "out", part) },
+			func(out []byte) int64 { return int64(len(out) / datagen.TeraRecordSize) }},
+	}
+	for _, job := range jobs {
+		var written [][2]int64
+		for _, engine := range dataflow.Names() {
+			s := paritySession(t, engine)
+			if job.name == "WordCount" {
+				s.FS().WriteFile("in", text)
+			} else {
+				s.FS().WriteFile("in", tera)
+			}
+			if err := job.run(s); err != nil {
+				t.Fatalf("%s on %s: %v", job.name, engine, err)
+			}
+			f, err := s.FS().Open("out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := s.Metrics().Snapshot()
+			if m.SpillCount != 0 {
+				t.Fatalf("%s on %s spilled; the test wants the sink's disk writes alone", job.name, engine)
+			}
+			sinkBytes := m.DiskBytesWritten
+			if engine != "flink" {
+				sinkBytes -= m.ShuffleBytesWritten
+			}
+			if want := job.recs(f.Contents()); m.RecordsWritten != want {
+				t.Errorf("%s on %s: RecordsWritten = %d, want %d output records", job.name, engine, m.RecordsWritten, want)
+			}
+			if sinkBytes != f.Size() {
+				t.Errorf("%s on %s: the sink charged %d disk bytes, the file has %d", job.name, engine, sinkBytes, f.Size())
+			}
+			written = append(written, [2]int64{m.RecordsWritten, sinkBytes})
+		}
+		if written[0] != written[1] || written[0] != written[2] {
+			t.Errorf("%s: (RecordsWritten, sink bytes) per engine = %v, want all equal", job.name, written)
+		}
+	}
+}

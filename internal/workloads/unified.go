@@ -101,8 +101,8 @@ func GrepMultiFilterPlan(s *dataflow.Session) *core.Plan {
 // every engine, as the paper requires for fairness.
 func TeraSort(s *dataflow.Session, input, output string, part *core.RangePartitioner[string]) error {
 	return dataflow.SaveBytes(teraSortPipeline(s, input, part), output,
-		func(p core.Pair[string, string]) []byte {
-			return append([]byte(p.Key), p.Value...)
+		func(dst []byte, p core.Pair[string, string]) []byte {
+			return append(append(dst, p.Key...), p.Value...)
 		})
 }
 
