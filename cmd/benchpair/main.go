@@ -20,8 +20,12 @@
 // directory, never into bench/out. Per end-to-end metric it prints each side's median and
 // quartiles over the runs, how many pairs the working tree won, and whether
 // the medians differ by more than the base's own quartile distance — the
-// rule BENCHMARK.json's driver applies to a claimed gain. The exit status
-// is non-zero only when a run failed, never because of what was measured.
+// rule BENCHMARK.json's driver applies to a claimed gain. Under each table
+// come the working tree's rows as JSON lines in the schema of
+// bench/trajectory.jsonl (commit, change, workload, metric, unit, median, q1,
+// q3, n, nproc), for the next benchmark change to append there; "change" is
+// the subject line of HEAD. The exit status is non-zero only when a run
+// failed, never because of what was measured.
 package main
 
 import (
@@ -34,6 +38,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -118,6 +123,16 @@ func run(base, workload string, seed int) error {
 	if err != nil {
 		return err
 	}
+	// The working tree as the trajectory names it: HEAD, marked when the
+	// tree has changes HEAD does not.
+	commit, err := gitOutput("describe", "--always", "--dirty", "--abbrev=12")
+	if err != nil {
+		return err
+	}
+	change, err := gitOutput("log", "-1", "--format=%s")
+	if err != nil {
+		return err
+	}
 	tmp, err := os.MkdirTemp("", "benchpair-")
 	if err != nil {
 		return err
@@ -137,15 +152,16 @@ func run(base, workload string, seed int) error {
 	}
 
 	for _, workload := range workloads {
-		if err := compare(bins, tmp, workload, seed, seconds, base); err != nil {
+		if err := compare(bins, tmp, workload, seed, seconds, base, commit, change); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// compare runs the ten pairs of one workload and prints its table.
-func compare(bins map[string]string, tmp, workload string, seed, seconds int, base string) error {
+// compare runs the ten pairs of one workload and prints its table, then the
+// working tree's side of it as trajectory lines.
+func compare(bins map[string]string, tmp, workload string, seed, seconds int, base, commit, change string) error {
 	values := map[string]map[string][]float64{"base": {}, "head": {}} // side → metric → one value per pair
 	units := map[string]string{}
 	for i := 0; i < pairs; i++ {
@@ -180,7 +196,28 @@ func compare(bins map[string]string, tmp, workload string, seed, seconds int, ba
 	fmt.Printf("%s, %d pairs × %d s, seeds %d–%d, base %s; every metric is lower-is-better\n",
 		workload, pairs, seconds, seed, seed+pairs-1, base)
 	printTable(os.Stdout, values["base"], values["head"], units)
+	printTrajectory(os.Stdout, commit, change, workload, values["head"], units)
 	return nil
+}
+
+// printTrajectory writes one line per metric of one side's runs in the
+// schema — and the spacing and precision — of bench/trajectory.jsonl.
+func printTrajectory(w io.Writer, commit, change, workload string, runs map[string][]float64, units map[string]string) {
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	quote := func(s string) string {
+		b, _ := json.Marshal(s) // a string always marshals
+		return string(b)
+	}
+	for _, name := range names {
+		q := quartiles(runs[name])
+		fmt.Fprintf(w, `{"commit": %s, "change": %s, "workload": %s, "metric": %s, "unit": %s, "median": %.6g, "q1": %.6g, "q3": %.6g, "n": %d, "nproc": %d}`+"\n",
+			quote(commit), quote(change), quote(workload), quote(name), quote(units[name]),
+			q[1], q[0], q[2], len(runs[name]), runtime.NumCPU())
+	}
 }
 
 // printTable writes one row per metric: each side's median and quartiles,
@@ -220,6 +257,15 @@ func printTable(w io.Writer, base, head map[string][]float64, units map[string]s
 			fmt.Sprintf("%.4g [%.4g, %.4g]", bq[1], bq[0], bq[2]),
 			fmt.Sprintf("%.4g [%.4g, %.4g]", hq[1], hq[0], hq[2]), wins, len(b), apart)
 	}
+}
+
+// gitOutput runs git in the working tree and returns what it printed, trimmed.
+func gitOutput(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
 }
 
 // command runs in dir ("" = the working tree) with its output on stderr,

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,4 +46,67 @@ func TestPickWorkloads(t *testing.T) {
 			t.Errorf("pick(%q) = %v, %v; want %q", arg, got, err, want)
 		}
 	}
+}
+
+// The trajectory lines are bench/trajectory.jsonl's: the same keys in the
+// same order, one line per metric, quartiles as the table computes them, and
+// text that survives JSON (a commit subject quotes and uses non-ASCII).
+func TestPrintTrajectoryMatchesTheFile(t *testing.T) {
+	runs := map[string][]float64{"spark.job_s": {0.4, 0.1, 0.3, 0.2, 0.5}, "setup_s": {2, 2, 2, 2, 2}}
+	units := map[string]string{"spark.job_s": "s", "setup_s": "s"}
+	var out strings.Builder
+	printTrajectory(&out, "0123456789ab-dirty", `PR 19: "stream" ≈ 2×`, "wordcount", runs, units)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d lines for 2 metrics:\n%s", len(lines), out.String())
+	}
+
+	f, err := os.Open(filepath.Join("..", "..", "bench", "trajectory.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	if !sc.Scan() {
+		t.Fatal("bench/trajectory.jsonl is empty")
+	}
+	if got, want := keysInOrder(t, lines[1]), keysInOrder(t, sc.Text()); !reflect.DeepEqual(got, want) {
+		t.Errorf("keys %v, the file's are %v", got, want)
+	}
+
+	var row struct {
+		Commit, Change, Workload, Metric, Unit string
+		Median, Q1, Q3                         float64
+		N, Nproc                               int
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &row); err != nil {
+		t.Fatalf("%v: %s", err, lines[1])
+	}
+	if row.Commit != "0123456789ab-dirty" || row.Change != `PR 19: "stream" ≈ 2×` || row.Workload != "wordcount" ||
+		row.Metric != "spark.job_s" || row.Unit != "s" || row.Median != 0.3 || row.Q1 != 0.2 || row.Q3 != 0.4 ||
+		row.N != 5 || row.Nproc < 1 {
+		t.Errorf("row = %+v", row)
+	}
+}
+
+// keysInOrder returns a JSON object's keys as written.
+func keysInOrder(t *testing.T, line string) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatalf("%v: %s", err, line)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		keys = append(keys, key.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+	}
+	return keys
 }

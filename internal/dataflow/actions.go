@@ -135,7 +135,7 @@ func SaveBytes[T any](d *Dataset[T], name string, enc func(dst []byte, v T) []by
 			return err
 		}
 		out = newSinkParts(sp.n, enc)
-		if err := sp.foreachPart(fr.c, out.put); err != nil {
+		if err := sp.foreachPart(fr.c, out.add); err != nil {
 			return err
 		}
 	}

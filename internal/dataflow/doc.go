@@ -33,6 +33,22 @@
 //     iterations as chained jobs whose input and state round-trip through
 //     the DFS every round.
 //
+// Between a source and the first shuffle or action, consecutive narrow
+// operators are one compiled kernel (fuse.go), and what the kernel produces
+// goes straight into the operator that consumes it — the pipelining the
+// paper names first when it explains either engine's speed. The kernel hands
+// its consumer one batch at a time, BORROWED until the consumer returns: the
+// storage is the last operator's scratch and the next batch overwrites it.
+// So every consumer folds, encodes or copies a batch before it returns — the
+// shuffle writers serialize or fold into their combine table, flink's
+// combiner folds record by record, sorters and collecting actions append
+// into storage of their own, the sinks below encode — and none holds the
+// slice. A partition exists as a collection only where something needs it
+// whole: a persisted RDD's blocks and the slice-taking operators and actions
+// on spark, a sort or an iteration's superstep on flink, a job's output read
+// back by the driver on mapreduce. A wordcount map task therefore holds one
+// batch of (word, 1) pairs at a time, not the 1.4 M its split expands to.
+//
 // The sinks run where Table I puts the last operator of a plan, inside the
 // parallel tasks. SaveBytes takes an append-style encoder,
 //

@@ -35,10 +35,33 @@ import (
 // record type to the final sink. The root-side typed work — cutting a []R
 // partition into batches, fetching the root's engine rep — is captured when
 // the chain starts, where R is statically known, so execution does one type
-// assertion per partition and none per record. Engines see a single
-// contract either way: their sink is func([]U) receiving compacted batches
-// (borrowed until the call returns), and drive pushes a boxed []R through
-// the compiled consumer.
+// assertion per partition and none per record.
+//
+// Who owns a batch. Engines see a single contract either way (engineKernel):
+// they instantiate the kernel once per serial record stream around their
+// sink, func([]U) error, and push each boxed []R the root yields through the
+// instance. The sink receives compacted, non-empty batches that are BORROWED
+// until the call returns: the storage is an operator's scratch and the next
+// batch overwrites it, so a sink folds, encodes or copies what it keeps and
+// never holds the slice. The sink is the stream's real consumer — spark's
+// shuffle map writer or folding action, flink's downstream partSink
+// (exchange writer, combiner, sorter, action), mapreduce's map function in
+// the map task — so the chain's output never exists as a collection between
+// the kernel and the operator that is about to fold it: that is the
+// pipelining the paper credits both engines with, and a wordcount map task
+// holds one batch of (word, 1) pairs instead of 1.4 M of them. The sink's
+// first error ends the stream: later batches are not delivered, the driver
+// stops cutting input, and every push reports that error.
+//
+// Where a partition is still gathered, and why: on spark when the fused RDD
+// is persisted (the block manager stores whole partitions) or when its
+// consumer is an operator or action that takes a partition as a slice
+// (Collect, ForeachPartition, an unfused narrow child) — FusedNarrow's
+// compute, the one place a kernel sink appends to a whole-partition slice;
+// on flink where an operator is a pipeline breaker by definition
+// (SortPartition, an iteration's superstep result, Collect); on mapreduce
+// only where the driver reads a job's output back (collect, the iteration's
+// staging step).
 
 // recBatch is one in-flight batch between fused batch kernels: a borrowed
 // record slice plus a selection vector (nil = all live). Filters narrow sel
@@ -62,10 +85,10 @@ func (b *recBatch[T]) forEachLive(fn func(T)) {
 	}
 }
 
-// erasedLoad is a type-erased mrFrag load: the split count, part(i)
-// yielding split i's records as a boxed []R when called, preferred nodes
-// and the charged input bytes.
-type erasedLoad = func() (n int, part func(i int) any, pref func(int) int, bytes int64, err error)
+// erasedLoad is a type-erased mrFrag load: the split count, each(i, yield)
+// pushing split i's records to yield as boxed []R batches when called,
+// preferred nodes and the charged input bytes.
+type erasedLoad = func() (n int, each func(i int, yield func(recs any) error) error, pref func(int) int, bytes int64, err error)
 
 // fchain records the fusible narrow chain ending at its owning dataset.
 type fchain struct {
@@ -80,11 +103,13 @@ type fchain struct {
 	// the vectorized kernel. Compiled once per serial record stream, so
 	// per-instance scratch is single-threaded.
 	vcompile func(sink any) any
-	// drive iterates a boxed []R through a boxed func(R).
-	drive func(recs, feed any)
+	// drive iterates a boxed []R through a boxed func(R), stopping once
+	// *failed is set (the kernel's sink reported an error).
+	drive func(recs, feed any, failed *error)
 	// vdrive cuts a boxed []R into width-record batches (subslice views,
-	// no copying) and feeds each to a boxed func(*recBatch[R]).
-	vdrive func(recs, feed any, width int)
+	// no copying) and feeds each to a boxed func(*recBatch[R]), stopping
+	// once *failed is set.
+	vdrive func(recs, feed any, width int, failed *error)
 	// Root engine-rep accessors, captured where R is known. Lowering the
 	// root goes through repOf, so shared roots still lower exactly once.
 	sparkRoot func() (any, error)
@@ -98,18 +123,21 @@ func newChain[R any](root *Dataset[R], node *Node, step, vstep func(sink any) an
 		nodes:    []*Node{node},
 		compile:  step,
 		vcompile: vstep,
-		drive: func(recs, feed any) {
+		drive: func(recs, feed any, failed *error) {
 			rs := recs.([]R)
 			fd := feed.(func(R))
 			for _, v := range rs {
+				if *failed != nil {
+					return
+				}
 				fd(v)
 			}
 		},
-		vdrive: func(recs, feed any, width int) {
+		vdrive: func(recs, feed any, width int, failed *error) {
 			rs := recs.([]R)
 			fd := feed.(func(*recBatch[R]))
 			b := &recBatch[R]{}
-			for i := 0; i < len(rs); i += width {
+			for i := 0; i < len(rs) && *failed == nil; i += width {
 				j := i + width
 				if j > len(rs) {
 					j = len(rs)
@@ -126,12 +154,15 @@ func newChain[R any](root *Dataset[R], node *Node, step, vstep func(sink any) an
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, func(int) any, func(int) int, int64, error) {
+			return func() (int, func(int, func(any) error) error, func(int) int, int64, error) {
 				sp, err := in.load()
 				if err != nil {
 					return 0, nil, nil, 0, err
 				}
-				return sp.n, func(i int) any { return sp.part(i) }, sp.pref, sp.bytes, nil
+				each := func(i int, yield func(any) error) error {
+					return sp.each(i, func(recs []R) error { return yield(recs) })
+				}
+				return sp.n, each, sp.pref, sp.bytes, nil
 			}, nil
 		},
 	}
@@ -203,46 +234,59 @@ func (s *Session) batchWidth() int {
 	return core.ExecBatch(conf)
 }
 
-// engineKernel adapts the chain to the single contract the engines see —
-// sink func([]U) receiving compacted non-empty batches borrowed until the
-// call returns, drive pushing one boxed []R partition through the compiled
-// consumer. Vectorized mode composes the batch kernels with a terminal
-// compaction (emitting the batch's own storage when nothing was filtered —
-// zero copy); record mode adapts the CPS kernel through a one-record
-// window, preserving the old per-record dispatch for baselining.
-func engineKernel[U any](fc *fchain, width int) (
-	drive func(recs, feed any), compile func(sink any) any) {
+// engineKernel adapts the chain to the single contract the engines see: a
+// kernel constructor. Called once per serial record stream with the stream's
+// sink — func([]U) error, receiving compacted non-empty batches borrowed
+// until the call returns — it compiles one kernel instance (instances carry
+// per-stream scratch) and returns its push side, which drives one boxed []R
+// the root yielded through the instance and reports the sink's first error.
+// That error is latched: once the sink has failed no batch reaches it again,
+// the driver stops cutting input, and every later push returns the error.
+// Vectorized mode composes the batch kernels with a terminal compaction
+// (emitting the batch's own storage when nothing was filtered — zero copy);
+// record mode adapts the CPS kernel through a one-record window, preserving
+// the old per-record dispatch for baselining.
+func engineKernel[U any](fc *fchain, width int) func(sink func([]U) error) (push func(recs any) error) {
 	if vectorOff.Load() {
-		return fc.drive, func(sink any) any {
-			emit := sink.(func([]U))
+		return func(sink func([]U) error) func(any) error {
+			var failed error
 			var one [1]U
-			return fc.compile(func(u U) {
-				one[0] = u
-				emit(one[:1])
+			feed := fc.compile(func(u U) {
+				if failed == nil {
+					one[0] = u
+					failed = sink(one[:1])
+				}
 			})
+			return func(recs any) error {
+				fc.drive(recs, feed, &failed)
+				return failed
+			}
 		}
 	}
-	drive = func(recs, feed any) { fc.vdrive(recs, feed, width) }
-	compile = func(sink any) any {
-		emit := sink.(func([]U))
-		var scratch []U // per-instance: compile runs once per serial stream
-		return fc.vcompile(func(b *recBatch[U]) {
-			if b.sel == nil {
-				if len(b.recs) > 0 {
-					emit(b.recs)
-				}
+	return func(sink func([]U) error) func(any) error {
+		var failed error
+		var scratch []U
+		feed := fc.vcompile(func(b *recBatch[U]) {
+			if failed != nil {
 				return
 			}
-			scratch = scratch[:0]
-			for _, i := range b.sel {
-				scratch = append(scratch, b.recs[i])
+			out := b.recs
+			if b.sel != nil {
+				scratch = scratch[:0]
+				for _, i := range b.sel {
+					scratch = append(scratch, b.recs[i])
+				}
+				out = scratch
 			}
-			if len(scratch) > 0 {
-				emit(scratch)
+			if len(out) > 0 {
+				failed = sink(out)
 			}
 		})
+		return func(recs any) error {
+			fc.vdrive(recs, feed, width, &failed)
+			return failed
+		}
 	}
-	return drive, compile
 }
 
 // lowerFused lowers d's chain of ≥2 narrow operators as one physical
@@ -262,20 +306,20 @@ func lowerFused[U any](d *Dataset[U]) (rep any, handled bool, err error) {
 		}
 	}
 	name := fusedLabel(fc.nodes)
-	drive, compile := engineKernel[U](fc, d.s.batchWidth())
+	kernel := engineKernel[U](fc, d.s.batchWidth())
 	switch d.s.kind() {
 	case Spark:
 		in, err := fc.sparkRoot()
 		if err != nil {
 			return nil, true, err
 		}
-		return cacheHint(d.node, spark.FusedNarrow[U](in, name, d.node.Kind, drive, compile)), true, nil
+		return cacheHint(d.node, spark.FusedNarrow(in, name, d.node.Kind, kernel)), true, nil
 	case Flink:
 		in, err := fc.flinkRoot()
 		if err != nil {
 			return nil, true, err
 		}
-		return flink.FusedChain[U](in, name, d.node.Kind, drive, compile), true, nil
+		return flink.FusedChain(in, name, d.node.Kind, kernel), true, nil
 	default:
 		load, err := fc.mrRoot()
 		if err != nil {
@@ -283,17 +327,14 @@ func lowerFused[U any](d *Dataset[U]) (rep any, handled bool, err error) {
 		}
 		c := mrCluster(d.s)
 		return &mrFrag[U]{c: c, load: func() (mrSplits[U], error) {
-			n, part, pref, bytes, err := load()
+			n, each, pref, bytes, err := load()
 			if err != nil {
 				return mrSplits[U]{}, err
 			}
 			// One kernel instance per split, compiled where the split is
-			// evaluated: in its map task.
-			return mrSplits[U]{n: n, part: func(i int) []U {
-				var out []U
-				feed := compile(func(us []U) { out = append(out, us...) })
-				drive(part(i), feed)
-				return out
+			// evaluated — in its map task — around that task's consumer.
+			return mrSplits[U]{n: n, each: func(i int, yield func([]U) error) error {
+				return each(i, kernel(yield))
 			}, pref: pref, bytes: bytes}, nil
 		}}, true, nil
 	}

@@ -91,7 +91,8 @@ func mrGraphInput[V any](g *Graph[V]) (c *mapreduce.Cluster, ids []int64, readEd
 // as the map phase's DFS read.
 func edgeInput(c *mapreduce.Cluster, edges []datagen.Edge, bytes int64) mapreduce.Input[datagen.Edge] {
 	splits := mapreduce.SplitSlice(c, edges, 0)
-	return mapreduce.SplitsInput(c, len(splits), func(m int) []datagen.Edge { return splits[m] }, nil, bytes)
+	scan := func(m int, yield func([]datagen.Edge) error) error { return yield(splits[m]) }
+	return mapreduce.SplitsInput(c, len(splits), scan, nil, bytes)
 }
 
 // messageJob runs one superstep's job: scan the staged edges, emit

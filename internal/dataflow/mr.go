@@ -21,14 +21,18 @@ import (
 // iteration round) re-reads the input and re-runs the chain, the repeated
 // cost that Spark's persistence and Flink's native iterations eliminate.
 
-// mrSplits is one evaluation of a frag's stream, split by split: part(i)
-// yields split i's records — reading the block and running the narrow chain
-// when it is called, which is inside map task i once a job consumes the
-// frag, so parts of different splits run concurrently — with the splits'
-// preferred nodes and the byte volume the map phase charges as DFS reads.
+// mrSplits is one evaluation of a frag's stream, split by split: each(i,
+// yield) pushes split i's records to yield — reading the block and running
+// the narrow chain when it is called, which is inside map task i once a job
+// consumes the frag, so different splits run concurrently — with the splits'
+// preferred nodes and the byte volume the map phase charges as DFS reads. A
+// split arrives in as many batches as its producer makes (a block read or a
+// reduce output is one, a fused chain emits one per kernel batch); each is
+// borrowed until yield returns, and yield's first error ends the split and
+// is what each returns. Nothing between the reader and yield holds a split.
 type mrSplits[T any] struct {
 	n     int
-	part  func(i int) []T
+	each  func(i int, yield func([]T) error) error
 	pref  func(int) int
 	bytes int64
 }
@@ -36,30 +40,34 @@ type mrSplits[T any] struct {
 // splitsOf wraps partitions that already exist (a reduce output, a split
 // slice) in the per-split form.
 func splitsOf[T any](parts [][]T, pref func(int) int, bytes int64) mrSplits[T] {
-	return mrSplits[T]{n: len(parts), part: func(i int) []T { return parts[i] }, pref: pref, bytes: bytes}
+	return mrSplits[T]{n: len(parts), pref: pref, bytes: bytes,
+		each: func(i int, yield func([]T) error) error { return yield(parts[i]) }}
 }
 
 // records evaluates the splits in order on the caller's goroutine — the
-// driver reading a job's output directory back — and flattens them.
+// driver reading a job's output directory back — and gathers them.
 func (sp mrSplits[T]) records() []T {
 	var out []T
 	for i := 0; i < sp.n; i++ {
-		out = append(out, sp.part(i)...)
+		_ = sp.each(i, func(recs []T) error { // each returns only yield's error: none
+			out = append(out, recs...)
+			return nil
+		})
 	}
 	return out
 }
 
 // foreachPart evaluates the splits as one wave of tasks on the cluster
-// runtime, task i handing split i's records to fn on the split's preferred
+// runtime, task i handing split i's batches to fn on the split's preferred
 // node — the OutputFormat end of a job's reduce tasks, or a whole map-only
 // job when no shuffle has consumed the frag yet (the read and the narrow
 // chain then run here, in parallel, not on the driver).
-func (sp mrSplits[T]) foreachPart(c *mapreduce.Cluster, fn func(i int, recs []T) error) error {
+func (sp mrSplits[T]) foreachPart(c *mapreduce.Cluster, fn func(i int, batch []T) error) error {
 	tasks := make([]cluster.Task, sp.n)
 	for i := range tasks {
 		tasks[i] = cluster.Task{Node: sp.pref(i), Fn: func() error {
 			c.Metrics().TasksLaunched.Add(1)
-			return fn(i, sp.part(i))
+			return sp.each(i, func(batch []T) error { return fn(i, batch) })
 		}}
 	}
 	return c.Runtime().RunTasks(tasks)
@@ -67,7 +75,7 @@ func (sp mrSplits[T]) foreachPart(c *mapreduce.Cluster, fn func(i int, recs []T)
 
 // input hands the splits to the engine as the next job's input.
 func (sp mrSplits[T]) input(c *mapreduce.Cluster) mapreduce.Input[T] {
-	return mapreduce.SplitsInput(c, sp.n, sp.part, sp.pref, sp.bytes)
+	return mapreduce.SplitsInput(c, sp.n, sp.each, sp.pref, sp.bytes)
 }
 
 // mrFrag is the MapReduce lowering of a Dataset: load opens the inputs and
@@ -89,8 +97,8 @@ func fileFrag[T any](s *Session, name, what string, read func(f *dfs.File, block
 		if err != nil {
 			return mrSplits[T]{}, fmt.Errorf("dataflow: mapreduce %s source: %w", what, err)
 		}
-		return mrSplits[T]{n: f.NumBlocks(), part: func(i int) []T { return read(f, i) },
-			pref: f.PreferredNode, bytes: f.Size()}, nil
+		return mrSplits[T]{n: f.NumBlocks(), pref: f.PreferredNode, bytes: f.Size(),
+			each: func(i int, yield func([]T) error) error { return yield(read(f, i)) }}, nil
 	}}
 }
 
@@ -113,15 +121,17 @@ func sliceFrag[T any](s *Session, data []T, parallelism int) *mrFrag[T] {
 	}}
 }
 
-// fragNarrow composes a per-split transform onto the map-side stream.
+// fragNarrow composes a per-batch transform onto the map-side stream.
 func fragNarrow[T, U any](in *mrFrag[T], f func([]T) []U) *mrFrag[U] {
 	return &mrFrag[U]{c: in.c, load: func() (mrSplits[U], error) {
 		sp, err := in.load()
 		if err != nil {
 			return mrSplits[U]{}, err
 		}
-		return mrSplits[U]{n: sp.n, part: func(i int) []U { return f(sp.part(i)) },
-			pref: sp.pref, bytes: sp.bytes}, nil
+		return mrSplits[U]{n: sp.n, pref: sp.pref, bytes: sp.bytes,
+			each: func(i int, yield func([]U) error) error {
+				return sp.each(i, func(recs []T) error { return yield(f(recs)) })
+			}}, nil
 	}}
 }
 

@@ -2,6 +2,7 @@ package flink
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
@@ -17,6 +18,9 @@ type jobCtx struct {
 	perNode  []int
 	channels int
 	local    bool // iteration-internal subjob: direct goroutines
+	// failed is set by the first task that fails (endFailed): the job's
+	// result is that error, so what still closes only passes end-of-input on.
+	failed atomic.Bool
 }
 
 func newJobCtx(e *Env) *jobCtx {

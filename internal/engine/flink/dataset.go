@@ -12,9 +12,42 @@ import (
 // order, close signals end-of-input. Push and close are called from the
 // producing task's goroutine — narrow operators wrap sinks, which is
 // exactly operator chaining.
+//
+// A pushed batch is BORROWED until push returns. The producer may hand the
+// same storage out again with the next batch (a fused chain pushes its
+// operators' scratch, a source a view of its input), so a sink that keeps
+// records past the call copies them: the exchange writers serialize,
+// combineChain folds record by record, SortPartition, runLocal and Collect
+// append into storage of their own, sinkParts encodes. Pushing a slice
+// onwards inside the call (chainOp, Union) lends it under the same terms.
 type partSink[T any] struct {
 	push  func(batch []T) error
 	close func() error
+}
+
+// endFailed delivers end-of-input to the sink of a task that is about to
+// fail with err, and returns err. A failed task skips its own flush, but the
+// sink still has to close: an exchange closes its channels when its last
+// producer closes, its consumer tasks range over those channels, and the job
+// returns only when every task has — a sink left open is a job that hangs
+// instead of reporting err. The job is marked failed first, so the buffering
+// operators the close passes through (SortPartition, the combiner) hand on
+// end-of-input alone instead of sorting and pushing a partial partition.
+func endFailed[T any](ctx *jobCtx, out partSink[T], err error) error {
+	ctx.failed.Store(true)
+	_ = out.close() // err is the failure to report; the sink's state is moot
+	return err
+}
+
+// flushAndClose ends a task's stream: its last batch, when there is one and
+// the job has not failed, then end-of-input — also when that push fails.
+func flushAndClose[T any](ctx *jobCtx, out partSink[T], last []T) error {
+	if len(last) > 0 && !ctx.failed.Load() {
+		if err := out.push(last); err != nil {
+			return endFailed(ctx, out, err)
+		}
+	}
+	return out.close()
 }
 
 // planParent records a logical input edge for plan rendering.
@@ -76,7 +109,7 @@ func newSource[T any](e *Env, label string, parallelism int, pref func(int) int,
 			node := ctx.place(p, pref)
 			ctx.addTask(node, func() error {
 				if err := gen(p, sinks[p].push); err != nil {
-					return err
+					return endFailed(ctx, sinks[p], err)
 				}
 				return sinks[p].close()
 			})
@@ -205,17 +238,15 @@ func SortPartitionNormalized[T any](d *DataSet[T], less func(a, b T) bool,
 					return nil
 				},
 				close: func() error {
+					if ctx.failed.Load() {
+						return out.close()
+					}
 					if normKey != nil {
 						shuffle.SortByNormKey(buf, normKey)
 					} else {
 						sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
 					}
-					if len(buf) > 0 {
-						if err := out.push(buf); err != nil {
-							return err
-						}
-					}
-					return out.close()
+					return flushAndClose(ctx, out, buf)
 				},
 			}
 		}

@@ -12,7 +12,8 @@ import (
 // recordConsumer is the receive side of an exchange for one partition:
 // accept sees decoded batches as they arrive (pipelined with production),
 // finish fires at end-of-input — the natural point for sort-based grouping
-// to emit.
+// to emit — and pushes what the consumer still holds. The exchange's task
+// closes the downstream sink afterwards, whether finish failed or not.
 type recordConsumer[T any] struct {
 	accept func(batch []T) error
 	finish func() error
@@ -114,6 +115,9 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 				},
 				close: func() error {
 					err := w.Close()
+					if err != nil {
+						w.Abort() // the managed segments go back to the pool
+					}
 					// The last producer must close the channels even when its
 					// writer failed: consumers range over them and RunTasks
 					// drains every task, so a skipped close hangs the job
@@ -167,9 +171,12 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 					}
 				}
 				if failed != nil {
-					return failed
+					return endFailed(ctx, sinks[part], failed)
 				}
-				return cons.finish()
+				if err := cons.finish(); err != nil {
+					return endFailed(ctx, sinks[part], err)
+				}
+				return sinks[part].close()
 			})
 		}
 		return nil
@@ -186,7 +193,7 @@ func rebalanceExchange[T any](parent *DataSet[T], label string, kind core.OpKind
 		func(part int, out partSink[T]) recordConsumer[T] {
 			return recordConsumer[T]{
 				accept: out.push,
-				finish: out.close,
+				finish: func() error { return nil },
 			}
 		})
 }

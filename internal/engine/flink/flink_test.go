@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -583,5 +584,56 @@ func TestReadTextFileReadsInSubtasks(t *testing.T) {
 	}
 	if got := e.Metrics().RecordsRead.Load(); got != lines {
 		t.Errorf("RecordsRead = %d after Count, want %d", got, lines)
+	}
+}
+
+// badRoute sends every key outside its two partitions: the exchange's writer
+// rejects the first record it is given.
+type badRoute struct{}
+
+func (badRoute) NumPartitions() int  { return 2 }
+func (badRoute) Partition(int64) int { return 9 }
+
+// Operators that hold records until end-of-input push them from close or
+// finish. When the exchange behind them rejects that push, the task still
+// has to deliver end-of-input, or the exchange never closes its channels and
+// the job hangs instead of reporting the error.
+func TestFailedFinalPushStillClosesTheExchange(t *testing.T) {
+	id := func(v int64) int64 { return v }
+	in := make([]int64, 1000)
+	for i := range in {
+		in[i] = int64(i)
+	}
+	for name, build := range map[string]func(e *Env) *DataSet[int64]{
+		"SortPartition": func(e *Env) *DataSet[int64] {
+			return SortPartition(FromSlice(e, in, 2), func(a, b int64) bool { return a < b })
+		},
+		"GroupCombine": func(e *Env) *DataSet[int64] {
+			// The Reduce consumer's finish pushes into the failing exchange;
+			// the combiner ahead of it flushes from close.
+			return Reduce(GroupBy(FromSlice(e, in, 2), id), func(a, _ int64) int64 { return a })
+		},
+		"GroupReduce": func(e *Env) *DataSet[int64] {
+			return GroupReduce(GroupBy(FromSlice(e, in, 2), id), func(k int64, _ []int64) []int64 { return []int64{k} })
+		},
+		"CoGroup": func(e *Env) *DataSet[int64] {
+			return CoGroup(FromSlice(e, in, 2), FromSlice(e, in, 2), id, id, 2, false,
+				func(k int64, _, _ []int64) []int64 { return []int64{k} })
+		},
+	} {
+		e := testEnv(t, nil)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Count(PartitionCustom(build(e), core.Partitioner[int64](badRoute{}), id))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "routed to partition 9") {
+				t.Errorf("%s: err = %v, want the exchange writer's routing error", name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: the job did not end after its final push failed", name)
+		}
 	}
 }

@@ -3,16 +3,19 @@ package flink
 import "repro/internal/core"
 
 // This file is the engine half of the dataflow layer's operator fusion: a
-// whole Map→Filter→FlatMap chain arrives as one compiled per-record closure
-// and becomes ONE chained operator in the producing task, instead of one
-// DataSet (and one intermediate batch slice) per operator. Flink's operator
-// chaining already keeps narrow operators in the same task; fusion removes
-// the per-operator sink hops and batch materializations on top of it. The
+// whole Map→Filter→FlatMap chain arrives as one compiled kernel and becomes
+// ONE chained operator in the producing task, instead of one DataSet (and
+// one intermediate batch slice) per operator. Flink's operator chaining
+// already keeps narrow operators in the same task; fusion removes the
+// per-operator sink hops and batch materializations on top of it. The
 // chain's record types are erased at the dataflow layer, so the parent
-// arrives as `any` and the callbacks carry the typed work (see
-// spark.FusedNarrow for the drive/compile contract — compile's sink is
-// func([]U) and kernel instances are per serial stream, so each subtask
-// sink compiles exactly once).
+// arrives as `any` and the kernel constructor carries the typed work (see
+// spark.FusedNarrow): called with the downstream partSink's push it compiles
+// one kernel instance — one per subtask sink, instances carry per-stream
+// scratch — whose push side drives one upstream batch through the chain.
+// Every batch the kernel emits goes straight into the downstream push,
+// borrowed until that push returns: records move operator to operator and
+// the chain's output is never collected per split.
 
 // erasedSink is a partSink with the batch element type erased: push
 // receives a []R boxed as any.
@@ -50,7 +53,7 @@ func (d *DataSet[T]) fuseMeta() (*Env, int, func(int) int) {
 // the collapsed operator in the task chain. Like every chainOp, it runs in
 // the parent's tasks — no exchange, no new tasks.
 func FusedChain[U any](parent any, label string, kind core.OpKind,
-	drive func(recs, feed any), compile func(sink any) any) *DataSet[U] {
+	kernel func(sink func([]U) error) (push func(recs any) error)) *DataSet[U] {
 	p := parent.(fusedDS)
 	e, parallelism, pref := p.fuseMeta()
 	ds := &DataSet[U]{
@@ -65,24 +68,10 @@ func FusedChain[U any](parent any, label string, kind core.OpKind,
 	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
 		wrapped := make([]erasedSink, len(sinks))
 		for i := range sinks {
-			out := sinks[i]
-			// One kernel instance per subtask sink — compile's per-stream
-			// scratch contract — accumulating into buf via the closure.
-			var buf []U
-			feed := compile(func(us []U) { buf = append(buf, us...) })
-			wrapped[i] = erasedSink{
-				push: func(batch any) error {
-					// Fresh storage per push: the downstream sink may retain
-					// the slice it is handed (exchange buffers do).
-					buf = nil
-					drive(batch, feed)
-					if len(buf) == 0 {
-						return nil
-					}
-					return out.push(buf)
-				},
-				close: out.close,
-			}
+			// The kernel latches the first error the downstream push
+			// returns: the rest of that upstream batch is not driven into
+			// the failed sink, and every later push reports the same error.
+			wrapped[i] = erasedSink{push: kernel(sinks[i].push), close: sinks[i].close}
 		}
 		return p.produceErased(ctx, wrapped)
 	}

@@ -46,13 +46,10 @@ func Reduce[K comparable, T any](g *Grouped[K, T], f func(T, T) T) *DataSet[T] {
 				accept: merger.add,
 				finish: func() error {
 					defer merger.release()
-					vals := merger.drain()
-					if len(vals) > 0 {
-						if err := out.push(vals); err != nil {
-							return err
-						}
+					if vals := merger.drain(); len(vals) > 0 {
+						return out.push(vals)
 					}
-					return out.close()
+					return nil
 				},
 			}
 		})
@@ -96,11 +93,9 @@ func GroupReduce[K comparable, T, U any](g *Grouped[K, T], f func(K, []T) []U) *
 						outRecs = append(outRecs, f(k, groups[k])...)
 					}
 					if len(outRecs) > 0 {
-						if err := out.push(outRecs); err != nil {
-							return err
-						}
+						return out.push(outRecs)
 					}
-					return out.close()
+					return nil
 				},
 			}
 		})
@@ -159,12 +154,10 @@ func combineChain[T any, K comparable](parent *DataSet[T], key func(T) K, f func
 				},
 				close: func() error {
 					defer comb.release()
-					if rest := comb.drain(); len(rest) > 0 {
-						if err := out.push(rest); err != nil {
-							return err
-						}
+					if ctx.failed.Load() {
+						return out.close()
 					}
-					return out.close()
+					return flushAndClose(ctx, out, comb.drain())
 				},
 			}
 		}

@@ -124,7 +124,7 @@ func coGroupInternal[L, R any, K comparable, U any](left *DataSet[L], right *Dat
 					// (the Table VII MustAcquire failure lands here).
 					for range rchans[part] {
 					}
-					return err
+					return endFailed(ctx, sinks[part], err)
 				}
 				if err := drainSide(e, node, rchans[part], rCodec, set, func(v R) error {
 					k := rk(v)
@@ -134,7 +134,7 @@ func coGroupInternal[L, R any, K comparable, U any](left *DataSet[L], right *Dat
 					probes[k] = append(probes[k], v)
 					return nil
 				}); err != nil {
-					return err
+					return endFailed(ctx, sinks[part], err)
 				}
 				var outRecs []U
 				for _, k := range order {
@@ -143,12 +143,7 @@ func coGroupInternal[L, R any, K comparable, U any](left *DataSet[L], right *Dat
 				if mustFit {
 					pool.Release(len(order) / keysPerSegment)
 				}
-				if len(outRecs) > 0 {
-					if err := sinks[part].push(outRecs); err != nil {
-						return err
-					}
-				}
-				return sinks[part].close()
+				return flushAndClose(ctx, sinks[part], outRecs)
 			})
 		}
 		return nil

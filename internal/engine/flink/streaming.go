@@ -41,12 +41,7 @@ func KeyedProcess[T, U any](parent *DataSet[T], label string, q int, route func(
 			proc := newProc(part, out.push)
 			return recordConsumer[T]{
 				accept: proc.Process,
-				finish: func() error {
-					if err := proc.Finish(); err != nil {
-						return err
-					}
-					return out.close()
-				},
+				finish: proc.Finish,
 			}
 		})
 }

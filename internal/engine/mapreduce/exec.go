@@ -57,7 +57,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 			node = in.pref(m)
 		}
 		mapTasks[m] = cluster.Task{Node: node, Fn: func() error {
-			return runMapTask(c, jobID, name, m, in.read, splitBytes, reduces, set, job, partition, codec)
+			return runMapTask(c, jobID, name, m, in.scan, splitBytes, reduces, set, job, partition, codec)
 		}}
 	}
 	err := c.rt.RunTasks(mapTasks)
@@ -144,19 +144,18 @@ func (s *dfsSpillStore) Read(name string) ([]byte, error) {
 
 func (s *dfsSpillStore) Remove(name string) { s.c.fs.Delete(name) }
 
-// runMapTask reads split m, maps it through the shared shuffle core and
-// materializes its partitioned map output. Under the engine's default sort
-// strategy the writer spills sorted, combined runs to the DFS whenever the
-// io.sort buffer fills and merges them into one sorted segment per reduce
-// partition — Hadoop's map side, verbatim. Under shuffle.strategy=hash the
-// segments stay unsorted and the reduce side sorts after the fetch.
+// runMapTask scans split m, maps each batch the scan yields through the
+// shared shuffle core and materializes its partitioned map output. Under
+// the engine's default sort strategy the writer spills sorted, combined runs
+// to the DFS whenever the io.sort buffer fills and merges them into one
+// sorted segment per reduce partition — Hadoop's map side, verbatim. Under
+// shuffle.strategy=hash the segments stay unsorted and the reduce side sorts
+// after the fetch.
 func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, m int,
-	read func(m int) []I, splitBytes int64, reduces int, set shuffle.Settings,
+	scan func(m int, yield func([]I) error) error, splitBytes int64, reduces int, set shuffle.Settings,
 	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]]) error {
 	c.metrics.TasksLaunched.Add(1)
-	split := read(m)
 	c.metrics.DiskBytesRead.Add(splitBytes)
-	c.metrics.RecordsRead.Add(int64(len(split)))
 
 	spec := shuffle.Spec[core.Pair[K, V]]{
 		NumParts: reduces,
@@ -221,17 +220,28 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 			flush()
 		}
 	}
-	for _, rec := range split {
-		job.Map(rec, emit)
-		if emitErr != nil {
-			return emitErr
+	err := scan(m, func(recs []I) error {
+		c.metrics.RecordsRead.Add(int64(len(recs)))
+		for _, rec := range recs {
+			job.Map(rec, emit)
+			if emitErr != nil {
+				return emitErr
+			}
 		}
+		return nil
+	})
+	if err == nil {
+		flush()
+		err = emitErr
 	}
-	flush()
-	if emitErr != nil {
-		return emitErr
+	if err == nil {
+		err = w.Close()
 	}
-	return w.Close()
+	if err != nil {
+		// A failed attempt leaves no spilled runs on the DFS behind.
+		w.Abort()
+	}
+	return err
 }
 
 // runReduceTask fetches partition r's segment from every map output,

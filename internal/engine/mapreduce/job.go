@@ -51,11 +51,15 @@ func (j Job[I, K, V]) Operators() []string {
 
 // Input is a splittable job input: one split per DFS block, each with its
 // preferred (data-local) node, like a Hadoop InputFormat. It holds no
-// records: map task m calls read(m) for its split, so reading — and
-// whatever pipeline the caller composed into read — runs inside the task.
+// records: map task m calls scan(m, yield) for its split, so reading — and
+// whatever pipeline the caller composed into scan — runs inside the task,
+// and the split reaches the map function as the batches scan yields, the
+// way a RecordReader hands a mapper its records: nothing upstream of the
+// map function has to exist as a whole split. A yielded batch is borrowed
+// until yield returns; yield's first error ends the scan and is returned.
 type Input[I any] struct {
 	n     int
-	read  func(m int) []I
+	scan  func(m int, yield func([]I) error) error
 	pref  func(split int) int
 	bytes int64
 }
@@ -70,7 +74,8 @@ func TextInput(c *Cluster, name string) (Input[string], error) {
 	if err != nil {
 		return Input[string]{}, fmt.Errorf("mapreduce: textInput: %w", err)
 	}
-	return Input[string]{n: f.NumBlocks(), read: f.Lines, pref: f.PreferredNode, bytes: f.Size()}, nil
+	scan := func(m int, yield func([]string) error) error { return yield(f.Lines(m)) }
+	return Input[string]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}, nil
 }
 
 // FixedRecordInput reads fixed-width binary records, one split per block —
@@ -80,15 +85,15 @@ func FixedRecordInput(c *Cluster, name string, recSize int) (Input[[]byte], erro
 	if err != nil {
 		return Input[[]byte]{}, fmt.Errorf("mapreduce: fixedRecordInput: %w", err)
 	}
-	read := func(m int) [][]byte { return f.FixedRecords(m, recSize) }
-	return Input[[]byte]{n: f.NumBlocks(), read: read, pref: f.PreferredNode, bytes: f.Size()}, nil
+	scan := func(m int, yield func([][]byte) error) error { return yield(f.FixedRecords(m, recSize)) }
+	return Input[[]byte]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}, nil
 }
 
 // SliceInput splits an in-memory slice over numSplits map tasks
 // (the testing analog of spark.Parallelize; placement is round-robin).
 func SliceInput[I any](c *Cluster, data []I, numSplits int) Input[I] {
 	splits := SplitSlice(c, data, numSplits)
-	return SplitsInput(c, len(splits), func(m int) []I { return splits[m] }, nil, 0)
+	return SplitsInput(c, len(splits), func(m int, yield func([]I) error) error { return yield(splits[m]) }, nil, 0)
 }
 
 // SplitSlice is the engine's slice-partitioning rule: one split per map
@@ -118,13 +123,16 @@ func SplitSlice[I any](c *Cluster, data []I, numSplits int) [][]I {
 // with the splits' preferred nodes and the byte volume the map phase
 // charges as DFS reads — the entry point for callers that fuse their own
 // record pipelines into the map phase (the dataflow layer's lowering):
-// read(m) runs inside map task m, concurrently with the other splits'. A
-// nil pref places splits round-robin like SliceInput.
-func SplitsInput[I any](c *Cluster, n int, read func(m int) []I, pref func(split int) int, bytes int64) Input[I] {
+// scan(m, yield) runs inside map task m, concurrently with the other
+// splits', and pushes the split to yield in as many batches as it likes
+// (see Input for the terms). A nil pref places splits round-robin like
+// SliceInput.
+func SplitsInput[I any](c *Cluster, n int, scan func(m int, yield func([]I) error) error,
+	pref func(split int) int, bytes int64) Input[I] {
 	if pref == nil {
 		pref = c.rt.NodeFor
 	}
-	return Input[I]{n: n, read: read, pref: pref, bytes: bytes}
+	return Input[I]{n: n, scan: scan, pref: pref, bytes: bytes}
 }
 
 // Output is one job's reduce output, kept per reduce partition in key

@@ -373,3 +373,76 @@ func TestTextInputReadsInMapTasks(t *testing.T) {
 		t.Error("Map ran before any task was launched")
 	}
 }
+
+// TestScanBatchesReachTheMapFunction feeds a job through SplitsInput's push
+// form: each split arrives in several batches (an empty one among them) from
+// one reused buffer, so the map task must have mapped a batch before it asks
+// for the next. The result and RecordsRead equal a whole-split input's, and
+// an error from the map side ends the scan instead of running it to its end.
+func TestScanBatchesReachTheMapFunction(t *testing.T) {
+	c := fixture(t, nil)
+	const perSplit, width = 1000, 64
+	var yields atomic.Int64
+	scan := func(m int, yield func([]int64) error) error {
+		buf := make([]int64, 0, width)
+		for v := int64(0); v < perSplit; v++ {
+			buf = append(buf, v+int64(m)*perSplit)
+			if len(buf) == width || v == perSplit-1 {
+				yields.Add(1)
+				if err := yield(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+				if err := yield(buf); err != nil { // an empty batch is legal
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	job := Job[int64, int64, int64]{
+		Name:    "Residues",
+		Reduces: 2,
+		Map:     func(v int64, emit func(int64, int64)) { emit(v%10, v) },
+		Reduce: func(k int64, vs []int64, emit func(int64, int64)) {
+			var sum int64
+			for _, v := range vs {
+				sum += v
+			}
+			emit(k, sum)
+		},
+	}
+	out, err := Run(c, job, SplitsInput(c, 3, scan, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[int64]int64{}
+	for _, p := range out.Pairs() {
+		sums[p.Key] = p.Value
+	}
+	for k := int64(0); k < 10; k++ {
+		var want int64
+		for v := k; v < 3*perSplit; v += 10 {
+			want += v
+		}
+		if sums[k] != want {
+			t.Errorf("sum of residue %d = %d, want %d (a batch read after its buffer was reused?)", k, sums[k], want)
+		}
+	}
+	if got := c.Metrics().RecordsRead.Load(); got != 3*perSplit {
+		t.Errorf("RecordsRead = %d, want %d", got, 3*perSplit)
+	}
+
+	// The hash strategy routes a record when it is written (the sort
+	// strategy when it cuts a run), so an unroutable key fails the first
+	// WriteBatch: exec.batch.size records in, with the scan's fifth batch.
+	yields.Store(0)
+	c = fixture(t, core.NewConfig().Set(core.ShuffleStrategy, "hash"))
+	job.Partition = func(k int64, reduces int) int { return reduces }
+	if _, err := Run(c, job, SplitsInput(c, 3, scan, nil, 0)); err == nil {
+		t.Fatal("a job whose map output cannot be routed should fail")
+	}
+	if got := yields.Load(); got > 3*5 {
+		t.Errorf("the scans yielded %d batches after the first write failed; want them to stop", got)
+	}
+}

@@ -7,19 +7,24 @@ import "repro/internal/core"
 // becomes ONE narrow RDD, instead of one RDD (and one intermediate slice)
 // per operator — whole-stage codegen in miniature. The chain's record
 // types are erased at the dataflow layer (continuation-passing closures),
-// so the parent arrives as `any` and the two callbacks carry the typed
-// work:
+// so the parent arrives as `any` and the kernel constructor carries the
+// typed work: called with this side's typed sink, func([]U) error, it
+// compiles one kernel instance and returns its push side, which drives one
+// partition's records ([]R, boxed) through the instance — cutting it into
+// exec.batch.size batches under vectorized compilation — and reports the
+// sink's first error. One instance per serial record stream: instances carry
+// per-stream scratch, and that scratch is what the sink is handed, so a
+// batch is borrowed only until the sink returns.
 //
-//   - drive pushes one partition's records ([]R, boxed) through the
-//     chain's compiled input consumer — captured where R is known. Under
-//     vectorized compilation it cuts the partition into exec.batch.size
-//     batches and invokes the kernel once per batch.
-//   - compile turns this side's typed output sink func([]U) — called with
-//     compacted non-empty batches, borrowed only until the call returns —
-//     into that input consumer. Compile once per serial record stream:
-//     kernel instances carry per-stream scratch.
-//
-// Each runs one type assertion per partition, never per record or batch.
+// The fused RDD is a stream first. Its one kernel driver is the push form
+// stream(p, tc, sink): the parent's partition goes through a fresh kernel
+// instance straight into sink, and nothing the chain produces is collected
+// on the way — Spark's iterator chaining inside a stage. The consumers that
+// fold a partition (the shuffle map writer, Count, Reduce) reach it through
+// RDD.forEachBatch. compute is the same stream gathered into a slice, for
+// the consumers that need the partition as one: persistence (the block
+// manager stores whole partitions) and the operators and actions that take
+// a []T. It is the only place a kernel sink appends to a whole partition.
 
 // fusedRDD is the erased parent view FusedNarrow needs beyond anyRDD.
 type fusedRDD interface {
@@ -39,18 +44,23 @@ func (r *RDD[T]) iterAny(p int, tc *taskContext) (any, error) {
 // parent's cache behaviour (iterator honours persisted blocks) are
 // unchanged — only the per-operator materialization disappears.
 func FusedNarrow[U any](parent any, name string, kind core.OpKind,
-	drive func(recs, feed any), compile func(sink any) any) *RDD[U] {
+	kernel func(sink func([]U) error) (push func(recs any) error)) *RDD[U] {
 	r := parent.(fusedRDD)
 	out := newRDD[U](r.ctxOf(), name, kind, r.partitions(), []dep{{parent: r}}, nil)
-	out.compute = func(p int, tc *taskContext) ([]U, error) {
+	out.stream = func(p int, tc *taskContext, sink func([]U) error) error {
 		recs, err := r.iterAny(p, tc)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var res []U
-		feed := compile(func(us []U) { res = append(res, us...) })
-		drive(recs, feed)
-		return res, nil
+		return kernel(sink)(recs)
+	}
+	out.compute = func(p int, tc *taskContext) ([]U, error) {
+		var part []U
+		err := out.stream(p, tc, func(us []U) error {
+			part = append(part, us...)
+			return nil
+		})
+		return part, err
 	}
 	return out
 }

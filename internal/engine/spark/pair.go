@@ -118,13 +118,17 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 		parent:   r,
 	}
 	sd.write = func(mapPart int, tc *taskContext) error {
-		in, err := r.iterator(mapPart, tc)
-		if err != nil {
-			return err
-		}
+		// One writer per attempt: the parent streams into it, so an attempt
+		// that fails upstream leaves it half fed, and a retry starts clean.
 		w := newMapWriter(tc, sd, part, pairCodec, mapSideCombine, createCombiner, mergeValue, mergeCombiners, less, normKey)
-		w.addBatch(in)
-		return w.close(mapPart)
+		err := r.forEachBatch(mapPart, tc, func(_ int, in []core.Pair[K, V]) error { return w.addBatch(in) })
+		if err == nil {
+			err = w.close(mapPart)
+		}
+		if err != nil {
+			w.abort()
+		}
+		return err
 	}
 
 	out := newRDD[core.Pair[K, C]](ctx, name, kind, numParts, []dep{{parent: r, shuffle: sd}}, nil)

@@ -69,7 +69,10 @@ type RDD[T any] struct {
 	numParts int
 	parents  []dep
 	compute  func(part int, tc *taskContext) ([]T, error)
-	pref     func(part int) int
+	// stream, when non-nil, pushes the partition to sink batch by batch
+	// without building it (FusedNarrow); compute is then stream gathered.
+	stream func(part int, tc *taskContext, sink func([]T) error) error
+	pref   func(part int) int
 
 	level StorageLevel
 	codec serde.Codec[T] // used for disk-level persistence
@@ -160,6 +163,25 @@ func (r *RDD[T]) iterator(p int, tc *taskContext) ([]T, error) {
 	}
 	putBlock(r.ctx.blocks, r.id, p, tc.node, data, r.level, r.codec)
 	return data, nil
+}
+
+// forEachBatch feeds partition p to sink in order, for the consumers that
+// fold a partition instead of keeping it: a streaming RDD that is not
+// persisted pushes its batches straight through — each borrowed until sink
+// returns, so sink copies what it keeps — and everything else (a persisted
+// RDD included: its blocks hold whole partitions) arrives from iterator in
+// one call. sink's first error ends the partition and is returned. sink is
+// told the partition, so an action builds one for the whole job and a task
+// over a plain RDD allocates nothing to be counted or reduced.
+func (r *RDD[T]) forEachBatch(p int, tc *taskContext, sink func(p int, batch []T) error) error {
+	if r.stream != nil && r.level == StorageNone {
+		return r.stream(p, tc, func(batch []T) error { return sink(p, batch) })
+	}
+	data, err := r.iterator(p, tc)
+	if err != nil || len(data) == 0 {
+		return err
+	}
+	return sink(p, data)
 }
 
 // --- Narrow transformations -------------------------------------------
@@ -313,9 +335,13 @@ func Collect[T any](r *RDD[T]) ([]T, error) {
 // Count returns the number of records (filter → count in the paper's Grep).
 func Count[T any](r *RDD[T]) (int64, error) {
 	counts := make([]int64, r.numParts)
-	err := runJob(r, "Count", func(p int, data []T, tc *taskContext) error {
-		counts[p] = int64(len(data))
+	add := func(p int, batch []T) error {
+		counts[p] += int64(len(batch))
 		return nil
+	}
+	err := runTasks(r, "Count", func(p int, tc *taskContext) error {
+		counts[p] = 0 // a retried attempt counts from the start
+		return r.forEachBatch(p, tc, add)
 	})
 	if err != nil {
 		return 0, err
@@ -331,16 +357,19 @@ func Count[T any](r *RDD[T]) (int64, error) {
 func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
 	var zero T
 	partials := make([]*T, r.numParts)
-	err := runJob(r, "Reduce", func(p int, data []T, tc *taskContext) error {
-		if len(data) == 0 {
-			return nil
+	fold := func(p int, batch []T) error { // batches are never empty
+		if partials[p] == nil {
+			first := batch[0]
+			partials[p], batch = &first, batch[1:]
 		}
-		acc := data[0]
-		for _, v := range data[1:] {
-			acc = f(acc, v)
+		for _, v := range batch {
+			*partials[p] = f(*partials[p], v)
 		}
-		partials[p] = &acc
 		return nil
+	}
+	err := runTasks(r, "Reduce", func(p int, tc *taskContext) error {
+		partials[p] = nil // a retried attempt folds from the start
+		return r.forEachBatch(p, tc, fold)
 	})
 	if err != nil {
 		return zero, err

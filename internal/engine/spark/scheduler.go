@@ -34,11 +34,23 @@ const maxTaskFailures = 4
 // maxStageRetries bounds FetchFailed-driven stage resubmission.
 const maxStageRetries = 3
 
-// runJob is the DAG scheduler: it materializes every missing ancestor
+// runJob runs an action that takes each partition of r as a slice.
+func runJob[T any](r *RDD[T], action string, fn func(p int, data []T, tc *taskContext) error) error {
+	return runTasks(r, action, func(p int, tc *taskContext) error {
+		data, err := r.iterator(p, tc)
+		if err != nil {
+			return err
+		}
+		return fn(p, data, tc)
+	})
+}
+
+// runTasks is the DAG scheduler: it materializes every missing ancestor
 // shuffle in topological order (each one a stage with a full barrier, the
 // staged execution the paper contrasts with Flink's pipeline), then runs
-// the result stage, retrying from lineage on shuffle fetch failures.
-func runJob[T any](r *RDD[T], action string, fn func(p int, data []T, tc *taskContext) error) error {
+// the result stage — task(p, tc) computes and consumes partition p of r —
+// retrying from lineage on shuffle fetch failures.
+func runTasks[T any](r *RDD[T], action string, task func(p int, tc *taskContext) error) error {
 	c := r.ctx
 	endSpan := c.timeline.StartSpan(action)
 	defer endSpan()
@@ -47,7 +59,7 @@ func runJob[T any](r *RDD[T], action string, fn func(p int, data []T, tc *taskCo
 		if err := runStages(c, r); err != nil {
 			return err
 		}
-		err := runResultStage(c, r, fn)
+		err := runResultStage(c, r, task)
 		if err == nil {
 			return nil
 		}
@@ -106,7 +118,7 @@ func runStages(c *Context, final anyRDD) error {
 			tc := &taskContext{node: node, heap: c.heapFor(node), metrics: c.metrics, ctx: c}
 			tasks = append(tasks, cluster.Task{Node: node, Fn: func() error {
 				c.metrics.TasksLaunched.Add(1)
-				return withTaskRetry(func() error { return sd.write(mp, tc) })
+				return withTaskRetry(sd.write, mp, tc)
 			}})
 		}
 		if err := c.rt.RunTasks(tasks); err != nil {
@@ -119,25 +131,19 @@ func runStages(c *Context, final anyRDD) error {
 	return nil
 }
 
-// runResultStage computes the final RDD's partitions and applies the
-// action function.
-func runResultStage[T any](c *Context, r *RDD[T], fn func(int, []T, *taskContext) error) error {
+// runResultStage runs the action's task once per partition of the final
+// RDD, each attempt under task retry.
+func runResultStage(c *Context, r anyRDD, task func(int, *taskContext) error) error {
 	c.metrics.Stages.Add(1)
 	c.metrics.SchedulingRounds.Add(1)
-	tasks := make([]cluster.Task, 0, r.numParts)
-	for p := 0; p < r.numParts; p++ {
+	tasks := make([]cluster.Task, 0, r.partitions())
+	for p := 0; p < r.partitions(); p++ {
 		p := p
 		node := placeTask(c, r, p)
 		tc := &taskContext{node: node, heap: c.heapFor(node), metrics: c.metrics, ctx: c}
 		tasks = append(tasks, cluster.Task{Node: node, Fn: func() error {
 			c.metrics.TasksLaunched.Add(1)
-			return withTaskRetry(func() error {
-				data, err := r.iterator(p, tc)
-				if err != nil {
-					return err
-				}
-				return fn(p, data, tc)
-			})
+			return withTaskRetry(task, p, tc)
 		}})
 	}
 	if err := c.rt.RunTasks(tasks); err != nil {
@@ -156,11 +162,12 @@ func placeTask(c *Context, r anyRDD, part int) int {
 	return c.rt.NodeFor(part)
 }
 
-// withTaskRetry retries transient failures like Spark's task-level retry.
-func withTaskRetry(fn func() error) error {
+// withTaskRetry runs task for partition p, retrying transient failures like
+// Spark's task-level retry.
+func withTaskRetry(task func(int, *taskContext) error, p int, tc *taskContext) error {
 	var err error
 	for i := 0; i < maxTaskFailures; i++ {
-		err = fn()
+		err = task(p, tc)
 		if err == nil {
 			return nil
 		}

@@ -16,6 +16,11 @@ import (
 // PartitionedAppendOnlyMap), under either strategy. Memory is granted from
 // the executor heap's shuffle fraction, per held entry; a refused grant
 // spills.
+//
+// A writer serves one attempt of one map task. The attempt ends in close,
+// which registers the map output, or — when the parent's stream, a write or
+// the final merge failed — in abort, which registers nothing and gives back
+// whatever the attempt still holds.
 type mapWriter[K comparable, V, C any] struct {
 	tc             *taskContext
 	sd             *shuffleDep
@@ -24,8 +29,10 @@ type mapWriter[K comparable, V, C any] struct {
 
 	buckets []shuffle.Block
 	raw     int64
-	err     error
-	lift    []core.Pair[K, C] // addBatch's combiner-lift scratch, reused per chunk
+	// lift is addBatch's combiner-lift scratch, one exec.batch.size chunk,
+	// reused. The width is read from the configuration here, once: an unset
+	// key costs Config.Int a strconv error, and addBatch runs per batch.
+	lift []core.Pair[K, C]
 }
 
 // newMapWriter wires the writer for one map task. less, when non-nil, is
@@ -42,6 +49,7 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 		sd:             sd,
 		createCombiner: createCombiner,
 		buckets:        make([]shuffle.Block, sd.numParts),
+		lift:           make([]core.Pair[K, C], 0, core.ExecBatch(tc.ctx.conf)),
 	}
 	spec := shuffle.Spec[core.Pair[K, C]]{
 		NumParts: sd.numParts,
@@ -79,34 +87,38 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 // addBatch feeds records batch-at-a-time: each exec.batch.size chunk is
 // lifted to the combiner type in reused scratch and handed to the shuffle
 // core in ONE WriteBatch call, amortizing its routing and threshold
-// bookkeeping over the chunk.
-func (w *mapWriter[K, V, C]) addBatch(in []core.Pair[K, V]) {
-	width := core.ExecBatch(w.tc.ctx.conf)
-	if w.lift == nil {
-		w.lift = make([]core.Pair[K, C], 0, width)
-	}
-	for len(in) > 0 && w.err == nil {
-		n := width
-		if n > len(in) {
-			n = len(in)
-		}
+// bookkeeping over the chunk. in is only read during the call — the lift
+// copies every record — so it is a batch sink for a streaming parent
+// (RDD.forEachBatch) as well as for a whole partition.
+func (w *mapWriter[K, V, C]) addBatch(in []core.Pair[K, V]) error {
+	for len(in) > 0 {
+		n := min(cap(w.lift), len(in))
 		w.lift = w.lift[:0]
 		for _, p := range in[:n] {
 			w.lift = append(w.lift, core.KV(p.Key, w.createCombiner(p.Value)))
 		}
-		w.err = w.w.WriteBatch(w.lift)
+		if err := w.w.WriteBatch(w.lift); err != nil {
+			return err
+		}
 		in = in[n:]
 	}
+	return nil
 }
 
 // close flushes the shuffle writer and registers the map output.
 func (w *mapWriter[K, V, C]) close(mapPart int) error {
-	if w.err != nil {
-		return w.err
-	}
 	if err := w.w.Close(); err != nil {
 		return err
 	}
 	w.tc.ctx.shuffles.put(w.sd.id, mapPart, w.tc.node, w.buckets, w.raw)
 	return nil
+}
+
+// abort ends a failed attempt: the shuffle core returns its heap grants, and
+// the blocks a partly finished Close emitted are released.
+func (w *mapWriter[K, V, C]) abort() {
+	w.w.Abort()
+	for i := range w.buckets {
+		w.buckets[i].Release()
+	}
 }

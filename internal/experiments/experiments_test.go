@@ -242,7 +242,10 @@ func TestExt8ContentionMatrix(t *testing.T) {
 // TestExt10AdaptiveExecution checks the mechanism of the AQE family's
 // adaptive cell, none of which depends on timing: the runtime monitor
 // catches the cardinality misestimate the cell is built around — a re-plan
-// fires and the trail records hash → sort. The family's wall-clock claims
+// fires at the first stage boundary with the distinct fraction corrected to
+// 1 and stays on the sort strategy, which mapreduce measures fastest at
+// either cardinality (it was a hash → sort switch while hash won at the
+// default one: sim/estimate.go, estAggSortMR). The family's wall-clock claims
 // (static regret, adapting costs no more than never adapting) are ratios of
 // millisecond-scale runs and live in TestExt10Gates, outside tier-1.
 func TestExt10AdaptiveExecution(t *testing.T) {
@@ -261,8 +264,9 @@ func TestExt10AdaptiveExecution(t *testing.T) {
 	if !strings.Contains(trace, "[replan") {
 		t.Errorf("ext10 notes missing replan trace event:\n%s", trace)
 	}
-	if !strings.Contains(trace, "mapreduce/hash/p=8 -> mapreduce/sort") {
-		t.Errorf("ext10 trace should record the hash→sort switch:\n%s", trace)
+	if !strings.Contains(trace, "replan #1: mapreduce/sort/p=2 -> mapreduce/sort/p=2") ||
+		!strings.Contains(trace, "DistinctFrac:1}") {
+		t.Errorf("ext10 trace should record a re-plan on DistinctFrac 1 that keeps sort/p=2:\n%s", trace)
 	}
 	if !strings.Contains(trace, ext10HeldPrefix) {
 		t.Errorf("ext10 notes missing %q", ext10HeldPrefix)

@@ -26,13 +26,18 @@ import (
 // stays near 1 while the worst fixed configuration sits multiples away.
 //
 // Adaptive: a chained WordCount over UNIQUE keys — input that silently
-// defeats the map-side combiner the static plan counts on. The planner,
-// fed only input bytes, picks the combiner-friendly hash configuration;
-// the first wave's stage metrics reveal the cardinality misestimate
-// (observed shuffle volume ≈ 2.8× the estimate), the monitor re-plans the
-// remaining waves onto the sort strategy at lower parallelism, and the
-// decision trail records the switch. The cell compares planner-adaptive
-// against every fixed configuration over the same waves.
+// defeats the map-side combiner the static plan counts on. The planner is
+// fed only input bytes; the first wave's stage metrics reveal the
+// cardinality misestimate (observed shuffle volume ≈ 2.8× the estimate) and
+// the monitor re-plans the remaining waves with the distinct fraction
+// corrected to 1, which the decision trail records. The cell compares
+// planner-adaptive against every fixed configuration over the same waves.
+// While mapreduce's hash path won at the default cardinality the static
+// choice was hash/p=8 and the re-plan moved to sort/p=2; since its sort path
+// measures under its hash path everywhere (sim/estimate.go, estAggSortMR)
+// the static choice is sort/p=2 already and the re-plan confirms it: the
+// sweep finds no engine whose best configuration still turns on cardinality,
+// so the cell shows the monitor and the corrected estimate, not a switch.
 
 func init() {
 	register("ext10", "Adaptive execution — planner regret and runtime re-planning (AQE)", runExt10)

@@ -52,10 +52,12 @@
 // following job in the session. Re-plans are bounded (maxReplans) so a
 // confusing workload cannot oscillate.
 //
-// The hash→sort aggregation fallback is the calibrated flip worth knowing:
-// on high-cardinality keys MapReduce's hash combine table degrades while
-// its sort path stays flat, so a Monitor watching a WordCount whose
-// combiner turns out useless switches strategy (and drops parallelism) the
-// moment the first stage's counters arrive. See the ext10 experiment
-// family for the measured effect.
+// The hash→sort aggregation fallback was the calibrated flip: on
+// high-cardinality keys MapReduce's hash combine table degrades more than
+// its sort path, so a Monitor watching a WordCount whose combiner turned out
+// useless switched strategy the moment the first stage's counters arrived.
+// Since MapReduce's sort path measures under its hash path at the default
+// cardinality too, the calibrated model starts on sort and the same re-plan
+// corrects the estimate and keeps the configuration. See the ext10
+// experiment family for the measured rows.
 package planner

@@ -244,7 +244,8 @@ func TestShapeString(t *testing.T) {
 }
 
 // replanProvider flips its preferred strategy with the corrected distinct
-// fraction, mimicking the calibrated model's hash→sort aggregation flip.
+// fraction — the hash→sort aggregation flip the calibrated model had while
+// MapReduce's hash path won at the default cardinality.
 type replanProvider struct{}
 
 func (replanProvider) Estimate(spec PlanSpec, cand Candidate, _ cluster.Spec) (Cost, error) {

@@ -266,13 +266,19 @@ const memCheckEvery = 1024
 // at batch granularity and a bucket may overshoot FlushBytes by up to one
 // batch's bytes. The recs SLICE is borrowed only for the call (callers may
 // reuse scratch); the record values are retained exactly as Write retains
-// its argument. Close flushes every partition downstream. Writers are not
-// safe for concurrent use — one writer per producing task, like one sort
-// buffer per Hadoop map task.
+// its argument. Close flushes every partition downstream. Abort ends a
+// failed attempt instead — after an upstream error, a failed write or a
+// failed Close: it emits nothing, drops what the writer holds (buckets,
+// held records, spilled runs) and returns every memory grant through
+// Env.Free, so a task that fails owes its memory manager nothing; blocks
+// already emitted stay with their receiver. Writers are not safe for
+// concurrent use — one writer per producing task, like one sort buffer per
+// Hadoop map task.
 type Writer[R any] interface {
 	Write(rec R) error
 	WriteBatch(recs []R) error
 	Close() error
+	Abort()
 }
 
 // NewWriter builds the Writer for the configured strategy. A Sort request

@@ -317,6 +317,55 @@ func TestSortWriterSpillStoreLifecycle(t *testing.T) {
 	}
 }
 
+// A failed attempt ends in Abort instead of Close: under either strategy
+// every memory grant returns, the spilled runs leave the store and nothing is
+// emitted.
+func TestAbortReturnsGrantsAndSpills(t *testing.T) {
+	recs, _ := wordRecords(8000)
+	for _, tc := range []struct {
+		name    string
+		set     Settings
+		combine bool
+	}{
+		{"hash combining", Settings{Kind: Hash}, true},
+		{"sort", Settings{Kind: Sort, SpillRecs: 3000}, false},
+	} {
+		store := &memStore{}
+		var granted, freed int64
+		w := NewWriter(pairSpec(2, tc.combine), Env{
+			Settings: tc.set,
+			Metrics:  &metrics.JobMetrics{},
+			Spill:    store,
+			Mem:      func(n int64) bool { granted += n; return true },
+			Free:     func(n int64) { freed += n },
+			Emit: func(int, Block) error {
+				t.Errorf("%s: Abort emitted a block", tc.name)
+				return nil
+			},
+		})
+		// Distinct keys, so the combining table grows and asks for memory.
+		for i, r := range recs {
+			r.Key = fmt.Sprintf("%s-%d", r.Key, i)
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if granted == 0 {
+			t.Fatalf("%s: no memory granted, the test aborts nothing", tc.name)
+		}
+		if tc.set.Kind == Sort && store.writes == 0 {
+			t.Fatalf("%s: nothing spilled, the test removes nothing", tc.name)
+		}
+		w.Abort()
+		if freed != granted {
+			t.Errorf("%s: freed %d of %d granted bytes", tc.name, freed, granted)
+		}
+		if len(store.m) != 0 {
+			t.Errorf("%s: %d spill segments left after Abort", tc.name, len(store.m))
+		}
+	}
+}
+
 func TestCompressionRoundTrip(t *testing.T) {
 	set := Settings{Compress: CompressorFor("lz")}
 	samples := [][]byte{

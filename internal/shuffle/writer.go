@@ -2,7 +2,10 @@ package shuffle
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/memory"
@@ -187,6 +190,19 @@ func (w *hashWriter[R]) release() {
 		w.env.Free(w.granted)
 		w.granted = 0
 	}
+}
+
+// Abort implements Writer: the buckets go back to the pool unsealed, the
+// combine table empties and the granted memory returns.
+func (w *hashWriter[R]) Abort() {
+	for p := range w.bufs {
+		if w.bufs[p] != nil {
+			memory.DefaultPool.Put(w.bufs[p])
+			w.bufs[p] = nil
+		}
+	}
+	w.held.reset()
+	w.release()
 }
 
 // --- sort strategy ----------------------------------------------------------
@@ -424,6 +440,13 @@ func (w *sortWriter[R]) Close() error {
 			return err
 		}
 	}
+	w.release()
+	return nil
+}
+
+// release removes the spilled runs from the SpillStore and returns the
+// granted memory.
+func (w *sortWriter[R]) release() {
 	if w.env.Spill != nil {
 		for _, run := range w.runs {
 			for _, seg := range run {
@@ -438,40 +461,76 @@ func (w *sortWriter[R]) Close() error {
 		w.env.Free(w.granted)
 		w.granted = 0
 	}
-	return nil
+}
+
+// Abort implements Writer: the held records and the spilled runs are dropped
+// and the granted memory returns.
+func (w *sortWriter[R]) Abort() {
+	w.held.reset()
+	w.arrived = 0
+	w.release()
 }
 
 // SortByNormKey orders a run by memcmp over packed normalized keys: one
-// pass extracts every record's key into a single pooled buffer, an index
-// permutation sorts by bytes.Compare (ties keep arrival order, matching
-// sort.SliceStable under Less), and the records are permuted once at the
-// end. No Less calls, no per-comparison decoding. The key writer must be
-// TOTAL and agree with the Less the caller would otherwise sort with —
-// serde.NormKeyerFor builds conforming writers for ordered scalar keys.
+// pass extracts every record's key into a single pooled buffer and a 16-byte
+// entry per record — the key's first eight bytes as a big-endian integer
+// (zero-padded), its length, and the record's arrival index — and the
+// entries sort on their own, without a reflect swapper or a byte-slice
+// compare per comparison. Two keys whose prefixes differ order as their
+// prefixes do: a padded zero only ever stands below a real byte of the
+// longer key, or level with a real zero. On a prefix tie, keys of at most
+// eight bytes are equal up to that padding, so the shorter one — a proper
+// prefix of the other — goes first and the key bytes are not touched; only
+// when one of the two is longer than the prefix does bytes.Compare read the
+// whole keys. Ties keep arrival order, matching sort.SliceStable under Less.
+// The records are permuted once at the end. No Less calls, no per-comparison
+// decoding. The key writer must be TOTAL and agree with the Less the caller
+// would otherwise sort with — serde.NormKeyerFor builds conforming writers
+// for ordered scalar keys.
 func SortByNormKey[R any](part []R, key func(v R, dst []byte) []byte) {
 	if len(part) < 2 {
 		return
 	}
+	type entry struct {
+		prefix    uint64
+		klen, idx int32
+	}
 	buf := memory.DefaultPool.Get(len(part) * 16)
-	offs := make([]int32, len(part)+1)
+	ends := make([]int32, len(part)) // ends[i] is where record i's key stops in buf
+	entries := make([]entry, len(part))
 	for i, rec := range part {
+		off := len(buf)
 		buf = key(rec, buf)
-		offs[i+1] = int32(len(buf))
-	}
-	idx := make([]int32, len(part))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if c := bytes.Compare(buf[offs[i]:offs[i+1]], buf[offs[j]:offs[j+1]]); c != 0 {
-			return c < 0
+		k := buf[off:]
+		var prefix uint64
+		if len(k) >= 8 {
+			prefix = binary.BigEndian.Uint64(k)
+		} else {
+			for _, b := range k {
+				prefix = prefix<<8 | uint64(b)
+			}
+			prefix <<= 8 * uint(8-len(k))
 		}
-		return i < j // stability: equal keys keep arrival order
+		ends[i] = int32(len(buf))
+		entries[i] = entry{prefix: prefix, klen: int32(len(k)), idx: int32(i)}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if a.klen > 8 || b.klen > 8 {
+			ea, eb := ends[a.idx], ends[b.idx]
+			if c := bytes.Compare(buf[ea-a.klen:ea], buf[eb-b.klen:eb]); c != 0 {
+				return c
+			}
+		} else if a.klen != b.klen {
+			return cmp.Compare(a.klen, b.klen)
+		}
+		return cmp.Compare(a.idx, b.idx) // stability: equal keys keep arrival order
 	})
 	out := make([]R, len(part))
-	for pos, i := range idx {
-		out[pos] = part[i]
+	for pos, e := range entries {
+		out[pos] = part[e.idx]
 	}
 	copy(part, out)
 	memory.DefaultPool.Put(buf)

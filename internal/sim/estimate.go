@@ -72,11 +72,27 @@ const (
 	// Aggregate-shape CPU, wall-seconds per input MiB at 16 busy slots.
 	// [ANCHOR ext10] WordCount slope per engine less I/O: spark the mean of
 	// its two hash slopes (0.0293, 0.0263), mapreduce its hash/p=2 slope
-	// (0.0767), flink its hash/p=2 slope (0.0209) less two channels' worth
-	// of estFlinkChanCPU.
+	// (0.0767), flink its hash/p=2 slope less two channels' worth of
+	// estFlinkChanCPU.
+	//
+	// Re-read when fused chains came to stream into their consumers, in six
+	// sweeps alternated with the state before (per-cell medians, before →
+	// after). At the probe's sizes a task's map output was 1.5 MB at most —
+	// gathered in cache, without a collection — so the halving the repo
+	// benchmark shows at 4 MiB a task is not in these rows: spark's hash
+	// slopes 0.0267 → 0.0263 and 0.0219 → 0.0222, mapreduce's hash/p=2
+	// 0.0726 → 0.0718, both kept. Flink's per-split accumulate-then-push is
+	// what it had in place of operator-to-operator pushes, and all four of
+	// its slopes fell: hash 0.0215 → 0.0163 and 0.0246 → 0.0205, sort 0.0218
+	// → 0.0181 and 0.0250 → 0.0214; the constant is the new hash/p=2 slope
+	// by the rule above (the old one, 0.0135 by the same sweeps, was 0.013).
+	// The sort rows moved too, through the normalized-key sort: spark's to
+	// 0.88 and 0.97 of before (inside estAggSortCPU's resolution, kept),
+	// mapreduce's to 0.78 and 0.83 (0.0636 → 0.0496, 0.0554 → 0.0461) —
+	// re-fitted, see estAggSortMR.
 	estAggCPUSpark = 0.021
 	estAggCPUMR    = 0.070
-	estAggCPUFlink = 0.013
+	estAggCPUFlink = 0.0085
 
 	// Sort-shape CPU (map + sort + merge + sink pipeline), same units.
 	// [ANCHOR ext10] TeraSort sort-strategy slopes per engine less I/O.
@@ -114,8 +130,22 @@ const (
 	// and 6 % under hash/p=8 — inside hash/p=8's quartile distance over the
 	// six sweeps (49-56.5 ms) — a crossing one slope cannot carry; the
 	// model reads those two cells 10-15 % high.
+	// Since the normalized-key sort compares 8-byte prefixes, MapReduce's
+	// sort rows measure UNDER its hash rows at every size, parallelism and
+	// cardinality (per-cell medians of six sweeps — 192 KiB: 10.6 and 10.35
+	// ms against 12.8 and 11.35; 768 KiB: 38.4 and 36.65 against 52.95 and
+	// 44.25; unique keys 47.2 and 51.65 against 62.15 and 52.9), so the
+	// level-at-192-KiB reading above no longer holds and estAggSortMR follows
+	// the rule Spark's constant has: sort slope minus hash/p=2 slope, 0.0496
+	// - 0.0718 at p=2 and 0.0461 - 0.0718 at p=8 (three later sweeps: sort
+	// 0.0496 and 0.0491), mean -0.024. With it the sort cells read 11.0 ms
+	// at 192 KiB, 40.5 at 768 KiB and 49.5 / 51.9 on unique keys — within 5 %
+	// where they read 1.45-1.6× high. MapReduce's static choice for an
+	// aggregate is now sort at every cardinality: the hash → sort flip the
+	// adaptive cell was built on is gone from the measurement, so it is gone
+	// from the model (TestEstimateCardinality, runners_ext10.go).
 	estAggSortCPU   = -0.004
-	estAggSortMR    = -0.001
+	estAggSortMR    = -0.024
 	estAggSortFlink = 0.0025
 	// TeraSort hash minus sort slopes: spark 0.0023 and 0.0017, mapreduce
 	// 0.0015 and 0.0020.
@@ -180,12 +210,16 @@ const (
 	//   - MapReduce's hash path buffers every arrival and groups the lot
 	//     through the combine table at drain, which a combiner that removes
 	//     nothing makes pure overhead, while its sort path was going to
-	//     sort anyway: hash minus sort at equal p is 1.6 ms a wave at p=2
-	//     and 1.7 at p=8, over the default-cardinality gap — the hash→sort
-	//     strategy flip the adaptive experiments exercise.
+	//     sort anyway: hash minus sort at equal p, over the same gap at
+	//     the default cardinality, was 1.6 ms a wave at p=2 and 1.7 at p=8
+	//     (0.012 here) and the hash→sort flip of the adaptive experiments.
+	//     With the normalized-key sort the sort path wins at the default
+	//     cardinality too (estAggSortMR) and the extra gap reads +1.5 and
+	//     -0.7 ms a wave in six sweeps, +1.9 and +1.2 in three later ones:
+	//     clear at p=2, inside the noise at p=8, mean 1.0 over 0.1875 MiB.
 	estCardCPUSpark = 0.025
 	estCardCPUFlink = 0.060
-	estCardHashMR   = 0.012
+	estCardHashMR   = 0.005
 
 	// MapReduce's barriered reduce phase parallelizes the hash-bucket
 	// merge across reducers: measured p=2 → p=8 gain on hash aggregates,
