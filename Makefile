@@ -115,14 +115,16 @@ bench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>[,<name>...]|all"; exit 2; }
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
 
-# Short fuzz smoke over the byte decoders: each fuzz target runs for a few
-# seconds on top of its seeded corpus (row decode robustness, normalized-key
-# order agreement, the batch wire format round-trip, and arbitrary bytes
-# into derived struct/slice/map decoders). CI runs this on every push;
-# longer local sessions just raise -fuzztime.
+# Short fuzz smoke over the byte decoders and the sort kernel: each fuzz
+# target runs for a few seconds on top of its seeded corpus (row decode
+# robustness, normalized-key order agreement, the batch wire format
+# round-trip, arbitrary bytes into derived struct/slice/map decoders, and
+# arbitrary keys through the shuffle's run sorter against a stable sort). CI
+# runs this on every push; longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKeyOrder$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBatch$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle

@@ -22,18 +22,19 @@ import (
 //
 // mapreduce's map side is sort-then-combine by design: the sort buffer holds
 // every arriving pair and each spill sorts, groups and encodes its 65 536,
-// which costs ≈ 130 bytes per record whatever feeds it. Its bound is
-// therefore on what the chain ADDS: the same job over the 2 M pairs built
-// beforehand, outside the measurement, is the baseline. A difference of two
+// which costs ≈ 17 bytes per record whatever feeds it (33 MiB a job: the
+// combiner's value slices; the run sorter's scratch is the writer's and is
+// allocated once). Its bound is therefore on what the chain ADDS: the same
+// job over the 2 M pairs built beforehand, outside the measurement, is the
+// baseline. A difference of two
 // large readings has to be of repeatable readings: the spill buffers are
 // pooled, a collection empties the pool, and when collections fall depends
 // on the box. So every measured run starts from one collection and runs with
 // the collector off, after an unmeasured run that fills the pool — every
-// engine, so that the three figures are read the same way. Over twenty runs,
-// at GOMAXPROCS 1, 2 and 8 and beside other packages' tests, the chain added
-// 2.3–4.3 MiB on mapreduce (a pooled megabyte found or missed by the other
-// map task) and the jobs allocated 4.3 and 3.4 MiB on spark and flink every
-// time, against 15.3 MiB for one partition.
+// engine, so that the three figures are read the same way. Over fifteen runs,
+// at GOMAXPROCS 1, 2 and 8, the chain added 3.3 MiB on mapreduce (36 MiB
+// against 33) and the jobs allocated 4.3 and 3.4 MiB on spark and flink,
+// every time, against 15.3 MiB for one partition.
 func TestFusedFanOutIsNotMaterialised(t *testing.T) {
 	const inputs, fanOut = 2_000, 1_000
 	const partitionBytes = inputs * fanOut / 2 * 16

@@ -20,6 +20,45 @@
 //     grouping only — exactly what Spark's tungsten-sort does (it sorts on
 //     the partition-id prefix, never on the key).
 //
+// # The run sorter
+//
+// Cutting a run — at a spill and at Close — is one pass structure, shared by
+// every ordering mode and by SortByNormKey (flink's sorted partition, the same
+// sorter over a single segment). Every held record is routed once (a route
+// outside [0, NumParts) is the cut's error) and partitions are counted, so
+// each has a known segment of the run before anything moves. Without a record
+// order a stable counting scatter puts the records there in arrival order and
+// that is all: tungsten-sort's partition-prefix ordering. With Less and
+// NormKey each record is packed into a 16-byte pointer-free entry — its
+// normalized key's first eight bytes as a big-endian integer (zero-padded),
+// the key's length, the record's arrival index — laid straight into its
+// partition's segment, and only entries move while a segment is ordered:
+//
+//   - An LSD byte-radix sort on the prefix. One pass counts all eight digits;
+//     a digit the whole segment agrees on is skipped (int64 keys of a small
+//     range take two scatters, not eight); every scatter is stable, so the
+//     arrival index is never compared.
+//   - A fix-up pass over the runs of equal prefix. A run whose keys all have
+//     one length of at most eight bytes is one key repeated, already in
+//     arrival order; any other run is what the prefix cannot decide and is
+//     comparison-sorted under the tie rule SortByNormKey's comment states.
+//   - A segment under radixCutoff (256) entries, where the 2048-counter
+//     histogram would cost more than it saves, is comparison-sorted whole
+//     under the same rule. Above the cutoff no comparison sort runs except
+//     inside undecided runs.
+//
+// The records are then gathered once into one slice and the partitions are
+// subslices of it. That order is sort.SliceStable under Less exactly — a total
+// NormKey's bytes.Compare order is Less, and ties keep arrival order — so the
+// encoded output is byte-identical to a comparison sort's, which
+// TestCutMatchesReference and TestSortByNormKeyMatchesStableSort hold it to.
+// Less without NormKey (a key type with no normalized form) keeps
+// sort.SliceStable over the scattered segments. The partition ids, the entry
+// array, the radix scratch, the long keys' bytes and the gathered run belong
+// to the writer and are reused from one spill to the next
+// (TestSortWriterReusesScratchAcrossSpills); a cut's result is valid until the
+// next cut, and a spill has encoded it by then.
+//
 // # Map-side combining
 //
 // There is one pairwise combine in the core, and both strategies use it: a

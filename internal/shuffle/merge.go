@@ -1,7 +1,5 @@
 package shuffle
 
-import "container/heap"
-
 // mergeFanIn is how many sorted segments one merge pass consumes — Hadoop's
 // io.sort.factor scaled to laptop segments. Above it, ParallelMerge splits
 // the work into subtasks.
@@ -14,9 +12,10 @@ type Subtasker interface {
 	Subtasks(node int, fns []func() error) error
 }
 
-// Merge k-way merges sorted segments into one sorted stream with a min-heap
-// over the segment heads, stable across segments (equal records drain in
-// segment order) — O(records · log segments).
+// Merge k-way merges sorted segments into one sorted stream with a binary
+// min-heap over the segment heads, stable across segments (equal records
+// drain in segment order) — O(records · log segments). The heap is typed: no
+// interface dispatch per comparison, no boxing per pop.
 func Merge[R any](segs [][]R, less func(a, b R) bool) []R {
 	segs = nonEmpty(segs)
 	switch len(segs) {
@@ -26,22 +25,24 @@ func Merge[R any](segs [][]R, less func(a, b R) bool) []R {
 		return segs[0]
 	}
 	total := 0
-	h := &mergeHeap[R]{segs: segs, less: less}
+	h := make([]mergeEntry, len(segs))
 	for s, seg := range segs {
 		total += len(seg)
-		h.entries = append(h.entries, mergeEntry{seg: s})
+		h[s].seg = s
 	}
-	heap.Init(h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, segs, less)
+	}
 	out := make([]R, 0, total)
-	for len(h.entries) > 0 {
-		e := &h.entries[0]
+	for len(h) > 0 {
+		e := &h[0]
 		out = append(out, segs[e.seg][e.idx])
 		e.idx++
-		if e.idx >= len(segs[e.seg]) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
+		if e.idx == len(segs[e.seg]) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftDown(h, 0, segs, less)
 	}
 	return out
 }
@@ -107,31 +108,30 @@ type mergeEntry struct {
 	idx int
 }
 
-type mergeHeap[R any] struct {
-	entries []mergeEntry
-	segs    [][]R
-	less    func(a, b R) bool
-}
-
-func (h *mergeHeap[R]) Len() int { return len(h.entries) }
-func (h *mergeHeap[R]) Less(i, j int) bool {
-	a, b := h.entries[i], h.entries[j]
-	ra, rb := h.segs[a.seg][a.idx], h.segs[b.seg][b.idx]
-	if h.less(ra, rb) {
-		return true
+// siftDown restores the heap below position i. One head goes before another
+// when it is smaller, or — equal records drain in segment order, keeping the
+// merge stable — when neither is and its segment comes first: one less call
+// decides either way.
+func siftDown[R any](h []mergeEntry, i int, segs [][]R, less func(a, b R) bool) {
+	before := func(a, b mergeEntry) bool {
+		ra, rb := segs[a.seg][a.idx], segs[b.seg][b.idx]
+		if a.seg < b.seg {
+			return !less(rb, ra)
+		}
+		return less(ra, rb)
 	}
-	if h.less(rb, ra) {
-		return false
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	// Equal records drain in segment order, keeping the merge stable.
-	return a.seg < b.seg
-}
-func (h *mergeHeap[R]) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *mergeHeap[R]) Push(x any)    { h.entries = append(h.entries, x.(mergeEntry)) }
-func (h *mergeHeap[R]) Pop() any {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	return e
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -475,6 +476,47 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 	}
 	if seq := Merge(segs, less); fmt.Sprint(seq) != fmt.Sprint(got) {
 		t.Error("parallel and sequential merges disagree")
+	}
+}
+
+// TestMergeDuplicateHeavy merges eleven segments of a five-key vocabulary —
+// enough for ParallelMerge to group them, one of them a single record that
+// is exhausted at once, one empty — and holds both merges to a stable sort of
+// the segments' concatenation: equal keys drain in segment order, and within
+// a segment in its own order. The values say where each record came from.
+func TestMergeDuplicateHeavy(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var segs [][]kv
+	for s := 0; s < 11; s++ {
+		n := 40 + rng.Intn(40)
+		switch s {
+		case 2:
+			n = 1
+		case 6:
+			n = 0
+		}
+		seg := make([]kv, n)
+		for i := range seg {
+			seg[i].Key = fmt.Sprint("k", rng.Intn(5))
+		}
+		sort.SliceStable(seg, func(i, j int) bool { return seg[i].Key < seg[j].Key })
+		for i := range seg {
+			seg[i].Value = int64(1000*s + i)
+		}
+		segs = append(segs, seg)
+	}
+	less := func(a, b kv) bool { return a.Key < b.Key }
+	want := slices.Concat(segs...)
+	sort.SliceStable(want, func(i, j int) bool { return less(want[i], want[j]) })
+	if got := Merge(segs, less); !slices.Equal(got, want) {
+		t.Errorf("Merge is not the stable sort of the segments in order:\n got %v\nwant %v", got, want)
+	}
+	ex := &seqSubtasker{}
+	if got := ParallelMerge(ex, 0, segs, less); !slices.Equal(got, want) {
+		t.Errorf("ParallelMerge is not the stable sort of the segments in order:\n got %v\nwant %v", got, want)
+	}
+	if ex.fns < 2 {
+		t.Errorf("ParallelMerge ran %d group merges over ten non-empty segments, want at least 2", ex.fns)
 	}
 }
 

@@ -25,6 +25,12 @@ type hashWriter[R any] struct {
 
 	bufs [][]byte
 	recs []int64
+	// bucketCap sizes a fresh bucket: one quantum, or the largest block a
+	// pipelined flush has sent. WriteBatch checks the flush threshold once a
+	// batch, so a bucket overshoots FlushBytes by up to a batch's bytes; sized
+	// from the last overshoot, the next bucket holds its batch without
+	// regrowing.
+	bucketCap int
 
 	held    combineTable[R] // combining only: folded entries, or CombineRun's arrivals
 	granted int64
@@ -34,11 +40,12 @@ type hashWriter[R any] struct {
 
 func newHashWriter[R any](spec Spec[R], env Env) *hashWriter[R] {
 	return &hashWriter[R]{
-		spec: spec,
-		env:  env,
-		bufs: make([][]byte, spec.NumParts),
-		recs: make([]int64, spec.NumParts),
-		held: newCombineTable(&spec),
+		spec:      spec,
+		env:       env,
+		bufs:      make([][]byte, spec.NumParts),
+		recs:      make([]int64, spec.NumParts),
+		bucketCap: memQuantum,
+		held:      newCombineTable(&spec),
 	}
 }
 
@@ -83,7 +90,7 @@ func (w *hashWriter[R]) WriteBatch(recs []R) error {
 			return fmt.Errorf("shuffle: record routed to partition %d of %d", p, w.spec.NumParts)
 		}
 		if w.bufs[p] == nil {
-			w.bufs[p] = memory.DefaultPool.Get(memQuantum)
+			w.bufs[p] = memory.DefaultPool.Get(w.bucketCap)
 		}
 		w.bufs[p] = serde.Append(w.spec.Codec, w.bufs[p], rec)
 		w.recs[p]++
@@ -136,7 +143,7 @@ func (w *hashWriter[R]) emit(rec R) (int, error) {
 		return 0, fmt.Errorf("shuffle: record routed to partition %d of %d", p, w.spec.NumParts)
 	}
 	if w.bufs[p] == nil {
-		w.bufs[p] = memory.DefaultPool.Get(memQuantum)
+		w.bufs[p] = memory.DefaultPool.Get(w.bucketCap)
 	}
 	before := len(w.bufs[p])
 	w.bufs[p] = serde.Append(w.spec.Codec, w.bufs[p], rec)
@@ -155,6 +162,7 @@ func (w *hashWriter[R]) flush(p int) error {
 	if len(raw) == 0 {
 		return nil
 	}
+	w.bucketCap = max(w.bucketCap, len(raw))
 	b := seal(w.env.Settings, raw, w.recs[p])
 	w.bufs[p] = nil
 	w.recs[p] = 0
@@ -227,8 +235,9 @@ type sortWriter[R any] struct {
 	env  Env
 
 	held        combineTable[R]
-	arrived     int64      // records written since the last cut
-	runs        [][]runSeg // runs[i][part]
+	sorter      runSorter[R] // cut's scratch, kept across spills
+	arrived     int64        // records written since the last cut
+	runs        [][]runSeg   // runs[i][part]
 	granted     int64
 	bytesPerRec float64 // running encoded-size estimate for SpillBytes
 	spilledRecs int64
@@ -284,28 +293,31 @@ func (w *sortWriter[R]) check(before int) error {
 }
 
 // cut partitions, orders and combines the held records, returning one
-// record slice per partition (the in-memory form of a run). A record routed
+// record slice per partition (the in-memory form of a run) — subslices of the
+// sorter's one gathered run, valid until the next cut. A record routed
 // outside [0, NumParts) surfaces here as an error.
 func (w *sortWriter[R]) cut() ([][]R, error) {
-	parts := make([][]R, w.spec.NumParts)
-	for _, rec := range w.held.entries {
-		p := w.spec.Route(rec)
-		if p < 0 || p >= w.spec.NumParts {
-			return nil, fmt.Errorf("shuffle: record routed to partition %d of %d", p, w.spec.NumParts)
-		}
-		parts[p] = append(parts[p], rec)
+	held := w.held.entries
+	if err := w.sorter.partition(held, w.spec.NumParts, w.spec.Route); err != nil {
+		return nil, err
 	}
 	if w.spec.Merge != nil && w.env.Metrics != nil {
 		w.env.Metrics.CombineInputRecords.Add(w.arrived)
-		w.env.Metrics.CombineOutputRecs.Add(int64(len(w.held.entries)))
+		w.env.Metrics.CombineOutputRecs.Add(int64(len(held)))
 	}
-	for p, part := range parts {
-		if w.spec.Less != nil {
-			if w.spec.NormKey != nil {
-				SortByNormKey(part, w.spec.NormKey)
-			} else {
-				sort.SliceStable(part, func(i, j int) bool { return w.spec.Less(part[i], part[j]) })
-			}
+	var run []R
+	if w.spec.Less != nil && w.spec.NormKey != nil {
+		run = w.sorter.sortByKey(held, w.spec.NormKey)
+	} else {
+		run = w.sorter.scatter(held)
+	}
+	parts := make([][]R, w.spec.NumParts)
+	lo := 0
+	for p, hi := range w.sorter.starts[:w.spec.NumParts] {
+		part := run[lo:hi:hi]
+		lo = hi
+		if w.spec.Less != nil && w.spec.NormKey == nil {
+			sort.SliceStable(part, func(i, j int) bool { return w.spec.Less(part[i], part[j]) })
 		}
 		if w.spec.Merge == nil && w.spec.CombineRun != nil {
 			// Run-level combine: the entries are arrivals, and CombineRun
@@ -471,37 +483,90 @@ func (w *sortWriter[R]) Abort() {
 	w.release()
 }
 
-// SortByNormKey orders a run by memcmp over packed normalized keys: one
-// pass extracts every record's key into a single pooled buffer and a 16-byte
-// entry per record — the key's first eight bytes as a big-endian integer
-// (zero-padded), its length, and the record's arrival index — and the
-// entries sort on their own, without a reflect swapper or a byte-slice
-// compare per comparison. Two keys whose prefixes differ order as their
-// prefixes do: a padded zero only ever stands below a real byte of the
-// longer key, or level with a real zero. On a prefix tie, keys of at most
-// eight bytes are equal up to that padding, so the shorter one — a proper
-// prefix of the other — goes first and the key bytes are not touched; only
-// when one of the two is longer than the prefix does bytes.Compare read the
-// whole keys. Ties keep arrival order, matching sort.SliceStable under Less.
-// The records are permuted once at the end. No Less calls, no per-comparison
-// decoding. The key writer must be TOTAL and agree with the Less the caller
-// would otherwise sort with — serde.NormKeyerFor builds conforming writers
-// for ordered scalar keys.
-func SortByNormKey[R any](part []R, key func(v R, dst []byte) []byte) {
-	if len(part) < 2 {
-		return
+// --- the run sorter -----------------------------------------------------------
+
+// sortEntry is one record of a run in the sorter's packed form: the first
+// eight bytes of its normalized key as a big-endian integer (zero-padded),
+// the key's length, and the record's arrival index. Sixteen bytes, no
+// pointers: sorting a run moves these, never the records.
+type sortEntry struct {
+	prefix    uint64
+	klen, idx int32
+}
+
+// radixCutoff is the segment size below which the radix passes' fixed cost
+// (a 2048-counter histogram) exceeds a comparison sort of the entries.
+const radixCutoff = 256
+
+// runSorter partitions a run and orders each partition, for the sort writer's
+// cut and for SortByNormKey. Everything it allocates is scratch that a writer
+// keeps from one spill to the next; the slice it hands back is valid until
+// its next use.
+type runSorter[R any] struct {
+	pids    []int32     // pids[i] is record i's partition
+	starts  []int       // partition p's segment starts at starts[p]; once laid out, ends there
+	entries []sortEntry // one per record, partition segments back to back
+	scratch []sortEntry // the radix passes' other buffer
+	keys    []byte      // the keys longer than the prefix, back to back
+	ends    []int32     // ends[i] is where record i's key stops in keys
+	out     []R         // the partitioned (and ordered) run
+}
+
+// sized returns s with length n, reallocating only when it is too small.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	type entry struct {
-		prefix    uint64
-		klen, idx int32
+	return s[:n]
+}
+
+// partition routes every record once, leaving its partition in pids and every
+// partition's first position in starts. A record routed outside
+// [0, numParts) is an error.
+func (s *runSorter[R]) partition(recs []R, numParts int, route func(R) int) error {
+	s.pids = sized(s.pids, len(recs))
+	s.starts = sized(s.starts, numParts+1)
+	clear(s.starts)
+	for i, rec := range recs {
+		p := route(rec)
+		if p < 0 || p >= numParts {
+			return fmt.Errorf("shuffle: record routed to partition %d of %d", p, numParts)
+		}
+		s.pids[i] = int32(p)
+		s.starts[p+1]++
 	}
-	buf := memory.DefaultPool.Get(len(part) * 16)
-	ends := make([]int32, len(part)) // ends[i] is where record i's key stops in buf
-	entries := make([]entry, len(part))
-	for i, rec := range part {
-		off := len(buf)
-		buf = key(rec, buf)
-		k := buf[off:]
+	for p := 1; p <= numParts; p++ {
+		s.starts[p] += s.starts[p-1]
+	}
+	return nil
+}
+
+// scatter lays the partitioned records out partition by partition, each in
+// arrival order: a stable counting sort on the partition id, all that
+// tungsten-sort's partition-prefix ordering does. Afterwards partition p ends
+// at starts[p].
+func (s *runSorter[R]) scatter(recs []R) []R {
+	s.out = sized(s.out, len(recs))
+	for i, rec := range recs {
+		p := s.pids[i]
+		s.out[s.starts[p]] = rec
+		s.starts[p]++
+	}
+	return s.out
+}
+
+// sortByKey lays one entry per partitioned record straight into its
+// partition's segment, orders every segment by the rule SortByNormKey's
+// comment gives and gathers the records once. Afterwards partition p ends at
+// starts[p].
+func (s *runSorter[R]) sortByKey(recs []R, key func(v R, dst []byte) []byte) []R {
+	s.entries = sized(s.entries, len(recs))
+	s.ends = sized(s.ends, len(recs))
+	keys := s.keys[:0]
+	for i, rec := range recs {
+		off := len(keys)
+		keys = key(rec, keys)
+		k := keys[off:]
 		var prefix uint64
 		if len(k) >= 8 {
 			prefix = binary.BigEndian.Uint64(k)
@@ -511,29 +576,126 @@ func SortByNormKey[R any](part []R, key func(v R, dst []byte) []byte) {
 			}
 			prefix <<= 8 * uint(8-len(k))
 		}
-		ends[i] = int32(len(buf))
-		entries[i] = entry{prefix: prefix, klen: int32(len(k)), idx: int32(i)}
+		if len(k) <= 8 {
+			keys = keys[:off]
+		}
+		s.ends[i] = int32(len(keys))
+		p := s.pids[i]
+		s.entries[s.starts[p]] = sortEntry{prefix: prefix, klen: int32(len(k)), idx: int32(i)}
+		s.starts[p]++
 	}
-	slices.SortFunc(entries, func(a, b entry) int {
+	s.keys = keys
+	ends := s.ends
+	order := func(a, b sortEntry) int {
 		if a.prefix != b.prefix {
 			return cmp.Compare(a.prefix, b.prefix)
 		}
-		if a.klen > 8 || b.klen > 8 {
+		if a.klen > 8 && b.klen > 8 {
 			ea, eb := ends[a.idx], ends[b.idx]
-			if c := bytes.Compare(buf[ea-a.klen:ea], buf[eb-b.klen:eb]); c != 0 {
+			if c := bytes.Compare(keys[ea-a.klen:ea], keys[eb-b.klen:eb]); c != 0 {
 				return c
 			}
 		} else if a.klen != b.klen {
 			return cmp.Compare(a.klen, b.klen)
 		}
-		return cmp.Compare(a.idx, b.idx) // stability: equal keys keep arrival order
-	})
-	out := make([]R, len(part))
-	for pos, e := range entries {
-		out[pos] = part[e.idx]
+		return cmp.Compare(a.idx, b.idx)
 	}
-	copy(part, out)
-	memory.DefaultPool.Put(buf)
+	lo := 0
+	for _, hi := range s.starts[:len(s.starts)-1] {
+		if seg := s.entries[lo:hi]; len(seg) < radixCutoff {
+			slices.SortFunc(seg, order)
+		} else {
+			s.scratch = sized(s.scratch, len(seg))
+			radixSortPrefix(seg, s.scratch)
+			// Fix-up: the radix passes are stable, so a run of equal prefixes
+			// stands in arrival order, which is final when its keys are one
+			// key. Only a run the prefix cannot decide is compared.
+			for i := 0; i < len(seg); {
+				j, decided := i+1, seg[i].klen <= 8
+				for ; j < len(seg) && seg[j].prefix == seg[i].prefix; j++ {
+					decided = decided && seg[j].klen == seg[i].klen
+				}
+				if !decided && j-i > 1 {
+					slices.SortFunc(seg[i:j], order)
+				}
+				i = j
+			}
+		}
+		lo = hi
+	}
+	s.out = sized(s.out, len(recs))
+	for pos, e := range s.entries {
+		s.out[pos] = recs[e.idx]
+	}
+	return s.out
+}
+
+// radixSortPrefix orders a by prefix with a stable least-significant-digit
+// byte radix sort, tmp (as long as a) being the other buffer. One pass counts
+// all eight digits; a digit the whole segment agrees on moves nothing and is
+// skipped, so int64 keys of a small range take two scatters, not eight.
+func radixSortPrefix(a, tmp []sortEntry) {
+	var hist [8][256]int32
+	for _, e := range a {
+		p := e.prefix
+		hist[0][byte(p)]++
+		hist[1][byte(p>>8)]++
+		hist[2][byte(p>>16)]++
+		hist[3][byte(p>>24)]++
+		hist[4][byte(p>>32)]++
+		hist[5][byte(p>>40)]++
+		hist[6][byte(p>>48)]++
+		hist[7][byte(p>>56)]++
+	}
+	src, dst := a, tmp
+	for d := range hist {
+		h, shift := &hist[d], 8*d
+		if h[byte(src[0].prefix>>shift)] == int32(len(a)) {
+			continue
+		}
+		var sum int32
+		for b, n := range h {
+			h[b] = sum
+			sum += n
+		}
+		for _, e := range src {
+			b := byte(e.prefix >> shift)
+			dst[h[b]] = e
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// SortByNormKey orders a run in place by memcmp over its normalized keys —
+// flink's normalized-key sort, and the sorter a sort writer cuts its runs
+// with, over one segment. Each record becomes a packed sortEntry and only
+// entries move: a stable LSD byte-radix sort on the prefix, then a fix-up
+// pass that comparison-sorts the runs of equal prefix the prefix cannot
+// decide; a segment under radixCutoff is comparison-sorted whole. The rule is
+// the same either way. Two keys whose prefixes differ order as their prefixes
+// do: a padded zero only ever stands below a real byte of the longer key, or
+// level with a real zero. Keys with equal prefixes and at most eight bytes
+// are equal up to that padding, so the shorter — a proper prefix of the other
+// — goes first, and for the same reason a key of at most eight bytes goes
+// before a longer one; such keys live entirely in their entries and their
+// bytes are not kept. Only two keys both longer than the prefix are compared
+// as bytes. Equal keys keep arrival order. That is sort.SliceStable under the
+// Less the key writer agrees with, record for record, so what is encoded
+// afterwards is byte-identical to a comparison sort's. The key writer must be
+// TOTAL and agree with that Less — serde.NormKeyerFor builds conforming
+// writers for ordered scalar keys. The scratch here lives for the call; a sort
+// writer keeps its own across spills.
+func SortByNormKey[R any](part []R, key func(v R, dst []byte) []byte) {
+	if len(part) < 2 {
+		return
+	}
+	var s runSorter[R]
+	_ = s.partition(part, 1, func(R) int { return 0 }) // one segment: every route is valid
+	copy(part, s.sortByKey(part, key))
 }
 
 // --- shared combine helpers -------------------------------------------------

@@ -105,6 +105,17 @@ const (
 	// batch). The constants are the earlier slopes times those ratios — the
 	// box ran a tenth slower than when the other constants were read, so
 	// the ratio carries over and the absolute slopes do not.
+	// The packed radix run sorter under all three does not move these rows:
+	// a 16 000-record TeraSort sorts segments of 2 000-8 000 entries, a
+	// millisecond's work before and after. Sixty isolated runs a cell, three
+	// alternations with the state before, medians before → after: spark
+	// sort/p=2 13.1 → 12.4 ms, flink hash/p=2 10.7 → 10.7 and sort/p=2 11.6
+	// → 10.7, mapreduce sort/p=2 14.4 → 13.8 and sort/p=8 13.8 → 13.0, every
+	// cell's quartiles 2-4 ms apart; in eight alternated sweeps the six
+	// sort-strategy slopes read 0.91-1.24 of before. Kept. (At 150 000
+	// records a task the repo benchmark's TeraSort is a fifth faster on
+	// every engine; like the aggregate rows above, that is outside the
+	// probe's sizes.)
 	estSortCPUSpark = 0.004
 	estSortCPUMR    = 0.0065
 	estSortCPUFlink = 0.002
@@ -144,8 +155,25 @@ const (
 	// aggregate is now sort at every cardinality: the hash → sort flip the
 	// adaptive cell was built on is gone from the measurement, so it is gone
 	// from the model (TestEstimateCardinality, runners_ext10.go).
+	// Since the sort writer cuts its runs with the packed radix sorter,
+	// MapReduce's sort rows fell again and nothing else on WordCount moved:
+	// in eight sweeps alternated with the state before (per-cell medians,
+	// before → after) its sort slopes read 0.0590 → 0.0513 and 0.0561 →
+	// 0.0467, 0.87 and 0.83 of before, in a session whose MapReduce WordCount
+	// rows ran a fifth slower than when the constants above were read — so
+	// the ratio carries over, not the slopes: 0.0496 × 0.87 - 0.0718 and
+	// 0.0461 × 0.83 - 0.0718, mean -0.031. (Forty isolated runs
+	// of the 768 KiB sort/p=2 cell, three alternations: median 46.3 → 37.4
+	// ms, 0.81; the hash/p=2 cell beside it 68.6 → 66.2, level.) Spark's and
+	// Flink's sort rows ran 0.96-1.07 and 0.92-1.24 of before with no sign
+	// either way — under a pairwise combiner they cut one entry per distinct
+	// key — and keep their constants. The unique-key rows fell with the same
+	// constant (sort/p=2 66.7 → 60.0 ms over four waves, sort/p=8 72.5 →
+	// 64.6; hash 80.5 → 78.0 and 67.9 → 67.2): the extra hash-minus-sort gap
+	// over the default cardinality moved by -0.3 and +0.5 ms a wave, inside
+	// estCardHashMR's resolution.
 	estAggSortCPU   = -0.004
-	estAggSortMR    = -0.024
+	estAggSortMR    = -0.031
 	estAggSortFlink = 0.0025
 	// TeraSort hash minus sort slopes: spark 0.0023 and 0.0017, mapreduce
 	// 0.0015 and 0.0020.
