@@ -45,24 +45,22 @@ cover:
 	awk -v t="$$pl" -v f="$(PLANNER_COVER_FLOOR)" 'BEGIN { exit (t + 0 < f) ? 1 : 0 }' || \
 		{ echo "planner coverage below floor"; exit 1; }
 
-# Fast benchmark subset (1 iteration, no unit tests) plus eight benchrunner
+# Fast benchmark subset (1 iteration, no unit tests) plus six benchrunner
 # experiments — tab1 (operator plans), ext4 (a three-way graph run), ext6
 # (the shuffle strategy × parallelism sweep on the real engines), ext7
 # (streaming latency percentiles, micro-batch vs per-event), ext8 (the
-# multi-tenant contention matrix, sharing policy × offered load), ext9
-# (raw speed: ns/record and allocs/record per engine, optimized vs legacy
-# allocation), ext10 (adaptive execution: planner regret vs a measured
-# oracle, plus the runtime re-planning cell) and ext11 (the batch-width
-# sweep of the vectorized layer) — whose reports land in BENCH_smoke.json,
-# the per-push CI artifact the benchguard regression gate compares across
-# pushes. GOGC is pinned and every go-test benchmark runs exactly one
-# iteration so the per-record cells see one collector schedule run-to-run
-# instead of whatever heap the previous target left behind.
+# multi-tenant contention matrix, sharing policy × offered load) and ext10
+# (adaptive execution: planner regret vs a measured oracle, plus the runtime
+# re-planning cell) — whose reports land in BENCH_smoke.json, the per-push CI
+# artifact the benchguard regression gate compares across pushes. GOGC is
+# pinned and every go-test benchmark runs exactly one iteration so the
+# measured cells see one collector schedule run-to-run instead of whatever
+# heap the previous target left behind.
 BENCH_GOGC ?= 100
 BENCHTIME ?= 1x
 bench-smoke:
-	GOGC=$(BENCH_GOGC) $(GO) test -bench 'Ext|EngineWordCount|AblationPipelining|RawSpeed' -benchtime $(BENCHTIME) -run '^$$' .
-	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext7,ext8,ext9,ext10,ext11 -json BENCH_smoke.json
+	GOGC=$(BENCH_GOGC) $(GO) test -bench 'Ext|EngineWordCount|AblationPipelining' -benchtime $(BENCHTIME) -run '^$$' .
+	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext7,ext8,ext10 -json BENCH_smoke.json
 
 # The repo benchmark (BENCHMARK.json) at smoke-test scale, for correctness
 # only: all four workloads on all three engines, every job checked against
@@ -75,13 +73,14 @@ bench-tiny:
 		/^\{/ { n++; if ($$0 !~ /^\{"correct":true,"attempted":[0-9]+,"failed":0,/) bad++ } \
 		END { if (n != 4 || bad) { print "bench-tiny: " n+0 " result lines, " bad+0 " of them not correct"; exit 1 } }'
 
-# CPU + allocation profiles of the per-record hot paths (the ext9/ext11
-# raw-speed families) under the same pinned GOGC as bench-smoke. Inspect
-# with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
-PROFILE_RUN ?= ext9,ext11
+# CPU + allocation profiles of one workload on one engine's real path (a
+# Benchmark* name from bench_test.go) under the same pinned GOGC as
+# bench-smoke. Inspect with `go tool pprof cpu.pprof` / `go tool pprof
+# mem.pprof`; go test leaves the test binary, repro.test, beside them.
+PROFILE_BENCH ?= EngineWordCountSpark
+PROFILE_TIME ?= 5s
 profile:
-	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run $(PROFILE_RUN) \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
+	GOGC=$(BENCH_GOGC) $(GO) test -run '^$$' -bench $(PROFILE_BENCH) -benchtime $(PROFILE_TIME) -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
 # Planner calibration probe: the ext10 size sweep on the real engines, each

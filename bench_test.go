@@ -45,23 +45,6 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	if len(rep.Rows) > 0 {
 		last := rep.Rows[len(rep.Rows)-1]
-		if rep.PerRecord {
-			// Raw-speed reports: the last row is the optimized TeraSort
-			// hot-path cycle.
-			if !math.IsNaN(last.SparkNsRec) {
-				b.ReportMetric(last.SparkNsRec, "spark_ns_per_record")
-				b.ReportMetric(last.SparkAllocsRec, "spark_allocs_per_record")
-			}
-			if !math.IsNaN(last.FlinkNsRec) {
-				b.ReportMetric(last.FlinkNsRec, "flink_ns_per_record")
-				b.ReportMetric(last.FlinkAllocsRec, "flink_allocs_per_record")
-			}
-			if !math.IsNaN(last.MapRedNsRec) {
-				b.ReportMetric(last.MapRedNsRec, "mapreduce_ns_per_record")
-				b.ReportMetric(last.MapRedAllocsRec, "mapreduce_allocs_per_record")
-			}
-			return
-		}
 		if rep.Latency {
 			// Streaming reports measure latency percentiles, not runtimes.
 			if !math.IsNaN(last.Spark) {
@@ -132,30 +115,6 @@ func BenchmarkExt5CCThreeWay(b *testing.B)        { benchExperiment(b, "ext5") }
 func BenchmarkExt6ShuffleSweep(b *testing.B)      { benchExperiment(b, "ext6") }
 func BenchmarkExt7StreamingLatency(b *testing.B)  { benchExperiment(b, "ext7") }
 func BenchmarkExt8TenantContention(b *testing.B)  { benchExperiment(b, "ext8") }
-func BenchmarkExt9RawSpeed(b *testing.B)          { benchExperiment(b, "ext9") }
-func BenchmarkExt11BatchWidth(b *testing.B)       { benchExperiment(b, "ext11") }
-
-// benchRawSpeed reports the per-record raw-speed metrics (the acceptance
-// axis of the tungsten-style serde/shuffle/fusion layer) per engine.
-func benchRawSpeed(b *testing.B, wl string) {
-	for _, engine := range []string{"spark", "flink", "mapreduce"} {
-		b.Run(engine, func(b *testing.B) {
-			var rs experiments.RawSpeed
-			var err error
-			for i := 0; i < b.N; i++ {
-				rs, err = experiments.MeasureRawSpeed(engine, wl, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rs.NsPerRec, "ns_per_record")
-			b.ReportMetric(rs.AllocsPerRec, "allocs_per_record")
-		})
-	}
-}
-
-func BenchmarkRawSpeedWordCount(b *testing.B) { benchRawSpeed(b, "WordCount") }
-func BenchmarkRawSpeedTeraSort(b *testing.B)  { benchRawSpeed(b, "TeraSort") }
 
 // --- Ablations (DESIGN.md §7) ----------------------------------------------
 

@@ -12,10 +12,7 @@
 // experiment named in -fail fails the run; on any other experiment it only
 // warns — the real-engine families (ext6..ext10) measure wall-clock on
 // shared CI runners and are too noisy to gate on, while tab1's simulated
-// cells are deterministic. That includes the per-record raw-speed cells
-// (*_ns_per_record, *_allocs_per_record — the ext9/ext11 trajectory):
-// they finish in tens of milliseconds on shared runners, so they are
-// reported like any other measured cell and gate nothing.
+// cells are deterministic.
 // A missing or unreadable baseline warns and passes: the first push, an
 // expired artifact, or a schema change must not wedge CI.
 package main

@@ -38,15 +38,6 @@ type jsonRow struct {
 	SparkQD99     *float64 `json:"spark_queue_p99_ms,omitempty"`
 	FlinkQD99     *float64 `json:"flink_queue_p99_ms,omitempty"`
 	MapReduceQD99 *float64 `json:"mapreduce_queue_p99_ms,omitempty"`
-	// Raw-speed reports (ext9): wall-clock nanoseconds and heap allocations
-	// per input record — the BENCH_smoke trajectory the bench-regression
-	// guard watches.
-	SparkNsRec      *float64 `json:"spark_ns_per_record,omitempty"`
-	FlinkNsRec      *float64 `json:"flink_ns_per_record,omitempty"`
-	MapReduceNsRec  *float64 `json:"mapreduce_ns_per_record,omitempty"`
-	SparkAllocsRec  *float64 `json:"spark_allocs_per_record,omitempty"`
-	FlinkAllocsRec  *float64 `json:"flink_allocs_per_record,omitempty"`
-	MapReduceAllocs *float64 `json:"mapreduce_allocs_per_record,omitempty"`
 	// Planner reports (ext10): measured seconds of the planner's choice,
 	// the oracle sweep's best and worst fixed configurations, the regret
 	// ratio and the re-plan count. All lower-is-better, so the guard's
@@ -78,14 +69,7 @@ func toJSONReport(rep *experiments.Report) jsonReport {
 	out := jsonReport{ID: rep.ID, Title: rep.Title, Table: rep.Table, Notes: rep.Notes}
 	for _, row := range rep.Rows {
 		jr := jsonRow{Label: row.Label, Note: row.PaperNote}
-		if rep.PerRecord {
-			jr.SparkNsRec = finite(row.SparkNsRec)
-			jr.FlinkNsRec = finite(row.FlinkNsRec)
-			jr.MapReduceNsRec = finite(row.MapRedNsRec)
-			jr.SparkAllocsRec = finite(row.SparkAllocsRec)
-			jr.FlinkAllocsRec = finite(row.FlinkAllocsRec)
-			jr.MapReduceAllocs = finite(row.MapRedAllocsRec)
-		} else if rep.Planner {
+		if rep.Planner {
 			jr.PlannerSec = finite(row.PlannerSec)
 			jr.OracleSec = finite(row.OracleSec)
 			jr.WorstSec = finite(row.WorstSec)

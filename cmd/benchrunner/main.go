@@ -9,7 +9,6 @@
 //	benchrunner -list              # available experiment ids
 //	benchrunner -run all -md out.md  # write an EXPERIMENTS-style markdown report
 //	benchrunner -run all -json out.json  # machine-readable reports (CI artifact)
-//	benchrunner -run ext11 -cpuprofile cpu.pprof -memprofile mem.pprof  # hot-path profiling
 //	benchrunner -calibrate         # ext10 size sweep, measured vs sim.Estimate (make calibrate)
 package main
 
@@ -17,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -29,48 +26,15 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "", "experiment ids (fig1..fig17, tab1..tab7, ext1..ext11), comma-separated, or 'all'")
+	runID := flag.String("run", "", "experiment ids (fig1..fig17, tab1..tab7, ext1..ext10), comma-separated, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids")
 	calibrate := flag.Bool("calibrate", false, "run the ext10 size sweep and print measured vs sim.Estimate with residuals")
 	md := flag.String("md", "", "also write a markdown report to this file")
 	jsonOut := flag.String("json", "", "also write the reports as JSON to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 	engines := flag.String("engines", "",
 		fmt.Sprintf("comma-separated engine filter (registered: %s); default all",
 			strings.Join(dataflow.Names(), ",")))
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			runtime.GC() // flush the final allocation stats before snapshotting
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
-				os.Exit(2)
-			}
-		}()
-	}
 
 	if *engines != "" {
 		// Restrict the experiment runners so one engine's numbers can be

@@ -113,9 +113,10 @@ func TestPipelineAgreesOnAllBackends(t *testing.T) {
 }
 
 // TestNarrowChainsFuse checks that a Map→Filter→Map chain lowers as one
-// fused operator on every backend (and computes correctly), and that a
-// cache hint landing on an intermediate AFTER construction voids the chain
-// so the engine still sees the node to persist.
+// fused operator on every backend (and computes correctly), that a single
+// operator lowers as a chain of one under its own label, and that a cache
+// hint landing on an intermediate AFTER construction voids the chain so the
+// engine still sees the node to persist.
 func TestNarrowChainsFuse(t *testing.T) {
 	for _, engine := range dataflow.Names() {
 		s := session(t, engine)
@@ -133,29 +134,37 @@ func TestNarrowChainsFuse(t *testing.T) {
 			t.Errorf("%s: fused chain = %v, want [BB! CCC!]", engine, got)
 		}
 		if engine == "spark" {
-			rdd, err := dataflow.SparkRDDOf(bang)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := "Fused[Map→Filter→Map]"; rdd.Name() != want {
-				t.Errorf("spark lowered chain as %q, want %q", rdd.Name(), want)
+			for d, want := range map[*dataflow.Dataset[string]]string{bang: "Fused[Map→Filter→Map]", upper: "Map"} {
+				rdd, err := dataflow.SparkRDDOf(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rdd.Name() != want {
+					t.Errorf("spark lowered chain as %q, want %q", rdd.Name(), want)
+				}
 			}
 		}
-	}
 
-	// Late cache hint: Cached() on the intermediate after the tail exists.
-	s := session(t, "spark")
-	s.FS().WriteFile("fin", []byte(strings.Repeat("x\n", 100)))
-	mid := dataflow.Map(dataflow.TextFile(s, "fin"), strings.ToUpper)
-	tail := dataflow.Filter(mid, func(x string) bool { return x == "X" })
-	mid.Cached()
-	for i := 0; i < 2; i++ {
-		if _, err := dataflow.Count(tail); err != nil {
-			t.Fatal(err)
+		// Late cache hint: Cached() on an intermediate after the tail exists,
+		// before the first action.
+		s = session(t, engine)
+		s.FS().WriteFile("fin", []byte(strings.Repeat("x\ny\n", 50)))
+		mid := dataflow.Map(dataflow.TextFile(s, "fin"), strings.ToUpper)
+		tail := dataflow.Map(dataflow.Filter(mid, func(x string) bool { return x == "X" }),
+			func(x string) string { return x + "!" })
+		mid.Cached()
+		for i := 0; i < 2; i++ {
+			got, err := dataflow.Collect(tail)
+			if err != nil {
+				t.Fatalf("%s: %v", engine, err)
+			}
+			if strings.Join(got, "") != strings.Repeat("X!", 50) {
+				t.Errorf("%s, action %d over a late-cached intermediate: %v", engine, i+1, got)
+			}
 		}
-	}
-	if s.Metrics().CacheHits.Load() == 0 {
-		t.Error("late Cached() on a chain intermediate was fused away")
+		if engine == "spark" && s.Metrics().CacheHits.Load() == 0 {
+			t.Error("late Cached() on a chain intermediate was fused away")
+		}
 	}
 }
 
@@ -332,7 +341,7 @@ func TestSortByKeyTotalOrder(t *testing.T) {
 // backend the first call of a narrow operator's function happens after a
 // task has been launched — on mapreduce too, where the chain is the map
 // phase of the consuming job and not a driver-side pass before its wave.
-// One operator takes the per-operator lowering, two take the fused one.
+// A chain of one and a chain of two go through the same lowering.
 func TestNarrowChainRunsInsideTasks(t *testing.T) {
 	for _, engine := range dataflow.Names() {
 		for _, fused := range []bool{false, true} {

@@ -140,19 +140,15 @@ func FromSlice[T any](s *Session, data []T, parallelism int) *Dataset[T] {
 
 // Map applies f to every record. Narrow everywhere: Spark runs it in the
 // parent's tasks, Flink chains it into the producing operator, MapReduce
-// fuses it into the next job's map phase. Consecutive narrow operators
-// additionally fuse into one compiled closure at lowering (see fuse.go).
+// fuses it into the next job's map phase. Every narrow operator lowers
+// through its batch kernel, and consecutive ones fuse into one compiled
+// closure (see fuse.go).
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	out := &Dataset[U]{s: d.s, node: d.s.newNode(core.OpMap, "Map", d.node)}
-	out.fuse = extendChain(d, out.node, func(sink any) any {
-		emit := sink.(func(U))
-		return func(v T) { emit(f(v)) }
-	}, func(sink any) any {
-		// Batch kernel: map the live records into per-instance scratch and
-		// emit one compacted batch — one call downstream per input batch.
-		// sel must clear every time: a downstream filter writes its selection
-		// into this same reused batch.
-		emit := sink.(func(*recBatch[U]))
+	return narrow(d, core.OpMap, "Map", func(emit func(*recBatch[U])) func(*recBatch[T]) {
+		// Map the live records into per-instance scratch and emit one
+		// compacted batch — one call downstream per input batch. sel must
+		// clear every time: a downstream filter writes its selection into
+		// this same reused batch.
 		ob := &recBatch[U]{}
 		return func(b *recBatch[T]) {
 			ob.recs = ob.recs[:0]
@@ -161,58 +157,14 @@ func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 			emit(ob)
 		}
 	})
-	plain := func() (any, error) {
-		switch d.s.kind() {
-		case Spark:
-			in, err := repOf[*spark.RDD[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return cacheHint(out.node, spark.Map(in, f)), nil
-		case Flink:
-			in, err := repOf[*flink.DataSet[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return flink.Map(in, f), nil
-		default:
-			in, err := repOf[*mrFrag[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return fragNarrow(in, func(recs []T) []U {
-				mapped := make([]U, len(recs))
-				for i, v := range recs {
-					mapped[i] = f(v)
-				}
-				return mapped
-			}), nil
-		}
-	}
-	out.lower = func() (any, error) {
-		if rep, ok, err := lowerFused(out); ok {
-			return rep, err
-		}
-		return plain()
-	}
-	return out
 }
 
 // FlatMap applies f and flattens the results.
 func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
-	out := &Dataset[U]{s: d.s, node: d.s.newNode(core.OpFlatMap, "FlatMap", d.node)}
-	out.fuse = extendChain(d, out.node, func(sink any) any {
-		emit := sink.(func(U))
-		return func(v T) {
-			for _, u := range f(v) {
-				emit(u)
-			}
-		}
-	}, func(sink any) any {
-		// Batch kernel: flatten the live records' expansions into scratch.
-		// sel must clear every time: a downstream filter writes its selection
-		// into this same reused batch.
-		emit := sink.(func(*recBatch[U]))
+	return narrow(d, core.OpFlatMap, "FlatMap", func(emit func(*recBatch[U])) func(*recBatch[T]) {
+		// Flatten the live records' expansions into scratch. sel must clear
+		// every time: a downstream filter writes its selection into this
+		// same reused batch.
 		ob := &recBatch[U]{}
 		return func(b *recBatch[T]) {
 			ob.recs = ob.recs[:0]
@@ -221,59 +173,15 @@ func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
 			emit(ob)
 		}
 	})
-	plain := func() (any, error) {
-		switch d.s.kind() {
-		case Spark:
-			in, err := repOf[*spark.RDD[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return cacheHint(out.node, spark.FlatMap(in, f)), nil
-		case Flink:
-			in, err := repOf[*flink.DataSet[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return flink.FlatMap(in, f), nil
-		default:
-			in, err := repOf[*mrFrag[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return fragNarrow(in, func(recs []T) []U {
-				var flat []U
-				for _, v := range recs {
-					flat = append(flat, f(v)...)
-				}
-				return flat
-			}), nil
-		}
-	}
-	out.lower = func() (any, error) {
-		if rep, ok, err := lowerFused(out); ok {
-			return rep, err
-		}
-		return plain()
-	}
-	return out
 }
 
 // Filter keeps records where f is true.
 func Filter[T any](d *Dataset[T], f func(T) bool) *Dataset[T] {
-	out := &Dataset[T]{s: d.s, node: d.s.newNode(core.OpFilter, "Filter", d.node)}
-	out.fuse = extendChain(d, out.node, func(sink any) any {
-		emit := sink.(func(T))
-		return func(v T) {
-			if f(v) {
-				emit(v)
-			}
-		}
-	}, func(sink any) any {
-		// Batch kernel: flip selection entries instead of copying records.
-		// An unfiltered batch gets its first selection vector from retained
-		// scratch; an already-filtered one narrows sel in place (the write
-		// index trails the read index, so the rewrite is safe).
-		emit := sink.(func(*recBatch[T]))
+	return narrow(d, core.OpFilter, "Filter", func(emit func(*recBatch[T])) func(*recBatch[T]) {
+		// Flip selection entries instead of copying records. An unfiltered
+		// batch gets its first selection vector from retained scratch; an
+		// already-filtered one narrows sel in place (the write index trails
+		// the read index, so the rewrite is safe).
 		var scratch []int32
 		return func(b *recBatch[T]) {
 			if b.sel == nil {
@@ -302,41 +210,4 @@ func Filter[T any](d *Dataset[T], f func(T) bool) *Dataset[T] {
 			emit(b)
 		}
 	})
-	plain := func() (any, error) {
-		switch d.s.kind() {
-		case Spark:
-			in, err := repOf[*spark.RDD[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return cacheHint(out.node, spark.Filter(in, f)), nil
-		case Flink:
-			in, err := repOf[*flink.DataSet[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return flink.Filter(in, f), nil
-		default:
-			in, err := repOf[*mrFrag[T]](d)
-			if err != nil {
-				return nil, err
-			}
-			return fragNarrow(in, func(recs []T) []T {
-				var kept []T
-				for _, v := range recs {
-					if f(v) {
-						kept = append(kept, v)
-					}
-				}
-				return kept
-			}), nil
-		}
-	}
-	out.lower = func() (any, error) {
-		if rep, ok, err := lowerFused(out); ok {
-			return rep, err
-		}
-		return plain()
-	}
-	return out
 }

@@ -1,43 +1,42 @@
 package dataflow
 
 import (
+	"slices"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine/flink"
 	"repro/internal/engine/spark"
 )
 
-// Operator fusion: consecutive narrow operators (Map, Filter, FlatMap)
-// collapse into ONE compiled kernel and lower as ONE physical operator per
-// backend — spark.FusedNarrow, flink.FusedChain, or one per-split mrFrag step —
-// instead of one engine node and one intermediate slice per operator. The
-// logical plan is untouched: every operator still gets its Node, so PlanOf
-// and the per-engine plan renderings are unchanged; only the lowering
-// collapses.
+// Narrow operators (Map, Filter, FlatMap) lower through ONE batch kernel on
+// every engine, and consecutive ones collapse into ONE compiled kernel and
+// ONE physical operator per backend — spark.FusedNarrow, flink.FusedChain, or
+// one per-split mrFrag step — instead of one engine node and one intermediate
+// slice per operator. A single operator is a chain of one: it runs the same
+// code and keeps its own label and kind. The logical plan is untouched: every
+// operator still gets its Node, so PlanOf and the per-engine plan renderings
+// are unchanged; only the lowering collapses.
 //
-// The kernel is BATCH-AT-A-TIME by default: the driver cuts each partition
-// into exec.batch.size-record batches (zero-copy subslices of the input)
-// and the compiled chain is invoked once per batch, not once per record.
-// Map/FlatMap compact live records into per-kernel scratch; Filter flips
-// entries in the batch's selection vector and moves no records at all. One
-// closure call and one selection scan per N records replaces N closure
-// calls — the dispatch-amortization the paper's per-record pipelines lack.
-// SetVectorized(false) falls back to the original record-at-a-time CPS
-// kernels for honest baselining (ext9/ext11's batch=1 arm).
+// The kernel is batch-at-a-time: the driver cuts each partition into
+// exec.batch.size-record batches (zero-copy subslices of the input) and the
+// compiled chain is invoked once per batch, not once per record; width 1 is
+// record-at-a-time execution through the same code. Map/FlatMap compact live
+// records into per-kernel scratch; Filter flips entries in the batch's
+// selection vector and moves no records at all. One closure call and one
+// selection scan per N records replaces N closure calls — the
+// dispatch-amortization the paper's per-record pipelines lack.
 //
-// Both kernel shapes are built in continuation-passing style with erased
-// types: each operator contributes a step that turns its output sink into
-// its input consumer (both boxed as any) — func(U)→func(T) per record,
-// func(*recBatch[U])→func(*recBatch[T]) per batch — and composing steps
-// from the chain's tail to its root yields one closure from the root's
-// record type to the final sink. The root-side typed work — cutting a []R
-// partition into batches, fetching the root's engine rep — is captured when
-// the chain starts, where R is statically known, so execution does one type
-// assertion per partition and none per record.
+// The kernel is built in continuation-passing style with erased types: each
+// operator contributes a step that turns its output sink into its input
+// consumer (both boxed as any), func(*recBatch[U])→func(*recBatch[T]), and
+// composing steps from the chain's tail to its root yields one closure from
+// the root's record type to the final sink. The root-side typed work —
+// cutting a []R partition into batches, fetching the root's engine rep — is
+// captured when the chain starts, where R is statically known, so execution
+// does one type assertion per partition and none per record.
 //
-// Who owns a batch. Engines see a single contract either way (engineKernel):
+// Who owns a batch. Engines see a single contract (engineKernel):
 // they instantiate the kernel once per serial record stream around their
 // sink, func([]U) error, and push each boxed []R the root yields through the
 // instance. The sink receives compacted, non-empty batches that are BORROWED
@@ -95,21 +94,15 @@ type fchain struct {
 	// nodes are the fused operators' logical nodes in chain order; the
 	// last entry belongs to the owning dataset.
 	nodes []*Node
-	// compile turns the chain's output sink (func(U), boxed) into its
-	// input consumer (func(R), boxed) — the record-at-a-time kernel.
+	// compile turns the chain's output batch sink (func(*recBatch[U]),
+	// boxed) into its input batch consumer (func(*recBatch[R]), boxed).
+	// Compiled once per serial record stream, so per-instance scratch is
+	// single-threaded.
 	compile func(sink any) any
-	// vcompile turns the chain's output batch sink (func(*recBatch[U]),
-	// boxed) into its input batch consumer (func(*recBatch[R]), boxed) —
-	// the vectorized kernel. Compiled once per serial record stream, so
-	// per-instance scratch is single-threaded.
-	vcompile func(sink any) any
-	// drive iterates a boxed []R through a boxed func(R), stopping once
-	// *failed is set (the kernel's sink reported an error).
-	drive func(recs, feed any, failed *error)
-	// vdrive cuts a boxed []R into width-record batches (subslice views,
+	// drive cuts a boxed []R into width-record batches (subslice views,
 	// no copying) and feeds each to a boxed func(*recBatch[R]), stopping
-	// once *failed is set.
-	vdrive func(recs, feed any, width int, failed *error)
+	// once *failed is set (the kernel's sink reported an error).
+	drive func(recs, feed any, width int, failed *error)
 	// Root engine-rep accessors, captured where R is known. Lowering the
 	// root goes through repOf, so shared roots still lower exactly once.
 	sparkRoot func() (any, error)
@@ -118,22 +111,11 @@ type fchain struct {
 }
 
 // newChain starts a chain whose first fused operator consumes root.
-func newChain[R any](root *Dataset[R], node *Node, step, vstep func(sink any) any) *fchain {
+func newChain[R any](root *Dataset[R], node *Node, step func(sink any) any) *fchain {
 	return &fchain{
-		nodes:    []*Node{node},
-		compile:  step,
-		vcompile: vstep,
-		drive: func(recs, feed any, failed *error) {
-			rs := recs.([]R)
-			fd := feed.(func(R))
-			for _, v := range rs {
-				if *failed != nil {
-					return
-				}
-				fd(v)
-			}
-		},
-		vdrive: func(recs, feed any, width int, failed *error) {
+		nodes:   []*Node{node},
+		compile: step,
+		drive: func(recs, feed any, width int, failed *error) {
 			rs := recs.([]R)
 			fd := feed.(func(*recBatch[R]))
 			b := &recBatch[R]{}
@@ -171,53 +153,52 @@ func newChain[R any](root *Dataset[R], node *Node, step, vstep func(sink any) an
 // extendChain grows d's chain with one more operator, or starts a new
 // chain at d. A dataset already marked Cached() is a fusion barrier: the
 // chain starts after it so the engine still sees the node to persist.
-func extendChain[T any](d *Dataset[T], node *Node, step, vstep func(sink any) any) *fchain {
+func extendChain[T any](d *Dataset[T], node *Node, step func(sink any) any) *fchain {
 	if fc := d.fuse; fc != nil && !d.node.Cached {
 		return &fchain{
 			nodes:     append(append([]*Node{}, fc.nodes...), node),
 			compile:   func(sink any) any { return fc.compile(step(sink)) },
-			vcompile:  func(sink any) any { return fc.vcompile(vstep(sink)) },
 			drive:     fc.drive,
-			vdrive:    fc.vdrive,
 			sparkRoot: fc.sparkRoot,
 			flinkRoot: fc.flinkRoot,
 			mrRoot:    fc.mrRoot,
 		}
 	}
-	return newChain(d, node, step, vstep)
+	return newChain(d, node, step)
 }
 
-// fusedLabel names the collapsed operator, e.g. "Fused[FlatMap→Map]".
+// narrow builds the dataset of one narrow operator over d. kernel is the
+// operator's one implementation: given the downstream batch sink it returns
+// the operator's batch consumer, holding whatever scratch it needs. The
+// dataset lowers as the chain it extends, or — when a Cached() hint landed on
+// one of that chain's intermediates after it was built, so the engine must
+// see that node — as a chain of one rooted at d.
+func narrow[T, U any](d *Dataset[T], kind core.OpKind, label string,
+	kernel func(emit func(*recBatch[U])) func(*recBatch[T])) *Dataset[U] {
+	out := &Dataset[U]{s: d.s, node: d.s.newNode(kind, label, d.node)}
+	step := func(sink any) any { return kernel(sink.(func(*recBatch[U]))) }
+	out.fuse = extendChain(d, out.node, step)
+	out.lower = func() (any, error) {
+		fc := out.fuse
+		if slices.ContainsFunc(fc.nodes[:len(fc.nodes)-1], func(n *Node) bool { return n.Cached }) {
+			fc = newChain(d, out.node, step)
+		}
+		return lowerFused(out, fc)
+	}
+	return out
+}
+
+// fusedLabel names the collapsed operator, e.g. "Fused[FlatMap→Map]"; a
+// chain of one keeps the operator's own label.
 func fusedLabel(nodes []*Node) string {
+	if len(nodes) == 1 {
+		return nodes[0].Label
+	}
 	labels := make([]string, len(nodes))
 	for i, n := range nodes {
 		labels[i] = n.Label
 	}
 	return "Fused[" + strings.Join(labels, "→") + "]"
-}
-
-// fusionOff, when set, makes every lowering fall back to the per-operator
-// path. Only the raw-speed experiments (ext9/ext11) flip it, to measure
-// fusion's contribution against the unfused baseline; flip it only between
-// jobs.
-var fusionOff atomic.Bool
-
-// SetFusion toggles operator fusion (on by default) and returns the
-// previous setting. Benchmark plumbing only.
-func SetFusion(on bool) bool {
-	return !fusionOff.Swap(!on)
-}
-
-// vectorOff, when set, compiles fused chains as record-at-a-time CPS
-// closures instead of batch kernels — the pre-vectorization execution
-// model, kept for honest baselining (ext11's batch=1 arm measures it).
-// Flip it only between jobs.
-var vectorOff atomic.Bool
-
-// SetVectorized toggles batch-at-a-time kernel compilation (on by default)
-// and returns the previous setting. Benchmark plumbing only.
-func SetVectorized(on bool) bool {
-	return !vectorOff.Swap(!on)
 }
 
 // batchWidth resolves the execution batch width for s: exec.batch.size
@@ -242,36 +223,22 @@ func (s *Session) batchWidth() int {
 // the root yielded through the instance and reports the sink's first error.
 // That error is latched: once the sink has failed no batch reaches it again,
 // the driver stops cutting input, and every later push returns the error.
-// Vectorized mode composes the batch kernels with a terminal compaction
-// (emitting the batch's own storage when nothing was filtered — zero copy);
-// record mode adapts the CPS kernel through a one-record window, preserving
-// the old per-record dispatch for baselining.
+// The batch kernels are composed with a terminal compaction that emits the
+// batch's own storage when nothing was filtered (zero copy) and otherwise
+// gathers the live records into scratch sized once, at width.
 func engineKernel[U any](fc *fchain, width int) func(sink func([]U) error) (push func(recs any) error) {
-	if vectorOff.Load() {
-		return func(sink func([]U) error) func(any) error {
-			var failed error
-			var one [1]U
-			feed := fc.compile(func(u U) {
-				if failed == nil {
-					one[0] = u
-					failed = sink(one[:1])
-				}
-			})
-			return func(recs any) error {
-				fc.drive(recs, feed, &failed)
-				return failed
-			}
-		}
-	}
 	return func(sink func([]U) error) func(any) error {
 		var failed error
 		var scratch []U
-		feed := fc.vcompile(func(b *recBatch[U]) {
+		feed := fc.compile(func(b *recBatch[U]) {
 			if failed != nil {
 				return
 			}
 			out := b.recs
 			if b.sel != nil {
+				if scratch == nil {
+					scratch = make([]U, 0, width)
+				}
 				scratch = scratch[:0]
 				for _, i := range b.sel {
 					scratch = append(scratch, b.recs[i])
@@ -283,47 +250,33 @@ func engineKernel[U any](fc *fchain, width int) func(sink func([]U) error) (push
 			}
 		})
 		return func(recs any) error {
-			fc.vdrive(recs, feed, width, &failed)
+			fc.drive(recs, feed, width, &failed)
 			return failed
 		}
 	}
 }
 
-// lowerFused lowers d's chain of ≥2 narrow operators as one physical
-// operator. It reports handled=false when fusion does not apply — a short
-// or absent chain, an intermediate marked Cached() after construction, or
-// fusion switched off — and the caller falls back to per-operator lowering.
-func lowerFused[U any](d *Dataset[U]) (rep any, handled bool, err error) {
-	fc := d.fuse
-	if fc == nil || len(fc.nodes) < 2 || fusionOff.Load() {
-		return nil, false, nil
-	}
-	// Cached() can be called any time before the first action; a hint that
-	// landed on an intermediate after the chain was built voids it.
-	for _, n := range fc.nodes[:len(fc.nodes)-1] {
-		if n.Cached {
-			return nil, false, nil
-		}
-	}
+// lowerFused lowers the narrow chain fc ending at d as one physical operator.
+func lowerFused[U any](d *Dataset[U], fc *fchain) (any, error) {
 	name := fusedLabel(fc.nodes)
 	kernel := engineKernel[U](fc, d.s.batchWidth())
 	switch d.s.kind() {
 	case Spark:
 		in, err := fc.sparkRoot()
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		return cacheHint(d.node, spark.FusedNarrow(in, name, d.node.Kind, kernel)), true, nil
+		return cacheHint(d.node, spark.FusedNarrow(in, name, d.node.Kind, kernel)), nil
 	case Flink:
 		in, err := fc.flinkRoot()
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		return flink.FusedChain(in, name, d.node.Kind, kernel), true, nil
+		return flink.FusedChain(in, name, d.node.Kind, kernel), nil
 	default:
 		load, err := fc.mrRoot()
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
 		c := mrCluster(d.s)
 		return &mrFrag[U]{c: c, load: func() (mrSplits[U], error) {
@@ -336,6 +289,6 @@ func lowerFused[U any](d *Dataset[U]) (rep any, handled bool, err error) {
 			return mrSplits[U]{n: n, each: func(i int, yield func([]U) error) error {
 				return each(i, kernel(yield))
 			}, pref: pref, bytes: bytes}, nil
-		}}, true, nil
+		}}, nil
 	}
 }

@@ -121,20 +121,6 @@ func sliceFrag[T any](s *Session, data []T, parallelism int) *mrFrag[T] {
 	}}
 }
 
-// fragNarrow composes a per-batch transform onto the map-side stream.
-func fragNarrow[T, U any](in *mrFrag[T], f func([]T) []U) *mrFrag[U] {
-	return &mrFrag[U]{c: in.c, load: func() (mrSplits[U], error) {
-		sp, err := in.load()
-		if err != nil {
-			return mrSplits[U]{}, err
-		}
-		return mrSplits[U]{n: sp.n, pref: sp.pref, bytes: sp.bytes,
-			each: func(i int, yield func([]U) error) error {
-				return sp.each(i, func(recs []T) error { return yield(f(recs)) })
-			}}, nil
-	}}
-}
-
 // foldValues reduces a non-empty value group with f.
 func foldValues[V any](vs []V, f func(V, V) V) V {
 	acc := vs[0]

@@ -37,7 +37,7 @@ func vectorSession(t *testing.T, engine string, width int) *dataflow.Session {
 // results canonically ordered.
 func vectorPipeline(t *testing.T, s *dataflow.Session, engine string) (string, string) {
 	t.Helper()
-	s.FS().WriteFile("vec-in", []byte("the quick brown fox\njumps over the lazy dog\nthe end\n"))
+	s.FS().WriteFile("vec-in", []byte(vectorInput))
 	lines := dataflow.TextFile(s, "vec-in")
 	words := dataflow.FlatMap(lines, strings.Fields)
 	short := dataflow.Filter(words, func(w string) bool { return len(w) <= 4 })
@@ -57,20 +57,31 @@ func vectorPipeline(t *testing.T, s *dataflow.Session, engine string) (string, s
 	return fmt.Sprint(narrow), fmt.Sprint(counts)
 }
 
-// TestVectorizedMatchesRecordAtATime pins the batch kernels to the
-// record-at-a-time reference: the same pipeline must produce identical
-// results on every engine whether the fused chain compiles per-batch
-// kernels (at even and deliberately odd widths, including the degenerate
-// width 1) or the legacy per-record kernels (SetVectorized off).
+// vectorInput is vectorPipeline's input: three fixed lines.
+const vectorInput = "the quick brown fox\njumps over the lazy dog\nthe end\n"
+
+// TestVectorizedMatchesRecordAtATime pins the batch kernels to a plain loop
+// over the same three lines: the pipeline must produce the loop's results on
+// every engine at even and deliberately odd widths, including the degenerate
+// width 1, which is record-at-a-time execution.
 func TestVectorizedMatchesRecordAtATime(t *testing.T) {
-	for _, engine := range dataflow.Names() {
-		// Reference: record-at-a-time kernels, the pre-vectorization path.
-		prev := dataflow.SetVectorized(false)
-		wantNarrow, wantKeyed := vectorPipeline(t, vectorSession(t, engine, 256), engine)
-		dataflow.SetVectorized(prev)
-		if !prev {
-			t.Fatal("vectorization should be on by default")
+	var narrowRef []string
+	tally := map[string]int64{}
+	for _, w := range strings.Fields(vectorInput) {
+		if len(w) <= 4 {
+			narrowRef = append(narrowRef, w+"!")
+			tally[w]++
 		}
+	}
+	sort.Strings(narrowRef)
+	var keyedRef []core.Pair[string, int64]
+	for w, n := range tally {
+		keyedRef = append(keyedRef, core.KV(w, n))
+	}
+	sort.Slice(keyedRef, func(i, j int) bool { return keyedRef[i].Key < keyedRef[j].Key })
+	wantNarrow, wantKeyed := fmt.Sprint(narrowRef), fmt.Sprint(keyedRef)
+
+	for _, engine := range dataflow.Names() {
 		for _, width := range []int{1, 3, 256, 1024} {
 			narrow, keyed := vectorPipeline(t, vectorSession(t, engine, width), engine)
 			if narrow != wantNarrow {

@@ -72,7 +72,5 @@ func skippedRow(label, note string) Row {
 		SparkP99: math.NaN(), FlinkP99: math.NaN(), MapRedP99: math.NaN(),
 		SparkUtil: math.NaN(), FlinkUtil: math.NaN(), MapRedUtil: math.NaN(),
 		SparkQD99: math.NaN(), FlinkQD99: math.NaN(), MapRedQD99: math.NaN(),
-		SparkNsRec: math.NaN(), FlinkNsRec: math.NaN(), MapRedNsRec: math.NaN(),
-		SparkAllocsRec: math.NaN(), FlinkAllocsRec: math.NaN(), MapRedAllocsRec: math.NaN(),
 	}
 }

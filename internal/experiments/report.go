@@ -37,15 +37,6 @@ type Row struct {
 	SparkQD99  float64
 	FlinkQD99  float64
 	MapRedQD99 float64
-	// Raw-speed columns of the per-record reports (ext9): wall-clock
-	// nanoseconds and heap allocations per input record. NaN everywhere
-	// else.
-	SparkNsRec      float64
-	FlinkNsRec      float64
-	MapRedNsRec     float64
-	SparkAllocsRec  float64
-	FlinkAllocsRec  float64
-	MapRedAllocsRec float64
 	// Planner columns of the adaptive-execution report (ext10): measured
 	// seconds of the planner's chosen configuration, the oracle sweep's
 	// best and worst fixed configurations, the regret ratio and the re-plan
@@ -71,9 +62,6 @@ type Report struct {
 	// milliseconds (Spark/Flink + SparkP99/FlinkP99), not mean ± std
 	// seconds.
 	Latency bool
-	// PerRecord marks a raw-speed report (ext9): row cells are ns/record
-	// and allocs/record (the *NsRec/*AllocsRec columns), not runtimes.
-	PerRecord bool
 	// Planner marks the adaptive-execution report (ext10): rows carry the
 	// Planner*/Oracle*/Regret columns for the JSON artifact only — the
 	// human rendering is the free-form Table, so Render skips the rows.
@@ -116,14 +104,7 @@ func (r *Report) Render() string {
 			}
 			fmt.Fprintf(&b, "%s\n", note)
 		}
-		if r.PerRecord {
-			printRow("config", "spark ns/rec·allocs", "flink ns/rec·allocs", "mapreduce ns/rec·allocs", noteHeader)
-			for _, row := range r.Rows {
-				printRow(row.Label, rawCell(row.SparkNsRec, row.SparkAllocsRec),
-					rawCell(row.FlinkNsRec, row.FlinkAllocsRec),
-					rawCell(row.MapRedNsRec, row.MapRedAllocsRec), row.PaperNote)
-			}
-		} else if r.Latency {
+		if r.Latency {
 			printRow("config", "spark p50/p99 ms", "flink p50/p99 ms", "mapreduce p50/p99 ms", noteHeader)
 			for _, row := range r.Rows {
 				printRow(row.Label, latCell(row.Spark, row.SparkP99), latCell(row.Flink, row.FlinkP99),
@@ -179,15 +160,6 @@ func latCell(p50, p99 float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f / %.1f", p50, p99)
-}
-
-// rawCell renders one raw-speed cell: "ns/record · allocs/record", "-"
-// when the engine was filtered out or the run failed.
-func rawCell(ns, allocs float64) string {
-	if math.IsNaN(ns) {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f ns · %.2f al", ns, allocs)
 }
 
 // utilCell renders the contention sub-row cell: cluster utilization and

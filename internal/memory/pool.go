@@ -16,11 +16,10 @@ import (
 // zero-length slice with at least the requested capacity; Put recycles the
 // buffer for a later Get. The pool is safe for concurrent use.
 type BufPool struct {
-	classes  [poolClasses]sync.Pool
-	gets     atomic.Int64
-	puts     atomic.Int64
-	misses   atomic.Int64 // Gets served by a fresh allocation
-	disabled atomic.Bool  // bypass recycling (benchmark baseline emulation)
+	classes [poolClasses]sync.Pool
+	gets    atomic.Int64
+	puts    atomic.Int64
+	misses  atomic.Int64 // Gets served by a fresh allocation
 }
 
 const (
@@ -54,22 +53,10 @@ func classFor(n int) int {
 	return bits - poolMinBits
 }
 
-// SetEnabled turns recycling off (every Get allocates fresh, every Put
-// drops its buffer) or back on, returning the previous setting. Only the
-// raw-speed experiment (ext9) disables the pool, to measure the pre-pool
-// allocation churn as a baseline; capacity promises hold either way.
-func (p *BufPool) SetEnabled(on bool) bool {
-	return !p.disabled.Swap(!on)
-}
-
 // Get returns a zero-length buffer with capacity ≥ n, recycled when a
 // previous Put left one in n's size class.
 func (p *BufPool) Get(n int) []byte {
 	p.gets.Add(1)
-	if p.disabled.Load() {
-		p.misses.Add(1)
-		return make([]byte, 0, n)
-	}
 	cls := classFor(n)
 	if cls < 0 {
 		p.misses.Add(1)
@@ -86,7 +73,7 @@ func (p *BufPool) Get(n int) []byte {
 // into it (sub-slices handed to borrowers) must have been released first —
 // that contract is what shuffle.Block makes explicit.
 func (p *BufPool) Put(buf []byte) {
-	if buf == nil || p.disabled.Load() {
+	if buf == nil {
 		return
 	}
 	c := cap(buf)

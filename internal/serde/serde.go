@@ -3,7 +3,6 @@ package serde
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Style selects one of the three serialization strategies.
@@ -60,38 +59,9 @@ type Codec[T any] struct {
 	Fallbacks int
 }
 
-// legacyAlloc, when set, makes Append and EncodeAll emulate the
-// allocate-per-record Encode surface this API replaced: every record is
-// encoded into a fresh heap object and copied into the destination. Only
-// the raw-speed experiment (ext9) flips it, to measure what the
-// append-style redesign bought; it is not meant for real workloads.
-var legacyAlloc atomic.Bool
-
-// SetLegacyAlloc toggles the legacy allocate-per-record emulation and
-// returns the previous setting. Benchmark plumbing only.
-func SetLegacyAlloc(on bool) bool {
-	return legacyAlloc.Swap(on)
-}
-
-// Append appends one record's encoding to dst — the choke point the shuffle
-// writers encode through, so the legacy-allocation emulation has exactly one
-// place to intercept.
-func Append[T any](c Codec[T], dst []byte, v T) []byte {
-	if legacyAlloc.Load() {
-		return append(dst, c.Encode(nil, v)...)
-	}
-	return c.Encode(dst, v)
-}
-
 // EncodeAll encodes every value back to back, the layout of a shuffle
 // block or spill file.
 func EncodeAll[T any](c Codec[T], dst []byte, vs []T) []byte {
-	if legacyAlloc.Load() {
-		for _, v := range vs {
-			dst = append(dst, c.Encode(nil, v)...)
-		}
-		return dst
-	}
 	for _, v := range vs {
 		dst = c.Encode(dst, v)
 	}

@@ -1,8 +1,6 @@
 package shuffle
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/metrics"
@@ -113,26 +111,10 @@ func (b Block) Bytes() []byte { return b.data }
 // Len returns the wire length.
 func (b Block) Len() int { return len(b.data) }
 
-// copyLocal, when set, makes Borrow deep-copy like the pre-Block raw-[]byte
-// handoff did on every local read. Only the raw-speed experiment (ext9)
-// flips it, to measure what the zero-copy local path bought.
-var copyLocal atomic.Bool
-
-// SetZeroCopyLocal toggles the zero-copy local-read path (on by default)
-// and returns the previous setting. Benchmark plumbing only.
-func SetZeroCopyLocal(on bool) bool {
-	return !copyLocal.Swap(!on)
-}
-
 // Borrow returns a zero-copy view without release rights — the local-read
 // path. Releasing the borrow is a no-op; the owner's Release still governs
 // the storage.
 func (b Block) Borrow() Block {
-	if copyLocal.Load() {
-		data := make([]byte, len(b.data))
-		copy(data, b.data)
-		return Block{data: data, Raw: b.Raw, Recs: b.Recs}
-	}
 	return Block{data: b.data, Raw: b.Raw, Recs: b.Recs}
 }
 

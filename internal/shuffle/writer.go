@@ -92,7 +92,7 @@ func (w *hashWriter[R]) WriteBatch(recs []R) error {
 		if w.bufs[p] == nil {
 			w.bufs[p] = memory.DefaultPool.Get(w.bucketCap)
 		}
-		w.bufs[p] = serde.Append(w.spec.Codec, w.bufs[p], rec)
+		w.bufs[p] = w.spec.Codec.Encode(w.bufs[p], rec)
 		w.recs[p]++
 	}
 	if w.env.Settings.FlushBytes > 0 {
@@ -146,7 +146,7 @@ func (w *hashWriter[R]) emit(rec R) (int, error) {
 		w.bufs[p] = memory.DefaultPool.Get(w.bucketCap)
 	}
 	before := len(w.bufs[p])
-	w.bufs[p] = serde.Append(w.spec.Codec, w.bufs[p], rec)
+	w.bufs[p] = w.spec.Codec.Encode(w.bufs[p], rec)
 	w.recs[p]++
 	added := len(w.bufs[p]) - before
 	if w.env.Settings.FlushBytes > 0 && int64(len(w.bufs[p])) >= w.env.Settings.FlushBytes {

@@ -54,13 +54,16 @@ func TestWordCountAllocatesLessThanOncePerWord(t *testing.T) {
 // data to speak of) may allocate per block and per task — the block's
 // arena and line headers, a filter kernel, a task's bookkeeping — but
 // nothing per line, and nothing that grows with the file on the driver.
-// Measured: 16 per block on spark, 12 on flink, 65 on mapreduce (whose map
+// Measured: 17 per block on spark, 4 on flink, 57 on mapreduce (whose map
 // tasks each open a shuffle writer and materialize a segment), plus a fixed
-// part worth about five blocks; the file has 36 657 lines.
+// 40 / 70 / 140 — 580, 199 and 1950 for 32 blocks; the file has 36 657
+// lines. The limits sit about a quarter above that, so gathering the matches
+// once more anywhere on the scan path (ten or so allocations a block, as the
+// slice grows) fails flink and spark.
 func TestGrepAllocatesPerBlockNotPerLine(t *testing.T) {
 	text := datagen.Text(12, 2<<20, 10)
 	lines := bytes.Count(text, []byte("\n"))
-	perBlock := map[string]uint64{"spark": 20, "flink": 20, "mapreduce": 80}
+	perBlock := map[string]uint64{"spark": 20, "flink": 10, "mapreduce": 70}
 	for _, engine := range dataflow.Names() {
 		for _, blocks := range []int{8, 32} {
 			s := paritySessionConf(t, engine, func(c *core.Config) {

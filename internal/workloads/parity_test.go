@@ -301,6 +301,27 @@ func TestCrossEngineParity(t *testing.T) {
 		})
 	}
 
+	// The batch kernel's contract: the width narrow operators run at is
+	// physics too. A deliberately odd exec.batch.size, which leaves a ragged
+	// last batch in every split, must not change one byte either.
+	for _, engine := range engines {
+		engine := engine
+		t.Run(engine+"/batch=3", func(t *testing.T) {
+			s := paritySessionConf(t, engine, func(conf *core.Config) { conf.SetInt(core.ExecBatchSize, 3) })
+			s.FS().WriteFile("tera-in", tera)
+			if err := TeraSort(s, "tera-in", "tera-out", teraPart); err != nil {
+				t.Fatalf("terasort at batch width 3: %v", err)
+			}
+			tf, err := s.FS().Open("tera-out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(tf.Contents(), want.teraBytes) {
+				t.Errorf("%s terasort output at batch width 3 is not byte-identical", engine)
+			}
+		})
+	}
+
 	// The planner's contract: whatever physical configuration the cost
 	// model picks — strategy, codec, parallelism — the workload output
 	// stays byte-identical to the hand-tuned runs above. The parallelism
