@@ -117,9 +117,11 @@ bench-pair:
 # Short fuzz smoke over the byte decoders and the sort kernel: each fuzz
 # target runs for a few seconds on top of its seeded corpus (row decode
 # robustness, normalized-key order agreement, the batch wire format
-# round-trip, arbitrary bytes into derived struct/slice/map decoders, and
-# arbitrary keys through the shuffle's run sorter against a stable sort). CI
-# runs this on every push; longer local sessions just raise -fuzztime.
+# round-trip, arbitrary bytes into derived struct/slice/map decoders,
+# arbitrary keys through the shuffle's run sorter against a stable sort, and
+# arbitrary keys and resets through the combine table every engine folds with
+# against a map fold). CI runs this on every push; longer local sessions just
+# raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
@@ -127,3 +129,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBatch$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle
+	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle

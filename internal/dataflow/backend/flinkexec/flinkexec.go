@@ -2,7 +2,8 @@
 // it owns environment construction and lowers logical plans the way
 // Flink's optimizer would — narrow operators chained into their producer's
 // task ("DataSource->FlatMap->Map"), a GroupCombine chained ahead of every
-// combinable reduction, partitionCustom→sortPartition for sorts, and
+// combinable reduction (a plan node: the fold itself runs in the exchange's
+// shuffle writer), partitionCustom→sortPartition for sorts, and
 // iterations as a native bulk-iteration operator scheduled once. A dataset
 // consumed by several actions is lowered once per action, because Flink
 // has no persistence control (the paper's Section VI-B) — the rendered
@@ -114,8 +115,8 @@ func (b *Backend) LowerPlan(lp *dataflow.Logical) *core.Plan {
 		case n.Kind == core.OpReduceByKey:
 			producerTail := []string{}
 			if n.Combinable {
-				// The optimizer chains the sort-based combiner into the
-				// producing task — the paper's DataSource->…->GroupCombine.
+				// The optimizer chains the combiner into the producing
+				// task — the paper's DataSource->…->GroupCombine.
 				producerTail = []string{"GroupCombine"}
 			}
 			producer := lower(n.Inputs[0], producerTail)

@@ -25,9 +25,10 @@
 //     honored as RDD persistence, iterations as driver loops with
 //     CollectAsMap per round (loop unrolling);
 //   - flink: one pipelined job per action with operator chaining and a
-//     sort-based combiner, partitionCustom→sortPartition for sorts,
-//     Cached() ignored (no persistence control — Section VI-B), iterations
-//     as a native bulk iteration scheduled once;
+//     GroupCombine ahead of every combinable reduction's exchange,
+//     partitionCustom→sortPartition for sorts, Cached() ignored (no
+//     persistence control — Section VI-B), iterations as a native bulk
+//     iteration scheduled once;
 //   - mapreduce: narrow operators fuse into the next job's map phase, every
 //     shuffle is a full spill-sort/materialize/merge job, Cached() ignored,
 //     iterations as chained jobs whose input and state round-trip through

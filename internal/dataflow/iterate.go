@@ -3,6 +3,7 @@ package dataflow
 import (
 	"cmp"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine/flink"
@@ -122,11 +123,24 @@ func (it *Iteration[T, K, V, S]) runFlink() ([]core.Pair[K, S], error) {
 	if err != nil {
 		return nil, err
 	}
+	state := it.clonedState()
 	stateDS := flink.FromSlice(env, it.clonedState(), 1)
 	k := len(it.init)
 	final := flink.IterateBulk(stateDS, it.iters,
 		func(cs *flink.DataSet[core.Pair[K, S]]) *flink.DataSet[core.Pair[K, S]] {
-			assigned := flink.MapWithBroadcast(dataDS, cs, it.assign)
+			// The partial solution comes back from the reduce's exchange in
+			// arrival order and without the keys the round did not aggregate:
+			// the first record of a superstep folds it into the state, so
+			// assign sees init entry order, as on the other engines.
+			var once sync.Once
+			var st []core.Pair[K, S]
+			assigned := flink.MapWithBroadcast(dataDS, cs, func(t T, cur []core.Pair[K, S]) core.Pair[K, V] {
+				once.Do(func() {
+					mergeState(state, pairMap(cur))
+					st = append([]core.Pair[K, S]{}, state...)
+				})
+				return it.assign(t, st)
+			})
 			grouped := flink.GroupBy(assigned, func(p core.Pair[K, V]) K { return p.Key }).WithParallelism(k)
 			sums := flink.Reduce(grouped, func(a, b core.Pair[K, V]) core.Pair[K, V] {
 				return core.KV(a.Key, it.combine(a.Value, b.Value))
@@ -139,13 +153,17 @@ func (it *Iteration[T, K, V, S]) runFlink() ([]core.Pair[K, S], error) {
 	if err != nil {
 		return nil, err
 	}
-	state := it.clonedState()
-	got := make(map[K]S, len(pairs))
-	for _, p := range pairs {
-		got[p.Key] = p.Value
-	}
-	mergeState(state, got)
+	mergeState(state, pairMap(pairs))
 	return state, nil
+}
+
+// pairMap indexes pairs by key.
+func pairMap[K comparable, S any](pairs []core.Pair[K, S]) map[K]S {
+	m := make(map[K]S, len(pairs))
+	for _, p := range pairs {
+		m[p.Key] = p.Value
+	}
+	return m
 }
 
 // runMapReduce is the chained-jobs lowering: the (fused) dataset is staged

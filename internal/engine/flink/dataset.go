@@ -16,9 +16,9 @@ import (
 // A pushed batch is BORROWED until push returns. The producer may hand the
 // same storage out again with the next batch (a fused chain pushes its
 // operators' scratch, a source a view of its input), so a sink that keeps
-// records past the call copies them: the exchange writers serialize,
-// combineChain folds record by record, SortPartition, runLocal and Collect
-// append into storage of their own, sinkParts encodes. Pushing a slice
+// records past the call copies them: the exchange writers serialize, or fold
+// record by record into their combine tables, SortPartition, runLocal and
+// Collect append into storage of their own, sinkParts encodes. Pushing a slice
 // onwards inside the call (chainOp, Union) lends it under the same terms.
 type partSink[T any] struct {
 	push  func(batch []T) error
@@ -30,9 +30,9 @@ type partSink[T any] struct {
 // sink still has to close: an exchange closes its channels when its last
 // producer closes, its consumer tasks range over those channels, and the job
 // returns only when every task has — a sink left open is a job that hangs
-// instead of reporting err. The job is marked failed first, so the buffering
-// operators the close passes through (SortPartition, the combiner) hand on
-// end-of-input alone instead of sorting and pushing a partial partition.
+// instead of reporting err. The job is marked failed first, so what buffers
+// along the way hands on end-of-input alone: SortPartition does not sort and
+// push a partial partition, an exchange's writer drops its table and buckets.
 func endFailed[T any](ctx *jobCtx, out partSink[T], err error) error {
 	ctx.failed.Store(true)
 	_ = out.close() // err is the failure to report; the sink's state is moot

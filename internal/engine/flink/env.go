@@ -8,9 +8,10 @@
 //   - operator chaining: narrow operators run inside their producer's task
 //     (the optimizer's chains appear in plan labels such as
 //     "DataSource->FlatMap->GroupCombine");
-//   - a sort-based combiner ahead of every grouped reduction that collects
-//     records in a bounded managed-memory buffer and sorts/flushes it when
-//     full;
+//   - a GroupCombine ahead of every combinable grouped reduction: records
+//     fold on arrival in the producing subtask's combine table (the shuffle
+//     core's, shared with spark and mapreduce), which is charged to managed
+//     memory and drains downstream when a grant is refused;
 //   - managed memory segments (optionally off-heap); operators that can
 //     spill do, while CoGroup's solution set must fit and kills the job
 //     otherwise — the paper's Table VII failure;
@@ -55,10 +56,12 @@ type Env struct {
 	nextID atomic.Int64
 }
 
-// FlinkCombineStrategy selects the combiner implementation: "sort" (the
-// 0.10 default the paper analyzes) or "hash" (the strategy the paper notes
-// Flink was investigating). It lives here, not in core, because it is an
-// engine-internal knob used by the ablation benchmarks.
+// FlinkCombineStrategy bounds the GroupCombine's table: "sort" (the default,
+// standing in for the 0.10 combiner the paper analyzes) charges it to the
+// node's managed memory and drains it whenever a grant is refused, "hash"
+// (the strategy the paper notes Flink was investigating) never asks the pool
+// and drains once at end-of-input. It lives here, not in core, because it is
+// an engine-internal knob used by the ablation benchmarks.
 const FlinkCombineStrategy = "flink.combine.strategy"
 
 // NewEnv builds an environment over a runtime and DFS. Managed memory per
@@ -136,6 +139,11 @@ func (e *Env) Parallelism() int { return e.curParallelism() }
 
 // Managed returns node n's managed memory pool (tests inspect it).
 func (e *Env) Managed(n int) *memory.Managed { return e.managed[n] }
+
+// keysPerSegment approximates how many keyed records fit in one 32 KiB
+// managed segment: the cadence at which CoGroup and the delta iteration's
+// solution set charge the pool.
+const keysPerSegment = 1024
 
 // nodeOf maps a partition to its executing node.
 func (e *Env) nodeOf(part int) int { return e.rt.NodeFor(part) }

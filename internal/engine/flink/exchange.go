@@ -1,6 +1,7 @@
 package flink
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -19,23 +20,41 @@ type recordConsumer[T any] struct {
 	finish func() error
 }
 
+// keyed is what a keyed exchange tells the shuffle core about its key: its
+// hash and its equality. Runs of the sort strategy order by the hash — as
+// normalized eight-byte keys, Flink sorting on key prefixes rather than user
+// comparators — which puts equal keys side by side without a comparator for
+// the key type; a combiner finds a record's entry through both.
+type keyed[T any] struct {
+	hash func(T) uint64
+	same func(a, b T) bool
+}
+
 // newExchange wires a repartitioning edge between parent (P producer
 // partitions) and Q consumer partitions through the shared shuffle core.
 //
-// Producer side: each producing subtask owns a shuffle.Writer. Under the
-// engine's default hash strategy records serialize into per-partition
-// buffers of the configured size that flush over bounded channels as they
-// fill — a full channel blocks the producer, which is the pipeline's
-// backpressure. Under shuffle.strategy=sort a keyed edge (less != nil)
-// buffers instead, spilling sorted runs when the managed-memory grant is
-// refused, and ships merged segments at end-of-input — a pipeline breaker,
-// which is exactly what a sort-based exchange is. Consumer side: one task
-// per partition decodes packets as they arrive and hands them to the
-// consumer built by makeConsumer; each packet carries its producer's node,
-// so reads classify local vs remote under the shared accounting rule in
-// internal/metrics (the same classification spark's shuffle reader uses).
+// Producer side: each producing subtask owns a shuffle.Writer. With a
+// combiner (merge != nil, on a keyed edge) the writer is the GroupCombine:
+// records fold into its combine table as they arrive and only the table's
+// entries — one record per distinct key — go on to the buckets or the sort
+// buffer. Under flink.combine.strategy=sort the table is charged to the
+// node's managed memory, one segment per 1 024 entries, and a refused grant
+// drains it downstream as a counted spill — the CPU bursts behind the
+// anti-cyclic CPU/disk pattern of the paper's Figure 3; under =hash it never
+// asks the pool and drains once, at end-of-input. Under the engine's default
+// hash strategy records serialize into per-partition buffers of the
+// configured size that flush over bounded channels as they fill — a full
+// channel blocks the producer, which is the pipeline's backpressure. Under
+// shuffle.strategy=sort a keyed edge (key != nil) buffers instead, spilling
+// sorted runs when the managed-memory grant is refused, and ships merged
+// segments at end-of-input — a pipeline breaker, which is exactly what a
+// sort-based exchange is. Consumer side: one task per partition decodes
+// packets as they arrive and hands them to the consumer built by
+// makeConsumer; each packet carries its producer's node, so reads classify
+// local vs remote under the shared accounting rule in internal/metrics (the
+// same classification spark's shuffle reader uses).
 func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q int,
-	route func(T) int, less func(a, b T) bool,
+	route func(T) int, key *keyed[T], merge func(a, b T) T,
 	makeConsumer func(part int, out partSink[U]) recordConsumer[T]) *DataSet[U] {
 
 	e := parent.env
@@ -50,7 +69,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 	codec := serde.Of[T](e.style)
 	e.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
 	set := e.curShuffleSettings()
-	if less == nil {
+	if key == nil {
 		// A non-keyed edge has no order to sort by; it stays a pipelined
 		// hash repartition under every strategy.
 		set.Kind = shuffle.Hash
@@ -68,23 +87,35 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 			fromNode := ctx.place(p, parent.pref)
 			pool := e.managed[fromNode]
 			segs := 0
-			w := shuffle.NewWriter(shuffle.Spec[T]{
+			spec := shuffle.Spec[T]{
 				NumParts: q,
 				Codec:    codec,
 				Route:    route,
-				Less:     less,
-			}, shuffle.Env{
+			}
+			if key != nil {
+				spec.Hash, spec.Same, spec.Merge = key.hash, key.same, merge
+				spec.Less = func(a, b T) bool { return key.hash(a) < key.hash(b) }
+				spec.NormKey = func(v T, dst []byte) []byte {
+					return binary.BigEndian.AppendUint64(dst, key.hash(v))
+				}
+			}
+			// What the writer holds — combine-table entries, sort-exchange
+			// buffers — is charged to managed memory one segment per
+			// quantum; a refused grant drains the table or spills a run.
+			mem := func(int64) bool {
+				if pool.Acquire(1) == 1 {
+					segs++
+					return true
+				}
+				return false
+			}
+			if merge != nil && !e.combineSort {
+				mem = nil
+			}
+			w := shuffle.NewWriter(spec, shuffle.Env{
 				Settings: set,
 				Metrics:  e.metrics,
-				// Sort-exchange buffers charge managed memory one segment
-				// per quantum; a refused grant spills a sorted run.
-				Mem: func(int64) bool {
-					if pool.Acquire(1) == 1 {
-						segs++
-						return true
-					}
-					return false
-				},
+				Mem:      mem,
 				Free: func(int64) {
 					if segs > 0 {
 						pool.Release(segs)
@@ -114,8 +145,12 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 					return nil
 				},
 				close: func() error {
-					err := w.Close()
-					if err != nil {
+					// A failed job's stream ends without a flush: what the
+					// writer holds — table, buckets, runs — is dropped.
+					var err error
+					if ctx.failed.Load() {
+						w.Abort()
+					} else if err = w.Close(); err != nil {
 						w.Abort() // the managed segments go back to the pool
 					}
 					// The last producer must close the channels even when its
@@ -189,7 +224,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 // order, so it stays pipelined under every strategy.
 func rebalanceExchange[T any](parent *DataSet[T], label string, kind core.OpKind, q int,
 	route func(T) int) *DataSet[T] {
-	return newExchange[T, T](parent, label, kind, q, route, nil,
+	return newExchange[T, T](parent, label, kind, q, route, nil, nil,
 		func(part int, out partSink[T]) recordConsumer[T] {
 			return recordConsumer[T]{
 				accept: out.push,

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/memory"
 	"repro/internal/netsim"
+	"repro/internal/serde"
 )
 
 // testEnv builds a small environment: 4 nodes × 4 slots.
@@ -454,55 +455,122 @@ func TestInsufficientNetworkBuffersFailsSubmission(t *testing.T) {
 	}
 }
 
-func TestSortCombinerSpillsUnderMemoryPressure(t *testing.T) {
+// reduceUnderOneSegment sums recs by key, two producers into two consumers,
+// with one segment of managed memory per node: under the sort strategy a
+// producer's combine table gets at most one grant past its first 1 024
+// entries and drains downstream at every refusal after it.
+func reduceUnderOneSegment(t *testing.T, strategy string, recs []core.Pair[int64, int64]) ([]core.Pair[int64, int64], *Env) {
+	t.Helper()
 	e := testEnv(t, func(conf *core.Config) {
-		// One segment of managed memory per node: the combiner flushes
-		// (sorts + emits) every time the buffer exceeds one segment.
 		conf.SetBytes(core.FlinkTaskManagerMemory, core.ByteSize(memory.SegmentSize))
 		conf.SetFloat(core.FlinkMemoryFraction, 1.0)
+		conf.Set(FlinkCombineStrategy, strategy)
 	})
-	recs := make([]core.Pair[int64, int64], 10*keysPerSegment)
-	for i := range recs {
-		recs[i] = core.KV(int64(i), int64(1)) // all distinct keys: worst case
-	}
-	ds := FromSlice(e, recs, 2)
-	red := Reduce(GroupBy(ds, func(p core.Pair[int64, int64]) int64 { return p.Key }).WithParallelism(2),
+	red := Reduce(GroupBy(FromSlice(e, recs, 2), func(p core.Pair[int64, int64]) int64 { return p.Key }).WithParallelism(2),
 		func(a, b core.Pair[int64, int64]) core.Pair[int64, int64] { return core.KV(a.Key, a.Value+b.Value) })
 	got, err := Collect(red)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("records lost across combiner flushes: %d of %d", len(got), len(recs))
+	return got, e
+}
+
+// refusedGrants is how many managed-memory requests came up short, over all
+// nodes.
+func refusedGrants(e *Env) int64 {
+	var n int64
+	for node := 0; node < e.rt.Spec().Nodes; node++ {
+		n += e.Managed(node).SpillSignals()
 	}
-	if e.Metrics().SpillCount.Load() == 0 {
-		t.Error("combiner under memory pressure must record flushes/spills")
+	return n
+}
+
+// distinctKeys is n records of n keys: the combiner's worst case.
+func distinctKeys(n int) []core.Pair[int64, int64] {
+	recs := make([]core.Pair[int64, int64], n)
+	for i := range recs {
+		recs[i] = core.KV(int64(i), int64(1))
+	}
+	return recs
+}
+
+// TestSortCombinerSpillsUnderMemoryPressure: a spill is a combine table that
+// drained because a grant was refused, and SpillBytes is what the drained
+// entries encode to. Each producer's 5 × 1 024 distinct keys end on a refused
+// grant, so every record leaves its table in a counted drain and none at
+// Close; the reduce side spills nothing and counts nothing.
+func TestSortCombinerSpillsUnderMemoryPressure(t *testing.T) {
+	recs := distinctKeys(10 * keysPerSegment)
+	got, e := reduceUnderOneSegment(t, "sort", recs)
+	if len(got) != len(recs) {
+		t.Fatalf("records lost across combiner drains: %d of %d", len(got), len(recs))
+	}
+	m := e.Metrics()
+	refused := refusedGrants(e)
+	if refused == 0 {
+		t.Fatal("ten segments of keys never had a managed-memory grant refused")
+	}
+	if got := m.SpillCount.Load(); got != refused {
+		t.Errorf("SpillCount = %d for %d refused grants, want one drain per refusal", got, refused)
+	}
+	encoded := int64(len(serde.EncodeAll(serde.Of[core.Pair[int64, int64]](serde.TypeInfo), nil, recs)))
+	if got := m.SpillBytes.Load(); got != encoded {
+		t.Errorf("SpillBytes = %d, want the %d bytes the drained records encode to", got, encoded)
+	}
+	if in, out := m.CombineInputRecords.Load(), m.CombineOutputRecs.Load(); in != int64(len(recs)) || out != in {
+		t.Errorf("combine counters = %d in, %d out, want %d both ways for distinct keys", in, out, len(recs))
+	}
+	for node := 0; node < e.rt.Spec().Nodes; node++ {
+		if free, total := e.Managed(node).Free(), e.Managed(node).TotalSegments(); free != total {
+			t.Errorf("node %d: %d of %d segments free after the job", node, free, total)
+		}
 	}
 }
 
+// TestHashCombineStrategyAblation: the hash strategy's table never asks the
+// pool, so the same job under the same budget drains once, at Close, and
+// spills nothing.
 func TestHashCombineStrategyAblation(t *testing.T) {
-	spills := func(strategy string) int64 {
-		e := testEnv(t, func(conf *core.Config) {
-			conf.SetBytes(core.FlinkTaskManagerMemory, core.ByteSize(memory.SegmentSize))
-			conf.SetFloat(core.FlinkMemoryFraction, 1.0)
-			conf.Set(FlinkCombineStrategy, strategy)
-		})
-		recs := make([]core.Pair[int64, int64], 8*keysPerSegment)
-		for i := range recs {
-			recs[i] = core.KV(int64(i), int64(1))
+	recs := distinctKeys(8 * keysPerSegment)
+	for _, c := range []struct {
+		strategy string
+		spills   bool
+	}{{"sort", true}, {"hash", false}} {
+		got, e := reduceUnderOneSegment(t, c.strategy, recs)
+		if len(got) != len(recs) {
+			t.Fatalf("%s: %d of %d records", c.strategy, len(got), len(recs))
 		}
-		ds := FromSlice(e, recs, 2)
-		red := Reduce(GroupBy(ds, func(p core.Pair[int64, int64]) int64 { return p.Key }).WithParallelism(2),
-			func(a, b core.Pair[int64, int64]) core.Pair[int64, int64] { return core.KV(a.Key, a.Value+b.Value) })
-		if _, err := Collect(red); err != nil {
-			t.Fatal(err)
+		spills, bytes, refused := e.Metrics().SpillCount.Load(), e.Metrics().SpillBytes.Load(), refusedGrants(e)
+		if spills != refused || (refused > 0) != c.spills || (bytes > 0) != c.spills {
+			t.Errorf("%s: %d spills of %d bytes for %d refused grants, want spills = %v, one per refusal",
+				c.strategy, spills, bytes, refused, c.spills)
 		}
-		return e.Metrics().SpillCount.Load()
 	}
-	sortSpills := spills("sort")
-	hashSpills := spills("hash")
-	if hashSpills >= sortSpills {
-		t.Errorf("hash combine (%d spills) should flush less than sort combine (%d) — the strategy Flink was investigating", hashSpills, sortSpills)
+}
+
+// TestReduceFoldsKeysDrainedMidStream: a key that left a producer's table in
+// a pressure drain and then arrived again reaches the consumer more than
+// once; the reduce-side fold still yields one record per key, with the whole
+// sum.
+func TestReduceFoldsKeysDrainedMidStream(t *testing.T) {
+	const keys, rounds = 3 * keysPerSegment, 4
+	recs := make([]core.Pair[int64, int64], 0, keys*rounds)
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < keys; k++ {
+			recs = append(recs, core.KV(int64(k), int64(1)))
+		}
+	}
+	got, e := reduceUnderOneSegment(t, "sort", recs)
+	if spills, out := e.Metrics().SpillCount.Load(), e.Metrics().CombineOutputRecs.Load(); spills == 0 || out <= keys {
+		t.Fatalf("%d spills, %d combined records for %d keys: no table drained mid-stream", spills, out, keys)
+	}
+	if len(got) != keys {
+		t.Fatalf("%d records for %d keys", len(got), keys)
+	}
+	for _, p := range got {
+		if p.Value != rounds {
+			t.Fatalf("key %d sums to %d, want %d", p.Key, p.Value, rounds)
+		}
 	}
 }
 

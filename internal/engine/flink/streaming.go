@@ -36,7 +36,7 @@ type Processor[T any] interface {
 // backpressure and no sort barrier.
 func KeyedProcess[T, U any](parent *DataSet[T], label string, q int, route func(T) int,
 	newProc func(part int, emit func(batch []U) error) Processor[T]) *DataSet[U] {
-	return newExchange[T, U](parent, label, core.OpGroupBy, q, route, nil,
+	return newExchange[T, U](parent, label, core.OpGroupBy, q, route, nil, nil,
 		func(part int, out partSink[U]) recordConsumer[T] {
 			proc := newProc(part, out.push)
 			return recordConsumer[T]{

@@ -59,12 +59,17 @@
 // (TestSortWriterReusesScratchAcrossSpills); a cut's result is valid until the
 // next cut, and a spill has encoded it by then.
 //
-// # Map-side combining
+// # Combining: one table, three engines
 //
-// There is one pairwise combine in the core, and both strategies use it: a
-// writer whose Spec sets Merge folds each record into its key's entry of an
-// open-addressed combine table the moment it arrives (Spark's
-// PartitionedAppendOnlyMap: fold on insert, spill the map, not the input).
+// There is one pairwise combine in the core, both strategies use it, and no
+// engine keeps a keyed fold of its own. Spark's map-side combine is a writer
+// with Merge set; so is flink's GroupCombine — the writer each producing
+// subtask of a keyed exchange owns, its table charged to managed memory
+// through Env.Mem; mapreduce's writers hold their arrivals in the same table
+// (table.go) and group them through its key index. A writer whose Spec sets
+// Merge folds each record into its key's entry of an open-addressed combine
+// table the moment it arrives (Spark's PartitionedAppendOnlyMap: fold on
+// insert, spill the map, not the input).
 // What such a writer holds is therefore one record per distinct key, in
 // first-seen order, and everything downstream sees exactly that: SpillRecs,
 // SpillBytes and the Env.Mem grants count held entries — as Spark's
@@ -80,6 +85,13 @@
 // combined again across runs, pairwise or run-level as the Spec says;
 // unordered runs concatenate, so a key spilled twice reaches the reducer
 // twice, which folds by key anyway.
+//
+// The reducer's fold is the same table: Fold adds decoded batches and drains
+// one record per key in first-seen order. Spark's aggregation over fetched
+// segments (FoldFirstSeen) and flink's GroupReduce consumer, fed packet by
+// packet as its exchange delivers them, both call it. Combine counters
+// (CombineInputRecords, CombineOutputRecs) are added once per writer at Close
+// or once per cut, never per record.
 //
 // # Strategy matrix (engine × strategy)
 //

@@ -28,25 +28,39 @@ func DecodeBlocks[R any](set Settings, codec serde.Codec[R], blocks []Block) ([]
 	return out, nil
 }
 
+// Fold is the one reduce-side keyed fold, over the combine table the writers
+// fold with map-side: Add folds decoded batches in as they arrive (merge
+// joins a record to the entry that hash and same find for its key), Drain
+// hands back one record per key in the order the keys were first seen. Spark's
+// aggregation over fetched segments (FoldFirstSeen) and flink's GroupReduce
+// consumer, which adds packets as its exchange delivers them, are both this.
+type Fold[R any] struct {
+	t combineTable[R]
+}
+
+// NewFold builds an empty fold. hash and same are the key's, merge the
+// combiner's, as on a Spec.
+func NewFold[R any](hash func(R) uint64, same func(a, b R) bool, merge func(a, b R) R) *Fold[R] {
+	return &Fold[R]{t: combineTable[R]{hash: hash, same: same, merge: merge}}
+}
+
+// Add folds a batch in. The slice is only read during the call.
+func (f *Fold[R]) Add(batch []R) { f.t.addAll(batch) }
+
+// Drain returns the folded records, which become the caller's, and leaves
+// the fold empty.
+func (f *Fold[R]) Drain() []R { return f.t.take() }
+
 // FoldFirstSeen is the hash reduce-side merge: pairs fold per key with
 // merge, keys keep the order they were first seen across segments — the
 // reduce path Spark's aggregation uses for combined shuffles.
 func FoldFirstSeen[K comparable, C any](segs [][]core.Pair[K, C], merge func(C, C) C) []core.Pair[K, C] {
-	merged := make(map[K]C)
-	var order []K
+	f := NewFold(
+		func(p core.Pair[K, C]) uint64 { return core.HashKey(p.Key) },
+		func(a, b core.Pair[K, C]) bool { return a.Key == b.Key },
+		func(a, b core.Pair[K, C]) core.Pair[K, C] { return core.KV(a.Key, merge(a.Value, b.Value)) })
 	for _, seg := range segs {
-		for _, rec := range seg {
-			if acc, ok := merged[rec.Key]; ok {
-				merged[rec.Key] = merge(acc, rec.Value)
-			} else {
-				merged[rec.Key] = rec.Value
-				order = append(order, rec.Key)
-			}
-		}
+		f.Add(seg)
 	}
-	out := make([]core.Pair[K, C], 0, len(order))
-	for _, k := range order {
-		out = append(out, core.KV(k, merged[k]))
-	}
-	return out
+	return f.Drain()
 }

@@ -520,17 +520,81 @@ func TestMergeDuplicateHeavy(t *testing.T) {
 	}
 }
 
+// mapFoldFirstSeen is FoldFirstSeen as it stood before the table: a Go map of
+// accumulators and a slice of keys in first-seen order. The reference the
+// shared fold is held to.
+func mapFoldFirstSeen[K comparable, C any](segs [][]core.Pair[K, C], merge func(C, C) C) []core.Pair[K, C] {
+	merged := make(map[K]C)
+	var order []K
+	for _, seg := range segs {
+		for _, rec := range seg {
+			if acc, ok := merged[rec.Key]; ok {
+				merged[rec.Key] = merge(acc, rec.Value)
+			} else {
+				merged[rec.Key] = rec.Value
+				order = append(order, rec.Key)
+			}
+		}
+	}
+	out := make([]core.Pair[K, C], 0, len(order))
+	for _, k := range order {
+		out = append(out, core.KV(k, merged[k]))
+	}
+	return out
+}
+
+// TestFoldFirstSeen holds the shared reduce-side fold — FoldFirstSeen over
+// whole segments, and a Fold fed the same segments one batch at a time under
+// a hash that makes every key of a length collide — to the map fold, record
+// for record. The merge is not commutative, so the order values fold in is
+// checked too.
 func TestFoldFirstSeen(t *testing.T) {
-	segs := [][]core.Pair[string, int64]{
-		{core.KV("b", int64(1)), core.KV("a", int64(1))},
-		{core.KV("a", int64(2)), core.KV("c", int64(5))},
+	type seg = []core.Pair[string, int64]
+	many := make(seg, 0, 5000)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < cap(many); i++ {
+		many = append(many, core.KV(fmt.Sprintf("k%d", rng.Intn(1500)), int64(i)))
 	}
-	got := FoldFirstSeen(segs, func(a, b int64) int64 { return a + b })
-	want := []core.Pair[string, int64]{
-		core.KV("b", int64(1)), core.KV("a", int64(3)), core.KV("c", int64(5)),
+	cases := []struct {
+		name string
+		segs []seg
+	}{
+		{"first-seen order across segments", []seg{
+			{core.KV("b", int64(1)), core.KV("a", int64(1))},
+			{core.KV("a", int64(2)), core.KV("c", int64(5))}}},
+		{"no segments", nil},
+		{"empty segments", []seg{{}, nil, {}}},
+		{"one key", []seg{{core.KV("x", int64(3))}, {}, {core.KV("x", int64(4)), core.KV("x", int64(5))}}},
+		{"a key first seen in a later segment", []seg{
+			{core.KV("a", int64(1)), core.KV("b", int64(2))},
+			{core.KV("b", int64(3))},
+			{core.KV("z", int64(4)), core.KV("a", int64(5)), core.KV("z", int64(6))}}},
+		{"same-length keys share a full hash", []seg{
+			{core.KV("ab", int64(1)), core.KV("ba", int64(2)), core.KV("ab", int64(3))},
+			{core.KV("cc", int64(4)), core.KV("ba", int64(5)), core.KV("c", int64(6))}}},
+		{"an index that grows", []seg{many[:100], many[100:3000], many[3000:]}},
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("FoldFirstSeen = %v, want %v", got, want)
+	merge := func(a, b int64) int64 { return 31*a + b }
+	for _, c := range cases {
+		want := mapFoldFirstSeen(c.segs, merge)
+		if got := FoldFirstSeen(c.segs, merge); !slices.Equal(got, want) {
+			t.Errorf("%s: FoldFirstSeen = %v, the map fold gives %v", c.name, got, want)
+		}
+		f := NewFold(
+			func(p core.Pair[string, int64]) uint64 { return uint64(len(p.Key)) },
+			func(a, b core.Pair[string, int64]) bool { return a.Key == b.Key },
+			func(a, b core.Pair[string, int64]) core.Pair[string, int64] {
+				return core.KV(a.Key, merge(a.Value, b.Value))
+			})
+		for _, seg := range c.segs {
+			f.Add(seg)
+		}
+		if got := f.Drain(); !slices.Equal(got, want) {
+			t.Errorf("%s: a Fold under colliding hashes drains %v, the map fold gives %v", c.name, got, want)
+		}
+		if left := f.Drain(); len(left) != 0 {
+			t.Errorf("%s: a drained Fold still holds %v", c.name, left)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package shuffle
 
 import "math/bits"
 
-// combineTable is the one pairwise map-side combine in the shuffle core —
-// Spark's PartitionedAppendOnlyMap in miniature. A record folds into its
-// key's entry the moment it arrives, so a writer holds (and counts against
+// combineTable is the one pairwise keyed fold in the shuffle core, under all
+// three engines: the writers' map-side combine and, behind Fold, the reduce
+// side's — Spark's PartitionedAppendOnlyMap in miniature. A record folds into
+// its key's entry the moment it arrives, so a writer holds (and counts against
 // its thresholds and memory grants, partitions, sorts and spills) one record
 // per distinct key instead of every arrival. Entries are dense and stay in
 // first-seen order; an open-addressed index over Spec.Hash finds them, and
@@ -110,6 +111,14 @@ func (t *combineTable[R]) reset() {
 	t.entries = t.entries[:0]
 	t.hashes = t.hashes[:0]
 	clear(t.slots)
+}
+
+// take hands the entries over to the caller and leaves the table empty.
+func (t *combineTable[R]) take() []R {
+	out := t.entries
+	t.entries = nil
+	t.reset()
+	return out
 }
 
 // groupByKey reorders a run so records of equal keys are adjacent — keys in

@@ -154,3 +154,96 @@ func sumRuns(t *testing.T, name string) func(run []core.Pair[string, int64]) []c
 		return out
 	}
 }
+
+// FuzzCombineTable drives the table all three engines fold through with
+// arbitrary byte keys under a hash of at most four values, so every probe
+// chain is crowded with distinct keys that must not merge, and holds its
+// entries — contents and first-seen order — to a Go-map fold. The input is a
+// list of operations: 0xF0 resets the table, 0xF1 doubles its index ahead of
+// need (up to 65 536 slots), 0xF2 takes its entries away; any other byte is a key's length (low
+// four bits) followed by the key, added on its own when bit 4 is set and
+// otherwise gathered with its neighbours into one addAll. The merge is not
+// commutative, so a fold in the wrong order shows.
+func FuzzCombineTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x01a\x01b\x01a\x11a\x02ab\x02ba\x12ab"))
+	f.Add([]byte("\x01a\xf0\x01b\x01a\xf1\x01a\xf2\x01b\xf1\xf1\x11b"))
+	f.Add([]byte("\x00\x10\x00\xf2\x00\x04word\x14word\x05words"))
+	wide := []byte{0xF1}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 600; i++ {
+		k := fmt.Sprintf("%d", rng.Intn(200))
+		wide = append(append(wide, byte(len(k))|byte(rng.Intn(2))<<4), k...)
+		if i%250 == 249 {
+			wide = append(wide, 0xF0)
+		}
+	}
+	f.Add(wide)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type rec = core.Pair[string, int64]
+		merge := func(a, b int64) int64 { return 31*a + b }
+		tab := combineTable[rec]{
+			hash:  func(p rec) uint64 { return uint64(len(p.Key)) & 3 },
+			same:  func(a, b rec) bool { return a.Key == b.Key },
+			merge: func(a, b rec) rec { return core.KV(a.Key, merge(a.Value, b.Value)) },
+		}
+		want := map[string]int64{}
+		var order []string
+		var batch []rec
+		check := func(got []rec) {
+			t.Helper()
+			if len(got) != len(order) {
+				t.Fatalf("%d entries for %d distinct keys", len(got), len(order))
+			}
+			for i, e := range got {
+				if e.Key != order[i] || e.Value != want[e.Key] {
+					t.Fatalf("entry %d is %q = %d, the map fold has %q = %d there", i, e.Key, e.Value, order[i], want[order[i]])
+				}
+			}
+		}
+		forget := func() {
+			clear(want)
+			order = order[:0]
+		}
+		for n := int64(0); len(data) > 0; n++ {
+			op := data[0]
+			data = data[1:]
+			if op < 0xF0 {
+				k := min(int(op&15), len(data))
+				r := core.KV(string(data[:k]), n)
+				data = data[k:]
+				if acc, ok := want[r.Key]; ok {
+					want[r.Key] = merge(acc, r.Value)
+				} else {
+					want[r.Key] = r.Value
+					order = append(order, r.Key)
+				}
+				if op&16 == 0 {
+					batch = append(batch, r)
+					continue
+				}
+				tab.addAll(batch)
+				batch = batch[:0]
+				tab.add(r)
+				continue
+			}
+			tab.addAll(batch)
+			batch = batch[:0]
+			switch op {
+			case 0xF0:
+				check(tab.entries)
+				tab.reset()
+				forget()
+			case 0xF1:
+				if len(tab.slots) < 1<<16 { // a run of these must not double the index without bound
+					tab.grow()
+				}
+			case 0xF2:
+				check(tab.take())
+				forget()
+			}
+		}
+		tab.addAll(batch)
+		check(tab.entries)
+	})
+}

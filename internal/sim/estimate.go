@@ -48,7 +48,14 @@ import (
 //     constants were scaled once more when output partitions came to be
 //     written inside tasks (TeraSort cells had moved to 1.3-2.3× under the
 //     estimate; after it spark 0.10-0.19, flink 0.16-0.20, mapreduce
-//     0.11-0.20 over two sweeps).
+//     0.11-0.20 over two sweeps). Flink's aggregate, sorted-aggregate,
+//     channel and cardinality constants were re-read once more when its
+//     GroupCombine and GroupReduce moved into the shuffle core's combine
+//     table (each constant's comment has the rows): in six sweeps alternated
+//     with the state before, on a box a tenth faster than the constants'
+//     own session, its |est/meas − 1| median over per-cell medians is 0.20
+//     against 0.21 before the change (0.66 with the old constants); spark
+//     and mapreduce are not on the changed path.
 //   - [MECH] structural, not fitted.
 const (
 	// Fixed part of a job's cost line. [ANCHOR ext10] mean intercept of an
@@ -65,6 +72,14 @@ const (
 	// 192 KiB TeraSort from spark/sort, where it measures third: flink
 	// 1.8-1.95 ms, spark/sort/p=2 2.46, mapreduce/sort/p=2 2.67 (medians of
 	// five best-of-7 sweeps).
+	// With flink's GroupCombine in the shuffle core's table its WordCount
+	// intercepts read 3.2, 2.9, 2.2, 3.2 → 2.2, 2.6, 1.6, 2.5 ms (eight sweeps
+	// alternated with the state before; 3.5, 2.4, 2.1, 3.0 → 1.6, 2.0, 1.8,
+	// 2.3 in six more) and its TeraSort ones stayed at -0.1…-0.6: the mean of
+	// the eight moved 1.2 → 0.95 and 1.26 → 0.8 in a session a tenth faster
+	// than the one the 1.5 was read in, which puts the rule's value at 1.0-1.2
+	// — inside the ±1 ms an intercept scatters by. Kept: with 1.5 the 192 KiB
+	// WordCount cells read 0.86-0.98 of the measurement, with 1.2 0.80-0.90.
 	estFixedSpark = 0.001
 	estFixedMR    = 0.001
 	estFixedFlink = 0.0015
@@ -90,9 +105,29 @@ const (
 	// 0.88 and 0.97 of before (inside estAggSortCPU's resolution, kept),
 	// mapreduce's to 0.78 and 0.83 (0.0636 → 0.0496, 0.0554 → 0.0461) —
 	// re-fitted, see estAggSortMR.
+	//
+	// Re-read for flink alone when its GroupCombine and GroupReduce came to
+	// fold in the shuffle core's table (no private map[K]T, no per-record
+	// shared counter) and its sorted exchange to order runs on normalized
+	// eight-byte key hashes: eight sweeps alternated with the state before,
+	// per-cell medians, before → after. All four of its WordCount slopes
+	// fell to 0.63-0.64 of before — hash 0.0145 → 0.0093 and 0.0198 → 0.0128,
+	// sort 0.0175 → 0.0112 and 0.0212 → 0.0135 — in a session whose flink
+	// rows ran a tenth under the model to begin with, so the ratio is applied
+	// to the model's slopes (0.0165, 0.0210, 0.0190, 0.0235 → 0.0106, 0.0134,
+	// 0.0122, 0.0150) and the constants solved from those by the rules above:
+	// estFlinkChanCPU (0.0134 - 0.0106) / 6, this one 0.0106 less I/O less
+	// two channels, estAggSortFlink the sort rows less the hash rows. Spark's
+	// and mapreduce's rows are not on the changed path and keep theirs.
 	estAggCPUSpark = 0.021
 	estAggCPUMR    = 0.070
-	estAggCPUFlink = 0.0085
+	estAggCPUFlink = 0.0031
+
+	// What flink's Scan and Iterate shapes are derived from: its aggregate
+	// slope as it stood before the combine moved (0.0085). The sweep covers
+	// neither shape, a scan has no combine to get cheaper and an iteration's
+	// cost is its map, so both keep the estimate they had. [MECH]
+	estMapCPUFlink = 0.0085
 
 	// Sort-shape CPU (map + sort + merge + sink pipeline), same units.
 	// [ANCHOR ext10] TeraSort sort-strategy slopes per engine less I/O.
@@ -172,9 +207,14 @@ const (
 	// 64.6; hash 80.5 → 78.0 and 67.9 → 67.2): the extra hash-minus-sort gap
 	// over the default cardinality moved by -0.3 and +0.5 ms a wave, inside
 	// estCardHashMR's resolution.
+	// Flink's sorted exchange holds the same table as its hash exchange and
+	// cuts it once at end-of-input with the radix run sorter, on the eight
+	// bytes of each entry's key hash: sort minus hash slope 0.0016 at p=2 and
+	// at p=8 (see estAggCPUFlink for the sweeps; it was +0.0025 while runs
+	// were ordered by a comparator that hashed both keys on every call).
 	estAggSortCPU   = -0.004
 	estAggSortMR    = -0.031
-	estAggSortFlink = 0.0025
+	estAggSortFlink = 0.0016
 	// TeraSort hash minus sort slopes: spark 0.0023 and 0.0017, mapreduce
 	// 0.0015 and 0.0020.
 	estResortCPU = 0.002
@@ -197,8 +237,11 @@ const (
 	// consumers → more channels and more per-packet work. Wall-seconds per
 	// input MiB per unit of parallelism. [ANCHOR ext10] WordCount p sweep:
 	// (p=8 slope − p=2 slope) / 6: 0.0015 under hash (0.0209 → 0.0299) and
-	// nil under sort (0.0241 → 0.0240), mean 0.00075.
-	estFlinkChanCPU = 0.00075
+	// nil under sort (0.0241 → 0.0240), mean 0.00075. With the combine in
+	// the shuffle core both strategies pay it, and less of it: 0.0006 under
+	// hash, 0.0004 under sort, 0.0005 after the session's ratio (see
+	// estAggCPUFlink).
+	estFlinkChanCPU = 0.0005
 
 	// LZ shuffle compression: CPU cost per input MiB pushed through the
 	// codec vs wire bytes halved. At laptop scale the in-memory "network"
@@ -245,8 +288,14 @@ const (
 	//     cardinality too (estAggSortMR) and the extra gap reads +1.5 and
 	//     -0.7 ms a wave in six sweeps, +1.9 and +1.2 in three later ones:
 	//     clear at p=2, inside the noise at p=8, mean 1.0 over 0.1875 MiB.
+	//     Flink's four rows fell to 0.66-0.67 of before with its combine in
+	//     the shuffle core (62.2, 59.2, 64.9, 61.6 → 41.1, 39.8, 42.9, 41.2
+	//     ms over four waves; the model's rows times those ratios, less the
+	//     terms above as re-read: 0.0348…0.0357) — a record that finds no
+	//     entry to fold into no longer pays a Go map insert and a shared
+	//     counter on its way to the exchange, and costs 1.4× spark's.
 	estCardCPUSpark = 0.025
-	estCardCPUFlink = 0.060
+	estCardCPUFlink = 0.035
 	estCardHashMR   = 0.005
 
 	// MapReduce's barriered reduce phase parallelizes the hash-bucket
@@ -528,9 +577,11 @@ func estFlinkCPU(s EstShape) float64 {
 	case EstSort:
 		return estSortCPUFlink
 	case EstScan:
-		return estAggCPUFlink * estScanFactor
-	default:
+		return estMapCPUFlink * estScanFactor
+	case EstAggregate:
 		return estAggCPUFlink
+	default:
+		return estMapCPUFlink
 	}
 }
 
