@@ -77,6 +77,11 @@ bench-tiny:
 # Benchmark* name from bench_test.go) under the same pinned GOGC as
 # bench-smoke. Inspect with `go tool pprof cpu.pprof` / `go tool pprof
 # mem.pprof`; go test leaves the test binary, repro.test, beside them.
+# The scan path: `make profile PROFILE_BENCH=EngineGrepSpark` (or
+# EngineGrepFlink, EngineGrepMapReduce), then `go tool pprof -top cpu.pprof` —
+# the job is strings.Contains plus the dfs line cursor ((*lineCursor).next and
+# its IndexByte); a runtime.memmove, countbody or memclrNoHeapPointers under
+# internal/dfs means a source went back to copying or pre-counting a split.
 PROFILE_BENCH ?= EngineWordCountSpark
 PROFILE_TIME ?= 5s
 profile:
@@ -114,14 +119,15 @@ bench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>[,<name>...]|all"; exit 2; }
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
 
-# Short fuzz smoke over the byte decoders and the sort kernel: each fuzz
-# target runs for a few seconds on top of its seeded corpus (row decode
-# robustness, normalized-key order agreement, the batch wire format
-# round-trip, arbitrary bytes into derived struct/slice/map decoders,
-# arbitrary keys through the shuffle's run sorter against a stable sort, and
+# Short fuzz smoke over the byte decoders, the sort kernel and the split
+# reader: each fuzz target runs for a few seconds on top of its seeded corpus
+# (row decode robustness, normalized-key order agreement, the batch wire
+# format round-trip, arbitrary bytes into derived struct/slice/map decoders,
+# arbitrary keys through the shuffle's run sorter against a stable sort,
 # arbitrary keys and resets through the combine table every engine folds with
-# against a map fold). CI runs this on every push; longer local sessions just
-# raise -fuzztime.
+# against a map fold, and arbitrary bytes × block size × buffer length through
+# the dfs line reader every text source streams against bytes.Split). CI runs
+# this on every push; longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
@@ -130,3 +136,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle
+	$(GO) test -run '^$$' -fuzz '^FuzzLineBatches$$' -fuzztime $(FUZZTIME) ./internal/dfs

@@ -245,7 +245,195 @@ func borrowJoin(s *dataflow.Session, d *dataflow.Dataset[kv], chainLeft bool) (s
 	return fmt.Sprint(rows), nil
 }
 
+// The same contract starts at the file sources: TextFile and BinaryFile
+// stream a split through one reader buffer per task, so a consumer sitting
+// directly on a source — no narrow operator between — is lent that buffer and
+// must have copied, folded or encoded it before it returns. The records
+// themselves are views of the stored file and may be kept. Each source row
+// below is held to a reference computed from a plain strings.Split (or a
+// fixed-width cut) of the input, over splits of ten and more batches.
+
+const (
+	sourceRecords = 12000 // ≤ 6 bytes each over 16 KiB blocks: ≈ 2700 a split, ≥ 10 batches at width 256
+	sourceRecSize = 6
+)
+
+// sourceInputs returns the text and fixed-width inputs — the same values,
+// with duplicates, one a line and one a record.
+func sourceInputs() (text, bin []byte) {
+	for i := 0; i < sourceRecords; i++ {
+		text = fmt.Appendf(text, "%d\n", i*7919%5003)
+		bin = fmt.Appendf(bin, "%06d", i*7919%5003)
+	}
+	return text, bin
+}
+
+func sortedStrings(recs []string) string {
+	recs = slices.Clone(recs)
+	sort.Strings(recs)
+	return strings.Join(recs, ",")
+}
+
+// sourceConsumer runs one consumer kind directly over the file source src of
+// records T, rendered by str, and says what a plain cut of the input — ref,
+// in file order — makes it produce.
+type sourceConsumer[T any] struct {
+	name   string
+	native bool
+	run    func(s *dataflow.Session, src *dataflow.Dataset[T]) (string, error)
+	want   func(ref []string) string
+}
+
+// sourceConsumers lists the consumer kinds every source is run into. str
+// renders a record as the string the reference holds for it; parse is its
+// inverse.
+func sourceConsumers[T any](str func(T) string, parse func(string) T) []sourceConsumer[T] {
+	render := func(recs []T) []string {
+		out := make([]string, len(recs))
+		for i, r := range recs {
+			out[i] = str(r)
+		}
+		return out
+	}
+	return []sourceConsumer[T]{
+		{name: "Collect",
+			run: func(s *dataflow.Session, src *dataflow.Dataset[T]) (string, error) {
+				recs, err := dataflow.Collect(src)
+				return sortedStrings(render(recs)), err
+			},
+			want: sortedStrings},
+		{name: "Count",
+			run: func(s *dataflow.Session, src *dataflow.Dataset[T]) (string, error) {
+				n, err := dataflow.Count(src)
+				return fmt.Sprint(n), err
+			},
+			want: func(ref []string) string { return fmt.Sprint(len(ref)) }},
+		{name: "Cached read by two actions",
+			run: func(s *dataflow.Session, src *dataflow.Dataset[T]) (string, error) {
+				src.Cached()
+				first, err := dataflow.Collect(src)
+				if err != nil {
+					return "", err
+				}
+				n, err := dataflow.Count(src)
+				if err != nil {
+					return "", err
+				}
+				second, err := dataflow.Collect(src)
+				return fmt.Sprint(sortedStrings(render(first)), n, sortedStrings(render(second))), err
+			},
+			want: func(ref []string) string { return fmt.Sprint(sortedStrings(ref), len(ref), sortedStrings(ref)) }},
+		{name: "SaveAsText",
+			run: func(s *dataflow.Session, src *dataflow.Dataset[T]) (string, error) {
+				if err := dataflow.SaveAsText(src, "source-out"); err != nil {
+					return "", err
+				}
+				f, err := s.FS().Open("source-out")
+				if err != nil {
+					return "", err
+				}
+				return sortedStrings(strings.Split(strings.TrimSuffix(string(f.Contents()), "\n"), "\n")), nil
+			},
+			want: func(ref []string) string {
+				printed := make([]string, len(ref))
+				for i, r := range ref {
+					printed[i] = fmt.Sprint(parse(r))
+				}
+				return sortedStrings(printed)
+			}},
+		{name: "SortByKey after MapToPair",
+			run: func(s *dataflow.Session, src *dataflow.Dataset[T]) (string, error) {
+				pairs := dataflow.MapToPair(src, func(v T) core.Pair[string, int64] { return core.KV(str(v), int64(len(str(v)))) })
+				part := core.NewRangePartitioner(3, []string{"2", "4", "6", "8"}, func(a, b string) bool { return a < b })
+				recs, err := dataflow.Collect(dataflow.SortByKey(pairs, part))
+				if !sort.SliceIsSorted(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key }) {
+					return "", errors.New("SortByKey output is not in key order")
+				}
+				keys := make([]string, len(recs))
+				for i, p := range recs {
+					keys[i] = fmt.Sprint(p.Key, ":", p.Value)
+				}
+				return strings.Join(keys, ","), err
+			},
+			want: func(ref []string) string {
+				keys := slices.Clone(ref)
+				sort.Strings(keys)
+				for i, k := range keys {
+					keys[i] = fmt.Sprint(k, ":", len(k))
+				}
+				return strings.Join(keys, ",")
+			}},
+	}
+}
+
+// textDistinct is the engines' own Distinct directly over the text source.
+var textDistinct = sourceConsumer[string]{name: "Distinct", native: true,
+	run: func(s *dataflow.Session, src *dataflow.Dataset[string]) (string, error) {
+		var out []string
+		var err error
+		if s.Name() == "spark" {
+			var r *spark.RDD[string]
+			if r, err = dataflow.SparkRDDOf(src); err == nil {
+				out, err = spark.Collect(spark.Distinct(r))
+			}
+		} else {
+			var ds *flink.DataSet[string]
+			if ds, err = dataflow.FlinkDataSetOf(src); err == nil {
+				out, err = flink.Collect(flink.Distinct(ds, func(v string) string { return v }))
+			}
+		}
+		return sortedStrings(out), err
+	},
+	want: func(ref []string) string {
+		ref = slices.Clone(ref)
+		sort.Strings(ref)
+		return strings.Join(slices.Compact(ref), ",")
+	}}
+
+// runSourceConsumers holds every row to its reference on every engine and
+// width; open builds the source over the session's copy of the input.
+func runSourceConsumers[T any](t *testing.T, what string, rows []sourceConsumer[T], ref []string,
+	open func(s *dataflow.Session) *dataflow.Dataset[T]) {
+	for _, engine := range dataflow.Names() {
+		for _, c := range rows {
+			if c.native && engine == "mapreduce" {
+				continue
+			}
+			want := c.want(ref)
+			for _, width := range []int{1, 3, 256} {
+				s := vectorSession(t, engine, width)
+				got, err := c.run(s, open(s))
+				if err != nil {
+					t.Fatalf("%s, %s on %s, width %d: %v", engine, c.name, what, width, err)
+				}
+				if got != want {
+					t.Errorf("%s, %s on %s, width %d: the source's consumer produced\n%.300s\na plain cut of the input gives\n%.300s",
+						engine, c.name, what, width, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestConsumersCopyBorrowedBatches(t *testing.T) {
+	text, bin := sourceInputs()
+	same := func(v string) string { return v }
+	lines := strings.Split(strings.TrimSuffix(string(text), "\n"), "\n")
+	recs := make([]string, 0, sourceRecords)
+	for off := 0; off < len(bin); off += sourceRecSize {
+		recs = append(recs, string(bin[off:off+sourceRecSize]))
+	}
+	runSourceConsumers(t, "TextFile", append(sourceConsumers(same, same), textDistinct), lines,
+		func(s *dataflow.Session) *dataflow.Dataset[string] {
+			s.FS().WriteFile("source-text", text)
+			return dataflow.TextFile(s, "source-text")
+		})
+	runSourceConsumers(t, "BinaryFile", sourceConsumers(func(v []byte) string { return string(v) }, func(r string) []byte { return []byte(r) }), recs,
+		func(s *dataflow.Session) *dataflow.Dataset[[]byte] {
+			s.FS().WriteFile("source-bin", bin)
+			return dataflow.BinaryFile(s, "source-bin", sourceRecSize)
+		})
+
 	for _, engine := range dataflow.Names() {
 		for _, c := range borrowConsumers {
 			if c.native && engine == "mapreduce" {
@@ -303,6 +491,43 @@ func TestKeptBatchIsOverwritten(t *testing.T) {
 		if slices.Equal(slices.Concat(kept[p]...), copied[p]) {
 			t.Errorf("partition %d: every kept batch still holds its own records; batches are not borrowed scratch any more, and TestConsumersCopyBorrowedBatches no longer proves anything", p)
 		}
+	}
+}
+
+// TestKeptSourceBatchIsOverwritten is the same sensitivity check at the
+// source: the slices a file source lends are its reader's one buffer, so a
+// consumer that keeps them finds later lines in them — while the lines it
+// copied out of them stay what they were, being views of the stored file.
+func TestKeptSourceBatchIsOverwritten(t *testing.T) {
+	s := vectorSession(t, "flink", 3)
+	text, _ := sourceInputs()
+	s.FS().WriteFile("source-text", text)
+	ds, err := dataflow.FlinkDataSetOf(dataflow.TextFile(s, "source-text"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([][][]string, ds.Parallelism())
+	copied := make([][]string, ds.Parallelism())
+	err = flink.ForEach(ds, "keep", func(p int, batch []string) error {
+		kept[p] = append(kept[p], batch)
+		copied[p] = append(copied[p], batch...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []string
+	for p := range kept {
+		if len(kept[p]) < 10 {
+			t.Fatalf("subtask %d read its splits in %d batches; the source should stream many", p, len(kept[p]))
+		}
+		if slices.Equal(slices.Concat(kept[p]...), copied[p]) {
+			t.Errorf("subtask %d: every kept batch still holds its own lines; source batches are not the reader's buffer any more, and the source rows of TestConsumersCopyBorrowedBatches no longer prove anything", p)
+		}
+		all = append(all, copied[p]...)
+	}
+	if want := strings.Split(strings.TrimSuffix(string(text), "\n"), "\n"); sortedStrings(all) != sortedStrings(want) {
+		t.Error("the lines copied out of the source's batches are not the file's lines")
 	}
 }
 

@@ -50,6 +50,16 @@
 // back by the driver on mapreduce. A wordcount map task therefore holds one
 // batch of (word, 1) pairs at a time, not the 1.4 M its split expands to.
 //
+// The stream starts at the source. TextFile and BinaryFile read a split the
+// way Hadoop's record readers do — one pass, exec.batch.size records at a
+// time, through one buffer per task — so the batches a source pushes, into a
+// kernel or straight into an action, are borrowed on the same terms, and no
+// engine holds a split's lines as a slice unless something above asks for
+// the partition whole. The records in a source's batches are views of the
+// stored file: lines and fixed-width records alias DFS storage, which is
+// write-once (package dfs), so they may be kept for as long as they are
+// needed and must not be written through.
+//
 // The sinks run where Table I puts the last operator of a plan, inside the
 // parallel tasks. SaveBytes takes an append-style encoder,
 //

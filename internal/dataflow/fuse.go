@@ -32,17 +32,25 @@ import (
 // consumer (both boxed as any), func(*recBatch[U])→func(*recBatch[T]), and
 // composing steps from the chain's tail to its root yields one closure from
 // the root's record type to the final sink. The root-side typed work —
-// cutting a []R partition into batches, fetching the root's engine rep — is
-// captured when the chain starts, where R is statically known, so execution
-// does one type assertion per partition and none per record.
+// cutting a []R the root pushed into batches, fetching the root's engine
+// rep — is captured when the chain starts, where R is statically known, so
+// execution does one type assertion per stream and none per push or record.
 //
 // Who owns a batch. Engines see a single contract (engineKernel):
 // they instantiate the kernel once per serial record stream around their
-// sink, func([]U) error, and push each boxed []R the root yields through the
+// sink, func([]U) error, and push each []R the root yields through the
 // instance. The sink receives compacted, non-empty batches that are BORROWED
 // until the call returns: the storage is an operator's scratch and the next
 // batch overwrites it, so a sink folds, encodes or copies what it keeps and
-// never holds the slice. The sink is the stream's real consumer — spark's
+// never holds the slice. The contract starts at the source: TextFile and
+// BinaryFile stream a split exec.batch.size records at a time through one
+// reader buffer per task (dfs.File.LineBatches / FixedRecordBatches), so what
+// the root pushes — into a kernel, or straight into a consumer when no
+// narrow operator sits between — is borrowed on the same terms, and a split
+// is never a slice either. Only the slices are borrowed. The records in them
+// are the consumer's to keep: a chain's outputs are values, and a file
+// source's lines and records are views of the stored file, which is never
+// written again (package dfs). The sink is the stream's real consumer — spark's
 // shuffle map writer or folding action, flink's downstream partSink
 // (exchange writer, combiner, sorter, action), mapreduce's map function in
 // the map task — so the chain's output never exists as a collection between
@@ -52,11 +60,12 @@ import (
 // first error ends the stream: later batches are not delivered, the driver
 // stops cutting input, and every push reports that error.
 //
-// Where a partition is still gathered, and why: on spark when the fused RDD
-// is persisted (the block manager stores whole partitions) or when its
-// consumer is an operator or action that takes a partition as a slice
-// (Collect, ForeachPartition, an unfused narrow child) — FusedNarrow's
-// compute, the one place a kernel sink appends to a whole-partition slice;
+// Where a partition is still gathered, and why: on spark when a streaming
+// RDD (a fused chain, a file source) is persisted (the block manager stores
+// whole partitions) or when its consumer is an operator or action that takes
+// a partition as a slice (Collect, ForeachPartition, an unfused narrow
+// child) — the compute newStreamRDD derives, the one place a stream's sink
+// appends to a whole-partition slice;
 // on flink where an operator is a pipeline breaker by definition
 // (SortPartition, an iteration's superstep result, Collect); on mapreduce
 // only where the driver reads a job's output back (collect, the iteration's
@@ -84,10 +93,11 @@ func (b *recBatch[T]) forEachLive(fn func(T)) {
 	}
 }
 
-// erasedLoad is a type-erased mrFrag load: the split count, each(i, yield)
-// pushing split i's records to yield as boxed []R batches when called,
-// preferred nodes and the charged input bytes.
-type erasedLoad = func() (n int, each func(i int, yield func(recs any) error) error, pref func(int) int, bytes int64, err error)
+// erasedLoad is a type-erased mrFrag load: the split count, each(i, push)
+// pushing split i's []R batches to push — a kernel instance's push side, a
+// boxed func([]R) error — when called, preferred nodes and the charged input
+// bytes.
+type erasedLoad = func() (n int, each func(i int, push any) error, pref func(int) int, bytes int64, err error)
 
 // fchain records the fusible narrow chain ending at its owning dataset.
 type fchain struct {
@@ -99,10 +109,13 @@ type fchain struct {
 	// Compiled once per serial record stream, so per-instance scratch is
 	// single-threaded.
 	compile func(sink any) any
-	// drive cuts a boxed []R into width-record batches (subslice views,
-	// no copying) and feeds each to a boxed func(*recBatch[R]), stopping
-	// once *failed is set (the kernel's sink reported an error).
-	drive func(recs, feed any, width int, failed *error)
+	// driver builds one kernel instance's push side around its compiled
+	// feed (a boxed func(*recBatch[R])): push, a func([]R) error boxed as
+	// any, cuts the slice it is handed into width-record batches (subslice
+	// views, no copying) and feeds each through the instance's one
+	// recBatch, stopping once *failed is set (the kernel's sink reported an
+	// error), which it returns. A push allocates nothing.
+	driver func(feed any, width int, failed *error) (push any)
 	// Root engine-rep accessors, captured where R is known. Lowering the
 	// root goes through repOf, so shared roots still lower exactly once.
 	sparkRoot func() (any, error)
@@ -115,18 +128,16 @@ func newChain[R any](root *Dataset[R], node *Node, step func(sink any) any) *fch
 	return &fchain{
 		nodes:   []*Node{node},
 		compile: step,
-		drive: func(recs, feed any, width int, failed *error) {
-			rs := recs.([]R)
+		driver: func(feed any, width int, failed *error) any {
 			fd := feed.(func(*recBatch[R]))
 			b := &recBatch[R]{}
-			for i := 0; i < len(rs) && *failed == nil; i += width {
-				j := i + width
-				if j > len(rs) {
-					j = len(rs)
+			return func(rs []R) error {
+				for i := 0; i < len(rs) && *failed == nil; i += width {
+					b.recs = rs[i:min(i+width, len(rs))]
+					b.sel = nil
+					fd(b)
 				}
-				b.recs = rs[i:j]
-				b.sel = nil
-				fd(b)
+				return *failed
 			}
 		},
 		sparkRoot: func() (any, error) { return repOf[*spark.RDD[R]](root) },
@@ -136,14 +147,12 @@ func newChain[R any](root *Dataset[R], node *Node, step func(sink any) any) *fch
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, func(int, func(any) error) error, func(int) int, int64, error) {
+			return func() (int, func(int, any) error, func(int) int, int64, error) {
 				sp, err := in.load()
 				if err != nil {
 					return 0, nil, nil, 0, err
 				}
-				each := func(i int, yield func(any) error) error {
-					return sp.each(i, func(recs []R) error { return yield(recs) })
-				}
+				each := func(i int, push any) error { return sp.each(i, push.(func([]R) error)) }
 				return sp.n, each, sp.pref, sp.bytes, nil
 			}, nil
 		},
@@ -158,7 +167,7 @@ func extendChain[T any](d *Dataset[T], node *Node, step func(sink any) any) *fch
 		return &fchain{
 			nodes:     append(append([]*Node{}, fc.nodes...), node),
 			compile:   func(sink any) any { return fc.compile(step(sink)) },
-			drive:     fc.drive,
+			driver:    fc.driver,
 			sparkRoot: fc.sparkRoot,
 			flinkRoot: fc.flinkRoot,
 			mrRoot:    fc.mrRoot,
@@ -219,40 +228,43 @@ func (s *Session) batchWidth() int {
 // kernel constructor. Called once per serial record stream with the stream's
 // sink — func([]U) error, receiving compacted non-empty batches borrowed
 // until the call returns — it compiles one kernel instance (instances carry
-// per-stream scratch) and returns its push side, which drives one boxed []R
-// the root yielded through the instance and reports the sink's first error.
+// per-stream scratch) and returns its push side: a func([]R) error for the
+// root's record type, boxed as any because U is all this side knows. The
+// engine unboxes it once per stream, where it holds the typed root, and calls
+// it with every batch the root yields — borrowed during the call, however
+// many there are; push drives the batch through the instance and reports the
+// sink's first error. A push allocates nothing: everything an instance needs
+// it allocated when it was compiled.
 // That error is latched: once the sink has failed no batch reaches it again,
 // the driver stops cutting input, and every later push returns the error.
 // The batch kernels are composed with a terminal compaction that emits the
 // batch's own storage when nothing was filtered (zero copy) and otherwise
 // gathers the live records into scratch sized once, at width.
-func engineKernel[U any](fc *fchain, width int) func(sink func([]U) error) (push func(recs any) error) {
-	return func(sink func([]U) error) func(any) error {
-		var failed error
-		var scratch []U
+func engineKernel[U any](fc *fchain, width int) func(sink func([]U) error) (push any) {
+	return func(sink func([]U) error) any {
+		k := &struct { // the instance's state, one allocation
+			failed  error
+			scratch []U
+		}{}
 		feed := fc.compile(func(b *recBatch[U]) {
-			if failed != nil {
+			if k.failed != nil {
 				return
 			}
 			out := b.recs
 			if b.sel != nil {
-				if scratch == nil {
-					scratch = make([]U, 0, width)
+				if k.scratch == nil {
+					k.scratch = make([]U, 0, width)
 				}
-				scratch = scratch[:0]
+				out = k.scratch[:0]
 				for _, i := range b.sel {
-					scratch = append(scratch, b.recs[i])
+					out = append(out, b.recs[i])
 				}
-				out = scratch
 			}
 			if len(out) > 0 {
-				failed = sink(out)
+				k.failed = sink(out)
 			}
 		})
-		return func(recs any) error {
-			fc.drive(recs, feed, width, &failed)
-			return failed
-		}
+		return fc.driver(feed, width, &k.failed)
 	}
 }
 

@@ -26,10 +26,11 @@ import (
 // the narrow chain when it is called, which is inside map task i once a job
 // consumes the frag, so different splits run concurrently — with the splits'
 // preferred nodes and the byte volume the map phase charges as DFS reads. A
-// split arrives in as many batches as its producer makes (a block read or a
-// reduce output is one, a fused chain emits one per kernel batch); each is
-// borrowed until yield returns, and yield's first error ends the split and
-// is what each returns. Nothing between the reader and yield holds a split.
+// split arrives in as many batches as its producer makes (a reduce output is
+// one, a file read and a fused chain emit one per exec.batch.size records);
+// each is borrowed until yield returns, and yield's first error ends the
+// split and is what each returns. Nothing between the reader and yield holds
+// a split.
 type mrSplits[T any] struct {
 	n     int
 	each  func(i int, yield func([]T) error) error
@@ -89,27 +90,34 @@ type mrFrag[T any] struct {
 // mrCluster asserts the session's engine handle.
 func mrCluster(s *Session) *mapreduce.Cluster { return s.handle().(*mapreduce.Cluster) }
 
-// fileFrag reads a DFS file one split per block through read.
-func fileFrag[T any](s *Session, name, what string, read func(f *dfs.File, block int) []T) *mrFrag[T] {
+// fileFrag reads a DFS file one split per block through read, a dfs split
+// reader: the task evaluating split i streams it exec.batch.size records at
+// a time from one buffer of its own, so yield sees that buffer (borrowed)
+// holding views of the stored file (which may be kept).
+func fileFrag[T any](s *Session, name, what string,
+	read func(f *dfs.File, block int, buf []T, yield func([]T) error) error) *mrFrag[T] {
 	c := mrCluster(s)
+	width := s.batchWidth()
 	return &mrFrag[T]{c: c, load: func() (mrSplits[T], error) {
 		f, err := c.FS().Open(name)
 		if err != nil {
 			return mrSplits[T]{}, fmt.Errorf("dataflow: mapreduce %s source: %w", what, err)
 		}
 		return mrSplits[T]{n: f.NumBlocks(), pref: f.PreferredNode, bytes: f.Size(),
-			each: func(i int, yield func([]T) error) error { return yield(read(f, i)) }}, nil
+			each: func(i int, yield func([]T) error) error { return read(f, i, make([]T, width), yield) }}, nil
 	}}
 }
 
 // textFrag reads a DFS file as lines, one split per block.
 func textFrag(s *Session, name string) *mrFrag[string] {
-	return fileFrag(s, name, "text", (*dfs.File).Lines)
+	return fileFrag(s, name, "text", (*dfs.File).LineBatches)
 }
 
 // binaryFrag reads fixed-width records, one split per block.
 func binaryFrag(s *Session, name string, recSize int) *mrFrag[[]byte] {
-	return fileFrag(s, name, "binary", func(f *dfs.File, i int) [][]byte { return f.FixedRecords(i, recSize) })
+	return fileFrag(s, name, "binary", func(f *dfs.File, i int, buf [][]byte, yield func([][]byte) error) error {
+		return f.FixedRecordBatches(i, recSize, buf, yield)
+	})
 }
 
 // sliceFrag splits an in-memory slice with the engine's own rule, so the

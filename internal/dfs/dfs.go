@@ -4,20 +4,40 @@
 // record-boundary conventions) and writes results back through it, so block
 // size and locality behave like the HDFS 2.7 deployment in the paper.
 //
-// A split is read by the task that consumes it: File.Lines(i) and
-// File.FixedRecords(i, n) return one block's records and are called from
-// inside spark's partition compute, flink's source subtasks and
-// mapreduce's map tasks — nothing reads or copies a whole file on the
-// driver. LineSplits and FixedRecordSplits are those readers looped over
-// every block.
+// A split is read by the task that consumes it, as a stream: File.LineBatches
+// and File.FixedRecordBatches walk one block's span once and hand the
+// records to the caller a batch at a time, through a buffer the caller
+// brings. They are called from inside spark's partition stream, flink's
+// source subtasks and mapreduce's map tasks — nothing reads or copies a whole
+// file on the driver, and no reader copies, counts or collects a split: like
+// Hadoop's LineRecordReader, which all three real engines read text through,
+// a read is one pass with one reused buffer. Each format has one splitter
+// (lineCursor, recordCursor); Lines, FixedRecords, ScanLines,
+// ScanFixedRecords and the *Splits forms are that splitter gathered or
+// looped, for callers that want a split whole or a record at a time.
+//
+// Records are views. A line is a string, a fixed-width record a []byte, over
+// the file's own storage: reading allocates and copies nothing, and a record
+// stays valid for as long as anything refers to it, so consumers may keep
+// records (only the batch slice they arrive in is borrowed — it is the
+// caller's buffer, refilled for the next batch). This rests on the file
+// being write-once: WriteFile keeps the buffer it is given, nobody writes
+// that buffer again, and readers never write through a view. Every caller of
+// WriteFile hands over a buffer it built for the purpose and drops —
+// generated inputs (datagen, tests, the benchmark), sink output (WriteParts
+// joins the parts into a fresh buffer), encoded iteration state, streaming
+// log segments, mapreduce's spill runs and shuffle segments (whose pooled
+// blocks pass to the file for good: job cleanup deletes the file and never
+// returns the block to its pool). Overwriting a name stores a new File over
+// a new buffer; views of the old one keep it alive and unchanged.
 package dfs
 
 import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -32,14 +52,16 @@ type FS struct {
 	files       map[string]*File
 }
 
-// File is an immutable stored file.
+// File is an immutable stored file: its bytes never change once written,
+// which is what lets the readers hand out views of them (package comment).
 type File struct {
 	Name   string
 	Blocks []Block
 
 	// data is the buffer the file was written with: block i is
 	// data[i*blockSize:][:len(Blocks[i].Data)], the flat view the per-block
-	// readers use to finish a record that crosses a block boundary.
+	// readers use to finish a record that crosses a block boundary, and the
+	// storage every line and record they yield points into.
 	data      []byte
 	blockSize int
 }
@@ -77,7 +99,9 @@ func (fs *FS) BlockSize() core.ByteSize { return core.ByteSize(fs.blockSize) }
 
 // WriteFile stores data under name, splitting into blocks and placing
 // replicas round-robin. An existing file is replaced, like an overwrite
-// in the paper's per-experiment cleanup.
+// in the paper's per-experiment cleanup. The file keeps data itself, not a
+// copy, and readers hand out views of it: the caller must not write to data
+// afterwards.
 func (fs *FS) WriteFile(name string, data []byte) *File {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -225,30 +249,68 @@ func (f *File) lineSpan(i int) (lo, hi int) {
 	return lo, end + nl
 }
 
-// Lines returns the lines belonging to block i (see lineSpan), without
-// their newlines. It is the reader every engine's text source calls from
-// inside the task that consumes the split. The lines are substrings of one
-// per-block string arena and the slice is sized by counting newlines first,
-// so a block costs two allocations however many lines it holds.
-func (f *File) Lines(i int) []string {
+// lineCursor is the one line splitter: it walks a span of whole lines once,
+// handing out views of the bytes it passes over.
+type lineCursor struct{ rest []byte }
+
+// lineCursorOf returns a cursor over the lines belonging to block i.
+func (f *File) lineCursorOf(i int) lineCursor {
 	lo, hi := f.lineSpan(i)
-	if lo == hi {
-		return nil
-	}
-	arena := string(f.data[lo:hi])
-	n := strings.Count(arena, "\n")
-	if arena[len(arena)-1] != '\n' {
-		n++ // the file's final line has no newline
-	}
-	lines := make([]string, n)
-	for k := range lines {
-		nl := strings.IndexByte(arena, '\n')
-		if nl < 0 {
-			lines[k] = arena
-			break
+	return lineCursor{rest: f.data[lo:hi]}
+}
+
+// next fills buf with the span's next lines, without their newlines, and
+// returns how many it set; 0 means the span is exhausted.
+func (c *lineCursor) next(buf []string) int {
+	rest, n := c.rest, 0
+	for n < len(buf) && len(rest) > 0 {
+		end := bytes.IndexByte(rest, '\n')
+		next := end + 1
+		if end < 0 { // the file's final line has no newline
+			end, next = len(rest), len(rest)
 		}
-		lines[k] = arena[:nl]
-		arena = arena[nl+1:]
+		buf[n] = unsafe.String(unsafe.SliceData(rest), end)
+		n++
+		rest = rest[next:]
+	}
+	c.rest = rest
+	return n
+}
+
+// LineBatches streams the lines belonging to block i (see lineSpan), without
+// their newlines, through buf: it walks the block's span once, fills buf with
+// views of the file's storage, and hands yield the filled prefix — len(buf)
+// lines at a time, fewer in the last batch — until the block is done or yield
+// returns an error, which ends the read and is returned. It is the reader
+// every engine's text source calls from inside the task that consumes the
+// split. Nothing is copied or allocated: the batch slice is buf itself, valid
+// until yield returns, while the lines are views of the stored file (see the
+// package comment) and may be kept.
+func (f *File) LineBatches(i int, buf []string, yield func(lines []string) error) error {
+	if len(buf) == 0 {
+		panic("dfs: LineBatches needs a batch buffer")
+	}
+	c := f.lineCursorOf(i)
+	for n := c.next(buf); n > 0; n = c.next(buf) {
+		if err := yield(buf[:n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gatherBatch is the width of the on-stack buffer the gathering and
+// per-record readers below pull their cursor through.
+const gatherBatch = 64
+
+// Lines returns the lines belonging to block i gathered into one slice, for
+// callers that want a split as a whole.
+func (f *File) Lines(i int) []string {
+	var lines []string
+	var buf [gatherBatch]string
+	c := f.lineCursorOf(i)
+	for n := c.next(buf[:]); n > 0; n = c.next(buf[:]) {
+		lines = append(lines, buf[:n]...)
 	}
 	return lines
 }
@@ -262,19 +324,16 @@ func (f *File) LineSplits() [][]string {
 	return splits
 }
 
-// ScanLines calls fn once per line belonging to block i, passing a borrowed
-// []byte view of the line without its newline — Lines without the string
-// arena: the view aliases file storage and must not be retained or written.
+// ScanLines calls fn once per line belonging to block i, passing a []byte
+// view of the line without its newline: the view aliases file storage and
+// must not be written.
 func (f *File) ScanLines(i int, fn func(line []byte)) {
-	lo, hi := f.lineSpan(i)
-	for rest := f.data[lo:hi]; len(rest) > 0; {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			fn(rest[:len(rest):len(rest)])
-			return
+	var buf [gatherBatch]string
+	c := f.lineCursorOf(i)
+	for n := c.next(buf[:]); n > 0; n = c.next(buf[:]) {
+		for _, line := range buf[:n] {
+			fn(unsafe.Slice(unsafe.StringData(line), len(line)))
 		}
-		fn(rest[:nl:nl])
-		rest = rest[nl+1:]
 	}
 }
 
@@ -292,19 +351,57 @@ func (f *File) recordSpan(i, recSize int) (first, last int) {
 	return first, max(first, last)
 }
 
-// FixedRecords returns the records belonging to block i (see recordSpan)
-// as borrowed views over file storage, in a slice sized exactly — the
-// fixed-width counterpart of Lines, one allocation per block.
-func (f *File) FixedRecords(i, recSize int) [][]byte {
+// recordCursor is the one fixed-width splitter: it walks the records of a
+// span once, handing out views of them.
+type recordCursor struct {
+	data           []byte
+	off, end, size int
+}
+
+// recordCursorOf returns a cursor over the records belonging to block i.
+func (f *File) recordCursorOf(i, recSize int) recordCursor {
 	first, last := f.recordSpan(i, recSize)
-	if first == last {
+	return recordCursor{data: f.data, off: first * recSize, end: last * recSize, size: recSize}
+}
+
+// next fills buf with the span's next records and returns how many it set;
+// 0 means the span is exhausted.
+func (c *recordCursor) next(buf [][]byte) int {
+	n := 0
+	for ; n < len(buf) && c.off < c.end; c.off += c.size {
+		buf[n] = c.data[c.off : c.off+c.size : c.off+c.size]
+		n++
+	}
+	return n
+}
+
+// FixedRecordBatches is the fixed-width counterpart of LineBatches: it
+// streams the records belonging to block i (see recordSpan) through buf as
+// views of the file's storage, len(buf) at a time, on the same terms — the
+// batch slice is buf and is valid until yield returns, the records may be
+// kept and must not be written, yield's first error ends the read.
+func (f *File) FixedRecordBatches(i, recSize int, buf [][]byte, yield func(recs [][]byte) error) error {
+	if len(buf) == 0 {
+		panic("dfs: FixedRecordBatches needs a batch buffer")
+	}
+	c := f.recordCursorOf(i, recSize)
+	for n := c.next(buf); n > 0; n = c.next(buf) {
+		if err := yield(buf[:n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FixedRecords returns the records belonging to block i gathered into one
+// slice, sized exactly.
+func (f *File) FixedRecords(i, recSize int) [][]byte {
+	c := f.recordCursorOf(i, recSize)
+	if c.off == c.end {
 		return nil
 	}
-	recs := make([][]byte, last-first)
-	for k := range recs {
-		off := (first + k) * recSize
-		recs[k] = f.data[off : off+recSize : off+recSize]
-	}
+	recs := make([][]byte, (c.end-c.off)/recSize)
+	c.next(recs)
 	return recs
 }
 
@@ -318,10 +415,13 @@ func (f *File) FixedRecordSplits(recSize int) [][][]byte {
 }
 
 // ScanFixedRecords calls fn once per record belonging to block i, passing
-// borrowed views — FixedRecords without the per-block slice.
+// views of file storage.
 func (f *File) ScanFixedRecords(i, recSize int, fn func(rec []byte)) {
-	first, last := f.recordSpan(i, recSize)
-	for off := first * recSize; off < last*recSize; off += recSize {
-		fn(f.data[off : off+recSize : off+recSize])
+	var buf [gatherBatch][]byte
+	c := f.recordCursorOf(i, recSize)
+	for n := c.next(buf[:]); n > 0; n = c.next(buf[:]) {
+		for _, rec := range buf[:n] {
+			fn(rec)
+		}
 	}
 }

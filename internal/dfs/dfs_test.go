@@ -313,33 +313,6 @@ func TestScanFixedRecordsMatchesSplits(t *testing.T) {
 	}
 }
 
-// TestLineSplitsSharesArena pins the readers' allocation contract: a block
-// costs its string arena plus one exactly-sized header slice however many
-// lines it holds (one slice for fixed records, nothing for the scanners),
-// and an empty block costs nothing.
-func TestLineSplitsSharesArena(t *testing.T) {
-	fs := New(2, 1024, 1)
-	f := fs.WriteFile("t", bytes.Repeat([]byte("line with some text\n"), 200))
-	for b := 0; b < f.NumBlocks(); b++ {
-		if n := testing.AllocsPerRun(20, func() { f.Lines(b) }); n > 2 {
-			t.Errorf("Lines(%d) allocates %.0f times for %d lines, want at most 2", b, n, len(f.Lines(b)))
-		}
-		if n := testing.AllocsPerRun(20, func() { f.FixedRecords(b, 20) }); n > 1 {
-			t.Errorf("FixedRecords(%d) allocates %.0f times, want at most 1", b, n)
-		}
-		if n := testing.AllocsPerRun(20, func() { f.ScanLines(b, func([]byte) {}) }); n > 0 {
-			t.Errorf("ScanLines(%d) allocates %.0f times, want 0", b, n)
-		}
-	}
-	if n := testing.AllocsPerRun(20, func() { f.LineSplits() }); n > float64(2*f.NumBlocks()+1) {
-		t.Errorf("LineSplits allocates %.0f times over %d blocks", n, f.NumBlocks())
-	}
-	inside := fs.WriteFile("one-line", bytes.Repeat([]byte("x"), 4096))
-	if n := testing.AllocsPerRun(20, func() { inside.Lines(2) }); n > 0 {
-		t.Errorf("Lines on a block inside one line allocates %.0f times, want 0", n)
-	}
-}
-
 // TestWritePartsMatchesWriteFile: the stitched file of a parallel sink is the
 // file WriteFile makes of the concatenation — same blocks on the same nodes,
 // same contents and line splits — for no parts at all, for parts that are

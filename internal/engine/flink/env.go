@@ -175,14 +175,15 @@ func FromSlice[T any](e *Env, data []T, parallelism int) *DataSet[T] {
 // split model, Flink runs `parallelism` source subtasks that pull input
 // splits dynamically — a pipelined plan cannot time-share task waves, so
 // the source parallelism is bounded by slots, not by block count. Each
-// subtask reads a split when it pulls it, so a split's lines exist only
-// while they flow down the pipeline.
+// subtask reads a split when it pulls it, a batch at a time, so a split
+// never exists as a collection: its lines are views of the stored file that
+// flow down the pipeline as they are found.
 func ReadTextFile(e *Env, name string) (*DataSet[string], error) {
 	f, err := e.fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("flink: readTextFile: %w", err)
 	}
-	return splitSource(e, f, f.Lines), nil
+	return splitSource(e, f, f.LineBatches), nil
 }
 
 // ReadFixedRecords reads fixed-width binary records (Tera Sort input),
@@ -192,27 +193,35 @@ func ReadFixedRecords(e *Env, name string, recSize int) (*DataSet[[]byte], error
 	if err != nil {
 		return nil, fmt.Errorf("flink: readFixedRecords: %w", err)
 	}
-	return splitSource(e, f, func(s int) [][]byte { return f.FixedRecords(s, recSize) }), nil
+	return splitSource(e, f, func(s int, buf [][]byte, yield func([][]byte) error) error {
+		return f.FixedRecordBatches(s, recSize, buf, yield)
+	}), nil
 }
 
 // splitSource builds the file source: subtask t reads splits t, t+p, …
-// through read, inside its own pull loop, and emits each non-empty one.
-func splitSource[T any](e *Env, f *dfs.File, read func(split int) []T) *DataSet[T] {
+// through read (a dfs split reader), inside its own pull loop, and emits
+// them exec.batch.size records at a time from the subtask's one buffer. The
+// batches are that buffer, borrowed like any pushed batch; the records are
+// views of the stored file and may be kept.
+func splitSource[T any](e *Env, f *dfs.File,
+	read func(split int, buf []T, yield func([]T) error) error) *DataSet[T] {
 	n := f.NumBlocks()
 	p := sourceParallelism(e, n)
+	width := core.ExecBatch(e.conf)
 	return newSource(e, "DataSource", p, f.PreferredNode,
 		func(task int, emit func([]T) error) error {
-			for s := task; s < n; s += p {
-				recs := read(s)
-				e.metrics.RecordsRead.Add(int64(len(recs)))
-				if len(recs) == 0 {
-					continue
-				}
-				if err := emit(recs); err != nil {
-					return err
-				}
+			buf := make([]T, width)
+			var recs int64
+			count := func(batch []T) error {
+				recs += int64(len(batch))
+				return emit(batch)
 			}
-			return nil
+			var err error
+			for s := task; s < n && err == nil; s += p {
+				err = read(s, buf, count)
+			}
+			e.metrics.RecordsRead.Add(recs)
+			return err
 		})
 }
 

@@ -192,7 +192,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 						failed = fmt.Errorf("flink: %s: %w", label, err)
 						continue
 					}
-					recs, err := serde.DecodeAll(codec, raw)
+					recs, err := serde.DecodeAllN(codec, raw, int(pkt.Block.Recs))
 					pkt.Block.Release() // decode copies; recycle the buffer
 					if err != nil {
 						failed = fmt.Errorf("flink: %s decode: %w", label, err)

@@ -17,22 +17,18 @@ import "repro/internal/core"
 // borrowed until that push returns: records move operator to operator and
 // the chain's output is never collected per split.
 
-// erasedSink is a partSink with the batch element type erased: push
-// receives a []R boxed as any.
+// erasedSink is a partSink with the batch element type erased: push is a
+// func([]R) error boxed as any.
 type erasedSink struct {
-	push  func(batch any) error
+	push  any
 	close func() error
 }
 
-// produceErased runs produce through erased sinks, boxing each batch once.
+// produceErased runs produce through erased sinks, unboxing each push once.
 func (d *DataSet[T]) produceErased(ctx *jobCtx, sinks []erasedSink) error {
 	wrapped := make([]partSink[T], len(sinks))
-	for p := range sinks {
-		es := sinks[p]
-		wrapped[p] = partSink[T]{
-			push:  func(batch []T) error { return es.push(batch) },
-			close: es.close,
-		}
+	for p, es := range sinks {
+		wrapped[p] = partSink[T]{push: es.push.(func([]T) error), close: es.close}
 	}
 	return d.produce(ctx, wrapped)
 }
@@ -53,7 +49,7 @@ func (d *DataSet[T]) fuseMeta() (*Env, int, func(int) int) {
 // the collapsed operator in the task chain. Like every chainOp, it runs in
 // the parent's tasks — no exchange, no new tasks.
 func FusedChain[U any](parent any, label string, kind core.OpKind,
-	kernel func(sink func([]U) error) (push func(recs any) error)) *DataSet[U] {
+	kernel func(sink func([]U) error) (push any)) *DataSet[U] {
 	p := parent.(fusedDS)
 	e, parallelism, pref := p.fuseMeta()
 	ds := &DataSet[U]{

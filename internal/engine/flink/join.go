@@ -222,7 +222,7 @@ func drainSide[T any](e *Env, node int, ch <-chan shuffle.Packet, codec serde.Co
 			failed = err
 			continue
 		}
-		recs, err := serde.DecodeAll(codec, raw)
+		recs, err := serde.DecodeAllN(codec, raw, int(pkt.Block.Recs))
 		pkt.Block.Release()
 		if err != nil {
 			failed = err

@@ -74,8 +74,7 @@ func TextInput(c *Cluster, name string) (Input[string], error) {
 	if err != nil {
 		return Input[string]{}, fmt.Errorf("mapreduce: textInput: %w", err)
 	}
-	scan := func(m int, yield func([]string) error) error { return yield(f.Lines(m)) }
-	return Input[string]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}, nil
+	return fileInput(c, f, f.LineBatches), nil
 }
 
 // FixedRecordInput reads fixed-width binary records, one split per block —
@@ -85,8 +84,20 @@ func FixedRecordInput(c *Cluster, name string, recSize int) (Input[[]byte], erro
 	if err != nil {
 		return Input[[]byte]{}, fmt.Errorf("mapreduce: fixedRecordInput: %w", err)
 	}
-	scan := func(m int, yield func([][]byte) error) error { return yield(f.FixedRecords(m, recSize)) }
-	return Input[[]byte]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}, nil
+	return fileInput(c, f, func(m int, buf [][]byte, yield func([][]byte) error) error {
+		return f.FixedRecordBatches(m, recSize, buf, yield)
+	}), nil
+}
+
+// fileInput is the file InputFormat: one split per block of f, which map
+// task m streams through read (a dfs split reader) exec.batch.size records
+// at a time from the task's one buffer — the RecordReader's reused buffer.
+// The records themselves are views of the stored file and may be kept.
+func fileInput[I any](c *Cluster, f *dfs.File,
+	read func(split int, buf []I, yield func([]I) error) error) Input[I] {
+	width := core.ExecBatch(c.conf)
+	scan := func(m int, yield func([]I) error) error { return read(m, make([]I, width), yield) }
+	return Input[I]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}
 }
 
 // SliceInput splits an in-memory slice over numSplits map tasks

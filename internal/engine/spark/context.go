@@ -155,20 +155,15 @@ func Parallelize[T any](c *Context, data []T, numParts int) *RDD[T] {
 // block, with the block's first replica as the preferred location
 // (newAPIHadoopFile in the paper's Tera Sort description). A partition is
 // read by the task that computes it, every time it is computed: nothing is
-// read when the RDD is built, and only persistence avoids the re-read.
+// read when the RDD is built, and only persistence avoids the re-read. It is
+// read as a stream (fileRDD): a consumer that folds the partition never
+// holds its lines as a slice.
 func TextFile(c *Context, name string) (*RDD[string], error) {
 	f, err := c.fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("spark: textFile: %w", err)
 	}
-	r := newRDD(c, "TextFile", core.OpSource, f.NumBlocks(), nil,
-		func(p int, tc *taskContext) ([]string, error) {
-			lines := f.Lines(p)
-			tc.metrics.RecordsRead.Add(int64(len(lines)))
-			return lines, nil
-		})
-	r.pref = f.PreferredNode
-	return r, nil
+	return fileRDD(c, "TextFile", f, f.LineBatches), nil
 }
 
 // BinaryRecords reads fixed-width records, one partition per block — the
@@ -178,12 +173,27 @@ func BinaryRecords(c *Context, name string, recSize int) (*RDD[[]byte], error) {
 	if err != nil {
 		return nil, fmt.Errorf("spark: binaryRecords: %w", err)
 	}
-	r := newRDD(c, "BinaryRecords", core.OpSource, f.NumBlocks(), nil,
-		func(p int, tc *taskContext) ([][]byte, error) {
-			recs := f.FixedRecords(p, recSize)
-			tc.metrics.RecordsRead.Add(int64(len(recs)))
-			return recs, nil
+	return fileRDD(c, "BinaryRecords", f,
+		func(p int, buf [][]byte, yield func([][]byte) error) error {
+			return f.FixedRecordBatches(p, recSize, buf, yield)
+		}), nil
+}
+
+// fileRDD is the file source: one partition per block of f, streamed by the
+// computing task through read (a dfs split reader) exec.batch.size records
+// at a time from one buffer per task. The batches are that buffer, borrowed
+// like any stream's; the records are views of the stored file and may be
+// kept.
+func fileRDD[T any](c *Context, name string, f *dfs.File,
+	read func(block int, buf []T, yield func([]T) error) error) *RDD[T] {
+	width := core.ExecBatch(c.conf)
+	r := newStreamRDD(c, name, core.OpSource, f.NumBlocks(), nil,
+		func(p int, tc *taskContext, sink func(int, []T) error) error {
+			return read(p, make([]T, width), func(batch []T) error {
+				tc.metrics.RecordsRead.Add(int64(len(batch)))
+				return sink(p, batch)
+			})
 		})
 	r.pref = f.PreferredNode
-	return r, nil
+	return r
 }

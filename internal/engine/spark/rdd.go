@@ -70,8 +70,8 @@ type RDD[T any] struct {
 	parents  []dep
 	compute  func(part int, tc *taskContext) ([]T, error)
 	// stream, when non-nil, pushes the partition to sink batch by batch
-	// without building it (FusedNarrow); compute is then stream gathered.
-	stream func(part int, tc *taskContext, sink func([]T) error) error
+	// without building it (newStreamRDD); compute is then stream gathered.
+	stream func(part int, tc *taskContext, sink func(part int, batch []T) error) error
 	pref   func(part int) int
 
 	level StorageLevel
@@ -89,6 +89,25 @@ func newRDD[T any](c *Context, name string, kind core.OpKind, numParts int, pare
 		parents:  parents,
 		compute:  compute,
 	}
+}
+
+// newStreamRDD builds an RDD that is a stream first (a file source, a fused
+// chain): stream pushes a partition to its sink batch by batch, each batch
+// borrowed until the sink returns, and compute is that stream gathered into
+// a slice — for persistence (the block manager stores whole partitions) and
+// for the operators and actions that take a partition as a []T.
+func newStreamRDD[T any](c *Context, name string, kind core.OpKind, numParts int, parents []dep,
+	stream func(part int, tc *taskContext, sink func(part int, batch []T) error) error) *RDD[T] {
+	r := newRDD[T](c, name, kind, numParts, parents, func(p int, tc *taskContext) ([]T, error) {
+		var part []T
+		err := stream(p, tc, func(_ int, batch []T) error {
+			part = append(part, batch...)
+			return nil
+		})
+		return part, err
+	})
+	r.stream = stream
+	return r
 }
 
 func (r *RDD[T]) rddID() int          { return r.id }
@@ -175,7 +194,7 @@ func (r *RDD[T]) iterator(p int, tc *taskContext) ([]T, error) {
 // over a plain RDD allocates nothing to be counted or reduced.
 func (r *RDD[T]) forEachBatch(p int, tc *taskContext, sink func(p int, batch []T) error) error {
 	if r.stream != nil && r.level == StorageNone {
-		return r.stream(p, tc, func(batch []T) error { return sink(p, batch) })
+		return r.stream(p, tc, sink)
 	}
 	data, err := r.iterator(p, tc)
 	if err != nil || len(data) == 0 {

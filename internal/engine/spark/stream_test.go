@@ -13,8 +13,8 @@ import (
 // become (word, 1) pairs, pushed to the sink 256 at a time from one reused
 // scratch slice, as the dataflow layer's kernels do. fault, when non-nil, is
 // asked before each partition's second half.
-func wordKernel(fault func() error) func(sink func([]core.Pair[string, int64]) error) func(recs any) error {
-	return func(sink func([]core.Pair[string, int64]) error) func(any) error {
+func wordKernel(fault func() error) func(sink func([]core.Pair[string, int64]) error) any {
+	return func(sink func([]core.Pair[string, int64]) error) any {
 		scratch := make([]core.Pair[string, int64], 0, 256)
 		flush := func() error {
 			if len(scratch) == 0 {
@@ -24,8 +24,7 @@ func wordKernel(fault func() error) func(sink func([]core.Pair[string, int64]) e
 			scratch = scratch[:0]
 			return err
 		}
-		return func(recs any) error {
-			words := recs.([]string)
+		return func(words []string) error {
 			for i, w := range words {
 				if i == len(words)/2 && fault != nil {
 					if err := fault(); err != nil {

@@ -70,7 +70,18 @@ func EncodeAll[T any](c Codec[T], dst []byte, vs []T) []byte {
 
 // DecodeAll decodes the whole buffer back into values.
 func DecodeAll[T any](c Codec[T], src []byte) ([]T, error) {
+	return DecodeAllN(c, src, 0)
+}
+
+// DecodeAllN is DecodeAll for a caller that knows how many values src holds
+// (a shuffle block carries its record count): the result is allocated once at
+// that size instead of grown by doubling. count is a hint — 0 means unknown,
+// and a wrong one costs only the growth it failed to save.
+func DecodeAllN[T any](c Codec[T], src []byte, count int) ([]T, error) {
 	var out []T
+	if count > 0 {
+		out = make([]T, 0, min(count, len(src))) // a value takes at least a byte
+	}
 	for len(src) > 0 {
 		v, n, err := c.Decode(src)
 		if err != nil {

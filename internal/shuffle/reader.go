@@ -19,7 +19,7 @@ func DecodeBlocks[R any](set Settings, codec serde.Codec[R], blocks []Block) ([]
 		if err != nil {
 			return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
 		}
-		recs, err := serde.DecodeAll(codec, raw)
+		recs, err := serde.DecodeAllN(codec, raw, int(b.Recs))
 		if err != nil {
 			return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
 		}

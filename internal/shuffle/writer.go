@@ -412,7 +412,7 @@ func (w *sortWriter[R]) Close() error {
 			if len(data) == 0 {
 				continue
 			}
-			recs, err := serde.DecodeAll(w.spec.Codec, data)
+			recs, err := serde.DecodeAllN(w.spec.Codec, data, int(seg.recs))
 			if err != nil {
 				return err
 			}

@@ -155,9 +155,25 @@ const (
 	estSortCPUMR    = 0.0065
 	estSortCPUFlink = 0.002
 
-	// Scan-shape CPU: no shuffle, a filter/count pass. [MECH] roughly half
-	// the aggregate map cost (no combine, no pair lifting).
-	estScanFactor = 0.5
+	// Scan-shape CPU: no shuffle, a filter/count pass, as a fraction of the
+	// slope the engine's aggregate map side is modelled with. It stood at 0.5
+	// on a [MECH] guess (no combine, no pair lifting) and had never been read
+	// off the engines. Hand-timed Grep on the ext10 testbed (16 KiB blocks,
+	// parallelism 2, 192 and 768 KiB of text, median of 61 runs a cell), with
+	// the file sources streaming views of the stored file: spark 0.25 → 1.02
+	// ms, flink 0.18 → 0.61, mapreduce 0.57 → 2.48, i.e. slopes of 0.0014,
+	// 0.0008 and 0.0034 s/MiB — 0.067, 0.094 and 0.049 of estAggCPUSpark,
+	// estMapCPUFlink and estAggCPUMR. (With a split still copied into an
+	// arena, counted and sliced before it was filtered the same cells gave
+	// 0.0018, 0.0016 and 0.0044: 0.086, 0.19, 0.063.) One factor for the
+	// three, as before. What is left of the gap is not this constant's: the
+	// model's read term alone (≈ 0.0025 s/MiB on this spec) is above every
+	// measured slope — the in-memory DFS has no disk to wait for — and its
+	// fixed 1-1.5 ms is above every small cell, so the estimates read 1.7,
+	// 2.1, 2.4 → 4.0, 3.8, 6.6 ms, 3-6× the 768 KiB measurements where they
+	// were 9-12×, with flink and spark a fixed part's scatter apart as they
+	// are measured to be.
+	estScanFactor = 0.07
 
 	// Strategy asymmetries. [ANCHOR ext10]:
 	//   - an Aggregate under the sort strategy: + estAggSort* per input
