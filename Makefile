@@ -123,17 +123,21 @@ bench-pair:
 # reader: each fuzz target runs for a few seconds on top of its seeded corpus
 # (row decode robustness, normalized-key order agreement, the batch wire
 # format round-trip, arbitrary bytes into derived struct/slice/map decoders,
-# arbitrary keys through the shuffle's run sorter against a stable sort,
-# arbitrary keys and resets through the combine table every engine folds with
-# against a map fold, and arbitrary bytes × block size × buffer length through
-# the dfs line reader every text source streams against bytes.Split). CI runs
-# this on every push; longer local sessions just raise -fuzztime.
+# arbitrary bytes into the block decode every engine fetches through — values
+# that never alias their input and re-encode —, arbitrary keys through the
+# shuffle's run sorter against a stable sort, arbitrary keys and resets
+# through the combine table every engine folds with against a map fold, and
+# arbitrary bytes × block size × buffer length × newline-aligned part cuts
+# through the dfs line reader every text source streams against
+# bytes.Split). CI runs this on every push; longer local sessions just raise
+# -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKeyOrder$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBatch$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzLineBatches$$' -fuzztime $(FUZZTIME) ./internal/dfs

@@ -102,8 +102,9 @@ func SaveAsText[T any](d *Dataset[T], name string) error {
 // produces a partition encodes it into that partition's own buffer — Spark's
 // result tasks a whole partition at a time, Flink's sink subtasks batch by
 // batch as the pipeline delivers, MapReduce in a wave of one task per output
-// split — and the driver only stitches the parts into the file. Nothing is
-// written unless every task succeeded.
+// split — and the driver commits those buffers as the file's parts
+// (dfs.FS.WriteParts), as they are: it neither joins nor copies them.
+// Nothing is written unless every task succeeded.
 func SaveBytes[T any](d *Dataset[T], name string, enc func(dst []byte, v T) []byte) error {
 	var out sinkParts[T]
 	switch d.s.kind() {
@@ -151,7 +152,9 @@ func SaveBytes[T any](d *Dataset[T], name string, enc func(dst []byte, v T) []by
 
 // sinkParts holds a sink job's output while its tasks run: one buffer and
 // one record count per partition, each written only by the task that owns
-// the partition, so the tasks share nothing and need no lock.
+// the partition, so the tasks share nothing and need no lock. The buffers
+// are allocated for the output file and become its parts: once SaveBytes
+// commits them nothing writes them again (dfs's write-once rule).
 type sinkParts[T any] struct {
 	enc  func(dst []byte, v T) []byte
 	bufs [][]byte

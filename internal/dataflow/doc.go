@@ -71,8 +71,8 @@
 // produced it: spark's result tasks, flink's sink subtasks as batches arrive,
 // a wave of one task per split on mapreduce (which, for a plan with no
 // shuffle, is also where the split is read and the narrow chain runs). The
-// driver only stitches the parts into one file (dfs.FS.WriteParts) and counts
-// RecordsWritten and DiskBytesWritten, once, the same on every engine; a
+// driver commits the parts as the file's part files (dfs.FS.WriteParts; no
+// join, no copy) and counts RecordsWritten and DiskBytesWritten, once, the same on every engine; a
 // task that fails — a panic in the encoder included — fails the action and
 // leaves no file. SaveAsText is that sink with fmt's formatting plus a
 // newline as the encoder.

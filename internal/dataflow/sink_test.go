@@ -26,7 +26,8 @@ func numbered(n int) []string {
 
 // TestSinksMatchCollect holds both sinks, on every engine, to the bytes a
 // driver would produce from Collect and the same encoder: the tasks encode
-// their partitions apart and the driver stitches them, and neither an empty
+// their partitions apart and the driver commits them as the file's parts,
+// and neither an empty
 // partition, a record of no bytes, a partition that reaches flink's sink in
 // many batches nor a file of several blocks may show in the result. The
 // sink's own counters are checked where no shuffle writes beside it.
@@ -99,8 +100,19 @@ func TestSinksMatchCollect(t *testing.T) {
 					t.Errorf("%s, %s: %s wrote %d bytes, Collect + encoder gives %d; first difference at %d",
 						engine, tc.name, sink.name, len(got), len(sink.want), firstDiff(got, sink.want))
 				}
-				if want := max(1, (len(sink.want)+16*1024-1)/(16*1024)); f.NumBlocks() != want {
-					t.Errorf("%s, %s: %s: file has %d blocks, want %d", engine, tc.name, sink.name, f.NumBlocks(), want)
+				// The file is the tasks' parts, each cut into blocks of its
+				// own: the blocks tile the output, none is over the block
+				// size, and there are at least as many as the bytes need.
+				var tiled []byte
+				for _, b := range f.Blocks {
+					if len(b.Data) > 16*1024 {
+						t.Errorf("%s, %s: %s: a block of %d bytes", engine, tc.name, sink.name, len(b.Data))
+					}
+					tiled = append(tiled, b.Data...)
+				}
+				if least := max(1, (len(sink.want)+16*1024-1)/(16*1024)); f.NumBlocks() < least || !bytes.Equal(tiled, sink.want) {
+					t.Errorf("%s, %s: %s: %d blocks holding %d bytes, want at least %d holding the output",
+						engine, tc.name, sink.name, f.NumBlocks(), len(tiled), least)
 				}
 				after := s.Metrics().Snapshot()
 				if got := after.RecordsWritten - before.RecordsWritten; got != int64(len(recs)) {

@@ -166,12 +166,21 @@ func TestBatchReadersStopAtYieldError(t *testing.T) {
 	}
 }
 
-// inStorage reports whether the n bytes at p lie inside f's stored buffer.
-func inStorage(f *File, p *byte, n int) bool {
-	base := uintptr(unsafe.Pointer(unsafe.SliceData(f.data)))
+// partOf returns the index of the part of f whose storage holds the n bytes
+// at p, or -1 when no single part does.
+func partOf(f *File, p *byte, n int) int {
 	at := uintptr(unsafe.Pointer(p))
-	return at >= base && at+uintptr(n) <= base+uintptr(len(f.data))
+	for i, part := range f.parts {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(part)))
+		if len(part) > 0 && at >= base && at+uintptr(n) <= base+uintptr(len(part)) {
+			return i
+		}
+	}
+	return -1
 }
+
+// inStorage reports whether the n bytes at p lie inside f's stored buffers.
+func inStorage(f *File, p *byte, n int) bool { return partOf(f, p, n) >= 0 }
 
 // TestReadersViewStorage pins the readers' zero-copy contract. Every line and
 // record a reader hands out is a view of the buffer the file was written
@@ -233,20 +242,42 @@ func TestReadersViewStorage(t *testing.T) {
 	}
 }
 
+// newlineParts cuts raw into parts after the newlines cuts picks — newline k
+// when bit k%63 is set — with an empty part beside every cut when bit 63 is:
+// the parts a text sink's tasks commit, each ending at a line boundary.
+func newlineParts(raw []byte, cuts uint64) [][]byte {
+	var parts [][]byte
+	start, k := 0, 0
+	for i, c := range raw {
+		if c != '\n' {
+			continue
+		}
+		if cuts>>(k%63)&1 == 1 {
+			parts = append(parts, raw[start:i+1])
+			if cuts>>63 == 1 {
+				parts = append(parts, nil)
+			}
+			start = i + 1
+		}
+		k++
+	}
+	return append(parts, raw[start:])
+}
+
 // FuzzLineBatches holds the streaming reader to bytes.Split over arbitrary
-// bytes, block sizes and buffer lengths: read block by block, the batches
-// must concatenate to the file's lines — none lost, duplicated, reordered or
-// altered, CR and NUL bytes included.
+// bytes, block sizes, buffer lengths and newline-aligned part cuts: read
+// block by block, the batches must concatenate to the file's lines — none
+// lost, duplicated, reordered or altered, CR and NUL bytes included.
 func FuzzLineBatches(f *testing.F) {
-	f.Add([]byte("alpha\nbeta\n\ngamma"), uint16(4), uint8(2))
-	f.Add([]byte("dos\r\nline\r\n\r\nends\r\n"), uint16(3), uint8(1))
-	f.Add([]byte("nul\x00inside\n\x00\n\x00\x00"), uint16(5), uint8(3))
-	f.Add([]byte("\n\n\n\n"), uint16(1), uint8(1))
-	f.Add([]byte{}, uint16(8), uint8(4))
-	f.Add(bytes.Repeat([]byte("a single line of several megabytes "), 3<<20/35), uint16(65535), uint8(7))
-	f.Add(append(bytes.Repeat([]byte("y"), 2<<20), "\nshort\n"...), uint16(4096), uint8(255))
-	f.Fuzz(func(t *testing.T, raw []byte, blockSize uint16, width uint8) {
-		file := New(2, core.ByteSize(blockSize)+1, 1).WriteFile("t", raw)
+	f.Add([]byte("alpha\nbeta\n\ngamma"), uint16(4), uint8(2), uint64(0))
+	f.Add([]byte("dos\r\nline\r\n\r\nends\r\n"), uint16(3), uint8(1), uint64(0b101))
+	f.Add([]byte("nul\x00inside\n\x00\n\x00\x00"), uint16(5), uint8(3), uint64(1<<63|0b11))
+	f.Add([]byte("\n\n\n\n"), uint16(1), uint8(1), ^uint64(0))
+	f.Add([]byte{}, uint16(8), uint8(4), ^uint64(0))
+	f.Add(bytes.Repeat([]byte("a single line of several megabytes "), 3<<20/35), uint16(65535), uint8(7), uint64(0))
+	f.Add(append(bytes.Repeat([]byte("y"), 2<<20), "\nshort\n"...), uint16(4096), uint8(255), uint64(1))
+	f.Fuzz(func(t *testing.T, raw []byte, blockSize uint16, width uint8, cuts uint64) {
+		file := New(2, core.ByteSize(blockSize)+1, 1).WriteParts("t", newlineParts(raw, cuts))
 		want := bytes.Split(raw, []byte("\n"))
 		if len(want[len(want)-1]) == 0 {
 			want = want[:len(want)-1] // no line after a trailing newline, none in an empty file

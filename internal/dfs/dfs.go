@@ -25,11 +25,18 @@
 // that buffer again, and readers never write through a view. Every caller of
 // WriteFile hands over a buffer it built for the purpose and drops —
 // generated inputs (datagen, tests, the benchmark), sink output (WriteParts
-// joins the parts into a fresh buffer), encoded iteration state, streaming
-// log segments, mapreduce's spill runs and shuffle segments (whose pooled
-// blocks pass to the file for good: job cleanup deletes the file and never
-// returns the block to its pool). Overwriting a name stores a new File over
-// a new buffer; views of the old one keep it alive and unchanged.
+// keeps the parts the sink tasks encoded, each a buffer the dataflow sink
+// allocated for this file and drops once it is committed), encoded
+// iteration state, streaming log segments, mapreduce's spill runs and
+// shuffle segments (whose pooled blocks pass to the file for good: job
+// cleanup deletes the file and never returns the block to its pool).
+// Overwriting a name stores a new File over a new buffer; views of the old
+// one keep it alive and unchanged.
+//
+// A file is stored as the parts it was written in — one for WriteFile, one
+// per sink task for WriteParts — and every block is cut from one part, the
+// part-file layout real engines commit: output is never concatenated on
+// the way in. Contents and AppendTo concatenate on the way out.
 package dfs
 
 import (
@@ -58,18 +65,23 @@ type File struct {
 	Name   string
 	Blocks []Block
 
-	// data is the buffer the file was written with: block i is
-	// data[i*blockSize:][:len(Blocks[i].Data)], the flat view the per-block
-	// readers use to finish a record that crosses a block boundary, and the
-	// storage every line and record they yield points into.
-	data      []byte
-	blockSize int
+	// parts are the buffers the file was written with, in order — one for
+	// WriteFile, one per sink task for WriteParts — and the storage every
+	// line and record the readers yield points into.
+	parts [][]byte
 }
 
-// Block is one block with its replica placement.
+// Block is one block with its replica placement. A block is cut from one
+// part and never straddles two.
 type Block struct {
 	Data     []byte
 	Replicas []int // node IDs holding a copy
+
+	// part is the part the block was cut from and off Data's offset in it:
+	// the view the readers use to finish a record that crosses a block
+	// boundary, which ends where the part does.
+	part []byte
+	off  int
 }
 
 // New creates a filesystem over the given number of nodes.
@@ -103,35 +115,41 @@ func (fs *FS) BlockSize() core.ByteSize { return core.ByteSize(fs.blockSize) }
 // copy, and readers hand out views of it: the caller must not write to data
 // afterwards.
 func (fs *FS) WriteFile(name string, data []byte) *File {
+	return fs.WriteParts(name, [][]byte{data})
+}
+
+// WriteParts stores parts under name as one file — the commit step of a
+// parallel sink whose tasks each encoded one output partition, and the
+// part-file layout Hadoop, Spark and Flink all commit: the file keeps the
+// parts as given, with no join and no copy, and cuts every part into blocks
+// of its own, so no block straddles two parts. Placement runs round-robin
+// across the parts' blocks; zero parts, or only empty ones, make one empty
+// block, like an empty WriteFile. A reader finishes a record at the end of
+// its part, so parts that end at a record boundary (a newline, a multiple
+// of the record width) read exactly as WriteFile of their concatenation.
+// As with WriteFile, the caller must not write to a part afterwards.
+func (fs *FS) WriteParts(name string, parts [][]byte) *File {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := &File{Name: name, data: data, blockSize: fs.blockSize}
-	for off := 0; off < len(data) || off == 0; off += fs.blockSize {
-		end := off + fs.blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		blk := Block{Data: data[off:end:end]}
+	f := &File{Name: name, parts: parts}
+	place := func(part []byte, off, end int) {
+		blk := Block{Data: part[off:end:end], part: part, off: off}
 		for r := 0; r < fs.replication; r++ {
 			blk.Replicas = append(blk.Replicas, (fs.nextNode+r)%fs.nodes)
 		}
 		fs.nextNode = (fs.nextNode + 1) % fs.nodes
 		f.Blocks = append(f.Blocks, blk)
-		if len(data) == 0 {
-			break
+	}
+	for _, part := range parts {
+		for off := 0; off < len(part); off += fs.blockSize {
+			place(part, off, min(off+fs.blockSize, len(part)))
 		}
+	}
+	if len(f.Blocks) == 0 {
+		place(nil, 0, 0)
 	}
 	fs.files[name] = f
 	return f
-}
-
-// WriteParts stores the concatenation of parts under name — the commit step
-// of a parallel sink whose tasks each encoded one output partition: one
-// allocation of the exact total size (bytes.Join does not zero what it is
-// about to overwrite), one copy per part, and the same File (blocks,
-// placement, Contents, Lines) as WriteFile of the concatenation.
-func (fs *FS) WriteParts(name string, parts [][]byte) *File {
-	return fs.WriteFile(name, bytes.Join(parts, nil))
 }
 
 // Open returns a stored file.
@@ -173,8 +191,14 @@ func (fs *FS) List() []string {
 	return names
 }
 
-// Size returns the file's byte length.
-func (f *File) Size() int64 { return int64(len(f.data)) }
+// Size returns the file's byte length, the sum of its parts.
+func (f *File) Size() int64 {
+	var n int64
+	for _, part := range f.parts {
+		n += int64(len(part))
+	}
+	return n
+}
 
 // NumBlocks returns the number of blocks (at least 1, even for empty
 // files, matching HDFS metadata behaviour for zero-length files).
@@ -189,17 +213,20 @@ func (f *File) PreferredNode(i int) int {
 	return f.Blocks[i].Replicas[0]
 }
 
-// Contents returns a fresh copy of the file's bytes; tests and actions like
-// collect use it.
+// Contents returns a fresh copy of the file's bytes, its parts
+// concatenated; tests and actions like collect use it.
 func (f *File) Contents() []byte {
-	return f.AppendTo(make([]byte, 0, len(f.data)))
+	return f.AppendTo(make([]byte, 0, f.Size()))
 }
 
 // AppendTo appends the file's contents to dst and returns the extended
 // slice — the pool-friendly read path (the caller brings a recycled
 // buffer instead of Contents allocating a fresh one).
 func (f *File) AppendTo(dst []byte) []byte {
-	return append(dst, f.data...)
+	for _, part := range f.parts {
+		dst = append(dst, part...)
+	}
+	return dst
 }
 
 // Contiguous returns the file's bytes without copying when they live in a
@@ -212,41 +239,41 @@ func (f *File) Contiguous() ([]byte, bool) {
 	return nil, false
 }
 
-// blockSpan returns block i's byte range [start, end) in f.data.
-func (f *File) blockSpan(i int) (int, int) {
-	start := i * f.blockSize
-	return start, start + len(f.Blocks[i].Data)
+// blockSpan returns block i's part and its byte range [start, end) in it.
+func (f *File) blockSpan(i int) (part []byte, start, end int) {
+	b := f.Blocks[i]
+	return b.part, b.off, b.off + len(b.Data)
 }
 
-// lineSpan returns the byte range [lo, hi) of f.data holding the lines that
-// belong to block i under the HDFS input-split convention: every line
-// belongs to exactly one split — the one containing the line's first byte —
-// and a reader finishes a line that crosses its block boundary by reading
-// into the next block. hi is past the last line's newline (or the end of
-// the file); lo == hi when the block owns no line. No line is lost or
-// duplicated, which tests assert by reconciling against a plain line split
-// of the whole file.
-func (f *File) lineSpan(i int) (lo, hi int) {
-	start, end := f.blockSpan(i)
+// lineSpan returns block i's part and the byte range [lo, hi) of it holding
+// the lines that belong to the block under the HDFS input-split convention:
+// every line belongs to exactly one split — the one containing the line's
+// first byte — and a reader finishes a line that crosses its block boundary
+// by reading into the part's next block. hi is past the last line's newline
+// (or the end of the part); lo == hi when the block owns no line. No line is
+// lost or duplicated, which tests assert by reconciling against a plain line
+// split of the whole file.
+func (f *File) lineSpan(i int) (part []byte, lo, hi int) {
+	part, start, end := f.blockSpan(i)
 	if start == end {
-		return start, start
+		return part, start, start
 	}
 	lo = start
-	if i > 0 && f.data[start-1] != '\n' {
+	if start > 0 && part[start-1] != '\n' {
 		// The line containing byte `start` began in an earlier block.
-		nl := bytes.IndexByte(f.data[start:], '\n')
+		nl := bytes.IndexByte(part[start:], '\n')
 		if nl < 0 || start+nl+1 >= end {
-			return start, start // the block lies inside one line
+			return part, start, start // the block lies inside one line
 		}
 		lo = start + nl + 1
 	}
 	// The line holding the block's last byte is the last one that starts
 	// inside the block.
-	nl := bytes.IndexByte(f.data[end-1:], '\n')
+	nl := bytes.IndexByte(part[end-1:], '\n')
 	if nl < 0 {
-		return lo, len(f.data)
+		return part, lo, len(part)
 	}
-	return lo, end + nl
+	return part, lo, end + nl
 }
 
 // lineCursor is the one line splitter: it walks a span of whole lines once,
@@ -255,8 +282,8 @@ type lineCursor struct{ rest []byte }
 
 // lineCursorOf returns a cursor over the lines belonging to block i.
 func (f *File) lineCursorOf(i int) lineCursor {
-	lo, hi := f.lineSpan(i)
-	return lineCursor{rest: f.data[lo:hi]}
+	part, lo, hi := f.lineSpan(i)
+	return lineCursor{rest: part[lo:hi]}
 }
 
 // next fills buf with the span's next lines, without their newlines, and
@@ -266,7 +293,7 @@ func (c *lineCursor) next(buf []string) int {
 	for n < len(buf) && len(rest) > 0 {
 		end := bytes.IndexByte(rest, '\n')
 		next := end + 1
-		if end < 0 { // the file's final line has no newline
+		if end < 0 { // the part's final line has no newline
 			end, next = len(rest), len(rest)
 		}
 		buf[n] = unsafe.String(unsafe.SliceData(rest), end)
@@ -337,18 +364,19 @@ func (f *File) ScanLines(i int, fn func(line []byte)) {
 	}
 }
 
-// recordSpan returns the indices [first, last) of the width-recSize records
-// belonging to block i: those whose first byte lies in the block (records
-// may straddle blocks, as TeraSort's 100-byte records do over power-of-two
-// block sizes). A trailing partial record belongs to no block.
-func (f *File) recordSpan(i, recSize int) (first, last int) {
+// recordSpan returns block i's part and the byte range [lo, hi) of it
+// holding the width-recSize records that belong to the block: those whose
+// first byte lies in the block (records may straddle blocks, as TeraSort's
+// 100-byte records do over power-of-two block sizes), counted from the start
+// of the part. A trailing partial record of a part belongs to no block.
+func (f *File) recordSpan(i, recSize int) (part []byte, lo, hi int) {
 	if recSize <= 0 {
 		panic("dfs: record size must be positive")
 	}
-	start, end := f.blockSpan(i)
-	first = (start + recSize - 1) / recSize
-	last = min((end+recSize-1)/recSize, len(f.data)/recSize)
-	return first, max(first, last)
+	part, start, end := f.blockSpan(i)
+	first := (start + recSize - 1) / recSize
+	last := min((end+recSize-1)/recSize, len(part)/recSize)
+	return part, first * recSize, max(first, last) * recSize
 }
 
 // recordCursor is the one fixed-width splitter: it walks the records of a
@@ -360,8 +388,8 @@ type recordCursor struct {
 
 // recordCursorOf returns a cursor over the records belonging to block i.
 func (f *File) recordCursorOf(i, recSize int) recordCursor {
-	first, last := f.recordSpan(i, recSize)
-	return recordCursor{data: f.data, off: first * recSize, end: last * recSize, size: recSize}
+	part, lo, hi := f.recordSpan(i, recSize)
+	return recordCursor{data: part, off: lo, end: hi, size: recSize}
 }
 
 // next fills buf with the span's next records and returns how many it set;

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -313,41 +316,146 @@ func TestScanFixedRecordsMatchesSplits(t *testing.T) {
 	}
 }
 
-// TestWritePartsMatchesWriteFile: the stitched file of a parallel sink is the
-// file WriteFile makes of the concatenation — same blocks on the same nodes,
-// same contents and line splits — for no parts at all, for parts that are
-// all empty (one empty block, like an empty WriteFile) and for parts that
-// end inside, on and across block boundaries.
+// TestWritePartsMatchesWriteFile: a parallel sink's file is stored as its
+// parts, and parts that end at a record boundary — newline-terminated, or a
+// multiple of the record width — read, through every reader, exactly as
+// WriteFile of their concatenation. Zero parts, or only empty ones, make one
+// empty block like an empty WriteFile; no block straddles two parts; and
+// placement runs round-robin over the blocks of all parts.
 func TestWritePartsMatchesWriteFile(t *testing.T) {
-	cases := map[string][][]byte{
-		"zero parts":      nil,
-		"all-empty parts": {nil, {}, nil},
-		"straddling parts": {
-			[]byte("ab\nc"), []byte("defgh\nijklmnop\nq"), nil, []byte("rs\ntuvw"), []byte("\n"), []byte("xyz"),
-		},
-		"parts on block boundaries": {[]byte("01234567"), []byte("89abcdef01234567"), []byte("x")},
+	cases := []struct {
+		name    string
+		recSize int
+		parts   [][]byte
+	}{
+		{"zero parts", 1, nil},
+		{"all-empty parts", 1, [][]byte{nil, {}, nil}},
+		{"newline-terminated parts", 1, [][]byte{
+			[]byte("ab\n"), []byte("cdefgh\nijklmnop\nq\n"), nil, []byte("rs\ntuvw\n"), []byte("\n"), []byte("xyz"),
+		}},
+		{"parts on block boundaries", 1, [][]byte{[]byte("0123456\n"), []byte("89abcde\n0123456\n"), []byte("x")}},
+		{"fixed-width parts", 5, [][]byte{[]byte("aaaaabbbbbccccc"), {}, []byte("dddddeeeee"), []byte("fffff")}},
 	}
-	for name, parts := range cases {
-		whole, stitched := New(3, 8, 2), New(3, 8, 2)
-		want := whole.WriteFile("f", bytes.Join(parts, nil))
-		got := stitched.WriteParts("f", parts)
-		if opened, err := stitched.Open("f"); err != nil || opened != got {
-			t.Fatalf("%s: Open after WriteParts = %v, %v", name, opened, err)
+	for _, tc := range cases {
+		whole, parted := New(3, 8, 2), New(3, 8, 2)
+		want := whole.WriteFile("f", bytes.Join(tc.parts, nil))
+		got := parted.WriteParts("f", tc.parts)
+		if opened, err := parted.Open("f"); err != nil || opened != got {
+			t.Fatalf("%s: Open after WriteParts = %v, %v", tc.name, opened, err)
 		}
-		if got.Size() != want.Size() || got.NumBlocks() != want.NumBlocks() {
-			t.Fatalf("%s: %d bytes in %d blocks, want %d in %d", name, got.Size(), got.NumBlocks(), want.Size(), want.NumBlocks())
+		if got.Size() != want.Size() || !bytes.Equal(got.Contents(), want.Contents()) {
+			t.Fatalf("%s: %d bytes %q, want %d bytes %q", tc.name, got.Size(), got.Contents(), want.Size(), want.Contents())
 		}
-		if !bytes.Equal(got.Contents(), want.Contents()) {
-			t.Errorf("%s: contents %q, want %q", name, got.Contents(), want.Contents())
+		if g, w := allLines(t, got), allLines(t, want); tc.recSize == 1 && !sameLines(g, w) { // text cases
+			t.Errorf("%s: lines %q, want %q", tc.name, g, w)
 		}
-		for i := range want.Blocks {
-			if !bytes.Equal(got.Blocks[i].Data, want.Blocks[i].Data) || fmt.Sprint(got.Blocks[i].Replicas) != fmt.Sprint(want.Blocks[i].Replicas) {
-				t.Errorf("%s: block %d = %q on %v, want %q on %v", name, i,
-					got.Blocks[i].Data, got.Blocks[i].Replicas, want.Blocks[i].Data, want.Blocks[i].Replicas)
+		if g, w := allRecords(t, got, tc.recSize), allRecords(t, want, tc.recSize); fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Errorf("%s: records %q, want %q", tc.name, g, w)
+		}
+		if got.Size() == 0 && (got.NumBlocks() != 1 || len(got.Blocks[0].Data) != 0) {
+			t.Errorf("%s: %d blocks, want one empty block", tc.name, got.NumBlocks())
+		}
+		var cut [][]byte // each part's blocks, which must tile it
+		for i, b := range got.Blocks {
+			if b.Replicas[0] != i%3 {
+				t.Errorf("%s: block %d on %v, want round-robin from node %d", tc.name, i, b.Replicas, i%3)
 			}
-			if g, w := got.Lines(i), want.Lines(i); fmt.Sprint(g) != fmt.Sprint(w) {
-				t.Errorf("%s: Lines(%d) = %q, want %q", name, i, g, w)
+			if len(b.Data) == 0 {
+				continue
+			}
+			p := partOf(got, &b.Data[0], len(b.Data))
+			if p < 0 {
+				t.Fatalf("%s: block %d %q straddles two parts", tc.name, i, b.Data)
+			}
+			for len(cut) <= p {
+				cut = append(cut, nil)
+			}
+			cut[p] = append(cut[p], b.Data...)
+		}
+		for p, part := range got.parts {
+			if len(part) > 0 && !bytes.Equal(cut[p], part) {
+				t.Errorf("%s: part %d is cut into %q, want %q", tc.name, p, cut[p], part)
 			}
 		}
+	}
+}
+
+// allLines reads every block of f through Lines and, at two widths,
+// LineBatches, checks that they agree, and returns the file's lines.
+func allLines(t *testing.T, f *File) []string {
+	t.Helper()
+	var lines []string
+	for b := 0; b < f.NumBlocks(); b++ {
+		gathered := f.Lines(b)
+		for _, width := range []int{1, 3} {
+			if got := slices.Concat(lineBatches(t, f, b, width)...); !sameLines(got, gathered) {
+				t.Fatalf("block %d width %d: LineBatches %q, Lines %q", b, width, got, gathered)
+			}
+		}
+		lines = append(lines, gathered...)
+	}
+	return lines
+}
+
+// allRecords does the same for FixedRecords and FixedRecordBatches.
+func allRecords(t *testing.T, f *File, recSize int) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	buf := make([][]byte, 2)
+	for b := 0; b < f.NumBlocks(); b++ {
+		gathered := f.FixedRecords(b, recSize)
+		var streamed [][]byte
+		_ = f.FixedRecordBatches(b, recSize, buf, func(batch [][]byte) error {
+			streamed = append(streamed, batch...)
+			return nil
+		})
+		if fmt.Sprint(streamed) != fmt.Sprint(gathered) {
+			t.Fatalf("block %d: FixedRecordBatches %q, FixedRecords %q", b, streamed, gathered)
+		}
+		recs = append(recs, gathered...)
+	}
+	return recs
+}
+
+// TestWritePartsViewsItsParts: committing a sink's parts copies nothing. Every
+// line and record of a WriteParts file lies inside one of the parts it was
+// given, and WriteParts allocates block metadata only, nothing proportional
+// to the bytes it stores.
+func TestWritePartsViewsItsParts(t *testing.T) {
+	const nParts = 8
+	parts := make([][]byte, nParts)
+	for i := range parts {
+		parts[i] = bytes.Repeat([]byte(fmt.Sprintf("part %d, a line of text\n", i)), 128<<10/24)
+	}
+	fs := New(3, 8<<10, 2)
+	f := fs.WriteParts("out", parts)
+	lines, recs := make([]string, 64), make([][]byte, 64)
+	for b := 0; b < f.NumBlocks(); b++ {
+		_ = f.LineBatches(b, lines, func(batch []string) error {
+			for _, line := range batch {
+				if !inStorage(f, unsafe.StringData(line), len(line)) {
+					t.Fatalf("block %d: line %q is not a view of one part", b, line)
+				}
+			}
+			return nil
+		})
+		_ = f.FixedRecordBatches(b, 24, recs, func(batch [][]byte) error {
+			for _, rec := range batch {
+				if !inStorage(f, &rec[0], len(rec)) {
+					t.Fatalf("block %d: a record is not a view of one part", b)
+				}
+			}
+			return nil
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 10
+	for range rounds {
+		fs.WriteParts("out", parts)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > uint64(f.Size())/16 {
+		t.Errorf("WriteParts of %d bytes in %d blocks allocates %d bytes, want block metadata only", f.Size(), f.NumBlocks(), per)
 	}
 }

@@ -193,7 +193,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 						continue
 					}
 					recs, err := serde.DecodeAllN(codec, raw, int(pkt.Block.Recs))
-					pkt.Block.Release() // decode copies; recycle the buffer
+					pkt.Block.Release() // recs never alias the block; recycle it
 					if err != nil {
 						failed = fmt.Errorf("flink: %s decode: %w", label, err)
 						continue

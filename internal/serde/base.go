@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // javaHeaderFor fabricates the per-record overhead the Java strategy pays:
@@ -37,6 +38,7 @@ func wrap[T any](style Style, typeName string, tag byte, base Codec[T]) Codec[T]
 				return v, n + len(hdr), err
 			},
 			Fallbacks: base.Fallbacks,
+			Aliases:   base.Aliases,
 		}
 	case Kryo:
 		return Codec[T]{
@@ -56,6 +58,7 @@ func wrap[T any](style Style, typeName string, tag byte, base Codec[T]) Codec[T]
 				return v, n + 1, err
 			},
 			Fallbacks: base.Fallbacks,
+			Aliases:   base.Aliases,
 		}
 	default:
 		return base
@@ -78,7 +81,8 @@ const (
 	tagFloat32
 )
 
-// rawString encodes a varint length followed by the bytes.
+// rawString encodes a varint length followed by the bytes, and decodes a
+// view of them: the string points into src (see Codec.Aliases).
 var rawString = Codec[string]{
 	Encode: func(dst []byte, v string) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v)))
@@ -89,8 +93,12 @@ var rawString = Codec[string]{
 		if n <= 0 || uint64(len(src)-n) < l {
 			return "", 0, ErrShortBuffer
 		}
-		return string(src[n : n+int(l)]), n + int(l), nil
+		if l == 0 {
+			return "", n, nil
+		}
+		return unsafe.String(&src[n], int(l)), n + int(l), nil
 	},
+	Aliases: true,
 }
 
 var rawBytes = Codec[[]byte]{

@@ -28,6 +28,7 @@ func PairCodec[K comparable, V any](s Style, kc Codec[K], vc Codec[V]) Codec[cor
 			return core.Pair[K, V]{Key: k, Value: v}, n + m, nil
 		},
 		Fallbacks: kc.Fallbacks + vc.Fallbacks,
+		Aliases:   kc.Aliases || vc.Aliases,
 	}
 	return wrap(s, "scala.Tuple2", tagPair, base)
 }
@@ -63,6 +64,7 @@ func SliceCodec[T any](s Style, ec Codec[T]) Codec[[]T] {
 			return out, off, nil
 		},
 		Fallbacks: ec.Fallbacks,
+		Aliases:   ec.Aliases,
 	}
 	return wrap(s, "java.util.ArrayList", tagSlice, base)
 }

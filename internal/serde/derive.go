@@ -24,7 +24,8 @@ import (
 // are the only per-record reflection: giving a decoded slice's backing
 // array its element type, and reading or building a map.
 //
-// This is the only file in the package that imports unsafe.
+// Besides the string codec's view (base.go), this file is the package's
+// only use of unsafe.
 
 // ptrCodec is a codec over untyped memory: enc encodes the value at p, dec
 // decodes into the zeroed value at p and reports the bytes consumed.
@@ -32,7 +33,8 @@ import (
 type ptrCodec struct {
 	enc       func(dst []byte, p unsafe.Pointer) []byte
 	dec       func(src []byte, p unsafe.Pointer) (int, error)
-	fallbacks int // gob leaves underneath, see Codec.Fallbacks
+	fallbacks int  // gob leaves underneath, see Codec.Fallbacks
+	aliases   bool // a string leaf underneath, see Codec.Aliases
 }
 
 // erase lifts a typed codec to untyped memory; T may be any type with the
@@ -49,6 +51,7 @@ func erase[T any](c Codec[T]) ptrCodec {
 			return n, nil
 		},
 		fallbacks: c.Fallbacks,
+		aliases:   c.Aliases,
 	}
 }
 
@@ -80,6 +83,7 @@ func typed[T any](pc ptrCodec) Codec[T] {
 			return v, n, nil
 		},
 		Fallbacks: pc.fallbacks,
+		Aliases:   pc.aliases,
 	}
 }
 
@@ -113,6 +117,7 @@ func wrapPtr(style Style, typeName string, tag byte, base ptrCodec) ptrCodec {
 			return n + len(hdr), nil
 		},
 		fallbacks: base.fallbacks,
+		aliases:   base.aliases,
 	}
 }
 
@@ -338,9 +343,10 @@ type part struct {
 
 // sequence lays the parts' encodings end to end.
 func sequence(parts []part) ptrCodec {
-	fallbacks := 0
+	fallbacks, aliases := 0, false
 	for _, p := range parts {
 		fallbacks += p.c.fallbacks
+		aliases = aliases || p.c.aliases
 	}
 	return ptrCodec{
 		enc: func(dst []byte, p unsafe.Pointer) []byte {
@@ -361,6 +367,7 @@ func sequence(parts []part) ptrCodec {
 			return off, nil
 		},
 		fallbacks: fallbacks,
+		aliases:   aliases,
 	}
 }
 
@@ -421,6 +428,7 @@ func (d *deriver) sliceCodec(t reflect.Type) ptrCodec {
 			return off, nil
 		},
 		fallbacks: ec.fallbacks,
+		aliases:   ec.aliases,
 	})
 }
 
@@ -539,5 +547,6 @@ func (d *deriver) mapCodec(t reflect.Type) ptrCodec {
 			return off, nil
 		},
 		fallbacks: kc.fallbacks + vc.fallbacks,
+		aliases:   kc.aliases || vc.aliases,
 	})
 }

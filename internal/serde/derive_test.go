@@ -253,13 +253,14 @@ func TestDerivedEncodeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Decode allocates what the value holds and nothing else: two strings for a
-// string pair, one array for an adjacency list.
+// Decode allocates what the value holds and nothing else: nothing for a
+// string pair, whose strings are views of src, one array for an adjacency
+// list.
 func TestDerivedDecodeAllocations(t *testing.T) {
 	ss := Of[core.Pair[string, string]](TypeInfo)
 	enc := ss.Encode(nil, core.KV("key0000001", "payload"))
-	if n := testing.AllocsPerRun(200, func() { ss.Decode(enc) }); n > 2 {
-		t.Errorf("Pair[string,string]: %v allocs per decode, want 2", n)
+	if n := testing.AllocsPerRun(200, func() { ss.Decode(enc) }); n > 0 {
+		t.Errorf("Pair[string,string]: %v allocs per decode, want 0", n)
 	}
 	adj := Of[core.Pair[int64, []int64]](TypeInfo)
 	enc = adj.Encode(nil, core.KV(int64(1), []int64{4, 8, 15, 16, 23, 42}))

@@ -26,9 +26,13 @@
 //     composition PairCodec and SliceCodec would have built by hand, and
 //     Of[core.Pair[K,V]] writes the bytes OfPair[K,V] writes. Derivation
 //     runs once per (type, style) and is cached; per record it is closure
-//     calls over field offsets, with no reflection, no allocation on
-//     encode and none on decode beyond what the value holds (maps
-//     excepted, which only reflect can read or build).
+//     calls over field offsets, with no reflection and no allocation on
+//     encode. On decode a string is a view, not a copy: DecodeAllN copies
+//     a block that holds strings once into an immutable arena and every
+//     string decoded from it points there, so a block costs one
+//     allocation however many string fields it holds, and only slices
+//     and maps allocate per value (maps through reflect, the only way to
+//     build one).
 //
 // Only the parts of a type that have no structural encoding — pointers,
 // interfaces, funcs, channels, complex numbers, structs with unexported

@@ -242,6 +242,7 @@ func (s *Schema) Codec() Codec[Row] {
 		Decode: func(src []byte) (Row, int, error) {
 			return s.ReadRow(src)
 		},
+		Aliases: true, // a row borrows src
 	}
 }
 

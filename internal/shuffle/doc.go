@@ -143,8 +143,10 @@
 //     byte-accounting rule honest (remote reads really move bytes).
 //   - Release returns a pooled payload to memory.DefaultPool and clears the
 //     Block; on a borrowed or owned Block it is a safe no-op. Call it once,
-//     after the last read. Every registered codec copies var-width payloads
-//     on Decode, so releasing right after DecodeBlocks/DecodeAll is safe.
+//     after the last read. DecodeBlocks and serde.DecodeAll never return
+//     values that alias the block (a block with strings is copied once into
+//     an immutable arena its records' strings view), so releasing right
+//     after them is safe.
 //
 // Per engine: spark's shuffle service retains emitted blocks forever (lineage
 // retries) and never releases; fetches borrow locally and copy remotely, and

@@ -10,8 +10,10 @@ import (
 // DecodeBlocks unpacks and decodes fetched blocks into one record slice per
 // block, in block (map-output) order. It must run with the Settings that
 // wrote the blocks — both sides of an edge resolve the same conf. Decoding
-// copies record payloads out of the wire bytes (every registered codec
-// does), so the caller may Release the blocks as soon as this returns.
+// goes through serde.DecodeAllN, whose values never alias the wire bytes (a
+// block with strings is copied once into an immutable arena its records'
+// strings view), so the caller may Release the blocks as soon as this
+// returns.
 func DecodeBlocks[R any](set Settings, codec serde.Codec[R], blocks []Block) ([][]R, error) {
 	out := make([][]R, len(blocks))
 	for i, b := range blocks {

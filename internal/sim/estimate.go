@@ -151,6 +151,14 @@ const (
 	// records a task the repo benchmark's TeraSort is a fifth faster on
 	// every engine; like the aggregate rows above, that is outside the
 	// probe's sizes.)
+	// Re-read when a fetched block came to be decoded through one copy
+	// with its strings as views, and a sink's parts to be the output file
+	// with no join on the driver: three sweeps alternated with the state
+	// before, per-cell medians of the measured sort-strategy slopes, before
+	// → after in s/MiB: spark p=2 0.0075 → 0.0063 and p=8 0.0070 → 0.0072,
+	// flink 0.0048 → 0.0038 and 0.0040 → 0.0038, mapreduce 0.0059 → 0.0067
+	// and 0.0070 → 0.0071 — 0.79-1.14 of before, inside the scatter of one
+	// configuration's own three readings (up to 0.004 apart). Kept.
 	estSortCPUSpark = 0.004
 	estSortCPUMR    = 0.0065
 	estSortCPUFlink = 0.002
