@@ -1,13 +1,13 @@
 GO ?= go
 
 # Coverage floor (%) enforced by `make cover` over the unified-API and
-# graph-library packages plus the shared shuffle core, the multi-tenant
-# scheduler and the cost-based planner. The planner additionally carries
-# its own, higher floor: its decisions steer every adaptive run, so the
-# package stays near-fully exercised.
+# graph-library packages plus the shared shuffle core and the cost-based
+# planner. The planner additionally carries its own, higher floor: its
+# decisions steer every adaptive run, so the package stays near-fully
+# exercised.
 COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
-COVER_PKGS = ./internal/dataflow/... ./internal/graph/... ./internal/shuffle/... ./internal/streaming/... ./internal/sched/... ./internal/planner/...
+COVER_PKGS = ./internal/dataflow/... ./internal/graph/... ./internal/shuffle/... ./internal/streaming/... ./internal/planner/...
 
 .PHONY: build test lint cover bench-smoke bench-tiny fuzz-smoke profile calibrate ext10-gates bench-pair
 
@@ -45,11 +45,10 @@ cover:
 	awk -v t="$$pl" -v f="$(PLANNER_COVER_FLOOR)" 'BEGIN { exit (t + 0 < f) ? 1 : 0 }' || \
 		{ echo "planner coverage below floor"; exit 1; }
 
-# Fast benchmark subset (1 iteration, no unit tests) plus six benchrunner
+# Fast benchmark subset (1 iteration, no unit tests) plus five benchrunner
 # experiments — tab1 (operator plans), ext4 (a three-way graph run), ext6
 # (the shuffle strategy × parallelism sweep on the real engines), ext7
-# (streaming latency percentiles, micro-batch vs per-event), ext8 (the
-# multi-tenant contention matrix, sharing policy × offered load) and ext10
+# (streaming latency percentiles, micro-batch vs per-event) and ext10
 # (adaptive execution: planner regret vs a measured oracle, plus the runtime
 # re-planning cell) — whose reports land in BENCH_smoke.json, the per-push CI
 # artifact the benchguard regression gate compares across pushes. GOGC is
@@ -60,7 +59,7 @@ BENCH_GOGC ?= 100
 BENCHTIME ?= 1x
 bench-smoke:
 	GOGC=$(BENCH_GOGC) $(GO) test -bench 'Ext|EngineWordCount|AblationPipelining' -benchtime $(BENCHTIME) -run '^$$' .
-	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext7,ext8,ext10 -json BENCH_smoke.json
+	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext7,ext10 -json BENCH_smoke.json
 
 # The repo benchmark (BENCHMARK.json) at smoke-test scale, for correctness
 # only: all four workloads on all three engines, every job checked against

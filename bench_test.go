@@ -55,20 +55,6 @@ func benchExperiment(b *testing.B, id string) {
 				b.ReportMetric(last.Flink, "flink_p50_ms")
 				b.ReportMetric(last.FlinkP99, "flink_p99_ms")
 			}
-			if rep.ThreeWay && !math.IsNaN(last.MapRed) {
-				b.ReportMetric(last.MapRed, "mapreduce_p50_ms")
-				b.ReportMetric(last.MapRedP99, "mapreduce_p99_ms")
-			}
-			// Contention reports (ext8) also carry cluster utilization.
-			if !math.IsNaN(last.SparkUtil) {
-				b.ReportMetric(last.SparkUtil, "spark_util")
-			}
-			if !math.IsNaN(last.FlinkUtil) {
-				b.ReportMetric(last.FlinkUtil, "flink_util")
-			}
-			if !math.IsNaN(last.MapRedUtil) {
-				b.ReportMetric(last.MapRedUtil, "mapreduce_util")
-			}
 			return
 		}
 		if !math.IsNaN(last.Spark) {
@@ -114,7 +100,6 @@ func BenchmarkExt4PageRankThreeWay(b *testing.B)  { benchExperiment(b, "ext4") }
 func BenchmarkExt5CCThreeWay(b *testing.B)        { benchExperiment(b, "ext5") }
 func BenchmarkExt6ShuffleSweep(b *testing.B)      { benchExperiment(b, "ext6") }
 func BenchmarkExt7StreamingLatency(b *testing.B)  { benchExperiment(b, "ext7") }
-func BenchmarkExt8TenantContention(b *testing.B)  { benchExperiment(b, "ext8") }
 
 // --- Ablations (DESIGN.md §7) ----------------------------------------------
 

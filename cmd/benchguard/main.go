@@ -7,12 +7,11 @@
 //	benchguard -baseline prev.json -current BENCH_smoke.json -fail tab1
 //
 // Reports are matched by experiment id, rows by label, and cells by JSON
-// field name; only numeric lower-is-better fields compare (utilization
-// fields are skipped). A worsening past -max-worsen (default 25%) on an
-// experiment named in -fail fails the run; on any other experiment it only
-// warns — the real-engine families (ext6..ext10) measure wall-clock on
-// shared CI runners and are too noisy to gate on, while tab1's simulated
-// cells are deterministic.
+// field name; only numeric lower-is-better fields compare. A worsening
+// past -max-worsen (default 25%) on an experiment named in -fail fails the
+// run; on any other experiment it only warns — the real-engine families
+// (ext6..ext10) measure wall-clock on shared CI runners and are too noisy to
+// gate on, while tab1's simulated cells are deterministic.
 // A missing or unreadable baseline warns and passes: the first push, an
 // expired artifact, or a schema change must not wedge CI.
 package main
@@ -71,10 +70,9 @@ func label(row map[string]json.RawMessage) string {
 }
 
 // comparable reports whether a field is a lower-is-better metric cell.
-// Std-deviation columns are run noise, utilization is higher-is-better,
-// and label/note are strings.
+// Std-deviation columns are run noise, and label/note are strings.
 func comparable(key string) bool {
-	if strings.Contains(key, "util") || strings.Contains(key, "_std") {
+	if strings.Contains(key, "_std") {
 		return false
 	}
 	switch key {

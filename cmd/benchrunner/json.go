@@ -21,23 +21,12 @@ type jsonRow struct {
 	FlinkStd     *float64 `json:"flink_std,omitempty"`
 	MapReduce    *float64 `json:"mapreduce_s,omitempty"`
 	MapReduceStd *float64 `json:"mapreduce_std,omitempty"`
-	// Latency reports (ext7/ext8): percentiles in milliseconds instead of
-	// the *_s runtime columns above. For ext7, spark = micro-batch and
-	// flink = per-event; for ext8 the cells are per-job JCT percentiles.
-	SparkP50     *float64 `json:"spark_p50_ms,omitempty"`
-	SparkP99     *float64 `json:"spark_p99_ms,omitempty"`
-	FlinkP50     *float64 `json:"flink_p50_ms,omitempty"`
-	FlinkP99     *float64 `json:"flink_p99_ms,omitempty"`
-	MapReduceP50 *float64 `json:"mapreduce_p50_ms,omitempty"`
-	MapReduceP99 *float64 `json:"mapreduce_p99_ms,omitempty"`
-	// Contention reports (ext8): cluster utilization over the makespan and
-	// p99 queue delay (submission → first slot grant) per engine run.
-	SparkUtil     *float64 `json:"spark_util,omitempty"`
-	FlinkUtil     *float64 `json:"flink_util,omitempty"`
-	MapReduceUtil *float64 `json:"mapreduce_util,omitempty"`
-	SparkQD99     *float64 `json:"spark_queue_p99_ms,omitempty"`
-	FlinkQD99     *float64 `json:"flink_queue_p99_ms,omitempty"`
-	MapReduceQD99 *float64 `json:"mapreduce_queue_p99_ms,omitempty"`
+	// Latency reports (ext7): percentiles in milliseconds instead of the
+	// *_s runtime columns above. spark = micro-batch, flink = per-event.
+	SparkP50 *float64 `json:"spark_p50_ms,omitempty"`
+	SparkP99 *float64 `json:"spark_p99_ms,omitempty"`
+	FlinkP50 *float64 `json:"flink_p50_ms,omitempty"`
+	FlinkP99 *float64 `json:"flink_p99_ms,omitempty"`
 	// Planner reports (ext10): measured seconds of the planner's choice,
 	// the oracle sweep's best and worst fixed configurations, the regret
 	// ratio and the re-plan count. All lower-is-better, so the guard's
@@ -80,16 +69,6 @@ func toJSONReport(rep *experiments.Report) jsonReport {
 			jr.SparkP99 = finite(row.SparkP99)
 			jr.FlinkP50 = finite(row.Flink)
 			jr.FlinkP99 = finite(row.FlinkP99)
-			if rep.ThreeWay {
-				jr.MapReduceP50 = finite(row.MapRed)
-				jr.MapReduceP99 = finite(row.MapRedP99)
-			}
-			jr.SparkUtil = finite(row.SparkUtil)
-			jr.FlinkUtil = finite(row.FlinkUtil)
-			jr.MapReduceUtil = finite(row.MapRedUtil)
-			jr.SparkQD99 = finite(row.SparkQD99)
-			jr.FlinkQD99 = finite(row.FlinkQD99)
-			jr.MapReduceQD99 = finite(row.MapRedQD99)
 		} else {
 			jr.Spark = finite(row.Spark)
 			jr.SparkStd = finite(row.SparkStd)

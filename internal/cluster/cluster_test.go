@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -319,72 +318,5 @@ func TestNodeFor(t *testing.T) {
 	}
 	if n := rt.NodeFor(-5); n < 0 || n >= 4 {
 		t.Errorf("NodeFor(-5) out of range: %d", n)
-	}
-}
-
-// TestRuntimeCarve pins the carve contract: a child runtime has private
-// per-node slot pools of the requested width but shares the parent's
-// cumulative scheduling counters.
-func TestRuntimeCarve(t *testing.T) {
-	rt, err := NewRuntime(Spec{Nodes: 2, CoresPerNode: 4, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := rt.Carve(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if child.SlotsPerNode() != 2 {
-		t.Errorf("child slots = %d, want 2", child.SlotsPerNode())
-	}
-	if child.Spec() != rt.Spec() {
-		t.Errorf("child spec %v differs from parent %v", child.Spec(), rt.Spec())
-	}
-
-	// The child's pools really are 2-wide: 4 tasks on one node run as two
-	// pairs, so peak concurrency never exceeds the carved width.
-	var cur, peak atomic.Int64
-	tasks := make([]Task, 4)
-	for i := range tasks {
-		tasks[i] = Task{Node: 0, Fn: func() error {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-			cur.Add(-1)
-			return nil
-		}}
-	}
-	if err := child.RunTasks(tasks); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() > 2 {
-		t.Errorf("peak concurrency %d exceeds carved width 2", peak.Load())
-	}
-
-	// Counters aggregate on the parent.
-	if got := rt.TasksLaunched(); got != 4 {
-		t.Errorf("parent TasksLaunched = %d, want 4 (shared with child)", got)
-	}
-	if got := rt.Waves(); got != 1 {
-		t.Errorf("parent Waves = %d, want 1", got)
-	}
-}
-
-// TestRuntimeCarveRejectsBadWidth pins the validation: zero, negative and
-// over-wide carves fail.
-func TestRuntimeCarveRejectsBadWidth(t *testing.T) {
-	rt, _ := NewRuntime(Grid5000(2), 4)
-	for _, w := range []int{0, -1, 5} {
-		if _, err := rt.Carve(w); err == nil {
-			t.Errorf("Carve(%d) from a 4-slot runtime should fail", w)
-		}
-	}
-	if _, err := rt.Carve(4); err != nil {
-		t.Errorf("Carve(4) at full width should succeed: %v", err)
 	}
 }

@@ -21,15 +21,6 @@ type Runtime struct {
 	slotsPerNode int
 	sems         []chan struct{}
 
-	// ctr is shared between a runtime and every child carved from it, so
-	// cluster-wide scheduling stats aggregate across tenants (the sched
-	// subsystem reports them per contention run).
-	ctr *counters
-}
-
-// counters holds the cumulative scheduling statistics of a runtime and all
-// runtimes carved from it.
-type counters struct {
 	tasksLaunched    atomic.Int64
 	subtasksLaunched atomic.Int64
 	waves            atomic.Int64
@@ -44,31 +35,11 @@ func NewRuntime(spec Spec, slotsPerNode int) (*Runtime, error) {
 	if slotsPerNode <= 0 {
 		slotsPerNode = spec.CoresPerNode
 	}
-	r := &Runtime{spec: spec, slotsPerNode: slotsPerNode, sems: make([]chan struct{}, spec.Nodes), ctr: &counters{}}
+	r := &Runtime{spec: spec, slotsPerNode: slotsPerNode, sems: make([]chan struct{}, spec.Nodes)}
 	for i := range r.sems {
 		r.sems[i] = make(chan struct{}, slotsPerNode)
 	}
 	return r, nil
-}
-
-// Carve returns a child runtime over the same topology with its own worker
-// pools of slotsPerNode slots per node — a YARN/Mesos-style container
-// allocation. The multi-tenant scheduler hands each admitted job a carved
-// runtime sized to its slot grant: the child's private semaphores mean two
-// tenants can never interleave partial slot acquisitions on one node (the
-// cross-job deadlock a shared semaphore set would allow for pipelined
-// gangs), while the scheduler's slot accounting keeps the sum of carved
-// widths within the parent's capacity. Scheduling counters are shared with
-// the parent, so TasksLaunched and Waves aggregate across tenants.
-func (r *Runtime) Carve(slotsPerNode int) (*Runtime, error) {
-	if slotsPerNode <= 0 || slotsPerNode > r.slotsPerNode {
-		return nil, fmt.Errorf("cluster: carve of %d slots/node from a %d-slot runtime", slotsPerNode, r.slotsPerNode)
-	}
-	c := &Runtime{spec: r.spec, slotsPerNode: slotsPerNode, sems: make([]chan struct{}, r.spec.Nodes), ctr: r.ctr}
-	for i := range c.sems {
-		c.sems[i] = make(chan struct{}, slotsPerNode)
-	}
-	return c, nil
 }
 
 // Spec returns the topology.
@@ -100,13 +71,13 @@ func (r *Runtime) RunTasks(tasks []Task) error {
 			return fmt.Errorf("cluster: task pinned to node %d of %d", t.Node, r.spec.Nodes)
 		}
 	}
-	r.ctr.waves.Add(1)
+	r.waves.Add(1)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	for _, t := range tasks {
 		wg.Add(1)
-		r.ctr.tasksLaunched.Add(1)
+		r.tasksLaunched.Add(1)
 		sem := r.sems[t.Node]
 		fn := t.Fn
 		go func() {
@@ -136,7 +107,7 @@ func (r *Runtime) Subtasks(node int, fns []func() error) error {
 	if node < 0 || node >= r.spec.Nodes {
 		return fmt.Errorf("cluster: subtasks pinned to node %d of %d", node, r.spec.Nodes)
 	}
-	r.ctr.subtasksLaunched.Add(int64(len(fns)))
+	r.subtasksLaunched.Add(int64(len(fns)))
 	gate := make(chan struct{}, r.slotsPerNode)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -162,12 +133,12 @@ func (r *Runtime) Subtasks(node int, fns []func() error) error {
 }
 
 // TasksLaunched returns the cumulative number of scheduled tasks.
-func (r *Runtime) TasksLaunched() int64 { return r.ctr.tasksLaunched.Load() }
+func (r *Runtime) TasksLaunched() int64 { return r.tasksLaunched.Load() }
 
 // SubtasksLaunched returns the cumulative number of intra-task subtasks.
-func (r *Runtime) SubtasksLaunched() int64 { return r.ctr.subtasksLaunched.Load() }
+func (r *Runtime) SubtasksLaunched() int64 { return r.subtasksLaunched.Load() }
 
 // Waves returns the number of RunTasks scheduling rounds; a direct measure
 // of scheduling overhead differences between loop unrolling and cyclic
 // dataflows.
-func (r *Runtime) Waves() int64 { return r.ctr.waves.Load() }
+func (r *Runtime) Waves() int64 { return r.waves.Load() }

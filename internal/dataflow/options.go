@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/planner"
-	"repro/internal/sched"
 )
 
 // Option configures Open. The zero set of options is valid: Open builds
@@ -42,22 +41,6 @@ func WithRuntime(rt *cluster.Runtime) Option {
 // one block replica per runtime node.
 func WithFS(fs *dfs.FS) Option {
 	return func(o *openSettings) { o.fs = fs }
-}
-
-// WithScheduler runs the session inside a multi-tenant slot grant: the
-// engine schedules onto the grant's carved runtime — per-node pools of
-// exactly the granted gang width — instead of a private default runtime.
-// Use inside a sched.Job body:
-//
-//	s.Submit(sched.Job{Tenant: "etl", Slots: 4, Run: func(g *sched.Grant) error {
-//	        sess, err := dataflow.Open("flink", dataflow.WithScheduler(g), ...)
-//	        ...
-//	}})
-//
-// Sessions opened without it are untouched — the default single-job path
-// has no scheduler in the loop at all.
-func WithScheduler(g *sched.Grant) Option {
-	return func(o *openSettings) { o.rt = g.Runtime() }
 }
 
 // WithPlanner runs the cost-based planner before the session starts: the
@@ -153,11 +136,4 @@ func Open(name string, opts ...Option) (*Session, error) {
 	s.planner = pl
 	s.decision = dec
 	return s, nil
-}
-
-// OpenLegacy is the pre-options positional signature.
-//
-// Deprecated: use Open with WithConfig, WithRuntime and WithFS.
-func OpenLegacy(name string, conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) (*Session, error) {
-	return Open(name, WithConfig(conf), WithRuntime(rt), WithFS(fs))
 }

@@ -220,8 +220,8 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 }
 
 // rebalanceExchange is an exchange that just re-partitions records without
-// grouping (partitionCustom, rebalance). A pure repartition has no key
-// order, so it stays pipelined under every strategy.
+// grouping (partitionCustom). A pure repartition has no key order, so it
+// stays pipelined under every strategy.
 func rebalanceExchange[T any](parent *DataSet[T], label string, kind core.OpKind, q int,
 	route func(T) int) *DataSet[T] {
 	return newExchange[T, T](parent, label, kind, q, route, nil, nil,

@@ -2,7 +2,6 @@ package spark
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -416,16 +415,5 @@ func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
 func ForeachPartition[T any](r *RDD[T], f func(int, []T) error) error {
 	return runJob(r, "ForeachPartition", func(p int, data []T, tc *taskContext) error {
 		return f(p, data)
-	})
-}
-
-// SortPartitionsBy sorts every partition locally (no shuffle); combined
-// with a range repartition it yields a total order, the Tera Sort recipe.
-func SortPartitionsBy[T any](r *RDD[T], less func(a, b T) bool) *RDD[T] {
-	return narrow(r, "SortPartitions", core.OpSortPartition, func(in []T, tc *taskContext) ([]T, error) {
-		out := make([]T, len(in))
-		copy(out, in)
-		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
-		return out, nil
 	})
 }

@@ -456,6 +456,24 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
+func TestUnionPreservesAll(t *testing.T) {
+	c := testContext(t, nil)
+	a := Parallelize(c, []int64{1, 2, 3}, 2)
+	b := Parallelize(c, []int64{4, 5}, 1)
+	u := Union(a, b)
+	if u.NumPartitions() != 3 {
+		t.Errorf("union partitions = %d, want 3", u.NumPartitions())
+	}
+	out, err := Collect(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if fmt.Sprint(out) != "[1 2 3 4 5]" {
+		t.Errorf("union = %v", out)
+	}
+}
+
 func TestLoopUnrollingSchedulesPerIteration(t *testing.T) {
 	// Spark iterations are for-loops: every iteration triggers a fresh
 	// scheduling round — the overhead the paper contrasts with Flink's

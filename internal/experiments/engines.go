@@ -69,8 +69,6 @@ func skippedRow(label, note string) Row {
 	return Row{
 		Label: label, PaperNote: note,
 		Spark: math.NaN(), Flink: math.NaN(), MapRed: math.NaN(),
-		SparkP99: math.NaN(), FlinkP99: math.NaN(), MapRedP99: math.NaN(),
-		SparkUtil: math.NaN(), FlinkUtil: math.NaN(), MapRedUtil: math.NaN(),
-		SparkQD99: math.NaN(), FlinkQD99: math.NaN(), MapRedQD99: math.NaN(),
+		SparkP99: math.NaN(), FlinkP99: math.NaN(),
 	}
 }

@@ -13,7 +13,7 @@ func TestRegistryComplete(t *testing.T) {
 		"tab1", "tab2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 		"tab3", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"tab4", "tab5", "tab6", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "tab7",
-		"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext10",
+		"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext10",
 	}
 	ids := IDs()
 	if len(ids) != len(want) {
@@ -166,76 +166,6 @@ func TestExt7MicroBatchLatencyAboveFlink(t *testing.T) {
 	out := rep.Render()
 	if !strings.Contains(out, "p50/p99") {
 		t.Errorf("ext7 render missing latency header:\n%s", out)
-	}
-}
-
-// TestExt8ContentionMatrix checks the multi-tenant family end to end: every
-// (policy × load) row carries finite JCT percentiles, utilization and queue
-// delay for all three engines, and the policy contrast the family exists to
-// show — under overload, FIFO's head-of-line blocking drives the p99 JCT
-// above fair share's on every engine.
-func TestExt8ContentionMatrix(t *testing.T) {
-	rep, err := runExt8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Latency || !rep.ThreeWay {
-		t.Fatal("ext8 should be a three-way latency report")
-	}
-	if len(rep.Rows) != 6 {
-		t.Fatalf("ext8 rows = %d, want 6 (3 policies × 2 loads)", len(rep.Rows))
-	}
-	byLabel := map[string]Row{}
-	for _, row := range rep.Rows {
-		byLabel[row.Label] = row
-		for col, v := range map[string]float64{
-			"spark p50": row.Spark, "spark p99": row.SparkP99,
-			"flink p50": row.Flink, "flink p99": row.FlinkP99,
-			"mapreduce p50": row.MapRed, "mapreduce p99": row.MapRedP99,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				t.Errorf("%s: %s JCT %v not finite/positive", row.Label, col, v)
-			}
-		}
-		for col, u := range map[string]float64{
-			"spark": row.SparkUtil, "flink": row.FlinkUtil, "mapreduce": row.MapRedUtil,
-		} {
-			if math.IsNaN(u) || u <= 0 || u > 1 {
-				t.Errorf("%s: %s utilization %v outside (0,1]", row.Label, col, u)
-			}
-		}
-		for col, q := range map[string]float64{
-			"spark": row.SparkQD99, "flink": row.FlinkQD99, "mapreduce": row.MapRedQD99,
-		} {
-			if math.IsNaN(q) || q < 0 {
-				t.Errorf("%s: %s queue-delay p99 %v invalid", row.Label, col, q)
-			}
-		}
-	}
-	// The open-loop contrast: a 4× offered-load step must drive cluster
-	// utilization up for every policy on every engine — the scheduler is
-	// really arbitrating more concurrent work, not pacing the submitter.
-	// (The policy contrast itself — fair share bounding light-tenant JCT
-	// where FIFO starves it — is asserted deterministically in
-	// internal/sched's TestFairShareBoundsLightTenantJCT.)
-	for _, policy := range []string{"fifo", "fair", "caps"} {
-		low, high := byLabel[policy+" @ 0.2k jobs/s"], byLabel[policy+" @ 0.8k jobs/s"]
-		for col, pair := range map[string][2]float64{
-			"spark":     {low.SparkUtil, high.SparkUtil},
-			"flink":     {low.FlinkUtil, high.FlinkUtil},
-			"mapreduce": {low.MapRedUtil, high.MapRedUtil},
-		} {
-			if pair[1] <= pair[0] {
-				t.Errorf("%s %s: utilization %0.2f at 4x load should exceed %0.2f at base load",
-					policy, col, pair[1], pair[0])
-			}
-		}
-	}
-	out := rep.Render()
-	for _, frag := range []string{"mapreduce p50/p99 ms", "util "} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("ext8 render missing %q:\n%s", frag, out)
-		}
 	}
 }
 

@@ -19,24 +19,11 @@ type Row struct {
 	FlinkStd  float64
 	MapRed    float64
 	MapRedStd float64
-	// SparkP99/FlinkP99/MapRedP99 are only set by latency reports
-	// (Report.Latency), where the Spark/Flink/MapRed columns hold p50
-	// milliseconds instead of mean seconds and these hold the matching
-	// tail percentile. MapRedP99 only renders for three-way latency
-	// reports (ext8, where all three real engines run under contention).
-	SparkP99  float64
-	FlinkP99  float64
-	MapRedP99 float64
-	// Utilization and queue-delay columns of the multi-tenant contention
-	// reports (ext8): granted-slot-time over cluster capacity across the
-	// run's makespan, and the p99 submission→first-grant delay in
-	// milliseconds. NaN everywhere else.
-	SparkUtil  float64
-	FlinkUtil  float64
-	MapRedUtil float64
-	SparkQD99  float64
-	FlinkQD99  float64
-	MapRedQD99 float64
+	// SparkP99/FlinkP99 are only set by latency reports (Report.Latency),
+	// where the Spark/Flink columns hold p50 milliseconds instead of mean
+	// seconds and these hold the matching tail percentile.
+	SparkP99 float64
+	FlinkP99 float64
 	// Planner columns of the adaptive-execution report (ext10): measured
 	// seconds of the planner's chosen configuration, the oracle sweep's
 	// best and worst fixed configurations, the regret ratio and the re-plan
@@ -105,16 +92,10 @@ func (r *Report) Render() string {
 			fmt.Fprintf(&b, "%s\n", note)
 		}
 		if r.Latency {
-			printRow("config", "spark p50/p99 ms", "flink p50/p99 ms", "mapreduce p50/p99 ms", noteHeader)
+			printRow("config", "spark p50/p99 ms", "flink p50/p99 ms", "", noteHeader)
 			for _, row := range r.Rows {
 				printRow(row.Label, latCell(row.Spark, row.SparkP99), latCell(row.Flink, row.FlinkP99),
-					latCell(row.MapRed, row.MapRedP99), row.PaperNote)
-				// The contention reports carry per-engine utilization and
-				// queue-delay tails alongside the JCT percentiles.
-				if !math.IsNaN(row.SparkUtil) || !math.IsNaN(row.FlinkUtil) || !math.IsNaN(row.MapRedUtil) {
-					printRow("", utilCell(row.SparkUtil, row.SparkQD99), utilCell(row.FlinkUtil, row.FlinkQD99),
-						utilCell(row.MapRedUtil, row.MapRedQD99), "")
-				}
+					"", row.PaperNote)
 			}
 		} else {
 			printRow("config", "spark (s)", "flink (s)", "mapreduce (s)", noteHeader)
@@ -160,15 +141,6 @@ func latCell(p50, p99 float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f / %.1f", p50, p99)
-}
-
-// utilCell renders the contention sub-row cell: cluster utilization and
-// p99 queue delay of one engine's run.
-func utilCell(util, qd99 float64) string {
-	if math.IsNaN(util) {
-		return ""
-	}
-	return fmt.Sprintf("util %.2f qd99 %.1f", util, qd99)
 }
 
 // Runner produces one experiment's report.

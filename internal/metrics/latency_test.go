@@ -48,26 +48,3 @@ func TestLatencySketchQuantiles(t *testing.T) {
 		t.Error("Reset did not clear samples")
 	}
 }
-
-// TestQueueDelaySketch pins the scheduler's queue-delay sketch: same
-// exact-quantile behaviour as LatencySketch, distinct type so JCT and
-// queue-delay distributions cannot be merged by accident.
-func TestQueueDelaySketch(t *testing.T) {
-	var qd QueueDelay
-	for i := 1; i <= 100; i++ {
-		qd.ObserveMillis(float64(i))
-	}
-	snap := qd.Snapshot()
-	if snap.Count != 100 {
-		t.Errorf("count = %d, want 100", snap.Count)
-	}
-	if snap.P50 != 50 {
-		t.Errorf("p50 = %v, want 50", snap.P50)
-	}
-	if snap.P99 != 99 {
-		t.Errorf("p99 = %v, want 99", snap.P99)
-	}
-	if snap.Max != 100 {
-		t.Errorf("max = %v, want 100", snap.Max)
-	}
-}

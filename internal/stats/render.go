@@ -47,33 +47,3 @@ func UsageChart(label string, s *StepSeries, end float64, width int, hi float64)
 	return fmt.Sprintf("%-14s %s  max=%.1f avg=%.1f (0..%.0fs)",
 		label, Sparkline(vals, hi), s.Max(), s.Avg(0, end), end)
 }
-
-// BarChart renders grouped bars, one row per label, in the style of the
-// paper's execution time comparisons (Figures 1, 2, 4, 5, 7, 8, 11-15):
-//
-//	2 nodes  spark ████████████ 312.0s
-//	         flink ███████████  298.5s
-func BarChart(rows []BarRow, width int) string {
-	hi := 0.0
-	for _, r := range rows {
-		if r.Value > hi {
-			hi = r.Value
-		}
-	}
-	var b strings.Builder
-	for _, r := range rows {
-		n := 0
-		if hi > 0 {
-			n = int(r.Value / hi * float64(width))
-		}
-		fmt.Fprintf(&b, "%-12s %-6s %s %.1fs\n", r.Group, r.Series, strings.Repeat("█", n), r.Value)
-	}
-	return b.String()
-}
-
-// BarRow is one bar of a BarChart.
-type BarRow struct {
-	Group  string // x-axis group, e.g. "16 nodes"
-	Series string // series name, e.g. "spark"
-	Value  float64
-}

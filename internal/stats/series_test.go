@@ -139,11 +139,4 @@ func TestSparklineAndCharts(t *testing.T) {
 	if chart == "" {
 		t.Error("UsageChart returned empty")
 	}
-	bars := BarChart([]BarRow{
-		{Group: "2 nodes", Series: "spark", Value: 312},
-		{Group: "", Series: "flink", Value: 298},
-	}, 30)
-	if bars == "" {
-		t.Error("BarChart returned empty")
-	}
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of repeated measurements.
@@ -54,28 +53,6 @@ func (s Summary) String() string {
 
 // Mean returns the arithmetic mean, 0 for empty input.
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank on a
-// sorted copy. Empty input yields 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
-}
 
 // Ratio returns a/b, guarding against a zero denominator; experiments use
 // it to report "Flink is 1.5x faster" style factors.

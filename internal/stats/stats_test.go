@@ -47,22 +47,6 @@ func TestSummaryBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(xs, 50); got != 5 {
-		t.Errorf("p50 = %v, want 5", got)
-	}
-	if got := Percentile(xs, 100); got != 10 {
-		t.Errorf("p100 = %v, want 10", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v, want 1", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %v, want 0", got)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(3, 2) != 1.5 {
 		t.Error("Ratio(3,2) != 1.5")

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,7 +23,8 @@ func TestNoBuiltInWorkloadFallsBackToGob(t *testing.T) {
 	tera := datagen.TeraGen(13, 200)
 	points, _ := datagen.KMeansPoints(17, 200, 3, 2.0)
 	edges := datagen.RMAT(29, datagen.GraphSpec{Name: "fallbacks", Vertices: 32, Edges: 100})
-	txns := GenTxns(7, 200, 10, 1.0)
+	sales := genSales(200)
+	wantRevenue := regionRevenueSerial(sales)
 
 	for _, engine := range dataflow.Names() {
 		engine := engine
@@ -52,13 +54,16 @@ func TestNoBuiltInWorkloadFallsBackToGob(t *testing.T) {
 			check("ConnectedComponents", err)
 			_, _, err = SSSP(s, edges, 0, 20)
 			check("SSSP", err)
-			_, err = RegionRevenue(s, txns, 4)
-			check("RegionRevenue", err)
+			revenue, err := regionRevenue(s, sales, 4)
+			check("revenue by region", err)
+			if !reflect.DeepEqual(revenue, wantRevenue) {
+				t.Errorf("revenue by region = %v, want %v", revenue, wantRevenue)
+			}
 
 			// The counter counts: a pointer has no structural encoding.
 			one := int64(1)
-			pairs := dataflow.MapToPair(dataflow.FromSlice(s, txns, 2), func(t Txn) core.Pair[string, *int64] {
-				return core.KV(t.Region, &one)
+			pairs := dataflow.MapToPair(dataflow.FromSlice(s, sales, 2), func(v sale) core.Pair[string, *int64] {
+				return core.KV(v.Region, &one)
 			})
 			if _, err := dataflow.CollectAsMap(dataflow.ReduceByKey(pairs, func(a, _ *int64) *int64 { return a })); err != nil {
 				t.Fatal(err)
