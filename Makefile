@@ -125,11 +125,12 @@ bench-pair:
 # arbitrary bytes into the block decode every engine fetches through — values
 # that never alias their input and re-encode —, arbitrary keys through the
 # shuffle's run sorter against a stable sort, arbitrary keys and resets
-# through the combine table every engine folds with against a map fold, and
+# through the combine table every engine folds with against a map fold,
 # arbitrary bytes × block size × buffer length × newline-aligned part cuts
 # through the dfs line reader every text source streams against
-# bytes.Split). CI runs this on every push; longer local sessions just raise
-# -fuzztime.
+# bytes.Split, and random keyed pairs × partition counts × pre-partitioned
+# sides through spark's CoGroup and Join against a map-based reference).
+# CI runs this on every push; longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
@@ -140,3 +141,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzLineBatches$$' -fuzztime $(FUZZTIME) ./internal/dfs
+	$(GO) test -run '^$$' -fuzz '^FuzzCoGroup$$' -fuzztime $(FUZZTIME) ./internal/engine/spark

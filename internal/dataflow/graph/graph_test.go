@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,6 +14,8 @@ import (
 	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
+	"repro/internal/engine/spark"
+	"repro/internal/metrics"
 )
 
 func session(t *testing.T, engine string) *dataflow.Session {
@@ -220,6 +223,75 @@ func TestAggregateMessagesRankContribs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSparkSuperstepShufflesOnlyMessages pins the spark lowering's physical
+// plan. Building the graph shuffles twice: the edges by source, and the
+// endpoint ids that become the vertices. Every superstep after that is one
+// shuffle-map stage, the combined messages, because the cached edges and the
+// vertex states share the graph's partitioner and are joined in place. The
+// graph is dense (2 000 edges over 32 vertices) so that a superstep's
+// combined messages are a small fraction of the edges, and a stage that
+// re-shuffled the edges would stand out by its bytes.
+func TestSparkSuperstepShufflesOnlyMessages(t *testing.T) {
+	edges := datagen.RMAT(5, datagen.GraphSpec{Name: "pin", Vertices: 32, Edges: 2000})
+	ctxOf := func(s *dataflow.Session) *spark.Context { return s.Backend().Handle().(*spark.Context) }
+
+	// The bytes one shuffle of the edges writes, as source → destination
+	// pairs over the graph's partitioner.
+	s := session(t, "spark")
+	pairs := make([]core.Pair[int64, int64], len(edges))
+	for i, e := range edges {
+		pairs[i] = core.KV(e.Src, e.Dst)
+	}
+	if _, err := spark.Count(spark.PartitionBy(spark.Parallelize(ctxOf(s), pairs, 4), core.NewHashPartitioner[int64](4))); err != nil {
+		t.Fatal(err)
+	}
+	edgeBytes := ctxOf(s).Metrics().ShuffleBytesWritten.Load()
+
+	// mapStageBytes runs maxIter supersteps of an always-sending Pregel and
+	// returns the shuffle bytes each of its shuffle-map stages wrote.
+	mapStageBytes := func(maxIter int) []int64 {
+		s := session(t, "spark")
+		var stages []int64
+		var seen int64
+		ctxOf(s).Metrics().SetStageObserver(func(ev metrics.StageEvent) {
+			if strings.HasPrefix(ev.Name, "shuffle-") {
+				stages = append(stages, ev.Snap.ShuffleBytesWritten-seen)
+			}
+			seen = ev.Snap.ShuffleBytesWritten
+		})
+		_, supersteps, err := Pregel(FromEdges[float64](dataflow.FromSlice(s, edges, 0)),
+			func(int64) float64 { return 1 },
+			func(_ int64, _, msg float64) (float64, bool) { return msg / 2, true },
+			func(_ int64, v float64, _ int64) (float64, bool) { return v, true },
+			func(a, b float64) float64 { return a + b },
+			maxIter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if supersteps != maxIter {
+			t.Fatalf("ran %d supersteps, want %d", supersteps, maxIter)
+		}
+		return stages
+	}
+	for _, supersteps := range []int{2, 5} {
+		stages := mapStageBytes(supersteps)
+		if len(stages) != supersteps+2 {
+			t.Errorf("%d supersteps launched %d shuffle-map stages, want %d (edges, vertex ids, one per superstep)",
+				supersteps, len(stages), supersteps+2)
+		}
+		edgeSized := 0
+		for _, b := range stages {
+			if b >= edgeBytes/2 {
+				edgeSized++
+			}
+		}
+		if edgeSized > 1 {
+			t.Errorf("%d supersteps: %d map stages wrote at least half the edges' %d shuffle bytes (%v); the edges may be shuffled once per Pregel call",
+				supersteps, edgeSized, edgeBytes, stages)
+		}
+	}
 }
 
 func TestPregelDanglingDestination(t *testing.T) {

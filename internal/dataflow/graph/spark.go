@@ -3,26 +3,26 @@ package graph
 import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/datagen"
 	"repro/internal/engine/spark"
 	"repro/internal/graph/graphxlike"
 )
 
 // The spark lowering: GraphX-like aggregate-messages rounds. The edge
 // Dataset lowers once to a cached RDD, graphxlike builds the property
-// graph (vertex derivation, spark.edge.partitions partitioning) and its
-// Pregel runs the loop-unrolled join→reduce→group supersteps — a fresh
-// scheduled job per round, the iteration model the paper contrasts with
-// Flink's native operators.
+// graph — edges keyed by source and vertices keyed by id, both under one
+// hash partitioner over spark.edge.partitions — and its Pregel runs the
+// loop-unrolled supersteps, a fresh scheduled job per round, the iteration
+// model the paper contrasts with Flink's native operators. Joins of states
+// with edges are narrow, so a superstep shuffles only its messages.
 
-func sparkGraph[V any](g *Graph[V]) (*spark.Context, *graphxlike.Graph[V], error) {
+func sparkGraph[V any](g *Graph[V]) (*graphxlike.Graph[V], error) {
 	ctx := g.s.Backend().Handle().(*spark.Context)
 	rdd, err := dataflow.SparkRDDOf(g.edges)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var zero V
-	return ctx, graphxlike.FromEdges(ctx, rdd, zero), nil
+	return graphxlike.FromEdges(ctx, rdd, zero), nil
 }
 
 func pregelSpark[V, M any](g *Graph[V],
@@ -32,7 +32,7 @@ func pregelSpark[V, M any](g *Graph[V],
 	mergeMsg func(M, M) M,
 	maxIter int) (map[int64]V, int, error) {
 
-	_, gg, err := sparkGraph(g)
+	gg, err := sparkGraph(g)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -50,27 +50,21 @@ func aggregateSpark[V, M any](g *Graph[V],
 	send func(int64, V, int64) []Msg[M],
 	mergeMsg func(M, M) M) (map[int64]M, error) {
 
-	ctx, gg, err := sparkGraph(g)
+	gg, err := sparkGraph(g)
 	if err != nil {
 		return nil, err
 	}
-	parts := ctx.Conf().Int(core.SparkEdgePartitions, 0)
-	if parts <= 0 {
-		parts = ctx.DefaultParallelism()
-	}
-	states := spark.Map(gg.Vertices(), func(p core.Pair[int64, V]) core.Pair[int64, V] {
-		return core.KV(p.Key, initial(p.Key))
-	})
-	edgeBySrc := spark.MapToPair(gg.Edges(), func(e datagen.Edge) core.Pair[int64, int64] {
-		return core.KV(e.Src, e.Dst)
-	})
-	joined := spark.Join(states, edgeBySrc, parts)
-	msgs := spark.FlatMap(joined,
-		func(p core.Pair[int64, spark.Joined[V, int64]]) []core.Pair[int64, M] {
-			sent := send(p.Key, p.Value.Left, p.Value.Right)
-			out := make([]core.Pair[int64, M], 0, len(sent))
-			for _, m := range sent {
-				out = append(out, core.KV(m.To, m.Value))
+	// The states keep the vertices' partitioner and the edges have it, so
+	// the join is narrow and the messages are the round's one shuffle.
+	parts := gg.Edges().NumPartitions()
+	states := spark.MapValues(gg.Vertices(), func(id int64, _ V) V { return initial(id) })
+	msgs := spark.MapPartitions(spark.Join(states, gg.Edges(), parts),
+		func(in []core.Pair[int64, spark.Joined[V, int64]]) []core.Pair[int64, M] {
+			var out []core.Pair[int64, M]
+			for _, p := range in {
+				for _, m := range send(p.Key, p.Value.Left, p.Value.Right) {
+					out = append(out, core.KV(m.To, m.Value))
+				}
 			}
 			return out
 		})

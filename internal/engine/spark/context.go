@@ -6,6 +6,12 @@
 //   - explicit persistence control (memory / memory-and-disk / disk-only)
 //     with an LRU block manager charged against the executor heap's storage
 //     fraction;
+//   - partition control (Section II-C): an RDD records the partitioner its
+//     keys were shuffled by, Filter and MapValues keep it, and a keyed
+//     operator (CombineByKey and its ReduceByKey / GroupByKey, PartitionBy,
+//     CoGroup and Join, Union) over inputs that already have the
+//     partitioner it needs takes a narrow dependency instead of a shuffle —
+//     what keeps GraphX's joins of cached vertices and edges narrow;
 //   - staged execution: the DAG scheduler cuts stages at shuffle
 //     dependencies and inserts a full barrier between stages;
 //   - a tungsten-sort-style shuffle with map-side combine that spills when

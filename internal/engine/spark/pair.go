@@ -2,6 +2,7 @@ package spark
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/core"
@@ -27,6 +28,51 @@ func Values[K comparable, V any](r *RDD[core.Pair[K, V]]) *RDD[V] {
 	return Map(r, func(p core.Pair[K, V]) V { return p.Value })
 }
 
+// MapValues applies f to every value and leaves every key where it is —
+// Spark's mapValues, with f also seeing the key as in GraphX's
+// VertexRDD.mapValues. Since no key moves, the result keeps r's
+// partitioner, so a keyed operator after it stays narrow where one after
+// Map would shuffle.
+func MapValues[K comparable, V, U any](r *RDD[core.Pair[K, V]], f func(K, V) U) *RDD[core.Pair[K, U]] {
+	out := narrow(r, "MapValues", core.OpMap, func(in []core.Pair[K, V], _ *taskContext) ([]core.Pair[K, U], error) {
+		out := make([]core.Pair[K, U], len(in))
+		for i, kv := range in {
+			out[i] = core.KV(kv.Key, f(kv.Key, kv.Value))
+		}
+		return out, nil
+	})
+	out.partitioner = r.partitioner
+	return out
+}
+
+// hashPartitioning identifies a *core.HashPartitioner[K] by its partition
+// count alone, as Spark's HashPartitioner.equals does; K being part of the
+// type keeps hash partitioners over different key types apart.
+type hashPartitioning[K comparable] struct{ n int }
+
+// partitionerKey is the identity RDD.partitioner records for part: equal
+// for every hash partitioner with the same key type and partition count,
+// and part itself for any other partitioner, which therefore equals only
+// itself.
+func partitionerKey[K comparable](part core.Partitioner[K]) any {
+	if h, ok := part.(*core.HashPartitioner[K]); ok {
+		return hashPartitioning[K]{n: h.NumPartitions()}
+	}
+	return part
+}
+
+// samePartitioner reports whether two recorded partitioners are equal; an
+// unknown (nil) partitioner equals nothing.
+func samePartitioner(a, b any) bool {
+	return a != nil && reflect.TypeOf(a).Comparable() && a == b
+}
+
+// partitionedBy reports whether r's keys already sit where part would put
+// them.
+func partitionedBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Partitioner[K]) bool {
+	return samePartitioner(r.partitioner, partitionerKey(part))
+}
+
 // ReduceByKey merges values per key with a map-side combine before the
 // shuffle — the aggregation component the paper evaluates with Word Count.
 // numParts ≤ 0 uses spark.default.parallelism, which the paper shows is a
@@ -49,7 +95,11 @@ func GroupByKey[K comparable, V any](r *RDD[core.Pair[K, V]], numParts int) *RDD
 // CombineByKey is the generic keyed aggregation Spark builds reduceByKey
 // and groupByKey on: createCombiner starts an accumulator, mergeValue adds
 // a record map-side (only when mapSideCombine), and mergeCombiners joins
-// accumulators reduce-side.
+// accumulators reduce-side. The result is hash-partitioned over numParts.
+// When r already has that partitioner every key's records are in one
+// partition, and the aggregation runs within partitions with no shuffle
+// (Spark's combineByKeyWithClassTag): createCombiner and mergeValue fold
+// each partition, keys in first-seen order.
 func CombineByKey[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string,
 	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
 	numParts int, mapSideCombine bool) *RDD[core.Pair[K, C]] {
@@ -57,13 +107,37 @@ func CombineByKey[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string,
 		numParts = r.ctx.curParallelism()
 	}
 	part := core.NewHashPartitioner[K](numParts)
-	return shuffledRDD(r, name, core.OpReduceByKey, part, createCombiner, mergeValue, mergeCombiners, mapSideCombine, false, nil, nil)
+	if !partitionedBy(r, part) {
+		return shuffledRDD(r, name, core.OpReduceByKey, part, createCombiner, mergeValue, mergeCombiners, mapSideCombine, false, nil, nil)
+	}
+	out := newRDD[core.Pair[K, C]](r.ctx, name, core.OpReduceByKey, r.numParts, []dep{{parent: r}}, nil)
+	out.compute = func(p int, tc *taskContext) ([]core.Pair[K, C], error) {
+		var acc []core.Pair[K, C]
+		index := make(map[K]int)
+		err := r.forEachBatch(p, tc, func(_ int, batch []core.Pair[K, V]) error {
+			for _, kv := range batch {
+				if i, ok := index[kv.Key]; ok {
+					acc[i].Value = mergeValue(acc[i].Value, kv.Value)
+				} else {
+					index[kv.Key] = len(acc)
+					acc = append(acc, core.KV(kv.Key, createCombiner(kv.Value)))
+				}
+			}
+			return nil
+		})
+		return acc, err
+	}
+	out.partitioner = r.partitioner
+	return out
 }
 
 // PartitionBy redistributes pairs with an explicit partitioner, no
 // combining — the fine-grained partition control the paper credits Spark
-// with (Section II-C).
+// with (Section II-C). An r that already has part is returned as it is.
 func PartitionBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Partitioner[K]) *RDD[core.Pair[K, V]] {
+	if partitionedBy(r, part) {
+		return r
+	}
 	// keepAll: repartitioning preserves every record, duplicates included.
 	return shuffledRDD(r, "PartitionBy", core.OpPartition, part,
 		func(v V) V { return v },
@@ -161,6 +235,7 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 		}
 		return shuffle.FoldFirstSeen(segs, mergeCombiners), nil
 	}
+	out.partitioner = partitionerKey(part)
 	return out
 }
 
@@ -170,45 +245,132 @@ type Joined[V, W any] struct {
 	Right W
 }
 
-// Join inner-joins two pair RDDs on their keys over numParts partitions.
+// Join inner-joins two pair RDDs on their keys, hash-partitioned over
+// numParts: Spark's join, a CoGroup whose groups are flattened into every
+// left × right pairing. A side that already has that partitioner is read
+// in place; the result keeps it.
 func Join[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core.Pair[K, W]],
 	numParts int) *RDD[core.Pair[K, Joined[V, W]]] {
 	if numParts <= 0 {
 		numParts = left.ctx.curParallelism()
 	}
-	lg := GroupByKey(left, numParts)
-	rg := GroupByKey(right, numParts)
-	return joinGrouped(lg, rg)
-}
-
-// joinGrouped zips two co-partitioned grouped RDDs. Both sides were
-// shuffled with the same hash partitioner and partition count, so equal
-// keys are in equal partitions.
-func joinGrouped[K comparable, V, W any](lg *RDD[core.Pair[K, []V]], rg *RDD[core.Pair[K, []W]]) *RDD[core.Pair[K, Joined[V, W]]] {
-	out := newRDD[core.Pair[K, Joined[V, W]]](lg.ctx, "Join", core.OpJoin, lg.numParts,
-		[]dep{{parent: lg}, {parent: rg}}, nil)
-	out.compute = func(p int, tc *taskContext) ([]core.Pair[K, Joined[V, W]], error) {
-		ls, err := lg.iterator(p, tc)
-		if err != nil {
-			return nil, err
+	cg := CoGroup(left, right, core.NewHashPartitioner[K](numParts))
+	out := narrow(cg, "Join", core.OpJoin, func(in []core.Pair[K, CoGrouped[V, W]], _ *taskContext) ([]core.Pair[K, Joined[V, W]], error) {
+		n := 0
+		for _, g := range in {
+			n += len(g.Value.Left) * len(g.Value.Right)
 		}
-		rs, err := rg.iterator(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		rmap := make(map[K][]W, len(rs))
-		for _, r := range rs {
-			rmap[r.Key] = r.Value
-		}
-		var recs []core.Pair[K, Joined[V, W]]
-		for _, l := range ls {
-			for _, lv := range l.Value {
-				for _, rv := range rmap[l.Key] {
-					recs = append(recs, core.KV(l.Key, Joined[V, W]{Left: lv, Right: rv}))
+		recs := make([]core.Pair[K, Joined[V, W]], 0, n)
+		for _, g := range in {
+			for _, lv := range g.Value.Left {
+				for _, rv := range g.Value.Right {
+					recs = append(recs, core.KV(g.Key, Joined[V, W]{Left: lv, Right: rv}))
 				}
 			}
 		}
 		return recs, nil
+	})
+	out.partitioner = cg.partitioner
+	return out
+}
+
+// CoGrouped is one key's values on the two sides of a CoGroup, each side in
+// partition order. Both slices are full (capacity = length), so appending
+// to one copies instead of overwriting its neighbour's values.
+type CoGrouped[V, W any] struct {
+	Left  []V
+	Right []W
+}
+
+// CoGroup groups two pair RDDs by key under part, like Spark's cogroup:
+// every key present on either side yields one record with all of its values
+// from both. A side that already has part is a narrow dependency — its
+// partition p holds exactly the keys part sends to p — and a side that does
+// not is shuffled by part first. Co-partitioned inputs therefore cogroup
+// without any shuffle, as GraphX's joins of a graph's vertices with its
+// edges do. The result has part.
+func CoGroup[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core.Pair[K, W]],
+	part core.Partitioner[K]) *RDD[core.Pair[K, CoGrouped[V, W]]] {
+	if left.ctx != right.ctx {
+		panic("spark: cogroup of RDDs from different contexts")
+	}
+	l, r := PartitionBy(left, part), PartitionBy(right, part)
+	out := newRDD[core.Pair[K, CoGrouped[V, W]]](left.ctx, "CoGroup", core.OpCoGroup, part.NumPartitions(),
+		[]dep{{parent: l}, {parent: r}}, func(p int, tc *taskContext) ([]core.Pair[K, CoGrouped[V, W]], error) {
+			ls, err := l.iterator(p, tc)
+			if err != nil {
+				return nil, err
+			}
+			rs, err := r.iterator(p, tc)
+			if err != nil {
+				return nil, err
+			}
+			return cogroupPartition(ls, rs), nil
+		})
+	out.partitioner = partitionerKey(part)
+	return out
+}
+
+// cogroupPartition groups one partition of each side: keys are numbered in
+// first-seen order (left side first), and each side's values are laid out
+// grouped in one backing array that the groups slice, so a partition costs
+// a fixed number of allocations however many keys it has.
+func cogroupPartition[K comparable, V, W any](ls []core.Pair[K, V], rs []core.Pair[K, W]) []core.Pair[K, CoGrouped[V, W]] {
+	index := make(map[K]int32, max(len(ls), len(rs)))
+	var keys []K
+	groupOf := func(k K) int32 {
+		g, ok := index[k]
+		if !ok {
+			g = int32(len(keys))
+			index[k] = g
+			keys = append(keys, k)
+		}
+		return g
+	}
+	lg := make([]int32, len(ls))
+	for i, kv := range ls {
+		lg[i] = groupOf(kv.Key)
+	}
+	rg := make([]int32, len(rs))
+	for i, kv := range rs {
+		rg[i] = groupOf(kv.Key)
+	}
+	lv, rv := groupValues(lg, ls, len(keys)), groupValues(rg, rs, len(keys))
+	out := make([]core.Pair[K, CoGrouped[V, W]], len(keys))
+	for g, k := range keys {
+		out[g] = core.KV(k, CoGrouped[V, W]{Left: lv[g], Right: rv[g]})
+	}
+	return out
+}
+
+// groupValues returns, for each of n groups, the values of the records
+// group[i] assigns to it, in record order: a counting sort into one backing
+// array, each group a full slice of it. A group with no record gets nil.
+func groupValues[K comparable, V any](group []int32, recs []core.Pair[K, V], n int) [][]V {
+	out := make([][]V, n)
+	if len(recs) == 0 {
+		return out
+	}
+	// next[g] starts as the offset of group g and ends as the offset of
+	// group g+1 once g's values are placed.
+	next := make([]int32, n+1)
+	for _, g := range group {
+		next[g+1]++
+	}
+	for g := 1; g <= n; g++ {
+		next[g] += next[g-1]
+	}
+	vals := make([]V, len(recs))
+	for i, g := range group {
+		vals[next[g]] = recs[i].Value
+		next[g]++
+	}
+	start := int32(0)
+	for g := range out {
+		if end := next[g]; end > start {
+			out[g] = vals[start:end:end]
+			start = end
+		}
 	}
 	return out
 }

@@ -73,6 +73,15 @@ type RDD[T any] struct {
 	stream func(part int, tc *taskContext, sink func(part int, batch []T) error) error
 	pref   func(part int) int
 
+	// partitioner is Spark's rdd.partitioner: which partitioner this RDD's
+	// keys were placed by, as partitionerKey identifies it, or nil when
+	// nothing is known about where a key lives. The operators that shuffle
+	// by a partitioner set it, the ones that cannot move a key (Filter,
+	// MapValues) copy it, and every other one leaves it nil. A keyed
+	// operator whose input already has the partitioner it needs takes a
+	// narrow dependency instead of a shuffle.
+	partitioner any
+
 	level StorageLevel
 	codec serde.Codec[T] // used for disk-level persistence
 }
@@ -226,9 +235,10 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 	})
 }
 
-// Filter keeps records where f is true.
+// Filter keeps records where f is true. No record moves, so the result
+// keeps r's partitioner.
 func Filter[T any](r *RDD[T], f func(T) bool) *RDD[T] {
-	return narrow(r, "Filter", core.OpFilter, func(in []T, tc *taskContext) ([]T, error) {
+	out := narrow(r, "Filter", core.OpFilter, func(in []T, tc *taskContext) ([]T, error) {
 		out := in[:0:0]
 		for _, v := range in {
 			if f(v) {
@@ -237,6 +247,8 @@ func Filter[T any](r *RDD[T], f func(T) bool) *RDD[T] {
 		}
 		return out, nil
 	})
+	out.partitioner = r.partitioner
+	return out
 }
 
 // MapPartitions transforms each partition as a whole.
@@ -298,11 +310,32 @@ func Coalesce[T any](r *RDD[T], numParts int) *RDD[T] {
 	return out
 }
 
-// Union concatenates two RDDs without a shuffle: the result has the
-// partitions of both parents side by side, like RDD.union().
+// Union concatenates two RDDs without a shuffle, like RDD.union(). When
+// both parents have the same partitioner it is Spark's
+// PartitionerAwareUnionRDD: partition p is a's partition p followed by b's,
+// and the result keeps the partitioner. Otherwise the result has the
+// partitions of both parents side by side and no partitioner.
 func Union[T any](a, b *RDD[T]) *RDD[T] {
 	if a.ctx != b.ctx {
 		panic("spark: union of RDDs from different contexts")
+	}
+	if samePartitioner(a.partitioner, b.partitioner) {
+		out := newRDD[T](a.ctx, "Union", core.OpUnion, a.numParts,
+			[]dep{{parent: a}, {parent: b}}, func(p int, tc *taskContext) ([]T, error) {
+				x, err := a.iterator(p, tc)
+				if err != nil {
+					return nil, err
+				}
+				y, err := b.iterator(p, tc)
+				if err != nil {
+					return nil, err
+				}
+				// x may be a cached block: the three-index slice makes
+				// append copy instead of writing past its end.
+				return append(x[:len(x):len(x)], y...), nil
+			})
+		out.partitioner = a.partitioner
+		return out
 	}
 	out := newRDD[T](a.ctx, "Union", core.OpUnion, a.numParts+b.numParts,
 		[]dep{{parent: a}, {parent: b}}, nil)

@@ -4,114 +4,126 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/engine/spark"
 )
 
 // VertexState carries the vertex attribute plus the Pregel activity flag.
-// Fields are exported so generic serializers can encode shuffled records.
+// Fields are exported so generic serializers can encode cached records.
 type VertexState[VD any] struct {
 	VD     VD
 	Active bool
 }
 
-// Unioned is the tagged record type flowing through the Pregel apply
-// shuffle: either a vertex state or a merged message.
-type Unioned[VD any, M any] struct {
-	IsVertex bool
-	State    VertexState[VD]
-	Msg      M
-}
-
 // Pregel runs a GraphX-style message-passing loop with Spark's iteration
-// model: a regular for-loop where every superstep schedules fresh join,
-// reduce and group stages (loop unrolling), caching the vertex RDD between
-// supersteps. The loop ends when no messages flow or after maxIter rounds;
-// the number of executed supersteps is returned.
+// model: a regular for-loop where every superstep schedules fresh stages
+// over cached RDDs (loop unrolling). The loop ends when no messages flow or
+// after maxIter rounds; the number of executed supersteps is returned.
 //
 //   - scatter derives the message an active vertex sends along one
 //     out-edge (ok=false sends nothing);
 //   - merge combines messages addressed to the same vertex;
 //   - apply integrates the merged message, returning the new attribute and
 //     whether the vertex changed (only changed vertices scatter next).
+//
+// The physical plan is GraphX's. The edges are grouped by source once per
+// call, under the graph's partitioner (partitioned first when they do not
+// have it — a symmetrized graph's edges), and cached; the vertex states
+// stay under the same partitioner from superstep to superstep. A superstep
+// is then
+//
+//  1. a narrow cogroup of the active vertices with their out-edges,
+//  2. scatter,
+//  3. ReduceByKey(merge) under the graph's partitioner — the superstep's
+//     one shuffle, combined map-side,
+//  4. a narrow cogroup of the vertex states with the merged messages
+//     (GraphX's outerJoinVertices),
+//  5. apply through MapValues, cached as the next generation of states.
+//
+// As in GraphX, the messages are cached and counted, and the job that
+// counts the next superstep's messages is the one that computes this
+// superstep's states: one job per superstep.
 func Pregel[VD any, M any](g *Graph[VD], maxIter int,
 	scatter func(src int64, vd VD, dst int64) (M, bool),
 	merge func(M, M) M,
 	apply func(id int64, vd VD, msg M) (VD, bool)) (*Graph[VD], int, error) {
 
-	edgeBySrc := spark.MapToPair(g.edges, func(e datagen.Edge) core.Pair[int64, int64] {
-		return core.KV(e.Src, e.Dst)
-	}).Cache()
+	part := g.partitioner()
+	outEdges := spark.GroupByKey(spark.PartitionBy(g.edges, part), g.edgeParts).Cache()
+	defer outEdges.Unpersist()
 
-	verts := spark.Map(g.vertices, func(p core.Pair[int64, VD]) core.Pair[int64, VertexState[VD]] {
-		return core.KV(p.Key, VertexState[VD]{VD: p.Value, Active: true})
-	}).Cache()
-
-	iterations := 0
-	for it := 0; it < maxIter; it++ {
-		// Superstep stage 1: join active vertices with out-edges, scatter,
-		// and combine messages per destination.
-		active := spark.Filter(verts, func(p core.Pair[int64, VertexState[VD]]) bool {
-			return p.Value.Active
-		})
-		joined := spark.Join(active, edgeBySrc, g.edgeParts)
-		msgs := spark.FlatMap(joined,
-			func(p core.Pair[int64, spark.Joined[VertexState[VD], int64]]) []core.Pair[int64, M] {
-				if m, ok := scatter(p.Key, p.Value.Left.VD, p.Value.Right); ok {
-					return []core.Pair[int64, M]{core.KV(p.Value.Right, m)}
-				}
-				return nil
-			})
-		merged := spark.ReduceByKey(msgs, merge, g.edgeParts)
-		msgCount, err := spark.Count(merged)
-		if err != nil {
-			return nil, iterations, fmt.Errorf("graphxlike: pregel superstep %d: %w", it, err)
-		}
-		if msgCount == 0 {
-			break
-		}
-		iterations = it + 1
-
-		// Superstep stage 2: union tagged vertices and messages, group by
-		// id, apply the vertex program. Unmessaged vertices go inactive.
-		taggedVerts := spark.Map(verts,
-			func(p core.Pair[int64, VertexState[VD]]) core.Pair[int64, Unioned[VD, M]] {
-				return core.KV(p.Key, Unioned[VD, M]{IsVertex: true, State: p.Value})
-			})
-		taggedMsgs := spark.Map(merged,
-			func(p core.Pair[int64, M]) core.Pair[int64, Unioned[VD, M]] {
-				return core.KV(p.Key, Unioned[VD, M]{Msg: p.Value})
-			})
-		grouped := spark.GroupByKey(spark.Union(taggedVerts, taggedMsgs), g.edgeParts)
-		next := spark.Map(grouped,
-			func(p core.Pair[int64, []Unioned[VD, M]]) core.Pair[int64, VertexState[VD]] {
-				var st VertexState[VD]
-				var msg M
-				hasMsg := false
-				for _, u := range p.Value {
-					if u.IsVertex {
-						st = u.State
-					} else {
-						msg = u.Msg
-						hasMsg = true
+	messages := func(verts *spark.RDD[core.Pair[int64, VertexState[VD]]]) *spark.RDD[core.Pair[int64, M]] {
+		active := spark.Filter(verts, func(p core.Pair[int64, VertexState[VD]]) bool { return p.Value.Active })
+		sent := spark.MapPartitions(spark.CoGroup(active, outEdges, part),
+			func(in []core.Pair[int64, spark.CoGrouped[VertexState[VD], []int64]]) []core.Pair[int64, M] {
+				n := 0
+				for _, v := range in {
+					for _, dsts := range v.Value.Right {
+						n += len(v.Value.Left) * len(dsts)
 					}
 				}
-				if !hasMsg {
-					return core.KV(p.Key, VertexState[VD]{VD: st.VD, Active: false})
+				msgs := make([]core.Pair[int64, M], 0, n)
+				for _, v := range in {
+					for _, st := range v.Value.Left {
+						for _, dsts := range v.Value.Right {
+							for _, dst := range dsts {
+								if m, ok := scatter(v.Key, st.VD, dst); ok {
+									msgs = append(msgs, core.KV(dst, m))
+								}
+							}
+						}
+					}
 				}
-				vd, changed := apply(p.Key, st.VD, msg)
-				return core.KV(p.Key, VertexState[VD]{VD: vd, Active: changed})
-			}).Cache()
-		// Materialize the new generation before dropping the old one.
-		if _, err := spark.Count(next); err != nil {
-			return nil, iterations, err
+				return msgs
+			})
+		return spark.ReduceByKey(sent, merge, g.edgeParts).Cache()
+	}
+	// Every message travels along an edge and every edge endpoint is a
+	// vertex, so each cogrouped id has exactly one state on the left.
+	applied := func(id int64, v spark.CoGrouped[VertexState[VD], M]) VertexState[VD] {
+		st := v.Left[0]
+		if len(v.Right) == 0 {
+			return VertexState[VD]{VD: st.VD, Active: false}
 		}
-		verts.Unpersist()
-		verts = next
+		vd, changed := apply(id, st.VD, v.Right[0])
+		return VertexState[VD]{VD: vd, Active: changed}
 	}
 
-	outVerts := spark.Map(verts, func(p core.Pair[int64, VertexState[VD]]) core.Pair[int64, VD] {
-		return core.KV(p.Key, p.Value.VD)
-	})
-	return &Graph[VD]{ctx: g.ctx, vertices: outVerts, edges: g.edges, edgeParts: g.edgeParts}, iterations, nil
+	verts := spark.MapValues(g.vertices, func(_ int64, vd VD) VertexState[VD] {
+		return VertexState[VD]{VD: vd, Active: true}
+	}).Cache()
+	var prevVerts *spark.RDD[core.Pair[int64, VertexState[VD]]]
+	var prevMsgs *spark.RDD[core.Pair[int64, M]]
+	iterations := 0
+	for {
+		// One job: it materialises verts (the previous superstep's states)
+		// and, unless the budget is spent, this superstep's messages.
+		var msgs *spark.RDD[core.Pair[int64, M]]
+		var n int64
+		var err error
+		if iterations < maxIter {
+			msgs = messages(verts)
+			n, err = spark.Count(msgs)
+		} else {
+			_, err = spark.Count(verts)
+		}
+		if err != nil {
+			return nil, iterations, fmt.Errorf("graphxlike: pregel superstep %d: %w", iterations+1, err)
+		}
+		if prevVerts != nil {
+			prevVerts.Unpersist()
+			prevMsgs.Unpersist()
+		}
+		if n == 0 {
+			if msgs != nil {
+				msgs.Unpersist()
+			}
+			break
+		}
+		iterations++
+		prevVerts, prevMsgs = verts, msgs
+		verts = spark.MapValues(spark.CoGroup(verts, msgs, part), applied).Cache()
+	}
+
+	outVerts := spark.MapValues(verts, func(_ int64, st VertexState[VD]) VD { return st.VD })
+	return &Graph[VD]{vertices: outVerts, edges: g.edges, edgeParts: g.edgeParts}, iterations, nil
 }
