@@ -128,8 +128,11 @@ bench-pair:
 # through the combine table every engine folds with against a map fold,
 # arbitrary bytes × block size × buffer length × newline-aligned part cuts
 # through the dfs line reader every text source streams against
-# bytes.Split, and random keyed pairs × partition counts × pre-partitioned
-# sides through spark's CoGroup and Join against a map-based reference).
+# bytes.Split, random keyed pairs × partition counts × pre-partitioned
+# sides through spark's CoGroup and Join against a map-based reference, and
+# random keyed pairs × partition counts × a static or dynamic side through
+# flink's Join inside a one-to-three-superstep bulk iteration against nested
+# loops).
 # CI runs this on every push; longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -142,3 +145,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzLineBatches$$' -fuzztime $(FUZZTIME) ./internal/dfs
 	$(GO) test -run '^$$' -fuzz '^FuzzCoGroup$$' -fuzztime $(FUZZTIME) ./internal/engine/spark
+	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime $(FUZZTIME) ./internal/engine/flink

@@ -15,15 +15,49 @@ import (
 // changed last superstep, and the step dataflow is scheduled once. The
 // paper credits exactly this operator for Flink's win on connected
 // components (and its managed-memory limit for the Table VII failures).
+// The edges are the join's static input: the first superstep partitions
+// them and builds their hash tables, which every later superstep probes in
+// place. The scatter and the apply are per-batch kernels, one output slice
+// per batch.
 
 // flinkVertices derives the vertex set with initial values inside the
 // flink dataflow (Gelly's fromDataSet with a vertex initializer).
 func flinkVertices[V any](edges *flink.DataSet[datagen.Edge], initial func(int64) V) *flink.DataSet[core.Pair[int64, V]] {
-	ids := flink.FlatMap(edges, func(e datagen.Edge) []int64 { return []int64{e.Src, e.Dst} })
+	ids := flink.MapPartition(edges, func(es []datagen.Edge) []int64 {
+		out := make([]int64, 0, 2*len(es))
+		for _, e := range es {
+			out = append(out, e.Src, e.Dst)
+		}
+		return out
+	})
 	distinct := flink.Distinct(ids, func(id int64) int64 { return id })
 	return flink.Map(distinct, func(id int64) core.Pair[int64, V] {
 		return core.KV(id, initial(id))
 	})
+}
+
+// messagesFlink is one message round: verts joined with their out-edges,
+// the scatter as a per-batch kernel (send appends one edge's messages to
+// the batch's one output slice), and the messages merged per destination.
+func messagesFlink[V, M any](verts *flink.DataSet[core.Pair[int64, V]], edges *flink.DataSet[datagen.Edge],
+	send func(out []core.Pair[int64, M], src int64, v V, dst int64) []core.Pair[int64, M],
+	mergeMsg func(M, M) M) *flink.DataSet[core.Pair[int64, M]] {
+	joined := flink.Join(verts, edges,
+		func(p core.Pair[int64, V]) int64 { return p.Key },
+		func(e datagen.Edge) int64 { return e.Src },
+		0)
+	msgs := flink.MapPartition(joined, func(js []core.Pair[int64, flink.Joined[core.Pair[int64, V], datagen.Edge]]) []core.Pair[int64, M] {
+		out := make([]core.Pair[int64, M], 0, len(js))
+		for _, j := range js {
+			out = send(out, j.Key, j.Value.Left.Value, j.Value.Right.Dst)
+		}
+		return out
+	})
+	return flink.Reduce(
+		flink.GroupBy(msgs, func(p core.Pair[int64, M]) int64 { return p.Key }),
+		func(a, b core.Pair[int64, M]) core.Pair[int64, M] {
+			return core.KV(a.Key, mergeMsg(a.Value, b.Value))
+		})
 }
 
 func pregelFlink[V, M any](g *Graph[V],
@@ -43,42 +77,35 @@ func pregelFlink[V, M any](g *Graph[V],
 	final := flink.IterateDelta(verts, verts, maxIter,
 		func(ws *flink.DataSet[core.Pair[int64, V]], lookup func(int64) (V, bool)) (*flink.DataSet[core.Pair[int64, V]], *flink.DataSet[core.Pair[int64, V]]) {
 			// Scatter: workset vertices message their out-neighbors.
-			joined := flink.Join(ws, edges,
-				func(p core.Pair[int64, V]) int64 { return p.Key },
-				func(e datagen.Edge) int64 { return e.Src },
-				0)
-			msgs := flink.FlatMap(joined,
-				func(j core.Pair[int64, flink.Joined[core.Pair[int64, V], datagen.Edge]]) []core.Pair[int64, M] {
-					if m, ok := sendMsg(j.Key, j.Value.Left.Value, j.Value.Right.Dst); ok {
-						return []core.Pair[int64, M]{core.KV(j.Value.Right.Dst, m)}
+			merged := messagesFlink(ws, edges,
+				func(out []core.Pair[int64, M], src int64, v V, dst int64) []core.Pair[int64, M] {
+					if m, ok := sendMsg(src, v, dst); ok {
+						out = append(out, core.KV(dst, m))
 					}
-					return nil
-				})
-			merged := flink.Reduce(
-				flink.GroupBy(msgs, func(p core.Pair[int64, M]) int64 { return p.Key }),
-				func(a, b core.Pair[int64, M]) core.Pair[int64, M] {
-					return core.KV(a.Key, mergeMsg(a.Value, b.Value))
-				})
+					return out
+				}, mergeMsg)
 			// Gather: apply the vertex program against the solution set;
 			// only changes enter the delta (and the next workset). The
 			// superstep counts on the first delivered message, keeping the
 			// count aligned with spark's msgCount>0 rule even when a
 			// non-empty workset generates no messages.
 			counted := new(atomic.Bool)
-			changed := flink.FlatMap(merged,
-				func(p core.Pair[int64, M]) []core.Pair[int64, V] {
-					if counted.CompareAndSwap(false, true) {
-						supersteps.Add(1)
-					}
+			changed := flink.MapPartition(merged, func(ps []core.Pair[int64, M]) []core.Pair[int64, V] {
+				if len(ps) > 0 && counted.CompareAndSwap(false, true) {
+					supersteps.Add(1)
+				}
+				out := make([]core.Pair[int64, V], 0, len(ps))
+				for _, p := range ps {
 					cur, ok := lookup(p.Key)
 					if !ok {
-						return nil
+						continue
 					}
 					if v, ch := vprog(p.Key, cur, p.Value); ch {
-						return []core.Pair[int64, V]{core.KV(p.Key, v)}
+						out = append(out, core.KV(p.Key, v))
 					}
-					return nil
-				})
+				}
+				return out
+			})
 			return changed, changed
 		})
 
@@ -102,25 +129,13 @@ func aggregateFlink[V, M any](g *Graph[V],
 	if err != nil {
 		return nil, err
 	}
-	verts := flinkVertices(edges, initial)
-	joined := flink.Join(verts, edges,
-		func(p core.Pair[int64, V]) int64 { return p.Key },
-		func(e datagen.Edge) int64 { return e.Src },
-		0)
-	msgs := flink.FlatMap(joined,
-		func(j core.Pair[int64, flink.Joined[core.Pair[int64, V], datagen.Edge]]) []core.Pair[int64, M] {
-			sent := send(j.Key, j.Value.Left.Value, j.Value.Right.Dst)
-			out := make([]core.Pair[int64, M], 0, len(sent))
-			for _, m := range sent {
+	merged := messagesFlink(flinkVertices(edges, initial), edges,
+		func(out []core.Pair[int64, M], src int64, v V, dst int64) []core.Pair[int64, M] {
+			for _, m := range send(src, v, dst) {
 				out = append(out, core.KV(m.To, m.Value))
 			}
 			return out
-		})
-	merged := flink.Reduce(
-		flink.GroupBy(msgs, func(p core.Pair[int64, M]) int64 { return p.Key }),
-		func(a, b core.Pair[int64, M]) core.Pair[int64, M] {
-			return core.KV(a.Key, mergeMsg(a.Value, b.Value))
-		})
+		}, mergeMsg)
 	pairs, err := flink.Collect(merged)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,10 @@
 //     one shuffle a mapreduce superstep runs;
 //   - flink: a Gelly-like native delta iteration — the solution set stays
 //     resident in managed memory and the shrinking workset carries only
-//     vertices whose value changed last superstep;
+//     vertices whose value changed last superstep. The edges are the
+//     superstep join's static input, so they are partitioned and built into
+//     hash tables once per iteration, and a superstep shuffles the workset
+//     and the combined messages;
 //   - mapreduce: chained DFS jobs — every superstep is an independent job
 //     that re-reads the full edge list from the DFS and round-trips the
 //     vertex states through a state file, modeling Hadoop's iteration cost

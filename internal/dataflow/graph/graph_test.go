@@ -14,6 +14,7 @@ import (
 	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
+	"repro/internal/engine/flink"
 	"repro/internal/engine/spark"
 	"repro/internal/metrics"
 )
@@ -291,6 +292,49 @@ func TestSparkSuperstepShufflesOnlyMessages(t *testing.T) {
 			t.Errorf("%d supersteps: %d map stages wrote at least half the edges' %d shuffle bytes (%v); the edges may be shuffled once per Pregel call",
 				supersteps, edgeSized, edgeBytes, stages)
 		}
+	}
+}
+
+// TestFlinkSuperstepReadsEdgesOnce pins the flink lowering's physical plan on
+// the same dense graph: the edges are the superstep join's static input, so
+// the first superstep partitions them and builds their tables and every
+// later one probes those in place. What a superstep shuffles is the workset
+// and the combined messages, so three more supersteps write less than one
+// shuffle of the edges; joining the edges afresh every superstep wrote three.
+func TestFlinkSuperstepReadsEdgesOnce(t *testing.T) {
+	edges := datagen.RMAT(5, datagen.GraphSpec{Name: "pin", Vertices: 32, Edges: 2000})
+	envOf := func(s *dataflow.Session) *flink.Env { return s.Backend().Handle().(*flink.Env) }
+
+	// The bytes one shuffle of the edges by source writes.
+	s := session(t, "flink")
+	bySrc := core.Partitioner[int64](core.NewHashPartitioner[int64](2))
+	if _, err := flink.Count(flink.PartitionCustom(flink.FromSlice(envOf(s), edges, 2), bySrc,
+		func(e datagen.Edge) int64 { return e.Src })); err != nil {
+		t.Fatal(err)
+	}
+	edgeBytes := envOf(s).Metrics().ShuffleBytesWritten.Load()
+
+	written := map[int]int64{}
+	for _, maxIter := range []int{2, 5} {
+		s := session(t, "flink")
+		_, supersteps, err := Pregel(FromEdges[float64](dataflow.FromSlice(s, edges, 0)),
+			func(int64) float64 { return 1 },
+			func(_ int64, _, msg float64) (float64, bool) { return msg / 2, true },
+			func(_ int64, v float64, _ int64) (float64, bool) { return v, true },
+			func(a, b float64) float64 { return a + b },
+			maxIter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if supersteps != maxIter {
+			t.Fatalf("ran %d supersteps, want %d", supersteps, maxIter)
+		}
+		written[maxIter] = envOf(s).Metrics().ShuffleBytesWritten.Load()
+	}
+	t.Logf("one shuffle of the edges: %d bytes; 2 and 5 supersteps: %d and %d", edgeBytes, written[2], written[5])
+	if extra := written[5] - written[2]; extra >= edgeBytes {
+		t.Errorf("3 more supersteps wrote %d shuffle bytes (%d → %d), one shuffle of the edges is %d: the edges are re-shuffled every superstep",
+			extra, written[2], written[5], edgeBytes)
 	}
 }
 

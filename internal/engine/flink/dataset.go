@@ -1,6 +1,7 @@
 package flink
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -43,11 +44,23 @@ func endFailed[T any](ctx *jobCtx, out partSink[T], err error) error {
 // the job has not failed, then end-of-input — also when that push fails.
 func flushAndClose[T any](ctx *jobCtx, out partSink[T], last []T) error {
 	if len(last) > 0 && !ctx.failed.Load() {
-		if err := out.push(last); err != nil {
+		if err := guard(func() error { return out.push(last) }); err != nil {
 			return endFailed(ctx, out, err)
 		}
 	}
 	return out.close()
+}
+
+// guard runs fn and returns a panic inside it — a user function failing in a
+// task — as fn's error, so the task still ends its stream through endFailed
+// instead of taking the process down or leaving an exchange open.
+func guard(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("flink: user function panicked: %v", r)
+		}
+	}()
+	return fn()
 }
 
 // planParent records a logical input edge for plan rendering.
@@ -56,12 +69,25 @@ type planParent struct {
 	exchange bool
 }
 
-// anyDataSet is the type-erased view used for plan rendering.
+// anyDataSet is the type-erased view used for plan rendering and for
+// reading a DataSet's iteration scope.
 type anyDataSet interface {
 	dsID() int
 	chainLabels() []string
 	opKind() core.OpKind
 	planInputs() []planParent
+	iterScope() *iterScope
+}
+
+// scopeOf is the iteration scope of an operator with these inputs: the
+// first scoped input's, nil when every input is on the static path.
+func scopeOf(parents []planParent) *iterScope {
+	for _, p := range parents {
+		if sc := p.ds.iterScope(); sc != nil {
+			return sc
+		}
+	}
+	return nil
 }
 
 // DataSet is a lazily evaluated, partitioned collection. Transformations
@@ -75,6 +101,9 @@ type DataSet[T any] struct {
 	parallelism int
 	parents     []planParent
 	pref        func(part int) int
+	// scope is the iteration run whose dynamic path this DataSet is on, nil
+	// on the static path (see iterScope).
+	scope *iterScope
 	// produce registers the tasks that will push every partition into
 	// sinks (len(sinks) == parallelism). It must not block.
 	produce func(ctx *jobCtx, sinks []partSink[T]) error
@@ -84,6 +113,23 @@ func (d *DataSet[T]) dsID() int                { return d.id }
 func (d *DataSet[T]) chainLabels() []string    { return d.chain }
 func (d *DataSet[T]) opKind() core.OpKind      { return d.kind }
 func (d *DataSet[T]) planInputs() []planParent { return d.parents }
+func (d *DataSet[T]) iterScope() *iterScope    { return d.scope }
+
+// newDataSet builds an operator node with a fresh id, on the iteration
+// scope of its inputs; the caller sets produce.
+func newDataSet[T any](e *Env, chain []string, kind core.OpKind, parallelism int,
+	pref func(int) int, parents ...planParent) *DataSet[T] {
+	return &DataSet[T]{
+		env:         e,
+		id:          int(e.nextID.Add(1)),
+		chain:       chain,
+		kind:        kind,
+		parallelism: parallelism,
+		parents:     parents,
+		pref:        pref,
+		scope:       scopeOf(parents),
+	}
+}
 
 // Parallelism returns the number of output partitions.
 func (d *DataSet[T]) Parallelism() int { return d.parallelism }
@@ -95,20 +141,13 @@ func (d *DataSet[T]) ChainLabel() string { return strings.Join(d.chain, "->") }
 // newSource builds a source DataSet whose tasks run gen per partition.
 func newSource[T any](e *Env, label string, parallelism int, pref func(int) int,
 	gen func(part int, emit func([]T) error) error) *DataSet[T] {
-	ds := &DataSet[T]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       []string{label},
-		kind:        core.OpSource,
-		parallelism: parallelism,
-		pref:        pref,
-	}
+	ds := newDataSet[T](e, []string{label}, core.OpSource, parallelism, pref)
 	ds.produce = func(ctx *jobCtx, sinks []partSink[T]) error {
 		for p := 0; p < parallelism; p++ {
 			p := p
 			node := ctx.place(p, pref)
 			ctx.addTask(node, func() error {
-				if err := gen(p, sinks[p].push); err != nil {
+				if err := guard(func() error { return gen(p, sinks[p].push) }); err != nil {
 					return endFailed(ctx, sinks[p], err)
 				}
 				return sinks[p].close()
@@ -123,16 +162,8 @@ func newSource[T any](e *Env, label string, parallelism int, pref func(int) int,
 // runs in the parent's task via wrapped sinks, no new tasks, no exchange.
 func chainOp[T, U any](parent *DataSet[T], label string, kind core.OpKind,
 	transform func(in []T, emit func([]U) error) error) *DataSet[U] {
-	e := parent.env
-	ds := &DataSet[U]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       append(append([]string{}, parent.chain...), label),
-		kind:        kind,
-		parallelism: parent.parallelism,
-		parents:     []planParent{{ds: parent}},
-		pref:        parent.pref,
-	}
+	ds := newDataSet[U](parent.env, append(append([]string{}, parent.chain...), label), kind,
+		parent.parallelism, parent.pref, planParent{ds: parent})
 	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
 		wrapped := make([]partSink[T], len(sinks))
 		for p := range sinks {
@@ -217,16 +248,8 @@ func SortPartition[T any](d *DataSet[T], less func(a, b T) bool) *DataSet[T] {
 // arrival order either way); serde.NormKeyerFor builds conforming writers.
 func SortPartitionNormalized[T any](d *DataSet[T], less func(a, b T) bool,
 	normKey func(v T, dst []byte) []byte) *DataSet[T] {
-	e := d.env
-	ds := &DataSet[T]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       append(append([]string{}, d.chain...), "SortPartition"),
-		kind:        core.OpSortPartition,
-		parallelism: d.parallelism,
-		parents:     []planParent{{ds: d}},
-		pref:        d.pref,
-	}
+	ds := newDataSet[T](d.env, append(append([]string{}, d.chain...), "SortPartition"), core.OpSortPartition,
+		d.parallelism, d.pref, planParent{ds: d})
 	ds.produce = func(ctx *jobCtx, sinks []partSink[T]) error {
 		wrapped := make([]partSink[T], len(sinks))
 		for p := range sinks {
@@ -241,10 +264,15 @@ func SortPartitionNormalized[T any](d *DataSet[T], less func(a, b T) bool,
 					if ctx.failed.Load() {
 						return out.close()
 					}
-					if normKey != nil {
-						shuffle.SortByNormKey(buf, normKey)
-					} else {
-						sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+					if err := guard(func() error {
+						if normKey != nil {
+							shuffle.SortByNormKey(buf, normKey)
+						} else {
+							sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+						}
+						return nil
+					}); err != nil {
+						return endFailed(ctx, out, err)
 					}
 					return flushAndClose(ctx, out, buf)
 				},

@@ -16,7 +16,10 @@
 //     spill do, while CoGroup's solution set must fit and kills the job
 //     otherwise — the paper's Table VII failure;
 //   - native iterations: bulk and delta iteration operators whose body is
-//     scheduled once and whose state stays resident across supersteps;
+//     scheduled once and whose state stays resident across supersteps; the
+//     static path is cached per iteration run — a join input that does not
+//     depend on the feedback is shuffled and built into hash tables on the
+//     first superstep, and every later superstep probes them in place;
 //   - type-aware (TypeInfo) serialization on every exchange, with no
 //     configuration.
 //

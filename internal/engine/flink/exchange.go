@@ -58,14 +58,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 	makeConsumer func(part int, out partSink[U]) recordConsumer[T]) *DataSet[U] {
 
 	e := parent.env
-	ds := &DataSet[U]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       []string{label},
-		kind:        kind,
-		parallelism: q,
-		parents:     []planParent{{ds: parent, exchange: true}},
-	}
+	ds := newDataSet[U](e, []string{label}, kind, q, nil, planParent{ds: parent, exchange: true})
 	codec := serde.Of[T](e.style)
 	e.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
 	set := e.curShuffleSettings()
@@ -201,14 +194,14 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 					if len(recs) == 0 {
 						continue
 					}
-					if err := cons.accept(recs); err != nil {
+					if err := guard(func() error { return cons.accept(recs) }); err != nil {
 						failed = err
 					}
 				}
 				if failed != nil {
 					return endFailed(ctx, sinks[part], failed)
 				}
-				if err := cons.finish(); err != nil {
+				if err := guard(cons.finish); err != nil {
 					return endFailed(ctx, sinks[part], err)
 				}
 				return sinks[part].close()

@@ -52,15 +52,8 @@ func FusedChain[U any](parent any, label string, kind core.OpKind,
 	kernel func(sink func([]U) error) (push any)) *DataSet[U] {
 	p := parent.(fusedDS)
 	e, parallelism, pref := p.fuseMeta()
-	ds := &DataSet[U]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       append(append([]string{}, p.chainLabels()...), label),
-		kind:        kind,
-		parallelism: parallelism,
-		parents:     []planParent{{ds: p}},
-		pref:        pref,
-	}
+	ds := newDataSet[U](e, append(append([]string{}, p.chainLabels()...), label), kind,
+		parallelism, pref, planParent{ds: p})
 	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
 		wrapped := make([]erasedSink, len(sinks))
 		for i := range sinks {

@@ -135,15 +135,8 @@ func Distinct[T any, K comparable](d *DataSet[T], keyFn func(T) K) *DataSet[T] {
 // and produces exactly what its parent does. The combining itself happens in
 // the shuffle writer the exchange gives every producing subtask.
 func groupCombine[T any](parent *DataSet[T]) *DataSet[T] {
-	e := parent.env
-	return &DataSet[T]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       append(append([]string{}, parent.chain...), "GroupCombine"),
-		kind:        core.OpGroupCombine,
-		parallelism: parent.parallelism,
-		parents:     []planParent{{ds: parent}},
-		pref:        parent.pref,
-		produce:     parent.produce,
-	}
+	ds := newDataSet[T](parent.env, append(append([]string{}, parent.chain...), "GroupCombine"),
+		core.OpGroupCombine, parent.parallelism, parent.pref, planParent{ds: parent})
+	ds.produce = parent.produce
+	return ds
 }

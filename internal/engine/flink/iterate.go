@@ -8,39 +8,121 @@ import (
 	"repro/internal/serde"
 )
 
+// iterScope is one run of an iteration. The run's feedback source — the
+// bulk iteration's BulkPartialSolution, the delta iteration's Workset —
+// carries it, and so does every DataSet built from a scoped input: that is
+// the iteration's dynamic path. A DataSet without a scope is on the static
+// path, loop-invariant — Flink's optimizer rule, read off the plan with no
+// annotation.
+//
+// The scope also holds what the run caches on its static path: the build
+// tables of the joins whose build side is static (see Join). step runs once
+// per superstep and builds a new dataflow each time, so a cached join is
+// known by its position among the cached joins of its superstep; the slot
+// records the static DataSet and the partition count it was built for, and
+// a later superstep whose join at that position differs fails instead of
+// probing another join's tables. The scope lives in the iteration's
+// coordinator task: its tables go when the run ends or fails, and another
+// job over the same iteration builds them again (Flink keeps nothing across
+// jobs).
+type iterScope struct {
+	// outer is the last DataSet id built before the run's first superstep:
+	// a static input built later was built by step, anew each superstep, so
+	// it has no identity to cache it under.
+	outer int
+
+	mu        sync.Mutex
+	superstep int
+	next      int // cached joins the current superstep has reached
+	joins     []*joinSlot
+}
+
+// joinSlot is one cached join of an iteration run.
+type joinSlot struct {
+	static, parts int
+	tables        any // []*joinTable[K, B], one per consumer partition
+}
+
+func newIterScope(e *Env) *iterScope {
+	return &iterScope{outer: int(e.nextID.Load())}
+}
+
+// cachedJoin returns the slot of the current superstep's next cached join,
+// which builds over DataSet static in q partitions; isNew when this
+// superstep is the first to reach it and must fill it.
+func (sc *iterScope) cachedJoin(static, q int) (slot *joinSlot, isNew bool, err error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	n := sc.next
+	sc.next++
+	if n < len(sc.joins) {
+		s := sc.joins[n]
+		if s.static != static || s.parts != q {
+			return nil, false, fmt.Errorf("flink: superstep %d changed the iteration's plan: cached join %d was built over DataSet %d in %d partitions, now joins DataSet %d in %d",
+				sc.superstep, n, s.static, s.parts, static, q)
+		}
+		return s, false, nil
+	}
+	if sc.superstep > 1 {
+		return nil, false, fmt.Errorf("flink: superstep %d changed the iteration's plan: it has a cached join %d the first superstep did not have",
+			sc.superstep, n)
+	}
+	s := &joinSlot{static: static, parts: q}
+	sc.joins = append(sc.joins, s)
+	return s, true, nil
+}
+
+// feedbackSource begins a superstep of sc's run and exposes the fed-back
+// partitions as the step's input: the head of the cyclic dataflow, and of
+// its dynamic path.
+func feedbackSource[T any](e *Env, sc *iterScope, label string, parts [][]T) *DataSet[T] {
+	sc.mu.Lock()
+	sc.superstep++
+	sc.next = 0
+	sc.mu.Unlock()
+	src := newSource(e, label, len(parts), nil, func(p int, emit func([]T) error) error {
+		if len(parts[p]) == 0 {
+			return nil
+		}
+		return emit(parts[p])
+	})
+	src.scope = sc
+	return src
+}
+
 // IterateBulk is Flink's bulk iteration operator: the step dataflow is
 // scheduled once and the data is fed back from its tail to its head for
 // `iters` supersteps. State (the partitioned intermediate result) stays
 // resident between supersteps; no per-iteration task scheduling happens —
 // the contrast with Spark's loop unrolling that the paper measures with
-// K-Means.
+// K-Means. A join in the step with a static input builds that input once
+// per run (see iterScope).
 func IterateBulk[T any](d *DataSet[T], iters int, step func(*DataSet[T]) *DataSet[T]) *DataSet[T] {
 	e := d.env
-	ds := &DataSet[T]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       []string{fmt.Sprintf("BulkIteration(%d)", iters)},
-		kind:        core.OpBulkIteration,
-		parallelism: d.parallelism,
-		parents:     []planParent{{ds: d, exchange: true}},
-	}
+	ds := newDataSet[T](e, []string{fmt.Sprintf("BulkIteration(%d)", iters)}, core.OpBulkIteration,
+		d.parallelism, nil, planParent{ds: d, exchange: true})
 	ds.produce = func(ctx *jobCtx, sinks []partSink[T]) error {
 		// One coordinator task drives the cyclic dataflow; supersteps run
 		// the step graph in place with runLocal (no new scheduling waves).
 		ctx.addTask(0, func() error {
-			parts, err := runLocal(d)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < iters; i++ {
-				cur := sourceFromParts(e, "BulkPartialSolution", parts)
-				next := step(cur)
-				parts, err = runLocal(next)
-				if err != nil {
+			var parts [][]T
+			err := guard(func() (err error) {
+				if parts, err = runLocal(d); err != nil {
 					return err
 				}
+				sc := newIterScope(e)
+				for i := 0; i < iters; i++ {
+					cur := feedbackSource(e, sc, "BulkPartialSolution", parts)
+					if parts, err = runLocal(step(cur)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return failAll(ctx, sinks, err)
 			}
-			return pushParts(parts, sinks)
+			return pushParts(ctx, parts, sinks)
 		})
 		return nil
 	}
@@ -52,80 +134,99 @@ func IterateBulk[T any](d *DataSet[T], iters int, step func(*DataSet[T]) *DataSe
 // Table VII failure) plus a shrinking workset. step derives (delta,
 // nextWorkset) from the current workset with read access to the solution
 // set; the iteration ends when the workset empties or after maxIter
-// supersteps. The returned DataSet is the final solution set.
+// supersteps. The returned DataSet is the final solution set. When solution
+// and workset are one DataSet it is evaluated once; a join in the step with
+// a static input builds that input once per run (see iterScope).
 func IterateDelta[K comparable, V any](solution *DataSet[core.Pair[K, V]],
 	workset *DataSet[core.Pair[K, V]], maxIter int,
 	step func(ws *DataSet[core.Pair[K, V]], lookup func(K) (V, bool)) (delta, next *DataSet[core.Pair[K, V]])) *DataSet[core.Pair[K, V]] {
 
 	e := solution.env
-	ds := &DataSet[core.Pair[K, V]]{
-		env:         e,
-		id:          int(e.nextID.Add(1)),
-		chain:       []string{fmt.Sprintf("DeltaIteration(%d)", maxIter)},
-		kind:        core.OpDeltaIteration,
-		parallelism: solution.parallelism,
-		parents: []planParent{
-			{ds: solution, exchange: true},
-			{ds: workset, exchange: true},
-		},
-	}
+	ds := newDataSet[core.Pair[K, V]](e, []string{fmt.Sprintf("DeltaIteration(%d)", maxIter)}, core.OpDeltaIteration,
+		solution.parallelism, nil, planParent{ds: solution, exchange: true}, planParent{ds: workset, exchange: true})
 	ds.produce = func(ctx *jobCtx, sinks []partSink[core.Pair[K, V]]) error {
 		ctx.addTask(0, func() error {
-			sol, err := newSolutionSet[K, V](e, solution.parallelism)
-			if err != nil {
-				return err
-			}
-			defer sol.release()
-			initParts, err := runLocal(solution)
-			if err != nil {
-				return err
-			}
-			for _, part := range initParts {
-				for _, kv := range part {
-					if err := sol.put(kv.Key, kv.Value); err != nil {
-						return err
-					}
-				}
-			}
-			wsParts, err := runLocal(workset)
-			if err != nil {
-				return err
-			}
-			for it := 0; it < maxIter && countRecords(wsParts) > 0; it++ {
-				ws := sourceFromParts(e, "Workset", wsParts)
-				deltaDS, nextDS := step(ws, sol.get)
-				// Flink semantics: delta and next workset are both computed
-				// against the superstep's solution-set snapshot; updates
-				// become visible in the NEXT superstep. Materialize both
-				// before applying the delta — and when step returns the
-				// same dataflow for both roles, evaluate it only once.
-				deltaParts, err := runLocal(deltaDS)
-				if err != nil {
+			var final [][]core.Pair[K, V]
+			err := guard(func() error {
+				sol := newSolutionSet[K, V](e, solution.parallelism)
+				// Released however the run ends: a failed superstep, a
+				// panicking user function, or the last superstep.
+				defer sol.release()
+				if err := deltaIterate(e, sol, solution, workset, maxIter, step); err != nil {
 					return err
 				}
-				if nextDS == deltaDS {
-					wsParts = deltaParts
-				} else {
-					wsParts, err = runLocal(nextDS)
-					if err != nil {
-						return err
-					}
-				}
-				// Apply the delta between supersteps (no step tasks are
-				// running, so no lock is needed).
-				for _, part := range deltaParts {
-					for _, kv := range part {
-						if err := sol.put(kv.Key, kv.Value); err != nil {
-							return err
-						}
-					}
-				}
+				final = sol.partitions()
+				return nil
+			})
+			if err != nil {
+				return failAll(ctx, sinks, err)
 			}
-			return pushParts(sol.partitions(), sinks)
+			return pushParts(ctx, final, sinks)
 		})
 		return nil
 	}
 	return ds
+}
+
+// deltaIterate runs the supersteps of one delta iteration into sol.
+func deltaIterate[K comparable, V any](e *Env, sol *solutionSet[K, V],
+	solution, workset *DataSet[core.Pair[K, V]], maxIter int,
+	step func(ws *DataSet[core.Pair[K, V]], lookup func(K) (V, bool)) (delta, next *DataSet[core.Pair[K, V]])) error {
+	initParts, err := runLocal(solution)
+	if err != nil {
+		return err
+	}
+	for _, part := range initParts {
+		for _, kv := range part {
+			if err := sol.put(kv.Key, kv.Value); err != nil {
+				return err
+			}
+		}
+	}
+	wsParts := initParts
+	if workset != solution {
+		if wsParts, err = runLocal(workset); err != nil {
+			return err
+		}
+	}
+	sc := newIterScope(e)
+	for it := 0; it < maxIter && countRecords(wsParts) > 0; it++ {
+		ws := feedbackSource(e, sc, "Workset", wsParts)
+		deltaDS, nextDS := step(ws, sol.get)
+		// Flink semantics: delta and next workset are both computed
+		// against the superstep's solution-set snapshot; updates become
+		// visible in the NEXT superstep. Materialize both before applying
+		// the delta — and when step returns the same dataflow for both
+		// roles, evaluate it only once.
+		deltaParts, err := runLocal(deltaDS)
+		if err != nil {
+			return err
+		}
+		if nextDS == deltaDS {
+			wsParts = deltaParts
+		} else if wsParts, err = runLocal(nextDS); err != nil {
+			return err
+		}
+		// Apply the delta between supersteps (no step tasks are running, so
+		// no lock is needed).
+		for _, part := range deltaParts {
+			for _, kv := range part {
+				if err := sol.put(kv.Key, kv.Value); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// failAll ends every sink of a task that fails before pushing anything,
+// and returns err.
+func failAll[T any](ctx *jobCtx, sinks []partSink[T], err error) error {
+	for _, s := range sinks {
+		endFailed(ctx, s, err)
+	}
+	return err
 }
 
 // solutionSet is the delta iteration's keyed state: partitioned hash maps
@@ -137,7 +238,7 @@ type solutionSet[K comparable, V any] struct {
 	segments []int
 }
 
-func newSolutionSet[K comparable, V any](e *Env, parallelism int) (*solutionSet[K, V], error) {
+func newSolutionSet[K comparable, V any](e *Env, parallelism int) *solutionSet[K, V] {
 	if parallelism <= 0 {
 		parallelism = 1
 	}
@@ -149,7 +250,7 @@ func newSolutionSet[K comparable, V any](e *Env, parallelism int) (*solutionSet[
 	for i := range s.parts {
 		s.parts[i] = make(map[K]V)
 	}
-	return s, nil
+	return s
 }
 
 func (s *solutionSet[K, V]) partOf(k K) int {
@@ -201,35 +302,24 @@ func (s *solutionSet[K, V]) release() {
 	}
 }
 
-// sourceFromParts exposes in-memory partitions as a DataSet — the feedback
-// edge of the cyclic dataflow.
-func sourceFromParts[T any](e *Env, label string, parts [][]T) *DataSet[T] {
-	return newSource(e, label, len(parts), nil, func(p int, emit func([]T) error) error {
-		if len(parts[p]) == 0 {
-			return nil
-		}
-		return emit(parts[p])
-	})
-}
-
 // pushParts feeds materialized partitions into job sinks, rebalancing if
-// the partition counts differ.
-func pushParts[T any](parts [][]T, sinks []partSink[T]) error {
+// the partition counts differ, and closes every sink — after a failed push
+// too, so an exchange behind them still ends.
+func pushParts[T any](ctx *jobCtx, parts [][]T, sinks []partSink[T]) error {
+	var first error
 	for i := range sinks {
 		var merged []T
-		for q := i; q < len(parts); q += len(sinks) {
+		if i < len(parts) {
+			merged = parts[i] // the coordinator's own copy: appending is fine
+		}
+		for q := i + len(sinks); q < len(parts); q += len(sinks) {
 			merged = append(merged, parts[q]...)
 		}
-		if len(merged) > 0 {
-			if err := sinks[i].push(merged); err != nil {
-				return err
-			}
-		}
-		if err := sinks[i].close(); err != nil {
-			return err
+		if err := flushAndClose(ctx, sinks[i], merged); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 func countRecords[T any](parts [][]T) int {
@@ -282,5 +372,6 @@ func MapWithBroadcast[T, U, B any](d *DataSet[T], bc *DataSet[B], f func(T, []B)
 		return emit(out)
 	})
 	ds.parents = append(ds.parents, planParent{ds: bc, exchange: true})
+	ds.scope = scopeOf(ds.parents) // a dynamic broadcast set makes the map dynamic
 	return ds
 }

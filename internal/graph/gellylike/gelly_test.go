@@ -1,6 +1,7 @@
 package gellylike
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -170,6 +171,80 @@ func TestPageRankSingleSchedulingRoundPerJob(t *testing.T) {
 	rounds := e.Metrics().SchedulingRounds.Load() - before
 	if rounds > 4 {
 		t.Errorf("10 supersteps used %d scheduling rounds; native iterations schedule once", rounds)
+	}
+}
+
+// TestIterationsJoinCachedEdges: PageRank (bulk) and both connected
+// components variants join the iteration state with the edges, which are
+// on the iteration's static path, so the engine shuffles and builds the
+// edges on a run's first superstep only, with no change to this package. A
+// later superstep writes the state and the messages: under half of what one
+// shuffle of the edges writes. Bulk components does not combine its offers
+// before the co-group that unions them with the labels, so its supersteps
+// also shuffle one offer per symmetrized edge — as many bytes as two
+// shuffles of the edges — whether or not the edges are cached. The graph is
+// a 16-vertex chain of 100-fold edges, so the state and the messages stay
+// small and every run lasts its full superstep count.
+func TestIterationsJoinCachedEdges(t *testing.T) {
+	var edges []datagen.Edge
+	for v := int64(0); v < 15; v++ {
+		for i := 0; i < 100; i++ {
+			edges = append(edges, datagen.Edge{Src: v, Dst: v + 1})
+		}
+	}
+	e := testEnv(t)
+	bySrc := core.Partitioner[int64](core.NewHashPartitioner[int64](4))
+	if _, err := flink.Count(flink.PartitionCustom(flink.FromSlice(e, edges, 4), bySrc,
+		func(ed datagen.Edge) int64 { return ed.Src })); err != nil {
+		t.Fatal(err)
+	}
+	edgeBytes := e.Metrics().ShuffleBytesWritten.Load()
+
+	collect := func(ds *flink.DataSet[core.Pair[int64, int64]]) error {
+		_, err := flink.Collect(ds)
+		return err
+	}
+	for name, c := range map[string]struct {
+		run    func(g *Graph[int64], n int) error
+		offers int64 // bytes a superstep shuffles besides the state and the messages
+	}{
+		"PageRank": {func(g *Graph[int64], n int) error {
+			ranks, err := PageRank(g, n)
+			if err == nil {
+				_, err = flink.Collect(ranks)
+			}
+			return err
+		}, 0},
+		"ConnectedComponentsBulk": {func(g *Graph[int64], n int) error {
+			labels, err := ConnectedComponentsBulk(g, n)
+			if err == nil {
+				err = collect(labels)
+			}
+			return err
+		}, 2 * edgeBytes},
+		"ConnectedComponentsDelta": {func(g *Graph[int64], n int) error {
+			labels, supersteps, err := ConnectedComponentsDelta(g, n)
+			if err == nil {
+				err = collect(labels)
+			}
+			if err == nil && *supersteps != int64(n) {
+				err = fmt.Errorf("ran %d supersteps, want %d", *supersteps, n)
+			}
+			return err
+		}, 0},
+	} {
+		written := map[int]int64{}
+		for _, n := range []int{2, 5} {
+			e := testEnv(t)
+			if err := c.run(loadGraph(t, e, edges), n); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			written[n] = e.Metrics().ShuffleBytesWritten.Load()
+		}
+		if perStep := (written[5] - written[2]) / 3; perStep-c.offers >= edgeBytes/2 {
+			t.Errorf("%s: a superstep writes %d shuffle bytes (%d besides offers), one shuffle of the edges %d: the edges are re-shuffled every superstep",
+				name, perStep, perStep-c.offers, edgeBytes)
+		}
 	}
 }
 
