@@ -106,7 +106,8 @@ ext10-gates:
 
 # Base-vs-working-tree comparison on workloads of the repo benchmark
 # (BENCHMARK.json): `make bench-pair BASE=HEAD~1 WORKLOAD=wordcount` builds
-# ./bench at BASE (a git worktree in a temp dir) and here, runs ten
+# ./bench at BASE (exported with git archive into a temp dir, so nothing is
+# written under .git and a crashed run leaves no worktree) and here, runs ten
 # alternating pairs of BENCHMARK.json's run_seconds (24 s; the protocol has
 # no knobs) with result files kept out of bench/out, and prints
 # each side's median and quartiles per end-to-end metric. WORKLOAD is one

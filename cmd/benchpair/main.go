@@ -11,9 +11,10 @@
 //
 // -workload takes one name, a comma-separated list, or "all" for every
 // workload BENCHMARK.json declares — a claim's table and its no-regression
-// tables from one command, one table per workload. It checks BASE out into
-// a git worktree in a temporary directory, builds ./bench there and in the
-// working tree, and runs, per workload, ten pairs of
+// tables from one command, one table per workload. It exports BASE into a
+// temporary directory (git archive BASE | tar -x: nothing is written under
+// .git, and a crashed run leaves no worktree behind), builds ./bench there
+// and in the working tree, and runs, per workload, ten pairs of
 // BENCHMARK.json's run_seconds each, the two sides of a pair on the same seed
 // and the side that goes first alternating: the protocol is fixed so that
 // two tables are always comparable. Result files go to the temporary
@@ -139,10 +140,9 @@ func run(base, workload string, seed int) error {
 	}
 	defer os.RemoveAll(tmp)
 	tree := filepath.Join(tmp, "base")
-	if err := command("", "git", "worktree", "add", "--detach", tree, base).Run(); err != nil {
-		return fmt.Errorf("check out %s: %w", base, err)
+	if err := export(base, tree); err != nil {
+		return fmt.Errorf("export %s: %w", base, err)
 	}
-	defer command("", "git", "worktree", "remove", "--force", tree).Run()
 
 	bins := map[string]string{"base": filepath.Join(tmp, "bench-base"), "head": filepath.Join(tmp, "bench-head")}
 	for side, dir := range map[string]string{"base": tree, "head": ""} {
@@ -257,6 +257,36 @@ func printTable(w io.Writer, base, head map[string][]float64, units map[string]s
 			fmt.Sprintf("%.4g [%.4g, %.4g]", bq[1], bq[0], bq[2]),
 			fmt.Sprintf("%.4g [%.4g, %.4g]", hq[1], hq[0], hq[2]), wins, len(b), apart)
 	}
+}
+
+// export writes the tree of ref into dir as git archive | tar -x does.
+func export(ref, dir string) error {
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return err
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		return err
+	}
+	archive := command("", "git", "archive", ref)
+	archive.Stdout = w
+	untar := command(dir, "tar", "-x")
+	untar.Stdin = r
+	if err := untar.Start(); err != nil {
+		r.Close()
+		w.Close()
+		return err
+	}
+	archived := archive.Run()
+	// The children hold their own ends: closing ours lets tar see the end
+	// of the archive.
+	w.Close()
+	r.Close()
+	untarred := untar.Wait()
+	if archived != nil {
+		return archived
+	}
+	return untarred
 }
 
 // gitOutput runs git in the working tree and returns what it printed, trimmed.

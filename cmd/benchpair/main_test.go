@@ -110,3 +110,24 @@ func keysInOrder(t *testing.T, line string) []string {
 	}
 	return keys
 }
+
+// TestExportWritesTheTreeOfARef: the base is the tree of a commit, exported
+// with git archive, and nothing of git's own comes with it.
+func TestExportWritesTheTreeOfARef(t *testing.T) {
+	if _, err := gitOutput("rev-parse", "HEAD"); err != nil {
+		t.Skip("not in a git checkout:", err)
+	}
+	dir := filepath.Join(t.TempDir(), "base")
+	if err := export("HEAD", dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "main.go")); err != nil {
+		t.Errorf("the export has no main.go: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".git")); !os.IsNotExist(err) {
+		t.Errorf("the export has a .git entry (%v)", err)
+	}
+	if err := export("no-such-ref-anywhere", filepath.Join(t.TempDir(), "bad")); err == nil {
+		t.Error("exporting a ref that does not exist succeeded")
+	}
+}

@@ -15,6 +15,12 @@ import (
 
 // Collect gathers every record on the driver in partition order.
 func Collect[T any](d *Dataset[T]) ([]T, error) {
+	recs, err := collect(d)
+	d.s.driverRecords(len(recs))
+	return recs, err
+}
+
+func collect[T any](d *Dataset[T]) ([]T, error) {
 	switch d.s.kind() {
 	case Spark:
 		r, err := repOf[*spark.RDD[T]](d)
@@ -40,6 +46,7 @@ func Collect[T any](d *Dataset[T]) ([]T, error) {
 // Count returns the record count (filter → count in the paper's Grep). On
 // MapReduce it is a full job with a single summing reduce.
 func Count[T any](d *Dataset[T]) (int64, error) {
+	d.s.driverRecords(1) // the count itself
 	switch d.s.kind() {
 	case Spark:
 		r, err := repOf[*spark.RDD[T]](d)
@@ -71,7 +78,9 @@ func CollectAsMap[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]]) (map[K]V, e
 		if err != nil {
 			return nil, err
 		}
-		return spark.CollectAsMap(r)
+		m, err := spark.CollectAsMap(r)
+		d.s.driverRecords(len(m))
+		return m, err
 	}
 	pairs, err := Collect(d)
 	if err != nil {

@@ -124,6 +124,7 @@ func BinaryFile(s *Session, name string, recSize int) *Dataset[[]byte] {
 func FromSlice[T any](s *Session, data []T, parallelism int) *Dataset[T] {
 	d := &Dataset[T]{s: s, node: s.newNode(core.OpSource, "Collection")}
 	d.lower = func() (any, error) {
+		s.driverRecords(len(data)) // the driver hands the slice out once
 		switch s.kind() {
 		case Spark:
 			return cacheHint(d.node, spark.Parallelize(s.handle().(*spark.Context), data, parallelism)), nil

@@ -113,6 +113,7 @@ func pregelFlink[V, M any](g *Graph[V],
 	if err != nil {
 		return nil, int(supersteps.Load()), err
 	}
+	g.s.Metrics().DriverRecords.Add(int64(len(pairs)))
 	out := make(map[int64]V, len(pairs))
 	for _, p := range pairs {
 		out[p.Key] = p.Value
@@ -140,6 +141,7 @@ func aggregateFlink[V, M any](g *Graph[V],
 	if err != nil {
 		return nil, err
 	}
+	g.s.Metrics().DriverRecords.Add(int64(len(pairs)))
 	out := make(map[int64]M, len(pairs))
 	for _, p := range pairs {
 		out[p.Key] = p.Value

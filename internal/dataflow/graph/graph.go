@@ -17,10 +17,14 @@
 //     superstep join's static input, so they are partitioned and built into
 //     hash tables once per iteration, and a superstep shuffles the workset
 //     and the combined messages;
-//   - mapreduce: chained DFS jobs — every superstep is an independent job
-//     that re-reads the full edge list from the DFS and round-trips the
-//     vertex states through a state file, modeling Hadoop's iteration cost
-//     (the several-fold iterative graph gap of the related work).
+//   - mapreduce: chained DFS jobs, as Hadoop runs them. One job stages the
+//     edges, partitioned by source like the vertex states, and every
+//     superstep is an independent job whose map tasks re-read their edge
+//     and state partitions from the DFS and join them, then one task per
+//     partition applies vprog and writes the next state file. The driver
+//     only schedules and reads a counter; the repeated DFS round trip and
+//     job barrier are Hadoop's iteration cost (the several-fold iterative
+//     graph gap of the related work).
 package graph
 
 import (

@@ -377,3 +377,111 @@ func TestPregelDanglingDestination(t *testing.T) {
 		}
 	})
 }
+
+// TestMapReduceSuperstepRoundTripsThroughTheDFS pins the mapreduce
+// lowering's physical plan on the dense graph: staging is one job, and so is
+// every superstep. Between one superstep's reduce and the next one's map
+// barrier the tasks read the staged edges and the state (the map-side join,
+// plus the state once more in the apply wave), write the next state file,
+// and shuffle only the combined messages — less than one edge file. The
+// driver decodes nothing but the final states it returns.
+func TestMapReduceSuperstepRoundTripsThroughTheDFS(t *testing.T) {
+	edges := datagen.RMAT(5, datagen.GraphSpec{Name: "pin", Vertices: 32, Edges: 2000})
+	for _, maxIter := range []int{2, 5} {
+		s := session(t, "mapreduce")
+		var events []metrics.StageEvent
+		s.Metrics().SetStageObserver(func(ev metrics.StageEvent) { events = append(events, ev) })
+		verts, supersteps, err := Pregel(FromEdges[float64](dataflow.FromSlice(s, edges, 0)),
+			func(int64) float64 { return 1 },
+			func(_ int64, _, msg float64) (float64, bool) { return msg / 2, true },
+			func(_ int64, v float64, _ int64) (float64, bool) { return v, true },
+			func(a, b float64) float64 { return a + b },
+			maxIter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if supersteps != maxIter {
+			t.Fatalf("ran %d supersteps, want %d", supersteps, maxIter)
+		}
+		var names []string
+		for _, ev := range events {
+			names = append(names, ev.Name)
+		}
+		if want := 2 * (1 + maxIter); len(events) != want {
+			t.Fatalf("%d supersteps: %d stage events %v, want %d (staging and one job per superstep, two stages each)",
+				maxIter, len(events), names, want)
+		}
+		var edgeBytes, stateBytes int64
+		for _, name := range s.FS().List() {
+			f, err := s.FS().Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case strings.Contains(name, "/edges/part-"):
+				edgeBytes += f.Size()
+			case strings.Contains(name, "/state/part-"):
+				stateBytes += f.Size()
+			}
+		}
+		t.Logf("%d supersteps: edge files %d B, state files %d B", maxIter, edgeBytes, stateBytes)
+		// events: StageGraph-map, StageGraph-reduce, then Pregel#k-map and
+		// Pregel#k-reduce per superstep. Window k runs from superstep k's
+		// reduce barrier to superstep k+1's map barrier.
+		for k := 1; k < maxIter; k++ {
+			from, to := events[2*k+1], events[2*k+2]
+			if to.Name != fmt.Sprintf("Pregel#%d-map", k+1) {
+				t.Fatalf("stage event %d is %q, want Pregel#%d-map", 2*k+2, to.Name, k+1)
+			}
+			read := to.Snap.DiskBytesRead - from.Snap.DiskBytesRead
+			shuffled := to.Snap.ShuffleBytesWritten - from.Snap.ShuffleBytesWritten
+			written := to.Snap.DiskBytesWritten - from.Snap.DiskBytesWritten - shuffled
+			if read < edgeBytes+stateBytes {
+				t.Errorf("superstep %d read %d B from the DFS, want at least the edges' %d + the state's %d", k+1, read, edgeBytes, stateBytes)
+			}
+			if written < stateBytes {
+				t.Errorf("superstep %d wrote %d B besides its shuffle, want a new state file (%d B)", k+1, written, stateBytes)
+			}
+			if shuffled >= edgeBytes {
+				t.Errorf("superstep %d shuffled %d B, not less than the edge files' %d", k+1, shuffled, edgeBytes)
+			}
+		}
+		if got := s.Metrics().DriverRecords.Load(); got != int64(len(edges)+len(verts)) {
+			t.Errorf("the driver handled %d records, want the %d edges it handed out and the %d states it returned",
+				got, len(edges), len(verts))
+		}
+	}
+}
+
+// TestMapReducePregelUserPanicsAreErrors: sendMsg runs in a superstep's map
+// tasks and vprog in its apply tasks; a panic in either fails Pregel with an
+// error — no crash, no hang, and no job leaves intermediate files behind.
+func TestMapReducePregelUserPanicsAreErrors(t *testing.T) {
+	for _, where := range []string{"sendMsg", "vprog"} {
+		s := session(t, "mapreduce")
+		_, _, err := Pregel(chainGraphOf(s, 8),
+			func(id int64) int64 { return id },
+			func(id int64, label, msg int64) (int64, bool) {
+				if where == "vprog" {
+					panic("vprog blew up")
+				}
+				return min(label, msg), msg < label
+			},
+			func(src int64, label, dst int64) (int64, bool) {
+				if where == "sendMsg" {
+					panic("sendMsg blew up")
+				}
+				return label, true
+			},
+			func(a, b int64) int64 { return min(a, b) },
+			5)
+		if err == nil || !strings.Contains(err.Error(), where+" blew up") || !strings.Contains(err.Error(), "task ") {
+			t.Errorf("%s: Pregel = %v, want an error naming the task and the panic", where, err)
+		}
+		for _, name := range s.FS().List() {
+			if strings.HasPrefix(name, "mr/") {
+				t.Errorf("%s: a failed job left %s on the DFS", where, name)
+			}
+		}
+	}
+}

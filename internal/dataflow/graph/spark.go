@@ -42,6 +42,7 @@ func pregelSpark[V, M any](g *Graph[V],
 		return nil, supersteps, err
 	}
 	verts, err := spark.CollectAsMap(final.Vertices())
+	g.s.Metrics().DriverRecords.Add(int64(len(verts)))
 	return verts, supersteps, err
 }
 
@@ -68,5 +69,7 @@ func aggregateSpark[V, M any](g *Graph[V],
 			}
 			return out
 		})
-	return spark.CollectAsMap(spark.ReduceByKey(msgs, mergeMsg, parts))
+	merged, err := spark.CollectAsMap(spark.ReduceByKey(msgs, mergeMsg, parts))
+	g.s.Metrics().DriverRecords.Add(int64(len(merged)))
+	return merged, err
 }

@@ -28,10 +28,12 @@ import (
 //   - flink: a native bulk iteration — the step dataflow
 //     map(withBroadcastSet)→groupBy→reduce→map is scheduled once and the
 //     state cycles through it with no per-round scheduling;
-//   - mapreduce: chained jobs — the dataset and the state round-trip
-//     through the DFS between rounds, so every iteration re-reads the full
-//     input and pays job startup (the several-fold iterative gap of the
-//     related work).
+//   - mapreduce: chained jobs — the dataset is staged on the DFS once and
+//     every round is a job whose map tasks re-read it, with the state as
+//     the distributed cache, so every iteration pays the full input read
+//     and job startup (the several-fold iterative gap of the related work);
+//     the driver only writes the state and reads each round's few reduced
+//     records back.
 type Iteration[T any, K cmp.Ordered, V any, S any] struct {
 	data     *Dataset[T]
 	init     []core.Pair[K, S]
@@ -100,12 +102,14 @@ func (it *Iteration[T, K, V, S]) runSpark() ([]core.Pair[K, S], error) {
 	state := it.clonedState()
 	for round := 0; round < it.iters; round++ {
 		st := append([]core.Pair[K, S]{}, state...)
+		it.data.s.driverRecords(len(st)) // the round's broadcast
 		pairs := spark.MapToPair(rdd, func(t T) core.Pair[K, V] { return it.assign(t, st) })
 		sums := spark.ReduceByKey(pairs, it.combine, len(state))
 		m, err := spark.CollectAsMap(sums)
 		if err != nil {
 			return nil, err
 		}
+		it.data.s.driverRecords(len(m))
 		next := make(map[K]S, len(m))
 		for k, v := range m {
 			next[k] = it.finalize(k, v)
@@ -125,6 +129,7 @@ func (it *Iteration[T, K, V, S]) runFlink() ([]core.Pair[K, S], error) {
 	}
 	state := it.clonedState()
 	stateDS := flink.FromSlice(env, it.clonedState(), 1)
+	it.data.s.driverRecords(len(state)) // the broadcast set's source
 	k := len(it.init)
 	final := flink.IterateBulk(stateDS, it.iters,
 		func(cs *flink.DataSet[core.Pair[K, S]]) *flink.DataSet[core.Pair[K, S]] {
@@ -153,6 +158,7 @@ func (it *Iteration[T, K, V, S]) runFlink() ([]core.Pair[K, S], error) {
 	if err != nil {
 		return nil, err
 	}
+	it.data.s.driverRecords(len(pairs))
 	mergeState(state, pairMap(pairs))
 	return state, nil
 }
@@ -166,10 +172,16 @@ func pairMap[K comparable, S any](pairs []core.Pair[K, S]) map[K]S {
 	return m
 }
 
-// runMapReduce is the chained-jobs lowering: the (fused) dataset is staged
-// to the DFS once, then every round re-reads it and the state file, runs a
-// full combine+reduce job and writes the state back — the repeated I/O the
-// in-memory engines were designed to eliminate.
+// runMapReduce is the chained-jobs lowering, run the way Hadoop runs an
+// iteration: a wave of one task per split stages the (fused) dataset on the
+// DFS once, each task encoding its split into its own part of one file, and
+// every round is then one full combine+reduce job over that file. Map task m
+// reads and decodes part m itself, together with the state file — the
+// round's distributed cache, which every map task reads — and assigns its
+// records. The driver only writes the state, schedules the job and reads the
+// reduce output back (a few records per key): the repeated DFS round trip
+// and job startup the in-memory engines were designed to eliminate happen in
+// the tasks, and the driver never decodes the data.
 func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 	c := mrCluster(it.data.s)
 	fr, err := repOf[*mrFrag[T]](it.data)
@@ -188,53 +200,67 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 	stateFile := fmt.Sprintf("dataflow/iter-%d/state", it.node.ID)
 
 	// Stage the iteration input on the DFS once (MapReduce has no way to
-	// keep it resident between jobs).
-	enc := serde.EncodeAll(dataCodec, nil, sp.records())
-	c.FS().WriteFile(dataFile, enc)
-	c.Metrics().DiskBytesWritten.Add(int64(len(enc)))
-	numSplits := max(sp.n, 1)
+	// keep it resident between jobs): task i encodes split i, and the driver
+	// commits the encoded splits as the file's parts, as the sink does.
+	staged := newSinkParts(sp.n, dataCodec.Encode)
+	if err := sp.foreachPart(c, staged.add); err != nil {
+		return nil, err
+	}
+	df := c.FS().WriteParts(dataFile, staged.bufs)
+	c.Metrics().DiskBytesWritten.Add(df.Size())
 
+	width := core.ExecBatch(c.Conf())
 	state := it.clonedState()
 	err = mapreduce.Iterate(c, it.iters, func(round int) error {
-		// The state round-trips through the DFS between jobs — the
-		// distributed-cache step of a Hadoop iteration.
 		senc := serde.EncodeAll(stateCodec, nil, state)
 		c.FS().WriteFile(stateFile, senc)
 		c.Metrics().DiskBytesWritten.Add(int64(len(senc)))
-		sf, err := c.FS().Open(stateFile)
-		if err != nil {
-			return err
-		}
-		st, err := serde.DecodeAll(stateCodec, sf.Contents())
-		if err != nil {
-			return err
-		}
-		c.Metrics().DiskBytesRead.Add(sf.Size())
+		c.Metrics().DriverRecords.Add(int64(len(state)))
 
-		df, err := c.FS().Open(dataFile)
-		if err != nil {
-			return err
+		// Map task m: the cache and part m from the DFS, assign with the
+		// cache in hand, exec.batch.size pairs at a time to the map.
+		scan := func(m int, yield func([]core.Pair[K, V]) error) error {
+			sf, err := c.FS().Open(stateFile)
+			if err != nil {
+				return err
+			}
+			st, err := serde.DecodeAllN(stateCodec, sf.Part(0), len(state))
+			if err != nil {
+				return err
+			}
+			recs, err := serde.DecodeAllN(dataCodec, df.Part(m), int(staged.recs[m]))
+			if err != nil {
+				return err
+			}
+			c.Metrics().DiskBytesRead.Add(sf.Size() + int64(len(df.Part(m))))
+			out := make([]core.Pair[K, V], 0, min(width, len(recs)))
+			for _, t := range recs {
+				if out = append(out, it.assign(t, st)); len(out) == cap(out) {
+					if err := yield(out); err != nil {
+						return err
+					}
+					out = out[:0]
+				}
+			}
+			return yield(out)
 		}
-		recs, err := serde.DecodeAll(dataCodec, df.Contents())
-		if err != nil {
-			return err
-		}
-		in := splitsOf(mapreduce.SplitSlice(c, recs, numSplits), nil, df.Size())
-		job := mapreduce.Job[T, K, V]{
+		job := mapreduce.Job[core.Pair[K, V], K, V]{
 			Name:    fmt.Sprintf("Iterate#%d", round+1),
 			Reduces: len(state),
-			Map:     func(t T, emit func(K, V)) { p := it.assign(t, st); emit(p.Key, p.Value) },
+			Map:     func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
 			Combine: func(_ K, vs []V) V { return foldValues(vs, it.combine) },
 			Reduce: func(k K, vs []V, emit func(K, V)) {
 				emit(k, foldValues(vs, it.combine))
 			},
 		}
-		out, err := mapreduce.Run(c, job, in.input(c))
+		out, err := mapreduce.Run(c, job, mapreduce.SplitsInput(c, sp.n, scan, sp.pref, 0))
 		if err != nil {
 			return err
 		}
-		next := map[K]S{}
-		for _, kv := range out.Pairs() {
+		sums := out.Pairs()
+		c.Metrics().DriverRecords.Add(int64(len(sums)))
+		next := make(map[K]S, len(sums))
+		for _, kv := range sums {
 			next[kv.Key] = it.finalize(kv.Key, kv.Value)
 		}
 		mergeState(state, next)

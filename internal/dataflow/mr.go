@@ -63,10 +63,18 @@ func (sp mrSplits[T]) records() []T {
 // node — the OutputFormat end of a job's reduce tasks, or a whole map-only
 // job when no shuffle has consumed the frag yet (the read and the narrow
 // chain then run here, in parallel, not on the driver).
+//
+// A panic in a task — the narrow chain's user functions run here — fails the
+// wave with an error naming the task, not the process.
 func (sp mrSplits[T]) foreachPart(c *mapreduce.Cluster, fn func(i int, batch []T) error) error {
 	tasks := make([]cluster.Task, sp.n)
 	for i := range tasks {
-		tasks[i] = cluster.Task{Node: sp.pref(i), Fn: func() error {
+		tasks[i] = cluster.Task{Node: sp.pref(i), Fn: func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("dataflow: mapreduce task %d panicked: %v", i, r)
+				}
+			}()
 			c.Metrics().TasksLaunched.Add(1)
 			return sp.each(i, func(batch []T) error { return fn(i, batch) })
 		}}

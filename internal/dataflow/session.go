@@ -168,6 +168,10 @@ func (s *Session) StartAdaptive() *planner.Monitor {
 
 func (s *Session) kind() Kind { return s.b.Kind() }
 
+// driverRecords charges n records the driver goroutine handled itself to
+// metrics.JobMetrics.DriverRecords — one add per call site, never per record.
+func (s *Session) driverRecords(n int) { s.Metrics().DriverRecords.Add(int64(n)) }
+
 // handle returns the engine entry point for typed lowering.
 func (s *Session) handle() any { return s.b.Handle() }
 

@@ -34,7 +34,9 @@
 // one keep it alive and unchanged.
 //
 // A file is stored as the parts it was written in — one for WriteFile, one
-// per sink task for WriteParts — and every block is cut from one part, the
+// per sink task for WriteParts, one per codec block for the files the
+// mapreduce lowerings stage (read back by Part) — and every block is cut
+// from one part, the
 // part-file layout real engines commit: output is never concatenated on
 // the way in. Contents and AppendTo concatenate on the way out.
 package dfs
@@ -228,6 +230,16 @@ func (f *File) AppendTo(dst []byte) []byte {
 	}
 	return dst
 }
+
+// NumParts returns the number of parts the file was written in (one for
+// WriteFile).
+func (f *File) NumParts() int { return len(f.parts) }
+
+// Part returns part i as the writer handed it over — a view of the file's
+// storage, not a copy, so it must never be written. A writer that ends every
+// part at a record boundary, as the mapreduce lowerings' staged files do,
+// lets a reader decode the file part by part.
+func (f *File) Part(i int) []byte { return f.parts[i] }
 
 // Contiguous returns the file's bytes without copying when they live in a
 // single storage block — the zero-copy local-read fast path. Callers must

@@ -15,7 +15,10 @@ import (
 // Run executes one job: a wave of map tasks, a full materialization
 // barrier (every map output is on the DFS before any reduce starts), then
 // a wave of reduce tasks. It is the engine's entire execution model —
-// there is no pipelining, no caching and no iteration operator.
+// there is no pipelining, no caching and no iteration operator. A panic in
+// a user function (map, combine, reduce, or whatever the input's scan runs)
+// fails the job with an error naming the job and the task; failed or not,
+// the job leaves none of its intermediate files behind.
 func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I]) (*Output[K, V], error) {
 	jobID := c.nextJob.Add(1)
 	name := job.Name
@@ -26,6 +29,17 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	if reduces <= 0 {
 		reduces = c.curReduces()
 	}
+	// Job cleanup, however the job ends: drop the intermediate segments like
+	// the MRAppMaster's shuffle cleanup does. A failed phase leaves segments
+	// that earlier tasks wrote; a failed map attempt has already removed its
+	// own spilled runs (runMapTask).
+	defer func() {
+		for m := 0; m < in.NumSplits(); m++ {
+			for r := 0; r < reduces; r++ {
+				c.fs.Delete(segmentFile(jobID, m, r))
+			}
+		}
+	}()
 	partition := job.Partition
 	if partition == nil {
 		partition = defaultPartition[K]
@@ -96,14 +110,6 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 		return nil, fmt.Errorf("mapreduce: %s reduce phase: %w", name, err)
 	}
 	c.metrics.NotifyStage(name + "-reduce")
-
-	// Job cleanup: drop the intermediate segments like the MRAppMaster's
-	// shuffle cleanup does.
-	for m := 0; m < in.NumSplits(); m++ {
-		for r := 0; r < reduces; r++ {
-			c.fs.Delete(segmentFile(jobID, m, r))
-		}
-	}
 	return out, nil
 }
 
@@ -153,7 +159,7 @@ func (s *dfsSpillStore) Remove(name string) { s.c.fs.Delete(name) }
 // after the fetch.
 func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, m int,
 	scan func(m int, yield func([]I) error) error, splitBytes int64, reduces int, set shuffle.Settings,
-	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]]) error {
+	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]]) (err error) {
 	c.metrics.TasksLaunched.Add(1)
 	c.metrics.DiskBytesRead.Add(splitBytes)
 
@@ -200,6 +206,15 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 			return nil
 		},
 	})
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("map task %d panicked: %v", m, r)
+		}
+		if err != nil {
+			// A failed attempt leaves no spilled runs on the DFS behind.
+			w.Abort()
+		}
+	}()
 	// Map output buffers into an exec.batch.size scratch and reaches the
 	// shuffle writer in batches — one WriteBatch per full buffer instead of
 	// one Write per emitted pair.
@@ -220,7 +235,7 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 			flush()
 		}
 	}
-	err := scan(m, func(recs []I) error {
+	err = scan(m, func(recs []I) error {
 		c.metrics.RecordsRead.Add(int64(len(recs)))
 		for _, rec := range recs {
 			job.Map(rec, emit)
@@ -237,10 +252,6 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 	if err == nil {
 		err = w.Close()
 	}
-	if err != nil {
-		// A failed attempt leaves no spilled runs on the DFS behind.
-		w.Abort()
-	}
 	return err
 }
 
@@ -250,8 +261,13 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 // cluster.Runtime (Hadoop's merge threads) instead of one sequential pass;
 // hash-strategy segments carry no order and are sorted after the fetch.
 func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, r, maps int,
-	set shuffle.Settings, job Job[I, K, V], codec serde.Codec[core.Pair[K, V]]) ([]core.Pair[K, V], error) {
+	set shuffle.Settings, job Job[I, K, V], codec serde.Codec[core.Pair[K, V]]) (_ []core.Pair[K, V], err error) {
 	c.metrics.TasksLaunched.Add(1)
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("reduce task %d panicked: %v", r, rec)
+		}
+	}()
 	node := c.rt.NodeFor(r)
 	blocks := make([]shuffle.Block, 0, maps)
 	for m := 0; m < maps; m++ {

@@ -446,3 +446,83 @@ func TestScanBatchesReachTheMapFunction(t *testing.T) {
 		t.Errorf("the scans yielded %d batches after the first write failed; want them to stop", got)
 	}
 }
+
+// leftovers lists the intermediate files jobs left on the cluster's DFS.
+func leftovers(c *Cluster) []string {
+	var out []string
+	for _, name := range c.FS().List() {
+		if strings.HasPrefix(name, "mr/") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestFailedJobLeavesNoIntermediateFiles: when one map task of a two-split
+// job fails, the job still removes the segments the other map task wrote
+// (and the failed attempt its spilled runs), as a successful job does.
+func TestFailedJobLeavesNoIntermediateFiles(t *testing.T) {
+	c := fixture(t, core.NewConfig().SetInt(MRSortRecords, 16))
+	boom := errors.New("split unreadable")
+	scan := func(m int, yield func([]int64) error) error {
+		vs := make([]int64, 100)
+		for i := range vs {
+			vs[i] = int64(m*100 + i)
+		}
+		if err := yield(vs); err != nil {
+			return err
+		}
+		if m == 1 {
+			return boom
+		}
+		return nil
+	}
+	job := Job[int64, int64, int64]{
+		Name: "Failing",
+		Map:  func(v int64, emit func(int64, int64)) { emit(v%7, v) },
+	}
+	if _, err := Run(c, job, SplitsInput(c, 2, scan, nil, 0)); !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the scan's error", err)
+	}
+	if c.Metrics().SpillCount.Load() == 0 {
+		t.Error("no spill; the test wants spilled runs to clean up too")
+	}
+	if left := leftovers(c); len(left) > 0 {
+		t.Errorf("the failed job left %v on the DFS", left)
+	}
+}
+
+// TestUserPanicsBecomeJobErrors: a panic in the map, combine or reduce
+// function fails the job with an error naming the job and the task — no
+// crash, no hang, and no intermediate file left behind.
+func TestUserPanicsBecomeJobErrors(t *testing.T) {
+	for _, where := range []string{"Map", "Combine", "Reduce"} {
+		c := fixture(t, nil)
+		job := wordCountJob()
+		job.Name = "Panicking"
+		switch where {
+		case "Map":
+			job.Map = func(string, func(string, int64)) { panic("map blew up") }
+		case "Combine":
+			job.Combine = func(string, []int64) int64 { panic("combine blew up") }
+		case "Reduce":
+			job.Reduce = func(string, []int64, func(string, int64)) { panic("reduce blew up") }
+		}
+		c.FS().WriteFile("in", []byte(strings.Repeat("a b a c\n", 300)))
+		in, err := TextInput(c, "in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(c, job, in)
+		if err == nil {
+			t.Fatalf("%s: a panicking job succeeded", where)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "Panicking") || !strings.Contains(msg, "task ") || !strings.Contains(msg, "blew up") {
+			t.Errorf("%s: error %q does not name the job, the task and the panic", where, msg)
+		}
+		if left := leftovers(c); len(left) > 0 {
+			t.Errorf("%s: the failed job left %v on the DFS", where, left)
+		}
+	}
+}

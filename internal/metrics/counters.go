@@ -63,6 +63,13 @@ type JobMetrics struct {
 	// every built-in workload; anything else means a record type is paying
 	// a cost no mechanism of the paper explains.
 	CodecFallbacks atomic.Int64
+	// DriverRecords counts the records the driver goroutine itself decodes,
+	// collects, encodes or broadcasts: a collected result, a FromSlice input,
+	// an iteration's broadcast state. Each site adds its count once per call,
+	// never once per record. Everything else is the tasks' work, so on every
+	// engine it stays within the job's inputs, broadcasts and results —
+	// nothing proportional to rounds × data passes through the driver.
+	DriverRecords atomic.Int64
 	// Latency holds per-record ingest→emit latencies for streaming jobs;
 	// batch jobs leave it empty. See LatencySketch.
 	Latency LatencySketch
@@ -127,6 +134,7 @@ type Snapshot struct {
 	CombineRatio           float64
 	SchedulingRounds       int64
 	CodecFallbacks         int64
+	DriverRecords          int64
 }
 
 // StageEvent is one stage-boundary observation: the stage's name and the
@@ -188,5 +196,6 @@ func (m *JobMetrics) Snapshot() Snapshot {
 		CombineRatio:           m.CombineRatio(),
 		SchedulingRounds:       m.SchedulingRounds.Load(),
 		CodecFallbacks:         m.CodecFallbacks.Load(),
+		DriverRecords:          m.DriverRecords.Load(),
 	}
 }
