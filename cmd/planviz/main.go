@@ -1,7 +1,8 @@
 // Planviz regenerates the paper's Table I from the unified dataflow API:
 // every non-graph workload is defined once and lowered onto each
 // registered engine's physical plan (spark, flink and the mapreduce
-// baseline), followed by the engine-native graph plans.
+// baseline), followed by the graph workloads' Pregel plans on spark and
+// flink.
 //
 // With -decide it instead renders the cost-based planner's view: for each
 // representative workload the scored candidate table (engine × shuffle
@@ -54,9 +55,16 @@ func main() {
 			printPlan(p)
 		}
 	}
-	// The graph workloads stay engine-native (Pregel vs Gelly-style).
-	for _, p := range workloads.GraphPlans(sparkB.Context(), flinkB.Env()) {
-		printPlan(p)
+	// The graph workloads' Pregel plans: GraphX-style supersteps on spark, a
+	// delta iteration on flink.
+	for _, b := range []dataflow.Backend{sparkB, flinkB} {
+		plans, err := workloads.GraphPlans(dataflow.NewSession(b))
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range plans {
+			printPlan(p)
+		}
 	}
 }
 

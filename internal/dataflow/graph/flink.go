@@ -60,21 +60,20 @@ func messagesFlink[V, M any](verts *flink.DataSet[core.Pair[int64, V]], edges *f
 		})
 }
 
-func pregelFlink[V, M any](g *Graph[V],
+// deltaPregelFlink builds Pregel as a native delta iteration over the
+// vertices with initial values: the solution set and the first workset are
+// one DataSet, a superstep's step joins the workset with the edges, and
+// supersteps counts the supersteps that deliver a message. The run path and
+// PregelPlan both build it here.
+func deltaPregelFlink[V, M any](edges *flink.DataSet[datagen.Edge],
 	initial func(int64) V,
 	vprog func(int64, V, M) (V, bool),
 	sendMsg func(int64, V, int64) (M, bool),
 	mergeMsg func(M, M) M,
-	maxIter int) (map[int64]V, int, error) {
+	maxIter int, supersteps *atomic.Int64) *flink.DataSet[core.Pair[int64, V]] {
 
-	edges, err := dataflow.FlinkDataSetOf(g.edges)
-	if err != nil {
-		return nil, 0, err
-	}
 	verts := flinkVertices(edges, initial)
-	var supersteps atomic.Int64
-
-	final := flink.IterateDelta(verts, verts, maxIter,
+	return flink.IterateDelta(verts, verts, maxIter,
 		func(ws *flink.DataSet[core.Pair[int64, V]], lookup func(int64) (V, bool)) (*flink.DataSet[core.Pair[int64, V]], *flink.DataSet[core.Pair[int64, V]]) {
 			// Scatter: workset vertices message their out-neighbors.
 			merged := messagesFlink(ws, edges,
@@ -108,17 +107,22 @@ func pregelFlink[V, M any](g *Graph[V],
 			})
 			return changed, changed
 		})
+}
 
-	pairs, err := flink.Collect(final)
+func pregelFlink[V, M any](g *Graph[V],
+	initial func(int64) V,
+	vprog func(int64, V, M) (V, bool),
+	sendMsg func(int64, V, int64) (M, bool),
+	mergeMsg func(M, M) M,
+	maxIter int) (map[int64]V, int, error) {
+
+	edges, err := dataflow.FlinkDataSetOf(g.edges)
 	if err != nil {
-		return nil, int(supersteps.Load()), err
+		return nil, 0, err
 	}
-	g.s.Metrics().DriverRecords.Add(int64(len(pairs)))
-	out := make(map[int64]V, len(pairs))
-	for _, p := range pairs {
-		out[p.Key] = p.Value
-	}
-	return out, int(supersteps.Load()), nil
+	var supersteps atomic.Int64
+	out, err := collectFlink(g.s, deltaPregelFlink(edges, initial, vprog, sendMsg, mergeMsg, maxIter, &supersteps))
+	return out, int(supersteps.Load()), err
 }
 
 func aggregateFlink[V, M any](g *Graph[V],
@@ -137,12 +141,18 @@ func aggregateFlink[V, M any](g *Graph[V],
 			}
 			return out
 		}, mergeMsg)
-	pairs, err := flink.Collect(merged)
+	return collectFlink(g.s, merged)
+}
+
+// collectFlink collects vertex-keyed pairs into a map on the driver, which
+// counts them as records it handles.
+func collectFlink[V any](s *dataflow.Session, ds *flink.DataSet[core.Pair[int64, V]]) (map[int64]V, error) {
+	pairs, err := flink.Collect(ds)
 	if err != nil {
 		return nil, err
 	}
-	g.s.Metrics().DriverRecords.Add(int64(len(pairs)))
-	out := make(map[int64]M, len(pairs))
+	s.Metrics().DriverRecords.Add(int64(len(pairs)))
+	out := make(map[int64]V, len(pairs))
 	for _, p := range pairs {
 		out[p.Key] = p.Value
 	}

@@ -5,12 +5,12 @@
 // backend's physical idiom — the contrast the paper measures in its graph
 // experiments (Tables IV–VII, Figures 12–17):
 //
-//   - spark: GraphX-like aggregate-messages rounds built from cogroups and
-//     reductions, loop-unrolled into per-superstep jobs over cached RDDs
-//     (internal/graph/graphxlike). The edges (keyed by source) and the
-//     vertex states share one hash partitioner, so joining them is narrow
-//     and a superstep's only shuffle is its combined messages — the same
-//     one shuffle a mapreduce superstep runs;
+//   - spark: GraphX's Pregel, aggregate-messages rounds built from cogroups
+//     and reductions, loop-unrolled into per-superstep jobs over cached RDDs
+//     (spark.go). The edges (keyed by source) and the vertex states share
+//     one hash partitioner, so joining them is narrow and a superstep's only
+//     shuffle is its combined messages — the same one shuffle a mapreduce
+//     superstep runs;
 //   - flink: a Gelly-like native delta iteration — the solution set stays
 //     resident in managed memory and the shrinking workset carries only
 //     vertices whose value changed last superstep. The edges are the

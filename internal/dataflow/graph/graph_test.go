@@ -453,35 +453,276 @@ func TestMapReduceSuperstepRoundTripsThroughTheDFS(t *testing.T) {
 	}
 }
 
-// TestMapReducePregelUserPanicsAreErrors: sendMsg runs in a superstep's map
-// tasks and vprog in its apply tasks; a panic in either fails Pregel with an
-// error — no crash, no hang, and no job leaves intermediate files behind.
-func TestMapReducePregelUserPanicsAreErrors(t *testing.T) {
+// TestPregelUserPanicsAreErrors: a panic in sendMsg or vprog fails Pregel
+// with an error carrying the panic on every engine — no crash, no hang. On
+// spark and mapreduce the error names the task. On mapreduce sendMsg runs in
+// a superstep's map tasks and vprog in its apply tasks, and no failed job
+// leaves intermediate files behind.
+func TestPregelUserPanicsAreErrors(t *testing.T) {
 	for _, where := range []string{"sendMsg", "vprog"} {
-		s := session(t, "mapreduce")
-		_, _, err := Pregel(chainGraphOf(s, 8),
-			func(id int64) int64 { return id },
-			func(id int64, label, msg int64) (int64, bool) {
-				if where == "vprog" {
-					panic("vprog blew up")
+		t.Run(where, func(t *testing.T) {
+			forEachEngine(t, func(t *testing.T, s *dataflow.Session) {
+				_, _, err := Pregel(chainGraphOf(s, 8),
+					func(id int64) int64 { return id },
+					func(id int64, label, msg int64) (int64, bool) {
+						if where == "vprog" {
+							panic("vprog blew up")
+						}
+						return min(label, msg), msg < label
+					},
+					func(src int64, label, dst int64) (int64, bool) {
+						if where == "sendMsg" {
+							panic("sendMsg blew up")
+						}
+						return label, true
+					},
+					func(a, b int64) int64 { return min(a, b) },
+					5)
+				if err == nil || !strings.Contains(err.Error(), where+" blew up") {
+					t.Fatalf("Pregel = %v, want an error carrying the panic", err)
 				}
-				return min(label, msg), msg < label
-			},
-			func(src int64, label, dst int64) (int64, bool) {
-				if where == "sendMsg" {
-					panic("sendMsg blew up")
+				if s.Name() != "flink" && !strings.Contains(err.Error(), "task ") {
+					t.Errorf("Pregel = %v, want an error naming the task", err)
 				}
-				return label, true
-			},
-			func(a, b int64) int64 { return min(a, b) },
-			5)
-		if err == nil || !strings.Contains(err.Error(), where+" blew up") || !strings.Contains(err.Error(), "task ") {
-			t.Errorf("%s: Pregel = %v, want an error naming the task and the panic", where, err)
-		}
-		for _, name := range s.FS().List() {
-			if strings.HasPrefix(name, "mr/") {
-				t.Errorf("%s: a failed job left %s on the DFS", where, name)
+				for _, name := range s.FS().List() {
+					if strings.HasPrefix(name, "mr/") {
+						t.Errorf("a failed job left %s on the DFS", name)
+					}
+				}
+			})
+		})
+	}
+}
+
+// prVertex is the PageRank state of the tests below: rank and out-degree.
+type prVertex struct {
+	Rank   float64
+	OutDeg int64
+}
+
+// pageRank runs PageRank's Pregel program over edges: the out-degree job,
+// then iters supersteps of rank/outDegree along every out-edge and a damped
+// sum per vertex.
+func pageRank(t *testing.T, s *dataflow.Session, edges []datagen.Edge, iters int) (map[int64]float64, int) {
+	t.Helper()
+	g := FromEdges[prVertex](dataflow.FromSlice(s, edges, 0))
+	degrees, err := g.OutDegrees()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verts, supersteps, err := Pregel(g,
+		func(id int64) prVertex { return prVertex{Rank: 1, OutDeg: degrees[id]} },
+		func(_ int64, v prVertex, sum float64) (prVertex, bool) {
+			return prVertex{Rank: 0.15 + 0.85*sum, OutDeg: v.OutDeg}, true
+		},
+		func(_ int64, v prVertex, _ int64) (float64, bool) {
+			if v.OutDeg == 0 {
+				return 0, false
 			}
+			return v.Rank / float64(v.OutDeg), true
+		},
+		func(a, b float64) float64 { return a + b },
+		iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := make(map[int64]float64, len(verts))
+	for id, v := range verts {
+		ranks[id] = v.Rank
+	}
+	return ranks, supersteps
+}
+
+func TestPageRankOnSmallGraphs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edges []datagen.Edge
+		iters int
+		check func(ranks map[int64]float64) string
+	}{
+		// Perfectly symmetric: every rank converges to 1.0.
+		{"cycle", []datagen.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}}, 15,
+			func(ranks map[int64]float64) string {
+				for id, r := range ranks {
+					if math.Abs(r-1) > 1e-6 {
+						return fmt.Sprintf("rank[%d] = %v, want 1.0 on a symmetric cycle", id, r)
+					}
+				}
+				return ""
+			}},
+		// A star into vertex 0 with back edges, so every vertex has an
+		// in-edge: the hub outranks the leaves.
+		{"hub", []datagen.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}, {Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}}, 20,
+			func(ranks map[int64]float64) string {
+				if !(ranks[0] > ranks[1] && ranks[0] > ranks[2] && ranks[0] > ranks[3]) {
+					return fmt.Sprintf("hub should outrank leaves: %v", ranks)
+				}
+				return ""
+			}},
+		// A 1-cycle: the full rank mass cycles, so the rank stays 1.
+		{"self-loop", []datagen.Edge{{Src: 3, Dst: 3}}, 20,
+			func(ranks map[int64]float64) string {
+				if len(ranks) != 1 || math.Abs(ranks[3]-1) > 1e-6 {
+					return fmt.Sprintf("ranks = %v, want {3: 1.0}", ranks)
+				}
+				return ""
+			}},
+		// Vertex 2 has no out-edges: it exists, absorbs rank and scatters
+		// none.
+		{"dangling", []datagen.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, 10,
+			func(ranks map[int64]float64) string {
+				if len(ranks) != 3 || ranks[2] <= 0 {
+					return fmt.Sprintf("ranks = %v, want three vertices and a positive rank for 2", ranks)
+				}
+				return ""
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			forEachEngine(t, func(t *testing.T, s *dataflow.Session) {
+				ranks, _ := pageRank(t, s, c.edges, c.iters)
+				if msg := c.check(ranks); msg != "" {
+					t.Error(msg)
+				}
+			})
+		})
+	}
+}
+
+// TestConnectedComponentsCommunities: min-label propagation over the
+// undirected view of three 4-cliques labels every vertex with its clique's
+// smallest id.
+func TestConnectedComponentsCommunities(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, s *dataflow.Session) {
+		g := FromEdges[int64](dataflow.FromSlice(s, datagen.Communities(3, 4), 0)).Undirected()
+		labels, _ := minLabelPregel(t, g, 10)
+		if len(labels) != 12 {
+			t.Fatalf("labelled %d vertices, want 12", len(labels))
+		}
+		for id, l := range labels {
+			if want := (id / 4) * 4; l != want {
+				t.Errorf("label[%d] = %d, want %d", id, l, want)
+			}
+		}
+	})
+}
+
+// TestIterationScheduling pins the three iteration models by what the
+// scheduler does when the superstep budget doubles from 5 to 10 on a graph
+// whose vertices always send: spark unrolls the loop, at least two
+// scheduling rounds (the message stage and the job's result stage) per
+// superstep; flink schedules its native iteration once, whatever the count;
+// mapreduce chains one job per superstep.
+func TestIterationScheduling(t *testing.T) {
+	type run struct{ rounds, jobs int64 }
+	checks := map[string]func(r5, r10 run) string{
+		"spark": func(r5, r10 run) string {
+			if r10.rounds-r5.rounds < 2*5 {
+				return fmt.Sprintf("5 more supersteps added %d scheduling rounds, want at least 10", r10.rounds-r5.rounds)
+			}
+			return ""
+		},
+		"flink": func(r5, r10 run) string {
+			if r10.rounds != r5.rounds {
+				return fmt.Sprintf("5 and 10 supersteps used %d and %d scheduling rounds; a native iteration schedules once", r5.rounds, r10.rounds)
+			}
+			return ""
+		},
+		"mapreduce": func(r5, r10 run) string {
+			if r10.jobs-r5.jobs != 5 {
+				return fmt.Sprintf("5 more supersteps ran %d more jobs, want 5", r10.jobs-r5.jobs)
+			}
+			return ""
+		},
+	}
+	forEachEngine(t, func(t *testing.T, s *dataflow.Session) {
+		measure := func(maxIter int) run {
+			s := session(t, s.Name())
+			var jobs int64
+			s.Metrics().SetStageObserver(func(ev metrics.StageEvent) {
+				if s.Name() == "mapreduce" && strings.HasSuffix(ev.Name, "-map") {
+					jobs++
+				}
+			})
+			_, supersteps, err := Pregel(FromEdges[float64](dataflow.FromSlice(s, datagen.ChainGraph(6), 0)),
+				func(int64) float64 { return 1 },
+				func(_ int64, _, msg float64) (float64, bool) { return msg / 2, true },
+				func(_ int64, v float64, _ int64) (float64, bool) { return v, true },
+				func(a, b float64) float64 { return a + b },
+				maxIter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if supersteps != maxIter {
+				t.Fatalf("ran %d supersteps, want %d", supersteps, maxIter)
+			}
+			return run{rounds: s.Metrics().SchedulingRounds.Load(), jobs: jobs}
+		}
+		r5, r10 := measure(5), measure(10)
+		t.Logf("5 supersteps: %+v, 10 supersteps: %+v", r5, r10)
+		if msg := checks[s.Name()](r5, r10); msg != "" {
+			t.Error(msg)
+		}
+	})
+}
+
+// TestPregelSurvivesLosingTheEdgesNode is the stage-resubmission path under
+// spark's Pregel: the graph's edges are cached and hash-partitioned, half
+// of their partitions on node 1, and node 1 is lost right after a
+// superstep's map stage — its cached edges, out-edge lists and vertex
+// states and its map outputs all vanish. The result stage's fetch fails,
+// the scheduler resubmits, and every lost partition is recomputed from
+// lineage through the narrow cogroups. The ranks must equal a fault-free
+// run's exactly: recomputation replays the same folds in the same order.
+func TestPregelSurvivesLosingTheEdgesNode(t *testing.T) {
+	edges := datagen.RMAT(29, datagen.GraphSpec{Name: "failnode", Vertices: 64, Edges: 512})
+	const supersteps = 5
+	run := func(failAfterMapStage int) (map[int64]float64, *metrics.JobMetrics) {
+		spec := cluster.Spec{Nodes: 2, CoresPerNode: 2, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
+		rt, err := cluster.NewRuntime(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf := core.NewConfig().SetInt(core.SparkDefaultParallelism, 4).SetInt(core.SparkEdgePartitions, 4)
+		s, err := dataflow.Open("spark", dataflow.WithConfig(conf), dataflow.WithRuntime(rt), dataflow.WithFS(dfs.New(2, 64*core.KB, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := s.Backend().Handle().(*spark.Context)
+		// The observer runs on the driver goroutine at stage barriers.
+		mapStages := 0
+		ctx.Metrics().SetStageObserver(func(ev metrics.StageEvent) {
+			if !strings.HasPrefix(ev.Name, "shuffle-") {
+				return
+			}
+			if mapStages++; mapStages == failAfterMapStage {
+				ctx.FailNode(1)
+			}
+		})
+		ranks, n := pageRank(t, s, edges, supersteps)
+		if n != supersteps {
+			t.Fatalf("PageRank ran %d supersteps, want %d", n, supersteps)
+		}
+		return ranks, ctx.Metrics()
+	}
+
+	want, clean := run(0)
+	// Map stages: the out-degree job's, the edges partitioned by source, the
+	// vertex ids, then one per superstep's messages; the seventh is the
+	// fourth superstep's.
+	got, faulty := run(7)
+	if faulty.Recomputations.Load() == 0 {
+		t.Fatal("losing node 1 caused no stage resubmission: the failure was not injected mid-Pregel")
+	}
+	if faulty.CacheMisses.Load() <= clean.CacheMisses.Load() {
+		t.Errorf("cache misses %d after the failure, %d without: no cached partition was lost",
+			faulty.CacheMisses.Load(), clean.CacheMisses.Load())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ranked %d vertices after the failure, %d without", len(got), len(want))
+	}
+	for id, r := range want {
+		if got[id] != r {
+			t.Errorf("rank[%d] = %v after the failure, %v without", id, got[id], r)
 		}
 	}
 }

@@ -1,6 +1,14 @@
 package graph
 
-import "repro/internal/dataflow"
+import (
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/engine/flink"
+	"repro/internal/engine/spark"
+)
 
 // Msg is one addressed message of an AggregateMessages round.
 type Msg[M any] struct {
@@ -38,6 +46,38 @@ func Pregel[V, M any](g *Graph[V],
 		return pregelFlink(g, initial, vprog, sendMsg, mergeMsg, maxIter)
 	default:
 		return pregelMapReduce(g, initial, vprog, sendMsg, mergeMsg, maxIter)
+	}
+}
+
+// PregelPlan renders, without running it, the physical plan Pregel runs on
+// the session's engine for this vertex program, with one symbolic superstep
+// — a graph row of the paper's Table I. It is built by the builders the
+// superstep loop uses: the superstep's RDDs on spark, the delta iteration on
+// flink. MapReduce's chained jobs have no plan rendering; there it returns
+// an error.
+func PregelPlan[V, M any](g *Graph[V], workload string,
+	initial func(id int64) V,
+	vprog func(id int64, val V, msg M) (V, bool),
+	sendMsg func(src int64, val V, dst int64) (M, bool),
+	mergeMsg func(a, b M) M) (*core.Plan, error) {
+
+	switch g.s.Backend().Kind() {
+	case dataflow.Spark:
+		p, err := newSparkPregel(g, vprog, sendMsg, mergeMsg)
+		if err != nil {
+			return nil, err
+		}
+		verts := p.initialStates(initial)
+		return spark.PlanOf(p.apply(verts, p.messages(verts)), workload, "Count (per superstep)"), nil
+	case dataflow.Flink:
+		edges, err := dataflow.FlinkDataSetOf(g.edges)
+		if err != nil {
+			return nil, err
+		}
+		final := deltaPregelFlink(edges, initial, vprog, sendMsg, mergeMsg, 1, new(atomic.Int64))
+		return flink.PlanOf(final, workload, "Collect"), nil
+	default:
+		return nil, fmt.Errorf("graph: no Pregel plan rendering on %s", g.s.Name())
 	}
 }
 

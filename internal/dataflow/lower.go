@@ -8,9 +8,9 @@ import (
 
 // Lowering hooks for subsystem packages built on top of the dataflow layer
 // (internal/dataflow/graph): they expose a Dataset's engine representation
-// so a subsystem can continue the pipeline with engine-native libraries
-// (graphxlike on spark, delta iterations on flink, jobs of its own on
-// mapreduce) while the inputs keep flowing through the unified API. All three
+// so a subsystem can continue the pipeline with engine-native operators
+// (GraphX-style cogroups on spark, delta iterations on flink, jobs of its own
+// on mapreduce) while the inputs keep flowing through the unified API. All three
 // memoize per logical node like every other lowering, so a Dataset shared
 // between dataflow actions and a subsystem lowers exactly once.
 

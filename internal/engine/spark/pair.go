@@ -193,15 +193,20 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 	}
 	sd.write = func(mapPart int, tc *taskContext) error {
 		// One writer per attempt: the parent streams into it, so an attempt
-		// that fails upstream leaves it half fed, and a retry starts clean.
+		// that fails upstream — or panics in a user function — leaves it
+		// half fed, is aborted, and a retry starts clean.
 		w := newMapWriter(tc, sd, part, pairCodec, mapSideCombine, createCombiner, mergeValue, mergeCombiners, less, normKey)
+		done := false
+		defer func() {
+			if !done {
+				w.abort()
+			}
+		}()
 		err := r.forEachBatch(mapPart, tc, func(_ int, in []core.Pair[K, V]) error { return w.addBatch(in) })
 		if err == nil {
 			err = w.close(mapPart)
 		}
-		if err != nil {
-			w.abort()
-		}
+		done = err == nil
 		return err
 	}
 

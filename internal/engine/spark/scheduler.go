@@ -118,7 +118,7 @@ func runStages(c *Context, final anyRDD) error {
 			tc := &taskContext{node: node, heap: c.heapFor(node), metrics: c.metrics, ctx: c}
 			tasks = append(tasks, cluster.Task{Node: node, Fn: func() error {
 				c.metrics.TasksLaunched.Add(1)
-				return withTaskRetry(sd.write, mp, tc)
+				return withTaskRetry(sd, sd.write, mp, tc)
 			}})
 		}
 		if err := c.rt.RunTasks(tasks); err != nil {
@@ -143,7 +143,7 @@ func runResultStage(c *Context, r anyRDD, task func(int, *taskContext) error) er
 		tc := &taskContext{node: node, heap: c.heapFor(node), metrics: c.metrics, ctx: c}
 		tasks = append(tasks, cluster.Task{Node: node, Fn: func() error {
 			c.metrics.TasksLaunched.Add(1)
-			return withTaskRetry(task, p, tc)
+			return withTaskRetry(nil, task, p, tc)
 		}})
 	}
 	if err := c.rt.RunTasks(tasks); err != nil {
@@ -162,12 +162,15 @@ func placeTask(c *Context, r anyRDD, part int) int {
 	return c.rt.NodeFor(part)
 }
 
-// withTaskRetry runs task for partition p, retrying transient failures like
-// Spark's task-level retry.
-func withTaskRetry(task func(int, *taskContext) error, p int, tc *taskContext) error {
+// withTaskRetry runs task for partition p of a stage — the map stage of
+// shuffle sd, or the result stage when sd is nil — retrying transient
+// failures like Spark's task-level retry. A panic in the task (a user
+// function failing) is the task's error, naming the stage and the
+// partition; like any non-transient failure it fails the job.
+func withTaskRetry(sd *shuffleDep, task func(int, *taskContext) error, p int, tc *taskContext) error {
 	var err error
 	for i := 0; i < maxTaskFailures; i++ {
-		err = task(p, tc)
+		err = runTask(sd, task, p, tc)
 		if err == nil {
 			return nil
 		}
@@ -177,6 +180,21 @@ func withTaskRetry(task func(int, *taskContext) error, p int, tc *taskContext) e
 		}
 	}
 	return err
+}
+
+// runTask runs one attempt of task, turning a panic into its error. A map
+// task's error names its partition, and runStages adds the shuffle's map
+// stage; a result task's names both itself.
+func runTask(sd *shuffleDep, task func(int, *taskContext) error, p int, tc *taskContext) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("task %d panicked: %v", p, r)
+			if sd == nil {
+				err = fmt.Errorf("spark: result stage: %w", err)
+			}
+		}
+	}()
+	return task(p, tc)
 }
 
 // FailNode simulates the loss of a node: its cached blocks and shuffle

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -95,5 +96,53 @@ func TestFetchFailedRetriesAreBounded(t *testing.T) {
 	}
 	if got := c.Metrics().Recomputations.Load(); got != maxStageRetries {
 		t.Errorf("Recomputations = %d, want %d", got, maxStageRetries)
+	}
+}
+
+// TestUserPanicIsATaskFailure: a panic in a user function fails its task
+// like any other error — the job returns an error naming the stage and the
+// partition instead of crashing the process. A map task that panics
+// mid-write registers no output and hands its shuffle memory back, and the
+// context runs the next job as usual.
+func TestUserPanicIsATaskFailure(t *testing.T) {
+	c := testContext(t, nil)
+	// Every map task holds 1 500 distinct keys — enough to take a shuffle
+	// memory grant — before its first repeated key reaches the combiner,
+	// which panics.
+	ids := make([]int64, 8000)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	pairs := MapToPair(Parallelize(c, ids, 4), func(v int64) core.Pair[int64, int64] {
+		return core.KV(v%1500, int64(1))
+	})
+	counts := ReduceByKey(pairs, func(a, b int64) int64 { panic("combine blew up") }, 4)
+	_, err := Collect(counts)
+	if err == nil || !strings.Contains(err.Error(), "map stage for shuffle") ||
+		!strings.Contains(err.Error(), "task ") || !strings.Contains(err.Error(), "combine blew up") {
+		t.Errorf("map-side panic: Collect = %v, want an error naming the map stage, the task and the panic", err)
+	}
+	sd := counts.deps()[0].shuffle
+	if missing := c.shuffles.missingMaps(sd.id, sd.numMaps); len(missing) != sd.numMaps {
+		t.Errorf("map outputs %v are missing, want all %d: a panicked task registered its output", missing, sd.numMaps)
+	}
+	for node, h := range c.heaps {
+		if used := h.Snapshot().ShuffleUsed; used != 0 {
+			t.Errorf("node %d holds %d shuffle bytes after the failed map stage", node, used)
+		}
+	}
+
+	_, err = Collect(Map(Parallelize(c, []int64{1, 2, 3, 4}, 2), func(v int64) int64 {
+		if v == 4 {
+			panic("result blew up")
+		}
+		return v
+	}))
+	if err == nil || !strings.Contains(err.Error(), "result stage: task 1 panicked: result blew up") {
+		t.Errorf("result-side panic: Collect = %v, want an error naming the result stage and task 1", err)
+	}
+
+	if n, err := Count(Parallelize(c, ids, 4)); err != nil || n != int64(len(ids)) {
+		t.Errorf("after the failures Count = %d, %v; want %d", n, err, len(ids))
 	}
 }

@@ -329,8 +329,12 @@ func runTab1() (*Report, error) {
 	}
 	ctx := spark.NewContext(core.NewConfig(), srt, dfs.New(2, 64*core.KB, 1))
 	env := flink.NewEnv(core.NewConfig(), frt, dfs.New(2, 64*core.KB, 1))
+	plans, err := workloads.Plans(ctx, env)
+	if err != nil {
+		return nil, fmt.Errorf("tab1: %w", err)
+	}
 	rep := &Report{ID: "tab1", Title: "Operator plans per workload and framework"}
-	for _, p := range workloads.Plans(ctx, env) {
+	for _, p := range plans {
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("tab1: %s/%s: %w", p.Framework, p.Workload, err)
 		}

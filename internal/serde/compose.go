@@ -136,6 +136,12 @@ func NormKeyerFor[K any]() func(dst []byte, k K) []byte {
 	return nil
 }
 
+// AppendKeyInt64 appends v's order-preserving binary form: big-endian with
+// the sign bit flipped, so negative values sort below positive ones.
+func AppendKeyInt64(dst []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(v)^(1<<63))
+}
+
 // PairNormKeyer lifts a key writer to pair records, the form shuffle.Spec
 // wants: the normalized key of a pair is the normalized key of its Key.
 func PairNormKeyer[K comparable, V any](nk func(dst []byte, k K) []byte) func(p core.Pair[K, V], dst []byte) []byte {

@@ -44,45 +44,18 @@
 // JobMetrics.CodecFallbacks where it resolves a codec, and a test holds the
 // counter at zero for every built-in workload on every engine.
 //
-// # Binary rows
+// # Normalized keys
 //
-// row.go carries the TypeInfo strategy to its endpoint: a Schema describes a
-// record's fields once, and every record is one contiguous byte span —
+// NormKeyerFor (compose.go) emits a key's normalized form: a binary form
+// whose bytes.Compare order equals the decoded order (AppendKeyInt64 for the
+// signed integers), letting sorters run memcmp on packed key prefixes
+// without deserializing.
 //
-//	[uint32 bodyLen][one 8-byte slot per field][var-width tail]
-//
-// Fixed-width fields (Int64, Float64, Bool) live inline in their slot;
-// var-width fields (Bytes, String) pack a uint32 offset and uint32 length
-// into the slot, pointing at the tail. A RowBuilder (pooled, reused via
-// Reset/Release) encodes; Schema.ReadRow and Schema.Codec decode by
-// *borrowing* the source buffer, so field access is pointer arithmetic on
-// bytes that are never copied. The AppendKey* helpers emit normalized keys:
-// binary forms whose bytes.Compare order equals the decoded order, letting
-// sorters run memcmp on serialized records without deserializing.
-//
-// # Row batches
-//
-// rowbatch.go is the vectorized layer over rows: a RowBatch packs many
-// wire-form rows into one pooled arena —
-//
-//	[row 0: uint32 bodyLen | body][row 1: ...]...[row n-1: ...]
-//	offs: [0, off1, ...]      physical start of each row in the arena
-//	sel:  nil | [i, j, ...]   live row indices; nil means all rows live
-//
-// The arena layout is exactly the shuffle-block payload layout, so an
-// unfiltered batch emits with one copy (EncodeTo) and a received block
-// loads with zero copies (LoadWire scans offsets, borrowing the block's
-// storage). Filters flip selection-vector entries instead of moving row
-// bytes: Select narrows sel, and ForEach/Rows/EncodeTo visit only live
-// rows. Batches follow the same ownership discipline as shuffle.Block —
-// an owning batch returns its arena to memory.BufPool on Release, and no
-// Row view outlives its batch's arena.
-//
-// Rows are the payload format; moving them between operators is the job of
-// internal/shuffle (zero-copy Block borrow/release), and deciding how few
-// operators there are to move between is the job of the operator-fusion
-// pass in the dataflow lowering (internal/dataflow/fuse.go), which collapses
-// narrow Map/Filter/FlatMap chains into per-batch kernels (one compiled
-// closure call per exec.batch.size records) so fused records never touch a
-// codec at all.
+// Moving encoded records between operators is the job of internal/shuffle
+// (zero-copy Block borrow/release), and deciding how few operators there
+// are to move between is the job of the operator-fusion pass in the
+// dataflow lowering (internal/dataflow/fuse.go), which collapses narrow
+// Map/Filter/FlatMap chains into per-batch kernels (one compiled closure
+// call per exec.batch.size records) so fused records never touch a codec
+// at all.
 package serde

@@ -1,6 +1,8 @@
 package serde
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -214,5 +216,42 @@ func TestDecodeAllNoProgressGuard(t *testing.T) {
 	}
 	if _, err := DecodeAll(bad, []byte{1, 2}); err == nil {
 		t.Error("zero-progress decoder should be rejected")
+	}
+}
+
+// TestNormalizedKeyAgreesWithDecodedOrder is the property at the heart of
+// the binary sort path: bytes.Compare on the keys NormKeyerFor writes must
+// order any two keys exactly as < does, for every key kind it encodes, and
+// kinds with no order-faithful encoding get no keyer.
+func TestNormalizedKeyAgreesWithDecodedOrder(t *testing.T) {
+	checkNormKeyOrder(t, []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64})
+	checkNormKeyOrder(t, []int{math.MinInt, -7, 0, 7, math.MaxInt})
+	checkNormKeyOrder(t, []int32{math.MinInt32, -1, 0, 1, math.MaxInt32})
+	checkNormKeyOrder(t, []uint64{0, 1, 1 << 63, math.MaxUint64})
+	checkNormKeyOrder(t, []uint32{0, 1, 1 << 31, math.MaxUint32})
+	checkNormKeyOrder(t, []string{"", "a", "a\x00", "ab", "b", "\xff"})
+	if NormKeyerFor[float64]() != nil || NormKeyerFor[bool]() != nil {
+		t.Error("float64 and bool keys got a normalized keyer; they have no order-faithful one")
+	}
+}
+
+func checkNormKeyOrder[K int64 | int | int32 | uint64 | uint32 | string](t *testing.T, keys []K) {
+	t.Helper()
+	key := NormKeyerFor[K]()
+	if key == nil {
+		t.Fatalf("no normalized keyer for %T", keys[0])
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			want := 0
+			if a < b {
+				want = -1
+			} else if a > b {
+				want = 1
+			}
+			if got := bytes.Compare(key(nil, a), key(nil, b)); got != want {
+				t.Errorf("%T: Compare(key(%v), key(%v)) = %d, want %d", a, a, b, got, want)
+			}
+		}
 	}
 }

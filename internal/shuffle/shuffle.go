@@ -174,7 +174,7 @@ type Spec[R any] struct {
 	// Same: equal records compare unordered.
 	Less func(a, b R) bool
 	// NormKey, when set alongside Less, appends the record's FULL
-	// normalized sort key (see internal/serde's AppendKey* helpers): a
+	// normalized sort key (see serde.NormKeyerFor): a
 	// binary form whose bytes.Compare order equals Less exactly. Sort
 	// writers then order runs by memcmp on packed key bytes instead of
 	// calling Less per comparison — Flink's normalized-key sort and the

@@ -5,11 +5,8 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dataflow/backend/flinkexec"
 	"repro/internal/dataflow/backend/sparkexec"
-	"repro/internal/datagen"
 	"repro/internal/engine/flink"
 	"repro/internal/engine/spark"
-	"repro/internal/graph/gellylike"
-	"repro/internal/graph/graphxlike"
 )
 
 // sparkSession wraps an existing spark context in a dataflow session, for
@@ -24,36 +21,46 @@ func flinkSession(env *flink.Env) *dataflow.Session {
 }
 
 // Plans builds (without executing) the logical plans of every workload on
-// both in-memory frameworks — the data behind the paper's Table I. The
-// batch rows come from the unified dataflow definitions lowered per
-// backend; the graph rows come from the engine-native graph layers.
+// both in-memory frameworks — the data behind the paper's Table I, one row
+// per workload and framework. Every row comes from the definition the
+// workload runs, lowered per backend: the batch rows from the unified
+// dataflow pipelines, the graph rows from dataflow/graph's Pregel builders.
 // cmd/planviz additionally prints the MapReduce column via UnifiedPlans.
-func Plans(ctx *spark.Context, env *flink.Env) []*core.Plan {
+func Plans(ctx *spark.Context, env *flink.Env) ([]*core.Plan, error) {
 	sessions := []*dataflow.Session{sparkSession(ctx), flinkSession(env)}
-	builders := []func(*dataflow.Session) *core.Plan{
-		WordCountPlan, GrepPlan, TeraSortPlan, KMeansPlan,
-	}
 	var plans []*core.Plan
-	for _, build := range builders {
+	for _, build := range []func(*dataflow.Session) *core.Plan{
+		WordCountPlan, GrepPlan, TeraSortPlan, KMeansPlan,
+	} {
 		for _, s := range sessions {
 			plans = append(plans, build(s))
 		}
 	}
-	return append(plans, GraphPlans(ctx, env)...)
+	for _, build := range []func(*dataflow.Session) (*core.Plan, error){
+		PageRankPlan, ConnectedComponentsPlan,
+	} {
+		for _, s := range sessions {
+			p, err := build(s)
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, p)
+		}
+	}
+	return plans, nil
 }
 
-// GraphPlans renders the Page Rank and Connected Components plans from the
-// engine-native graph layers (the graph workloads stay engine-specific:
-// Pregel on spark, vertex-centric/delta iterations on flink).
-func GraphPlans(ctx *spark.Context, env *flink.Env) []*core.Plan {
-	edges := []datagen.Edge{{Src: 0, Dst: 1}}
-	g := graphxlike.FromEdges(ctx, spark.Parallelize(ctx, edges, 1), int64(0))
-	spr := spark.PlanOf(g.OutDegrees(), "PageRank", "Pregel(outerJoinVertices,mapTriplets,joinVertices)")
-	scc := spark.PlanOf(g.Vertices(), "ConnectedComponents", "Pregel(mapVertices,mapReduceTriplets,joinVertices)")
-
-	fg := gellylike.FromEdges(env, flink.FromSlice(env, edges, 1), int64(0))
-	fpr := flink.PlanOf(fg.OutDegrees(), "PageRank", "VertexCentric(BulkIteration)")
-	labels, _, _ := gellylike.ConnectedComponentsDelta(fg, 1)
-	fcc := flink.PlanOf(labels, "ConnectedComponents", "DataSink")
-	return []*core.Plan{spr, fpr, scc, fcc}
+// GraphPlans renders the Page Rank and Connected Components plans on the
+// session's engine, like UnifiedPlans does for the batch workloads. Graph
+// plans render on spark and flink only; on mapreduce it returns an error.
+func GraphPlans(s *dataflow.Session) ([]*core.Plan, error) {
+	pr, err := PageRankPlan(s)
+	if err != nil {
+		return nil, err
+	}
+	cc, err := ConnectedComponentsPlan(s)
+	if err != nil {
+		return nil, err
+	}
+	return []*core.Plan{pr, cc}, nil
 }

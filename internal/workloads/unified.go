@@ -13,10 +13,7 @@ import (
 // workload: one logical pipeline per benchmark, executable on spark,
 // flink and mapreduce through dataflow.Session, with per-engine plans for
 // Table I coming from the same definitions (see *Plan below). The graph
-// workloads live in graphs.go over the dataflow/graph subsystem. The
-// per-engine functions in batch.go / terasort.go / kmeans.go /
-// mapreduce.go / graphs_deprecated.go are deprecated wrappers kept only
-// for pinned signatures.
+// workloads live in graphs.go over the dataflow/graph subsystem.
 
 // WordCount is the paper's aggregation benchmark, written once:
 // source → flatMap → mapToPair → reduceByKey → save.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/engine/flink"
@@ -256,41 +257,67 @@ func TestPageRankBothEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestConnectedComponentsAllVariantsAgree holds Connected Components on
+// every engine — GraphX-style supersteps on spark, the delta iteration on
+// flink, chained jobs on mapreduce — to a union-find reference: each vertex
+// is labelled with the smallest id of its undirected component.
 func TestConnectedComponentsAllVariantsAgree(t *testing.T) {
-	ctx, env := pairCtx(t)
 	edges := datagen.RMAT(19, datagen.GraphSpec{Name: "cc", Vertices: 128, Edges: 400})
+	parent := map[int64]int64{}
+	var find func(x int64) int64
+	find = func(x int64) int64 {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	for _, e := range edges {
+		for _, v := range []int64{e.Src, e.Dst} {
+			if _, ok := parent[v]; !ok {
+				parent[v] = v
+			}
+		}
+	}
+	for _, e := range edges {
+		if a, b := find(e.Src), find(e.Dst); a != b {
+			parent[a] = b
+		}
+	}
+	minOf := map[int64]int64{}
+	for v := range parent {
+		if m, ok := minOf[find(v)]; !ok || v < m {
+			minOf[find(v)] = v
+		}
+	}
 
-	sm, _, err := ConnectedComponents(sparkSession(ctx), edges, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, supersteps, err := ConnectedComponents(flinkSession(env), edges, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := ConnectedComponentsFlinkBulk(env, edges, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sm) != len(fd) || len(sm) != len(fb) {
-		t.Fatalf("vertex sets differ: spark=%d delta=%d bulk=%d", len(sm), len(fd), len(fb))
-	}
-	for id, l := range sm {
-		if fd[id] != l {
-			t.Errorf("delta label[%d] = %d, spark = %d", id, fd[id], l)
-		}
-		if fb[id] != l {
-			t.Errorf("bulk label[%d] = %d, spark = %d", id, fb[id], l)
-		}
-	}
-	if supersteps <= 0 {
-		t.Error("delta CC reported no supersteps")
+	for _, engine := range dataflow.Names() {
+		engine := engine
+		t.Run(engine, func(t *testing.T) {
+			labels, supersteps, err := ConnectedComponents(paritySession(t, engine), edges, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(labels) != len(parent) {
+				t.Fatalf("labelled %d vertices, want %d", len(labels), len(parent))
+			}
+			for v := range parent {
+				if want := minOf[find(v)]; labels[v] != want {
+					t.Errorf("label[%d] = %d, want %d (union-find reference)", v, labels[v], want)
+				}
+			}
+			if supersteps <= 0 {
+				t.Error("CC reported no supersteps")
+			}
+		})
 	}
 }
 
 func TestPlansRegenerateTableI(t *testing.T) {
 	ctx, env := pairCtx(t)
-	plans := Plans(ctx, env)
+	plans, err := Plans(ctx, env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(plans) != 12 {
 		t.Fatalf("expected 12 plans (6 workloads × 2 frameworks), got %d", len(plans))
 	}
@@ -318,6 +345,15 @@ func TestPlansRegenerateTableI(t *testing.T) {
 				sparkWC = p
 			} else {
 				flinkWC = p
+			}
+		}
+		// The graph rows render what runs: a delta iteration on flink,
+		// cogrouped supersteps on spark.
+		if p.Workload == "PageRank" || p.Workload == "ConnectedComponents" {
+			ops := strings.Join(p.Operators(), ",")
+			want := map[string]string{"spark": "CoGroup", "flink": "DeltaIteration"}[p.Framework]
+			if !strings.Contains(ops, want) {
+				t.Errorf("%s/%s operators %s lack %s", p.Framework, p.Workload, ops, want)
 			}
 		}
 	}
