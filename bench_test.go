@@ -16,12 +16,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/dataflow/backend/flinkexec"
-	"repro/internal/dataflow/backend/mrexec"
-	"repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/engine/flink"
+	"repro/internal/engine/mapreduce"
+	"repro/internal/engine/spark"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -261,9 +260,9 @@ func engineFixture(b *testing.B) (*dataflow.Session, *dataflow.Session) {
 	sfs.WriteFile("wiki", text)
 	ffs := dfs.New(2, 64*core.KB, 1)
 	ffs.WriteFile("wiki", text)
-	sparkS := dataflow.NewSession(sparkexec.New(
+	sparkS := dataflow.NewSession(spark.NewContext(
 		core.NewConfig().SetInt(core.SparkDefaultParallelism, 8), srt, sfs))
-	flinkS := dataflow.NewSession(flinkexec.New(
+	flinkS := dataflow.NewSession(flink.NewEnv(
 		core.NewConfig().SetInt(core.FlinkDefaultParallelism, 4).
 			SetInt(core.FlinkNetworkBuffers, 8192), frt, ffs))
 	return sparkS, flinkS
@@ -278,7 +277,7 @@ func mrEngineFixture(b *testing.B) *dataflow.Session {
 	}
 	fs := dfs.New(2, 64*core.KB, 1)
 	fs.WriteFile("wiki", datagen.Text(5, 512*1024, 10))
-	return dataflow.NewSession(mrexec.New(core.NewConfig(), rt, fs))
+	return dataflow.NewSession(mapreduce.NewCluster(core.NewConfig(), rt, fs))
 }
 
 func BenchmarkEngineWordCountMapReduce(b *testing.B) {

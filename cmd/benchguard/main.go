@@ -4,14 +4,17 @@
 //
 // Usage:
 //
-//	benchguard -baseline prev.json -current BENCH_smoke.json -fail tab1
+//	benchguard -baseline prev.json -current BENCH_smoke.json -fail ext4
 //
 // Reports are matched by experiment id, rows by label, and cells by JSON
 // field name; only numeric lower-is-better fields compare. A worsening
 // past -max-worsen (default 25%) on an experiment named in -fail fails the
 // run; on any other experiment it only warns — the real-engine families
 // (ext6..ext10) measure wall-clock on shared CI runners and are too noisy to
-// gate on, while tab1's simulated cells are deterministic.
+// gate on, while ext4's simulated cells are deterministic. A gated
+// experiment present in both files that compares no numeric cell fails too:
+// tab1, whose report is an operator table with no numeric row, would pass
+// any change (cmd/planviz's golden test pins Table I instead).
 // A missing or unreadable baseline warns and passes: the first push, an
 // expired artifact, or a schema change must not wedge CI.
 package main
@@ -20,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -82,12 +86,20 @@ func comparable(key string) bool {
 	return true
 }
 
-func main() {
-	baseline := flag.String("baseline", "", "previous BENCH_smoke.json (missing = warn and pass)")
-	current := flag.String("current", "BENCH_smoke.json", "current BENCH_smoke.json")
-	maxWorsen := flag.Float64("max-worsen", 0.25, "tolerated fractional worsening per cell")
-	failIDs := flag.String("fail", "tab1", "comma-separated experiment ids whose regressions fail (others warn)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the guard: it returns the process exit code — 0 pass, 1 a gated
+// family failed, 2 bad usage or an unreadable current file.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	baseline := flags.String("baseline", "", "previous BENCH_smoke.json (missing = warn and pass)")
+	current := flags.String("current", "BENCH_smoke.json", "current BENCH_smoke.json")
+	maxWorsen := flags.Float64("max-worsen", 0.25, "tolerated fractional worsening per cell")
+	failIDs := flags.String("fail", "ext4", "comma-separated experiment ids whose regressions fail (others warn)")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 
 	failOn := map[string]bool{}
 	for _, id := range strings.Split(*failIDs, ",") {
@@ -98,13 +110,13 @@ func main() {
 
 	base, err := load(*baseline)
 	if err != nil {
-		fmt.Printf("benchguard: no usable baseline (%v); skipping regression check\n", err)
-		return
+		fmt.Fprintf(stdout, "benchguard: no usable baseline (%v); skipping regression check\n", err)
+		return 0
 	}
 	cur, err := load(*current)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchguard: %v\n", err)
+		return 2
 	}
 
 	failures := 0
@@ -118,6 +130,7 @@ func main() {
 		for _, row := range baseRep.Rows {
 			baseRows[label(row)] = row
 		}
+		compared := 0
 		for _, row := range curRep.Rows {
 			baseRow, ok := baseRows[label(row)]
 			if !ok {
@@ -132,6 +145,7 @@ func main() {
 				if !ok1 || !ok2 || baseV <= 0 {
 					continue
 				}
+				compared++
 				worsen := curV/baseV - 1
 				if worsen <= *maxWorsen {
 					continue
@@ -143,16 +157,22 @@ func main() {
 				} else {
 					warnings++
 				}
-				fmt.Printf("benchguard %s: %s %q %s: %.4g -> %.4g (+%.0f%%, limit +%.0f%%)\n",
+				fmt.Fprintf(stdout, "benchguard %s: %s %q %s: %.4g -> %.4g (+%.0f%%, limit +%.0f%%)\n",
 					verdict, id, label(row), key, baseV, curV, worsen*100, *maxWorsen*100)
 			}
 		}
+		if failOn[id] && compared == 0 {
+			// A gate that compares nothing passes whatever happens.
+			failures++
+			fmt.Fprintf(stdout, "benchguard FAIL: %s is gated but has no numeric cell in both files\n", id)
+		}
 	}
 	if failures == 0 && warnings == 0 {
-		fmt.Println("benchguard: no regressions past the threshold")
+		fmt.Fprintln(stdout, "benchguard: no regressions past the threshold")
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d gated regression(s)\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchguard: %d gated regression(s)\n", failures)
+		return 1
 	}
+	return 0
 }

@@ -19,9 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/experiments"
 )
 
@@ -32,14 +29,14 @@ func main() {
 	md := flag.String("md", "", "also write a markdown report to this file")
 	jsonOut := flag.String("json", "", "also write the reports as JSON to this file")
 	engines := flag.String("engines", "",
-		fmt.Sprintf("comma-separated engine filter (registered: %s); default all",
+		fmt.Sprintf("comma-separated engine filter (engines: %s); default all",
 			strings.Join(dataflow.Names(), ",")))
 	flag.Parse()
 
 	if *engines != "" {
 		// Restrict the experiment runners so one engine's numbers can be
 		// regenerated without the full three-way matrix. The engine names
-		// are the dataflow backend registry's; SetEngineFilter validates.
+		// are dataflow.Names(); SetEngineFilter validates.
 		var names []string
 		for _, name := range strings.Split(*engines, ",") {
 			if name = strings.TrimSpace(name); name != "" {

@@ -1,8 +1,11 @@
 // Planviz regenerates the paper's Table I from the unified dataflow API:
-// every non-graph workload is defined once and lowered onto each
-// registered engine's physical plan (spark, flink and the mapreduce
-// baseline), followed by the graph workloads' Pregel plans on spark and
-// flink.
+// every non-graph workload is defined once, and each engine (spark, flink
+// and the mapreduce baseline) renders the plan it runs, followed by the
+// graph workloads' Pregel plans on spark and flink. Its output is checked in
+// as testdata/plans.golden; after a change to what an engine runs,
+// regenerate it with
+//
+//	go run ./cmd/planviz > cmd/planviz/testdata/plans.golden
 //
 // With -decide it instead renders the cost-based planner's view: for each
 // representative workload the scored candidate table (engine × shuffle
@@ -13,16 +16,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/dataflow/backend/flinkexec"
-	"repro/internal/dataflow/backend/mrexec"
-	"repro/internal/dataflow/backend/sparkexec"
-	"repro/internal/dfs"
 	"repro/internal/planner"
 	"repro/internal/workloads"
 )
@@ -31,41 +32,50 @@ func main() {
 	decide := flag.Bool("decide", false, "print the cost-based planner's chosen config and cost table per workload")
 	flag.Parse()
 
-	spec := cluster.Spec{Nodes: 2, CoresPerNode: 4, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
 	if *decide {
-		printDecisions(spec)
+		printDecisions(cluster.Spec{Nodes: 2, CoresPerNode: 4, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100})
 		return
 	}
-	newRT := func() *cluster.Runtime {
-		rt, err := cluster.NewRuntime(spec, 4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rt
+	if err := printTableI(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	newFS := func() *dfs.FS { return dfs.New(2, 64*core.KB, 1) }
+}
 
-	sparkB := sparkexec.New(core.NewConfig(), newRT(), newFS())
-	flinkB := flinkexec.New(core.NewConfig(), newRT(), newFS())
-	mrB := mrexec.New(core.NewConfig(), newRT(), newFS())
-
-	// One logical definition per workload, three physical plans each.
-	for _, b := range []dataflow.Backend{sparkB, flinkB, mrB} {
-		for _, p := range workloads.UnifiedPlans(dataflow.NewSession(b)) {
-			printPlan(p)
+// printTableI writes one plan per line: the five batch workloads on every
+// engine, then the graph workloads on spark and flink.
+func printTableI(w io.Writer) error {
+	var plans []*core.Plan
+	for _, engine := range dataflow.Names() {
+		s, err := dataflow.Open(engine)
+		if err != nil {
+			return err
 		}
+		ps, err := workloads.UnifiedPlans(s)
+		if err != nil {
+			return err
+		}
+		plans = append(plans, ps...)
 	}
 	// The graph workloads' Pregel plans: GraphX-style supersteps on spark, a
 	// delta iteration on flink.
-	for _, b := range []dataflow.Backend{sparkB, flinkB} {
-		plans, err := workloads.GraphPlans(dataflow.NewSession(b))
+	for _, engine := range []string{"spark", "flink"} {
+		s, err := dataflow.Open(engine)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		for _, p := range plans {
-			printPlan(p)
+		ps, err := workloads.GraphPlans(s)
+		if err != nil {
+			return err
 		}
+		plans = append(plans, ps...)
 	}
+	for _, p := range plans {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("invalid plan %s/%s: %w", p.Framework, p.Workload, err)
+		}
+		fmt.Fprintln(w, p)
+	}
+	return nil
 }
 
 // printDecisions runs the static planner over one representative spec per
@@ -116,11 +126,4 @@ func printAligned(rows [][]string) {
 		}
 		fmt.Println(strings.TrimRight(b.String(), " "))
 	}
-}
-
-func printPlan(p *core.Plan) {
-	if err := p.Validate(); err != nil {
-		log.Fatalf("invalid plan %s/%s: %v", p.Framework, p.Workload, err)
-	}
-	fmt.Println(p.String())
 }

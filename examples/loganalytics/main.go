@@ -13,9 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/workloads"

@@ -1,7 +1,7 @@
 // Pagerank: the unified graph workloads — PageRank, Connected Components
 // and SSSP, each defined ONCE over the Pregel-style dataflow/graph
 // subsystem — running on all three engines from the same definitions. The
-// output shows that every backend computes identical results while paying
+// output shows that every engine computes identical results while paying
 // its own iteration cost: Spark schedules fresh stages per superstep over
 // cached RDDs, Flink drains a native delta iteration scheduled once, and
 // MapReduce chains one full DFS job per superstep.
@@ -16,9 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/workloads"

@@ -11,9 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/workloads"
@@ -60,6 +57,10 @@ func main() {
 	fmt.Println()
 	fmt.Println("Lowered physical plans (Table I) from the same definition:")
 	for _, engine := range dataflow.Names() {
-		fmt.Println("  " + workloads.WordCountPlan(sessions[engine]).String())
+		plan, err := workloads.WordCountPlan(sessions[engine])
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("  " + plan.String())
 	}
 }

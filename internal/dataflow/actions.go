@@ -9,7 +9,7 @@ import (
 	"repro/internal/engine/spark"
 )
 
-// Actions lower the logical plan onto the session's backend and execute
+// Actions lower the logical plan onto the session's engine and execute
 // the engine's physical plan: a job (or stage wave) per action on Spark
 // and Flink, one or more full two-phase jobs on MapReduce.
 
@@ -21,7 +21,7 @@ func Collect[T any](d *Dataset[T]) ([]T, error) {
 }
 
 func collect[T any](d *Dataset[T]) ([]T, error) {
-	switch d.s.kind() {
+	switch d.s.kind {
 	case Spark:
 		r, err := repOf[*spark.RDD[T]](d)
 		if err != nil {
@@ -47,7 +47,7 @@ func collect[T any](d *Dataset[T]) ([]T, error) {
 // MapReduce it is a full job with a single summing reduce.
 func Count[T any](d *Dataset[T]) (int64, error) {
 	d.s.driverRecords(1) // the count itself
-	switch d.s.kind() {
+	switch d.s.kind {
 	case Spark:
 		r, err := repOf[*spark.RDD[T]](d)
 		if err != nil {
@@ -73,7 +73,7 @@ func Count[T any](d *Dataset[T]) (int64, error) {
 // result is charged against the driver heap (the paper's K-Means failure
 // mode); the other engines build it from a plain collect.
 func CollectAsMap[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]]) (map[K]V, error) {
-	if d.s.kind() == Spark {
+	if d.s.kind == Spark {
 		r, err := repOf[*spark.RDD[core.Pair[K, V]]](d)
 		if err != nil {
 			return nil, err
@@ -116,7 +116,7 @@ func SaveAsText[T any](d *Dataset[T], name string) error {
 // Nothing is written unless every task succeeded.
 func SaveBytes[T any](d *Dataset[T], name string, enc func(dst []byte, v T) []byte) error {
 	var out sinkParts[T]
-	switch d.s.kind() {
+	switch d.s.kind {
 	case Spark:
 		r, err := repOf[*spark.RDD[T]](d)
 		if err != nil {

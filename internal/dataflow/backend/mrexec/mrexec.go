@@ -1,143 +1,5 @@
-// Package mrexec adapts the mapreduce mini-engine to the dataflow layer:
-// it owns cluster construction and lowers logical plans into Hadoop's
-// rigid job shape — narrow operators fused into one Map, then the
-// invariant Combine/SpillSort/Materialize/Shuffle/MergeSort/Reduce tail
-// per shuffle boundary, and iterations as chains of independent jobs whose
-// state round-trips through the DFS.
+// Package mrexec is empty. Package dataflow opens the mapreduce engine by name
+// (dataflow.Open("mapreduce")) and lowers every operator onto it itself; this
+// package is kept only because the repository benchmark (bench/) still
+// imports it, and goes when that import does.
 package mrexec
-
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dataflow"
-	"repro/internal/dfs"
-	"repro/internal/engine/mapreduce"
-	"repro/internal/metrics"
-)
-
-func init() {
-	dataflow.Register("mapreduce", func(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) dataflow.Backend {
-		return New(conf, rt, fs)
-	})
-}
-
-// Backend implements dataflow.Backend over a *mapreduce.Cluster.
-type Backend struct {
-	c *mapreduce.Cluster
-}
-
-// New builds a cluster over the substrate and wraps it.
-func New(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Backend {
-	return Wrap(mapreduce.NewCluster(conf, rt, fs))
-}
-
-// Wrap adapts an existing cluster.
-func Wrap(c *mapreduce.Cluster) *Backend { return &Backend{c: c} }
-
-// Kind reports the disk-oriented two-phase execution model.
-func (b *Backend) Kind() dataflow.Kind { return dataflow.MapReduce }
-
-// Name returns the registry name.
-func (b *Backend) Name() string { return "mapreduce" }
-
-// FS returns the engine's filesystem.
-func (b *Backend) FS() *dfs.FS { return b.c.FS() }
-
-// Metrics returns the engine's job counters.
-func (b *Backend) Metrics() *metrics.JobMetrics { return b.c.Metrics() }
-
-// Timeline returns the engine's operator timeline.
-func (b *Backend) Timeline() *metrics.Timeline { return b.c.Timeline() }
-
-// Handle exposes the cluster for typed lowering.
-func (b *Backend) Handle() any { return b.c }
-
-// Cluster returns the wrapped engine entry point.
-func (b *Backend) Cluster() *mapreduce.Cluster { return b.c }
-
-// jobTail is the invariant operator sequence every job executes after its
-// map phase, mirroring mapreduce.Job.Operators.
-func jobTail(combine bool, reduce string) []string {
-	ops := []string{}
-	if combine {
-		ops = append(ops, "Combine")
-	}
-	return append(ops, "SpillSort", "Materialize", "Shuffle", "MergeSort", reduce)
-}
-
-// sinkName maps neutral actions onto the job output stage.
-var sinkName = map[string]string{
-	dataflow.ActionSaveText:    "Output",
-	dataflow.ActionSaveRecords: "Output",
-	dataflow.ActionCount:       "Count",
-	dataflow.ActionCollect:     "Collect",
-	dataflow.ActionIterate:     "Output (per job)",
-}
-
-// LowerPlan renders the logical plan as the rigid chain of MapReduce jobs
-// it lowers to. Narrow operators disappear into a fused "Map(...)" stage;
-// every shuffle boundary expands into the full job tail; an iteration
-// wraps its single job in a ChainedJobs marker.
-func (b *Backend) LowerPlan(lp *dataflow.Logical) *core.Plan {
-	nextID := 0
-	alloc := func(kind core.OpKind, label string, inputs ...*core.PlanNode) *core.PlanNode {
-		nextID++
-		return core.NewPlanNode(nextID, kind, label, inputs...)
-	}
-	chain := func(head *core.PlanNode, kind core.OpKind, labels ...string) *core.PlanNode {
-		for _, l := range labels {
-			head = alloc(kind, l, head)
-		}
-		return head
-	}
-
-	// lower returns the last physical stage producing n's records.
-	var lower func(n *dataflow.Node) *core.PlanNode
-	lower = func(n *dataflow.Node) *core.PlanNode {
-		// Fuse the narrow prefix into one Map stage.
-		var fused []string
-		cur := n
-		for len(cur.Inputs) == 1 && cur.Iterations == 0 &&
-			(cur.Kind == core.OpMap || cur.Kind == core.OpFlatMap ||
-				cur.Kind == core.OpFilter || cur.Kind == core.OpMapToPair) {
-			fused = append([]string{cur.Label}, fused...)
-			cur = cur.Inputs[0]
-		}
-		var head *core.PlanNode
-		switch {
-		case cur.Kind == core.OpSource:
-			head = alloc(core.OpSource, "InputSplit")
-		case cur.Kind == core.OpReduceByKey:
-			head = chain(lower(cur.Inputs[0]), core.OpReduceByKey, jobTail(true, "Reduce")...)
-		case cur.Kind == core.OpPartition:
-			head = chain(lower(cur.Inputs[0]), core.OpPartition, jobTail(false, "IdentityReduce")...)
-		case cur.Iterations > 0:
-			assign := alloc(core.OpMap, "Map(Assign)", lower(cur.Inputs[0]))
-			body := chain(assign, core.OpReduceByKey, jobTail(true, "Reduce")...)
-			head = alloc(core.OpBulkIteration, fmt.Sprintf("ChainedJobs(%d)", cur.Iterations), body)
-		default:
-			head = chain(lower(cur.Inputs[0]), cur.Kind, cur.Label)
-		}
-		if len(fused) > 0 {
-			head = alloc(core.OpMap, fmt.Sprintf("Map(%s)", strings.Join(fused, "->")), head)
-		}
-		return head
-	}
-	plan := &core.Plan{Framework: "mapreduce", Workload: lp.Workload}
-	action := sinkName[lp.Action]
-	if action == "" {
-		action = lp.Action
-	}
-	for _, s := range lp.Sinks {
-		head := lower(s)
-		if lp.Action == dataflow.ActionCount {
-			// Count is itself a job: the single-reduce summing shape.
-			head = chain(head, core.OpCount, jobTail(true, "Reduce")...)
-		}
-		plan.Sinks = append(plan.Sinks, alloc(core.OpSink, action, head))
-	}
-	return plan
-}

@@ -1,119 +1,5 @@
-// Package sparkexec adapts the spark mini-engine to the dataflow layer:
-// it owns context construction and lowers logical plans the way Spark's
-// DAG scheduler would — one operator per RDD, stages cut at shuffle
-// dependencies, iterations unrolled into per-round jobs that end in a
-// driver-side collectAsMap.
+// Package sparkexec is empty. Package dataflow opens the spark engine by name
+// (dataflow.Open("spark")) and lowers every operator onto it itself; this
+// package is kept only because the repository benchmark (bench/) still
+// imports it, and goes when that import does.
 package sparkexec
-
-import (
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dataflow"
-	"repro/internal/dfs"
-	"repro/internal/engine/spark"
-	"repro/internal/metrics"
-)
-
-func init() {
-	dataflow.Register("spark", func(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) dataflow.Backend {
-		return New(conf, rt, fs)
-	})
-}
-
-// Backend implements dataflow.Backend over a *spark.Context.
-type Backend struct {
-	ctx *spark.Context
-}
-
-// New builds a context over the substrate and wraps it.
-func New(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Backend {
-	return Wrap(spark.NewContext(conf, rt, fs))
-}
-
-// Wrap adapts an existing context (the deprecated per-engine workload
-// wrappers use it to keep their old signatures).
-func Wrap(ctx *spark.Context) *Backend { return &Backend{ctx: ctx} }
-
-// Kind reports the staged, caching execution model.
-func (b *Backend) Kind() dataflow.Kind { return dataflow.Spark }
-
-// Name returns the registry name.
-func (b *Backend) Name() string { return "spark" }
-
-// FS returns the engine's filesystem.
-func (b *Backend) FS() *dfs.FS { return b.ctx.FS() }
-
-// Metrics returns the engine's job counters.
-func (b *Backend) Metrics() *metrics.JobMetrics { return b.ctx.Metrics() }
-
-// Timeline returns the engine's operator timeline.
-func (b *Backend) Timeline() *metrics.Timeline { return b.ctx.Timeline() }
-
-// Handle exposes the context for typed lowering.
-func (b *Backend) Handle() any { return b.ctx }
-
-// Context returns the wrapped engine entry point.
-func (b *Backend) Context() *spark.Context { return b.ctx }
-
-// opName maps neutral dataflow labels onto Spark's operator vocabulary.
-var opName = map[string]string{
-	"TextSource":   "TextFile",
-	"BinarySource": "BinaryRecords",
-	"Collection":   "Parallelize",
-	"KeyBy":        "MapToPair",
-	"SortByKey":    "RepartitionAndSortWithinPartitions",
-}
-
-// sinkName maps neutral actions onto Spark's action names.
-var sinkName = map[string]string{
-	dataflow.ActionSaveText:    "SaveAsTextFile",
-	dataflow.ActionSaveRecords: "SaveAsHadoopFile",
-	dataflow.ActionCount:       "Count",
-	dataflow.ActionCollect:     "Collect",
-	dataflow.ActionIterate:     "CollectAsMap (per iteration)",
-}
-
-// LowerPlan renders the logical plan as Spark's physical plan: the RDD
-// lineage one-to-one (shared subgraphs stay shared — a cached dataset is
-// one node with fan-out), iterations expanded to the per-round job body.
-func (b *Backend) LowerPlan(lp *dataflow.Logical) *core.Plan {
-	nextID := 0
-	alloc := func(kind core.OpKind, label string, inputs ...*core.PlanNode) *core.PlanNode {
-		nextID++
-		return core.NewPlanNode(nextID, kind, label, inputs...)
-	}
-	built := map[int]*core.PlanNode{}
-	var build func(n *dataflow.Node) *core.PlanNode
-	build = func(n *dataflow.Node) *core.PlanNode {
-		if p, ok := built[n.ID]; ok {
-			return p
-		}
-		ins := make([]*core.PlanNode, 0, len(n.Inputs))
-		for _, in := range n.Inputs {
-			ins = append(ins, build(in))
-		}
-		label := n.Label
-		if mapped, ok := opName[label]; ok {
-			label = mapped
-		}
-		var p *core.PlanNode
-		if n.Iterations > 0 {
-			// Loop unrolling: the per-round job body over the lowered data.
-			pairs := alloc(core.OpMapToPair, "MapToPair", ins...)
-			p = alloc(core.OpReduceByKey, "ReduceByKey", pairs)
-		} else {
-			p = alloc(n.Kind, label, ins...)
-		}
-		built[n.ID] = p
-		return p
-	}
-	plan := &core.Plan{Framework: "spark", Workload: lp.Workload}
-	action := sinkName[lp.Action]
-	if action == "" {
-		action = lp.Action
-	}
-	for _, s := range lp.Sinks {
-		plan.Sinks = append(plan.Sinks, alloc(core.OpSink, action, build(s)))
-	}
-	return plan
-}

@@ -228,7 +228,7 @@ func borrowJoin(s *dataflow.Session, d *dataflow.Dataset[kv], chainLeft bool) (s
 		if err != nil {
 			return "", err
 		}
-		left, right := ds, flink.FromSlice(s.Backend().Handle().(*flink.Env), table, 2)
+		left, right := ds, flink.FromSlice(s.Handle().(*flink.Env), table, 2)
 		if !chainLeft {
 			left, right = right, left
 		}

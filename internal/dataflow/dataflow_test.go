@@ -10,9 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/dfs"
 )
 
@@ -220,11 +217,15 @@ func TestPlanLoweringPerEngine(t *testing.T) {
 	frameworks := map[string]string{"spark": "spark", "flink": "flink", "mapreduce": "mapreduce"}
 	for _, engine := range dataflow.Names() {
 		s := session(t, engine)
+		s.FS().WriteFile("in", []byte("a b\n")) // spark and flink open it when lowering
 		lines := dataflow.TextFile(s, "in")
 		pairs := dataflow.MapToPair(dataflow.FlatMap(lines, strings.Fields),
 			func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 		counts := dataflow.ReduceByKey(pairs, func(a, b int64) int64 { return a + b })
-		plan := dataflow.PlanOf(s, "WC", dataflow.ActionSaveText, counts.Node())
+		plan, err := dataflow.PlanOf("WC", dataflow.SaveSink(counts))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("%s plan invalid: %v", engine, err)
 		}
@@ -291,7 +292,10 @@ func TestIterationConvergesIdentically(t *testing.T) {
 		}
 		got[engine] = sb.String()
 
-		plan := dataflow.PlanOf(s, "It", dataflow.ActionIterate, it.Node())
+		plan, err := dataflow.PlanOf("It", it.Sink())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := plan.Validate(); err != nil {
 			t.Errorf("%s iteration plan invalid: %v", engine, err)
 		}

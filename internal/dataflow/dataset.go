@@ -10,14 +10,14 @@ import (
 
 // Dataset is a typed, lazily evaluated distributed collection in the
 // engine-neutral plan. Transformations only grow the logical DAG; the
-// first action lowers it onto the session's backend and executes the
+// first action lowers it onto the session's engine and executes the
 // engine's physical plan. Like the engines' own APIs, transformations are
 // free functions because Go methods cannot introduce type parameters.
 type Dataset[T any] struct {
 	s    *Session
 	node *Node
 	// lower builds the engine representation: *spark.RDD[T],
-	// *flink.DataSet[T] or *mrFrag[T] depending on the backend kind.
+	// *flink.DataSet[T] or *mrFrag[T] depending on the engine kind.
 	lower func() (any, error)
 	// fuse, when non-nil, is the narrow-operator chain ending at this
 	// dataset; lowering collapses it into one physical operator (see
@@ -28,7 +28,7 @@ type Dataset[T any] struct {
 // Session returns the owning session.
 func (d *Dataset[T]) Session() *Session { return d.s }
 
-// Node returns the logical plan node, the input to PlanOf.
+// Node returns the logical plan node.
 func (d *Dataset[T]) Node() *Node { return d.node }
 
 // Cached marks the dataset for persistence on engines that support it:
@@ -76,20 +76,21 @@ func cacheHint[T any](n *Node, r *spark.RDD[T]) *spark.RDD[T] {
 
 // TextFile reads a DFS file as lines: Spark's textFile (one task per HDFS
 // block), Flink's readTextFile (slot-bounded subtasks pulling splits),
-// MapReduce's TextInputFormat. The file is opened at execution time, so
-// plans can be built before the input exists.
+// MapReduce's TextInputFormat. Spark and Flink open the file when the
+// dataset is lowered — by its first action, or by PlanOf — so the input must
+// exist by then; MapReduce opens it when a job reads it.
 func TextFile(s *Session, name string) *Dataset[string] {
 	d := &Dataset[string]{s: s, node: s.newNode(core.OpSource, "TextSource")}
 	d.lower = func() (any, error) {
-		switch s.kind() {
+		switch s.kind {
 		case Spark:
-			r, err := spark.TextFile(s.handle().(*spark.Context), name)
+			r, err := spark.TextFile(s.h.(*spark.Context), name)
 			if err != nil {
 				return nil, err
 			}
 			return cacheHint(d.node, r), nil
 		case Flink:
-			return flink.ReadTextFile(s.handle().(*flink.Env), name)
+			return flink.ReadTextFile(s.h.(*flink.Env), name)
 		default:
 			return textFrag(s, name), nil
 		}
@@ -99,19 +100,19 @@ func TextFile(s *Session, name string) *Dataset[string] {
 
 // BinaryFile reads fixed-width binary records (the Tera Sort input):
 // Spark's binaryRecords, Flink's fixed-record source, MapReduce's
-// fixed-record InputFormat.
+// fixed-record InputFormat. The file is opened as TextFile's is.
 func BinaryFile(s *Session, name string, recSize int) *Dataset[[]byte] {
 	d := &Dataset[[]byte]{s: s, node: s.newNode(core.OpSource, "BinarySource")}
 	d.lower = func() (any, error) {
-		switch s.kind() {
+		switch s.kind {
 		case Spark:
-			r, err := spark.BinaryRecords(s.handle().(*spark.Context), name, recSize)
+			r, err := spark.BinaryRecords(s.h.(*spark.Context), name, recSize)
 			if err != nil {
 				return nil, err
 			}
 			return cacheHint(d.node, r), nil
 		case Flink:
-			return flink.ReadFixedRecords(s.handle().(*flink.Env), name, recSize)
+			return flink.ReadFixedRecords(s.h.(*flink.Env), name, recSize)
 		default:
 			return binaryFrag(s, name, recSize), nil
 		}
@@ -125,11 +126,11 @@ func FromSlice[T any](s *Session, data []T, parallelism int) *Dataset[T] {
 	d := &Dataset[T]{s: s, node: s.newNode(core.OpSource, "Collection")}
 	d.lower = func() (any, error) {
 		s.driverRecords(len(data)) // the driver hands the slice out once
-		switch s.kind() {
+		switch s.kind {
 		case Spark:
-			return cacheHint(d.node, spark.Parallelize(s.handle().(*spark.Context), data, parallelism)), nil
+			return cacheHint(d.node, spark.Parallelize(s.h.(*spark.Context), data, parallelism)), nil
 		case Flink:
-			return flink.FromSlice(s.handle().(*flink.Env), data, parallelism), nil
+			return flink.FromSlice(s.h.(*flink.Env), data, parallelism), nil
 		default:
 			return sliceFrag(s, data, parallelism), nil
 		}

@@ -1,12 +1,13 @@
 // Package dataflow is the engine-neutral pipeline API: each workload is
 // written once as a typed logical plan and executed on any of the three
-// mini-engines through a pluggable Backend — the DataSet/RDD duality the
-// paper studies, factored out so that adding a workload or an engine costs
-// O(workloads + engines) instead of O(workloads × engines).
+// mini-engines — the DataSet/RDD duality the paper studies, factored out so
+// that adding a workload costs O(workloads + engines) instead of
+// O(workloads × engines). Every operator has one lowering, a switch over the
+// three engines, so adding an engine touches each operator once.
 //
-// A Session binds a Backend (spark, flink or mapreduce, built by the
-// adapters under backend/). Sources, transformations and actions mirror
-// the common core of Table I:
+// A Session binds one engine (spark, flink or mapreduce: Open builds it by
+// name, NewSession wraps an existing engine handle). Sources,
+// transformations and actions mirror the common core of Table I:
 //
 //	s, _ := dataflow.Open("flink", WithConfig(conf), WithRuntime(rt), WithFS(fs))
 //	lines := dataflow.TextFile(s, "wiki")
@@ -77,9 +78,11 @@
 // leaves no file. SaveAsText is that sink with fmt's formatting plus a
 // newline as the encoder.
 //
-// The same logical plan is also introspectable without executing:
-// PlanOf(s, workload, action, sink.Node()) asks the backend to lower it
-// into the engine's core.Plan, which is how cmd/planviz and experiment
-// tab1 regenerate the paper's Table I for all engines from one definition
-// per workload.
+// The plan an action runs can be rendered without running it:
+// PlanOf(workload, SaveSink(counts)) lowers the dataset through the same
+// memoized lowering the action uses and has the engine render what that
+// built — spark the RDD lineage, flink the chained dataflow (an iteration's
+// step included), mapreduce the jobs and waves read off the mapreduce.Job
+// values it runs. That is how cmd/planviz and experiment tab1 regenerate the
+// paper's Table I for all engines from one definition per workload.
 package dataflow

@@ -11,12 +11,12 @@ import (
 
 // Narrow operators (Map, Filter, FlatMap) lower through ONE batch kernel on
 // every engine, and consecutive ones collapse into ONE compiled kernel and
-// ONE physical operator per backend — spark.FusedNarrow, flink.FusedChain, or
+// ONE physical operator per engine — spark.FusedNarrow, flink.FusedChain, or
 // one per-split mrFrag step — instead of one engine node and one intermediate
 // slice per operator. A single operator is a chain of one: it runs the same
-// code and keeps its own label and kind. The logical plan is untouched: every
-// operator still gets its Node, so PlanOf and the per-engine plan renderings
-// are unchanged; only the lowering collapses.
+// code and keeps its own label and kind. Every operator still gets its Node;
+// the chain renders in PlanOf as the one operator it lowers to, e.g.
+// "Fused[FlatMap→MapToPair]".
 //
 // The kernel is batch-at-a-time: the driver cuts each partition into
 // exec.batch.size-record batches (zero-copy subslices of the input) and the
@@ -120,7 +120,7 @@ type fchain struct {
 	// root goes through repOf, so shared roots still lower exactly once.
 	sparkRoot func() (any, error)
 	flinkRoot func() (any, error)
-	mrRoot    func() (erasedLoad, error)
+	mrRoot    func() (erasedLoad, mrRenderer, error)
 }
 
 // newChain starts a chain whose first fused operator consumes root.
@@ -142,10 +142,10 @@ func newChain[R any](root *Dataset[R], node *Node, step func(sink any) any) *fch
 		},
 		sparkRoot: func() (any, error) { return repOf[*spark.RDD[R]](root) },
 		flinkRoot: func() (any, error) { return repOf[*flink.DataSet[R]](root) },
-		mrRoot: func() (erasedLoad, error) {
+		mrRoot: func() (erasedLoad, mrRenderer, error) {
 			in, err := repOf[*mrFrag[R]](root)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			return func() (int, func(int, any) error, func(int) int, int64, error) {
 				sp, err := in.load()
@@ -154,7 +154,7 @@ func newChain[R any](root *Dataset[R], node *Node, step func(sink any) any) *fch
 				}
 				each := func(i int, push any) error { return sp.each(i, push.(func([]R) error)) }
 				return sp.n, each, sp.pref, sp.bytes, nil
-			}, nil
+			}, in, nil
 		},
 	}
 }
@@ -210,20 +210,6 @@ func fusedLabel(nodes []*Node) string {
 	return "Fused[" + strings.Join(labels, "→") + "]"
 }
 
-// batchWidth resolves the execution batch width for s: exec.batch.size
-// when positive (explicit or planner-derived), DefaultExecBatchSize
-// otherwise. Sessions opened directly over a Backend (NewSession) have no
-// Config of their own and fall back to the engine handle's.
-func (s *Session) batchWidth() int {
-	conf := s.conf
-	if conf == nil {
-		if h, ok := s.handle().(interface{ Conf() *core.Config }); ok {
-			conf = h.Conf()
-		}
-	}
-	return core.ExecBatch(conf)
-}
-
 // engineKernel adapts the chain to the single contract the engines see: a
 // kernel constructor. Called once per serial record stream with the stream's
 // sink — func([]U) error, receiving compacted non-empty batches borrowed
@@ -272,7 +258,7 @@ func engineKernel[U any](fc *fchain, width int) func(sink func([]U) error) (push
 func lowerFused[U any](d *Dataset[U], fc *fchain) (any, error) {
 	name := fusedLabel(fc.nodes)
 	kernel := engineKernel[U](fc, d.s.batchWidth())
-	switch d.s.kind() {
+	switch d.s.kind {
 	case Spark:
 		in, err := fc.sparkRoot()
 		if err != nil {
@@ -286,12 +272,13 @@ func lowerFused[U any](d *Dataset[U], fc *fchain) (any, error) {
 		}
 		return flink.FusedChain(in, name, d.node.Kind, kernel), nil
 	default:
-		load, err := fc.mrRoot()
+		load, root, err := fc.mrRoot()
 		if err != nil {
 			return nil, err
 		}
 		c := mrCluster(d.s)
-		return &mrFrag[U]{c: c, load: func() (mrSplits[U], error) {
+		// The chain runs in whichever map task reads the split.
+		return &mrFrag[U]{c: c, kind: d.node.Kind, label: name, in: root, load: func() (mrSplits[U], error) {
 			n, each, pref, bytes, err := load()
 			if err != nil {
 				return mrSplits[U]{}, err

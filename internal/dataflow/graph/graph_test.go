@@ -9,9 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/engine/flink"
@@ -42,12 +39,12 @@ func session(t *testing.T, engine string) *dataflow.Session {
 	return s
 }
 
-// forEachEngine runs body once per registered backend.
+// forEachEngine runs body once per engine.
 func forEachEngine(t *testing.T, body func(t *testing.T, s *dataflow.Session)) {
 	t.Helper()
 	engines := dataflow.Names()
 	if len(engines) < 3 {
-		t.Fatalf("expected 3 registered backends, got %v", engines)
+		t.Fatalf("expected 3 engines, got %v", engines)
 	}
 	for _, engine := range engines {
 		engine := engine
@@ -236,7 +233,7 @@ func TestAggregateMessagesRankContribs(t *testing.T) {
 // re-shuffled the edges would stand out by its bytes.
 func TestSparkSuperstepShufflesOnlyMessages(t *testing.T) {
 	edges := datagen.RMAT(5, datagen.GraphSpec{Name: "pin", Vertices: 32, Edges: 2000})
-	ctxOf := func(s *dataflow.Session) *spark.Context { return s.Backend().Handle().(*spark.Context) }
+	ctxOf := func(s *dataflow.Session) *spark.Context { return s.Handle().(*spark.Context) }
 
 	// The bytes one shuffle of the edges writes, as source → destination
 	// pairs over the graph's partitioner.
@@ -303,7 +300,7 @@ func TestSparkSuperstepShufflesOnlyMessages(t *testing.T) {
 // shuffle of the edges; joining the edges afresh every superstep wrote three.
 func TestFlinkSuperstepReadsEdgesOnce(t *testing.T) {
 	edges := datagen.RMAT(5, datagen.GraphSpec{Name: "pin", Vertices: 32, Edges: 2000})
-	envOf := func(s *dataflow.Session) *flink.Env { return s.Backend().Handle().(*flink.Env) }
+	envOf := func(s *dataflow.Session) *flink.Env { return s.Handle().(*flink.Env) }
 
 	// The bytes one shuffle of the edges by source writes.
 	s := session(t, "flink")
@@ -687,7 +684,7 @@ func TestPregelSurvivesLosingTheEdgesNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := s.Backend().Handle().(*spark.Context)
+		ctx := s.Handle().(*spark.Context)
 		// The observer runs on the driver goroutine at stage barriers.
 		mapStages := 0
 		ctx.Metrics().SetStageObserver(func(ev metrics.StageEvent) {

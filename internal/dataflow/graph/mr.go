@@ -108,7 +108,7 @@ func (mg *mrGraph[V]) open(name string) (*dfs.File, error) {
 // stageMapReduce runs the staging job and its write wave (see the top of
 // the file).
 func stageMapReduce[V any](g *Graph[V], initial func(int64) V) (*mrGraph[V], error) {
-	c := g.s.Backend().Handle().(*mapreduce.Cluster)
+	c := g.s.Handle().(*mapreduce.Cluster)
 	in, err := dataflow.MapReduceInputOf(g.edges)
 	if err != nil {
 		return nil, err

@@ -39,7 +39,7 @@ func Pregel[V, M any](g *Graph[V],
 	mergeMsg func(a, b M) M,
 	maxIter int) (map[int64]V, int, error) {
 
-	switch g.s.Backend().Kind() {
+	switch g.s.Kind() {
 	case dataflow.Spark:
 		return pregelSpark(g, initial, vprog, sendMsg, mergeMsg, maxIter)
 	case dataflow.Flink:
@@ -61,21 +61,21 @@ func PregelPlan[V, M any](g *Graph[V], workload string,
 	sendMsg func(src int64, val V, dst int64) (M, bool),
 	mergeMsg func(a, b M) M) (*core.Plan, error) {
 
-	switch g.s.Backend().Kind() {
+	switch g.s.Kind() {
 	case dataflow.Spark:
 		p, err := newSparkPregel(g, vprog, sendMsg, mergeMsg)
 		if err != nil {
 			return nil, err
 		}
 		verts := p.initialStates(initial)
-		return spark.PlanOf(p.apply(verts, p.messages(verts)), workload, "Count (per superstep)"), nil
+		return spark.PlanOf(workload, spark.SinkOf(p.apply(verts, p.messages(verts)), "Count (per superstep)")), nil
 	case dataflow.Flink:
 		edges, err := dataflow.FlinkDataSetOf(g.edges)
 		if err != nil {
 			return nil, err
 		}
 		final := deltaPregelFlink(edges, initial, vprog, sendMsg, mergeMsg, 1, new(atomic.Int64))
-		return flink.PlanOf(final, workload, "Collect"), nil
+		return flink.PlanOf(workload, flink.SinkOf(final, "Collect")), nil
 	default:
 		return nil, fmt.Errorf("graph: no Pregel plan rendering on %s", g.s.Name())
 	}
@@ -91,7 +91,7 @@ func AggregateMessages[V, M any](g *Graph[V],
 	send func(src int64, val V, dst int64) []Msg[M],
 	mergeMsg func(a, b M) M) (map[int64]M, error) {
 
-	switch g.s.Backend().Kind() {
+	switch g.s.Kind() {
 	case dataflow.Spark:
 		return aggregateSpark(g, initial, send, mergeMsg)
 	case dataflow.Flink:

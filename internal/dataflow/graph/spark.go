@@ -31,7 +31,7 @@ type sparkGraph[V any] struct {
 }
 
 func sparkGraphOf[V any](g *Graph[V]) (*sparkGraph[V], error) {
-	ctx := g.s.Backend().Handle().(*spark.Context)
+	ctx := g.s.Handle().(*spark.Context)
 	rdd, err := dataflow.SparkRDDOf(g.edges)
 	if err != nil {
 		return nil, err

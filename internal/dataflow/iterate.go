@@ -53,8 +53,6 @@ func NewIteration[T any, K cmp.Ordered, V any, S any](data *Dataset[T], init []c
 	combine func(V, V) V,
 	finalize func(K, V) S) *Iteration[T, K, V, S] {
 	node := data.s.newNode(core.OpBulkIteration, "Iterate", data.node)
-	node.Iterations = iters
-	node.Combinable = true
 	return &Iteration[T, K, V, S]{
 		data: data, init: init, iters: iters,
 		assign: assign, combine: combine, finalize: finalize,
@@ -62,13 +60,10 @@ func NewIteration[T any, K cmp.Ordered, V any, S any](data *Dataset[T], init []c
 	}
 }
 
-// Node returns the logical iteration node for PlanOf.
-func (it *Iteration[T, K, V, S]) Node() *Node { return it.node }
-
-// Run executes the iteration on the session's backend and returns the
+// Run executes the iteration on the session's engine and returns the
 // final state in the init entry order.
 func (it *Iteration[T, K, V, S]) Run() ([]core.Pair[K, S], error) {
-	switch it.data.s.kind() {
+	switch it.data.s.kind {
 	case Spark:
 		return it.runSpark()
 	case Flink:
@@ -103,9 +98,7 @@ func (it *Iteration[T, K, V, S]) runSpark() ([]core.Pair[K, S], error) {
 	for round := 0; round < it.iters; round++ {
 		st := append([]core.Pair[K, S]{}, state...)
 		it.data.s.driverRecords(len(st)) // the round's broadcast
-		pairs := spark.MapToPair(rdd, func(t T) core.Pair[K, V] { return it.assign(t, st) })
-		sums := spark.ReduceByKey(pairs, it.combine, len(state))
-		m, err := spark.CollectAsMap(sums)
+		m, err := spark.CollectAsMap(it.sparkRound(rdd, st))
 		if err != nil {
 			return nil, err
 		}
@@ -119,17 +112,40 @@ func (it *Iteration[T, K, V, S]) runSpark() ([]core.Pair[K, S], error) {
 	return state, nil
 }
 
+// sparkRound is one round's job over the data RDD: assign with the round's
+// state st in hand, then the keyed reduction.
+func (it *Iteration[T, K, V, S]) sparkRound(rdd *spark.RDD[T], st []core.Pair[K, S]) *spark.RDD[core.Pair[K, V]] {
+	pairs := spark.MapToPair(rdd, func(t T) core.Pair[K, V] { return it.assign(t, st) })
+	return spark.ReduceByKey(pairs, it.combine, len(it.init))
+}
+
 // runFlink is the native bulk iteration: the step dataflow is scheduled
 // once and the state stays resident across supersteps.
 func (it *Iteration[T, K, V, S]) runFlink() ([]core.Pair[K, S], error) {
-	env := it.data.s.handle().(*flink.Env)
-	dataDS, err := repOf[*flink.DataSet[T]](it.data)
+	final, state, err := it.flinkIteration()
 	if err != nil {
 		return nil, err
 	}
+	it.data.s.driverRecords(len(state)) // the broadcast set's source
+	pairs, err := flink.Collect(final)
+	if err != nil {
+		return nil, err
+	}
+	it.data.s.driverRecords(len(pairs))
+	mergeState(state, pairMap(pairs))
+	return state, nil
+}
+
+// flinkIteration builds the bulk iteration over the lowered data and the
+// state it folds every superstep's partial solution into.
+func (it *Iteration[T, K, V, S]) flinkIteration() (*flink.DataSet[core.Pair[K, S]], []core.Pair[K, S], error) {
+	env := it.data.s.h.(*flink.Env)
+	dataDS, err := repOf[*flink.DataSet[T]](it.data)
+	if err != nil {
+		return nil, nil, err
+	}
 	state := it.clonedState()
 	stateDS := flink.FromSlice(env, it.clonedState(), 1)
-	it.data.s.driverRecords(len(state)) // the broadcast set's source
 	k := len(it.init)
 	final := flink.IterateBulk(stateDS, it.iters,
 		func(cs *flink.DataSet[core.Pair[K, S]]) *flink.DataSet[core.Pair[K, S]] {
@@ -154,13 +170,7 @@ func (it *Iteration[T, K, V, S]) runFlink() ([]core.Pair[K, S], error) {
 				return core.KV(p.Key, it.finalize(p.Key, p.Value))
 			})
 		})
-	pairs, err := flink.Collect(final)
-	if err != nil {
-		return nil, err
-	}
-	it.data.s.driverRecords(len(pairs))
-	mergeState(state, pairMap(pairs))
-	return state, nil
+	return final, state, nil
 }
 
 // pairMap indexes pairs by key.
@@ -244,15 +254,8 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 			}
 			return yield(out)
 		}
-		job := mapreduce.Job[core.Pair[K, V], K, V]{
-			Name:    fmt.Sprintf("Iterate#%d", round+1),
-			Reduces: len(state),
-			Map:     func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
-			Combine: func(_ K, vs []V) V { return foldValues(vs, it.combine) },
-			Reduce: func(k K, vs []V, emit func(K, V)) {
-				emit(k, foldValues(vs, it.combine))
-			},
-		}
+		job := it.mrRound()
+		job.Name = fmt.Sprintf("Iterate#%d", round+1)
 		out, err := mapreduce.Run(c, job, mapreduce.SplitsInput(c, sp.n, scan, sp.pref, 0))
 		if err != nil {
 			return err
@@ -270,4 +273,51 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 		return nil, err
 	}
 	return state, nil
+}
+
+// mrRound is the job every round runs: the map task's assigned pairs, their
+// per-key fold as the Combine and the Reduce.
+func (it *Iteration[T, K, V, S]) mrRound() mapreduce.Job[core.Pair[K, V], K, V] {
+	return mapreduce.Job[core.Pair[K, V], K, V]{
+		Reduces: len(it.init),
+		Map:     func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
+		Combine: func(_ K, vs []V) V { return foldValues(vs, it.combine) },
+		Reduce: func(k K, vs []V, emit func(K, V)) {
+			emit(k, foldValues(vs, it.combine))
+		},
+	}
+}
+
+// Sink is Run, for PlanOf, rendered from the builders Run uses: one round's
+// job on spark, the bulk iteration with its step dataflow on flink, the
+// staging wave and the round job on mapreduce.
+func (it *Iteration[T, K, V, S]) Sink() Sink {
+	return Sink{s: it.data.s, add: func(r *planSinks) error {
+		switch it.data.s.kind {
+		case Spark:
+			rdd, err := repOf[*spark.RDD[T]](it.data)
+			if err != nil {
+				return err
+			}
+			r.spark = append(r.spark, spark.SinkOf(it.sparkRound(rdd, it.init), "CollectAsMap (per round)"))
+		case Flink:
+			final, _, err := it.flinkIteration()
+			if err != nil {
+				return err
+			}
+			r.flink = append(r.flink, flink.SinkOf(final, "Collect"))
+		default:
+			fr, err := repOf[*mrFrag[T]](it.data)
+			if err != nil {
+				return err
+			}
+			p := &r.mr
+			staged := p.node(core.OpForeachPartition, "StageInput", fr.render(p))
+			cache := p.node(core.OpSource, "DistributedCache(state)")
+			round := p.job(core.OpReduceByKey, it.mrRound().Operators(), staged, cache)
+			loop := p.node(core.OpBulkIteration, fmt.Sprintf("ChainedJobs(%d)", it.iters), round)
+			r.mrOut = append(r.mrOut, p.node(core.OpSink, "Collect (per round)", loop))
+		}
+		return nil
+	}}
 }

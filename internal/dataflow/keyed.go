@@ -10,7 +10,7 @@ import (
 )
 
 // Keys are constrained to cmp.Ordered (not just comparable) because the
-// MapReduce backend is strictly sort-based: its spills, merges and reduce
+// MapReduce engine is strictly sort-based: its spills, merges and reduce
 // grouping all rely on key order, like Hadoop's WritableComparable
 // contract. Every Table I workload uses ordered keys.
 
@@ -51,9 +51,8 @@ func ReduceByKeyWith[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V
 
 func reduceByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V) V, numParts int) *Dataset[core.Pair[K, V]] {
 	out := &Dataset[core.Pair[K, V]]{s: d.s, node: d.s.newNode(core.OpReduceByKey, "ReduceByKey", d.node)}
-	out.node.Combinable = true
 	out.lower = func() (any, error) {
-		switch d.s.kind() {
+		switch d.s.kind {
 		case Spark:
 			in, err := repOf[*spark.RDD[core.Pair[K, V]]](d)
 			if err != nil {
@@ -87,7 +86,7 @@ func reduceByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V)
 func SortByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], part core.Partitioner[K]) *Dataset[core.Pair[K, V]] {
 	out := &Dataset[core.Pair[K, V]]{s: d.s, node: d.s.newNode(core.OpPartition, "SortByKey", d.node)}
 	out.lower = func() (any, error) {
-		switch d.s.kind() {
+		switch d.s.kind {
 		case Spark:
 			in, err := repOf[*spark.RDD[core.Pair[K, V]]](d)
 			if err != nil {

@@ -15,13 +15,13 @@ import (
 // between dataflow actions and a subsystem lowers exactly once.
 
 // SparkRDDOf lowers d on its spark-backed session and returns the RDD.
-// It errors when the session is not bound to the spark backend.
+// It errors when the session is not bound to the spark engine.
 func SparkRDDOf[T any](d *Dataset[T]) (*spark.RDD[T], error) {
 	return repOf[*spark.RDD[T]](d)
 }
 
 // FlinkDataSetOf lowers d on its flink-backed session and returns the
-// DataSet. It errors when the session is not bound to the flink backend.
+// DataSet. It errors when the session is not bound to the flink engine.
 func FlinkDataSetOf[T any](d *Dataset[T]) (*flink.DataSet[T], error) {
 	return repOf[*flink.DataSet[T]](d)
 }
@@ -29,7 +29,7 @@ func FlinkDataSetOf[T any](d *Dataset[T]) (*flink.DataSet[T], error) {
 // MapReduceInputOf lowers d on its mapreduce-backed session and returns it
 // as the input of the subsystem's next job: map task i reads split i and runs
 // d's narrow chain over it, and whatever jobs d depends on have run. It
-// errors when the session is not bound to the mapreduce backend.
+// errors when the session is not bound to the mapreduce engine.
 func MapReduceInputOf[T any](d *Dataset[T]) (mapreduce.Input[T], error) {
 	fr, err := repOf[*mrFrag[T]](d)
 	if err != nil {

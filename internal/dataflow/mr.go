@@ -93,10 +93,53 @@ func (sp mrSplits[T]) input(c *mapreduce.Cluster) mapreduce.Input[T] {
 type mrFrag[T any] struct {
 	c    *mapreduce.Cluster
 	load func() (mrSplits[T], error)
+	// What load runs, for PlanOf: plan draws it from the Job values load
+	// runs. A fused chain has no plan: it is the operator (kind, label) over
+	// the frag in, kept as fields so that lowering it allocates nothing
+	// more than its load.
+	plan  func(p *mrPlan) *core.PlanNode
+	kind  core.OpKind
+	label string
+	in    mrRenderer
 }
 
+// mrRenderer is a frag of any record type, for PlanOf.
+type mrRenderer interface {
+	render(p *mrPlan) *core.PlanNode
+}
+
+// render draws what f's load runs, without running it.
+func (f *mrFrag[T]) render(p *mrPlan) *core.PlanNode {
+	if f.plan == nil {
+		return p.node(f.kind, f.label, f.in.render(p))
+	}
+	return f.plan(p)
+}
+
+// mrPlan numbers the nodes of one rendered mapreduce plan.
+type mrPlan struct{ n int }
+
+func (p *mrPlan) node(kind core.OpKind, label string, in ...*core.PlanNode) *core.PlanNode {
+	p.n++
+	return core.NewPlanNode(p.n, kind, label, in...)
+}
+
+// job renders a job over in: the operators ops (the job's Operators) lists
+// after its InputSplit, which in renders itself. The map also reads side,
+// e.g. a distributed cache.
+func (p *mrPlan) job(kind core.OpKind, ops []string, in *core.PlanNode, side ...*core.PlanNode) *core.PlanNode {
+	in = p.node(kind, ops[1], append([]*core.PlanNode{in}, side...)...)
+	for _, op := range ops[2:] {
+		in = p.node(kind, op, in)
+	}
+	return in
+}
+
+// inputSplit renders a source frag.
+func inputSplit(p *mrPlan) *core.PlanNode { return p.node(core.OpSource, "InputSplit") }
+
 // mrCluster asserts the session's engine handle.
-func mrCluster(s *Session) *mapreduce.Cluster { return s.handle().(*mapreduce.Cluster) }
+func mrCluster(s *Session) *mapreduce.Cluster { return s.h.(*mapreduce.Cluster) }
 
 // fileFrag reads a DFS file one split per block through read, a dfs split
 // reader: the task evaluating split i streams it exec.batch.size records at
@@ -106,7 +149,7 @@ func fileFrag[T any](s *Session, name, what string,
 	read func(f *dfs.File, block int, buf []T, yield func([]T) error) error) *mrFrag[T] {
 	c := mrCluster(s)
 	width := s.batchWidth()
-	return &mrFrag[T]{c: c, load: func() (mrSplits[T], error) {
+	return &mrFrag[T]{c: c, plan: inputSplit, load: func() (mrSplits[T], error) {
 		f, err := c.FS().Open(name)
 		if err != nil {
 			return mrSplits[T]{}, fmt.Errorf("dataflow: mapreduce %s source: %w", what, err)
@@ -132,7 +175,7 @@ func binaryFrag(s *Session, name string, recSize int) *mrFrag[[]byte] {
 // dataflow path partitions identically to native SliceInput jobs.
 func sliceFrag[T any](s *Session, data []T, parallelism int) *mrFrag[T] {
 	c := mrCluster(s)
-	return &mrFrag[T]{c: c, load: func() (mrSplits[T], error) {
+	return &mrFrag[T]{c: c, plan: inputSplit, load: func() (mrSplits[T], error) {
 		return splitsOf(mapreduce.SplitSlice(c, data, parallelism), c.Runtime().NodeFor, 0), nil
 	}}
 }
@@ -149,49 +192,44 @@ func foldValues[V any](vs []V, f func(V, V) V) V {
 // fragReduceByKey runs the keyed aggregation as one full job: the fused
 // chain feeds the map phase, f is both the Combine and the Reduce.
 func fragReduceByKey[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], f func(V, V) V, reduces int) *mrFrag[core.Pair[K, V]] {
-	c := in.c
-	return &mrFrag[core.Pair[K, V]]{c: c, load: func() (mrSplits[core.Pair[K, V]], error) {
-		sp, err := in.load()
-		if err != nil {
-			return mrSplits[core.Pair[K, V]]{}, err
-		}
-		job := mapreduce.Job[core.Pair[K, V], K, V]{
-			Name:    "ReduceByKey",
-			Reduces: reduces,
-			Map:     func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
-			Combine: func(_ K, vs []V) V { return foldValues(vs, f) },
-			Reduce:  func(k K, vs []V, emit func(K, V)) { emit(k, foldValues(vs, f)) },
-		}
-		out, err := mapreduce.Run(c, job, sp.input(c))
-		if err != nil {
-			return mrSplits[core.Pair[K, V]]{}, err
-		}
-		return splitsOf(out.Partitions, c.Runtime().NodeFor, 0), nil
-	}}
+	return jobFrag(in, core.OpReduceByKey, mapreduce.Job[core.Pair[K, V], K, V]{
+		Name:    "ReduceByKey",
+		Reduces: reduces,
+		Map:     func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
+		Combine: func(_ K, vs []V) V { return foldValues(vs, f) },
+		Reduce:  func(k K, vs []V, emit func(K, V)) { emit(k, foldValues(vs, f)) },
+	})
 }
 
 // fragSortByKey runs the range-partitioned sort job: explicit partitioner,
 // identity reduce — the engine's sort-merge produces the order, exactly the
 // original Hadoop TeraSort.
 func fragSortByKey[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], part core.Partitioner[K]) *mrFrag[core.Pair[K, V]] {
+	return jobFrag(in, core.OpPartition, mapreduce.Job[core.Pair[K, V], K, V]{
+		Name:      "SortByKey",
+		Reduces:   part.NumPartitions(),
+		Map:       func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
+		Partition: func(k K, _ int) int { return part.Partition(k) },
+	})
+}
+
+// jobFrag is job over in's splits, whose output partitions are the next
+// frag's splits.
+func jobFrag[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], kind core.OpKind, job mapreduce.Job[core.Pair[K, V], K, V]) *mrFrag[core.Pair[K, V]] {
 	c := in.c
-	return &mrFrag[core.Pair[K, V]]{c: c, load: func() (mrSplits[core.Pair[K, V]], error) {
-		sp, err := in.load()
-		if err != nil {
-			return mrSplits[core.Pair[K, V]]{}, err
-		}
-		job := mapreduce.Job[core.Pair[K, V], K, V]{
-			Name:      "SortByKey",
-			Reduces:   part.NumPartitions(),
-			Map:       func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
-			Partition: func(k K, _ int) int { return part.Partition(k) },
-		}
-		out, err := mapreduce.Run(c, job, sp.input(c))
-		if err != nil {
-			return mrSplits[core.Pair[K, V]]{}, err
-		}
-		return splitsOf(out.Partitions, c.Runtime().NodeFor, 0), nil
-	}}
+	return &mrFrag[core.Pair[K, V]]{c: c,
+		plan: func(p *mrPlan) *core.PlanNode { return p.job(kind, job.Operators(), in.render(p)) },
+		load: func() (mrSplits[core.Pair[K, V]], error) {
+			sp, err := in.load()
+			if err != nil {
+				return mrSplits[core.Pair[K, V]]{}, err
+			}
+			out, err := mapreduce.Run(c, job, sp.input(c))
+			if err != nil {
+				return mrSplits[core.Pair[K, V]]{}, err
+			}
+			return splitsOf(out.Partitions, c.Runtime().NodeFor, 0), nil
+		}}
 }
 
 // count runs the counting job (map emits one pair per record, a single
@@ -201,16 +239,7 @@ func (f *mrFrag[T]) count() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	job := mapreduce.Job[T, int, int64]{
-		Name:    "Count",
-		Reduces: 1,
-		Map:     func(_ T, emit func(int, int64)) { emit(0, 1) },
-		Combine: func(_ int, vs []int64) int64 { return foldValues(vs, func(a, b int64) int64 { return a + b }) },
-		Reduce: func(k int, vs []int64, emit func(int, int64)) {
-			emit(k, foldValues(vs, func(a, b int64) int64 { return a + b }))
-		},
-	}
-	out, err := mapreduce.Run(f.c, job, sp.input(f.c))
+	out, err := mapreduce.Run(f.c, countJob[T](), sp.input(f.c))
 	if err != nil {
 		return 0, err
 	}
@@ -219,6 +248,19 @@ func (f *mrFrag[T]) count() (int64, error) {
 		total += kv.Value
 	}
 	return total, nil
+}
+
+// countJob is the job count runs.
+func countJob[T any]() mapreduce.Job[T, int, int64] {
+	return mapreduce.Job[T, int, int64]{
+		Name:    "Count",
+		Reduces: 1,
+		Map:     func(_ T, emit func(int, int64)) { emit(0, 1) },
+		Combine: func(_ int, vs []int64) int64 { return foldValues(vs, func(a, b int64) int64 { return a + b }) },
+		Reduce: func(k int, vs []int64, emit func(int, int64)) {
+			emit(k, foldValues(vs, func(a, b int64) int64 { return a + b }))
+		},
+	}
 }
 
 // collect materializes the frag on the driver, like reading a job's output

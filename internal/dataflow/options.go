@@ -2,11 +2,14 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/engine/flink"
+	"repro/internal/engine/mapreduce"
+	"repro/internal/engine/spark"
 	"repro/internal/planner"
 )
 
@@ -81,19 +84,16 @@ var defaultSpec = cluster.Spec{
 	NetMiBps:     500,
 }
 
-// Open builds a Session on the named backend, erroring with the available
-// names when the engine is unknown (or its adapter was not imported).
-// Substrate pieces not supplied via options are constructed with defaults:
+// Open builds a Session on the named engine, erroring with the engine
+// names when the engine is unknown. Substrate pieces not supplied via
+// options are constructed with defaults:
 //
 //	s, err := dataflow.Open("spark")                       // all defaults
 //	s, err := dataflow.Open("flink", dataflow.WithConfig(conf),
 //	        dataflow.WithRuntime(rt), dataflow.WithFS(fs)) // fully pinned
 func Open(name string, opts ...Option) (*Session, error) {
-	f, ok := Lookup(name)
-	if !ok {
-		known := Names()
-		sort.Strings(known)
-		return nil, fmt.Errorf("dataflow: unknown engine %q (registered: %v)", name, known)
+	if !slices.Contains(Names(), name) {
+		return nil, fmt.Errorf("dataflow: unknown engine %q (engines: %v)", name, Names())
 	}
 	var o openSettings
 	for _, opt := range opts {
@@ -115,7 +115,7 @@ func Open(name string, opts ...Option) (*Session, error) {
 	var pl *planner.Planner
 	var dec *planner.Decision
 	if o.plan != nil {
-		// Plan before the backend factory runs: engines resolve planner-
+		// Plan before the engine is built: engines resolve planner-
 		// controlled keys from the live configuration, but deciding first
 		// keeps even construction-time derivations (slots, buffers)
 		// consistent with the chosen candidate.
@@ -131,8 +131,15 @@ func Open(name string, opts ...Option) (*Session, error) {
 		d.Apply(o.conf)
 		dec = d
 	}
-	s := NewSession(f(o.conf, o.rt, o.fs))
-	s.conf = o.conf
+	var s *Session
+	switch name {
+	case "spark":
+		s = NewSession(spark.NewContext(o.conf, o.rt, o.fs))
+	case "flink":
+		s = NewSession(flink.NewEnv(o.conf, o.rt, o.fs))
+	default:
+		s = NewSession(mapreduce.NewCluster(o.conf, o.rt, o.fs))
+	}
 	s.planner = pl
 	s.decision = dec
 	return s, nil

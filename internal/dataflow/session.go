@@ -1,20 +1,19 @@
 package dataflow
 
 import (
-	"sort"
-	"sync"
-
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/engine/flink"
+	"repro/internal/engine/mapreduce"
+	"repro/internal/engine/spark"
 	"repro/internal/metrics"
 	"repro/internal/planner"
 )
 
-// Kind identifies the execution model behind a Backend.
+// Kind identifies the execution model a Session lowers onto.
 type Kind int
 
-// Backend kinds.
+// Engine kinds.
 const (
 	// Spark is the staged, RDD-caching engine.
 	Spark Kind = iota
@@ -24,7 +23,7 @@ const (
 	MapReduce
 )
 
-// String returns the registry name of the kind.
+// String returns the engine name of the kind, the name Open takes.
 func (k Kind) String() string {
 	switch k {
 	case Spark:
@@ -36,118 +35,69 @@ func (k Kind) String() string {
 	}
 }
 
-// Backend is one engine seen through the dataflow layer: enough identity to
-// dispatch typed lowering (Kind, Handle), the shared observability surface
-// (FS, Metrics, Timeline), and the engine's plan lowering for Table I.
-type Backend interface {
-	// Kind selects the lowering rules.
-	Kind() Kind
-	// Name is the registry name ("spark", "flink", "mapreduce").
-	Name() string
-	// FS is the engine's distributed filesystem.
+// Names returns the engine names Open accepts, in paper order: spark,
+// flink, then the mapreduce baseline.
+func Names() []string { return []string{"spark", "flink", "mapreduce"} }
+
+// engine is what the three engine entry points (*spark.Context, *flink.Env,
+// *mapreduce.Cluster) have in common: the shared substrate and the
+// observability surface.
+type engine interface {
+	Conf() *core.Config
 	FS() *dfs.FS
-	// Metrics is the engine's job counter set.
 	Metrics() *metrics.JobMetrics
-	// Timeline is the engine's operator timeline.
 	Timeline() *metrics.Timeline
-	// Handle is the engine entry point (*spark.Context, *flink.Env or
-	// *mapreduce.Cluster); the typed lowering closures assert it.
-	Handle() any
-	// LowerPlan renders a logical plan as the engine's physical plan
-	// without executing anything — chains, stage cuts and iteration
-	// operators follow the engine's planner idiom.
-	LowerPlan(lp *Logical) *core.Plan
 }
 
-// Factory builds a Backend over a shared substrate, the signature every
-// engine entry point already has.
-type Factory func(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) Backend
-
-var (
-	regMu    sync.Mutex
-	regOrder []string
-	registry = map[string]Factory{}
-)
-
-// Register adds a backend factory under a name. The backend adapter
-// packages call it from init; importing an adapter makes its engine
-// available to Open and Names.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; !dup {
-		regOrder = append(regOrder, name)
-	}
-	registry[name] = f
-}
-
-// Names returns the registered backend names in paper order (spark,
-// flink, then the mapreduce baseline); any other engines follow in
-// registration order. Registration itself happens in package-init order,
-// which Go derives from import paths — not a stable presentation order.
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := append([]string{}, regOrder...)
-	rank := func(name string) int {
-		switch name {
-		case "spark":
-			return 0
-		case "flink":
-			return 1
-		case "mapreduce":
-			return 2
-		default:
-			return 3
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return rank(out[i]) < rank(out[j]) })
-	return out
-}
-
-// Lookup returns the factory for a registered name.
-func Lookup(name string) (Factory, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	f, ok := registry[name]
-	return f, ok
-}
-
-// Session owns one engine-bound execution: the backend, the logical node
-// ids and the memoized lowered representations, so that a Dataset shared
-// by several actions lowers exactly once (Spark's cache reuse depends on
-// that; Flink and MapReduce re-execute the shared pipeline per action).
+// Session owns one engine-bound execution: the engine handle, the logical
+// node ids and the memoized lowered representations, so that a Dataset
+// shared by several actions lowers exactly once (Spark's cache reuse depends
+// on that; Flink and MapReduce re-execute the shared pipeline per action).
 // A Session is single-goroutine like the engines' driver APIs.
 type Session struct {
-	b      Backend
+	kind   Kind
+	h      engine
 	nextID int
 	reps   map[int]any
 
 	// Planner state, set by Open when WithPlanner is used.
-	conf     *core.Config
 	planner  *planner.Planner
 	decision *planner.Decision
 }
 
-// NewSession binds a backend.
-func NewSession(b Backend) *Session {
-	return &Session{b: b, reps: map[int]any{}}
+// NewSession binds an engine handle the caller built.
+func NewSession[H *spark.Context | *flink.Env | *mapreduce.Cluster](h H) *Session {
+	s := &Session{reps: map[int]any{}}
+	switch e := any(h).(type) {
+	case *spark.Context:
+		s.kind, s.h = Spark, e
+	case *flink.Env:
+		s.kind, s.h = Flink, e
+	default:
+		s.kind, s.h = MapReduce, e.(*mapreduce.Cluster)
+	}
+	return s
 }
 
-// Backend returns the bound backend.
-func (s *Session) Backend() Backend { return s.b }
+// Kind returns the engine kind the session lowers onto.
+func (s *Session) Kind() Kind { return s.kind }
 
-// Name returns the backend's registry name.
-func (s *Session) Name() string { return s.b.Name() }
+// Name returns the engine's name.
+func (s *Session) Name() string { return s.kind.String() }
 
-// FS returns the backend's filesystem.
-func (s *Session) FS() *dfs.FS { return s.b.FS() }
+// Handle returns the engine entry point (*spark.Context, *flink.Env or
+// *mapreduce.Cluster), for subsystems that continue a pipeline with
+// engine-native operators.
+func (s *Session) Handle() any { return s.h }
 
-// Metrics returns the backend's job counters.
-func (s *Session) Metrics() *metrics.JobMetrics { return s.b.Metrics() }
+// FS returns the engine's filesystem.
+func (s *Session) FS() *dfs.FS { return s.h.FS() }
 
-// Timeline returns the backend's operator timeline.
-func (s *Session) Timeline() *metrics.Timeline { return s.b.Timeline() }
+// Metrics returns the engine's job counters.
+func (s *Session) Metrics() *metrics.JobMetrics { return s.h.Metrics() }
+
+// Timeline returns the engine's operator timeline.
+func (s *Session) Timeline() *metrics.Timeline { return s.h.Timeline() }
 
 // PlannerDecision returns the decision made by WithPlanner, or nil when the
 // session was opened without a planner.
@@ -163,17 +113,16 @@ func (s *Session) StartAdaptive() *planner.Monitor {
 	if s.decision == nil || s.planner == nil {
 		return nil
 	}
-	return planner.NewMonitor(s.planner, s.decision, s.conf, s.b.Metrics())
+	return planner.NewMonitor(s.planner, s.decision, s.h.Conf(), s.Metrics())
 }
-
-func (s *Session) kind() Kind { return s.b.Kind() }
 
 // driverRecords charges n records the driver goroutine handled itself to
 // metrics.JobMetrics.DriverRecords — one add per call site, never per record.
 func (s *Session) driverRecords(n int) { s.Metrics().DriverRecords.Add(int64(n)) }
 
-// handle returns the engine entry point for typed lowering.
-func (s *Session) handle() any { return s.b.Handle() }
+// batchWidth resolves the execution batch width: exec.batch.size when
+// positive (explicit or planner-derived), DefaultExecBatchSize otherwise.
+func (s *Session) batchWidth() int { return core.ExecBatch(s.h.Conf()) }
 
 // newNode allocates a logical plan node.
 func (s *Session) newNode(kind core.OpKind, label string, inputs ...*Node) *Node {
@@ -182,8 +131,8 @@ func (s *Session) newNode(kind core.OpKind, label string, inputs ...*Node) *Node
 }
 
 // Node is one operator of the engine-neutral logical plan. Labels are the
-// dataflow API names ("TextSource", "FlatMap", "ReduceByKey", …); each
-// backend's LowerPlan maps them onto its own operator vocabulary.
+// dataflow API names ("TextSource", "FlatMap", "ReduceByKey", …); a fused
+// narrow chain renders as its operators' labels.
 type Node struct {
 	ID     int
 	Kind   core.OpKind
@@ -191,33 +140,4 @@ type Node struct {
 	Inputs []*Node
 	// Cached marks the persistence hint; only Spark's lowering honors it.
 	Cached bool
-	// Combinable marks a keyed reduction eligible for a map-side combiner
-	// (Spark's mapSideCombine, Flink's GroupCombine, Hadoop's Combine).
-	Combinable bool
-	// Iterations is set on iteration nodes.
-	Iterations int
-}
-
-// Logical is the unit handed to Backend.LowerPlan: the logical sinks of
-// one workload plus the neutral action that terminates them.
-type Logical struct {
-	Workload string
-	Action   string
-	Sinks    []*Node
-}
-
-// Neutral action names, mapped to engine sink labels by each backend.
-const (
-	ActionSaveText    = "save-text"
-	ActionSaveRecords = "save-records"
-	ActionCount       = "count"
-	ActionCollect     = "collect"
-	ActionIterate     = "iterate"
-)
-
-// PlanOf lowers the logical plan rooted at sinks onto the session's engine
-// and returns its physical plan — one Table I row, producible before (or
-// without) ever running the pipeline.
-func PlanOf(s *Session, workload, action string, sinks ...*Node) *core.Plan {
-	return s.b.LowerPlan(&Logical{Workload: workload, Action: action, Sinks: sinks})
 }

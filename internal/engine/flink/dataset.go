@@ -77,6 +77,7 @@ type anyDataSet interface {
 	opKind() core.OpKind
 	planInputs() []planParent
 	iterScope() *iterScope
+	stepPlan() func() anyDataSet
 }
 
 // scopeOf is the iteration scope of an operator with these inputs: the
@@ -104,16 +105,20 @@ type DataSet[T any] struct {
 	// scope is the iteration run whose dynamic path this DataSet is on, nil
 	// on the static path (see iterScope).
 	scope *iterScope
+	// step, set on a bulk iteration, builds its step dataflow over a
+	// placeholder partial solution for PlanOf; it is never run.
+	step func() anyDataSet
 	// produce registers the tasks that will push every partition into
 	// sinks (len(sinks) == parallelism). It must not block.
 	produce func(ctx *jobCtx, sinks []partSink[T]) error
 }
 
-func (d *DataSet[T]) dsID() int                { return d.id }
-func (d *DataSet[T]) chainLabels() []string    { return d.chain }
-func (d *DataSet[T]) opKind() core.OpKind      { return d.kind }
-func (d *DataSet[T]) planInputs() []planParent { return d.parents }
-func (d *DataSet[T]) iterScope() *iterScope    { return d.scope }
+func (d *DataSet[T]) dsID() int                   { return d.id }
+func (d *DataSet[T]) chainLabels() []string       { return d.chain }
+func (d *DataSet[T]) opKind() core.OpKind         { return d.kind }
+func (d *DataSet[T]) planInputs() []planParent    { return d.parents }
+func (d *DataSet[T]) iterScope() *iterScope       { return d.scope }
+func (d *DataSet[T]) stepPlan() func() anyDataSet { return d.step }
 
 // newDataSet builds an operator node with a fresh id, on the iteration
 // scope of its inputs; the caller sets produce.

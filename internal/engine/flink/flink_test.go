@@ -120,7 +120,7 @@ func TestPlanMatchesPaperWordCount(t *testing.T) {
 	words := FlatMap(ds, func(l string) []string { return strings.Fields(l) })
 	pairs := Map(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 	counts := Sum(GroupBy(pairs, func(p core.Pair[string, int64]) string { return p.Key }))
-	plan := PlanOf(counts, "WordCount", "DataSink")
+	plan := PlanOf("WordCount", SinkOf(counts, "DataSink"))
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan invalid: %v", err)
 	}

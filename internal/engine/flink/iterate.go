@@ -126,6 +126,9 @@ func IterateBulk[T any](d *DataSet[T], iters int, step func(*DataSet[T]) *DataSe
 		})
 		return nil
 	}
+	ds.step = func() anyDataSet {
+		return step(feedbackSource(e, newIterScope(e), "BulkPartialSolution", make([][]T, d.parallelism)))
+	}
 	return ds
 }
 

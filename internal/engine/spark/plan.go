@@ -4,10 +4,19 @@ import (
 	"repro/internal/core"
 )
 
-// PlanOf renders an RDD's lineage as a core.Plan with a named action sink,
-// the form consumed by the metrics correlation and by cmd/planviz to
-// regenerate the paper's Table I.
-func PlanOf(r anyRDD, workload, action string) *core.Plan {
+// Sink is an action over an RDD: one sink of a PlanOf rendering.
+type Sink struct {
+	rdd    anyRDD
+	action string
+}
+
+// SinkOf names the action run on r.
+func SinkOf(r anyRDD, action string) Sink { return Sink{rdd: r, action: action} }
+
+// PlanOf renders the lineage of every sink's RDD as one core.Plan, each
+// ending in its action node — the form cmd/planviz and experiment tab1 print
+// as the paper's Table I. An RDD several sinks reach is one node.
+func PlanOf(workload string, sinks ...Sink) *core.Plan {
 	nodes := make(map[int]*core.PlanNode)
 	nextID := 0
 	var build func(r anyRDD) *core.PlanNode
@@ -23,10 +32,13 @@ func PlanOf(r anyRDD, workload, action string) *core.Plan {
 		}
 		return n
 	}
-	top := build(r)
-	nextID++
-	sink := core.NewPlanNode(nextID, core.OpSink, action, top)
-	return &core.Plan{Framework: "spark", Workload: workload, Sinks: []*core.PlanNode{sink}}
+	plan := &core.Plan{Framework: "spark", Workload: workload}
+	for _, s := range sinks {
+		top := build(s.rdd)
+		nextID++
+		plan.Sinks = append(plan.Sinks, core.NewPlanNode(nextID, core.OpSink, s.action, top))
+	}
+	return plan
 }
 
 // Stages counts the stages a job on r would run: one per distinct ancestor

@@ -426,7 +426,7 @@ func TestPlanOf(t *testing.T) {
 	words := FlatMap(r, func(s string) []string { return strings.Fields(s) })
 	pairs := MapToPair(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 	counts := ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 1)
-	plan := PlanOf(counts, "WordCount", "SaveAsTextFile")
+	plan := PlanOf("WordCount", SinkOf(counts, "SaveAsTextFile"))
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan invalid: %v", err)
 	}

@@ -9,17 +9,17 @@ import (
 )
 
 // The engine filter lets one engine's numbers be regenerated without
-// running the full matrix (benchrunner's -engines flag, backed by the
-// dataflow backend registry). A nil filter runs everything; filtered-out
+// running the full matrix (benchrunner's -engines flag, over
+// dataflow.Names()). A nil filter runs everything; filtered-out
 // engines render as "-" cells.
 
 var engineFilter map[sim.EngineKind]bool
 
 // SetEngineFilter restricts every experiment to the named engines
 // ("spark", "flink", "mapreduce"). An empty list clears the filter.
-// Names are matched against the SIMULATED engine set, which mirrors the
-// dataflow backend registry one-to-one today; a new real backend also
-// needs a sim.EngineKind before the experiment harness can replay it.
+// Names are matched against the SIMULATED engine set, which mirrors
+// dataflow.Names() one-to-one today; a new real engine also needs a
+// sim.EngineKind before the experiment harness can replay it.
 func SetEngineFilter(names []string) error {
 	if len(names) == 0 {
 		engineFilter = nil

@@ -7,9 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec" // register the real backends for the sweep
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/engine/mapreduce"

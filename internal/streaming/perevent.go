@@ -53,7 +53,7 @@ type Msg[T any] struct {
 func RunPerEvent[T any, K cmp.Ordered, A any](agg *dataflow.WindowedAggregation[T, K, A], conf *core.Config) (*Result[K, A], error) {
 	st := agg.WS.Stream
 	s := st.Session()
-	env, ok := s.Backend().Handle().(*flink.Env)
+	env, ok := s.Handle().(*flink.Env)
 	if !ok {
 		return nil, fmt.Errorf("streaming: per-event lowering needs the flink backend, session is on %q", s.Name())
 	}

@@ -17,9 +17,13 @@ import (
 // collect the edges to the driver and decode the whole edge or point file
 // and the state file there every round: counted at those sites, it handled
 // 7.8×, 14× and 6.7× this bound on PageRank, ConnectedComponents and KMeans
-// at these sizes.
+// at these sizes. The batch workloads read their input from the DFS inside
+// the tasks, so a file input counts nothing: the driver may handle only what
+// it collects.
 func TestDriverHandlesOnlyInputsBroadcastsAndResults(t *testing.T) {
 	const iters, k, slack = 5, 3, 64
+	text := datagen.Text(35, 64*1024, 10)
+	tera := datagen.TeraGen(37, 2000)
 	edges := datagen.RMAT(31, datagen.GraphSpec{Name: "driver", Vertices: 200, Edges: 1500})
 	sources := map[int64]bool{}
 	for _, e := range edges {
@@ -33,6 +37,19 @@ func TestDriverHandlesOnlyInputsBroadcastsAndResults(t *testing.T) {
 		// the per-round results.
 		run func(s *dataflow.Session) (result, allowed int, err error)
 	}{
+		{"WordCount", func(s *dataflow.Session) (int, int, error) {
+			s.FS().WriteFile("text", text)
+			return 0, 0, WordCount(s, "text", "counts") // saved by the tasks: nothing collected
+		}},
+		{"Grep", func(s *dataflow.Session) (int, int, error) {
+			s.FS().WriteFile("text", text)
+			_, err := Grep(s, "text", "the")
+			return 1, 0, err // the count
+		}},
+		{"TeraSort", func(s *dataflow.Session) (int, int, error) {
+			s.FS().WriteFile("tera", tera)
+			return 0, 0, TeraSort(s, "tera", "sorted", TeraPartitioner(tera, 4))
+		}},
 		{"PageRank", func(s *dataflow.Session) (int, int, error) {
 			ranks, _, err := PageRank(s, edges, iters)
 			return len(ranks), len(edges) + len(sources), err // the out-degree map is collected too

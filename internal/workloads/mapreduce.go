@@ -169,7 +169,7 @@ func parsePointLine(line string) (datagen.Point, bool) {
 // step), and writes the new centers back — the repeated I/O that Spark's
 // caching and Flink's native iterations eliminate. Tests pin the text
 // round-trip files ("kmeans-points"/"kmeans-centers"). Native-API
-// reference for the unified KMeans on the mrexec backend.
+// reference for the unified KMeans on a mapreduce session.
 func KMeansMapReduce(c *mapreduce.Cluster, points []datagen.Point, k, iters int) ([]datagen.Point, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("workloads: kmeans needs k > 0")

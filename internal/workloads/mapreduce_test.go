@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/engine/mapreduce"
@@ -72,7 +73,7 @@ func TestWordCountThreeEngineAgreement(t *testing.T) {
 	sfs := dfs.New(2, 64*core.KB, 1)
 	sfs.WriteFile("wiki", text)
 	ctx := spark.NewContext(core.NewConfig().SetInt(core.SparkDefaultParallelism, 8), srt, sfs)
-	if err := WordCount(sparkSession(ctx), "wiki", "wc-spark"); err != nil {
+	if err := WordCount(dataflow.NewSession(ctx), "wiki", "wc-spark"); err != nil {
 		t.Fatal(err)
 	}
 	sf, err := sfs.Open("wc-spark")
@@ -133,7 +134,7 @@ func TestKMeansMapReduceMatchesSpark(t *testing.T) {
 
 	srt, _ := cluster.NewRuntime(cluster.Spec{Nodes: 2, CoresPerNode: 4, MemPerNode: core.GB, DiskSeqMiBps: 500, NetMiBps: 500}, 4)
 	ctx := spark.NewContext(core.NewConfig().SetInt(core.SparkDefaultParallelism, 8), srt, dfs.New(2, 64*core.KB, 1))
-	sparkCenters, err := KMeans(sparkSession(ctx), points, 3, iters)
+	sparkCenters, err := KMeans(dataflow.NewSession(ctx), points, 3, iters)
 	if err != nil {
 		t.Fatal(err)
 	}

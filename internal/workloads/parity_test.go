@@ -11,9 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	_ "repro/internal/dataflow/backend/flinkexec"
-	_ "repro/internal/dataflow/backend/mrexec"
-	_ "repro/internal/dataflow/backend/sparkexec"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/planner"
@@ -82,7 +79,7 @@ func sortedLines(t *testing.T, s *dataflow.Session, name string) string {
 }
 
 // TestCrossEngineParity runs every single-definition workload on all three
-// registered backends and requires byte-identical results: identical word
+// engines and requires byte-identical results: identical word
 // counts, identical grep counts, byte-identical sorted output, identical
 // converged centers. It is the correctness contract of the unified API —
 // one logical plan, three physical plans, one answer. The CI race job runs
@@ -90,7 +87,7 @@ func sortedLines(t *testing.T, s *dataflow.Session, name string) string {
 func TestCrossEngineParity(t *testing.T) {
 	engines := dataflow.Names()
 	if len(engines) < 3 {
-		t.Fatalf("expected 3 registered backends, got %v", engines)
+		t.Fatalf("expected 3 engines, got %v", engines)
 	}
 
 	text := datagen.Text(21, 96*1024, 10)

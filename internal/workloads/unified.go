@@ -12,8 +12,12 @@ import (
 // This file holds the single, engine-agnostic definition of every batch
 // workload: one logical pipeline per benchmark, executable on spark,
 // flink and mapreduce through dataflow.Session, with per-engine plans for
-// Table I coming from the same definitions (see *Plan below). The graph
+// Table I rendered from the same definitions (see *Plan below). The graph
 // workloads live in graphs.go over the dataflow/graph subsystem.
+//
+// A *Plan builder writes a tiny placeholder input to the session's FS
+// first: spark and flink open their file sources when a pipeline is
+// lowered, and rendering lowers it.
 
 // WordCount is the paper's aggregation benchmark, written once:
 // source → flatMap → mapToPair → reduceByKey → save.
@@ -30,11 +34,16 @@ func wordCountPipeline(s *dataflow.Session, input string) *dataflow.Dataset[core
 	return dataflow.ReduceByKey(pairs, func(a, b int64) int64 { return a + b })
 }
 
-// WordCountPlan lowers the Word Count pipeline onto s's engine without
+// WordCountPlan renders the plan Word Count runs on s's engine without
 // executing it — its Table I row.
-func WordCountPlan(s *dataflow.Session) *core.Plan {
-	return dataflow.PlanOf(s, "WordCount", dataflow.ActionSaveText,
-		wordCountPipeline(s, "plan-text").Node())
+func WordCountPlan(s *dataflow.Session) (*core.Plan, error) {
+	return dataflow.PlanOf("WordCount", dataflow.SaveSink(wordCountPipeline(s, planText(s))))
+}
+
+// planText writes the text placeholder the plan builders read.
+func planText(s *dataflow.Session) string {
+	s.FS().WriteFile("plan-text", []byte("a b\n"))
+	return "plan-text"
 }
 
 // Grep is the paper's filter benchmark: source → filter → count.
@@ -48,9 +57,8 @@ func grepPipeline(s *dataflow.Session, input, pattern string) *dataflow.Dataset[
 }
 
 // GrepPlan is Grep's Table I row on s's engine.
-func GrepPlan(s *dataflow.Session) *core.Plan {
-	return dataflow.PlanOf(s, "Grep", dataflow.ActionCount,
-		grepPipeline(s, "plan-text", "a").Node())
+func GrepPlan(s *dataflow.Session) (*core.Plan, error) {
+	return dataflow.PlanOf("Grep", dataflow.CountSink(grepPipeline(s, planText(s), "a")))
 }
 
 // GrepMultiFilter is the Section VI-B discussion case, written once:
@@ -79,17 +87,17 @@ func GrepMultiFilter(s *dataflow.Session, input string, patterns []string) ([]in
 // GrepMultiFilterPlan renders the multi-pass pipeline with three sample
 // patterns: on Spark the cached dataset is one shared node with fan-out;
 // on Flink and MapReduce each pattern repeats the whole source chain.
-func GrepMultiFilterPlan(s *dataflow.Session) *core.Plan {
-	cached := dataflow.Filter(dataflow.TextFile(s, "plan-text"),
+func GrepMultiFilterPlan(s *dataflow.Session) (*core.Plan, error) {
+	cached := dataflow.Filter(dataflow.TextFile(s, planText(s)),
 		func(l string) bool { return len(l) > 0 }).Cached()
-	var sinks []*dataflow.Node
+	var sinks []dataflow.Sink
 	for _, p := range []string{"a", "b", "c"} {
 		p := p
-		sinks = append(sinks, dataflow.Filter(cached, func(l string) bool {
+		sinks = append(sinks, dataflow.CountSink(dataflow.Filter(cached, func(l string) bool {
 			return strings.Contains(l, p)
-		}).Node())
+		})))
 	}
-	return dataflow.PlanOf(s, "GrepMultiFilter", dataflow.ActionCount, sinks...)
+	return dataflow.PlanOf("GrepMultiFilter", sinks...)
 }
 
 // TeraSort is the paper's sort benchmark, written once: binary source →
@@ -112,10 +120,10 @@ func teraSortPipeline(s *dataflow.Session, input string, part *core.RangePartiti
 }
 
 // TeraSortPlan is Tera Sort's Table I row on s's engine.
-func TeraSortPlan(s *dataflow.Session) *core.Plan {
-	part := TeraPartitioner(datagen.TeraGen(1, 10), 2)
-	return dataflow.PlanOf(s, "TeraSort", dataflow.ActionSaveRecords,
-		teraSortPipeline(s, "plan-tera", part).Node())
+func TeraSortPlan(s *dataflow.Session) (*core.Plan, error) {
+	data := datagen.TeraGen(1, 10)
+	s.FS().WriteFile("plan-tera", data)
+	return dataflow.PlanOf("TeraSort", dataflow.SaveSink(teraSortPipeline(s, "plan-tera", TeraPartitioner(data, 2))))
 }
 
 // KMeans is the paper's iterative benchmark, written once as a broadcast
@@ -178,19 +186,23 @@ func nearestPair(p datagen.Point, centers []core.Pair[int, datagen.Point]) int {
 
 // KMeansPlan is K-Means' Table I row on s's engine (one symbolic
 // iteration, like the paper's Figure 10 plan).
-func KMeansPlan(s *dataflow.Session) *core.Plan {
+func KMeansPlan(s *dataflow.Session) (*core.Plan, error) {
 	it := kmeansIteration(s, []datagen.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, 1, 1)
-	return dataflow.PlanOf(s, "KMeans", dataflow.ActionIterate, it.Node())
+	return dataflow.PlanOf("KMeans", it.Sink())
 }
 
-// UnifiedPlans lowers all five single-definition workloads onto the
+// UnifiedPlans renders all five single-definition workloads on the
 // session's engine — the engine's column of Table I from the unified API.
-func UnifiedPlans(s *dataflow.Session) []*core.Plan {
-	return []*core.Plan{
-		WordCountPlan(s),
-		GrepPlan(s),
-		GrepMultiFilterPlan(s),
-		TeraSortPlan(s),
-		KMeansPlan(s),
+func UnifiedPlans(s *dataflow.Session) ([]*core.Plan, error) {
+	var plans []*core.Plan
+	for _, build := range []func(*dataflow.Session) (*core.Plan, error){
+		WordCountPlan, GrepPlan, GrepMultiFilterPlan, TeraSortPlan, KMeansPlan,
+	} {
+		p, err := build(s)
+		if err != nil {
+			return nil, err
+		}
+		plans = append(plans, p)
 	}
+	return plans, nil
 }

@@ -76,10 +76,10 @@ func TestWordCountBothEnginesAgree(t *testing.T) {
 	text := datagen.Text(1, 64*1024, 10)
 	writeBoth(ctx, env, "wiki", text)
 
-	if err := WordCount(sparkSession(ctx), "wiki", "out-s"); err != nil {
+	if err := WordCount(dataflow.NewSession(ctx), "wiki", "out-s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WordCount(flinkSession(env), "wiki", "out-f"); err != nil {
+	if err := WordCount(dataflow.NewSession(env), "wiki", "out-f"); err != nil {
 		t.Fatal(err)
 	}
 	sc := parseCounts(t, ctx.FS(), "out-s")
@@ -114,11 +114,11 @@ func TestGrepBothEnginesAgree(t *testing.T) {
 	writeBoth(ctx, env, "logs", text)
 	want := int64(strings.Count(string(text), "NEEDLE"))
 
-	sn, err := Grep(sparkSession(ctx), "logs", "NEEDLE")
+	sn, err := Grep(dataflow.NewSession(ctx), "logs", "NEEDLE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := Grep(flinkSession(env), "logs", "NEEDLE")
+	fn, err := Grep(dataflow.NewSession(env), "logs", "NEEDLE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestGrepMultiFilterCachingAdvantage(t *testing.T) {
 
 	// One definition, two engines: the caching asymmetry comes from the
 	// lowering of the Cached() hint, not from per-engine code.
-	sres, err := GrepMultiFilter(sparkSession(ctx), "logs", patterns)
+	sres, err := GrepMultiFilter(dataflow.NewSession(ctx), "logs", patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := GrepMultiFilter(flinkSession(env), "logs", patterns)
+	fres, err := GrepMultiFilter(dataflow.NewSession(env), "logs", patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +167,13 @@ func TestTeraSortBothEnginesProduceSortedOutput(t *testing.T) {
 	writeBoth(ctx, env, "tera-in", data)
 	part := TeraPartitioner(data, 4)
 
-	if err := TeraSort(sparkSession(ctx), "tera-in", "tera-out", part); err != nil {
+	if err := TeraSort(dataflow.NewSession(ctx), "tera-in", "tera-out", part); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyTeraSorted(ctx.FS(), "tera-out", records); err != nil {
 		t.Errorf("spark terasort: %v", err)
 	}
-	if err := TeraSort(flinkSession(env), "tera-in", "tera-out", part); err != nil {
+	if err := TeraSort(dataflow.NewSession(env), "tera-in", "tera-out", part); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyTeraSorted(env.FS(), "tera-out", records); err != nil {
@@ -201,11 +201,11 @@ func TestKMeansBothEnginesConverge(t *testing.T) {
 	ctx, env := pairCtx(t)
 	points, _ := datagen.KMeansPoints(11, 3000, 3, 2.0)
 
-	sc, err := KMeans(sparkSession(ctx), points, 3, 10)
+	sc, err := KMeans(dataflow.NewSession(ctx), points, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := KMeans(flinkSession(env), points, 3, 10)
+	fc, err := KMeans(dataflow.NewSession(env), points, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,11 @@ func TestPageRankBothEnginesAgree(t *testing.T) {
 		edges = append(edges, e, datagen.Edge{Src: e.Dst, Dst: e.Src})
 	}
 	const iters = 25
-	sr, _, err := PageRank(sparkSession(ctx), edges, iters)
+	sr, _, err := PageRank(dataflow.NewSession(ctx), edges, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, _, err := PageRank(flinkSession(env), edges, iters)
+	fr, _, err := PageRank(dataflow.NewSession(env), edges, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,5 +369,31 @@ func TestPlansRegenerateTableI(t *testing.T) {
 	sort.Strings(sortedOps)
 	if len(sortedOps) < 3 {
 		t.Errorf("suspiciously small spark WC plan: %v", sortedOps)
+	}
+}
+
+// TestKMeansRowsRenderWhatRuns: an iteration's row comes from the builders
+// its run uses — on mapreduce the staging wave that writes the points to the
+// DFS once, ahead of the round job that reads them beside the state; on
+// flink the step dataflow, built over the bulk iteration's partial solution.
+func TestKMeansRowsRenderWhatRuns(t *testing.T) {
+	want := map[string][]string{
+		"mapreduce": {"InputSplit | StageInput | DistributedCache(state) | Map | Combine", "Reduce | Output | ChainedJobs(1)"},
+		"flink":     {"BulkPartialSolution", "DataSource->Map(withBroadcastSet)->GroupCombine | GroupReduce->Map | BulkIteration(1)"},
+	}
+	for engine, frags := range want {
+		s, err := dataflow.Open(engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := KMeansPlan(s)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		for _, frag := range frags {
+			if !strings.Contains(plan.String(), frag) {
+				t.Errorf("%s lacks %q", plan, frag)
+			}
+		}
 	}
 }
