@@ -124,7 +124,10 @@ bench-pair:
 # (arbitrary bytes into derived struct/slice/map decoders,
 # arbitrary bytes into the block decode every engine fetches through — values
 # that never alias their input and re-encode —, arbitrary keys through the
-# shuffle's run sorter against a stable sort, arbitrary keys and resets
+# shuffle's run sorter against a stable sort, arbitrary sorted segments
+# (shared prefixes, short, empty and duplicate keys, with and without a
+# normalized-key writer) through its prefix-first merge against a
+# comparator-only stable merge, arbitrary keys and resets
 # through the combine table every engine folds with against a map fold,
 # arbitrary bytes × block size × buffer length × newline-aligned part cuts
 # through the dfs line reader every text source streams against
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle
+	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzLineBatches$$' -fuzztime $(FUZZTIME) ./internal/dfs
 	$(GO) test -run '^$$' -fuzz '^FuzzCoGroup$$' -fuzztime $(FUZZTIME) ./internal/engine/spark

@@ -20,7 +20,9 @@
 // the file's own storage: reading allocates and copies nothing, and a record
 // stays valid for as long as anything refers to it, so consumers may keep
 // records (only the batch slice they arrive in is borrowed — it is the
-// caller's buffer, refilled for the next batch). This rests on the file
+// caller's buffer, refilled for the next batch). A fixed-width record may be
+// viewed as a string too, through RecordString, and split into key and value
+// strings that copy nothing. This rests on the file
 // being write-once: WriteFile keeps the buffer it is given, nobody writes
 // that buffer again, and readers never write through a view. Every caller of
 // WriteFile hands over a buffer it built for the purpose and drops —
@@ -431,6 +433,15 @@ func (f *File) FixedRecordBatches(i, recSize int, buf [][]byte, yield func(recs 
 		}
 	}
 	return nil
+}
+
+// RecordString returns a record the readers handed out as a string over the
+// same bytes, without copying: since the file is write-once (package
+// comment), the bytes never change under the string, and the string keeps
+// the storage alive like the record does. rec must be a record of a stored
+// file (or of another buffer nobody writes again), never a caller's buffer.
+func RecordString(rec []byte) string {
+	return unsafe.String(unsafe.SliceData(rec), len(rec))
 }
 
 // FixedRecords returns the records belonging to block i gathered into one

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -138,14 +139,19 @@ func (s *dfsSpillStore) Write(run, part int, data []byte) (string, error) {
 	return name, nil
 }
 
-func (s *dfsSpillStore) Read(name string) ([]byte, error) {
+// Read hands out the spilled run's write-once DFS storage when it is one
+// block, and copies it into a pooled buffer otherwise; the writer releases
+// the block once it has decoded the run.
+func (s *dfsSpillStore) Read(name string) (shuffle.Block, error) {
 	f, err := s.c.fs.Open(name)
 	if err != nil {
-		return nil, err
+		return shuffle.Block{}, err
 	}
-	data := f.Contents()
-	s.c.metrics.DiskBytesRead.Add(int64(len(data)))
-	return data, nil
+	s.c.metrics.DiskBytesRead.Add(f.Size())
+	if data, ok := f.Contiguous(); ok {
+		return shuffle.OwnedBlock(data, f.Size(), 0), nil
+	}
+	return shuffle.PooledBlock(f.AppendTo(memory.DefaultPool.Get(int(f.Size()))), f.Size(), 0), nil
 }
 
 func (s *dfsSpillStore) Remove(name string) { s.c.fs.Delete(name) }
@@ -175,17 +181,16 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 		NormKey: serde.PairNormKeyer[K, V](serde.NormKeyerFor[K]()),
 	}
 	if combine := job.Combine; combine != nil {
+		// One values slice for the task, lent to every call (Job.Combine).
+		var vs []V
 		spec.CombineRun = func(run []core.Pair[K, V]) []core.Pair[K, V] {
-			out := run[:0:0]
+			out := run[:0] // folded over the writer's scratch (Spec.CombineRun)
 			for i := 0; i < len(run); {
 				j := i + 1
 				for j < len(run) && run[j].Key == run[i].Key {
 					j++
 				}
-				vs := make([]V, 0, j-i)
-				for _, kv := range run[i:j] {
-					vs = append(vs, kv.Value)
-				}
+				vs = groupValues(vs, run[i:j])
 				out = append(out, core.KV(run[i].Key, combine(run[i].Key, vs)))
 				i = j
 			}
@@ -302,7 +307,9 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 	less := func(a, b core.Pair[K, V]) bool { return a.Key < b.Key }
 	var merged []core.Pair[K, V]
 	if set.Kind == shuffle.Sort {
-		merged = shuffle.ParallelMerge(c.rt, node, segments, less)
+		// Heads are ordered by their normalized-key prefixes first, as
+		// Hadoop's merger compares serialized keys with a raw comparator.
+		merged = shuffle.ParallelMerge(c.rt, node, segments, less, serde.PairNormKeyer[K, V](serde.NormKeyerFor[K]()))
 	} else {
 		merged = shuffle.Concat(segments)
 		sort.SliceStable(merged, func(i, j int) bool { return less(merged[i], merged[j]) })
@@ -313,18 +320,27 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		return merged, nil
 	}
 	var out []core.Pair[K, V]
+	var vs []V // lent to every Reduce call (Job.Reduce)
 	emit := func(k K, v V) { out = append(out, core.KV(k, v)) }
 	for i := 0; i < len(merged); {
 		j := i + 1
 		for j < len(merged) && merged[j].Key == merged[i].Key {
 			j++
 		}
-		vs := make([]V, 0, j-i)
-		for _, kv := range merged[i:j] {
-			vs = append(vs, kv.Value)
-		}
+		vs = groupValues(vs, merged[i:j])
 		job.Reduce(merged[i].Key, vs, emit)
 		i = j
 	}
 	return out, nil
+}
+
+// groupValues refills vs with the values of one key group, reusing its
+// storage: the slice a combiner or reducer is lent. A group larger than vs
+// grows it once, to the group's size.
+func groupValues[K comparable, V any](vs []V, group []core.Pair[K, V]) []V {
+	vs = slices.Grow(vs[:0], len(group))
+	for _, kv := range group {
+		vs = append(vs, kv.Value)
+	}
+	return vs
 }

@@ -20,11 +20,15 @@ type Job[I any, K cmp.Ordered, V any] struct {
 	// Map emits zero or more intermediate pairs per input record.
 	Map func(in I, emit func(K, V))
 	// Combine optionally folds the values of one key within a sorted run
-	// before it spills (the map-side combiner). Nil disables combining.
+	// before it spills (the map-side combiner). Nil disables combining. vs
+	// is borrowed until the call returns: the task refills the same slice
+	// for its next key, as Hadoop reuses its values iterator, so Combine
+	// folds it and keeps neither the slice nor a subslice of it.
 	Combine func(k K, vs []V) V
 	// Reduce folds the values of one key and emits output pairs. Nil uses
 	// the identity reducer (every (k, v) is emitted as-is, in key order) —
-	// the TeraSort configuration.
+	// the TeraSort configuration. vs is borrowed until the call returns, as
+	// Combine's is; the values themselves may be emitted or kept.
 	Reduce func(k K, vs []V, emit func(K, V))
 	// Reduces is the reduce-task count; 0 uses the cluster default.
 	Reduces int

@@ -231,8 +231,9 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 			if sd.settings(ctx).Kind == shuffle.Sort {
 				// Sort shuffles deliver key-sorted map outputs: the read
 				// side is a parallel k-way merge over the runtime instead
-				// of a full re-sort.
-				return shuffle.ParallelMerge(ctx.rt, tc.node, segs, lessPair), nil
+				// of a full re-sort, ordering heads by their normalized-key
+				// prefixes (tungsten's UnsafeSorterSpillMerger).
+				return shuffle.ParallelMerge(ctx.rt, tc.node, segs, lessPair, serde.PairNormKeyer[K, C](normKey)), nil
 			}
 			all := shuffle.Concat(segs)
 			sort.SliceStable(all, func(i, j int) bool { return lessPair(all[i], all[j]) })

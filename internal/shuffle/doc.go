@@ -59,6 +59,25 @@
 // (TestSortWriterReusesScratchAcrossSpills); a cut's result is valid until the
 // next cut, and a spill has encoded it by then.
 //
+// # The merge
+//
+// Sorted segments — a writer's spilled runs at Close, the fetched map outputs
+// on spark's and mapreduce's reduce side — are merged by one k-way heap
+// (MergeByNormKey; ParallelMerge runs it as subtasks over groups of
+// segments, and Merge is it without a key writer). Given the edge's
+// normalized-key writer, each heap entry caches its head's eight-byte prefix
+// and key length when the head arrives, and two heads are ordered by integer
+// compare of their prefixes, then by key length where a key ends within the
+// prefix — the run sorter's rule. Less runs only for two heads whose keys
+// share all eight prefix bytes and go on past them, so a merge of TeraSort's
+// ten-byte random keys almost never calls it, and a word merge mostly not at
+// all. This is Spark's UnsafeSorterSpillMerger, which orders its spill
+// readers by their records' key prefixes before it calls the record
+// comparator, and Hadoop's merger, which compares serialized keys through a
+// RawComparator instead of deserializing them. Equal heads drain in segment
+// order, so the result is the comparator-only stable merge record for record
+// (FuzzMerge holds it to that, with and without a key writer).
+//
 // # Combining: one table, three engines
 //
 // There is one pairwise combine in the core, both strategies use it, and no
@@ -155,5 +174,7 @@
 // including on the error/drain paths. MapReduce writes emitted blocks to the
 // DFS (which retains sub-slices by reference, so no release) and reduce reads
 // borrow a local single-block segment zero-copy via dfs.File.Contiguous,
-// copying into a pooled buffer otherwise.
+// copying into a pooled buffer otherwise. Its SpillStore hands spilled runs
+// back to the writer's final merge the same way (SpillStore.Read returns a
+// Block), and the writer releases each one once it is decoded.
 package shuffle

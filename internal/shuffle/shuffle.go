@@ -193,7 +193,9 @@ type Spec[R any] struct {
 	Merge func(a, b R) R
 	// CombineRun is the run-level combiner (Hadoop's Combine over a sorted
 	// run): it receives records grouped so equal keys are adjacent and
-	// returns the folded run. Used when Merge is nil.
+	// returns the folded run. Used when Merge is nil. run is the writer's
+	// scratch and is not read after the call, so CombineRun may fold it in
+	// place and return a prefix of it.
 	CombineRun func(run []R) []R
 }
 
@@ -206,8 +208,10 @@ func (s *Spec[R]) combining() bool { return s.Merge != nil || s.CombineRun != ni
 type SpillStore interface {
 	// Write stores one run segment and returns its handle.
 	Write(run, part int, data []byte) (string, error)
-	// Read loads a segment back for the final merge.
-	Read(handle string) ([]byte, error)
+	// Read loads a segment back for the final merge. The writer releases
+	// the block once the segment is decoded, so a store may hand out its
+	// own storage (OwnedBlock) or a pooled copy (PooledBlock).
+	Read(handle string) (Block, error)
 	// Remove deletes a merged segment.
 	Remove(handle string)
 }

@@ -288,12 +288,12 @@ func (s *memStore) Write(run, part int, data []byte) (string, error) {
 	s.writes++
 	return h, nil
 }
-func (s *memStore) Read(h string) ([]byte, error) {
+func (s *memStore) Read(h string) (Block, error) {
 	d, ok := s.m[h]
 	if !ok {
-		return nil, fmt.Errorf("missing %s", h)
+		return Block{}, fmt.Errorf("missing %s", h)
 	}
-	return d, nil
+	return OwnedBlock(d, int64(len(d)), 0), nil
 }
 func (s *memStore) Remove(h string) { delete(s.m, h); s.removes++ }
 
@@ -464,7 +464,7 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 	}
 	less := func(a, b int) bool { return a < b }
 	ex := &seqSubtasker{}
-	got := ParallelMerge(ex, 0, segs, less)
+	got := ParallelMerge(ex, 0, segs, less, nil)
 	if len(got) != total {
 		t.Fatalf("merged %d records, want %d", len(got), total)
 	}
@@ -512,7 +512,7 @@ func TestMergeDuplicateHeavy(t *testing.T) {
 		t.Errorf("Merge is not the stable sort of the segments in order:\n got %v\nwant %v", got, want)
 	}
 	ex := &seqSubtasker{}
-	if got := ParallelMerge(ex, 0, segs, less); !slices.Equal(got, want) {
+	if got := ParallelMerge(ex, 0, segs, less, nil); !slices.Equal(got, want) {
 		t.Errorf("ParallelMerge is not the stable sort of the segments in order:\n got %v\nwant %v", got, want)
 	}
 	if ex.fns < 2 {

@@ -401,18 +401,21 @@ func (w *sortWriter[R]) Close() error {
 		var segs [][]R
 		for _, run := range w.runs {
 			seg := run[p]
-			data := seg.data
+			blk := OwnedBlock(seg.data, 0, seg.recs)
 			if seg.handle != "" {
 				var err error
-				data, err = w.env.Spill.Read(seg.handle)
+				blk, err = w.env.Spill.Read(seg.handle)
 				if err != nil {
 					return err
 				}
 			}
-			if len(data) == 0 {
+			if blk.Len() == 0 {
 				continue
 			}
-			recs, err := serde.DecodeAllN(w.spec.Codec, data, int(seg.recs))
+			// Decoded records never alias the block, so it goes back to
+			// its owner at once.
+			recs, err := serde.DecodeAllN(w.spec.Codec, blk.Bytes(), int(seg.recs))
+			blk.Release()
 			if err != nil {
 				return err
 			}
@@ -428,7 +431,7 @@ func (w *sortWriter[R]) Close() error {
 		case w.spec.Less != nil:
 			// Sorted runs merge like Hadoop's loser tree, with the
 			// combiner re-applied across runs.
-			final = w.combine(Merge(segs, w.spec.Less))
+			final = w.combine(MergeByNormKey(segs, w.spec.Less, w.spec.NormKey))
 		default:
 			// No record order: runs concatenate in spill order
 			// (tungsten's partition-prefix sort never orders keys).
@@ -567,15 +570,7 @@ func (s *runSorter[R]) sortByKey(recs []R, key func(v R, dst []byte) []byte) []R
 		off := len(keys)
 		keys = key(rec, keys)
 		k := keys[off:]
-		var prefix uint64
-		if len(k) >= 8 {
-			prefix = binary.BigEndian.Uint64(k)
-		} else {
-			for _, b := range k {
-				prefix = prefix<<8 | uint64(b)
-			}
-			prefix <<= 8 * uint(8-len(k))
-		}
+		prefix := keyPrefix(k)
 		if len(k) <= 8 {
 			keys = keys[:off]
 		}
@@ -628,6 +623,19 @@ func (s *runSorter[R]) sortByKey(recs []R, key func(v R, dst []byte) []byte) []R
 		s.out[pos] = recs[e.idx]
 	}
 	return s.out
+}
+
+// keyPrefix is a normalized key's first eight bytes as a big-endian integer,
+// zero-padded when the key is shorter.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var prefix uint64
+	for _, b := range k {
+		prefix = prefix<<8 | uint64(b)
+	}
+	return prefix << (8 * uint(8-len(k)))
 }
 
 // radixSortPrefix orders a by prefix with a stable least-significant-digit

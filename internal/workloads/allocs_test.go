@@ -100,27 +100,25 @@ func TestGrepAllocatesPerBlockNotPerLine(t *testing.T) {
 	}
 }
 
-// TestTeraSortAllocatesTwoPerRecord guards the sort-and-move path the same
-// way. A TeraSort record is allocated twice on every engine, both in plain
-// sight: the key and value strings the workload's map function builds.
-// Nothing else — the shuffle writer's block, the merge, mapreduce's identity
-// reducer, the sink's encode and commit — may cost an allocation per record.
-// The reduce side costs one allocation per fetched block, not two per
-// record: serde.DecodeAllN copies a block once and the decoded key and value
-// are views of that copy. The sink used to cost two per record (a []byte per
-// record on the driver, and its growing output buffer) and the decoded
-// strings two more; 2.02–2.03 is measured on all three engines.
+// TestTeraSortCopiesNoRecord guards the sort-and-move path the same way.
+// Nothing on it may cost an allocation per record on any engine: the map
+// function splits each record into key and value strings that are views of
+// the stored input (dfs.RecordString), and the shuffle writer's block, the
+// merge, mapreduce's identity reducer, the sink's encode and commit allocate
+// per block or per task. The reduce side costs one allocation per fetched
+// block: serde.DecodeAllN copies a block once and the decoded key and value
+// are views of that copy. Measured: 0.024–0.032 on all three engines at this
+// size, where per-task and per-block costs weigh more than on the benchmark's
+// input (0.003–0.011 there). The map function's two string copies read 2.02
+// here; a single allocation per record anywhere on the path fails the bound.
 //
 // Under the race detector sync.Pool drops a quarter of what is Put into it,
 // and flink's derived codec passes every record through a pooled cell once
-// to encode and once to decode: it reads 2.52–2.53 there, so the bound moves
-// to 2.6 — still under what any new per-record allocation would cost.
-func TestTeraSortAllocatesTwoPerRecord(t *testing.T) {
+// to encode and once to decode: flink reads 0.52 there, so its bound moves
+// to 0.6 under -race — still under what one more allocation per record
+// would cost.
+func TestTeraSortCopiesNoRecord(t *testing.T) {
 	const records = 20000
-	bound := 2.1
-	if raceEnabled {
-		bound = 2.6
-	}
 	data := datagen.TeraGen(13, records)
 	part := TeraPartitioner(data, 2)
 	for _, engine := range dataflow.Names() {
@@ -141,10 +139,14 @@ func TestTeraSortAllocatesTwoPerRecord(t *testing.T) {
 		if err := VerifyTeraSorted(s.FS(), "tera-out", records); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
+		bound := 0.05
+		if raceEnabled && engine == "flink" {
+			bound = 0.6
+		}
 		perRec := float64(after.Mallocs-before.Mallocs) / records
 		t.Logf("%s: %.3f allocations per record", engine, perRec)
 		if perRec > bound {
-			t.Errorf("%s: TeraSort allocates %.2f times per record, want at most %.1f", engine, perRec, bound)
+			t.Errorf("%s: TeraSort allocates %.3f times per record, want at most %.2f", engine, perRec, bound)
 		}
 	}
 }

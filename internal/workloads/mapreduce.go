@@ -110,7 +110,8 @@ func TeraSortMapReduce(c *mapreduce.Cluster, input, output string, part *core.Ra
 		Name:    "TeraSort",
 		Reduces: part.NumPartitions(),
 		Map: func(r []byte, emit func(string, string)) {
-			emit(datagen.TeraKey(r), string(r[datagen.TeraKeySize:]))
+			kv := teraPair(r)
+			emit(kv.Key, kv.Value)
 		},
 		Partition: func(k string, _ int) int { return part.Partition(k) },
 	}

@@ -10,8 +10,16 @@ import (
 )
 
 // Tera Sort is defined once in unified.go. This file holds the
-// engine-neutral benchmark plumbing around it: TeraGen key sampling for
-// the shared range partitioner and the TeraValidate output check.
+// engine-neutral benchmark plumbing around it: the record split both map
+// functions share, TeraGen key sampling for the shared range partitioner
+// and the TeraValidate output check.
+
+// teraPair splits a TeraGen record into its key and payload, both views of
+// the stored input (dfs.RecordString): the map function copies nothing.
+func teraPair(r []byte) core.Pair[string, string] {
+	rec := dfs.RecordString(r)
+	return core.KV(rec[:datagen.TeraKeySize], rec[datagen.TeraKeySize:])
+}
 
 // TeraPartitioner builds the shared range partitioner every engine uses,
 // seeded from a key sample of the input — the paper stresses that the same

@@ -113,9 +113,7 @@ func TeraSort(s *dataflow.Session, input, output string, part *core.RangePartiti
 
 func teraSortPipeline(s *dataflow.Session, input string, part *core.RangePartitioner[string]) *dataflow.Dataset[core.Pair[string, string]] {
 	recs := dataflow.BinaryFile(s, input, datagen.TeraRecordSize)
-	pairs := dataflow.MapToPair(recs, func(r []byte) core.Pair[string, string] {
-		return core.KV(datagen.TeraKey(r), string(r[datagen.TeraKeySize:]))
-	})
+	pairs := dataflow.MapToPair(recs, teraPair)
 	return dataflow.SortByKey(pairs, part)
 }
 
