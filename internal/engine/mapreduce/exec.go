@@ -31,13 +31,17 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 		reduces = c.curReduces()
 	}
 	// Job cleanup, however the job ends: drop the intermediate segments like
-	// the MRAppMaster's shuffle cleanup does. A failed phase leaves segments
-	// that earlier tasks wrote; a failed map attempt has already removed its
-	// own spilled runs (runMapTask).
+	// the MRAppMaster's shuffle cleanup does, and return the block each was
+	// written from to the pool — every reduce task has decoded its segments
+	// by then, into values that never alias them. A failed phase leaves
+	// segments that earlier tasks wrote; a failed map attempt has already
+	// removed its own spilled runs (runMapTask).
+	segs := make([]shuffle.Block, in.NumSplits()*reduces) // segs[m*reduces+r]
 	defer func() {
 		for m := 0; m < in.NumSplits(); m++ {
 			for r := 0; r < reduces; r++ {
 				c.fs.Delete(segmentFile(jobID, m, r))
+				segs[m*reduces+r].Release()
 			}
 		}
 	}()
@@ -72,7 +76,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 			node = in.pref(m)
 		}
 		mapTasks[m] = cluster.Task{Node: node, Fn: func() error {
-			return runMapTask(c, jobID, name, m, in.scan, splitBytes, reduces, set, job, partition, codec)
+			return runMapTask(c, jobID, name, m, in.scan, splitBytes, reduces, set, job, partition, codec, segs[m*reduces:(m+1)*reduces])
 		}}
 	}
 	err := c.rt.RunTasks(mapTasks)
@@ -125,17 +129,24 @@ func segmentFile(job int64, m, r int) string {
 }
 
 // dfsSpillStore materializes one map task's sort runs on the DFS, charging
-// the disk traffic — the io.sort spill files of Hadoop's map side.
+// the disk traffic — the io.sort spill files of Hadoop's map side. A run's
+// file is its pooled block, kept until Remove deletes the file and returns
+// the block to the pool.
 type dfsSpillStore struct {
-	c   *Cluster
-	job int64
-	m   int
+	c      *Cluster
+	job    int64
+	m      int
+	blocks map[string]shuffle.Block
 }
 
-func (s *dfsSpillStore) Write(run, part int, data []byte) (string, error) {
+func (s *dfsSpillStore) Write(run, part int, b shuffle.Block) (string, error) {
 	name := spillFile(s.job, s.m, run, part)
-	s.c.fs.WriteFile(name, data)
-	s.c.metrics.DiskBytesWritten.Add(int64(len(data)))
+	s.c.fs.WriteFile(name, b.Bytes())
+	s.c.metrics.DiskBytesWritten.Add(int64(b.Len()))
+	if s.blocks == nil {
+		s.blocks = make(map[string]shuffle.Block)
+	}
+	s.blocks[name] = b
 	return name, nil
 }
 
@@ -154,7 +165,12 @@ func (s *dfsSpillStore) Read(name string) (shuffle.Block, error) {
 	return shuffle.PooledBlock(f.AppendTo(memory.DefaultPool.Get(int(f.Size()))), f.Size(), 0), nil
 }
 
-func (s *dfsSpillStore) Remove(name string) { s.c.fs.Delete(name) }
+func (s *dfsSpillStore) Remove(name string) {
+	s.c.fs.Delete(name)
+	b := s.blocks[name]
+	b.Release()
+	delete(s.blocks, name)
+}
 
 // runMapTask scans split m, maps each batch the scan yields through the
 // shared shuffle core and materializes its partitioned map output. Under
@@ -162,10 +178,11 @@ func (s *dfsSpillStore) Remove(name string) { s.c.fs.Delete(name) }
 // to the DFS whenever the io.sort buffer fills and merges them into one
 // sorted segment per reduce partition — Hadoop's map side, verbatim. Under
 // shuffle.strategy=hash the segments stay unsorted and the reduce side sorts
-// after the fetch.
+// after the fetch. segs[r] receives the block partition r's segment is
+// written from; Run releases it when it deletes the segment.
 func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, m int,
 	scan func(m int, yield func([]I) error) error, splitBytes int64, reduces int, set shuffle.Settings,
-	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]]) (err error) {
+	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]], segs []shuffle.Block) (err error) {
 	c.metrics.TasksLaunched.Add(1)
 	c.metrics.DiskBytesRead.Add(splitBytes)
 
@@ -203,10 +220,11 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 		Spill:    &dfsSpillStore{c: c, job: jobID, m: m},
 		Emit: func(r int, b shuffle.Block) error {
 			// The materialized segment the barrier guards; wire bytes hit
-			// the DFS under the shared accounting rule. The DFS retains the
-			// block's storage by reference, so ownership transfers to it —
-			// no release until the job's cleanup deletes the segment.
+			// the DFS under the shared accounting rule. The DFS file is the
+			// block's storage, so the block is kept, not released, until the
+			// job's cleanup deletes the segment (Run).
 			c.fs.WriteFile(segmentFile(jobID, m, r), b.Bytes())
+			segs[r] = b
 			c.metrics.AddShuffleWrite(int64(b.Len()), b.Raw, true)
 			return nil
 		},

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/memory"
 )
 
 func fixture(t testing.TB, conf *core.Config) *Cluster {
@@ -582,5 +583,46 @@ func TestCombinerAllocatesPerSpillNotPerKey(t *testing.T) {
 	t.Logf("%d spills, %.3f allocations per key", spills, perKey)
 	if perKey > 0.5 {
 		t.Errorf("the job allocates %.3f times per key, want at most 0.5: something allocates per key group", perKey)
+	}
+}
+
+// TestJobReturnsEveryBufferToThePool: a job gives back every pooled buffer
+// its shuffle drew — the spilled runs when their files are removed, the map
+// output segments when the job's cleanup deletes them — under both shuffle
+// strategies, and when a map task fails after other tasks have written their
+// segments.
+func TestJobReturnsEveryBufferToThePool(t *testing.T) {
+	recs := make([]int64, 20000)
+	for i := range recs {
+		recs[i] = int64(i * 7919 % 5000)
+	}
+	recs[len(recs)-1] = -1 // the last split's last record
+	for _, strategy := range []string{"sort", "hash"} {
+		for _, fail := range []bool{false, true} {
+			name := fmt.Sprintf("%s, failing %v", strategy, fail)
+			c := fixture(t, core.NewConfig().SetInt(MRSortRecords, 1000).SetInt(MRReduceTasks, 3).
+				Set(core.ShuffleStrategy, strategy))
+			job := Job[int64, int64, int64]{
+				Name: "Identity",
+				Map: func(k int64, emit func(int64, int64)) {
+					if fail && k < 0 {
+						panic("the last split's last record")
+					}
+					emit(k, k)
+				},
+			}
+			gets0, puts0, _ := memory.DefaultPool.Stats()
+			_, err := Run(c, job, SliceInput(c, recs, 4))
+			gets, puts, _ := memory.DefaultPool.Stats()
+			if (err != nil) != fail {
+				t.Fatalf("%s: Run = %v", name, err)
+			}
+			if !fail && c.Metrics().SpillCount.Load() == 0 && strategy == "sort" {
+				t.Fatalf("%s: no spills", name)
+			}
+			if gets-gets0 != puts-puts0 {
+				t.Errorf("%s: %d buffers drawn from the pool, %d returned", name, gets-gets0, puts-puts0)
+			}
+		}
 	}
 }

@@ -13,6 +13,22 @@
 // spill decisions and out-of-memory failures actually happen at the
 // recorded thresholds, and the GC-pressure accounting feeds the paper-scale
 // simulator.
+//
+// Underneath both models the bytes themselves — encode buffers, shuffle
+// blocks, spill runs — come from BufPool (pool.go), DefaultPool for the
+// whole process. Its buffers outlive the collector: a released buffer waits
+// on its size class's free list until the next Get of that class, however
+// many GC cycles pass, which is how Flink's network buffers and managed
+// segments behave and how a sync.Pool does not. What the free lists hold is
+// capped at PoolCap, 64 MiB — the network memory of this repo's flink
+// configuration (2048 buffers of 32 KiB) — and a release past the cap is
+// left to the GC. The retained bytes are charged to no engine's budget.
+//
+// A pooled buffer has one owner at a time. The owner releases it once, after
+// the last read through it or any slice of it; handing it on (a shuffle
+// block emitted, a spill run stored) hands the duty on. Race builds check
+// this: a released buffer is overwritten with Poison, and a second release
+// panics (race.go).
 package memory
 
 import (

@@ -19,50 +19,55 @@ func javaHeaderFor(typeName string) []byte {
 
 // wrap applies the per-record overhead of the style around a schema
 // encoder: Java writes the fabricated descriptor, Kryo a 1-byte class tag,
-// TypeInfo nothing.
+// TypeInfo nothing. A pointer form of base gets the same header.
 func wrap[T any](style Style, typeName string, tag byte, base Codec[T]) Codec[T] {
+	var hdr []byte
 	switch style {
 	case Java:
-		hdr := javaHeaderFor(typeName)
-		return Codec[T]{
-			Encode: func(dst []byte, v T) []byte {
-				dst = append(dst, hdr...)
-				return base.Encode(dst, v)
-			},
-			Decode: func(src []byte) (T, int, error) {
-				var zero T
-				if len(src) < len(hdr) {
-					return zero, 0, ErrShortBuffer
-				}
-				v, n, err := base.Decode(src[len(hdr):])
-				return v, n + len(hdr), err
-			},
-			Fallbacks: base.Fallbacks,
-			Aliases:   base.Aliases,
-		}
+		hdr = javaHeaderFor(typeName)
 	case Kryo:
-		return Codec[T]{
-			Encode: func(dst []byte, v T) []byte {
-				dst = append(dst, tag)
-				return base.Encode(dst, v)
-			},
-			Decode: func(src []byte) (T, int, error) {
-				var zero T
-				if len(src) < 1 {
-					return zero, 0, ErrShortBuffer
-				}
-				if src[0] != tag {
-					return zero, 0, fmt.Errorf("serde: kryo tag mismatch: got %#x want %#x", src[0], tag)
-				}
-				v, n, err := base.Decode(src[1:])
-				return v, n + 1, err
-			},
-			Fallbacks: base.Fallbacks,
-			Aliases:   base.Aliases,
-		}
+		hdr = []byte{tag}
 	default:
 		return base
 	}
+	// check vets the header in front of src; Java's is only skipped.
+	check := func(src []byte) error {
+		if len(src) < len(hdr) {
+			return ErrShortBuffer
+		}
+		if style == Kryo && src[0] != tag {
+			return fmt.Errorf("serde: kryo tag mismatch: got %#x want %#x", src[0], tag)
+		}
+		return nil
+	}
+	c := Codec[T]{
+		Encode: func(dst []byte, v T) []byte {
+			return base.Encode(append(dst, hdr...), v)
+		},
+		Decode: func(src []byte) (T, int, error) {
+			if err := check(src); err != nil {
+				var zero T
+				return zero, 0, err
+			}
+			v, n, err := base.Decode(src[len(hdr):])
+			return v, n + len(hdr), err
+		},
+		Fallbacks: base.Fallbacks,
+		Aliases:   base.Aliases,
+	}
+	if base.EncodePtr != nil {
+		c.EncodePtr = func(dst []byte, v *T) []byte {
+			return base.EncodePtr(append(dst, hdr...), v)
+		}
+		c.DecodePtr = func(src []byte, v *T) (int, error) {
+			if err := check(src); err != nil {
+				return 0, err
+			}
+			n, err := base.DecodePtr(src[len(hdr):], v)
+			return n + len(hdr), err
+		}
+	}
+	return c
 }
 
 // Class tags for the Kryo strategy.

@@ -30,6 +30,24 @@ func PairCodec[K comparable, V any](s Style, kc Codec[K], vc Codec[V]) Codec[cor
 		Fallbacks: kc.Fallbacks + vc.Fallbacks,
 		Aliases:   kc.Aliases || vc.Aliases,
 	}
+	if kc.EncodePtr != nil || vc.EncodePtr != nil {
+		// A derived part reached through the pair's own fields, not through
+		// its pooled cell.
+		base.EncodePtr = func(dst []byte, p *core.Pair[K, V]) []byte {
+			return vc.EncodeAt(kc.EncodeAt(dst, &p.Key), &p.Value)
+		}
+		base.DecodePtr = func(src []byte, p *core.Pair[K, V]) (int, error) {
+			n, err := kc.DecodeAt(src, &p.Key)
+			if err != nil {
+				return 0, err
+			}
+			m, err := vc.DecodeAt(src[n:], &p.Value)
+			if err != nil {
+				return 0, err
+			}
+			return n + m, nil
+		}
+	}
 	return wrap(s, "scala.Tuple2", tagPair, base)
 }
 

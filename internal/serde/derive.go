@@ -55,8 +55,9 @@ func erase[T any](c Codec[T]) ptrCodec {
 	}
 }
 
-// typed is the inverse of erase at the root of a derived codec. The value
-// passes through a pooled heap cell rather than the caller's stack: the
+// typed is the inverse of erase at the root of a derived codec. The pointer
+// form hands the caller's pointer straight to the tree. The value form passes
+// the value through a pooled heap cell rather than the caller's stack: the
 // leaves are reached through function values, so a stack address would be
 // forced to escape and cost one allocation per record.
 func typed[T any](pc ptrCodec) Codec[T] {
@@ -82,6 +83,8 @@ func typed[T any](pc ptrCodec) Codec[T] {
 			}
 			return v, n, nil
 		},
+		EncodePtr: func(dst []byte, v *T) []byte { return pc.enc(dst, unsafe.Pointer(v)) },
+		DecodePtr: func(src []byte, v *T) (int, error) { return pc.dec(src, unsafe.Pointer(v)) },
 		Fallbacks: pc.fallbacks,
 		Aliases:   pc.aliases,
 	}

@@ -402,3 +402,47 @@ func FuzzDerivedDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestBulkPathsUseThePointerForm: EncodeAll and DecodeAllN reach a derived
+// codec through its pointer form — at the root (Of of a pair) and under
+// PairCodec's value (OfPair over a derived struct) — and write and read the
+// bytes the value form does, without a pooled cell, so not one allocation
+// per record, race detector or not.
+func TestBulkPathsUseThePointerForm(t *testing.T) {
+	const n = 64
+	for _, s := range allStyles {
+		pairs := make([]core.Pair[string, string], n)
+		states := make([]core.Pair[int64, vertexState], n)
+		for i := range pairs {
+			pairs[i] = core.KV("key"+string(rune('a'+i%26)), "value")
+			states[i] = core.KV(int64(i), vertexState{VD: fixedVertex{Rank: float64(i) / 3, Degree: int64(i)}, Active: i%2 == 0})
+		}
+		checkBulk(t, s.String()+" Of[Pair[string,string]]", Of[core.Pair[string, string]](s), pairs)
+		checkBulk(t, s.String()+" OfPair[int64,vertexState]", OfPair[int64, vertexState](s), states)
+	}
+}
+
+func checkBulk[T any](t *testing.T, name string, c Codec[T], vs []T) {
+	t.Helper()
+	if c.EncodePtr == nil || c.DecodePtr == nil {
+		t.Fatalf("%s: no pointer form", name)
+	}
+	var want []byte
+	for _, v := range vs {
+		want = c.Encode(want, v)
+	}
+	buf := make([]byte, 0, 2*len(want))
+	if got := EncodeAll(c, buf, vs); !bytes.Equal(got, want) {
+		t.Fatalf("%s: EncodeAll wrote %x, the value form %x", name, got, want)
+	}
+	if a := testing.AllocsPerRun(20, func() { EncodeAll(c, buf, vs) }); a != 0 {
+		t.Errorf("%s: EncodeAll allocates %v times for %d records, want 0", name, a, len(vs))
+	}
+	got, err := DecodeAllN(c, want, len(vs))
+	if err != nil || !reflect.DeepEqual(got, vs) {
+		t.Fatalf("%s: DecodeAllN = %v, %v; want the encoded values", name, got, err)
+	}
+	if _, err := DecodeAllN(c, want[:len(want)-1], 0); err == nil {
+		t.Errorf("%s: DecodeAllN accepted a truncated block", name)
+	}
+}

@@ -66,13 +66,47 @@ type Codec[T any] struct {
 	// may point into src. It propagates through every composition the way
 	// Fallbacks does; gob parts and registered codecs without it copy.
 	Aliases bool
+	// EncodePtr and DecodePtr, when set, are the same encoding reached
+	// through a pointer: EncodePtr encodes *v, DecodePtr decodes into *v,
+	// which must hold T's zero value, and reports the bytes consumed.
+	// Neither retains v. A derived codec sets them, and PairCodec and the
+	// style headers pass them through: a derived value form passes each
+	// record through a pooled cell, which a record already in a slice does
+	// not need. The bulk paths — EncodeAll, DecodeAllN, a shuffle writer's
+	// per-record encode — go through EncodeAt and DecodeAt, which use them
+	// when set.
+	EncodePtr func(dst []byte, v *T) []byte
+	DecodePtr func(src []byte, v *T) (int, error)
+}
+
+// EncodeAt appends the encoding of *v to dst, through the pointer form when
+// the codec has one.
+func (c Codec[T]) EncodeAt(dst []byte, v *T) []byte {
+	if c.EncodePtr != nil {
+		return c.EncodePtr(dst, v)
+	}
+	return c.Encode(dst, *v)
+}
+
+// DecodeAt decodes one value from the front of src into *v, which must hold
+// T's zero value, through the pointer form when the codec has one.
+func (c Codec[T]) DecodeAt(src []byte, v *T) (int, error) {
+	if c.DecodePtr != nil {
+		return c.DecodePtr(src, v)
+	}
+	val, n, err := c.Decode(src)
+	if err != nil {
+		return 0, err
+	}
+	*v = val
+	return n, nil
 }
 
 // EncodeAll encodes every value back to back, the layout of a shuffle
 // block or spill file.
 func EncodeAll[T any](c Codec[T], dst []byte, vs []T) []byte {
-	for _, v := range vs {
-		dst = c.Encode(dst, v)
+	for i := range vs {
+		dst = c.EncodeAt(dst, &vs[i])
 	}
 	return dst
 }
@@ -103,15 +137,16 @@ func DecodeAllN[T any](c Codec[T], src []byte, count int) ([]T, error) {
 	if count > 0 {
 		out = make([]T, 0, min(count, len(src))) // a value takes at least a byte
 	}
+	var zero T
 	for len(src) > 0 {
-		v, n, err := c.Decode(src)
+		out = append(out, zero)
+		n, err := c.DecodeAt(src, &out[len(out)-1])
 		if err != nil {
 			return nil, err
 		}
 		if n <= 0 {
 			return nil, errors.New("serde: decoder made no progress")
 		}
-		out = append(out, v)
 		src = src[n:]
 	}
 	return out, nil

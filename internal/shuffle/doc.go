@@ -167,14 +167,28 @@
 //     an immutable arena its records' strings view), so releasing right
 //     after them is safe.
 //
-// Per engine: spark's shuffle service retains emitted blocks forever (lineage
-// retries) and never releases; fetches borrow locally and copy remotely, and
-// the reader releases after decode. Flink's exchanges ship Blocks inside
-// Packets over the bounded channels; the consumer releases after decoding —
-// including on the error/drain paths. MapReduce writes emitted blocks to the
-// DFS (which retains sub-slices by reference, so no release) and reduce reads
-// borrow a local single-block segment zero-copy via dfs.File.Contiguous,
-// copying into a pooled buffer otherwise. Its SpillStore hands spilled runs
-// back to the writer's final merge the same way (SpillStore.Read returns a
-// Block), and the writer releases each one once it is decoded.
+// Who releases what, per engine — every transient buffer goes back to
+// memory.DefaultPool, whose free lists the collector cannot empty:
+//
+//   - Every writer: a hash bucket travels in its emitted block (or goes back
+//     at Abort); a sort writer's spilled run is a pooled block too. A run it
+//     keeps resident is released at Close once decoded; a run it hands to a
+//     SpillStore (SpillStore.Write) is the store's, released at Remove, which
+//     the writer calls after the run's last Read — at Close or at Abort.
+//   - Spark: the shuffle service keeps emitted map outputs for lineage
+//     retries and never releases them — the staged-materialisation mechanism,
+//     and the pool misses spark shows. Fetches borrow locally and copy
+//     remotely; the reader releases after decode.
+//   - Flink: exchanges ship Blocks inside Packets over the bounded channels;
+//     the consumer releases each after decoding it — including on the
+//     error/drain paths — so flink's buffers go round as fast as its packets.
+//   - MapReduce: an emitted block becomes a map-output segment on the DFS
+//     (the file is the block's storage). Run keeps the block and releases it
+//     after its cleanup deletes the segment, when every reduce task has
+//     decoded it. Reduce reads borrow a local single-block segment zero-copy
+//     via dfs.File.Contiguous and copy into a pooled buffer otherwise. Its
+//     SpillStore keeps a run's block as the spill file's storage, hands the
+//     run back to the final merge the same way (SpillStore.Read returns a
+//     Block, released once decoded) and releases the stored block when the
+//     writer removes the run.
 package shuffle

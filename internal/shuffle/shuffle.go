@@ -206,13 +206,15 @@ func (s *Spec[R]) combining() bool { return s.Merge != nil || s.CombineRun != ni
 // MapReduce engine backs it with the simulated DFS so spill bytes hit disk.
 // A nil store keeps runs in memory.
 type SpillStore interface {
-	// Write stores one run segment and returns its handle.
-	Write(run, part int, data []byte) (string, error)
+	// Write stores one run segment and returns its handle. The store owns
+	// the pooled block from then on and releases it at Remove.
+	Write(run, part int, b Block) (string, error)
 	// Read loads a segment back for the final merge. The writer releases
-	// the block once the segment is decoded, so a store may hand out its
-	// own storage (OwnedBlock) or a pooled copy (PooledBlock).
+	// the block once the segment is decoded, so a store may hand out a
+	// view of its own storage (OwnedBlock) or a pooled copy (PooledBlock).
 	Read(handle string) (Block, error)
-	// Remove deletes a merged segment.
+	// Remove deletes a segment and releases the block Write stored. The
+	// writer calls it once per handle, after the segment's last Read.
 	Remove(handle string)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/serde"
 )
@@ -274,28 +275,33 @@ func TestWriterRejectsBadRoute(t *testing.T) {
 
 // memStore is a SpillStore double that tracks lifecycle.
 type memStore struct {
-	m       map[string][]byte
+	m       map[string]Block
 	writes  int
 	removes int
 }
 
-func (s *memStore) Write(run, part int, data []byte) (string, error) {
+func (s *memStore) Write(run, part int, b Block) (string, error) {
 	if s.m == nil {
-		s.m = map[string][]byte{}
+		s.m = map[string]Block{}
 	}
 	h := fmt.Sprintf("run%d-p%d", run, part)
-	s.m[h] = data
+	s.m[h] = b
 	s.writes++
 	return h, nil
 }
 func (s *memStore) Read(h string) (Block, error) {
-	d, ok := s.m[h]
+	b, ok := s.m[h]
 	if !ok {
 		return Block{}, fmt.Errorf("missing %s", h)
 	}
-	return OwnedBlock(d, int64(len(d)), 0), nil
+	return b.Borrow(), nil
 }
-func (s *memStore) Remove(h string) { delete(s.m, h); s.removes++ }
+func (s *memStore) Remove(h string) {
+	b := s.m[h]
+	b.Release()
+	delete(s.m, h)
+	s.removes++
+}
 
 func TestSortWriterSpillStoreLifecycle(t *testing.T) {
 	recs, want := wordRecords(4000)
@@ -315,6 +321,47 @@ func TestSortWriterSpillStoreLifecycle(t *testing.T) {
 	}
 	if len(store.m) != 0 {
 		t.Errorf("%d spill segments leaked after Close", len(store.m))
+	}
+}
+
+// TestSortWriterReturnsEveryBuffer: every buffer a sort writer draws from
+// the pool goes back to it once its last reader is done — a resident run at
+// Close after it is decoded, a run held by a SpillStore when the store removes
+// it, an emitted block when its receiver releases it — whether the writer
+// closes or aborts.
+func TestSortWriterReturnsEveryBuffer(t *testing.T) {
+	recs, _ := wordRecords(4000)
+	for _, store := range []*memStore{nil, {}} {
+		for _, abort := range []bool{false, true} {
+			name := fmt.Sprintf("store %v, abort %v", store != nil, abort)
+			env := Env{
+				Settings: Settings{Kind: Sort, SpillRecs: 300},
+				Metrics:  &metrics.JobMetrics{},
+				Emit:     func(_ int, b Block) error { b.Release(); return nil },
+			}
+			if store != nil {
+				env.Spill = store
+			}
+			gets0, puts0, _ := memory.DefaultPool.Stats()
+			w := NewWriter(pairSpec(3, false), env)
+			for i := 0; i < len(recs); i += 100 {
+				if err := w.WriteBatch(recs[i:min(i+100, len(recs))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if abort {
+				w.Abort()
+			} else if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			gets, puts, _ := memory.DefaultPool.Stats()
+			if env.Metrics.SpillCount.Load() < 2 {
+				t.Fatalf("%s: the writer spilled %d runs, want several", name, env.Metrics.SpillCount.Load())
+			}
+			if gets-gets0 != puts-puts0 {
+				t.Errorf("%s: %d buffers drawn from the pool, %d returned", name, gets-gets0, puts-puts0)
+			}
+		}
 	}
 }
 

@@ -49,13 +49,19 @@ func newHashWriter[R any](spec Spec[R], env Env) *hashWriter[R] {
 	}
 }
 
-// Write implements Writer. Memory is asked for once per memCheckEvery held
-// records — distinct keys under Merge, arrivals under CombineRun.
+// Write implements Writer.
 func (w *hashWriter[R]) Write(rec R) error {
-	if !w.spec.combining() {
-		_, err := w.emit(rec)
-		return err
+	if w.spec.combining() {
+		return w.add(rec)
 	}
+	_, err := w.emit(&rec)
+	return err
+}
+
+// add folds one record into the combine table. Memory is asked for once per
+// memCheckEvery held records — distinct keys under Merge, arrivals under
+// CombineRun.
+func (w *hashWriter[R]) add(rec R) error {
 	w.inRecs++
 	before := len(w.held.entries)
 	w.held.add(rec)
@@ -78,21 +84,21 @@ func (w *hashWriter[R]) Write(rec R) error {
 func (w *hashWriter[R]) WriteBatch(recs []R) error {
 	if w.spec.combining() {
 		for _, rec := range recs {
-			if err := w.Write(rec); err != nil {
+			if err := w.add(rec); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, rec := range recs {
-		p := w.spec.Route(rec)
+	for i := range recs {
+		p := w.spec.Route(recs[i])
 		if p < 0 || p >= w.spec.NumParts {
 			return fmt.Errorf("shuffle: record routed to partition %d of %d", p, w.spec.NumParts)
 		}
 		if w.bufs[p] == nil {
 			w.bufs[p] = memory.DefaultPool.Get(w.bucketCap)
 		}
-		w.bufs[p] = w.spec.Codec.Encode(w.bufs[p], rec)
+		w.bufs[p] = w.spec.Codec.EncodeAt(w.bufs[p], &recs[i])
 		w.recs[p]++
 	}
 	if w.env.Settings.FlushBytes > 0 {
@@ -119,8 +125,8 @@ func (w *hashWriter[R]) drain(spilled bool) error {
 		run = w.spec.CombineRun(groupByKey(run, &w.spec))
 	}
 	var bytes int64
-	for _, rec := range run {
-		n, err := w.emit(rec)
+	for i := range run {
+		n, err := w.emit(&run[i])
 		if err != nil {
 			return err
 		}
@@ -137,8 +143,8 @@ func (w *hashWriter[R]) drain(spilled bool) error {
 
 // emit serializes one outgoing record into its bucket, flushing downstream
 // when the pipelined threshold is reached. It returns the encoded size.
-func (w *hashWriter[R]) emit(rec R) (int, error) {
-	p := w.spec.Route(rec)
+func (w *hashWriter[R]) emit(rec *R) (int, error) {
+	p := w.spec.Route(*rec)
 	if p < 0 || p >= w.spec.NumParts {
 		return 0, fmt.Errorf("shuffle: record routed to partition %d of %d", p, w.spec.NumParts)
 	}
@@ -146,7 +152,7 @@ func (w *hashWriter[R]) emit(rec R) (int, error) {
 		w.bufs[p] = memory.DefaultPool.Get(w.bucketCap)
 	}
 	before := len(w.bufs[p])
-	w.bufs[p] = w.spec.Codec.Encode(w.bufs[p], rec)
+	w.bufs[p] = w.spec.Codec.EncodeAt(w.bufs[p], rec)
 	w.recs[p]++
 	added := len(w.bufs[p]) - before
 	if w.env.Settings.FlushBytes > 0 && int64(len(w.bufs[p])) >= w.env.Settings.FlushBytes {
@@ -215,10 +221,10 @@ func (w *hashWriter[R]) Abort() {
 
 // --- sort strategy ----------------------------------------------------------
 
-// runSeg is one partition's slice of one spilled run: either resident bytes
-// or a SpillStore handle.
+// runSeg is one partition's slice of one spilled run: a resident pooled
+// block, or a SpillStore handle.
 type runSeg struct {
-	data   []byte
+	blk    Block
 	handle string
 	recs   int64
 }
@@ -360,24 +366,23 @@ func (w *sortWriter[R]) spill() error {
 		return err
 	}
 	run := make([]runSeg, w.spec.NumParts)
+	w.runs = append(w.runs, run) // released by Close or Abort however this ends
 	var runBytes, runRecs int64
 	for p, part := range parts {
-		enc := serde.EncodeAll(w.spec.Codec, nil, part)
-		seg := runSeg{recs: int64(len(part))}
-		if w.env.Spill != nil && len(enc) > 0 {
-			h, err := w.env.Spill.Write(len(w.runs), p, enc)
-			if err != nil {
-				return err
-			}
-			seg.handle = h
-		} else {
-			seg.data = enc
-		}
-		run[p] = seg
-		runBytes += int64(len(enc))
+		blk := PooledBlock(encodeBlock(w.spec.Codec, part), 0, int64(len(part)))
+		runBytes += int64(blk.Len())
 		runRecs += int64(len(part))
+		run[p].recs = int64(len(part))
+		if w.env.Spill == nil || blk.Len() == 0 {
+			run[p].blk = blk
+			continue
+		}
+		h, err := w.env.Spill.Write(len(w.runs)-1, p, blk)
+		if err != nil {
+			return err
+		}
+		run[p].handle = h
 	}
-	w.runs = append(w.runs, run)
 	w.spilledByte += runBytes
 	w.spilledRecs += runRecs
 	if w.spilledRecs > 0 {
@@ -400,8 +405,9 @@ func (w *sortWriter[R]) Close() error {
 	for p := 0; p < w.spec.NumParts; p++ {
 		var segs [][]R
 		for _, run := range w.runs {
-			seg := run[p]
-			blk := OwnedBlock(seg.data, 0, seg.recs)
+			seg := &run[p]
+			blk := seg.blk
+			seg.blk = Block{} // the writer's own run goes back once decoded
 			if seg.handle != "" {
 				var err error
 				blk, err = w.env.Spill.Read(seg.handle)
@@ -410,6 +416,7 @@ func (w *sortWriter[R]) Close() error {
 				}
 			}
 			if blk.Len() == 0 {
+				blk.Release()
 				continue
 			}
 			// Decoded records never alias the block, so it goes back to
@@ -437,20 +444,7 @@ func (w *sortWriter[R]) Close() error {
 			// (tungsten's partition-prefix sort never orders keys).
 			final = Concat(segs)
 		}
-		// One quantum holds a small block. A block whose first record says
-		// it will be larger — its encoding times the record count, plus a
-		// sixteenth — moves to a pooled buffer of that size before the rest
-		// is encoded, rather than doubling its way up to megabytes.
-		enc := memory.DefaultPool.Get(memQuantum)
-		if len(final) > 0 {
-			enc = serde.EncodeAll(w.spec.Codec, enc, final[:1])
-			if size := len(enc) * len(final); size+size/16 > cap(enc) {
-				first := enc
-				enc = append(memory.DefaultPool.Get(size+size/16), first...)
-				memory.DefaultPool.Put(first)
-			}
-			enc = serde.EncodeAll(w.spec.Codec, enc, final[1:])
-		}
+		enc := encodeBlock(w.spec.Codec, final)
 		if err := w.env.Emit(p, seal(w.env.Settings, enc, int64(len(final)))); err != nil {
 			return err
 		}
@@ -459,15 +453,32 @@ func (w *sortWriter[R]) Close() error {
 	return nil
 }
 
-// release removes the spilled runs from the SpillStore and returns the
-// granted memory.
+// encodeBlock encodes recs into a pooled buffer, nil for no records. One
+// quantum holds a small block. A block whose first record says it will be
+// larger — its encoding times the record count, plus a sixteenth — moves to a
+// pooled buffer of that size before the rest is encoded, rather than doubling
+// its way up to megabytes.
+func encodeBlock[R any](codec serde.Codec[R], recs []R) []byte {
+	if len(recs) == 0 {
+		return nil
+	}
+	enc := codec.EncodeAt(memory.DefaultPool.Get(memQuantum), &recs[0])
+	if size := len(enc) * len(recs); size+size/16 > cap(enc) {
+		first := enc
+		enc = append(memory.DefaultPool.Get(size+size/16), first...)
+		memory.DefaultPool.Put(first)
+	}
+	return serde.EncodeAll(codec, enc, recs[1:])
+}
+
+// release returns the resident runs to the pool, removes the spilled ones
+// from the SpillStore (which releases them) and returns the granted memory.
 func (w *sortWriter[R]) release() {
-	if w.env.Spill != nil {
-		for _, run := range w.runs {
-			for _, seg := range run {
-				if seg.handle != "" {
-					w.env.Spill.Remove(seg.handle)
-				}
+	for _, run := range w.runs {
+		for p := range run {
+			run[p].blk.Release()
+			if run[p].handle != "" {
+				w.env.Spill.Remove(run[p].handle)
 			}
 		}
 	}

@@ -111,12 +111,9 @@ func TestGrepAllocatesPerBlockNotPerLine(t *testing.T) {
 // size, where per-task and per-block costs weigh more than on the benchmark's
 // input (0.003–0.011 there). The map function's two string copies read 2.02
 // here; a single allocation per record anywhere on the path fails the bound.
-//
-// Under the race detector sync.Pool drops a quarter of what is Put into it,
-// and flink's derived codec passes every record through a pooled cell once
-// to encode and once to decode: flink reads 0.52 there, so its bound moves
-// to 0.6 under -race — still under what one more allocation per record
-// would cost.
+// The bound holds under the race detector too: block buffers come from a
+// pool the detector cannot empty, and flink's derived codec encodes and
+// decodes the records in place through its pointer form.
 func TestTeraSortCopiesNoRecord(t *testing.T) {
 	const records = 20000
 	data := datagen.TeraGen(13, records)
@@ -139,10 +136,7 @@ func TestTeraSortCopiesNoRecord(t *testing.T) {
 		if err := VerifyTeraSorted(s.FS(), "tera-out", records); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
-		bound := 0.05
-		if raceEnabled && engine == "flink" {
-			bound = 0.6
-		}
+		const bound = 0.05
 		perRec := float64(after.Mallocs-before.Mallocs) / records
 		t.Logf("%s: %.3f allocations per record", engine, perRec)
 		if perRec > bound {
@@ -196,17 +190,13 @@ func TestSparkPageRankAllocatesPerPartitionNotPerEdge(t *testing.T) {
 // per vertex. Measured: 0.016 on the benchmark's PageRank size; the plan
 // that re-shuffled the edges every superstep, gathered each join partition
 // into one growing slice and returned a one-element slice per message read
-// 2.07. Under the race detector sync.Pool drops a quarter of what is Put
-// into it, and every encoded or decoded record passes through a pooled
-// cell: 0.132–0.134 there (2.19 for the old plan), so the bound moves to
-// 0.2. Either bound fails one more allocation per vertex and superstep
-// (+0.125), let alone one per edge.
+// 2.07. The race detector reads the same: no record passes through a
+// sync.Pool cell the detector could drop, and no block buffer through a pool
+// it could empty. The bound fails one more allocation per vertex and
+// superstep (+0.125), let alone one per edge.
 func TestFlinkPageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 	const supersteps = 5
-	bound := 0.1
-	if raceEnabled {
-		bound = 0.2
-	}
+	const bound = 0.1
 	edges := datagen.RMAT(16, datagen.GraphSpec{Name: "allocs", Vertices: 5000, Edges: 40000})
 	s := paritySessionConf(t, "flink", func(c *core.Config) {
 		c.SetInt(core.FlinkDefaultParallelism, 2)
@@ -237,16 +227,13 @@ func TestFlinkPageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 // fifth the out-degree job PageRank runs first. Measured: 0.195 on the
 // benchmark's PageRank size; the plan that decoded the edges and the states
 // into driver maps every superstep and ran vprog in a driver loop read
-// 0.265. Under the race detector sync.Pool drops a quarter of what is Put
-// into it: 0.285 there (0.311 for the old plan), so the bound moves to 0.35.
-// Either bound fails one more allocation per vertex and superstep (+0.125),
-// and the first fails the old plan.
+// 0.265. The bound holds under the race detector too: 0.053 there, where
+// the staged files' record-at-a-time encode still passes a derived codec's
+// pooled cell, which the detector drops now and then. It fails one more
+// allocation per vertex and superstep (+0.125), and the old plan.
 func TestMapReducePageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 	const supersteps = 5
-	bound := 0.25
-	if raceEnabled {
-		bound = 0.35
-	}
+	const bound = 0.25
 	edges := datagen.RMAT(16, datagen.GraphSpec{Name: "allocs", Vertices: 5000, Edges: 40000})
 	s := paritySessionConf(t, "mapreduce", func(c *core.Config) {
 		c.SetInt(mapreduce.MRReduceTasks, 2)
