@@ -81,6 +81,12 @@ bench-tiny:
 # the job is strings.Contains plus the dfs line cursor ((*lineCursor).next and
 # its IndexByte); a runtime.memmove, countbody or memclrNoHeapPointers under
 # internal/dfs means a source went back to copying or pre-counting a split.
+# The aggregation path: `make profile PROFILE_BENCH=EngineWordCountFlink`,
+# then `go tool pprof -peek 'workloads.appendFields$' repro.test cpu.pprof` —
+# the tokenizer is about 15 % of samples, called from FlatMapAppend's kernel,
+# with nothing under it but a little runtime.growslice (each kernel
+# instance's scratch growing to a batch's words); a runtime.mallocgc under the
+# tokenizer, or strings.Fields in its place, means a slice per line came back.
 PROFILE_BENCH ?= EngineWordCountSpark
 PROFILE_TIME ?= 5s
 profile:
@@ -119,8 +125,9 @@ bench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>[,<name>...]|all"; exit 2; }
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
 
-# Short fuzz smoke over the byte decoders, the sort kernel and the split
-# reader: each fuzz target runs for a few seconds on top of its seeded corpus
+# Short fuzz smoke over the byte decoders, the sort kernel, the split
+# reader and WordCount's tokenizer: each fuzz target runs for a few seconds
+# on top of its seeded corpus
 # (arbitrary bytes into derived struct/slice/map decoders,
 # arbitrary bytes into the block decode every engine fetches through — values
 # that never alias their input and re-encode —, arbitrary keys through the
@@ -132,10 +139,11 @@ bench-pair:
 # arbitrary bytes × block size × buffer length × newline-aligned part cuts
 # through the dfs line reader every text source streams against
 # bytes.Split, random keyed pairs × partition counts × pre-partitioned
-# sides through spark's CoGroup and Join against a map-based reference, and
+# sides through spark's CoGroup and Join against a map-based reference,
 # random keyed pairs × partition counts × a static or dynamic side through
 # flink's Join inside a one-to-three-superstep bulk iteration against nested
-# loops).
+# loops, and arbitrary bytes after a non-empty prefix through WordCount's
+# tokenizer (appendFields) against strings.Fields, the prefix untouched).
 # CI runs this on every push; longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -147,3 +155,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLineBatches$$' -fuzztime $(FUZZTIME) ./internal/dfs
 	$(GO) test -run '^$$' -fuzz '^FuzzCoGroup$$' -fuzztime $(FUZZTIME) ./internal/engine/spark
 	$(GO) test -run '^$$' -fuzz '^FuzzJoin$$' -fuzztime $(FUZZTIME) ./internal/engine/flink
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFields$$' -fuzztime $(FUZZTIME) ./internal/workloads

@@ -161,20 +161,33 @@ func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 	})
 }
 
-// FlatMap applies f and flattens the results.
-func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
+// FlatMapAppend applies f to every record and flattens the results:
+// Flink's flatMap(T, Collector). f appends v's expansion — zero, one or many
+// records — to dst and returns the extended slice, so a batch's expansions
+// land in the kernel's output scratch with no per-record slice in between.
+// f may only append to dst and must return what append returned: the
+// records already in dst belong to earlier inputs of the batch, and dst is
+// the kernel's scratch, overwritten once the batch has gone downstream, so f
+// must not keep it or any slice of it.
+func FlatMapAppend[T, U any](d *Dataset[T], f func(dst []U, v T) []U) *Dataset[U] {
 	return narrow(d, core.OpFlatMap, "FlatMap", func(emit func(*recBatch[U])) func(*recBatch[T]) {
-		// Flatten the live records' expansions into scratch. sel must clear
+		// Append the live records' expansions to scratch. sel must clear
 		// every time: a downstream filter writes its selection into this
 		// same reused batch.
 		ob := &recBatch[U]{}
 		return func(b *recBatch[T]) {
 			ob.recs = ob.recs[:0]
 			ob.sel = nil
-			b.forEachLive(func(v T) { ob.recs = append(ob.recs, f(v)...) })
+			b.forEachLive(func(v T) { ob.recs = f(ob.recs, v) })
 			emit(ob)
 		}
 	})
+}
+
+// FlatMap applies f and flattens the results: FlatMapAppend over the slice
+// f returns, one slice per record. Prefer FlatMapAppend on a hot path.
+func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
+	return FlatMapAppend(d, func(dst []U, v T) []U { return append(dst, f(v)...) })
 }
 
 // Filter keeps records where f is true.

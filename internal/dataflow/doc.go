@@ -11,10 +11,19 @@
 //
 //	s, _ := dataflow.Open("flink", WithConfig(conf), WithRuntime(rt), WithFS(fs))
 //	lines := dataflow.TextFile(s, "wiki")
-//	words := dataflow.FlatMap(lines, func(l string) []string { return strings.Fields(l) })
+//	words := dataflow.FlatMapAppend(lines, func(dst []string, l string) []string {
+//		return append(dst, strings.Fields(l)...) // append l's words to dst, return it
+//	})
 //	pairs := dataflow.MapToPair(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 //	counts := dataflow.ReduceByKey(pairs, func(a, b int64) int64 { return a + b })
 //	err := dataflow.SaveAsText(counts, "counts")     // runs the engine's physical plan
+//
+// FlatMapAppend is Flink's flatMap(T, Collector): f appends a record's
+// expansion to dst, the kernel's output scratch, and returns the extended
+// slice — it may do nothing else with dst, which is overwritten after the
+// batch. A tokenizer that appends word by word (the workloads' WordCount)
+// allocates nothing per line; FlatMap(d, func(T) []U) is the same operator
+// over a slice per record.
 //
 // Nothing executes until an action (Collect, Count, SaveAsText, SaveBytes,
 // CollectAsMap, Iteration.Run) lowers the logical plan onto the session's

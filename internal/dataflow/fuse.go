@@ -25,7 +25,11 @@ import (
 // records into per-kernel scratch; Filter flips entries in the batch's
 // selection vector and moves no records at all. One closure call and one
 // selection scan per N records replaces N closure calls — the
-// dispatch-amortization the paper's per-record pipelines lack.
+// dispatch-amortization the paper's per-record pipelines lack. FlatMap's one
+// kernel is FlatMapAppend's: the user function is handed that scratch as dst
+// and appends the record's expansion to it (Flink's Collector), so the
+// kernel asks for no slice per record; only FlatMap's adapter, whose function
+// returns one, still builds it.
 //
 // The kernel is built in continuation-passing style with erased types: each
 // operator contributes a step that turns its output sink into its input
@@ -36,7 +40,11 @@ import (
 // rep — is captured when the chain starts, where R is statically known, so
 // execution does one type assertion per stream and none per push or record.
 //
-// Who owns a batch. Engines see a single contract (engineKernel):
+// Who owns a batch. Inside the chain, an operator's output batch is its own
+// scratch: Map and FlatMap reset it at every input batch, and a FlatMapAppend
+// function borrows it as dst only for the call that appends to it — it keeps
+// neither dst nor a slice of it, because the next input batch overwrites
+// them. Engines see a single contract (engineKernel):
 // they instantiate the kernel once per serial record stream around their
 // sink, func([]U) error, and push each []R the root yields through the
 // instance. The sink receives compacted, non-empty batches that are BORROWED

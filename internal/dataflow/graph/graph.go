@@ -65,8 +65,8 @@ func (g *Graph[V]) Edges() *dataflow.Dataset[datagen.Edge] { return g.edges }
 // pays for it in its own coin: Spark caches the doubled RDD, MapReduce
 // re-reads and re-doubles per job.
 func (g *Graph[V]) Undirected() *Graph[V] {
-	both := dataflow.FlatMap(g.edges, func(e datagen.Edge) []datagen.Edge {
-		return []datagen.Edge{e, {Src: e.Dst, Dst: e.Src}}
+	both := dataflow.FlatMapAppend(g.edges, func(dst []datagen.Edge, e datagen.Edge) []datagen.Edge {
+		return append(dst, e, datagen.Edge{Src: e.Dst, Dst: e.Src})
 	}).Cached()
 	return &Graph[V]{s: g.s, edges: both}
 }
@@ -75,8 +75,8 @@ func (g *Graph[V]) Undirected() *Graph[V] {
 // building block of NumVertices (distinct ids need a shuffle on every
 // engine: reduceByKey / groupBy→reduce / a Combine+Reduce job).
 func (g *Graph[V]) vertexIDs() *dataflow.Dataset[core.Pair[int64, int64]] {
-	ids := dataflow.FlatMap(g.edges, func(e datagen.Edge) []int64 {
-		return []int64{e.Src, e.Dst}
+	ids := dataflow.FlatMapAppend(g.edges, func(dst []int64, e datagen.Edge) []int64 {
+		return append(dst, e.Src, e.Dst)
 	})
 	pairs := dataflow.MapToPair(ids, func(id int64) core.Pair[int64, int64] {
 		return core.KV(id, int64(1))

@@ -32,14 +32,30 @@ func vectorSession(t *testing.T, engine string, width int) *dataflow.Session {
 	return s
 }
 
-// vectorPipeline runs the reference narrow+wide pipeline — flatMap → filter
-// → mapToPair → reduceByKey, plus a pure narrow Collect — and returns both
-// results canonically ordered.
-func vectorPipeline(t *testing.T, s *dataflow.Session, engine string) (string, string) {
+// flatMapForms are the two ways to write vectorPipeline's tokenizer: a slice
+// per line (FlatMap) and appends into the kernel's scratch (FlatMapAppend).
+var flatMapForms = map[string]func(*dataflow.Dataset[string]) *dataflow.Dataset[string]{
+	"FlatMap": func(lines *dataflow.Dataset[string]) *dataflow.Dataset[string] {
+		return dataflow.FlatMap(lines, strings.Fields)
+	},
+	"FlatMapAppend": func(lines *dataflow.Dataset[string]) *dataflow.Dataset[string] {
+		return dataflow.FlatMapAppend(lines, func(dst []string, l string) []string {
+			for _, w := range strings.Fields(l) {
+				dst = append(dst, w)
+			}
+			return dst
+		})
+	},
+}
+
+// vectorPipeline runs the reference narrow+wide pipeline — flatMap (in the
+// given form) → filter → mapToPair → reduceByKey, plus a pure narrow
+// Collect — and returns both results canonically ordered.
+func vectorPipeline(t *testing.T, s *dataflow.Session, engine, form string) (string, string) {
 	t.Helper()
 	s.FS().WriteFile("vec-in", []byte(vectorInput))
 	lines := dataflow.TextFile(s, "vec-in")
-	words := dataflow.FlatMap(lines, strings.Fields)
+	words := flatMapForms[form](lines)
 	short := dataflow.Filter(words, func(w string) bool { return len(w) <= 4 })
 	bang := dataflow.Map(short, func(w string) string { return w + "!" })
 	narrow, err := dataflow.Collect(bang)
@@ -57,13 +73,18 @@ func vectorPipeline(t *testing.T, s *dataflow.Session, engine string) (string, s
 	return fmt.Sprint(narrow), fmt.Sprint(counts)
 }
 
-// vectorInput is vectorPipeline's input: three fixed lines.
-const vectorInput = "the quick brown fox\njumps over the lazy dog\nthe end\n"
+// vectorInput is vectorPipeline's input: five fixed lines, two of which
+// expand to no words at all, so some batches (every one at width 1) reach
+// the filter empty.
+const vectorInput = "the quick brown fox\n\njumps over the lazy dog\n \t \nthe end\n"
 
 // TestVectorizedMatchesRecordAtATime pins the batch kernels to a plain loop
-// over the same three lines: the pipeline must produce the loop's results on
-// every engine at even and deliberately odd widths, including the degenerate
-// width 1, which is record-at-a-time execution.
+// over the same lines: the pipeline must produce the loop's results on every
+// engine, in both FlatMap forms, at even and deliberately odd widths,
+// including the degenerate width 1, which is record-at-a-time execution.
+// The filter downstream of the FlatMap writes its selection into the
+// FlatMap's reused output batch, so a stale selection from one batch would
+// show in the next.
 func TestVectorizedMatchesRecordAtATime(t *testing.T) {
 	var narrowRef []string
 	tally := map[string]int64{}
@@ -82,13 +103,15 @@ func TestVectorizedMatchesRecordAtATime(t *testing.T) {
 	wantNarrow, wantKeyed := fmt.Sprint(narrowRef), fmt.Sprint(keyedRef)
 
 	for _, engine := range dataflow.Names() {
-		for _, width := range []int{1, 3, 256, 1024} {
-			narrow, keyed := vectorPipeline(t, vectorSession(t, engine, width), engine)
-			if narrow != wantNarrow {
-				t.Errorf("%s width=%d narrow result %v, want %v", engine, width, narrow, wantNarrow)
-			}
-			if keyed != wantKeyed {
-				t.Errorf("%s width=%d keyed result %v, want %v", engine, width, keyed, wantKeyed)
+		for _, form := range []string{"FlatMap", "FlatMapAppend"} {
+			for _, width := range []int{1, 3, 256, 1024} {
+				narrow, keyed := vectorPipeline(t, vectorSession(t, engine, width), engine, form)
+				if narrow != wantNarrow {
+					t.Errorf("%s %s width=%d narrow result %v, want %v", engine, form, width, narrow, wantNarrow)
+				}
+				if keyed != wantKeyed {
+					t.Errorf("%s %s width=%d keyed result %v, want %v", engine, form, width, keyed, wantKeyed)
+				}
 			}
 		}
 	}

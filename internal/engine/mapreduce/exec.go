@@ -323,12 +323,19 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		return nil, err
 	}
 	less := func(a, b core.Pair[K, V]) bool { return a.Key < b.Key }
+	normKey := serde.PairNormKeyer[K, V](serde.NormKeyerFor[K]())
 	var merged []core.Pair[K, V]
-	if set.Kind == shuffle.Sort {
+	switch {
+	case set.Kind == shuffle.Sort:
 		// Heads are ordered by their normalized-key prefixes first, as
 		// Hadoop's merger compares serialized keys with a raw comparator.
-		merged = shuffle.ParallelMerge(c.rt, node, segments, less, serde.PairNormKeyer[K, V](serde.NormKeyerFor[K]()))
-	} else {
+		merged = shuffle.ParallelMerge(c.rt, node, segments, less, normKey)
+	case normKey != nil:
+		// Unordered hash segments are sorted whole by the same raw
+		// comparison: the stable order of the comparator sort below.
+		merged = shuffle.Concat(segments)
+		shuffle.SortByNormKey(merged, normKey)
+	default:
 		merged = shuffle.Concat(segments)
 		sort.SliceStable(merged, func(i, j int) bool { return less(merged[i], merged[j]) })
 	}

@@ -235,8 +235,15 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 				// prefixes (tungsten's UnsafeSorterSpillMerger).
 				return shuffle.ParallelMerge(ctx.rt, tc.node, segs, lessPair, serde.PairNormKeyer[K, C](normKey)), nil
 			}
+			// Hash shuffles deliver unordered buckets: sort them whole, by
+			// normalized key when there is a key writer — the same order as
+			// the stable comparison sort, which is left for keys without one.
 			all := shuffle.Concat(segs)
-			sort.SliceStable(all, func(i, j int) bool { return lessPair(all[i], all[j]) })
+			if normKey != nil {
+				shuffle.SortByNormKey(all, serde.PairNormKeyer[K, C](normKey))
+			} else {
+				sort.SliceStable(all, func(i, j int) bool { return lessPair(all[i], all[j]) })
+			}
 			return all, nil
 		}
 		return shuffle.FoldFirstSeen(segs, mergeCombiners), nil

@@ -46,7 +46,10 @@ func WordCountMapReduce(c *mapreduce.Cluster, input, output string) error {
 	job := mapreduce.Job[string, string, int64]{
 		Name: "WordCount",
 		Map: func(line string, emit func(string, int64)) {
-			for _, w := range strings.Fields(line) {
+			// Map tasks run concurrently, so the scratch is per call: an
+			// array on the stack, outgrown only by a line of over 16 words.
+			var buf [16]string
+			for _, w := range appendFields(buf[:0], line) {
 				emit(w, 1)
 			}
 		},

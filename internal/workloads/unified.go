@@ -27,7 +27,7 @@ func WordCount(s *dataflow.Session, input, output string) error {
 
 func wordCountPipeline(s *dataflow.Session, input string) *dataflow.Dataset[core.Pair[string, int64]] {
 	lines := dataflow.TextFile(s, input)
-	words := dataflow.FlatMap(lines, func(l string) []string { return strings.Fields(l) })
+	words := dataflow.FlatMapAppend(lines, appendFields)
 	pairs := dataflow.MapToPair(words, func(w string) core.Pair[string, int64] {
 		return core.KV(w, int64(1))
 	})
