@@ -83,10 +83,15 @@ bench-tiny:
 # internal/dfs means a source went back to copying or pre-counting a split.
 # The aggregation path: `make profile PROFILE_BENCH=EngineWordCountFlink`,
 # then `go tool pprof -peek 'workloads.appendFields$' repro.test cpu.pprof` —
-# the tokenizer is about 15 % of samples, called from FlatMapAppend's kernel,
-# with nothing under it but a little runtime.growslice (each kernel
+# the tokenizer is about 10 % of samples (15 % while it read a byte at a
+# time), called from FlatMapAppend's kernel, with nothing under it but its
+# inlined lane test (flagged) and a little runtime.growslice (each kernel
 # instance's scratch growing to a batch's words); a runtime.mallocgc under the
 # tokenizer, or strings.Fields in its place, means a slice per line came back.
+# The combine table's keyIndex.lookup is about 43 % (cumulative), with
+# maphash.String (≈ 8 %) and memeqbody (≈ 3 %) under it; a core.HashKey or
+# fnv1a frame under it means a combine path went back to the deterministic
+# routing hash (it was 9 % of samples on its own).
 PROFILE_BENCH ?= EngineWordCountSpark
 PROFILE_TIME ?= 5s
 profile:
@@ -134,8 +139,10 @@ bench-pair:
 # shuffle's run sorter against a stable sort, arbitrary sorted segments
 # (shared prefixes, short, empty and duplicate keys, with and without a
 # normalized-key writer) through its prefix-first merge against a
-# comparator-only stable merge, arbitrary keys and resets
-# through the combine table every engine folds with against a map fold,
+# comparator-only stable merge, arbitrary keys, resets and growth
+# through the combine table every engine folds with — its typed key index
+# under a test-hook hash of four values, so probe chains are crowded with
+# distinct keys — against a map fold,
 # arbitrary bytes × block size × buffer length × newline-aligned part cuts
 # through the dfs line reader every text source streams against
 # bytes.Split, random keyed pairs × partition counts × pre-partitioned
@@ -143,7 +150,9 @@ bench-pair:
 # random keyed pairs × partition counts × a static or dynamic side through
 # flink's Join inside a one-to-three-superstep bulk iteration against nested
 # loops, and arbitrary bytes after a non-empty prefix through WordCount's
-# tokenizer (appendFields) against strings.Fields, the prefix untouched).
+# eight-bytes-at-a-time tokenizer (appendFields; seeds put words, control
+# bytes and non-ASCII bytes at every lane position) against strings.Fields,
+# the prefix untouched).
 # CI runs this on every push; longer local sessions just raise -fuzztime.
 FUZZTIME ?= 5s
 fuzz-smoke:

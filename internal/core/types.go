@@ -83,6 +83,12 @@ func ParseByteSize(s string) (ByteSize, error) {
 // correct — mirroring how generic serializers fall back to reflection. The
 // switch is over a pointer to the key, which fits an interface word as is:
 // switching on any(k) would box the key, one heap allocation per string.
+// HashKey routes records to partitions and orders flink's sort-strategy
+// runs, so it is deterministic — the same value in every process — and
+// must stay so: a seeded hash here would move records between partitions
+// from run to run. The shuffle's combine table finds a key's entry with its
+// own process-seeded hash instead (shuffle.KeyBy), which never routes or
+// orders anything.
 func HashKey[K comparable](k K) uint64 {
 	switch p := any(&k).(type) {
 	case *string:

@@ -94,11 +94,11 @@ func CollectAsMap[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]]) (map[K]V, e
 }
 
 // SaveAsText writes one fmt line per record to the DFS, the text sink of
-// every engine (saveAsTextFile / writeAsText / TextOutputFormat-style).
+// every engine (saveAsTextFile / writeAsText / TextOutputFormat-style). A
+// pair of strings or integers is written without fmt, to the same bytes
+// (textEncoder).
 func SaveAsText[T any](d *Dataset[T], name string) error {
-	return SaveBytes(d, name, func(dst []byte, v T) []byte {
-		return append(fmt.Append(dst, v), '\n')
-	})
+	return SaveBytes(d, name, textEncoder[T]())
 }
 
 // SaveBytes writes every record through enc — which appends the record's

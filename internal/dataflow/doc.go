@@ -85,7 +85,8 @@
 // join, no copy) and counts RecordsWritten and DiskBytesWritten, once, the same on every engine; a
 // task that fails — a panic in the encoder included — fails the action and
 // leaves no file. SaveAsText is that sink with fmt's formatting plus a
-// newline as the encoder.
+// newline as the encoder; a pair of strings or integers gets those bytes
+// without going through fmt.
 //
 // The plan an action runs can be rendered without running it:
 // PlanOf(workload, SaveSink(counts)) lowers the dataset through the same

@@ -21,13 +21,14 @@ type recordConsumer[T any] struct {
 }
 
 // keyed is what a keyed exchange tells the shuffle core about its key: its
-// hash and its equality. Runs of the sort strategy order by the hash — as
-// normalized eight-byte keys, Flink sorting on key prefixes rather than user
-// comparators — which puts equal keys side by side without a comparator for
-// the key type; a combiner finds a record's entry through both.
+// deterministic hash, which routes records and orders the sort strategy's
+// runs — as normalized eight-byte keys, Flink sorting on key prefixes rather
+// than user comparators — so equal keys sit side by side without a
+// comparator for the key type; and the typed key a combiner's table finds a
+// record's entry by.
 type keyed[T any] struct {
 	hash func(T) uint64
-	same func(a, b T) bool
+	key  shuffle.Key[T]
 }
 
 // newExchange wires a repartitioning edge between parent (P producer
@@ -86,7 +87,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 				Route:    route,
 			}
 			if key != nil {
-				spec.Hash, spec.Same, spec.Merge = key.hash, key.same, merge
+				spec.Key, spec.Merge = key.key, merge
 				spec.Less = func(a, b T) bool { return key.hash(a) < key.hash(b) }
 				spec.NormKey = func(v T, dst []byte) []byte {
 					return binary.BigEndian.AppendUint64(dst, key.hash(v))

@@ -32,7 +32,7 @@ func (g *Grouped[K, T]) keyed() *keyed[T] {
 	key := g.key
 	return &keyed[T]{
 		hash: func(v T) uint64 { return core.HashKey(key(v)) },
-		same: func(a, b T) bool { return key(a) == key(b) },
+		key:  shuffle.KeyBy(key),
 	}
 }
 
@@ -61,7 +61,7 @@ func Reduce[K comparable, T any](g *Grouped[K, T], f func(T, T) T) *DataSet[T] {
 	return newExchange[T, T](groupCombine(g.ds), "GroupReduce", core.OpGroupReduce, g.parallelism,
 		g.route(key), key, f,
 		func(part int, out partSink[T]) recordConsumer[T] {
-			fold := shuffle.NewFold(key.hash, key.same, f)
+			fold := shuffle.NewFold(key.key, f)
 			return recordConsumer[T]{
 				accept: func(batch []T) error {
 					fold.Add(batch)

@@ -191,8 +191,7 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 		Codec:    codec,
 		Route:    func(p core.Pair[K, V]) int { return partition(p.Key, reduces) },
 		Less:     func(a, b core.Pair[K, V]) bool { return a.Key < b.Key },
-		Same:     func(a, b core.Pair[K, V]) bool { return a.Key == b.Key },
-		Hash:     func(p core.Pair[K, V]) uint64 { return core.HashKey(p.Key) },
+		Key:      shuffle.PairKey[K, V](),
 		// MapReduce keys always sort in natural order, so the binary
 		// normalized-key sort applies whenever K has one.
 		NormKey: serde.PairNormKeyer[K, V](serde.NormKeyerFor[K]()),

@@ -55,8 +55,7 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 		NumParts: sd.numParts,
 		Codec:    codec,
 		Route:    func(p core.Pair[K, C]) int { return part.Partition(p.Key) },
-		Same:     func(a, b core.Pair[K, C]) bool { return a.Key == b.Key },
-		Hash:     func(p core.Pair[K, C]) uint64 { return core.HashKey(p.Key) },
+		Key:      shuffle.PairKey[K, C](),
 	}
 	if less != nil {
 		spec.Less = func(a, b core.Pair[K, C]) bool { return less(a.Key, b.Key) }

@@ -48,7 +48,7 @@ func referenceCut(spec Spec[kv], spillRecs int, recs []kv) [][]byte {
 	for _, rec := range recs {
 		at := -1
 		if spec.Merge != nil {
-			at = slices.IndexFunc(held, func(h kv) bool { return spec.Same(h, rec) })
+			at = slices.IndexFunc(held, func(h kv) bool { return spec.Key.same(h, rec) })
 		}
 		if at >= 0 {
 			held[at] = spec.Merge(held[at], rec)
@@ -81,11 +81,11 @@ func referenceCut(spec Spec[kv], spillRecs int, recs []kv) [][]byte {
 				if spec.Less == nil {
 					var grouped []kv
 					for i, rec := range part {
-						if slices.IndexFunc(part[:i], func(h kv) bool { return spec.Same(h, rec) }) >= 0 {
+						if slices.IndexFunc(part[:i], func(h kv) bool { return spec.Key.same(h, rec) }) >= 0 {
 							continue
 						}
 						for _, later := range part[i:] {
-							if spec.Same(rec, later) {
+							if spec.Key.same(rec, later) {
 								grouped = append(grouped, later)
 							}
 						}

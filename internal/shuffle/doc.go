@@ -89,6 +89,18 @@
 // Merge folds each record into its key's entry of an open-addressed combine
 // table the moment it arrives (Spark's PartitionedAppendOnlyMap: fold on
 // insert, spill the map, not the input).
+// The table is indexed by the edge's typed key (Spec.Key, built by KeyBy
+// from a key accessor): each record's key is hashed once — maphash for
+// string kinds, an inline 64-bit mixer for integer kinds, core.HashKey for
+// any other — and compared with ==, and string keys are interned into the
+// index's own arena so that a probe reads contiguous bytes. That hash is
+// process-seeded and private to one index: it finds entries and never
+// routes or orders a record, so the output is the same under every seed.
+// Only core.HashKey routes records (hash partitioners, flink's keyed
+// exchanges) or orders them (flink's sort-strategy runs), and it must stay
+// deterministic. (Spec.Hash and Spec.Same are the key's closure form, an
+// indirect call per hash and per compare; a combining Spec without a Key is
+// indexed by them.)
 // What such a writer holds is therefore one record per distinct key, in
 // first-seen order, and everything downstream sees exactly that: SpillRecs,
 // SpillBytes and the Env.Mem grants count held entries — as Spark's

@@ -32,18 +32,17 @@ func DecodeBlocks[R any](set Settings, codec serde.Codec[R], blocks []Block) ([]
 
 // Fold is the one reduce-side keyed fold, over the combine table the writers
 // fold with map-side: Add folds decoded batches in as they arrive (merge
-// joins a record to the entry that hash and same find for its key), Drain
-// hands back one record per key in the order the keys were first seen. Spark's
-// aggregation over fetched segments (FoldFirstSeen) and flink's GroupReduce
-// consumer, which adds packets as its exchange delivers them, are both this.
+// joins a record to the entry its key finds), Drain hands back one record per
+// key in the order the keys were first seen. Spark's aggregation over fetched
+// segments (FoldFirstSeen) and flink's GroupReduce consumer, which adds
+// packets as its exchange delivers them, are both this.
 type Fold[R any] struct {
 	t combineTable[R]
 }
 
-// NewFold builds an empty fold. hash and same are the key's, merge the
-// combiner's, as on a Spec.
-func NewFold[R any](hash func(R) uint64, same func(a, b R) bool, merge func(a, b R) R) *Fold[R] {
-	return &Fold[R]{t: combineTable[R]{hash: hash, same: same, merge: merge}}
+// NewFold builds an empty fold. key and merge are as on a Spec.
+func NewFold[R any](key Key[R], merge func(a, b R) R) *Fold[R] {
+	return &Fold[R]{t: combineTable[R]{key: key, merge: merge}}
 }
 
 // Add folds a batch in. The slice is only read during the call.
@@ -57,9 +56,7 @@ func (f *Fold[R]) Drain() []R { return f.t.take() }
 // merge, keys keep the order they were first seen across segments — the
 // reduce path Spark's aggregation uses for combined shuffles.
 func FoldFirstSeen[K comparable, C any](segs [][]core.Pair[K, C], merge func(C, C) C) []core.Pair[K, C] {
-	f := NewFold(
-		func(p core.Pair[K, C]) uint64 { return core.HashKey(p.Key) },
-		func(a, b core.Pair[K, C]) bool { return a.Key == b.Key },
+	f := NewFold(PairKey[K, C](),
 		func(a, b core.Pair[K, C]) core.Pair[K, C] { return core.KV(a.Key, merge(a.Value, b.Value)) })
 	for _, seg := range segs {
 		f.Add(seg)

@@ -171,7 +171,7 @@ type Spec[R any] struct {
 	// Less is the within-partition record order. The sort strategy spills
 	// key-sorted runs and merges them when Less is set; with Less nil it
 	// groups by partition only (tungsten-style). Must be consistent with
-	// Same: equal records compare unordered.
+	// Key: records with equal keys compare unordered.
 	Less func(a, b R) bool
 	// NormKey, when set alongside Less, appends the record's FULL
 	// normalized sort key (see serde.NormKeyerFor): a
@@ -182,10 +182,18 @@ type Spec[R any] struct {
 	// merely a prefix of the logical order would diverge from Less-only
 	// engines and break cross-engine parity; it must be total.
 	NormKey func(v R, dst []byte) []byte
-	// Same reports key equality, required by Merge and CombineRun.
+	// Key is the record key the combine table indexes and combining
+	// compares (KeyBy), required when Merge or CombineRun is set. The
+	// index's hash of it is process-seeded and private to one table: it
+	// never routes or orders a record, so no output depends on the seed.
+	// Route decides where a record goes; a hash it uses (core.HashKey)
+	// must be deterministic.
+	Key Key[R]
+	// Same and Hash are Key's closure form — key equality and a key hash —
+	// by which a combining Spec without a Key is indexed: an indirect call
+	// per hash and per compare, where KeyBy's index hashes the key's type
+	// inline and compares with ==.
 	Same func(a, b R) bool
-	// Hash is the key hash for the combine table, required when Merge or
-	// CombineRun is set (core.HashKey over the record's key).
 	Hash func(R) uint64
 	// Merge is the pairwise map-side combiner (nil disables pairwise
 	// combining): under both strategies a record folds into its key's
@@ -276,8 +284,11 @@ func NewWriter[R any](spec Spec[R], env Env) Writer[R] {
 	if spec.NumParts <= 0 {
 		panic("shuffle: writer needs at least one partition")
 	}
-	if spec.combining() && (spec.Same == nil || spec.Hash == nil) {
-		panic("shuffle: combining writers need Same and Hash")
+	if spec.combining() && spec.Key == nil {
+		if spec.Same == nil || spec.Hash == nil {
+			panic("shuffle: combining writers need a Key")
+		}
+		spec.Key = &funcKey[R]{hash: spec.Hash, eq: spec.Same}
 	}
 	if env.Settings.Kind == Sort {
 		return newSortWriter(spec, env)

@@ -23,8 +23,7 @@ func pairSpec(parts int, combine bool) Spec[core.Pair[string, int64]] {
 			return int(core.HashKey(p.Key) % uint64(parts))
 		},
 		Less: func(a, b core.Pair[string, int64]) bool { return a.Key < b.Key },
-		Same: func(a, b core.Pair[string, int64]) bool { return a.Key == b.Key },
-		Hash: func(p core.Pair[string, int64]) uint64 { return core.HashKey(p.Key) },
+		Key:  PairKey[string, int64](),
 	}
 	if combine {
 		s.Merge = func(a, b core.Pair[string, int64]) core.Pair[string, int64] {
@@ -627,9 +626,7 @@ func TestFoldFirstSeen(t *testing.T) {
 		if got := FoldFirstSeen(c.segs, merge); !slices.Equal(got, want) {
 			t.Errorf("%s: FoldFirstSeen = %v, the map fold gives %v", c.name, got, want)
 		}
-		f := NewFold(
-			func(p core.Pair[string, int64]) uint64 { return uint64(len(p.Key)) },
-			func(a, b core.Pair[string, int64]) bool { return a.Key == b.Key },
+		f := NewFold(collidingPairKey(func(k string) uint64 { return uint64(len(k)) }),
 			func(a, b core.Pair[string, int64]) core.Pair[string, int64] {
 				return core.KV(a.Key, merge(a.Value, b.Value))
 			})

@@ -2,22 +2,60 @@ package shuffle
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
+// collidingKey is a typed key whose index hashes through h instead of the
+// key type's own hash: the test hook that crowds probe chains with distinct
+// keys. Everything else — the == compare, string interning, growth — is
+// KeyBy's index.
+type collidingKey[R any, K comparable] struct {
+	key func(R) K
+	h   func(K) uint64
+}
+
+func (c collidingKey[R, K]) same(a, b R) bool { return c.key(a) == c.key(b) }
+
+func (c collidingKey[R, K]) index() index[R] {
+	ix := newKeyIndex(c.key)
+	ix.kind, ix.other = hashOther, c.h
+	return ix
+}
+
+// collidingPairKey is collidingKey over the pairs most tests fold.
+func collidingPairKey(h func(string) uint64) Key[core.Pair[string, int64]] {
+	return collidingKey[core.Pair[string, int64], string]{func(p core.Pair[string, int64]) string { return p.Key }, h}
+}
+
+// pairIndex is a table's index, built if no lookup has built it yet.
+func pairIndex(tab *combineTable[core.Pair[string, int64]]) *keyIndex[core.Pair[string, int64], string] {
+	if tab.idx == nil {
+		tab.idx = tab.key.index()
+	}
+	return tab.idx.(*keyIndex[core.Pair[string, int64], string])
+}
+
 // TestCombineTableMatchesMapFold drives the table against a plain map fold
-// with Hash forced onto five values: every probe chain is full of distinct
-// keys sharing a hash, which must never merge, and 3 000 keys take the index
-// from 64 slots through seven doublings. Entries must stay in first-seen
-// order, and a reset table must behave like a new one.
+// with the index hash forced onto five values: every probe chain is full of
+// distinct keys sharing a hash, which must never merge, and 3 000 keys take
+// the index from 64 slots through seven doublings. Entries must stay in
+// first-seen order, the index's interned keys must be the entries' keys, and
+// a reset table must behave like a new one.
 func TestCombineTableMatchesMapFold(t *testing.T) {
 	spec := pairSpec(1, true)
-	spec.Hash = func(p core.Pair[string, int64]) uint64 { return uint64(len(p.Key)+int(p.Key[0])) % 5 }
+	hooked := 0
+	spec.Key = collidingPairKey(func(k string) uint64 {
+		hooked++
+		return uint64(len(k)+int(k[0])) % 5
+	})
 	tab := newCombineTable(&spec)
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 2; round++ {
@@ -35,8 +73,12 @@ func TestCombineTableMatchesMapFold(t *testing.T) {
 		if len(tab.entries) != len(order) {
 			t.Fatalf("round %d: %d entries for %d distinct keys", round, len(tab.entries), len(order))
 		}
-		if len(tab.slots) < 2*len(order) || len(tab.slots) <= tableMinSlots {
-			t.Errorf("round %d: %d slots index %d entries — the table never grew", round, len(tab.slots), len(order))
+		if hooked < 20000*(round+1) {
+			t.Fatalf("round %d: the index hashed %d of %d keys through the test hook", round, hooked, 20000*(round+1))
+		}
+		ix := pairIndex(&tab)
+		if len(ix.s) < 2*len(order) || len(ix.s) <= tableMinSlots {
+			t.Errorf("round %d: %d slots index %d entries — the table never grew", round, len(ix.s), len(order))
 		}
 		for i, e := range tab.entries {
 			if e.Key != order[i] {
@@ -45,14 +87,99 @@ func TestCombineTableMatchesMapFold(t *testing.T) {
 			if e.Value != want[e.Key] {
 				t.Errorf("round %d: fold[%s] = %d, want %d", round, e.Key, e.Value, want[e.Key])
 			}
+			if k := ix.ents[i].k; k != e.Key || unsafe.StringData(k) == unsafe.StringData(e.Key) {
+				t.Fatalf("round %d: index key %d is %q at %p, want an interned copy of %q", round, i, k, unsafe.StringData(k), e.Key)
+			}
 		}
 		tab.reset()
 	}
 }
 
+// TestIndexSeedDoesNotShowInEntries: the index hash is process-seeded, yet
+// two tables under different seeds hold the same entries in the same order,
+// for string and for integer keys — only the probe sequence differs.
+func TestIndexSeedDoesNotShowInEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	words := make([]core.Pair[string, int64], 20000)
+	ids := make([]core.Pair[int64, int64], len(words))
+	for i := range words {
+		n := rng.Intn(3000)
+		words[i] = core.KV(fmt.Sprintf("w%d", n), int64(i))
+		ids[i] = core.KV(int64(n)*7919-1<<40, int64(i))
+	}
+	sum := func(a, b int64) int64 { return a + b }
+	fold := func(segs [][]core.Pair[string, int64], seed maphash.Seed) []core.Pair[string, int64] {
+		f := NewFold(PairKey[string, int64](), func(a, b core.Pair[string, int64]) core.Pair[string, int64] {
+			return core.KV(a.Key, sum(a.Value, b.Value))
+		})
+		f.t.idx = f.t.key.index()
+		f.t.idx.(*keyIndex[core.Pair[string, int64], string]).seed = seed
+		for _, seg := range segs {
+			f.Add(seg)
+		}
+		return f.Drain()
+	}
+	a, b := maphash.MakeSeed(), maphash.MakeSeed()
+	if maphash.String(a, "w1") == maphash.String(b, "w1") {
+		t.Fatal("two fresh seeds hash a key alike")
+	}
+	if x, y := fold([][]core.Pair[string, int64]{words}, a), fold([][]core.Pair[string, int64]{words}, b); !slices.Equal(x, y) {
+		t.Errorf("string keys: seeds give different entries:\n%v\n%v", x[:5], y[:5])
+	}
+	ifold := func(iseed uint64) []core.Pair[int64, int64] {
+		tab := combineTable[core.Pair[int64, int64]]{key: PairKey[int64, int64](), merge: func(a, b core.Pair[int64, int64]) core.Pair[int64, int64] {
+			return core.KV(a.Key, sum(a.Value, b.Value))
+		}}
+		tab.idx = tab.key.index()
+		tab.idx.(*keyIndex[core.Pair[int64, int64], int64]).iseed = iseed
+		tab.addAll(ids)
+		return tab.take()
+	}
+	if x, y := ifold(1), ifold(0x9e3779b97f4a7c15); !slices.Equal(x, y) {
+		t.Errorf("int64 keys: seeds give different entries:\n%v\n%v", x[:5], y[:5])
+	}
+}
+
+// TestWarmLookupAllocatesNothing: once a key is in the index, finding it
+// again costs no allocation, for string and for int64 keys.
+func TestWarmLookupAllocatesNothing(t *testing.T) {
+	words := make([]core.Pair[string, int64], 500)
+	ids := make([]core.Pair[int64, int64], len(words))
+	for i := range words {
+		words[i] = core.KV(fmt.Sprintf("word%d", i), int64(1))
+		ids[i] = core.KV(int64(i)<<20, int64(1))
+	}
+	sx := PairKey[string, int64]().index()
+	ix := PairKey[int64, int64]().index()
+	for i := range words {
+		sx.lookup(words[i])
+		ix.lookup(ids[i])
+	}
+	for name, probe := range map[string]func(){
+		"string": func() {
+			for _, w := range words {
+				if _, seen := sx.lookup(w); !seen {
+					t.Fatalf("%q lost", w.Key)
+				}
+			}
+		},
+		"int64": func() {
+			for _, id := range ids {
+				if _, seen := ix.lookup(id); !seen {
+					t.Fatalf("%d lost", id.Key)
+				}
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(20, probe); n != 0 {
+			t.Errorf("%s keys: %v allocations per warm pass, want 0", name, n)
+		}
+	}
+}
+
 func TestGroupByKeyKeepsFirstSeenAndArrivalOrder(t *testing.T) {
 	spec := pairSpec(1, false)
-	spec.Hash = func(core.Pair[string, int64]) uint64 { return 7 } // every key collides
+	spec.Key = collidingPairKey(func(string) uint64 { return 7 }) // every key collides
 	run := []core.Pair[string, int64]{
 		core.KV("b", int64(1)), core.KV("a", int64(2)), core.KV("b", int64(3)),
 		core.KV("c", int64(4)), core.KV("a", int64(5)), core.KV("b", int64(6)),
@@ -156,7 +283,7 @@ func sumRuns(t *testing.T, name string) func(run []core.Pair[string, int64]) []c
 }
 
 // FuzzCombineTable drives the table all three engines fold through with
-// arbitrary byte keys under a hash of at most four values, so every probe
+// arbitrary byte keys under an index hash of at most four values, so every probe
 // chain is crowded with distinct keys that must not merge, and holds its
 // entries — contents and first-seen order — to a Go-map fold. The input is a
 // list of operations: 0xF0 resets the table, 0xF1 doubles its index ahead of
@@ -183,8 +310,7 @@ func FuzzCombineTable(f *testing.F) {
 		type rec = core.Pair[string, int64]
 		merge := func(a, b int64) int64 { return 31*a + b }
 		tab := combineTable[rec]{
-			hash:  func(p rec) uint64 { return uint64(len(p.Key)) & 3 },
-			same:  func(a, b rec) bool { return a.Key == b.Key },
+			key:   collidingPairKey(func(k string) uint64 { return uint64(len(k)) & 3 }),
 			merge: func(a, b rec) rec { return core.KV(a.Key, merge(a.Value, b.Value)) },
 		}
 		want := map[string]int64{}
@@ -235,8 +361,8 @@ func FuzzCombineTable(f *testing.F) {
 				tab.reset()
 				forget()
 			case 0xF1:
-				if len(tab.slots) < 1<<16 { // a run of these must not double the index without bound
-					tab.grow()
+				if ix := pairIndex(&tab); len(ix.s) < 1<<16 { // a run of these must not double the index without bound
+					growSlots(&ix.slots, ix.ents)
 				}
 			case 0xF2:
 				check(tab.take())
@@ -246,4 +372,44 @@ func FuzzCombineTable(f *testing.F) {
 		tab.addAll(batch)
 		check(tab.entries)
 	})
+}
+
+// TestClosureKeyWritesLikeKeyBy: a combining Spec that gives Hash and Same
+// instead of a Key — here a weak hash — folds through the closure index to
+// the very blocks KeyBy's index gives, under both strategies and both
+// combiners.
+func TestClosureKeyWritesLikeKeyBy(t *testing.T) {
+	recs, _ := wideRecords(20000, 3000)
+	blocks := func(spec Spec[core.Pair[string, int64]], kind Kind) map[int][]byte {
+		out := map[int][]byte{}
+		w := NewWriter(spec, Env{Settings: Settings{Kind: kind}, Emit: func(part int, b Block) error {
+			out[part] = append(out[part], b.Bytes()...)
+			b.Release()
+			return nil
+		}})
+		if err := w.WriteBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, kind := range []Kind{Hash, Sort} {
+		for _, runLevel := range []bool{false, true} {
+			name := fmt.Sprintf("%v/runLevel=%v", kind, runLevel)
+			typed := pairSpec(3, !runLevel)
+			typed.Less = nil
+			if runLevel {
+				typed.CombineRun = sumRuns(t, name)
+			}
+			closure := typed
+			closure.Key = nil
+			closure.Same = func(a, b core.Pair[string, int64]) bool { return a.Key == b.Key }
+			closure.Hash = func(p core.Pair[string, int64]) uint64 { return uint64(len(p.Key)) }
+			if got, want := blocks(closure, kind), blocks(typed, kind); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: the closure key writes other blocks than KeyBy's", name)
+			}
+		}
+	}
 }

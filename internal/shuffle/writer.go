@@ -729,7 +729,7 @@ func combineAdjacent[R any](part []R, spec Spec[R]) []R {
 		out := part[:0:0]
 		acc := part[0]
 		for _, rec := range part[1:] {
-			if spec.Same(acc, rec) {
+			if spec.Key.same(acc, rec) {
 				acc = spec.Merge(acc, rec)
 				continue
 			}

@@ -36,8 +36,8 @@ import (
 //     in which the shuffle core folds map-side combines on arrival; one
 //     sweep scatters ±10 % around them (a 768 KiB WordCount cell: ±3 ms).
 //     The aggregate constants of all three engines are from those sweeps
-//     (core.HashKey sits under every engine's WordCount), so is everything
-//     spark and mapreduce, and flink's fixed part (re-read after input
+//     (read while core.HashKey still hashed every WordCount combine), so
+//     is everything spark and mapreduce, and flink's fixed part (re-read after input
 //     splits moved into the tasks that consume them: mean intercept 1.45).
 //     Flink's aggregate, Sort-shape and channel constants are per-cell
 //     medians over six sweeps of that later state, the one engine whose

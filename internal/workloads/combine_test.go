@@ -82,3 +82,46 @@ func TestFlinkCombineStrategiesKeepParity(t *testing.T) {
 		}
 	}
 }
+
+// TestWordCountOutputIgnoresIndexSeeds: every combine table hashes with a
+// process-seeded index hash and every new table draws a fresh seed, so two
+// runs of one job fold under different seeds. The output must not show it:
+// byte for byte on spark and mapreduce (under both shuffle strategies —
+// mapreduce's hash strategy groups its runs through the same index), whose
+// output order follows first-seen order; line for line on flink, whose
+// reduce emits in packet-arrival order.
+func TestWordCountOutputIgnoresIndexSeeds(t *testing.T) {
+	text := datagen.Text(23, 256<<10, 10)
+	runs := []struct {
+		engine  string
+		edit    func(*core.Config)
+		ordered bool
+	}{
+		{"spark", nil, true},
+		{"mapreduce", nil, true},
+		{"mapreduce", func(c *core.Config) { c.Set(core.ShuffleStrategy, "hash") }, true},
+		{"flink", nil, false},
+	}
+	for _, r := range runs {
+		var outs [2]string
+		for i := range outs {
+			s := paritySessionConf(t, r.engine, r.edit)
+			s.FS().WriteFile("wiki", text)
+			if err := WordCount(s, "wiki", "wc-out"); err != nil {
+				t.Fatalf("%s: %v", r.engine, err)
+			}
+			if r.ordered {
+				f, err := s.FS().Open("wc-out")
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = string(f.Contents())
+			} else {
+				outs[i] = sortedLines(t, s, "wc-out")
+			}
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s (hash strategy: %v): two runs of WordCount differ", r.engine, r.edit != nil)
+		}
+	}
+}
