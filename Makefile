@@ -3,8 +3,8 @@ GO ?= go
 # Coverage floor (%) enforced by `make cover` over the unified-API packages
 # (the graph subsystem included) plus the shared shuffle core and the
 # cost-based planner. The planner additionally carries its own, higher floor: its
-# decisions steer every adaptive run, so the package stays near-fully
-# exercised.
+# decisions are the configurations ext10 and make calibrate measure, so the
+# package stays near-fully exercised.
 COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
 COVER_PKGS = ./internal/dataflow/... ./internal/shuffle/... ./internal/streaming/... ./internal/planner/...
@@ -49,12 +49,11 @@ cover:
 # experiments — tab1 (operator plans), ext4 (a three-way graph run), ext6
 # (the shuffle strategy × parallelism sweep on the real engines), ext7
 # (streaming latency percentiles, micro-batch vs per-event) and ext10
-# (adaptive execution: planner regret vs a measured oracle, plus the runtime
-# re-planning cell) — whose reports land in BENCH_smoke.json, the per-push CI
-# artifact the benchguard regression gate compares across pushes. GOGC is
-# pinned and every go-test benchmark runs exactly one iteration so the
-# measured cells see one collector schedule run-to-run instead of whatever
-# heap the previous target left behind.
+# (static planner regret vs a measured oracle) — whose reports land in
+# BENCH_smoke.json, the per-push CI artifact the benchguard regression gate
+# compares across pushes. GOGC is pinned and every go-test benchmark runs
+# exactly one iteration so the measured cells see one collector schedule
+# run-to-run instead of whatever heap the previous target left behind.
 BENCH_GOGC ?= 100
 BENCHTIME ?= 1x
 bench-smoke:
@@ -106,12 +105,11 @@ profile:
 calibrate:
 	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -calibrate
 
-# ext10's wall-clock ratio gates (static planner regret ≤ 1.5× the measured
-# oracle above a 5 ms gap; adaptive ≤ 1.3× its held static start). Each
-# ratio is re-measured in alternating runs by the experiment itself; they
-# are millisecond-scale, so run this alone on the machine — it is not part
-# of `go test ./...`, where TestExt10AdaptiveExecution keeps only the
-# mechanism assertions.
+# ext10's wall-clock ratio gate (static planner regret ≤ 1.5× the measured
+# oracle above a 5 ms gap). The ratio is re-measured in alternating runs by
+# the experiment itself; it is millisecond-scale, so run this alone on the
+# machine — it is not part of `go test ./...`, where
+# TestExt10AdaptiveExecution checks only the report's shape.
 ext10-gates:
 	EXT10_GATES=1 $(GO) test -count=1 -run '^TestExt10Gates$$' -v ./internal/experiments
 

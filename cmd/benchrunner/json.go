@@ -28,14 +28,13 @@ type jsonRow struct {
 	FlinkP50 *float64 `json:"flink_p50_ms,omitempty"`
 	FlinkP99 *float64 `json:"flink_p99_ms,omitempty"`
 	// Planner reports (ext10): measured seconds of the planner's choice,
-	// the oracle sweep's best and worst fixed configurations, the regret
-	// ratio and the re-plan count. All lower-is-better, so the guard's
+	// the oracle sweep's best and worst fixed configurations and the regret
+	// ratio. All lower-is-better, so the guard's
 	// generic comparison applies; the chosen configuration rides in note.
 	PlannerSec *float64 `json:"planner_choice_s,omitempty"`
 	OracleSec  *float64 `json:"oracle_s,omitempty"`
 	WorstSec   *float64 `json:"worst_fixed_s,omitempty"`
 	Regret     *float64 `json:"planner_regret,omitempty"`
-	Replans    *float64 `json:"replans,omitempty"`
 	Note       string   `json:"note,omitempty"`
 }
 
@@ -63,7 +62,6 @@ func toJSONReport(rep *experiments.Report) jsonReport {
 			jr.OracleSec = finite(row.OracleSec)
 			jr.WorstSec = finite(row.WorstSec)
 			jr.Regret = finite(row.Regret)
-			jr.Replans = finite(row.Replans)
 		} else if rep.Latency {
 			jr.SparkP50 = finite(row.Spark)
 			jr.SparkP99 = finite(row.SparkP99)

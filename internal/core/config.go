@@ -74,8 +74,7 @@ const (
 	// vectorized dataflow path: fused narrow chains invoke their compiled
 	// kernel once per batch of this many records (selection vectors carry
 	// filters), and the engines feed the shuffle map side batch-at-a-time.
-	// 0 keeps DefaultExecBatchSize; the planner may tune it via SetDerived
-	// (explicit user settings always win). See internal/dataflow/fuse.go.
+	// 0 keeps DefaultExecBatchSize. See internal/dataflow/fuse.go.
 	ExecBatchSize = "exec.batch.size"
 
 	// BufferSize is the network/shuffle buffer size shared by both
@@ -108,7 +107,7 @@ const (
 const DefaultExecBatchSize = 256
 
 // ExecBatch resolves the execution batch width: exec.batch.size when
-// positive (explicit or planner-derived), DefaultExecBatchSize otherwise —
+// positive, DefaultExecBatchSize otherwise —
 // including for a nil Config, so engines constructed without one still
 // batch at the default width.
 func ExecBatch(c *Config) int {

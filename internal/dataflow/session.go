@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine/mapreduce"
 	"repro/internal/engine/spark"
 	"repro/internal/metrics"
-	"repro/internal/planner"
 )
 
 // Kind identifies the execution model a Session lowers onto.
@@ -59,10 +58,6 @@ type Session struct {
 	h      engine
 	nextID int
 	reps   map[int]any
-
-	// Planner state, set by Open when WithPlanner is used.
-	planner  *planner.Planner
-	decision *planner.Decision
 }
 
 // NewSession binds an engine handle the caller built.
@@ -99,29 +94,12 @@ func (s *Session) Metrics() *metrics.JobMetrics { return s.h.Metrics() }
 // Timeline returns the engine's operator timeline.
 func (s *Session) Timeline() *metrics.Timeline { return s.h.Timeline() }
 
-// PlannerDecision returns the decision made by WithPlanner, or nil when the
-// session was opened without a planner.
-func (s *Session) PlannerDecision() *planner.Decision { return s.decision }
-
-// StartAdaptive attaches the runtime re-planner to the session: every stage
-// boundary the engine reports is compared against the static decision's
-// estimates, and a divergence beyond planner.replan.ratio re-plans the
-// remaining work into the live configuration (explicit user keys still
-// win). Returns nil when the session was opened without WithPlanner; detach
-// with Monitor.Detach when done.
-func (s *Session) StartAdaptive() *planner.Monitor {
-	if s.decision == nil || s.planner == nil {
-		return nil
-	}
-	return planner.NewMonitor(s.planner, s.decision, s.h.Conf(), s.Metrics())
-}
-
 // driverRecords charges n records the driver goroutine handled itself to
 // metrics.JobMetrics.DriverRecords — one add per call site, never per record.
 func (s *Session) driverRecords(n int) { s.Metrics().DriverRecords.Add(int64(n)) }
 
 // batchWidth resolves the execution batch width: exec.batch.size when
-// positive (explicit or planner-derived), DefaultExecBatchSize otherwise.
+// positive, DefaultExecBatchSize otherwise.
 func (s *Session) batchWidth() int { return core.ExecBatch(s.h.Conf()) }
 
 // newNode allocates a logical plan node.

@@ -116,8 +116,7 @@ func (ctx *jobCtx) submit() error {
 		return err
 	}
 	// A pipelined plan has no internal barriers: job completion is the only
-	// boundary where an adaptive monitor can observe counters and re-plan
-	// the jobs that follow (e.g. later iterations driven from the driver).
+	// boundary it reports to the stage observer.
 	e.metrics.NotifyStage("pipeline")
 	return nil
 }

@@ -56,6 +56,12 @@ type Env struct {
 	slotsPerNode int
 	combineSort  bool
 
+	// parallelism and shuffleSet are resolved from the configuration once,
+	// in NewEnv: every plan built on the environment runs under them, so
+	// producers and consumers of one exchange always agree.
+	parallelism int
+	shuffleSet  shuffle.Settings
+
 	nextID atomic.Int64
 }
 
@@ -69,7 +75,13 @@ const FlinkCombineStrategy = "flink.combine.strategy"
 
 // NewEnv builds an environment over a runtime and DFS. Managed memory per
 // node is taskmanager.memory × memory.fraction, optionally off-heap;
-// serialization is always TypeInfo (Flink needs no serializer config).
+// serialization is always TypeInfo (Flink needs no serializer config). The
+// default parallelism is parallelism.default, or the cluster's task slots
+// when unset. The shuffle settings go through the shared shuffle core:
+// flink's native idiom is the pipelined hash repartition;
+// shuffle.strategy=sort turns keyed exchanges into sort-based pipeline
+// breakers. Buckets flush at the configured network buffer size, the
+// pipelining grain.
 func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 	if conf == nil {
 		conf = core.NewConfig()
@@ -97,32 +109,13 @@ func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 	if env.slotsPerNode <= 0 {
 		env.slotsPerNode = rt.SlotsPerNode()
 	}
-	return env
-}
-
-// curParallelism resolves the default parallelism from the live
-// configuration — per plan, so an adaptive re-plan between jobs changes the
-// next dataflow's degree.
-func (e *Env) curParallelism() int {
-	if p := e.conf.Int(core.FlinkDefaultParallelism, 0); p > 0 {
-		return p
+	env.parallelism = conf.Int(core.FlinkDefaultParallelism, 0)
+	if env.parallelism <= 0 {
+		env.parallelism = env.slotsPerNode * spec.Nodes
 	}
-	// Flink sizes parallelism to the available task slots.
-	return e.slotsPerNode * e.rt.Spec().Nodes
-}
-
-// curShuffleSettings resolves the shuffle settings from the live
-// configuration. The shared shuffle core: flink's native idiom is the
-// pipelined hash repartition; shuffle.strategy=sort turns keyed exchanges
-// into sort-based pipeline breakers. Buckets flush at the configured
-// network buffer size, the pipelining grain. Each exchange captures the
-// settings when the plan edge is built, so the write and read sides of one
-// exchange always agree even if the adaptive planner rewrites the
-// configuration while a job runs.
-func (e *Env) curShuffleSettings() shuffle.Settings {
-	set := shuffle.FromConf(e.conf, shuffle.Hash)
-	set.FlushBytes = int64(e.conf.Bytes(core.BufferSize, 32*core.KB))
-	return set
+	env.shuffleSet = shuffle.FromConf(conf, shuffle.Hash)
+	env.shuffleSet.FlushBytes = int64(conf.Bytes(core.BufferSize, 32*core.KB))
+	return env
 }
 
 // Conf returns the configuration.
@@ -138,7 +131,7 @@ func (e *Env) Metrics() *metrics.JobMetrics { return e.metrics }
 func (e *Env) Timeline() *metrics.Timeline { return e.timeline }
 
 // Parallelism returns the effective default parallelism.
-func (e *Env) Parallelism() int { return e.curParallelism() }
+func (e *Env) Parallelism() int { return e.parallelism }
 
 // Managed returns node n's managed memory pool (tests inspect it).
 func (e *Env) Managed(n int) *memory.Managed { return e.managed[n] }
@@ -155,7 +148,7 @@ func (e *Env) nodeOf(part int) int { return e.rt.NodeFor(part) }
 // (fromCollection). parallelism ≤ 0 uses the environment default.
 func FromSlice[T any](e *Env, data []T, parallelism int) *DataSet[T] {
 	if parallelism <= 0 {
-		parallelism = e.curParallelism()
+		parallelism = e.parallelism
 	}
 	if parallelism > len(data) && len(data) > 0 {
 		parallelism = len(data)
@@ -231,7 +224,7 @@ func splitSource[T any](e *Env, f *dfs.File,
 // sourceParallelism bounds source subtasks by the default parallelism and
 // the number of splits.
 func sourceParallelism(e *Env, splits int) int {
-	p := e.curParallelism()
+	p := e.parallelism
 	if splits < p {
 		p = splits
 	}

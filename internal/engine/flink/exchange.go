@@ -62,7 +62,7 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 	ds := newDataSet[U](e, []string{label}, kind, q, nil, planParent{ds: parent, exchange: true})
 	codec := serde.Of[T](e.style)
 	e.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
-	set := e.curShuffleSettings()
+	set := e.shuffleSet
 	if key == nil {
 		// A non-keyed edge has no order to sort by; it stays a pipelined
 		// hash repartition under every strategy.

@@ -16,7 +16,7 @@ type Grouped[K comparable, T any] struct {
 // GroupBy keys the DataSet with keyFn. The downstream parallelism defaults
 // to the environment's; WithParallelism overrides it.
 func GroupBy[T any, K comparable](d *DataSet[T], keyFn func(T) K) *Grouped[K, T] {
-	return &Grouped[K, T]{ds: d, key: keyFn, parallelism: d.env.curParallelism()}
+	return &Grouped[K, T]{ds: d, key: keyFn, parallelism: d.env.parallelism}
 }
 
 // WithParallelism sets the reduce-side parallelism.

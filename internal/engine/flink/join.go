@@ -28,7 +28,7 @@ type Joined[V, W any] struct {
 func Join[L, R any, K comparable](left *DataSet[L], right *DataSet[R],
 	lk func(L) K, rk func(R) K, q int) *DataSet[core.Pair[K, Joined[L, R]]] {
 	if q <= 0 {
-		q = left.env.curParallelism()
+		q = left.env.parallelism
 	}
 	parents := []planParent{{ds: left, exchange: true}, {ds: right, exchange: true}}
 	if left.scope != nil && right.scope == nil {
@@ -79,7 +79,7 @@ func hashJoin[B, P any, K comparable, U any](build *DataSet[B], probe *DataSet[P
 			}
 			fresh = isNew
 		}
-		set := e.curShuffleSettings()
+		set := e.shuffleSet
 		var bchans []chan shuffle.Packet
 		if fresh {
 			bchans = ctx.makeChannels(build.parallelism, q)
@@ -216,7 +216,7 @@ func CoGroup[L, R any, K comparable, U any](left *DataSet[L], right *DataSet[R],
 	lk func(L) K, rk func(R) K, q int, mustFit bool,
 	f func(K, []L, []R) []U) *DataSet[U] {
 	if q <= 0 {
-		q = left.env.curParallelism()
+		q = left.env.parallelism
 	}
 	e := left.env
 	ds := newDataSet[U](e, []string{"CoGroup"}, core.OpCoGroup, q, nil,
@@ -228,10 +228,7 @@ func CoGroup[L, R any, K comparable, U any](left *DataSet[L], right *DataSet[R],
 	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
 		lchans := ctx.makeChannels(left.parallelism, q)
 		rchans := ctx.makeChannels(right.parallelism, q)
-		// One settings capture covers both sides and both drains: producers
-		// and consumers of one exchange must agree even if the adaptive
-		// planner rewrites the configuration while the job runs.
-		set := e.curShuffleSettings()
+		set := e.shuffleSet
 
 		if err := produceSide(ctx, left, lCodec, lchans, set, func(v L) int {
 			return int(core.HashKey(lk(v)) % uint64(q))

@@ -28,7 +28,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	}
 	reduces := job.Reduces
 	if reduces <= 0 {
-		reduces = c.curReduces()
+		reduces = c.reduces
 	}
 	// Job cleanup, however the job ends: drop the intermediate segments like
 	// the MRAppMaster's shuffle cleanup does, and return the block each was
@@ -51,11 +51,6 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	}
 	codec := serde.OfPair[K, V](c.style)
 	c.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
-	// Resolve the shuffle settings once per job: both phases must agree on
-	// strategy and codec even if an adaptive re-plan rewrites the
-	// configuration at the mid-job barrier; the corrected settings take
-	// effect at the next job of the chain.
-	set := c.curShuffleSettings()
 
 	// --- Map phase -------------------------------------------------------
 	// One task per input split, scheduled data-local. Each task buffers its
@@ -76,7 +71,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 			node = in.pref(m)
 		}
 		mapTasks[m] = cluster.Task{Node: node, Fn: func() error {
-			return runMapTask(c, jobID, name, m, in.scan, splitBytes, reduces, set, job, partition, codec, segs[m*reduces:(m+1)*reduces])
+			return runMapTask(c, jobID, name, m, in.scan, splitBytes, reduces, job, partition, codec, segs[m*reduces:(m+1)*reduces])
 		}}
 	}
 	err := c.rt.RunTasks(mapTasks)
@@ -84,9 +79,8 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: %s map phase: %w", name, err)
 	}
-	// The map outputs are materialized: report the phase boundary so an
-	// adaptive monitor can compare observed counters and re-plan the jobs
-	// that follow the barrier.
+	// The map outputs are materialized: report the phase boundary to the
+	// stage observer (the graph tests count supersteps by it).
 	c.metrics.NotifyStage(name + "-map")
 
 	// --- Barrier ---------------------------------------------------------
@@ -101,7 +95,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	for r := range reduceTasks {
 		r := r
 		reduceTasks[r] = cluster.Task{Node: c.rt.NodeFor(r), Fn: func() error {
-			part, err := runReduceTask(c, jobID, name, r, in.NumSplits(), set, job, codec)
+			part, err := runReduceTask(c, jobID, name, r, in.NumSplits(), job, codec)
 			if err != nil {
 				return err
 			}
@@ -181,7 +175,7 @@ func (s *dfsSpillStore) Remove(name string) {
 // after the fetch. segs[r] receives the block partition r's segment is
 // written from; Run releases it when it deletes the segment.
 func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, m int,
-	scan func(m int, yield func([]I) error) error, splitBytes int64, reduces int, set shuffle.Settings,
+	scan func(m int, yield func([]I) error) error, splitBytes int64, reduces int,
 	job Job[I, K, V], partition func(K, int) int, codec serde.Codec[core.Pair[K, V]], segs []shuffle.Block) (err error) {
 	c.metrics.TasksLaunched.Add(1)
 	c.metrics.DiskBytesRead.Add(splitBytes)
@@ -214,7 +208,7 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 		}
 	}
 	w := shuffle.NewWriter(spec, shuffle.Env{
-		Settings: set,
+		Settings: c.shuffleSet,
 		Metrics:  c.metrics,
 		Spill:    &dfsSpillStore{c: c, job: jobID, m: m},
 		Emit: func(r int, b shuffle.Block) error {
@@ -283,7 +277,7 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 // cluster.Runtime (Hadoop's merge threads) instead of one sequential pass;
 // hash-strategy segments carry no order and are sorted after the fetch.
 func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, r, maps int,
-	set shuffle.Settings, job Job[I, K, V], codec serde.Codec[core.Pair[K, V]]) (_ []core.Pair[K, V], err error) {
+	job Job[I, K, V], codec serde.Codec[core.Pair[K, V]]) (_ []core.Pair[K, V], err error) {
 	c.metrics.TasksLaunched.Add(1)
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -314,7 +308,7 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		c.metrics.DiskBytesRead.Add(int64(blk.Len()))
 		blocks = append(blocks, blk)
 	}
-	segments, err := shuffle.DecodeBlocks(set, codec, blocks)
+	segments, err := shuffle.DecodeBlocks(c.shuffleSet, codec, blocks)
 	for i := range blocks {
 		blocks[i].Release()
 	}
@@ -325,7 +319,7 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 	normKey := serde.PairNormKeyer[K, V](serde.NormKeyerFor[K]())
 	var merged []core.Pair[K, V]
 	switch {
-	case set.Kind == shuffle.Sort:
+	case c.shuffleSet.Kind == shuffle.Sort:
 		// Heads are ordered by their normalized-key prefixes first, as
 		// Hadoop's merger compares serialized keys with a raw comparator.
 		merged = shuffle.ParallelMerge(c.rt, node, segments, less, normKey)

@@ -67,49 +67,44 @@ type Cluster struct {
 	metrics  *metrics.JobMetrics
 	timeline *metrics.Timeline
 
+	// reduces and shuffleSet are resolved from the configuration once, in
+	// NewCluster: every job of the cluster runs under them, so both phases
+	// of a job and every job of a chain agree.
+	reduces    int
+	shuffleSet shuffle.Settings
+
 	nextJob atomic.Int64
 }
 
-// NewCluster builds a cluster over a runtime and DFS.
+// NewCluster builds a cluster over a runtime and DFS. A job without its
+// own reducer count runs mapreduce.job.reduces reduce tasks, one per node
+// when unset. The shuffle settings go through the shared shuffle core:
+// classic Hadoop IS the sort strategy (sorted spills, merged segments,
+// sort-merge reduce), with the io.sort buffer as the record-count spill
+// trigger; shuffle.strategy=hash keeps segments unsorted and moves the sort
+// after the reduce-side fetch.
 func NewCluster(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Cluster {
 	if conf == nil {
 		conf = core.NewConfig()
 	}
 	c := &Cluster{
-		conf:     conf,
-		rt:       rt,
-		fs:       fs,
-		style:    serde.ParseStyle(conf.String(MRSerializer, "java")),
-		metrics:  &metrics.JobMetrics{},
-		timeline: metrics.NewTimeline(),
+		conf:       conf,
+		rt:         rt,
+		fs:         fs,
+		style:      serde.ParseStyle(conf.String(MRSerializer, "java")),
+		metrics:    &metrics.JobMetrics{},
+		timeline:   metrics.NewTimeline(),
+		reduces:    conf.Int(MRReduceTasks, 0),
+		shuffleSet: shuffle.FromConf(conf, shuffle.Sort),
+	}
+	if c.reduces <= 0 {
+		c.reduces = rt.Spec().Nodes
+	}
+	c.shuffleSet.SpillRecs = conf.Int(MRSortRecords, 0)
+	if c.shuffleSet.SpillRecs <= 0 {
+		c.shuffleSet.SpillRecs = defaultSortRecords
 	}
 	return c
-}
-
-// curReduces resolves mapreduce.job.reduces from the live configuration —
-// per job, so an adaptive re-plan between jobs changes the next job's
-// reducer count.
-func (c *Cluster) curReduces() int {
-	if r := c.conf.Int(MRReduceTasks, 0); r > 0 {
-		return r
-	}
-	return c.rt.Spec().Nodes
-}
-
-// curShuffleSettings resolves the shuffle settings from the live
-// configuration. The shared shuffle core: classic Hadoop IS the sort
-// strategy (sorted spills, merged segments, sort-merge reduce); the
-// io.sort buffer is the record-count spill trigger. shuffle.strategy=hash
-// keeps segments unsorted and moves the sort after the reduce-side fetch.
-// Run resolves once per job so both phases of one job always agree even if
-// the adaptive planner rewrites the configuration mid-run.
-func (c *Cluster) curShuffleSettings() shuffle.Settings {
-	set := shuffle.FromConf(c.conf, shuffle.Sort)
-	set.SpillRecs = c.conf.Int(MRSortRecords, 0)
-	if set.SpillRecs <= 0 {
-		set.SpillRecs = defaultSortRecords
-	}
-	return set
 }
 
 // Conf returns the configuration.
@@ -128,7 +123,7 @@ func (c *Cluster) Metrics() *metrics.JobMetrics { return c.metrics }
 func (c *Cluster) Timeline() *metrics.Timeline { return c.timeline }
 
 // DefaultReduces returns the effective mapreduce.job.reduces.
-func (c *Cluster) DefaultReduces() int { return c.curReduces() }
+func (c *Cluster) DefaultReduces() int { return c.reduces }
 
 // Style returns the configured intermediate serialization strategy.
 func (c *Cluster) Style() serde.Style { return c.style }

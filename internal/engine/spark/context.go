@@ -56,11 +56,23 @@ type Context struct {
 
 	shuffles *shuffleService
 	blocks   *blockManager
+
+	// parallelism and shuffleSet are resolved from the configuration once,
+	// in NewContext: every RDD and every shuffle of the context runs under
+	// them, so the write side, the read side and lineage retries of one
+	// shuffle always agree.
+	parallelism int
+	shuffleSet  shuffle.Settings
 }
 
 // NewContext builds a context over a runtime and DFS. The executor heap per
 // node is sized by spark.executor.memory with the configured storage and
-// shuffle fractions; the serializer comes from spark.serializer.
+// shuffle fractions; the serializer comes from spark.serializer. The
+// default parallelism is spark.default.parallelism, or two tasks per core
+// (Spark's documented recommendation) when unset. The shuffle settings
+// follow spark.shuffle.manager ("hash" = hash-bucketed, anything else = the
+// paper's tungsten-sort, i.e. the sort strategy); shuffle.strategy
+// overrides.
 func NewContext(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Context {
 	if conf == nil {
 		conf = core.NewConfig()
@@ -80,35 +92,18 @@ func NewContext(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Context {
 	for i := 0; i < spec.Nodes; i++ {
 		ctx.heaps = append(ctx.heaps, memory.NewHeap(heapSize, storageFrac, shuffleFrac))
 	}
+	ctx.parallelism = conf.Int(core.SparkDefaultParallelism, 0)
+	if ctx.parallelism <= 0 {
+		ctx.parallelism = spec.TotalCores() * 2
+	}
+	def := shuffle.Sort
+	if conf.String(core.SparkShuffleManager, "tungsten-sort") == "hash" {
+		def = shuffle.Hash
+	}
+	ctx.shuffleSet = shuffle.FromConf(conf, def)
 	ctx.shuffles = newShuffleService(ctx)
 	ctx.blocks = newBlockManager(ctx)
 	return ctx
-}
-
-// curParallelism resolves spark.default.parallelism from the live
-// configuration, so an adaptive re-plan between jobs changes the partition
-// count of the RDDs built afterwards.
-func (c *Context) curParallelism() int {
-	if par := c.conf.Int(core.SparkDefaultParallelism, 0); par > 0 {
-		return par
-	}
-	// Spark's documented recommendation: 2-3 tasks per core.
-	return c.rt.Spec().TotalCores() * 2
-}
-
-// curShuffleSettings resolves the shuffle settings from the live
-// configuration: spark.shuffle.manager picks the engine default ("hash" =
-// hash-bucketed, anything else = the paper's tungsten-sort, i.e. the sort
-// strategy); shuffle.strategy overrides. Each shuffle dependency FREEZES
-// the settings it sees at its first map stage (shuffleDep.freeze), so
-// writers, readers and lineage retries of one shuffle always agree even if
-// the adaptive planner rewrites the configuration mid-job.
-func (c *Context) curShuffleSettings() shuffle.Settings {
-	def := shuffle.Sort
-	if c.conf.String(core.SparkShuffleManager, "tungsten-sort") == "hash" {
-		def = shuffle.Hash
-	}
-	return shuffle.FromConf(c.conf, def)
 }
 
 // Conf returns the configuration.
@@ -121,7 +116,7 @@ func (c *Context) FS() *dfs.FS { return c.fs }
 func (c *Context) Runtime() *cluster.Runtime { return c.rt }
 
 // DefaultParallelism returns the effective spark.default.parallelism.
-func (c *Context) DefaultParallelism() int { return c.curParallelism() }
+func (c *Context) DefaultParallelism() int { return c.parallelism }
 
 // Style returns the configured serializer.
 func (c *Context) Style() serde.Style { return c.style }
@@ -139,7 +134,7 @@ func (c *Context) heapFor(node int) *memory.Heap { return c.heaps[node] }
 // parallelize does (0 uses the default parallelism).
 func Parallelize[T any](c *Context, data []T, numParts int) *RDD[T] {
 	if numParts <= 0 {
-		numParts = c.curParallelism()
+		numParts = c.parallelism
 	}
 	if numParts > len(data) && len(data) > 0 {
 		numParts = len(data)

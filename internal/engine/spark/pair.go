@@ -104,7 +104,7 @@ func CombineByKey[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string,
 	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
 	numParts int, mapSideCombine bool) *RDD[core.Pair[K, C]] {
 	if numParts <= 0 {
-		numParts = r.ctx.curParallelism()
+		numParts = r.ctx.parallelism
 	}
 	part := core.NewHashPartitioner[K](numParts)
 	if !partitionedBy(r, part) {
@@ -216,7 +216,7 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 		if err != nil {
 			return nil, err
 		}
-		segs, err := shuffle.DecodeBlocks(sd.settings(ctx), pairCodec, blocks)
+		segs, err := shuffle.DecodeBlocks(ctx.shuffleSet, pairCodec, blocks)
 		for i := range blocks {
 			blocks[i].Release() // borrows no-op; remote copies recycle
 		}
@@ -228,7 +228,7 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 				return shuffle.Concat(segs), nil
 			}
 			lessPair := func(a, b core.Pair[K, C]) bool { return less(a.Key, b.Key) }
-			if sd.settings(ctx).Kind == shuffle.Sort {
+			if ctx.shuffleSet.Kind == shuffle.Sort {
 				// Sort shuffles deliver key-sorted map outputs: the read
 				// side is a parallel k-way merge over the runtime instead
 				// of a full re-sort, ordering heads by their normalized-key
@@ -265,7 +265,7 @@ type Joined[V, W any] struct {
 func Join[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core.Pair[K, W]],
 	numParts int) *RDD[core.Pair[K, Joined[V, W]]] {
 	if numParts <= 0 {
-		numParts = left.ctx.curParallelism()
+		numParts = left.ctx.parallelism
 	}
 	cg := CoGroup(left, right, core.NewHashPartitioner[K](numParts))
 	out := narrow(cg, "Join", core.OpJoin, func(in []core.Pair[K, CoGrouped[V, W]], _ *taskContext) ([]core.Pair[K, Joined[V, W]], error) {

@@ -21,32 +21,6 @@ type shuffleDep struct {
 	numParts int
 	parent   anyRDD
 	write    func(mapPart int, tc *taskContext) error
-
-	// set is the shuffle settings this dependency runs under, resolved
-	// from the live configuration when the scheduler first touches the
-	// dependency (freeze) and immutable afterwards: the write side, the
-	// read side and any lineage-driven re-execution of one shuffle must
-	// agree on strategy and codec even if the adaptive planner rewrites
-	// the configuration between stages.
-	set    shuffle.Settings
-	frozen bool
-}
-
-// freeze resolves and pins the dependency's shuffle settings on first use.
-// Called from the driver goroutine (the scheduler) before any task of this
-// shuffle launches, so tasks read d.set without synchronization.
-func (d *shuffleDep) freeze(c *Context) {
-	if !d.frozen {
-		d.set = c.curShuffleSettings()
-		d.frozen = true
-	}
-}
-
-// settings returns the pinned settings, freezing on first use for callers
-// that reach a dependency outside a scheduled stage.
-func (d *shuffleDep) settings(c *Context) shuffle.Settings {
-	d.freeze(c)
-	return d.set
 }
 
 // mapOutput is one map task's contribution: one sealed block per reduce

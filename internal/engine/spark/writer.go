@@ -67,7 +67,7 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 		}
 	}
 	w.w = shuffle.NewWriter(spec, shuffle.Env{
-		Settings: sd.settings(tc.ctx),
+		Settings: tc.ctx.shuffleSet,
 		Metrics:  tc.metrics,
 		Mem:      tc.heap.AllocShuffle,
 		Free:     tc.heap.FreeShuffle,

@@ -11,13 +11,14 @@ import (
 )
 
 // calibrateTrials is how many runs each cell's minimum is taken over; the
-// cells last milliseconds, so the probe takes more than ext10's three.
+// cells last milliseconds, so the probe takes more runs than ext10Trials.
 const calibrateTrials = 7
 
 // Calibrate is the probe behind `make calibrate`: it runs the ext10 size
 // sweep on the real engines — every (engine × strategy × parallelism)
-// configuration on WordCount and TeraSort at two sizes, then the unique-key
-// waves of the adaptive cell — and prints each measurement beside
+// configuration on WordCount and TeraSort at two sizes, then the WC-unique
+// rows: ext10Waves chained WordCounts over unique keys (ext10UniqueText),
+// estimated with DistinctFrac 1 — and prints each measurement beside
 // sim.Estimate's prediction with the residual. The second table splits
 // every configuration's two sizes into a fixed part and a per-MiB slope,
 // measured and modelled: the [ANCHOR ext10] constants in

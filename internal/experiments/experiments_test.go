@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -169,82 +168,53 @@ func TestExt7MicroBatchLatencyAboveFlink(t *testing.T) {
 	}
 }
 
-// TestExt10AdaptiveExecution checks the mechanism of the AQE family's
-// adaptive cell, none of which depends on timing: the runtime monitor
-// catches the cardinality misestimate the cell is built around — a re-plan
-// fires at the first stage boundary with the distinct fraction corrected to
-// 1 and stays on the sort strategy, which mapreduce measures fastest at
-// either cardinality (it was a hash → sort switch while hash won at the
-// default one: sim/estimate.go, estAggSortMR). The family's wall-clock claims
-// (static regret, adapting costs no more than never adapting) are ratios of
-// millisecond-scale runs and live in TestExt10Gates, outside tier-1.
+// TestExt10AdaptiveExecution checks the shape of the planner-regret
+// family, none of which depends on timing: one row per static cell, each
+// naming a planner choice inside the oracle sweep. The family's wall-clock
+// claim (static regret) is a ratio of millisecond-scale runs and lives in
+// TestExt10Gates, outside tier-1.
 func TestExt10AdaptiveExecution(t *testing.T) {
 	rep, err := runExt10()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Table) != 6 {
-		t.Fatalf("ext10 table rows = %d, want 6 (header + 4 static + 1 adaptive)", len(rep.Table))
+	if len(rep.Table) != 5 {
+		t.Fatalf("ext10 table rows = %d, want 5 (header + 4 static)", len(rep.Table))
 	}
-	ad := rep.Table[5]
-	if !strings.Contains(ad[1], "replans=") || strings.Contains(ad[1], "replans=0") {
-		t.Errorf("adaptive cell shows no re-plan: choice %q", ad[1])
+	cands := map[string]bool{}
+	for _, c := range ext10Candidates() {
+		cands[c.String()] = true
 	}
-	trace := strings.Join(rep.Notes, "\n")
-	if !strings.Contains(trace, "[replan") {
-		t.Errorf("ext10 notes missing replan trace event:\n%s", trace)
-	}
-	if !strings.Contains(trace, "replan #1: mapreduce/sort/p=2 -> mapreduce/sort/p=2") ||
-		!strings.Contains(trace, "DistinctFrac:1}") {
-		t.Errorf("ext10 trace should record a re-plan on DistinctFrac 1 that keeps sort/p=2:\n%s", trace)
-	}
-	if !strings.Contains(trace, ext10HeldPrefix) {
-		t.Errorf("ext10 notes missing %q", ext10HeldPrefix)
+	for _, row := range rep.Table[1:] {
+		if !cands[row[1]] {
+			t.Errorf("%s: planner choice %q is outside the oracle sweep", row[0], row[1])
+		}
 	}
 }
 
-// ext10HeldPrefix starts the note that carries the adaptive run's time as a
-// multiple of its static starting choice held for all waves.
-const ext10HeldPrefix = "adaptive vs its static start: "
-
-// TestExt10Gates holds ext10's wall-clock ratio gates. It runs only under
-// `make ext10-gates` (EXT10_GATES=1), alone on the machine: both gates
-// compare best-of-N millisecond-scale runs that runExt10 re-measures in
-// alternation, which is as much as this box's drift allows, and they still
+// TestExt10Gates holds ext10's wall-clock ratio gate. It runs only under
+// `make ext10-gates` (EXT10_GATES=1), alone on the machine: the gate
+// compares best-of-N millisecond-scale runs that runExt10 re-measures in
+// alternation, which is as much as this box's drift allows, and it still
 // tripped about once in twenty runs under `go test ./...` load.
 //
-// Static cells: planner regret ≤ 1.5× the measured oracle. The acceptance
-// target is ≤ 1.10; the gate is looser because the engines sit within
-// 10–20 % of each other on most cells, and below a 5 ms gap the ratio is
-// noise (the 4000-record TeraSort cell measures 2 to 6 ms for one
-// configuration across runs). Adaptive cell: the re-planned waves take at
-// most 1.3× their own static starting choice held throughout — re-planning
-// should not cost more than it saves (measured ≈ 1.0).
+// Planner regret ≤ 1.5× the measured oracle. The acceptance target is
+// ≤ 1.10; the gate is looser because the engines sit within 10–20 % of each
+// other on most cells, and below a 5 ms gap the ratio is noise (the
+// 4000-record TeraSort cell measures 2 to 6 ms for one configuration
+// across runs).
 func TestExt10Gates(t *testing.T) {
 	if os.Getenv("EXT10_GATES") == "" {
-		t.Skip("wall-clock gates: run `make ext10-gates`")
+		t.Skip("wall-clock gate: run `make ext10-gates`")
 	}
 	rep, err := runExt10()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range rep.Rows[:4] {
+	for i, row := range rep.Rows {
 		if row.Regret > 1.5 && row.PlannerSec-row.OracleSec > 0.005 {
 			t.Errorf("%s: planner regret %.2fx vs oracle (chose %s at %.4fs, oracle %s at %.4fs)",
 				row.Label, row.Regret, row.PaperNote, row.PlannerSec, rep.Table[i+1][4], row.OracleSec)
-		}
-	}
-	for _, note := range rep.Notes {
-		rest, ok := strings.CutPrefix(note, ext10HeldPrefix)
-		if !ok {
-			continue
-		}
-		ratio, err := strconv.ParseFloat(strings.TrimSuffix(strings.Fields(rest)[0], "x"), 64)
-		if err != nil {
-			t.Fatalf("unparseable note %q: %v", note, err)
-		}
-		if ratio > 1.3 {
-			t.Errorf("adaptive run took %.2fx its static starting choice; re-planning should not cost more than it saves", ratio)
 		}
 	}
 }

@@ -24,15 +24,13 @@ type Row struct {
 	// seconds and these hold the matching tail percentile.
 	SparkP99 float64
 	FlinkP99 float64
-	// Planner columns of the adaptive-execution report (ext10): measured
+	// Planner columns of the planner-regret report (ext10): measured
 	// seconds of the planner's chosen configuration, the oracle sweep's
-	// best and worst fixed configurations, the regret ratio and the re-plan
-	// count. NaN everywhere else (Replans is NaN on static cells too).
+	// best and worst fixed configurations and the regret ratio.
 	PlannerSec float64
 	OracleSec  float64
 	WorstSec   float64
 	Regret     float64
-	Replans    float64
 	PaperNote  string // the paper's reported values or claim, for the report
 }
 
@@ -49,7 +47,7 @@ type Report struct {
 	// milliseconds (Spark/Flink + SparkP99/FlinkP99), not mean ± std
 	// seconds.
 	Latency bool
-	// Planner marks the adaptive-execution report (ext10): rows carry the
+	// Planner marks the planner-regret report (ext10): rows carry the
 	// Planner*/Oracle*/Regret columns for the JSON artifact only — the
 	// human rendering is the free-form Table, so Render skips the rows.
 	Planner bool

@@ -16,31 +16,19 @@ import (
 	"repro/internal/workloads"
 )
 
-// ext10 is the adaptive-execution family: the cost-model-driven planner
+// ext10 is the planner-regret family: the cost-model-driven static planner
 // (internal/planner) judged against measured oracles on the real engines.
-//
-// Static regret: for each (workload × size) cell an oracle sweep measures
-// every candidate configuration the planner considers — engine × shuffle
-// strategy × parallelism — and the planner's choice is scored as
+// For each (workload × size) cell an oracle sweep measures every candidate
+// configuration the planner considers — engine × shuffle strategy ×
+// parallelism — and the planner's choice is scored as
 // measured(chosen)/measured(best). A cost model is useful when that ratio
 // stays near 1 while the worst fixed configuration sits multiples away.
-//
-// Adaptive: a chained WordCount over UNIQUE keys — input that silently
-// defeats the map-side combiner the static plan counts on. The planner is
-// fed only input bytes; the first wave's stage metrics reveal the
-// cardinality misestimate (observed shuffle volume ≈ 2.8× the estimate) and
-// the monitor re-plans the remaining waves with the distinct fraction
-// corrected to 1, which the decision trail records. The cell compares
-// planner-adaptive against every fixed configuration over the same waves.
-// While mapreduce's hash path won at the default cardinality the static
-// choice was hash/p=8 and the re-plan moved to sort/p=2; since its sort path
-// measures under its hash path everywhere (sim/estimate.go, estAggSortMR)
-// the static choice is sort/p=2 already and the re-plan confirms it: the
-// sweep finds no engine whose best configuration still turns on cardinality,
-// so the cell shows the monitor and the corrected estimate, not a switch.
+// The unique-key WordCount waves (ext10FixedWaves over ext10UniqueText),
+// input that defeats the map-side combiner, are a calibration probe: make
+// calibrate prints their WC-unique rows.
 
 func init() {
-	register("ext10", "Adaptive execution — planner regret and runtime re-planning (AQE)", runExt10)
+	register("ext10", "Planner regret — static configuration choice vs a measured oracle", runExt10)
 }
 
 const (
@@ -113,7 +101,7 @@ func ext10Cells() []ext10Cell {
 
 // run measures one configuration on the cell once.
 func (c ext10Cell) run(cand ext10Cand) (float64, error) {
-	sec, err := ext10Run(cand.engine, c.wl, cand.strat, cand.par, c.text, c.tera)
+	sec, err := ext10Run(cand, c.wl, c.text, c.tera)
 	if err != nil {
 		return 0, fmt.Errorf("ext10 %s %s: %w", c.label, cand, err)
 	}
@@ -155,17 +143,15 @@ func runExt10() (*Report, error) {
 	rep := &Report{
 		ID:      "ext10",
 		Planner: true,
-		Title:   "Adaptive execution: planner-static regret and runtime re-planning",
+		Title:   "Planner regret: static configuration choice vs a measured oracle",
 		Notes: []string{
-			fmt.Sprintf("static cells: oracle = min over %d measured configs (3 engines × hash/sort × p∈%v, compress=none), best-of-%d runs; regret = measured(planner choice)/oracle, both re-measured in alternation when they differ",
+			fmt.Sprintf("oracle = min over %d measured configs (3 engines × hash/sort × p∈%v, compress=none), best-of-%d runs; regret = measured(planner choice)/oracle, both re-measured in alternation when they differ",
 				len(ext10Candidates()), ext10Parallelisms, ext10Trials),
-			"adaptive cell: WordCount over unique keys (combiner defeated), " + fmt.Sprint(ext10Waves) + " chained waves; the planner starts from the cardinality-blind static choice and re-plans at the first stage boundary",
 		},
 	}
 	rep.Table = append(rep.Table, []string{
 		"cell", "planner choice", "est (s)", "measured (s)", "oracle", "oracle (s)", "regret", "worst fixed", "worst (s)"})
 
-	// --- Static regret cells --------------------------------------------
 	for _, c := range ext10Cells() {
 		measured, err := ext10Sweep(ext10Trials, c.run)
 		if err != nil {
@@ -206,32 +192,7 @@ func runExt10() (*Report, error) {
 		})
 		rep.Rows = append(rep.Rows, Row{Label: c.label, PaperNote: chosen.String(),
 			PlannerSec: chosenSec, OracleSec: bestSec, WorstSec: worstSec,
-			Regret: chosenSec / bestSec, Replans: math.NaN()})
-	}
-
-	// --- Adaptive cell ---------------------------------------------------
-	ad, err := ext10AdaptiveCell()
-	if err != nil {
-		return nil, err
-	}
-	bestFixed, worstFixed := ext10Extremes(ad.fixed)
-	bestFixedSec, worstFixedSec := ad.fixed[bestFixed], ad.fixed[worstFixed]
-	label := fmt.Sprintf("WC-unique %d×192KiB (adaptive)", ext10Waves)
-	rep.Table = append(rep.Table, []string{
-		label,
-		fmt.Sprintf("%s (replans=%d)", ad.final.Chosen, ad.replans),
-		fmt.Sprintf("%.3f", ad.final.Est.Seconds),
-		fmt.Sprintf("%.3f", ad.sec), bestFixed.String(), fmt.Sprintf("%.3f", bestFixedSec),
-		fmt.Sprintf("%.2fx", ad.sec/bestFixedSec), worstFixed.String(), fmt.Sprintf("%.3f", worstFixedSec),
-	})
-	rep.Rows = append(rep.Rows, Row{Label: label, PaperNote: ad.final.Chosen.String(),
-		PlannerSec: ad.sec, OracleSec: bestFixedSec, WorstSec: worstFixedSec,
-		Regret: ad.sec / bestFixedSec, Replans: float64(ad.replans)})
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("adaptive vs its static start: %.2fx the time of %s held for all waves (%.3fs, the two re-measured in alternation); vs worst fixed %s: %.2fx; re-plan events: %d",
-			ad.sec/ad.held, ad.start, ad.held, worstFixed, ad.sec/worstFixedSec, ad.replans))
-	for _, line := range strings.Split(strings.TrimRight(ad.trace, "\n"), "\n") {
-		rep.Notes = append(rep.Notes, "trace: "+line)
+			Regret: chosenSec / bestSec})
 	}
 	return rep, nil
 }
@@ -262,20 +223,25 @@ func ext10Plan(spec planner.PlanSpec) (*planner.Decision, error) {
 	return pl.Plan(spec)
 }
 
-// ext10Run measures one workload once on one fixed configuration over a
-// fresh session.
-func ext10Run(engine, wl, strat string, par int, text, tera []byte) (float64, error) {
+// ext10Session opens a fresh session on one fixed configuration.
+func ext10Session(cand ext10Cand) (*dataflow.Session, error) {
 	rt, err := cluster.NewRuntime(ext10Spec, ext10ClusterCore)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	conf := ext10BaseConf().
-		Set(core.ShuffleStrategy, strat).
-		SetInt(core.SparkDefaultParallelism, par).
-		SetInt(core.FlinkDefaultParallelism, par).
-		SetInt(mapreduce.MRReduceTasks, par)
-	s, err := dataflow.Open(engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
+		Set(core.ShuffleStrategy, cand.strat).
+		SetInt(core.SparkDefaultParallelism, cand.par).
+		SetInt(core.FlinkDefaultParallelism, cand.par).
+		SetInt(mapreduce.MRReduceTasks, cand.par)
+	return dataflow.Open(cand.engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
 		dataflow.WithFS(dfs.New(ext10Spec.Nodes, 16*core.KB, 1)))
+}
+
+// ext10Run measures one workload once on one fixed configuration over a
+// fresh session.
+func ext10Run(cand ext10Cand, wl string, text, tera []byte) (float64, error) {
+	s, err := ext10Session(cand)
 	if err != nil {
 		return 0, err
 	}
@@ -289,7 +255,7 @@ func ext10Run(engine, wl, strat string, par int, text, tera []byte) (float64, er
 		return time.Since(start).Seconds(), nil
 	case "TeraSort":
 		s.FS().WriteFile("ext10-tera", tera)
-		part := workloads.TeraPartitioner(tera, par)
+		part := workloads.TeraPartitioner(tera, cand.par)
 		start := time.Now()
 		if err := workloads.TeraSort(s, "ext10-tera", "ext10-tera-out", part); err != nil {
 			return 0, err
@@ -302,127 +268,25 @@ func ext10Run(engine, wl, strat string, par int, text, tera []byte) (float64, er
 	return 0, fmt.Errorf("unknown workload %q", wl)
 }
 
-// ext10WavesRun runs the chained unique-key WordCount waves on one session.
-// With a non-nil fixed candidate the configuration is pinned explicitly;
-// with fixed nil the session opens under WithPlanner using spec with the
-// adaptive monitor attached; the static decision it opened on and the
-// monitor are returned with the time.
-func ext10WavesRun(engine string, fixed *ext10Cand, spec *planner.PlanSpec, wave []byte) (ext10Waved, error) {
-	rt, err := cluster.NewRuntime(ext10Spec, ext10ClusterCore)
-	if err != nil {
-		return ext10Waved{}, err
-	}
-	conf := ext10BaseConf()
-	if fixed != nil {
-		conf.Set(core.ShuffleStrategy, fixed.strat).
-			SetInt(core.SparkDefaultParallelism, fixed.par).
-			SetInt(core.FlinkDefaultParallelism, fixed.par).
-			SetInt(mapreduce.MRReduceTasks, fixed.par)
-	}
-	opts := []dataflow.Option{
-		dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
-		dataflow.WithFS(dfs.New(ext10Spec.Nodes, 16*core.KB, 1)),
-	}
-	if spec != nil {
-		opts = append(opts, dataflow.WithPlanner(*spec),
-			dataflow.WithPlannerSpace(ext10Parallelisms, []string{"none"}))
-	}
-	s, err := dataflow.Open(engine, opts...)
-	if err != nil {
-		return ext10Waved{}, err
-	}
-	for w := 0; w < ext10Waves; w++ {
-		s.FS().WriteFile(fmt.Sprintf("ext10-u%d", w), wave)
-	}
-	out := ext10Waved{static: s.PlannerDecision()}
-	if spec != nil {
-		out.mon = s.StartAdaptive()
-		defer out.mon.Detach()
-	}
-	start := time.Now()
-	for w := 0; w < ext10Waves; w++ {
-		if err := workloads.WordCount(s, fmt.Sprintf("ext10-u%d", w), fmt.Sprintf("ext10-u%d-out", w)); err != nil {
-			return ext10Waved{}, err
-		}
-		if out.mon != nil {
-			// Job boundary: re-baseline the observed counters so the next
-			// wave's divergence check compares per-job deltas.
-			out.mon.Reset()
-		}
-	}
-	out.sec = time.Since(start).Seconds()
-	return out, nil
-}
-
-// ext10Waved is one ext10WavesRun: wall-clock of the waves and, for a
-// planner-opened session, the static decision and the monitor.
-type ext10Waved struct {
-	sec    float64
-	static *planner.Decision
-	mon    *planner.Monitor
-}
-
-// ext10FixedWaves measures the waves once on a pinned configuration.
+// ext10FixedWaves measures ext10Waves chained WordCounts of wave, one
+// session per run, on a fixed configuration.
 func ext10FixedWaves(wave []byte) func(ext10Cand) (float64, error) {
 	return func(cand ext10Cand) (float64, error) {
-		run, err := ext10WavesRun(cand.engine, &cand, nil, wave)
+		s, err := ext10Session(cand)
 		if err != nil {
-			return 0, fmt.Errorf("ext10 waves %s: %w", cand, err)
+			return 0, err
 		}
-		return run.sec, nil
-	}
-}
-
-// ext10Adaptive is the adaptive cell's outcome: the planner-adaptive waves,
-// and the same waves on every fixed configuration to judge them against.
-type ext10Adaptive struct {
-	sec     float64
-	start   ext10Cand // the static choice the adaptive run began on
-	held    float64   // the waves held on start throughout, re-measured in alternation with sec
-	final   *planner.Decision
-	replans int
-	trace   string
-	fixed   map[ext10Cand]float64
-}
-
-// ext10AdaptiveCell measures the unique-key waves, best of ext10Trials:
-// fixed on each candidate, then planner-adaptive on mapreduce — static
-// decision from input bytes only (cardinality unknown), runtime re-planning
-// on. Decision, re-plan count and trace are the last adaptive run's; they
-// do not depend on timing.
-func ext10AdaptiveCell() (*ext10Adaptive, error) {
-	wave := ext10UniqueText(ext10WaveBytes)
-	fixed, err := ext10Sweep(ext10Trials, ext10FixedWaves(wave))
-	if err != nil {
-		return nil, err
-	}
-	ad := &ext10Adaptive{sec: math.Inf(1), held: math.Inf(1), fixed: fixed}
-	fixedWaves := ext10FixedWaves(wave)
-	spec := planner.PlanSpec{
-		Workload: "WordCount-unique",
-		Shape:    planner.Aggregate,
-		Input:    planner.InputStats{Bytes: int64(len(wave))},
-	}
-	for i := 0; i < ext10Trials; i++ {
-		run, err := ext10WavesRun("mapreduce", nil, &spec, wave)
-		if err != nil {
-			return nil, fmt.Errorf("ext10 adaptive: %w", err)
+		for w := 0; w < ext10Waves; w++ {
+			s.FS().WriteFile(fmt.Sprintf("ext10-u%d", w), wave)
 		}
-		ad.sec = min(ad.sec, run.sec)
-		c := run.static.Chosen
-		ad.start = ext10Cand{engine: c.Engine, strat: c.Strategy, par: c.Parallelism}
-		ad.final, ad.replans = run.mon.Decision(), run.mon.Replans()
-		// The sweep measured this configuration seconds ago, under
-		// whatever load the machine had then; the adaptive run is judged
-		// against it, so the two minima are taken over alternating runs.
-		held, err := fixedWaves(ad.start)
-		if err != nil {
-			return nil, err
+		start := time.Now()
+		for w := 0; w < ext10Waves; w++ {
+			if err := workloads.WordCount(s, fmt.Sprintf("ext10-u%d", w), fmt.Sprintf("ext10-u%d-out", w)); err != nil {
+				return 0, fmt.Errorf("ext10 waves %s: %w", cand, err)
+			}
 		}
-		ad.held = min(ad.held, held)
+		return time.Since(start).Seconds(), nil
 	}
-	ad.trace = ad.final.Trace.Render()
-	return ad, nil
 }
 
 // ext10UniqueText builds text whose words are (almost) all distinct — the

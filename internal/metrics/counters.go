@@ -139,10 +139,12 @@ type Snapshot struct {
 
 // StageEvent is one stage-boundary observation: the stage's name and the
 // job's cumulative counters at the moment the barrier (or phase end)
-// passed. Engines emit one per completed stage via NotifyStage; the
-// adaptive planner subscribes with SetStageObserver and compares the
-// cumulative counters against its estimates to decide whether to re-plan
-// the remaining stages.
+// passed. Engines emit one per completed stage via NotifyStage. It is a
+// test hook: spark's shuffleMapStages (engine/spark/partitioner_test.go)
+// counts the shuffle-map stages a job launches, and the graph tests
+// (dataflow/graph/graph_test.go) count supersteps by their stages —
+// TestPregelSurvivesLosingTheEdgesNode fails a node at a stage barrier
+// through it.
 type StageEvent struct {
 	Name string
 	Snap Snapshot
@@ -150,8 +152,9 @@ type StageEvent struct {
 
 // SetStageObserver installs fn as the stage-boundary callback (nil removes
 // it). At most one observer is active; engines call it synchronously from
-// the driver goroutine at stage barriers, so fn may adjust configuration
-// that later stages re-read.
+// the driver goroutine at stage barriers, so fn runs between stages, while
+// no task of the job is running (the tests above count stages and inject
+// node failures there).
 func (m *JobMetrics) SetStageObserver(fn func(StageEvent)) {
 	if fn == nil {
 		m.stageObserver.Store((*stageObserverBox)(nil))

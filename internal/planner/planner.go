@@ -48,9 +48,9 @@ type InputStats struct {
 	Records int64 // 0 = unknown; models derive from Bytes
 	Reused  bool  // consumed by more than one action → cache placement pays
 	// DistinctFrac is the fraction of records with a distinct key (combiner
-	// selectivity); 0 = unknown. Statistics systems rarely know it up
-	// front — this is the field the adaptive monitor corrects at runtime
-	// from the observed combine ratio.
+	// selectivity); 0 = unknown, and the model assumes natural-language
+	// text. Statistics systems rarely know it up front; a caller that does
+	// sets it (make calibrate's WC-unique rows plan with 1).
 	DistinctFrac float64
 }
 
@@ -85,13 +85,10 @@ func (c Candidate) String() string {
 }
 
 // Cost is a CostProvider's prediction for one candidate: end-to-end
-// seconds plus the intermediate volumes the adaptive monitor compares
-// against observed counters.
+// seconds plus the shuffle volume the cost table shows.
 type Cost struct {
 	Seconds         float64
 	ShuffleRawBytes int64 // serialized shuffle volume before compression
-	ShuffleRecords  int64
-	SpillBytes      int64
 }
 
 // CostProvider scores one candidate configuration for one plan on one
@@ -191,13 +188,14 @@ func (p *Planner) Plan(spec PlanSpec) (*Decision, error) {
 		Table:  table,
 		Trace:  &Trace{},
 	}
-	d.Trace.add(EvEstimate, "", fmt.Sprintf("%s: scored %d candidates, chose %s (est %.3fs)",
+	d.Trace.add(EvEstimate, fmt.Sprintf("%s: scored %d candidates, chose %s (est %.3fs)",
 		spec.Workload, len(table), d.Chosen, d.Est.Seconds))
 	return d, nil
 }
 
-// PlanFor is Plan with the engine pinned — the path dataflow.WithPlanner
-// takes, where the caller already opened a specific backend.
+// PlanFor is Plan with the engine pinned, for a caller that has already
+// picked the backend it will open: apply the decision to the configuration
+// and pass that to dataflow.Open.
 func (p *Planner) PlanFor(engine string, spec PlanSpec) (*Decision, error) {
 	sub := *p
 	sub.Engines = []string{engine}
@@ -229,13 +227,13 @@ func (d *Decision) Apply(conf *core.Config) {
 	}
 	for _, w := range writes {
 		if conf.Explicit(w.key) {
-			d.Trace.add(EvSkip, "", fmt.Sprintf("%s explicitly set, planner keeps user value %q",
+			d.Trace.add(EvSkip, fmt.Sprintf("%s explicitly set, planner keeps user value %q",
 				w.key, conf.String(w.key, "")))
 			continue
 		}
 		conf.SetDerived(w.key, w.val)
 	}
-	d.Trace.add(EvChoose, "", fmt.Sprintf("applied %s", d.Chosen))
+	d.Trace.add(EvChoose, fmt.Sprintf("applied %s", d.Chosen))
 }
 
 // CostTable renders the scored candidates as rows (candidate, est seconds,

@@ -2,14 +2,12 @@ package planner
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine/mapreduce"
-	"repro/internal/metrics"
 )
 
 func laptopSpec() cluster.Spec {
@@ -188,7 +186,7 @@ func TestApplyNeverOverridesExplicitKeys(t *testing.T) {
 		}
 	}
 	if skips != 2 {
-		t.Fatalf("want 2 skip events for the 2 explicit keys, got %d\n%s", skips, d.Trace.Render())
+		t.Fatalf("want 2 skip events for the 2 explicit keys, got %d\n%s", skips, d.Trace.Events())
 	}
 }
 
@@ -240,178 +238,5 @@ func TestShapeString(t *testing.T) {
 		if got := shape.String(); got != want {
 			t.Errorf("Shape(%d).String() = %q, want %q", int(shape), got, want)
 		}
-	}
-}
-
-// replanProvider flips its preferred strategy with the corrected distinct
-// fraction — the hash→sort aggregation flip the calibrated model had while
-// MapReduce's hash path won at the default cardinality.
-type replanProvider struct{}
-
-func (replanProvider) Estimate(spec PlanSpec, cand Candidate, _ cluster.Spec) (Cost, error) {
-	sec := 2.0
-	if spec.Input.DistinctFrac > 0.5 { // corrected: combiner useless, sort/p=2 wins
-		if cand.Strategy == "sort" && cand.Parallelism == 2 {
-			sec = 1.0
-		}
-	} else { // believed: combiner works, hash/p=8 wins
-		if cand.Strategy == "hash" && cand.Parallelism == 8 {
-			sec = 1.0
-		}
-	}
-	return Cost{Seconds: sec, ShuffleRawBytes: spec.Input.Bytes}, nil
-}
-
-func TestMonitorReplansOnDivergence(t *testing.T) {
-	p := &Planner{Spec: laptopSpec(), Provider: replanProvider{}, Parallelisms: []int{2, 8}}
-	spec := PlanSpec{Workload: "WordCount", Shape: Aggregate, Input: InputStats{Bytes: 1 << 20}}
-	d, err := p.PlanFor("mapreduce", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Chosen.Strategy != "hash" || d.Chosen.Parallelism != 8 {
-		t.Fatalf("static decision %s, want hash/p=8", d.Chosen)
-	}
-
-	conf := core.NewConfig()
-	d.Apply(conf)
-	var jm metrics.JobMetrics
-	mon := NewMonitor(p, d, conf, &jm)
-	defer mon.Detach()
-
-	// A combiner that did nothing: ratio 1 → corrected DistinctFrac = 1.
-	jm.CombineInputRecords.Add(1000)
-	jm.CombineOutputRecs.Add(1000)
-
-	// Stage boundary with observed raw volume well under the trigger: keep.
-	jm.ShuffleRawBytesWritten.Add(1 << 20)
-	jm.NotifyStage("map-0")
-	if mon.Replans() != 0 {
-		t.Fatalf("replanned below threshold:\n%s", d.Trace.Render())
-	}
-
-	// Blow past the 2× trigger: the monitor must re-plan to sort/p=2.
-	jm.ShuffleRawBytesWritten.Add(8 << 20)
-	jm.NotifyStage("map-1")
-	if mon.Replans() != 1 {
-		t.Fatalf("want 1 replan, got %d:\n%s", mon.Replans(), mon.Decision().Trace.Render())
-	}
-	nd := mon.Decision()
-	if nd.Chosen.Strategy != "sort" || nd.Chosen.Parallelism != 2 {
-		t.Fatalf("replanned to %s, want sort/p=2", nd.Chosen)
-	}
-	if nd.Chosen.Engine != "mapreduce" {
-		t.Fatalf("replan switched engine to %s; the engine is pinned mid-run", nd.Chosen.Engine)
-	}
-	// The corrected configuration reached the live conf.
-	if got := conf.String(core.ShuffleStrategy, ""); got != "sort" {
-		t.Fatalf("conf strategy after replan = %q", got)
-	}
-	if got := conf.Int(mapreduce.MRReduceTasks, 0); got != 2 {
-		t.Fatalf("conf reduce tasks after replan = %d", got)
-	}
-	// One shared trail, with the replan event visible.
-	if nd.Trace.Replans() != 1 {
-		t.Fatalf("trace replan count %d\n%s", nd.Trace.Replans(), nd.Trace.Render())
-	}
-	render := nd.Trace.Render()
-	for _, want := range []string{"[estimate]", "[observe @map-1]", "[replan @map-1]", "hash", "sort"} {
-		if !strings.Contains(render, want) {
-			t.Fatalf("trace missing %q:\n%s", want, render)
-		}
-	}
-}
-
-func TestMonitorRespectsExplicitKeys(t *testing.T) {
-	p := &Planner{Spec: laptopSpec(), Provider: replanProvider{}, Parallelisms: []int{2, 8}}
-	spec := PlanSpec{Workload: "WordCount", Shape: Aggregate, Input: InputStats{Bytes: 1 << 20}}
-	d, err := p.PlanFor("mapreduce", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf := core.NewConfig().Set(core.ShuffleStrategy, "hash") // user pinned hash
-	d.Apply(conf)
-	var jm metrics.JobMetrics
-	mon := NewMonitor(p, d, conf, &jm)
-	defer mon.Detach()
-
-	jm.ShuffleRawBytesWritten.Add(16 << 20)
-	jm.NotifyStage("map-0")
-	if mon.Replans() != 1 {
-		t.Fatalf("want a replan, got %d", mon.Replans())
-	}
-	if got := conf.String(core.ShuffleStrategy, ""); got != "hash" {
-		t.Fatalf("replan overrode the user's explicit strategy: %q", got)
-	}
-	if got := conf.Int(mapreduce.MRReduceTasks, 0); got != 2 {
-		t.Fatalf("replan should still adjust non-explicit parallelism, got %d", got)
-	}
-}
-
-func TestMonitorReplanBudget(t *testing.T) {
-	p := &Planner{Spec: laptopSpec(), Provider: replanProvider{}, Parallelisms: []int{2, 8}}
-	d, err := p.PlanFor("mapreduce", PlanSpec{Workload: "w", Shape: Aggregate, Input: InputStats{Bytes: 1 << 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf := core.NewConfig()
-	var jm metrics.JobMetrics
-	mon := NewMonitor(p, d, conf, &jm)
-	defer mon.Detach()
-
-	for i := 0; i < maxReplans+4; i++ {
-		jm.ShuffleRawBytesWritten.Add(64 << 20) // keep the ratio diverging
-		jm.NotifyStage(fmt.Sprintf("map-%d", i))
-	}
-	if mon.Replans() > maxReplans {
-		t.Fatalf("replans %d exceeded budget %d", mon.Replans(), maxReplans)
-	}
-}
-
-func TestMonitorSortShapeCorrectsBytes(t *testing.T) {
-	// For Sort shapes divergence is attributed to input size.
-	var sawBytes int64
-	prov := tableCost{cost: func(spec PlanSpec, cand Candidate) (Cost, error) {
-		if spec.Input.Bytes > sawBytes {
-			sawBytes = spec.Input.Bytes
-		}
-		return Cost{Seconds: 1, ShuffleRawBytes: spec.Input.Bytes}, nil
-	}}
-	p := &Planner{Spec: laptopSpec(), Provider: prov, Parallelisms: []int{2}}
-	d, err := p.PlanFor("spark", PlanSpec{Workload: "TeraSort", Shape: Sort, Input: InputStats{Bytes: 1 << 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf := core.NewConfig()
-	var jm metrics.JobMetrics
-	mon := NewMonitor(p, d, conf, &jm)
-	defer mon.Detach()
-
-	jm.ShuffleRawBytesWritten.Add(4 << 20)
-	jm.NotifyStage("map-0")
-	if mon.Replans() != 1 {
-		t.Fatalf("want a replan, got %d:\n%s", mon.Replans(), d.Trace.Render())
-	}
-	if sawBytes != 4<<20 {
-		t.Fatalf("replan should re-estimate with corrected bytes 4MiB, saw %d", sawBytes)
-	}
-}
-
-func TestMonitorReset(t *testing.T) {
-	p := &Planner{Spec: laptopSpec(), Provider: replanProvider{}, Parallelisms: []int{2, 8}}
-	d, err := p.PlanFor("mapreduce", PlanSpec{Workload: "w", Shape: Aggregate, Input: InputStats{Bytes: 1 << 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jm metrics.JobMetrics
-	jm.ShuffleRawBytesWritten.Add(100 << 20) // pre-monitor history
-	mon := NewMonitor(p, d, core.NewConfig(), &jm)
-	defer mon.Detach()
-	jm.ShuffleRawBytesWritten.Add(32 << 20)
-	mon.Reset() // new job baseline: the 32 MiB above no longer counts
-	jm.ShuffleRawBytesWritten.Add(1 << 20)
-	jm.NotifyStage("map-0")
-	if got := mon.Replans(); got != 0 {
-		t.Fatalf("replan fired against a stale baseline (%d):\n%s", got, d.Trace.Render())
 	}
 }

@@ -45,7 +45,6 @@ func (s SimCost) Estimate(spec PlanSpec, cand Candidate, clusterSpec cluster.Spe
 	return Cost{
 		Seconds:         est.Seconds,
 		ShuffleRawBytes: est.ShuffleRawBytes,
-		ShuffleRecords:  est.ShuffleRecords,
 	}, nil
 }
 

@@ -1,10 +1,6 @@
 package planner
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-)
+import "fmt"
 
 // EventKind classifies one entry in a Decision's trail.
 type EventKind int
@@ -18,14 +14,6 @@ const (
 	// EvSkip records a conf key the planner left alone because the user
 	// set it explicitly.
 	EvSkip
-	// EvObserve records a stage-boundary comparison of observed counters
-	// against the estimate.
-	EvObserve
-	// EvKeep records an observation that stayed within the re-plan
-	// threshold (the current plan survives).
-	EvKeep
-	// EvReplan records a mid-run decision change.
-	EvReplan
 )
 
 // String implements fmt.Stringer.
@@ -37,12 +25,6 @@ func (k EventKind) String() string {
 		return "choose"
 	case EvSkip:
 		return "skip"
-	case EvObserve:
-		return "observe"
-	case EvKeep:
-		return "keep"
-	case EvReplan:
-		return "replan"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -51,58 +33,25 @@ func (k EventKind) String() string {
 // Event is one decision-trail entry.
 type Event struct {
 	Kind   EventKind
-	Stage  string // stage name for runtime events; "" for plan-time events
 	Detail string
 }
 
 // String renders the event as one trail line.
 func (e Event) String() string {
-	if e.Stage != "" {
-		return fmt.Sprintf("[%s @%s] %s", e.Kind, e.Stage, e.Detail)
-	}
 	return fmt.Sprintf("[%s] %s", e.Kind, e.Detail)
 }
 
-// Trace is a decision trail: every estimate, choice, observation and
-// re-plan, in order. The adaptive monitor appends from the driver
-// goroutine while reports read concurrently, hence the lock.
+// Trace is a decision trail: every estimate, choice and skipped key, in
+// order.
 type Trace struct {
-	mu     sync.Mutex
 	events []Event
 }
 
-func (t *Trace) add(kind EventKind, stage, detail string) {
-	t.mu.Lock()
-	t.events = append(t.events, Event{Kind: kind, Stage: stage, Detail: detail})
-	t.mu.Unlock()
+func (t *Trace) add(kind EventKind, detail string) {
+	t.events = append(t.events, Event{Kind: kind, Detail: detail})
 }
 
 // Events returns a copy of the trail so far.
 func (t *Trace) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
-}
-
-// Replans counts EvReplan entries — the figure of merit the adaptive
-// experiments assert on.
-func (t *Trace) Replans() int {
-	n := 0
-	for _, e := range t.Events() {
-		if e.Kind == EvReplan {
-			n++
-		}
-	}
-	return n
-}
-
-// Render returns the trail as one line per event, for planviz and the
-// experiment notes.
-func (t *Trace) Render() string {
-	var b strings.Builder
-	for _, e := range t.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/shuffle"
 )
 
-// This file is the queryable per-stage cost API the adaptive planner uses
+// This file is the queryable per-stage cost API the static planner uses
 // (internal/planner): analytic estimates of the REAL mini-engines'
 // wall-clock for one plan × one physical configuration, answerable in
 // microseconds — no discrete-event run, no whole-figure replay.
@@ -194,8 +194,8 @@ const (
 	// key like the hash writer does. Spark's sort path comes out just under
 	// its hash path (sort minus hash slope: -0.0054 at p=2, -0.0026 at
 	// p=8); Flink's sorted exchange just over (+0.0042, +0.0007).
-	// MapReduce's is read from its 192 KiB rows, the wave size the adaptive
-	// cell plans at, where sort and hash/p=2 measure level (14.1, 13.75
+	// MapReduce's is read from its 192 KiB rows, the wave size of
+	// calibrate's WC-unique rows, where sort and hash/p=2 measure level (14.1, 13.75
 	// against 14.1 ms). At 768 KiB its sort rows run 10 % under hash/p=2
 	// and 6 % under hash/p=8 — inside hash/p=8's quartile distance over the
 	// six sweeps (49-56.5 ms) — a crossing one slope cannot carry; the
@@ -211,9 +211,9 @@ const (
 	// 0.0496 and 0.0491), mean -0.024. With it the sort cells read 11.0 ms
 	// at 192 KiB, 40.5 at 768 KiB and 49.5 / 51.9 on unique keys — within 5 %
 	// where they read 1.45-1.6× high. MapReduce's static choice for an
-	// aggregate is now sort at every cardinality: the hash → sort flip the
-	// adaptive cell was built on is gone from the measurement, so it is gone
-	// from the model (TestEstimateCardinality, runners_ext10.go).
+	// aggregate is now sort at every cardinality: the hash → sort flip at
+	// high cardinality is gone from the measurement, so it is gone from the
+	// model (TestEstimateCardinality).
 	// Since the sort writer cuts its runs with the packed radix sorter,
 	// MapReduce's sort rows fell again and nothing else on WordCount moved:
 	// in eight sweeps alternated with the state before (per-cell medians,
@@ -307,7 +307,7 @@ const (
 	//     nothing makes pure overhead, while its sort path was going to
 	//     sort anyway: hash minus sort at equal p, over the same gap at
 	//     the default cardinality, was 1.6 ms a wave at p=2 and 1.7 at p=8
-	//     (0.012 here) and the hash→sort flip of the adaptive experiments.
+	//     (0.012 here) and the hash→sort flip of the early ext10 sweeps.
 	//     With the normalized-key sort the sort path wins at the default
 	//     cardinality too (estAggSortMR) and the extra gap reads +1.5 and
 	//     -0.7 ms a wave in six sweeps, +1.9 and +1.2 in three later ones:
@@ -358,8 +358,8 @@ type InputStats struct {
 	Records int64 // 0 = derive from Bytes
 	// DistinctFrac is the fraction of records carrying a distinct key —
 	// the map-side combiner's selectivity. 0 = unknown (use the calibrated
-	// default); 1 = every key distinct, combining does nothing. The
-	// adaptive monitor corrects it from the observed combine ratio.
+	// default); 1 = every key distinct, combining does nothing, as on
+	// calibrate's WC-unique rows.
 	DistinctFrac float64
 }
 
@@ -371,8 +371,7 @@ type StageEstimate struct {
 }
 
 // CostEstimate is Estimate's answer: end-to-end seconds, the per-stage
-// breakdown, and the intermediate volumes the adaptive monitor compares
-// with observed counters mid-job.
+// breakdown, and the intermediate shuffle volumes.
 type CostEstimate struct {
 	Seconds         float64
 	Stages          []StageEstimate

@@ -23,13 +23,16 @@ func paritySession(t *testing.T, engine string) *dataflow.Session {
 	return paritySessionConf(t, engine, nil)
 }
 
-// paritySessionConf is paritySession with a configuration hook (the
-// non-default shuffle strategy runs use it) and extra Open options (the
-// planner-chosen configuration runs use those).
+// paritySpec is the cluster every parity session runs on.
+var paritySpec = cluster.Spec{Nodes: 2, CoresPerNode: 8, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
+
+// paritySessionConf is paritySession with a configuration hook, run on the
+// configuration before the session opens (the non-default shuffle strategy
+// runs and the planner-chosen configuration runs use it), and extra Open
+// options (a test that needs another block size passes its own WithFS).
 func paritySessionConf(t *testing.T, engine string, edit func(*core.Config), extra ...dataflow.Option) *dataflow.Session {
 	t.Helper()
-	spec := cluster.Spec{Nodes: 2, CoresPerNode: 8, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
-	rt, err := cluster.NewRuntime(spec, 8)
+	rt, err := cluster.NewRuntime(paritySpec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func paritySessionConf(t *testing.T, engine string, edit func(*core.Config), ext
 	}
 	opts := append([]dataflow.Option{
 		dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
-		dataflow.WithFS(dfs.New(spec.Nodes, 16*core.KB, 1)),
+		dataflow.WithFS(dfs.New(paritySpec.Nodes, 16*core.KB, 1)),
 	}, extra...)
 	s, err := dataflow.Open(engine, opts...)
 	if err != nil {
@@ -327,32 +330,39 @@ func TestCrossEngineParity(t *testing.T) {
 	for _, engine := range engines {
 		engine := engine
 		t.Run(engine+"/planner", func(t *testing.T) {
-			base := func(conf *core.Config) {
-				conf.SetBytes(core.SparkExecutorMemory, 256*core.MB).
-					SetBytes(core.FlinkTaskManagerMemory, 256*core.MB).
-					SetInt(core.FlinkNetworkBuffers, 8192)
+			// planned opens a session on the configuration the planner
+			// picks for spec: plan, apply the decision, then open.
+			planned := func(spec planner.PlanSpec) (*dataflow.Session, planner.Candidate) {
+				var chosen planner.Candidate
+				s := paritySessionConf(t, engine, func(conf *core.Config) {
+					conf.SetBytes(core.SparkExecutorMemory, 256*core.MB).
+						SetBytes(core.FlinkTaskManagerMemory, 256*core.MB).
+						SetInt(core.FlinkNetworkBuffers, 8192)
+					d, err := (&planner.Planner{Provider: &planner.SimCost{Base: conf}, Spec: paritySpec}).PlanFor(engine, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.Apply(conf)
+					chosen = d.Chosen
+				})
+				return s, chosen
 			}
-			wcSpec := planner.PlanSpec{Workload: "WordCount", Shape: planner.Aggregate,
-				Input: planner.InputStats{Bytes: int64(len(text))}}
-			s := paritySessionConf(t, engine, base, dataflow.WithPlanner(wcSpec))
-			if s.PlannerDecision() == nil {
-				t.Fatal("session opened with WithPlanner carries no decision")
-			}
+			s, chosen := planned(planner.PlanSpec{Workload: "WordCount", Shape: planner.Aggregate,
+				Input: planner.InputStats{Bytes: int64(len(text))}})
 			s.FS().WriteFile("wiki", text)
 			if err := WordCount(s, "wiki", "wc-out"); err != nil {
-				t.Fatalf("wordcount under planner config %s: %v", s.PlannerDecision().Chosen, err)
+				t.Fatalf("wordcount under planner config %s: %v", chosen, err)
 			}
 			if got := sortedLines(t, s, "wc-out"); got != want.wordCounts {
 				t.Errorf("%s word counts under planner config %s differ from the default runs",
-					engine, s.PlannerDecision().Chosen)
+					engine, chosen)
 			}
 
-			tsSpec := planner.PlanSpec{Workload: "TeraSort", Shape: planner.Sort,
-				Input: planner.InputStats{Bytes: int64(len(tera)), Records: teraRecords}}
-			s = paritySessionConf(t, engine, base, dataflow.WithPlanner(tsSpec))
+			s, chosen = planned(planner.PlanSpec{Workload: "TeraSort", Shape: planner.Sort,
+				Input: planner.InputStats{Bytes: int64(len(tera)), Records: teraRecords}})
 			s.FS().WriteFile("tera-in", tera)
 			if err := TeraSort(s, "tera-in", "tera-out", teraPart); err != nil {
-				t.Fatalf("terasort under planner config %s: %v", s.PlannerDecision().Chosen, err)
+				t.Fatalf("terasort under planner config %s: %v", chosen, err)
 			}
 			if err := VerifyTeraSorted(s.FS(), "tera-out", teraRecords); err != nil {
 				t.Fatalf("terasort validate under planner config: %v", err)
@@ -363,7 +373,7 @@ func TestCrossEngineParity(t *testing.T) {
 			}
 			if !bytes.Equal(tf.Contents(), want.teraBytes) {
 				t.Errorf("%s terasort output under planner config %s is not byte-identical",
-					engine, s.PlannerDecision().Chosen)
+					engine, chosen)
 			}
 		})
 	}
