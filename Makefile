@@ -7,7 +7,7 @@ GO ?= go
 # package stays near-fully exercised.
 COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
-COVER_PKGS = ./internal/dataflow/... ./internal/shuffle/... ./internal/streaming/... ./internal/planner/...
+COVER_PKGS = ./internal/dataflow/... ./internal/shuffle/... ./internal/planner/...
 
 .PHONY: build test lint cover bench-smoke bench-tiny fuzz-smoke profile calibrate ext10-gates bench-pair
 
@@ -33,7 +33,7 @@ lint:
 	fi
 
 # Coverage gate for the dataflow layer (incl. the graph subsystem), the
-# shuffle core, streaming and the planner.
+# shuffle core and the planner.
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)
 	@total="$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }')"; \
@@ -45,10 +45,9 @@ cover:
 	awk -v t="$$pl" -v f="$(PLANNER_COVER_FLOOR)" 'BEGIN { exit (t + 0 < f) ? 1 : 0 }' || \
 		{ echo "planner coverage below floor"; exit 1; }
 
-# Fast benchmark subset (1 iteration, no unit tests) plus five benchrunner
+# Fast benchmark subset (1 iteration, no unit tests) plus four benchrunner
 # experiments — tab1 (operator plans), ext4 (a three-way graph run), ext6
-# (the shuffle strategy × parallelism sweep on the real engines), ext7
-# (streaming latency percentiles, micro-batch vs per-event) and ext10
+# (the shuffle strategy × parallelism sweep on the real engines) and ext10
 # (static planner regret vs a measured oracle) — whose reports land in
 # BENCH_smoke.json, the per-push CI artifact the benchguard regression gate
 # compares across pushes. GOGC is pinned and every go-test benchmark runs
@@ -58,7 +57,7 @@ BENCH_GOGC ?= 100
 BENCHTIME ?= 1x
 bench-smoke:
 	GOGC=$(BENCH_GOGC) $(GO) test -bench 'Ext|EngineWordCount|AblationPipelining' -benchtime $(BENCHTIME) -run '^$$' .
-	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext7,ext10 -json BENCH_smoke.json
+	GOGC=$(BENCH_GOGC) $(GO) run ./cmd/benchrunner -run tab1,ext4,ext6,ext10 -json BENCH_smoke.json
 
 # The repo benchmark (BENCHMARK.json) at smoke-test scale, for correctness
 # only: all four workloads on all three engines, every job checked against

@@ -44,18 +44,6 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	if len(rep.Rows) > 0 {
 		last := rep.Rows[len(rep.Rows)-1]
-		if rep.Latency {
-			// Streaming reports measure latency percentiles, not runtimes.
-			if !math.IsNaN(last.Spark) {
-				b.ReportMetric(last.Spark, "spark_p50_ms")
-				b.ReportMetric(last.SparkP99, "spark_p99_ms")
-			}
-			if !math.IsNaN(last.Flink) {
-				b.ReportMetric(last.Flink, "flink_p50_ms")
-				b.ReportMetric(last.FlinkP99, "flink_p99_ms")
-			}
-			return
-		}
 		if !math.IsNaN(last.Spark) {
 			b.ReportMetric(last.Spark, "spark_s")
 		}
@@ -98,7 +86,6 @@ func BenchmarkExt3KMeansThreeWay(b *testing.B)    { benchExperiment(b, "ext3") }
 func BenchmarkExt4PageRankThreeWay(b *testing.B)  { benchExperiment(b, "ext4") }
 func BenchmarkExt5CCThreeWay(b *testing.B)        { benchExperiment(b, "ext5") }
 func BenchmarkExt6ShuffleSweep(b *testing.B)      { benchExperiment(b, "ext6") }
-func BenchmarkExt7StreamingLatency(b *testing.B)  { benchExperiment(b, "ext7") }
 
 // --- Ablations (DESIGN.md §7) ----------------------------------------------
 

@@ -10,8 +10,8 @@ import (
 
 // The -json output: the perf trajectory artifact CI uploads per push
 // (BENCH_*.json). NaN cells (failed runs, filtered engines) are omitted,
-// which encoding/json would otherwise reject. Latency reports (ext7)
-// carry *_p50_ms/*_p99_ms fields instead of the *_s runtime columns.
+// which encoding/json would otherwise reject. Planner reports (ext10)
+// carry their regret columns instead of the *_s runtime columns.
 
 type jsonRow struct {
 	Label        string   `json:"label"`
@@ -21,12 +21,6 @@ type jsonRow struct {
 	FlinkStd     *float64 `json:"flink_std,omitempty"`
 	MapReduce    *float64 `json:"mapreduce_s,omitempty"`
 	MapReduceStd *float64 `json:"mapreduce_std,omitempty"`
-	// Latency reports (ext7): percentiles in milliseconds instead of the
-	// *_s runtime columns above. spark = micro-batch, flink = per-event.
-	SparkP50 *float64 `json:"spark_p50_ms,omitempty"`
-	SparkP99 *float64 `json:"spark_p99_ms,omitempty"`
-	FlinkP50 *float64 `json:"flink_p50_ms,omitempty"`
-	FlinkP99 *float64 `json:"flink_p99_ms,omitempty"`
 	// Planner reports (ext10): measured seconds of the planner's choice,
 	// the oracle sweep's best and worst fixed configurations and the regret
 	// ratio. All lower-is-better, so the guard's
@@ -62,11 +56,6 @@ func toJSONReport(rep *experiments.Report) jsonReport {
 			jr.OracleSec = finite(row.OracleSec)
 			jr.WorstSec = finite(row.WorstSec)
 			jr.Regret = finite(row.Regret)
-		} else if rep.Latency {
-			jr.SparkP50 = finite(row.Spark)
-			jr.SparkP99 = finite(row.SparkP99)
-			jr.FlinkP50 = finite(row.Flink)
-			jr.FlinkP99 = finite(row.FlinkP99)
 		} else {
 			jr.Spark = finite(row.Spark)
 			jr.SparkStd = finite(row.SparkStd)

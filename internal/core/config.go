@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Parameter names. These follow the paper's Section IV taxonomy: task
@@ -82,22 +81,6 @@ const (
 	BufferSize = "buffer.size"
 	// HDFSBlockSize is the DFS block size (HDFS.block.size in the paper).
 	HDFSBlockSize = "hdfs.block.size"
-
-	// StreamingBatchInterval is the micro-batch driver's slicing interval —
-	// Spark Streaming's batchDuration. Each tick the driver drains the log,
-	// runs one batch job and emits every window the watermark has passed.
-	StreamingBatchInterval = "streaming.batch.interval"
-	// StreamingWindowSize is the event-time tumbling window length for the
-	// streaming workloads.
-	StreamingWindowSize = "streaming.window.size"
-	// StreamingWatermarkBound is the bounded-out-of-orderness watermark
-	// allowance: a partition's watermark trails its max event time by this.
-	StreamingWatermarkBound = "streaming.watermark.bound"
-	// StreamingIdleTimeout is the per-partition idle detection threshold: a
-	// partition that has delivered no records for this long stops holding
-	// back the global watermark (so one silent partition cannot stall
-	// window emission for the whole job).
-	StreamingIdleTimeout = "streaming.watermark.idle-timeout"
 )
 
 // DefaultExecBatchSize is the execution batch width used when
@@ -157,10 +140,6 @@ func NewConfig() *Config {
 	c.SetInt(FlinkTaskSlots, 0) // 0 = one per core
 	c.SetBytes(BufferSize, 32*KB)
 	c.SetBytes(HDFSBlockSize, 256*MB)
-	c.SetDuration(StreamingBatchInterval, 50*time.Millisecond)
-	c.SetDuration(StreamingWindowSize, 100*time.Millisecond)
-	c.SetDuration(StreamingWatermarkBound, 20*time.Millisecond)
-	c.SetDuration(StreamingIdleTimeout, 200*time.Millisecond)
 	c.mu.Lock()
 	c.sealed = true // everything above is defaults, not user intent
 	c.mu.Unlock()
@@ -235,11 +214,6 @@ func (c *Config) SetBytes(key string, v ByteSize) *Config {
 // SetBool stores a boolean value.
 func (c *Config) SetBool(key string, v bool) *Config { return c.Set(key, strconv.FormatBool(v)) }
 
-// SetDuration stores a duration value in Go's "50ms" syntax.
-func (c *Config) SetDuration(key string, v time.Duration) *Config {
-	return c.Set(key, v.String())
-}
-
 // String returns the raw value or def when absent.
 func (c *Config) String(key, def string) string {
 	c.mu.RLock()
@@ -269,15 +243,6 @@ func (c *Config) Float(key string, def float64) float64 {
 // Bool returns the boolean value or def when absent/invalid.
 func (c *Config) Bool(key string, def bool) bool {
 	if v, err := strconv.ParseBool(c.String(key, "")); err == nil {
-		return v
-	}
-	return def
-}
-
-// Duration returns the duration value or def when absent/invalid. Values
-// use Go's duration syntax ("50ms", "1.5s").
-func (c *Config) Duration(key string, def time.Duration) time.Duration {
-	if v, err := time.ParseDuration(c.String(key, "")); err == nil {
 		return v
 	}
 	return def

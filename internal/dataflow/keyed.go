@@ -39,17 +39,6 @@ func KeyBy[T any, K cmp.Ordered](d *Dataset[T], keyFn func(T) K) *Dataset[core.P
 // Spark cuts a stage, Flink inserts a pipelined exchange, MapReduce
 // spill-sorts, materializes and sort-merges a full job.
 func ReduceByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V) V) *Dataset[core.Pair[K, V]] {
-	return reduceByKey(d, f, 0)
-}
-
-// ReduceByKeyWith is ReduceByKey with an explicit reduce-side parallelism
-// (numParts ≤ 0 uses the engine default) — the knob the paper shows is
-// worth ~10% on Spark.
-func ReduceByKeyWith[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V) V, numParts int) *Dataset[core.Pair[K, V]] {
-	return reduceByKey(d, f, numParts)
-}
-
-func reduceByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V) V, numParts int) *Dataset[core.Pair[K, V]] {
 	out := &Dataset[core.Pair[K, V]]{s: d.s, node: d.s.newNode(core.OpReduceByKey, "ReduceByKey", d.node)}
 	out.lower = func() (any, error) {
 		switch d.s.kind {
@@ -58,13 +47,13 @@ func reduceByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V)
 			if err != nil {
 				return nil, err
 			}
-			return cacheHint(out.node, spark.ReduceByKey(in, f, numParts)), nil
+			return cacheHint(out.node, spark.ReduceByKey(in, f, 0)), nil
 		case Flink:
 			in, err := repOf[*flink.DataSet[core.Pair[K, V]]](d)
 			if err != nil {
 				return nil, err
 			}
-			grouped := flink.GroupBy(in, func(p core.Pair[K, V]) K { return p.Key }).WithParallelism(numParts)
+			grouped := flink.GroupBy(in, func(p core.Pair[K, V]) K { return p.Key })
 			return flink.Reduce(grouped, func(a, b core.Pair[K, V]) core.Pair[K, V] {
 				return core.KV(a.Key, f(a.Value, b.Value))
 			}), nil
@@ -73,7 +62,7 @@ func reduceByKey[K cmp.Ordered, V any](d *Dataset[core.Pair[K, V]], f func(V, V)
 			if err != nil {
 				return nil, err
 			}
-			return fragReduceByKey(in, f, numParts), nil
+			return fragReduceByKey(in, f), nil
 		}
 	}
 	return out

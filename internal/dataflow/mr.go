@@ -191,10 +191,9 @@ func foldValues[V any](vs []V, f func(V, V) V) V {
 
 // fragReduceByKey runs the keyed aggregation as one full job: the fused
 // chain feeds the map phase, f is both the Combine and the Reduce.
-func fragReduceByKey[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], f func(V, V) V, reduces int) *mrFrag[core.Pair[K, V]] {
+func fragReduceByKey[K cmp.Ordered, V any](in *mrFrag[core.Pair[K, V]], f func(V, V) V) *mrFrag[core.Pair[K, V]] {
 	return jobFrag(in, core.OpReduceByKey, mapreduce.Job[core.Pair[K, V], K, V]{
 		Name:    "ReduceByKey",
-		Reduces: reduces,
 		Map:     func(p core.Pair[K, V], emit func(K, V)) { emit(p.Key, p.Value) },
 		Combine: func(_ K, vs []V) V { return foldValues(vs, f) },
 		Reduce:  func(k K, vs []V, emit func(K, V)) { emit(k, foldValues(vs, f)) },

@@ -29,12 +29,12 @@
 // generated inputs (datagen, tests, the benchmark), sink output (WriteParts
 // keeps the parts the sink tasks encoded, each a buffer the dataflow sink
 // allocated for this file and drops once it is committed), encoded
-// iteration state, streaming log segments, mapreduce's spill runs and
-// shuffle segments. Those last two are pooled buffers the engine lends the
-// file for as long as it exists: every reader has decoded them into values
-// that never alias the file (serde.DecodeAllN), and the job returns each
-// buffer to memory.DefaultPool only after it has deleted the file — a spill
-// run when the map task's writer removes it, a segment at the job's cleanup.
+// iteration state, mapreduce's spill runs and shuffle segments. Those last
+// two are pooled buffers the engine lends the file for as long as it
+// exists: every reader has decoded them into values that never alias the
+// file (serde.DecodeAllN), and the job returns each buffer to
+// memory.DefaultPool only after it has deleted the file — a spill run when
+// the map task's writer removes it, a segment at the job's cleanup.
 // Overwriting a name stores a new File over a new buffer; views of the old
 // one keep it alive and unchanged.
 //

@@ -69,6 +69,5 @@ func skippedRow(label, note string) Row {
 	return Row{
 		Label: label, PaperNote: note,
 		Spark: math.NaN(), Flink: math.NaN(), MapRed: math.NaN(),
-		SparkP99: math.NaN(), FlinkP99: math.NaN(),
 	}
 }

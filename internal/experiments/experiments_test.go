@@ -12,7 +12,7 @@ func TestRegistryComplete(t *testing.T) {
 		"tab1", "tab2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 		"tab3", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"tab4", "tab5", "tab6", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "tab7",
-		"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext10",
+		"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext10",
 	}
 	ids := IDs()
 	if len(ids) != len(want) {
@@ -126,45 +126,6 @@ func TestExt4Ext5GraphOrdering(t *testing.T) {
 					rep.ID, row.Label, row.MapRed, row.Spark, row.Flink)
 			}
 		}
-	}
-}
-
-// TestExt7MicroBatchLatencyAboveFlink checks the streaming family's
-// defining contrast: at every offered load, the micro-batch lowering's
-// end-to-end latency sits above the per-event lowering's — records wait
-// for batch boundaries before they can even start processing.
-func TestExt7MicroBatchLatencyAboveFlink(t *testing.T) {
-	rep, err := runExt7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Latency {
-		t.Fatal("ext7 should be a latency report")
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("ext7 produced no rows")
-	}
-	for _, row := range rep.Rows {
-		for col, v := range map[string]float64{
-			"spark p50": row.Spark, "spark p99": row.SparkP99,
-			"flink p50": row.Flink, "flink p99": row.FlinkP99,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				t.Errorf("%s: %s latency %v not finite/positive", row.Label, col, v)
-			}
-		}
-		if row.Spark <= row.Flink {
-			t.Errorf("%s: micro-batch p50 %.1fms should exceed per-event p50 %.1fms",
-				row.Label, row.Spark, row.Flink)
-		}
-		if row.SparkP99 < row.Spark || row.FlinkP99 < row.Flink {
-			t.Errorf("%s: p99 below p50 (spark %.1f/%.1f, flink %.1f/%.1f)",
-				row.Label, row.Spark, row.SparkP99, row.Flink, row.FlinkP99)
-		}
-	}
-	out := rep.Render()
-	if !strings.Contains(out, "p50/p99") {
-		t.Errorf("ext7 render missing latency header:\n%s", out)
 	}
 }
 

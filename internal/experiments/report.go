@@ -19,11 +19,6 @@ type Row struct {
 	FlinkStd  float64
 	MapRed    float64
 	MapRedStd float64
-	// SparkP99/FlinkP99 are only set by latency reports (Report.Latency),
-	// where the Spark/Flink columns hold p50 milliseconds instead of mean
-	// seconds and these hold the matching tail percentile.
-	SparkP99 float64
-	FlinkP99 float64
 	// Planner columns of the planner-regret report (ext10): measured
 	// seconds of the planner's chosen configuration, the oracle sweep's
 	// best and worst fixed configurations and the regret ratio.
@@ -43,10 +38,6 @@ type Report struct {
 	Notes    []string
 	Table    [][]string // free-form table (operator/config tables)
 	ThreeWay bool       // render the mapreduce column next to spark/flink
-	// Latency marks a streaming report: row cells are p50/p99 latency
-	// milliseconds (Spark/Flink + SparkP99/FlinkP99), not mean ± std
-	// seconds.
-	Latency bool
 	// Planner marks the planner-regret report (ext10): rows carry the
 	// Planner*/Oracle*/Regret columns for the JSON artifact only — the
 	// human rendering is the free-form Table, so Render skips the rows.
@@ -89,18 +80,10 @@ func (r *Report) Render() string {
 			}
 			fmt.Fprintf(&b, "%s\n", note)
 		}
-		if r.Latency {
-			printRow("config", "spark p50/p99 ms", "flink p50/p99 ms", "", noteHeader)
-			for _, row := range r.Rows {
-				printRow(row.Label, latCell(row.Spark, row.SparkP99), latCell(row.Flink, row.FlinkP99),
-					"", row.PaperNote)
-			}
-		} else {
-			printRow("config", "spark (s)", "flink (s)", "mapreduce (s)", noteHeader)
-			for _, row := range r.Rows {
-				printRow(row.Label, cell(row.Spark, row.SparkStd), cell(row.Flink, row.FlinkStd),
-					cell(row.MapRed, row.MapRedStd), row.PaperNote)
-			}
+		printRow("config", "spark (s)", "flink (s)", "mapreduce (s)", noteHeader)
+		for _, row := range r.Rows {
+			printRow(row.Label, cell(row.Spark, row.SparkStd), cell(row.Flink, row.FlinkStd),
+				cell(row.MapRed, row.MapRedStd), row.PaperNote)
 		}
 	}
 	for _, fig := range r.Figures {
@@ -130,15 +113,6 @@ func cell(mean, std float64) string {
 		return fmt.Sprintf("%.*f ± %.*f", prec, mean, prec, std)
 	}
 	return fmt.Sprintf("%.*f", prec, mean)
-}
-
-// latCell renders one latency cell: "p50 / p99" in milliseconds, "-" when
-// the engine was filtered out or the run failed.
-func latCell(p50, p99 float64) string {
-	if math.IsNaN(p50) {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f / %.1f", p50, p99)
 }
 
 // Runner produces one experiment's report.

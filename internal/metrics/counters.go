@@ -70,9 +70,6 @@ type JobMetrics struct {
 	// engine it stays within the job's inputs, broadcasts and results —
 	// nothing proportional to rounds × data passes through the driver.
 	DriverRecords atomic.Int64
-	// Latency holds per-record ingest→emit latencies for streaming jobs;
-	// batch jobs leave it empty. See LatencySketch.
-	Latency LatencySketch
 
 	// stageObserver, when set, receives a StageEvent at every stage
 	// boundary (see SetStageObserver).

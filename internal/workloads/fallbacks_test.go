@@ -3,12 +3,10 @@ package workloads
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
-	"repro/internal/streaming"
 )
 
 // TestNoBuiltInWorkloadFallsBackToGob runs every built-in workload on every
@@ -72,41 +70,5 @@ func TestNoBuiltInWorkloadFallsBackToGob(t *testing.T) {
 				t.Errorf("%s shuffled Pair[string,*int64] without counting a fallback", engine)
 			}
 		})
-	}
-
-	// CTRWindows under both streaming lowerings.
-	var conf *core.Config
-	streamConf := func(c *core.Config) {
-		c.SetBytes(core.BufferSize, 64)
-		c.SetDuration(core.StreamingWindowSize, 50*time.Millisecond)
-		c.SetDuration(core.StreamingWatermarkBound, 10*time.Millisecond)
-		conf = c
-	}
-	times, clicks := GenClicks(99, 200, 5, 0.1, 0.05, 2.0, 15.0)
-	for _, lowering := range []struct {
-		name, engine string
-		run          func(*dataflow.WindowedAggregation[Click, int64, CTRAgg], *core.Config) (*streaming.Result[int64, CTRAgg], error)
-	}{
-		{"micro-batch", "spark", streaming.RunMicroBatch[Click, int64, CTRAgg]},
-		{"per-event", "flink", streaming.RunPerEvent[Click, int64, CTRAgg]},
-	} {
-		s := paritySessionConf(t, lowering.engine, streamConf)
-		log := streaming.NewLog[Click](s.FS(), "clicks", 2)
-		for i := range clicks {
-			if _, err := log.Append(i%2, times[i], clicks[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		log.Seal()
-		res, err := lowering.run(CTRWindows(s, log, conf), conf)
-		if err != nil {
-			t.Fatalf("CTRWindows %s: %v", lowering.name, err)
-		}
-		if len(res.Windows) == 0 {
-			t.Errorf("CTRWindows %s emitted no windows", lowering.name)
-		}
-		if n := s.Metrics().CodecFallbacks.Load(); n != 0 {
-			t.Errorf("CTRWindows %s: %d codec resolutions fell back to encoding/gob", lowering.name, n)
-		}
 	}
 }
