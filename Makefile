@@ -9,7 +9,7 @@ COVER_FLOOR ?= 60
 PLANNER_COVER_FLOOR ?= 80
 COVER_PKGS = ./internal/dataflow/... ./internal/shuffle/... ./internal/planner/...
 
-.PHONY: build test lint cover bench-smoke bench-tiny fuzz-smoke profile calibrate ext10-gates bench-pair
+.PHONY: build test lint cover bench-smoke bench-tiny fuzz-smoke profile calibrate ext10-gates bench-pair reach
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,43 @@ ext10-gates:
 bench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>[,<name>...]|all"; exit 2; }
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
+
+# Traffic reachability report. The traffic is what the repo ships to run:
+# bench, cmd/... and examples/.... This builds them with inlining off
+# (-gcflags=all=-l, so every function a binary calls is a symbol of it), reads
+# their symbol tables with go tool nm and prints every func declared in a
+# non-test internal/ file (the files go list selects for this platform) that
+# no binary links, as `file:line symbol`. Generic instantiations ([...]),
+# closures (.funcN, .gowrapN, .deferwrapN), method values (-fm) and receiver
+# pointer marks fold into the declaring func's name. It reports and never
+# fails on what it prints: each printed func is reached only from tests (a
+# fault-injection or test hook, a reference a test compares against, a
+# read-only accessor a test inspects) or by nothing at all.
+reach:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; export LC_ALL=C; \
+	$(GO) build -gcflags=all=-l -o "$$tmp/bin/" ./bench ./cmd/... ./examples/... || exit 1; \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done \
+		| sed -E 's/^ *[0-9a-f]* +[A-Za-z] //; :a; s/\[[^][]*\]//; ta' \
+		| sed -E 's/\.(func|gowrap|deferwrap)[0-9].*$$//; s/-fm$$//; s/[(*)]//g' \
+		| sort -u > "$$tmp/linked"; \
+	$(GO) list -f '{{$$p := .ImportPath}}{{range .GoFiles}}{{$$p}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./internal/... \
+		| awk -v root="$$PWD/" '{ \
+			f = $$2; n = 0; \
+			while ((getline line < f) > 0) { \
+				n++; if (line !~ /^func /) continue; \
+				s = substr(line, 6); recv = ""; \
+				if (s ~ /^\(/) { \
+					recv = s; sub(/\).*/, "", recv); gsub(/\[[^]]*\]/, "", recv); \
+					k = split(recv, a, /[ (*]+/); recv = a[k] "."; sub(/^\([^)]*\) */, "", s); \
+				} \
+				name = s; sub(/[[(].*/, "", name); \
+				print $$1 "." recv name " " substr(f, length(root) + 1) ":" n; \
+			} \
+			close(f); \
+		}' | sort > "$$tmp/declared"; \
+	awk '{ print $$1 }' "$$tmp/declared" | sort -u | comm -23 - "$$tmp/linked" > "$$tmp/unlinked"; \
+	awk 'NR == FNR { u[$$1] = 1; next } ($$1 in u) && $$1 !~ /\.init$$/ { print $$2 " " $$1 }' "$$tmp/unlinked" "$$tmp/declared" \
+		| sed 's| repro/internal/| |' | sort -t: -k1,1 -k2,2n
 
 # Short fuzz smoke over the byte decoders, the sort kernel, the split
 # reader and WordCount's tokenizer: each fuzz target runs for a few seconds

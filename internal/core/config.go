@@ -27,12 +27,6 @@ const (
 	// pins it to "tungsten-sort" for fairness with Flink's sort-based
 	// aggregation. Accepted values: "hash", "sort", "tungsten-sort".
 	SparkShuffleManager = "spark.shuffle.manager"
-	// SparkShuffleFileBuffer is the per-shuffle-file write buffer
-	// (shuffle.file.buffers in the paper, default 32KB).
-	SparkShuffleFileBuffer = "spark.shuffle.file.buffer"
-	// SparkShuffleConsolidateFiles enables shuffle file consolidation to
-	// improve filesystem behaviour with many reduce tasks.
-	SparkShuffleConsolidateFiles = "spark.shuffle.consolidateFiles"
 	// SparkSerializer selects the serializer: "java" (default) or "kryo".
 	SparkSerializer = "spark.serializer"
 	// SparkEdgePartitions is the GraphX edge partition count
@@ -47,8 +41,6 @@ const (
 	// FlinkMemoryFraction is the portion of task manager memory given to
 	// the managed runtime (sorting, hash tables, caching).
 	FlinkMemoryFraction = "flink.taskmanager.memory.fraction"
-	// FlinkOffHeap enables hybrid on/off-heap managed memory.
-	FlinkOffHeap = "flink.taskmanager.memory.off-heap"
 	// FlinkNetworkBuffers is the number of network buffers (logical
 	// connections between mappers and reducers); too few fails the job.
 	FlinkNetworkBuffers = "flink.network.buffers"
@@ -126,16 +118,13 @@ func NewConfig() *Config {
 	c := &Config{m: make(map[string]string), explicit: make(map[string]bool)}
 	c.Set(SparkShuffleManager, "tungsten-sort")
 	c.Set(SparkSerializer, "java")
-	c.Set(SparkShuffleConsolidateFiles, "true")
 	c.SetFloat(SparkStorageFraction, 0.6)
 	c.SetFloat(SparkShuffleFraction, 0.2)
-	c.SetBytes(SparkShuffleFileBuffer, 32*KB)
 	c.SetBytes(SparkExecutorMemory, 22*GB)
 	c.SetInt(SparkDefaultParallelism, 0) // 0 = derive from cluster
 	c.SetInt(FlinkDefaultParallelism, 0)
 	c.SetBytes(FlinkTaskManagerMemory, 4*GB)
 	c.SetFloat(FlinkMemoryFraction, 0.7)
-	c.Set(FlinkOffHeap, "false")
 	c.SetInt(FlinkNetworkBuffers, 2048)
 	c.SetInt(FlinkTaskSlots, 0) // 0 = one per core
 	c.SetBytes(BufferSize, 32*KB)

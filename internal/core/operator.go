@@ -2,7 +2,7 @@ package core
 
 // OpKind classifies dataflow operators. The set is the union of the
 // operators in Table I of the paper: the common core (map, filter, reduce,
-// …), the Spark-only ones (mapToPair, reduceByKey, collectAsMap, coalesce,
+// …), the Spark-only ones (mapToPair, reduceByKey, collectAsMap,
 // repartitionAndSortWithinPartitions) and the Flink-only ones (groupBy→sum,
 // partitionCustom→sortPartition, bulk and delta iterations, coGroup).
 type OpKind int
@@ -26,7 +26,6 @@ const (
 	OpCoGroup
 	OpPartition
 	OpSortPartition
-	OpCoalesce
 	OpCollect
 	OpCollectAsMap
 	OpBulkIteration
@@ -35,7 +34,6 @@ const (
 	OpBroadcast
 	OpMapPartitions
 	OpForeachPartition
-	OpUnion
 	OpSink
 )
 
@@ -57,7 +55,6 @@ var opKindNames = [...]string{
 	OpCoGroup:          "CoGroup",
 	OpPartition:        "Partition",
 	OpSortPartition:    "SortPartition",
-	OpCoalesce:         "Coalesce",
 	OpCollect:          "Collect",
 	OpCollectAsMap:     "CollectAsMap",
 	OpBulkIteration:    "BulkIteration",
@@ -66,7 +63,6 @@ var opKindNames = [...]string{
 	OpBroadcast:        "Broadcast",
 	OpMapPartitions:    "MapPartitions",
 	OpForeachPartition: "ForeachPartition",
-	OpUnion:            "Union",
 	OpSink:             "DataSink",
 }
 
@@ -85,7 +81,7 @@ func (k OpKind) String() string {
 func (k OpKind) ShuffleBoundary() bool {
 	switch k {
 	case OpGroupBy, OpGroupReduce, OpReduceByKey, OpDistinct, OpJoin,
-		OpCoGroup, OpPartition, OpCoalesce:
+		OpCoGroup, OpPartition:
 		return true
 	}
 	return false

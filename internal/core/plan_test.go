@@ -97,7 +97,7 @@ func TestOpKindString(t *testing.T) {
 }
 
 func TestShuffleBoundaries(t *testing.T) {
-	boundary := []OpKind{OpGroupBy, OpReduceByKey, OpDistinct, OpJoin, OpCoGroup, OpPartition, OpCoalesce, OpGroupReduce}
+	boundary := []OpKind{OpGroupBy, OpReduceByKey, OpDistinct, OpJoin, OpCoGroup, OpPartition, OpGroupReduce}
 	for _, k := range boundary {
 		if !k.ShuffleBoundary() {
 			t.Errorf("%v should be a shuffle boundary", k)

@@ -165,13 +165,13 @@ func TestNarrowChainsFuse(t *testing.T) {
 	}
 }
 
-// TestKeyByAndCollectAsMap exercises the keyed view and the driver map
-// action on every backend.
+// TestKeyByAndCollectAsMap exercises a keyed view — each record keyed with
+// MapToPair — and the driver map action on every backend.
 func TestKeyByAndCollectAsMap(t *testing.T) {
 	for _, engine := range dataflow.Names() {
 		s := session(t, engine)
 		words := dataflow.FromSlice(s, []string{"aa", "b", "cc", "d", "ee"}, 2)
-		byLen := dataflow.KeyBy(words, func(w string) int { return len(w) })
+		byLen := dataflow.MapToPair(words, func(w string) core.Pair[int, string] { return core.KV(len(w), w) })
 		counts := dataflow.ReduceByKey(
 			dataflow.MapToPair(byLen, func(p core.Pair[int, string]) core.Pair[int, int64] {
 				return core.KV(p.Key, int64(1))

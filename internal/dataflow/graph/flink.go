@@ -125,25 +125,6 @@ func pregelFlink[V, M any](g *Graph[V],
 	return out, int(supersteps.Load()), err
 }
 
-func aggregateFlink[V, M any](g *Graph[V],
-	initial func(int64) V,
-	send func(int64, V, int64) []Msg[M],
-	mergeMsg func(M, M) M) (map[int64]M, error) {
-
-	edges, err := dataflow.FlinkDataSetOf(g.edges)
-	if err != nil {
-		return nil, err
-	}
-	merged := messagesFlink(flinkVertices(edges, initial), edges,
-		func(out []core.Pair[int64, M], src int64, v V, dst int64) []core.Pair[int64, M] {
-			for _, m := range send(src, v, dst) {
-				out = append(out, core.KV(m.To, m.Value))
-			}
-			return out
-		}, mergeMsg)
-	return collectFlink(g.s, merged)
-}
-
 // collectFlink collects vertex-keyed pairs into a map on the driver, which
 // counts them as records it handles.
 func collectFlink[V any](s *dataflow.Session, ds *flink.DataSet[core.Pair[int64, V]]) (map[int64]V, error) {

@@ -1,12 +1,11 @@
 // Package graph is the engine-agnostic, Pregel-style graph subsystem of
-// the dataflow layer: a Graph[V] built from an edge Dataset, a
-// vertex-centric Pregel loop with convergence detection, and a one-round
-// AggregateMessages primitive. One logical definition lowers onto each
-// backend's physical idiom — the contrast the paper measures in its graph
-// experiments (Tables IV–VII, Figures 12–17):
+// the dataflow layer: a Graph[V] built from an edge Dataset and a
+// vertex-centric Pregel loop with convergence detection. One logical
+// definition lowers onto each backend's physical idiom — the contrast the
+// paper measures in its graph experiments (Tables IV–VII, Figures 12–17):
 //
-//   - spark: GraphX's Pregel, aggregate-messages rounds built from cogroups
-//     and reductions, loop-unrolled into per-superstep jobs over cached RDDs
+//   - spark: GraphX's Pregel, message rounds built from cogroups and
+//     reductions, loop-unrolled into per-superstep jobs over cached RDDs
 //     (spark.go). The edges (keyed by source) and the vertex states share
 //     one hash partitioner, so joining them is narrow and a superstep's only
 //     shuffle is its combined messages — the same one shuffle a mapreduce
@@ -36,8 +35,8 @@ import (
 // Graph is a property graph over one dataflow session: edges are the
 // Dataset the graph was built from, vertices are derived from the edge
 // endpoints and carry V-typed values assigned by each operation's initial
-// function. V is fixed at construction so the Pregel and AggregateMessages
-// type parameters infer from the graph.
+// function. V is fixed at construction so Pregel's type parameters infer
+// from the graph.
 type Graph[V any] struct {
 	s     *dataflow.Session
 	edges *dataflow.Dataset[datagen.Edge]
@@ -53,12 +52,6 @@ func FromEdges[V any](edges *dataflow.Dataset[datagen.Edge]) *Graph[V] {
 	return &Graph[V]{s: edges.Session(), edges: edges.Cached()}
 }
 
-// Session returns the owning session.
-func (g *Graph[V]) Session() *dataflow.Session { return g.s }
-
-// Edges returns the edge Dataset.
-func (g *Graph[V]) Edges() *dataflow.Dataset[datagen.Edge] { return g.edges }
-
 // Undirected returns the graph with every edge present in both directions
 // (GraphX's symmetrization, Gelly's getUndirected) — the view connected
 // components runs on. The reversal is a dataflow FlatMap, so each backend
@@ -71,31 +64,6 @@ func (g *Graph[V]) Undirected() *Graph[V] {
 	return &Graph[V]{s: g.s, edges: both}
 }
 
-// vertexIDs is the distinct endpoint set as a keyed dataset, the shared
-// building block of NumVertices (distinct ids need a shuffle on every
-// engine: reduceByKey / groupBy→reduce / a Combine+Reduce job).
-func (g *Graph[V]) vertexIDs() *dataflow.Dataset[core.Pair[int64, int64]] {
-	ids := dataflow.FlatMapAppend(g.edges, func(dst []int64, e datagen.Edge) []int64 {
-		return append(dst, e.Src, e.Dst)
-	})
-	pairs := dataflow.MapToPair(ids, func(id int64) core.Pair[int64, int64] {
-		return core.KV(id, int64(1))
-	})
-	return dataflow.ReduceByKey(pairs, func(a, b int64) int64 { return a })
-}
-
-// NumVertices counts the distinct vertices — on Flink this is the separate
-// count job the paper remarks on for PageRank ("Flink's implementation
-// will first execute a job to count the vertices").
-func (g *Graph[V]) NumVertices() (int64, error) {
-	return dataflow.Count(g.vertexIDs())
-}
-
-// NumEdges counts the edges.
-func (g *Graph[V]) NumEdges() (int64, error) {
-	return dataflow.Count(g.edges)
-}
-
 // OutDegrees returns the per-vertex out-degree map (GraphX's outDegrees,
 // Gelly's outDegrees). Vertices with no out-edges are absent — callers
 // treat missing as zero, like the engines' degree datasets. It runs as a
@@ -106,16 +74,4 @@ func (g *Graph[V]) OutDegrees() (map[int64]int64, error) {
 		return core.KV(e.Src, int64(1))
 	})
 	return dataflow.CollectAsMap(dataflow.ReduceByKey(ones, func(a, b int64) int64 { return a + b }))
-}
-
-// InDegrees returns the per-vertex in-degree map via an AggregateMessages
-// round (each edge sends 1 to its destination). Vertices with no in-edges
-// are absent.
-func (g *Graph[V]) InDegrees() (map[int64]int64, error) {
-	return AggregateMessages(g,
-		func(int64) V { var zero V; return zero },
-		func(src int64, _ V, dst int64) []Msg[int64] {
-			return []Msg[int64]{{To: dst, Value: 1}}
-		},
-		func(a, b int64) int64 { return a + b })
 }

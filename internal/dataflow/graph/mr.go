@@ -69,7 +69,7 @@ type mrTriplet[V any] struct {
 var errConverged = errors.New("graph: pregel converged")
 
 // foldWith reduces a non-empty message group with mergeMsg — the combiner
-// and reducer body of every graph job.
+// body of every message job.
 func foldWith[M any](mergeMsg func(M, M) M) func([]M) M {
 	return func(vs []M) M {
 		acc := vs[0]
@@ -225,12 +225,11 @@ func (mg *mrGraph[V]) triplets(m int, yield func([]mrTriplet[V]) error) error {
 
 // messageJob runs one message round as a job: send sees every edge whose
 // source is active, and each map task folds its messages per destination
-// with merge. With reduce the reducers fold them once more, one message per
-// destination; without, the output keeps every map task's message, in key
-// order per partition.
+// with merge. The job has no reduce: the output keeps every map task's
+// message, in key order per partition, for the apply wave to fold.
 func messageJob[V, X any](mg *mrGraph[V], name string,
 	send func(t mrTriplet[V], emit func(int64, X)),
-	merge func(X, X) X, reduce bool) (*mapreduce.Output[int64, X], error) {
+	merge func(X, X) X) (*mapreduce.Output[int64, X], error) {
 
 	fold := foldWith(merge)
 	job := mapreduce.Job[mrTriplet[V], int64, X]{
@@ -238,9 +237,6 @@ func messageJob[V, X any](mg *mrGraph[V], name string,
 		Reduces: mg.parts,
 		Map:     send,
 		Combine: func(_ int64, vs []X) X { return fold(vs) },
-	}
-	if reduce {
-		job.Reduce = func(k int64, vs []X, emit func(int64, X)) { emit(k, fold(vs)) }
 	}
 	return mapreduce.Run(mg.c, job, mapreduce.SplitsInput(mg.c, mg.parts, mg.triplets, mg.c.Runtime().NodeFor, 0))
 }
@@ -337,7 +333,7 @@ func superstep[V, M, X any](mg *mrGraph[V], name string,
 	merge func(X, X) X, unwrap func(X) (M, bool),
 	initial func(int64) V, vprog func(int64, V, M) (V, bool)) (int64, error) {
 
-	msgs, err := messageJob(mg, name, send, merge, false)
+	msgs, err := messageJob(mg, name, send, merge)
 	if err != nil {
 		return 0, err
 	}
@@ -400,35 +396,6 @@ func applyMessages[V, M, X any](mg *mrGraph[V], r int, msgs []core.Pair[int64, X
 	}
 	next.commit(mg.c, mg.stateFile(r))
 	return delivered, nil
-}
-
-func aggregateMapReduce[V, M any](g *Graph[V],
-	initial func(int64) V,
-	send func(int64, V, int64) []Msg[M],
-	mergeMsg func(M, M) M) (map[int64]M, error) {
-
-	mg, err := stageMapReduce(g, initial)
-	if err != nil {
-		return nil, err
-	}
-	out, err := messageJob(mg, "AggregateMessages",
-		func(t mrTriplet[V], emit func(int64, M)) {
-			for _, m := range send(t.Src, t.Val, t.Dst) {
-				emit(m.To, m.Value)
-			}
-		},
-		mergeMsg, true)
-	if err != nil {
-		return nil, err
-	}
-	merged := make(map[int64]M)
-	for _, part := range out.Partitions {
-		for _, kv := range part {
-			merged[kv.Key] = kv.Value
-		}
-	}
-	mg.c.Metrics().DriverRecords.Add(int64(len(merged)))
-	return merged, nil
 }
 
 // blockWriter encodes records into codec blocks of at most width records,

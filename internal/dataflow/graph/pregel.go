@@ -10,12 +10,6 @@ import (
 	"repro/internal/engine/spark"
 )
 
-// Msg is one addressed message of an AggregateMessages round.
-type Msg[M any] struct {
-	To    int64
-	Value M
-}
-
 // Pregel runs the vertex-centric message-passing loop on the session's
 // backend and returns the final vertex values plus the number of executed
 // supersteps. The semantics are GraphX's Pregel on every engine:
@@ -78,25 +72,5 @@ func PregelPlan[V, M any](g *Graph[V], workload string,
 		return flink.PlanOf(workload, flink.SinkOf(final, "Collect")), nil
 	default:
 		return nil, fmt.Errorf("graph: no Pregel plan rendering on %s", g.s.Name())
-	}
-}
-
-// AggregateMessages runs one message round over the whole graph (GraphX's
-// aggregateMessages): every edge may send messages to arbitrary vertices
-// (send sees the source's value), and messages per destination are merged
-// with mergeMsg. It returns the merged message per messaged vertex —
-// vertices that received nothing are absent.
-func AggregateMessages[V, M any](g *Graph[V],
-	initial func(id int64) V,
-	send func(src int64, val V, dst int64) []Msg[M],
-	mergeMsg func(a, b M) M) (map[int64]M, error) {
-
-	switch g.s.Kind() {
-	case dataflow.Spark:
-		return aggregateSpark(g, initial, send, mergeMsg)
-	case dataflow.Flink:
-		return aggregateFlink(g, initial, send, mergeMsg)
-	default:
-		return aggregateMapReduce(g, initial, send, mergeMsg)
 	}
 }

@@ -212,30 +212,3 @@ func pregelSpark[V, M any](g *Graph[V],
 	g.s.Metrics().DriverRecords.Add(int64(len(verts)))
 	return verts, supersteps, err
 }
-
-func aggregateSpark[V, M any](g *Graph[V],
-	initial func(int64) V,
-	send func(int64, V, int64) []Msg[M],
-	mergeMsg func(M, M) M) (map[int64]M, error) {
-
-	sg, err := sparkGraphOf(g)
-	if err != nil {
-		return nil, err
-	}
-	// The states keep the vertices' partitioner and the edges have it, so
-	// the join is narrow and the messages are the round's one shuffle.
-	states := spark.MapValues(sg.vertices, func(id int64, _ V) V { return initial(id) })
-	msgs := spark.MapPartitions(spark.Join(states, sg.edges, sg.parts),
-		func(in []core.Pair[int64, spark.Joined[V, int64]]) []core.Pair[int64, M] {
-			var out []core.Pair[int64, M]
-			for _, p := range in {
-				for _, m := range send(p.Key, p.Value.Left, p.Value.Right) {
-					out = append(out, core.KV(m.To, m.Value))
-				}
-			}
-			return out
-		})
-	merged, err := spark.CollectAsMap(spark.ReduceByKey(msgs, mergeMsg, sg.parts))
-	g.s.Metrics().DriverRecords.Add(int64(len(merged)))
-	return merged, err
-}

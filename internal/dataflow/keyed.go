@@ -23,15 +23,6 @@ func MapToPair[T any, K cmp.Ordered, V any](d *Dataset[T], f func(T) core.Pair[K
 	return out
 }
 
-// KeyBy pairs every record with the key keyFn extracts, the keyed-view
-// entry point (groupBy's first half on Flink).
-func KeyBy[T any, K cmp.Ordered](d *Dataset[T], keyFn func(T) K) *Dataset[core.Pair[K, T]] {
-	out := Map(d, func(v T) core.Pair[K, T] { return core.KV(keyFn(v), v) })
-	out.node.Kind = core.OpMapToPair
-	out.node.Label = "KeyBy"
-	return out
-}
-
 // ReduceByKey merges values per key with f, with a map-side combiner on
 // every engine (f is associative by contract): Spark's reduceByKey, Flink's
 // groupBy→reduce with the optimizer's GroupCombine chained into the

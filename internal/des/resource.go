@@ -196,6 +196,3 @@ func (r *Resource) RateSeries() *stats.StepSeries { return &r.rateSeries }
 func (r *Resource) UtilizationSeries() *stats.StepSeries {
 	return r.rateSeries.Scale(1 / r.capacity)
 }
-
-// Busy reports whether demands are outstanding.
-func (r *Resource) Busy() bool { return len(r.demands) > 0 }

@@ -102,6 +102,3 @@ func (d *Device) UtilizationSeries() *stats.StepSeries { return d.res.Utilizatio
 // distinguishing the read-dominated from write-dominated phases the paper
 // points out in the Tera Sort figure.
 func (d *Device) ActiveReadSeries() *stats.StepSeries { return &d.readRate }
-
-// Resource exposes the underlying resource for composite schedulers.
-func (d *Device) Resource() *des.Resource { return d.res }

@@ -37,10 +37,6 @@ func (ctx *jobCtx) place(p int, pref func(int) int) int {
 	return ctx.env.nodeOf(p)
 }
 
-// nodeOfTask returns the default node of a partition index (used for
-// transfer accounting).
-func (ctx *jobCtx) nodeOfTask(p int) int { return ctx.env.nodeOf(p) }
-
 // addTask registers a pipelined task pinned to a node.
 func (ctx *jobCtx) addTask(node int, fn func() error) {
 	ctx.perNode[node]++

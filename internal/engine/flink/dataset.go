@@ -20,7 +20,7 @@ import (
 // records past the call copies them: the exchange writers serialize, or fold
 // record by record into their combine tables, SortPartition, runLocal and
 // Collect append into storage of their own, sinkParts encodes. Pushing a slice
-// onwards inside the call (chainOp, Union) lends it under the same terms.
+// onwards inside the call (chainOp) lends it under the same terms.
 type partSink[T any] struct {
 	push  func(batch []T) error
 	close func() error
@@ -238,19 +238,14 @@ func MapPartition[T, U any](d *DataSet[T], f func([]T) []U) *DataSet[U] {
 	})
 }
 
-// SortPartition locally sorts each partition. It is a pipeline breaker
-// within the task: records buffer until end-of-input, then flow out
-// sorted — but no exchange happens and the task is still the same.
-func SortPartition[T any](d *DataSet[T], less func(a, b T) bool) *DataSet[T] {
-	return SortPartitionNormalized(d, less, nil)
-}
-
-// SortPartitionNormalized is SortPartition with an optional normalized-key
-// writer: when normKey is non-nil the sort compares packed key bytes with
-// memcmp instead of calling less per comparison — Flink's normalized-key
-// sort, the optimization the paper credits for the efficient sort-based
-// runtime. normKey MUST be total and order exactly as less does (ties keep
-// arrival order either way); serde.NormKeyerFor builds conforming writers.
+// SortPartitionNormalized locally sorts each partition. It is a pipeline
+// breaker within the task: records buffer until end-of-input, then flow out
+// sorted — but no exchange happens and the task is still the same. With a
+// nil normKey the sort calls less per comparison; otherwise it compares
+// packed key bytes with memcmp — Flink's normalized-key sort, the
+// optimization the paper credits for the efficient sort-based runtime.
+// normKey MUST be total and order exactly as less does (ties keep arrival
+// order either way); serde.NormKeyerFor builds conforming writers.
 func SortPartitionNormalized[T any](d *DataSet[T], less func(a, b T) bool,
 	normKey func(v T, dst []byte) []byte) *DataSet[T] {
 	ds := newDataSet[T](d.env, append(append([]string{}, d.chain...), "SortPartition"), core.OpSortPartition,

@@ -12,9 +12,9 @@
 //     fold on arrival in the producing subtask's combine table (the shuffle
 //     core's, shared with spark and mapreduce), which is charged to managed
 //     memory and drains downstream when a grant is refused;
-//   - managed memory segments (optionally off-heap); operators that can
-//     spill do, while CoGroup's solution set must fit and kills the job
-//     otherwise — the paper's Table VII failure;
+//   - managed memory segments; operators that can spill do, while
+//     CoGroup's solution set must fit and kills the job otherwise — the
+//     paper's Table VII failure;
 //   - native iterations: bulk and delta iteration operators whose body is
 //     scheduled once and whose state stays resident across supersteps; the
 //     static path is cached per iteration run — a join input that does not
@@ -74,14 +74,13 @@ type Env struct {
 const FlinkCombineStrategy = "flink.combine.strategy"
 
 // NewEnv builds an environment over a runtime and DFS. Managed memory per
-// node is taskmanager.memory × memory.fraction, optionally off-heap;
-// serialization is always TypeInfo (Flink needs no serializer config). The
-// default parallelism is parallelism.default, or the cluster's task slots
-// when unset. The shuffle settings go through the shared shuffle core:
-// flink's native idiom is the pipelined hash repartition;
-// shuffle.strategy=sort turns keyed exchanges into sort-based pipeline
-// breakers. Buckets flush at the configured network buffer size, the
-// pipelining grain.
+// node is taskmanager.memory × memory.fraction; serialization is always
+// TypeInfo (Flink needs no serializer config). The default parallelism is
+// parallelism.default, or the cluster's task slots when unset. The shuffle
+// settings go through the shared shuffle core: flink's native idiom is the
+// pipelined hash repartition; shuffle.strategy=sort turns keyed exchanges
+// into sort-based pipeline breakers. Buckets flush at the configured
+// network buffer size, the pipelining grain.
 func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 	if conf == nil {
 		conf = core.NewConfig()
@@ -89,7 +88,6 @@ func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 	spec := rt.Spec()
 	total := int64(conf.Bytes(core.FlinkTaskManagerMemory, 4*core.GB))
 	fraction := conf.Float(core.FlinkMemoryFraction, 0.7)
-	offHeap := conf.Bool(core.FlinkOffHeap, false)
 	env := &Env{
 		conf:     conf,
 		rt:       rt,
@@ -103,7 +101,7 @@ func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 		combineSort: conf.String(FlinkCombineStrategy, "sort") == "sort",
 	}
 	for i := 0; i < spec.Nodes; i++ {
-		env.managed = append(env.managed, memory.NewManaged(total, fraction, offHeap))
+		env.managed = append(env.managed, memory.NewManaged(total, fraction))
 	}
 	env.slotsPerNode = conf.Int(core.FlinkTaskSlots, 0)
 	if env.slotsPerNode <= 0 {
@@ -129,9 +127,6 @@ func (e *Env) Metrics() *metrics.JobMetrics { return e.metrics }
 
 // Timeline returns the operator timeline.
 func (e *Env) Timeline() *metrics.Timeline { return e.timeline }
-
-// Parallelism returns the effective default parallelism.
-func (e *Env) Parallelism() int { return e.parallelism }
 
 // Managed returns node n's managed memory pool (tests inspect it).
 func (e *Env) Managed(n int) *memory.Managed { return e.managed[n] }

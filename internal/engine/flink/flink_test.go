@@ -194,7 +194,7 @@ func TestPartitionCustomAndSortPartitionTotalOrder(t *testing.T) {
 	ds := FromSlice(e, recs, 4)
 	part := core.NewRangePartitioner(4, sample, func(a, b string) bool { return a < b })
 	ranged := PartitionCustom(ds, part, func(s string) string { return s })
-	sorted := SortPartition(ranged, func(a, b string) bool { return a < b })
+	sorted := SortPartitionNormalized(ranged, func(a, b string) bool { return a < b }, nil)
 	parts := make([][]string, sorted.Parallelism())
 	err := runJob(sorted, "test", func(p int, batch []string) error {
 		parts[p] = append(parts[p], batch...)
@@ -674,7 +674,7 @@ func TestFailedFinalPushStillClosesTheExchange(t *testing.T) {
 	}
 	for name, build := range map[string]func(e *Env) *DataSet[int64]{
 		"SortPartition": func(e *Env) *DataSet[int64] {
-			return SortPartition(FromSlice(e, in, 2), func(a, b int64) bool { return a < b })
+			return SortPartitionNormalized(FromSlice(e, in, 2), func(a, b int64) bool { return a < b }, nil)
 		},
 		"GroupCombine": func(e *Env) *DataSet[int64] {
 			// The Reduce consumer's finish pushes into the failing exchange;

@@ -49,7 +49,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	if partition == nil {
 		partition = defaultPartition[K]
 	}
-	codec := serde.OfPair[K, V](c.style)
+	codec := serde.OfPair[K, V](c.Style())
 	c.metrics.CodecFallbacks.Add(int64(codec.Fallbacks))
 
 	// --- Map phase -------------------------------------------------------

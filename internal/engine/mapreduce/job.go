@@ -81,18 +81,6 @@ func TextInput(c *Cluster, name string) (Input[string], error) {
 	return fileInput(c, f, f.LineBatches), nil
 }
 
-// FixedRecordInput reads fixed-width binary records, one split per block —
-// TeraSort's input format.
-func FixedRecordInput(c *Cluster, name string, recSize int) (Input[[]byte], error) {
-	f, err := c.fs.Open(name)
-	if err != nil {
-		return Input[[]byte]{}, fmt.Errorf("mapreduce: fixedRecordInput: %w", err)
-	}
-	return fileInput(c, f, func(m int, buf [][]byte, yield func([][]byte) error) error {
-		return f.FixedRecordBatches(m, recSize, buf, yield)
-	}), nil
-}
-
 // fileInput is the file InputFormat: one split per block of f, which map
 // task m streams through read (a dfs split reader) exec.batch.size records
 // at a time from the task's one buffer — the RecordReader's reused buffer.

@@ -47,9 +47,6 @@ const (
 	// io.sort.mb analog). A map task spills a sorted run every time its
 	// buffer fills.
 	MRSortRecords = "mapreduce.task.io.sort.records"
-	// MRSerializer selects the intermediate serialization strategy;
-	// Writables are modeled by the verbose "java" strategy.
-	MRSerializer = "mapreduce.job.serializer"
 )
 
 // defaultSortRecords is the default spill threshold. Large enough that
@@ -59,10 +56,9 @@ const defaultSortRecords = 1 << 16
 // Cluster is the engine entry point, playing the JobTracker/Cluster role:
 // it owns the configuration, the runtime, the DFS and the job counters.
 type Cluster struct {
-	conf  *core.Config
-	rt    *cluster.Runtime
-	fs    *dfs.FS
-	style serde.Style
+	conf *core.Config
+	rt   *cluster.Runtime
+	fs   *dfs.FS
 
 	metrics  *metrics.JobMetrics
 	timeline *metrics.Timeline
@@ -91,7 +87,6 @@ func NewCluster(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Cluster {
 		conf:       conf,
 		rt:         rt,
 		fs:         fs,
-		style:      serde.ParseStyle(conf.String(MRSerializer, "java")),
 		metrics:    &metrics.JobMetrics{},
 		timeline:   metrics.NewTimeline(),
 		reduces:    conf.Int(MRReduceTasks, 0),
@@ -125,8 +120,9 @@ func (c *Cluster) Timeline() *metrics.Timeline { return c.timeline }
 // DefaultReduces returns the effective mapreduce.job.reduces.
 func (c *Cluster) DefaultReduces() int { return c.reduces }
 
-// Style returns the configured intermediate serialization strategy.
-func (c *Cluster) Style() serde.Style { return c.style }
+// Style returns the intermediate serialization strategy: Writables,
+// modeled by the verbose "java" strategy.
+func (c *Cluster) Style() serde.Style { return serde.Java }
 
 // Iterate drives an iterative workload as a chain of independent jobs, the
 // only iteration mechanism classic MapReduce offers: body(round) submits

@@ -9,9 +9,9 @@
 //   - partition control (Section II-C): an RDD records the partitioner its
 //     keys were shuffled by, Filter and MapValues keep it, and a keyed
 //     operator (CombineByKey and its ReduceByKey / GroupByKey, PartitionBy,
-//     CoGroup and Join, Union) over inputs that already have the
-//     partitioner it needs takes a narrow dependency instead of a shuffle —
-//     what keeps GraphX's joins of cached vertices and edges narrow;
+//     CoGroup and Join) over inputs that already have the partitioner it
+//     needs takes a narrow dependency instead of a shuffle — what keeps
+//     GraphX's joins of cached vertices and edges narrow;
 //   - staged execution: the DAG scheduler cuts stages at shuffle
 //     dependencies and inserts a full barrier between stages;
 //   - a tungsten-sort-style shuffle with map-side combine that spills when
@@ -112,14 +112,8 @@ func (c *Context) Conf() *core.Config { return c.conf }
 // FS returns the distributed filesystem.
 func (c *Context) FS() *dfs.FS { return c.fs }
 
-// Runtime returns the execution substrate.
-func (c *Context) Runtime() *cluster.Runtime { return c.rt }
-
 // DefaultParallelism returns the effective spark.default.parallelism.
 func (c *Context) DefaultParallelism() int { return c.parallelism }
-
-// Style returns the configured serializer.
-func (c *Context) Style() serde.Style { return c.style }
 
 // Metrics returns the job counters.
 func (c *Context) Metrics() *metrics.JobMetrics { return c.metrics }

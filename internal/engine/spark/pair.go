@@ -18,16 +18,6 @@ func MapToPair[T any, K comparable, V any](r *RDD[T], f func(T) core.Pair[K, V])
 	return out
 }
 
-// Keys projects the keys of a pair RDD.
-func Keys[K comparable, V any](r *RDD[core.Pair[K, V]]) *RDD[K] {
-	return Map(r, func(p core.Pair[K, V]) K { return p.Key })
-}
-
-// Values projects the values of a pair RDD.
-func Values[K comparable, V any](r *RDD[core.Pair[K, V]]) *RDD[V] {
-	return Map(r, func(p core.Pair[K, V]) V { return p.Value })
-}
-
 // MapValues applies f to every value and leaves every key where it is —
 // Spark's mapValues, with f also seeing the key as in GraphX's
 // VertexRDD.mapValues. Since no key moves, the result keeps r's
@@ -146,20 +136,14 @@ func PartitionBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Partiti
 		false, true, nil, nil)
 }
 
-// RepartitionAndSortWithinPartitions is the Tera Sort primitive: shuffle by
-// the partitioner, then sort each reduce partition by key — Spark performs
-// the sort during the shuffle read.
-func RepartitionAndSortWithinPartitions[K comparable, V any](r *RDD[core.Pair[K, V]],
-	part core.Partitioner[K], less func(a, b K) bool) *RDD[core.Pair[K, V]] {
-	return RepartitionAndSortNormalized(r, part, less, nil)
-}
-
-// RepartitionAndSortNormalized is RepartitionAndSortWithinPartitions with an
-// optional normalized-key writer: when normKey is non-nil the map-side sort
-// compares packed key bytes with memcmp instead of calling less per
-// comparison (the tungsten UnsafeShuffleWriter trick). normKey MUST be total
-// and order exactly as less does — serde.NormKeyerFor builds conforming
-// writers for natural-ordered scalar keys.
+// RepartitionAndSortNormalized is the Tera Sort primitive, Spark's
+// repartitionAndSortWithinPartitions: shuffle by the partitioner, then sort
+// each reduce partition by key — Spark performs the sort during the shuffle
+// read. With a nil normKey the sort calls less per comparison; otherwise
+// the map-side sort compares packed key bytes with memcmp (the tungsten
+// UnsafeShuffleWriter trick). normKey MUST be total and order exactly as
+// less does — serde.NormKeyerFor builds conforming writers for
+// natural-ordered scalar keys.
 func RepartitionAndSortNormalized[K comparable, V any](r *RDD[core.Pair[K, V]],
 	part core.Partitioner[K], less func(a, b K) bool,
 	normKey func(dst []byte, k K) []byte) *RDD[core.Pair[K, V]] {

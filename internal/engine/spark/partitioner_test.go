@@ -84,18 +84,12 @@ func TestPartitionerKeptOrDropped(t *testing.T) {
 		{"Filter", Filter(in, func(core.Pair[int64, int64]) bool { return true }).partitioner, hp},
 		{"MapValues", MapValues(in, func(_, v int64) int64 { return v }).partitioner, hp},
 		{"Cache", in.Cache().partitioner, hp},
-		{"Union of equal partitioners", Union(in, Filter(in, func(core.Pair[int64, int64]) bool { return true })).partitioner, hp},
 		{"Map", Map(in, id).partitioner, nil},
 		{"MapToPair", MapToPair(in, id).partitioner, nil},
 		{"FlatMap", FlatMap(in, func(p core.Pair[int64, int64]) []core.Pair[int64, int64] { return nil }).partitioner, nil},
-		{"Keys", Keys(in).partitioner, nil},
-		{"Values", Values(in).partitioner, nil},
 		{"MapPartitions", MapPartitions(in, func(p []core.Pair[int64, int64]) []core.Pair[int64, int64] { return p }).partitioner, nil},
-		{"MapPartitionsWithIndex", MapPartitionsWithIndex(in, func(_ int, p []core.Pair[int64, int64]) []core.Pair[int64, int64] { return p }).partitioner, nil},
-		{"Coalesce", Coalesce(in, 2).partitioner, nil},
 		{"FusedNarrow", FusedNarrow[core.Pair[int64, int64]](in, "Fused", core.OpMap,
 			func(sink func([]core.Pair[int64, int64]) error) any { return sink }).partitioner, nil},
-		{"Union with an unpartitioned side", Union(in, plain).partitioner, nil},
 		{"Parallelize", plain.partitioner, nil},
 	} {
 		if !samePartitioner(row.got, row.want) && (row.got != nil || row.want != nil) {
@@ -342,48 +336,4 @@ func FuzzCoGroup(f *testing.F) {
 			t.Errorf("Join = %v\nwant   %v", gotJoin, wantJoin)
 		}
 	})
-}
-
-// TestPartitionerAwareUnion: the union of two RDDs with equal partitioners
-// keeps their partition count and partitioner, partition p holding both
-// parents' partition p, so a keyed operator after it stays narrow.
-func TestPartitionerAwareUnion(t *testing.T) {
-	c := testContext(t, nil)
-	a := hashPartitioned(t, c)
-	b := MapValues(a, func(_, v int64) int64 { return -v - 1 }) // a's values are ≥ 0, b's < 0
-	u := Union(a, b)
-	if u.NumPartitions() != 4 {
-		t.Fatalf("union partitions = %d, want 4", u.NumPartitions())
-	}
-	parts := make([][]core.Pair[int64, int64], 4)
-	if err := ForeachPartition(u, func(p int, data []core.Pair[int64, int64]) error {
-		parts[p] = slices.Clone(data)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	part := core.NewHashPartitioner[int64](4)
-	n := 0
-	for p, data := range parts {
-		for i, kv := range data {
-			if part.Partition(kv.Key) != p {
-				t.Errorf("key %d in union partition %d, partitioner says %d", kv.Key, p, part.Partition(kv.Key))
-			}
-			if half := len(data) / 2; (i < half) != (kv.Value >= 0) {
-				t.Errorf("union partition %d is not a[%d] followed by b[%d]: %v", p, p, p, data)
-				break
-			}
-		}
-		n += len(data)
-	}
-	if n != 2*len(kvs()) {
-		t.Errorf("union holds %d records, want %d", n, 2*len(kvs()))
-	}
-	stages, _ := shuffleMapStages(t, c, func() error {
-		_, err := Collect(ReduceByKey(u, func(x, y int64) int64 { return x + y }, 4))
-		return err
-	})
-	if stages != 0 {
-		t.Errorf("ReduceByKey over the partitioner-aware union ran %d shuffle-map stages, want 0", stages)
-	}
 }

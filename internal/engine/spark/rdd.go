@@ -1,8 +1,6 @@
 package spark
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/serde"
 )
@@ -258,20 +256,6 @@ func MapPartitions[T, U any](r *RDD[T], f func([]T) []U) *RDD[U] {
 	})
 }
 
-// MapPartitionsWithIndex transforms each partition knowing its index.
-func MapPartitionsWithIndex[T, U any](r *RDD[T], f func(int, []T) []U) *RDD[U] {
-	out := newRDD[U](r.ctx, "MapPartitionsWithIndex", core.OpMapPartitions, r.numParts,
-		[]dep{{parent: r}}, nil)
-	out.compute = func(p int, tc *taskContext) ([]U, error) {
-		in, err := r.iterator(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		return f(p, in), nil
-	}
-	return out
-}
-
 // narrow builds a one-parent, same-partitioning RDD.
 func narrow[T, U any](r *RDD[T], name string, kind core.OpKind,
 	f func([]T, *taskContext) ([]U, error)) *RDD[U] {
@@ -283,84 +267,6 @@ func narrow[T, U any](r *RDD[T], name string, kind core.OpKind,
 		}
 		return f(in, tc)
 	}
-	return out
-}
-
-// Coalesce reduces the partition count without a shuffle by concatenating
-// ranges of parent partitions, as the paper's graph loading does.
-func Coalesce[T any](r *RDD[T], numParts int) *RDD[T] {
-	if numParts <= 0 || numParts > r.numParts {
-		numParts = r.numParts
-	}
-	parent := r
-	out := newRDD[T](r.ctx, "Coalesce", core.OpCoalesce, numParts, []dep{{parent: r}}, nil)
-	out.compute = func(p int, tc *taskContext) ([]T, error) {
-		var merged []T
-		lo := p * parent.numParts / numParts
-		hi := (p + 1) * parent.numParts / numParts
-		for q := lo; q < hi; q++ {
-			in, err := parent.iterator(q, tc)
-			if err != nil {
-				return nil, err
-			}
-			merged = append(merged, in...)
-		}
-		return merged, nil
-	}
-	return out
-}
-
-// Union concatenates two RDDs without a shuffle, like RDD.union(). When
-// both parents have the same partitioner it is Spark's
-// PartitionerAwareUnionRDD: partition p is a's partition p followed by b's,
-// and the result keeps the partitioner. Otherwise the result has the
-// partitions of both parents side by side and no partitioner.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("spark: union of RDDs from different contexts")
-	}
-	if samePartitioner(a.partitioner, b.partitioner) {
-		out := newRDD[T](a.ctx, "Union", core.OpUnion, a.numParts,
-			[]dep{{parent: a}, {parent: b}}, func(p int, tc *taskContext) ([]T, error) {
-				x, err := a.iterator(p, tc)
-				if err != nil {
-					return nil, err
-				}
-				y, err := b.iterator(p, tc)
-				if err != nil {
-					return nil, err
-				}
-				// x may be a cached block: the three-index slice makes
-				// append copy instead of writing past its end.
-				return append(x[:len(x):len(x)], y...), nil
-			})
-		out.partitioner = a.partitioner
-		return out
-	}
-	out := newRDD[T](a.ctx, "Union", core.OpUnion, a.numParts+b.numParts,
-		[]dep{{parent: a}, {parent: b}}, nil)
-	out.compute = func(p int, tc *taskContext) ([]T, error) {
-		if p < a.numParts {
-			return a.iterator(p, tc)
-		}
-		return b.iterator(p-a.numParts, tc)
-	}
-	out.pref = func(p int) int {
-		if p < a.numParts {
-			return a.prefNode(p)
-		}
-		return b.prefNode(p - a.numParts)
-	}
-	return out
-}
-
-// Distinct removes duplicates via a shuffle, like RDD.distinct().
-func Distinct[T comparable](r *RDD[T]) *RDD[T] {
-	pairs := MapToPair(r, func(v T) core.Pair[T, bool] { return core.KV(v, true) })
-	reduced := ReduceByKey(pairs, func(a, _ bool) bool { return a }, 0)
-	out := Map(reduced, func(p core.Pair[T, bool]) T { return p.Key })
-	out.name = "Distinct"
-	out.kind = core.OpDistinct
 	return out
 }
 
@@ -402,46 +308,6 @@ func Count[T any](r *RDD[T]) (int64, error) {
 		total += c
 	}
 	return total, nil
-}
-
-// Reduce folds all records with f; it fails on an empty RDD like Spark.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	var zero T
-	partials := make([]*T, r.numParts)
-	fold := func(p int, batch []T) error { // batches are never empty
-		if partials[p] == nil {
-			first := batch[0]
-			partials[p], batch = &first, batch[1:]
-		}
-		for _, v := range batch {
-			*partials[p] = f(*partials[p], v)
-		}
-		return nil
-	}
-	err := runTasks(r, "Reduce", func(p int, tc *taskContext) error {
-		partials[p] = nil // a retried attempt folds from the start
-		return r.forEachBatch(p, tc, fold)
-	})
-	if err != nil {
-		return zero, err
-	}
-	var acc *T
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		if acc == nil {
-			v := *p
-			acc = &v
-		} else {
-			v := f(*acc, *p)
-			acc = &v
-		}
-	}
-	if acc == nil {
-		return zero, fmt.Errorf("spark: reduce of empty RDD")
-	}
-	return *acc, nil
 }
 
 // ForeachPartition runs f once per partition for its side effects.

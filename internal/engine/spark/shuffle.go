@@ -69,22 +69,6 @@ func (s *shuffleService) put(shuffleID, mapPart, node int, buckets []shuffle.Blo
 	s.ctx.metrics.AddShuffleWrite(written, raw, true)
 }
 
-// complete reports whether every map output is present.
-func (s *shuffleService) complete(shuffleID, numMaps int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	outs, ok := s.outputs[shuffleID]
-	if !ok || len(outs) != numMaps {
-		return false
-	}
-	for _, o := range outs {
-		if o == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // missingMaps lists map partitions whose output is absent.
 func (s *shuffleService) missingMaps(shuffleID, numMaps int) []int {
 	s.mu.Lock()
@@ -154,11 +138,4 @@ func (s *shuffleService) dropNode(node int) {
 			}
 		}
 	}
-}
-
-// invalidate forgets a whole shuffle (tests use it to force re-runs).
-func (s *shuffleService) invalidate(shuffleID int) {
-	s.mu.Lock()
-	delete(s.outputs, shuffleID)
-	s.mu.Unlock()
 }

@@ -150,35 +150,6 @@ func TestGrepFilterCount(t *testing.T) {
 	}
 }
 
-func TestReduceAction(t *testing.T) {
-	c := testContext(t, nil)
-	r := Parallelize(c, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 4)
-	sum, err := Reduce(r, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 55 {
-		t.Errorf("reduce sum = %d, want 55", sum)
-	}
-	empty := Parallelize(c, []int64{}, 1)
-	if _, err := Reduce(empty, func(a, b int64) int64 { return a + b }); err == nil {
-		t.Error("reduce of empty RDD should error")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	c := testContext(t, nil)
-	r := Parallelize(c, []string{"a", "b", "a", "c", "b", "a"}, 3)
-	d, err := Collect(Distinct(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(d)
-	if strings.Join(d, "") != "abc" {
-		t.Errorf("distinct = %v", d)
-	}
-}
-
 func TestGroupByKeyAndJoin(t *testing.T) {
 	c := testContext(t, nil)
 	left := Parallelize(c, []core.Pair[string, int64]{
@@ -216,7 +187,7 @@ func TestRepartitionAndSortTotalOrder(t *testing.T) {
 	}
 	r := Parallelize(c, recs, 8)
 	part := core.NewRangePartitioner(4, sample, func(a, b string) bool { return a < b })
-	sorted := RepartitionAndSortWithinPartitions(r, part, func(a, b string) bool { return a < b })
+	sorted := RepartitionAndSortNormalized(r, part, func(a, b string) bool { return a < b }, nil)
 	parts := make([][]string, sorted.NumPartitions())
 	if err := ForeachPartition(sorted, func(p int, data []core.Pair[string, string]) error {
 		keys := make([]string, len(data))
@@ -437,43 +408,6 @@ func TestPlanOf(t *testing.T) {
 	}
 }
 
-func TestCoalesce(t *testing.T) {
-	c := testContext(t, nil)
-	r := Parallelize(c, []int64{1, 2, 3, 4, 5, 6, 7, 8}, 8)
-	co := Coalesce(r, 2)
-	if co.NumPartitions() != 2 {
-		t.Fatalf("coalesced partitions = %d, want 2", co.NumPartitions())
-	}
-	got, err := Collect(co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 8 {
-		t.Errorf("coalesce lost records: %d of 8", len(got))
-	}
-	if c.Metrics().ShuffleBytesWritten.Load() != 0 {
-		t.Error("coalesce must not shuffle")
-	}
-}
-
-func TestUnionPreservesAll(t *testing.T) {
-	c := testContext(t, nil)
-	a := Parallelize(c, []int64{1, 2, 3}, 2)
-	b := Parallelize(c, []int64{4, 5}, 1)
-	u := Union(a, b)
-	if u.NumPartitions() != 3 {
-		t.Errorf("union partitions = %d, want 3", u.NumPartitions())
-	}
-	out, err := Collect(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if fmt.Sprint(out) != "[1 2 3 4 5]" {
-		t.Errorf("union = %v", out)
-	}
-}
-
 func TestLoopUnrollingSchedulesPerIteration(t *testing.T) {
 	// Spark iterations are for-loops: every iteration triggers a fresh
 	// scheduling round — the overhead the paper contrasts with Flink's
@@ -502,25 +436,6 @@ func TestLoopUnrollingSchedulesPerIteration(t *testing.T) {
 	if rounds < iters*2 {
 		t.Errorf("loop unrolling scheduled %d rounds over %d iterations, want ≥ %d (stage per iteration)",
 			rounds, iters, iters*2)
-	}
-}
-
-func TestMapPartitionsWithIndex(t *testing.T) {
-	c := testContext(t, nil)
-	r := Parallelize(c, []int64{10, 20, 30, 40}, 2)
-	idx := MapPartitionsWithIndex(r, func(p int, in []int64) []string {
-		out := make([]string, len(in))
-		for i, v := range in {
-			out[i] = fmt.Sprintf("%d:%d", p, v)
-		}
-		return out
-	})
-	got, err := Collect(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 || !strings.HasPrefix(got[0], "0:") || !strings.HasPrefix(got[3], "1:") {
-		t.Errorf("indexed partitions = %v", got)
 	}
 }
 

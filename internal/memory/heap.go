@@ -5,9 +5,9 @@
 //     storage and shuffle fractions; lots of live objects raise garbage
 //     collection overhead, and overallocation kills the job.
 //   - Managed: Flink's model. A fixed pool of fixed-size memory segments
-//     (optionally off-heap) backs sorting, hash tables and caching;
-//     operators that run out of segments spill to disk instead of dying —
-//     except operators like CoGroup's solution set that must be in memory.
+//     backs sorting, hash tables and caching; operators that run out of
+//     segments spill to disk instead of dying — except operators like
+//     CoGroup's solution set that must be in memory.
 //
 // Both engines consult these models for real: allocations are tracked,
 // spill decisions and out-of-memory failures actually happen at the
@@ -90,9 +90,6 @@ func (h *Heap) OnStorageEviction(fn func(need int64) int64) {
 	h.evictionHandler = fn
 	h.mu.Unlock()
 }
-
-// Capacity returns the configured heap size.
-func (h *Heap) Capacity() int64 { return h.capacity }
 
 // AllocStorage reserves cache space for a persisted RDD partition. When the
 // storage region is full it first asks the eviction handler to make room;

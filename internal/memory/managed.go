@@ -16,16 +16,15 @@ var ErrSolutionSetTooLarge = errors.New("memory: in-memory solution set exceeds 
 const SegmentSize = 32 * 1024
 
 // Managed models Flink's managed memory: a fixed pool of equal segments,
-// optionally off-heap, sized by taskmanager.memory × memory.fraction.
-// Operators acquire segments; when the pool runs dry they are told to
-// spill (the paper: "most of the operators are implemented so that they
-// can survive with very little memory, spilling to disk when necessary").
+// sized by taskmanager.memory × memory.fraction. Operators acquire
+// segments; when the pool runs dry they are told to spill (the paper: "most
+// of the operators are implemented so that they can survive with very
+// little memory, spilling to disk when necessary").
 type Managed struct {
 	mu sync.Mutex
 
 	totalSegments int
 	freeSegments  int
-	offHeap       bool
 	peakInUse     int
 	acquires      int64
 	spillSignals  int64
@@ -33,17 +32,13 @@ type Managed struct {
 
 // NewManaged builds a managed pool from a total memory budget and the
 // managed fraction, as flink.taskmanager.memory.fraction does.
-func NewManaged(total int64, fraction float64, offHeap bool) *Managed {
+func NewManaged(total int64, fraction float64) *Managed {
 	n := int(float64(total) * fraction / SegmentSize)
 	if n < 1 {
 		n = 1
 	}
-	return &Managed{totalSegments: n, freeSegments: n, offHeap: offHeap}
+	return &Managed{totalSegments: n, freeSegments: n}
 }
-
-// OffHeap reports whether the pool is allocated outside the heap (hybrid
-// setup); off-heap pools do not contribute to GC pressure.
-func (m *Managed) OffHeap() bool { return m.offHeap }
 
 // TotalSegments returns the pool size in segments.
 func (m *Managed) TotalSegments() int { return m.totalSegments }
@@ -127,16 +122,12 @@ func (m *Managed) PeakInUse() int {
 	return m.peakInUse
 }
 
-// GCPressure returns the GC overhead contributed by the pool: zero when
-// off-heap; when on-heap the pool occupies the heap but as few large
-// long-lived segments, a quarter of the object-churn cost of the same
-// bytes on a Spark-style heap.
+// GCPressure returns the GC overhead contributed by the pool: it occupies
+// the heap but as few large long-lived segments, a quarter of the
+// object-churn cost of the same bytes on a Spark-style heap.
 func (m *Managed) GCPressure() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.offHeap {
-		return 0
-	}
 	occ := float64(m.totalSegments-m.freeSegments) / float64(m.totalSegments)
 	return GCPressureAt(occ) * 0.25
 }

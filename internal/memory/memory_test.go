@@ -125,7 +125,7 @@ func TestHeapConcurrentAccounting(t *testing.T) {
 }
 
 func TestManagedAcquireRelease(t *testing.T) {
-	m := NewManaged(10*SegmentSize, 1.0, false)
+	m := NewManaged(10*SegmentSize, 1.0)
 	if m.TotalSegments() != 10 {
 		t.Fatalf("segments = %d, want 10", m.TotalSegments())
 	}
@@ -148,7 +148,7 @@ func TestManagedAcquireRelease(t *testing.T) {
 }
 
 func TestManagedMustAcquireFailure(t *testing.T) {
-	m := NewManaged(4*SegmentSize, 1.0, false)
+	m := NewManaged(4*SegmentSize, 1.0)
 	if err := m.MustAcquire(3, "CoGroup"); err != nil {
 		t.Fatalf("MustAcquire within pool failed: %v", err)
 	}
@@ -162,13 +162,8 @@ func TestManagedMustAcquireFailure(t *testing.T) {
 }
 
 func TestManagedGCPressure(t *testing.T) {
-	on := NewManaged(100*SegmentSize, 1.0, false)
-	off := NewManaged(100*SegmentSize, 1.0, true)
+	on := NewManaged(100*SegmentSize, 1.0)
 	on.Acquire(90)
-	off.Acquire(90)
-	if off.GCPressure() != 0 {
-		t.Error("off-heap pool must not contribute GC pressure")
-	}
 	if on.GCPressure() <= 0 {
 		t.Error("on-heap pool at 90% should contribute GC pressure")
 	}
@@ -180,7 +175,7 @@ func TestManagedGCPressure(t *testing.T) {
 }
 
 func TestManagedReleaseClampsAtTotal(t *testing.T) {
-	m := NewManaged(5*SegmentSize, 1.0, false)
+	m := NewManaged(5*SegmentSize, 1.0)
 	m.Release(100)
 	if m.Free() != 5 {
 		t.Errorf("free = %d, want clamp at 5", m.Free())
@@ -197,7 +192,7 @@ func TestNewHeapPanicsOnZero(t *testing.T) {
 }
 
 func TestManagedPeak(t *testing.T) {
-	m := NewManaged(8*SegmentSize, 1.0, false)
+	m := NewManaged(8*SegmentSize, 1.0)
 	m.Acquire(5)
 	m.Release(5)
 	m.Acquire(2)

@@ -57,12 +57,6 @@ func (n *NIC) BytesIn() float64 {
 // RateSeries returns the receive rate in MiB/s over virtual time.
 func (n *NIC) RateSeries() *stats.StepSeries { return n.res.RateSeries() }
 
-// UtilizationSeries returns the utilization fraction series.
-func (n *NIC) UtilizationSeries() *stats.StepSeries { return n.res.UtilizationSeries() }
-
-// Resource exposes the underlying resource.
-func (n *NIC) Resource() *des.Resource { return n.res }
-
 // ErrInsufficientBuffers is the Flink startup failure when the configured
 // network buffer pool cannot cover the logical channels of the job.
 type ErrInsufficientBuffers struct {

@@ -140,14 +140,6 @@ func (r *run) net(node int, bytes float64, streams int) des.Step {
 	return r.nodes[node].NIC.TransferStep(bytes, streams)
 }
 
-// mem adjusts the node's resident-memory gauge.
-func (r *run) mem(node int, bytes float64) des.Step {
-	return func(done func()) {
-		r.nodes[node].UseMem(bytes)
-		r.sim.Schedule(0, done)
-	}
-}
-
 // hold pauses for fixed seconds (scheduling latencies).
 func (r *run) hold(d float64) des.Step { return des.Hold(r.sim, d) }
 
@@ -161,17 +153,6 @@ func (r *run) span(label string, body func(done func()), done func()) {
 			done()
 		}
 	})
-}
-
-// allNodes runs mk's step on every node in parallel and joins.
-func (r *run) allNodes(mk func(node int) des.Step) des.Step {
-	return func(done func()) {
-		steps := make([]des.Step, len(r.nodes))
-		for i := range r.nodes {
-			steps[i] = mk(i)
-		}
-		des.Par(steps, done)
-	}
 }
 
 // finish assembles the Result after sim.Run.

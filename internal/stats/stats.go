@@ -4,10 +4,7 @@
 // usage, and ASCII renderings of the paper's figures.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Summary describes a sample of repeated measurements.
 type Summary struct {
@@ -44,11 +41,6 @@ func Summarize(xs []float64) Summary {
 		s.Std = math.Sqrt(ss / float64(len(xs)-1))
 	}
 	return s
-}
-
-// String renders "mean ± std (n=N)" in seconds-style precision.
-func (s Summary) String() string {
-	return fmt.Sprintf("%.1f ± %.1f (n=%d)", s.Mean, s.Std, s.N)
 }
 
 // Mean returns the arithmetic mean, 0 for empty input.

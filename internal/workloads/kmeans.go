@@ -4,10 +4,8 @@ import (
 	"repro/internal/datagen"
 )
 
-// K-Means is defined once in unified.go as a dataflow broadcast iteration.
-// The helpers below (nearest, dist2, addKSum, updateCenters, KMeansCost)
-// are shared by the unified definition and the native MapReduce chain in
-// mapreduce.go.
+// K-Means is defined once in unified.go as a dataflow broadcast iteration;
+// the helpers below serve it and the tests that score its result.
 
 func nearest(p datagen.Point, centers []datagen.Point) int {
 	best, bestD := 0, -1.0
@@ -26,17 +24,6 @@ func dist2(a, b datagen.Point) float64 {
 }
 
 func addKSum(a, b KSum) KSum { return KSum{X: a.X + b.X, Y: a.Y + b.Y, N: a.N + b.N} }
-
-func updateCenters(old []datagen.Point, sums map[int]KSum) []datagen.Point {
-	out := make([]datagen.Point, len(old))
-	copy(out, old)
-	for i, s := range sums {
-		if i >= 0 && i < len(out) && s.N > 0 {
-			out[i] = datagen.Point{X: s.X / float64(s.N), Y: s.Y / float64(s.N)}
-		}
-	}
-	return out
-}
 
 // KMeansCost is the within-cluster sum of squared distances, the quantity
 // K-Means minimizes; tests assert every engine reaches the same cost.

@@ -1,16 +1,21 @@
-// Package workloads implements the paper's six benchmarks on both
-// mini-engines with exactly the operator sequences of Table I:
+// Package workloads defines the paper's benchmarks once each, against the
+// engine-agnostic dataflow and graph APIs, so one definition runs on all
+// three mini-engines with the operator sequences of Table I
+// (S spark, F flink, MR mapreduce):
 //
 //	Word Count     S: flatMap→mapToPair→reduceByKey→saveAsTextFile
 //	               F: flatMap→groupBy→sum→writeAsText
-//	Grep           S/F: filter→count
+//	               MR: map(tokenize)→combine→reduce
+//	Grep           S/F: filter→count; MR: map(match)→combine→reduce
 //	Tera Sort      S: newAPIHadoopFile→repartitionAndSortWithinPartitions→save
 //	               F: read→map(OptimizedText)→partitionCustom→sortPartition→write
+//	               MR: map→rangePartition→identityReduce
 //	K-Means        S: loop { map→reduceByKey→collectAsMap }
 //	               F: bulkIterate { map(withBroadcastSet)→groupBy→reduce→map }
+//	               MR: one chained job per round over the staged input
 //	Page Rank      unified Pregel: S loop-unrolled rounds; F delta iteration;
 //	               MR chained DFS jobs (graphs.go)
-//	Conn. Comp.    unified Pregel (same three lowerings); F bulk variant kept
+//	Conn. Comp.    unified Pregel (same three lowerings)
 //	SSSP           unified Pregel, the third graph scenario
 //
 // Each function returns enough to verify correctness; the experiment
