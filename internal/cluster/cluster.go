@@ -73,9 +73,9 @@ func (s Spec) Materialize(sim *des.Simulator) []*SimNode {
 	for i := range nodes {
 		nodes[i] = &SimNode{
 			ID:       i,
-			CPU:      des.NewResource(sim, fmt.Sprintf("cpu[%d]", i), float64(s.CoresPerNode)),
-			Disk:     disksim.New(sim, fmt.Sprintf("disk[%d]", i), s.DiskSeqMiBps),
-			NIC:      netsim.NewNIC(sim, fmt.Sprintf("nic[%d]", i), s.NetMiBps),
+			CPU:      des.NewResource(sim, float64(s.CoresPerNode)),
+			Disk:     disksim.New(sim, s.DiskSeqMiBps),
+			NIC:      netsim.NewNIC(sim, s.NetMiBps),
 			MemBytes: s.MemPerNode,
 			sim:      sim,
 		}

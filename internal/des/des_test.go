@@ -46,7 +46,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 
 func TestResourceSingleDemand(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "cpu", 4)
+	r := NewResource(sim, 4)
 	var doneAt float64
 	// 8 core-seconds at a cap of 1 core → 8 seconds.
 	r.Use(8, 1, 1, func() { doneAt = sim.Now() })
@@ -58,7 +58,7 @@ func TestResourceSingleDemand(t *testing.T) {
 
 func TestResourceUncappedDemandUsesFullCapacity(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "disk", 100)
+	r := NewResource(sim, 100)
 	var doneAt float64
 	r.Use(500, 1, math.Inf(1), func() { doneAt = sim.Now() })
 	sim.Run()
@@ -69,7 +69,7 @@ func TestResourceUncappedDemandUsesFullCapacity(t *testing.T) {
 
 func TestResourceFairSharing(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "disk", 100)
+	r := NewResource(sim, 100)
 	var t1, t2 float64
 	// Two equal uncapped demands of 500 units: each gets 50 u/s while both
 	// are active. Both finish at t=10.
@@ -83,7 +83,7 @@ func TestResourceFairSharing(t *testing.T) {
 
 func TestResourceWorkConservingAfterCompletion(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "disk", 100)
+	r := NewResource(sim, 100)
 	var tShort, tLong float64
 	// Short 250 and long 750 units: share until short finishes at t=5,
 	// then long runs at full rate: remaining 500 at 100 u/s → t=10.
@@ -100,7 +100,7 @@ func TestResourceWorkConservingAfterCompletion(t *testing.T) {
 
 func TestResourceWeights(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "nic", 90)
+	r := NewResource(sim, 90)
 	var tA, tB float64
 	// Weight 2 vs 1: A gets 60, B gets 30.
 	r.Use(600, 2, math.Inf(1), func() { tA = sim.Now() })
@@ -113,7 +113,7 @@ func TestResourceWeights(t *testing.T) {
 
 func TestResourceCapRedistribution(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "cpu", 16)
+	r := NewResource(sim, 16)
 	var tCapped, tHungry float64
 	// Capped task can use at most 1 core; the other may use up to 16.
 	// Water-filling: capped gets 1, hungry gets 15.
@@ -133,7 +133,7 @@ func TestResourceManySingleCoreTasks(t *testing.T) {
 	// would take 20 s if scheduled in batches, but processor sharing runs
 	// all at rate 0.5 → everything completes at t=20 too.
 	sim := New()
-	r := NewResource(sim, "cpu", 16)
+	r := NewResource(sim, 16)
 	var last float64
 	for i := 0; i < 32; i++ {
 		r.Use(10, 1, 1, func() { last = sim.Now() })
@@ -146,7 +146,7 @@ func TestResourceManySingleCoreTasks(t *testing.T) {
 
 func TestResourceZeroUnitsCompletesImmediately(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "cpu", 1)
+	r := NewResource(sim, 1)
 	fired := false
 	r.Use(0, 1, 1, func() { fired = true })
 	sim.Run()
@@ -157,7 +157,7 @@ func TestResourceZeroUnitsCompletesImmediately(t *testing.T) {
 
 func TestResourceUtilizationSeries(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "cpu", 4)
+	r := NewResource(sim, 4)
 	r.Use(4, 1, 1, nil) // 1 core for 4s → 25% utilization
 	sim.Run()
 	u := r.UtilizationSeries()
@@ -171,7 +171,7 @@ func TestResourceUtilizationSeries(t *testing.T) {
 
 func TestSeqRunsInOrder(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "x", 10)
+	r := NewResource(sim, 10)
 	var marks []float64
 	Seq([]Step{
 		func(done func()) { r.Use(10, 1, math.Inf(1), done) }, // 1s
@@ -186,7 +186,7 @@ func TestSeqRunsInOrder(t *testing.T) {
 
 func TestParBarrier(t *testing.T) {
 	sim := New()
-	r := NewResource(sim, "x", 10)
+	r := NewResource(sim, 10)
 	var at float64
 	Par([]Step{
 		func(done func()) { r.Use(30, 1, 5, done) },
@@ -229,8 +229,8 @@ func TestCounterExactness(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (float64, int64) {
 		sim := New()
-		cpu := NewResource(sim, "cpu", 16)
-		disk := NewResource(sim, "disk", 150)
+		cpu := NewResource(sim, 16)
+		disk := NewResource(sim, 150)
 		var last float64
 		for i := 0; i < 50; i++ {
 			i := i

@@ -23,7 +23,6 @@ type Demand struct {
 // (capacity = MiB/s).
 type Resource struct {
 	sim        *Simulator
-	name       string
 	capacity   float64
 	demands    []*Demand
 	lastT      float64
@@ -34,15 +33,12 @@ type Resource struct {
 
 // NewResource creates a resource owned by sim with the given capacity in
 // units per second.
-func NewResource(sim *Simulator, name string, capacity float64) *Resource {
+func NewResource(sim *Simulator, capacity float64) *Resource {
 	if capacity <= 0 {
 		panic("des: resource capacity must be positive")
 	}
-	return &Resource{sim: sim, name: name, capacity: capacity}
+	return &Resource{sim: sim, capacity: capacity}
 }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // Capacity returns the configured capacity.
 func (r *Resource) Capacity() float64 { return r.capacity }

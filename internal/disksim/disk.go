@@ -31,9 +31,9 @@ type Device struct {
 }
 
 // New creates a device with the given sequential throughput in MiB/s.
-func New(sim *des.Simulator, name string, seqMiBps float64) *Device {
+func New(sim *des.Simulator, seqMiBps float64) *Device {
 	return &Device{
-		res:         des.NewResource(sim, name, seqMiBps),
+		res:         des.NewResource(sim, seqMiBps),
 		randPenalty: 2.5,
 		sim:         sim,
 	}

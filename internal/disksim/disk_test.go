@@ -9,7 +9,7 @@ import (
 
 func TestSequentialRead(t *testing.T) {
 	sim := des.New()
-	d := New(sim, "disk", 150)
+	d := New(sim, 150)
 	var doneAt float64
 	d.ReadStep(300*(1<<20), true)(func() { doneAt = sim.Now() })
 	sim.Run()
@@ -23,13 +23,13 @@ func TestSequentialRead(t *testing.T) {
 
 func TestRandomPenalty(t *testing.T) {
 	seqSim := des.New()
-	seqD := New(seqSim, "d", 150)
+	seqD := New(seqSim, 150)
 	var tSeq float64
 	seqD.ReadStep(150*(1<<20), true)(func() { tSeq = seqSim.Now() })
 	seqSim.Run()
 
 	rndSim := des.New()
-	rndD := New(rndSim, "d", 150)
+	rndD := New(rndSim, 150)
 	var tRnd float64
 	rndD.ReadStep(150*(1<<20), false)(func() { tRnd = rndSim.Now() })
 	rndSim.Run()
@@ -41,7 +41,7 @@ func TestRandomPenalty(t *testing.T) {
 
 func TestReadWriteContention(t *testing.T) {
 	sim := des.New()
-	d := New(sim, "disk", 100)
+	d := New(sim, 100)
 	var tR, tW float64
 	d.ReadStep(500*(1<<20), true)(func() { tR = sim.Now() })
 	d.WriteStep(500*(1<<20), true)(func() { tW = sim.Now() })
@@ -57,7 +57,7 @@ func TestReadWriteContention(t *testing.T) {
 
 func TestUtilizationSeries(t *testing.T) {
 	sim := des.New()
-	d := New(sim, "disk", 100)
+	d := New(sim, 100)
 	d.WriteStep(100*(1<<20), true)(nil)
 	sim.Run()
 	u := d.UtilizationSeries()
@@ -68,7 +68,7 @@ func TestUtilizationSeries(t *testing.T) {
 
 func TestActiveReadSeries(t *testing.T) {
 	sim := des.New()
-	d := New(sim, "disk", 100)
+	d := New(sim, 100)
 	d.ReadStep(100*(1<<20), true)(nil)
 	d.ReadStep(100*(1<<20), true)(nil)
 	sim.Run()

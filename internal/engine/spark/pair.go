@@ -57,6 +57,15 @@ func samePartitioner(a, b any) bool {
 	return a != nil && reflect.TypeOf(a).Comparable() && a == b
 }
 
+// hashPartitioner is a keyed operator's partitioner over numParts
+// partitions, spark.default.parallelism when numParts ≤ 0.
+func hashPartitioner[K comparable](c *Context, numParts int) *core.HashPartitioner[K] {
+	if numParts <= 0 {
+		numParts = c.parallelism
+	}
+	return core.NewHashPartitioner[K](numParts)
+}
+
 // partitionedBy reports whether r's keys already sit where part would put
 // them.
 func partitionedBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Partitioner[K]) bool {
@@ -69,36 +78,43 @@ func partitionedBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Parti
 // decision with a ~10% performance impact.
 func ReduceByKey[K comparable, V any](r *RDD[core.Pair[K, V]], f func(V, V) V, numParts int) *RDD[core.Pair[K, V]] {
 	return CombineByKey(r, "ReduceByKey",
-		func(v V) V { return v }, f, f, numParts, true)
+		func(v V) V { return v }, f, f, numParts)
 }
 
-// GroupByKey collects all values per key without map-side combine.
+// GroupByKey collects all values per key with no map-side combine, as
+// Spark's groupByKey: PartitionBy over numParts, then each partition grouped
+// in place, keys in first-seen order and values in record order. The groups
+// are full slices of one backing array per partition, as GraphX clusters an
+// edge partition by source: a fixed number of allocations however many keys.
 func GroupByKey[K comparable, V any](r *RDD[core.Pair[K, V]], numParts int) *RDD[core.Pair[K, []V]] {
-	out := CombineByKey(r, "GroupByKey",
-		func(v V) []V { return []V{v} },
-		func(c []V, v V) []V { return append(c, v) },
-		func(a, b []V) []V { return append(a, b...) },
-		numParts, false)
+	in := PartitionBy(r, hashPartitioner[K](r.ctx, numParts))
+	out := narrow(in, "GroupByKey", core.OpReduceByKey, func(recs []core.Pair[K, V], _ *taskContext) ([]core.Pair[K, []V], error) {
+		keys, group := numberKeys(make(map[K]int32, len(recs)), nil, recs)
+		vals := groupValues(group, recs, len(keys))
+		out := make([]core.Pair[K, []V], len(keys))
+		for g, k := range keys {
+			out[g] = core.KV(k, vals[g])
+		}
+		return out, nil
+	})
+	out.partitioner = in.partitioner
 	return out
 }
 
 // CombineByKey is the generic keyed aggregation Spark builds reduceByKey
-// and groupByKey on: createCombiner starts an accumulator, mergeValue adds
-// a record map-side (only when mapSideCombine), and mergeCombiners joins
-// accumulators reduce-side. The result is hash-partitioned over numParts.
+// on: createCombiner starts an accumulator, mergeValue adds a record to
+// one, and mergeCombiners joins accumulators — map-side as records arrive
+// and reduce-side. The result is hash-partitioned over numParts.
 // When r already has that partitioner every key's records are in one
 // partition, and the aggregation runs within partitions with no shuffle
 // (Spark's combineByKeyWithClassTag): createCombiner and mergeValue fold
 // each partition, keys in first-seen order.
 func CombineByKey[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string,
 	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
-	numParts int, mapSideCombine bool) *RDD[core.Pair[K, C]] {
-	if numParts <= 0 {
-		numParts = r.ctx.parallelism
-	}
-	part := core.NewHashPartitioner[K](numParts)
+	numParts int) *RDD[core.Pair[K, C]] {
+	part := hashPartitioner[K](r.ctx, numParts)
 	if !partitionedBy(r, part) {
-		return shuffledRDD(r, name, core.OpReduceByKey, part, createCombiner, mergeValue, mergeCombiners, mapSideCombine, false, nil, nil)
+		return shuffledRDD(r, name, core.OpReduceByKey, part, createCombiner, mergeCombiners, nil, nil)
 	}
 	out := newRDD[core.Pair[K, C]](r.ctx, name, core.OpReduceByKey, r.numParts, []dep{{parent: r}}, nil)
 	out.compute = func(p int, tc *taskContext) ([]core.Pair[K, C], error) {
@@ -128,12 +144,7 @@ func PartitionBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Partiti
 	if partitionedBy(r, part) {
 		return r
 	}
-	// keepAll: repartitioning preserves every record, duplicates included.
-	return shuffledRDD(r, "PartitionBy", core.OpPartition, part,
-		func(v V) V { return v },
-		func(c V, v V) V { return v },
-		func(a, b V) V { return b },
-		false, true, nil, nil)
+	return shuffledRDD(r, "PartitionBy", core.OpPartition, part, func(v V) V { return v }, nil, nil, nil)
 }
 
 // RepartitionAndSortNormalized is the Tera Sort primitive, Spark's
@@ -148,21 +159,16 @@ func RepartitionAndSortNormalized[K comparable, V any](r *RDD[core.Pair[K, V]],
 	part core.Partitioner[K], less func(a, b K) bool,
 	normKey func(dst []byte, k K) []byte) *RDD[core.Pair[K, V]] {
 	return shuffledRDD(r, "RepartitionAndSortWithinPartitions", core.OpPartition, part,
-		func(v V) V { return v },
-		func(c V, v V) V { return v },
-		func(a, b V) V { return b },
-		false, true, less, normKey)
+		func(v V) V { return v }, nil, less, normKey)
 }
 
 // shuffledRDD builds the wide dependency: map tasks write partitioned,
-// serialized, optionally combined buckets; reduce tasks fetch and merge.
-// When keepAll is true (sort shuffles) duplicate keys are all kept and the
-// output is sorted with less.
+// serialized buckets; reduce tasks fetch and merge. With mergeCombiners
+// the buckets are combined map-side and folded reduce-side; without it (a
+// repartition) every record is kept, sorted by key when less is given.
 func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, kind core.OpKind,
-	part core.Partitioner[K],
-	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
-	mapSideCombine, keepAll bool, less func(a, b K) bool,
-	normKey func(dst []byte, k K) []byte) *RDD[core.Pair[K, C]] {
+	part core.Partitioner[K], createCombiner func(V) C, mergeCombiners func(C, C) C,
+	less func(a, b K) bool, normKey func(dst []byte, k K) []byte) *RDD[core.Pair[K, C]] {
 
 	ctx := r.ctx
 	numParts := part.NumPartitions()
@@ -179,7 +185,7 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 		// One writer per attempt: the parent streams into it, so an attempt
 		// that fails upstream — or panics in a user function — leaves it
 		// half fed, is aborted, and a retry starts clean.
-		w := newMapWriter(tc, sd, part, pairCodec, mapSideCombine, createCombiner, mergeValue, mergeCombiners, less, normKey)
+		w := newMapWriter(tc, sd, part, pairCodec, createCombiner, mergeCombiners, less, normKey)
 		done := false
 		defer func() {
 			if !done {
@@ -207,7 +213,7 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 		if err != nil {
 			return nil, fmt.Errorf("spark: shuffle decode: %w", err)
 		}
-		if keepAll {
+		if mergeCombiners == nil {
 			if less == nil {
 				return shuffle.Concat(segs), nil
 			}
@@ -248,10 +254,7 @@ type Joined[V, W any] struct {
 // in place; the result keeps it.
 func Join[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core.Pair[K, W]],
 	numParts int) *RDD[core.Pair[K, Joined[V, W]]] {
-	if numParts <= 0 {
-		numParts = left.ctx.parallelism
-	}
-	cg := CoGroup(left, right, core.NewHashPartitioner[K](numParts))
+	cg := CoGroup(left, right, hashPartitioner[K](left.ctx, numParts))
 	out := narrow(cg, "Join", core.OpJoin, func(in []core.Pair[K, CoGrouped[V, W]], _ *taskContext) ([]core.Pair[K, Joined[V, W]], error) {
 		n := 0
 		for _, g := range in {
@@ -285,7 +288,9 @@ type CoGrouped[V, W any] struct {
 // partition p holds exactly the keys part sends to p — and a side that does
 // not is shuffled by part first. Co-partitioned inputs therefore cogroup
 // without any shuffle, as GraphX's joins of a graph's vertices with its
-// edges do. The result has part.
+// edges do. The result has part. Keys come out in first-seen order, left
+// side first; each side's values are grouped into one backing array per
+// partition, so a partition costs a fixed number of allocations.
 func CoGroup[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core.Pair[K, W]],
 	part core.Partitioner[K]) *RDD[core.Pair[K, CoGrouped[V, W]]] {
 	if left.ctx != right.ctx {
@@ -302,42 +307,35 @@ func CoGroup[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core
 			if err != nil {
 				return nil, err
 			}
-			return cogroupPartition(ls, rs), nil
+			index := make(map[K]int32, max(len(ls), len(rs)))
+			keys, lg := numberKeys(index, nil, ls)
+			keys, rg := numberKeys(index, keys, rs)
+			lv, rv := groupValues(lg, ls, len(keys)), groupValues(rg, rs, len(keys))
+			out := make([]core.Pair[K, CoGrouped[V, W]], len(keys))
+			for g, k := range keys {
+				out[g] = core.KV(k, CoGrouped[V, W]{Left: lv[g], Right: rv[g]})
+			}
+			return out, nil
 		})
 	out.partitioner = partitionerKey(part)
 	return out
 }
 
-// cogroupPartition groups one partition of each side: keys are numbered in
-// first-seen order (left side first), and each side's values are laid out
-// grouped in one backing array that the groups slice, so a partition costs
-// a fixed number of allocations however many keys it has.
-func cogroupPartition[K comparable, V, W any](ls []core.Pair[K, V], rs []core.Pair[K, W]) []core.Pair[K, CoGrouped[V, W]] {
-	index := make(map[K]int32, max(len(ls), len(rs)))
-	var keys []K
-	groupOf := func(k K) int32 {
-		g, ok := index[k]
+// numberKeys returns the group number of each record's key, giving a key
+// index has not seen the next number, and keys extended by the new keys in
+// first-seen order — the grouping GroupByKey and CoGroup share.
+func numberKeys[K comparable, V any](index map[K]int32, keys []K, recs []core.Pair[K, V]) ([]K, []int32) {
+	group := make([]int32, len(recs))
+	for i, kv := range recs {
+		g, ok := index[kv.Key]
 		if !ok {
 			g = int32(len(keys))
-			index[k] = g
-			keys = append(keys, k)
+			index[kv.Key] = g
+			keys = append(keys, kv.Key)
 		}
-		return g
+		group[i] = g
 	}
-	lg := make([]int32, len(ls))
-	for i, kv := range ls {
-		lg[i] = groupOf(kv.Key)
-	}
-	rg := make([]int32, len(rs))
-	for i, kv := range rs {
-		rg[i] = groupOf(kv.Key)
-	}
-	lv, rv := groupValues(lg, ls, len(keys)), groupValues(rg, rs, len(keys))
-	out := make([]core.Pair[K, CoGrouped[V, W]], len(keys))
-	for g, k := range keys {
-		out[g] = core.KV(k, CoGrouped[V, W]{Left: lv[g], Right: rv[g]})
-	}
-	return out
+	return keys, group
 }
 
 // groupValues returns, for each of n groups, the values of the records

@@ -152,6 +152,55 @@ func TestGrepFilterCount(t *testing.T) {
 
 func TestGroupByKeyAndJoin(t *testing.T) {
 	c := testContext(t, nil)
+	recs := make([]core.Pair[string, int64], 60)
+	for i := range recs {
+		recs[i] = core.KV(fmt.Sprintf("k%d", (i*7)%11), int64(i))
+	}
+	// want is every reduce partition in turn, grouped the slow way: keys in
+	// first-seen order, values in record order.
+	hp := core.NewHashPartitioner[string](3)
+	var want []core.Pair[string, []int64]
+	for p := 0; p < hp.NumPartitions(); p++ {
+		at := make(map[string]int)
+		for _, kv := range recs {
+			if hp.Partition(kv.Key) != p {
+				continue
+			}
+			if _, ok := at[kv.Key]; !ok {
+				at[kv.Key] = len(want)
+				want = append(want, core.KV(kv.Key, []int64(nil)))
+			}
+			want[at[kv.Key]].Value = append(want[at[kv.Key]].Value, kv.Value)
+		}
+	}
+	shuffled, err := Collect(GroupByKey(Parallelize(c, recs, 4), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(shuffled) != fmt.Sprint(want) {
+		t.Errorf("GroupByKey over a shuffle = %v\nwant %v", shuffled, want)
+	}
+	copart := PartitionBy(Parallelize(c, recs, 4), hp).Cache()
+	grouped, err := Collect(GroupByKey(copart, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(grouped) != fmt.Sprint(shuffled) {
+		t.Errorf("GroupByKey within co-partitioned partitions = %v\nover a shuffle = %v", grouped, shuffled)
+	}
+	// The groups of a partition share one backing array: growing one group
+	// must copy it, never write into the next group's values.
+	before := fmt.Sprint(grouped)
+	for i, g := range grouped {
+		if cap(g.Value) != len(g.Value) {
+			t.Errorf("group %q has capacity %d for %d values, want a full slice", g.Key, cap(g.Value), len(g.Value))
+		}
+		_ = append(grouped[i].Value, -1)
+	}
+	if after := fmt.Sprint(grouped); after != before {
+		t.Errorf("appending to the groups changed them:\n%s\nwas %s", after, before)
+	}
+
 	left := Parallelize(c, []core.Pair[string, int64]{
 		core.KV("x", int64(1)), core.KV("x", int64(2)), core.KV("y", int64(3)),
 	}, 2)

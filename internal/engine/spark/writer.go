@@ -35,15 +35,13 @@ type mapWriter[K comparable, V, C any] struct {
 	lift []core.Pair[K, C]
 }
 
-// newMapWriter wires the writer for one map task. less, when non-nil, is
-// the key order sort shuffles establish map-side (repartitionAndSort);
-// mergeValue is subsumed by createCombiner+mergeCombiners (the combineByKey
-// contract makes them equivalent) and kept for the call-site signature.
+// newMapWriter wires the writer for one map task. mergeCombiners, when
+// non-nil, is the map-side combine; less, when non-nil, is the key order
+// sort shuffles establish map-side (repartitionAndSort).
 func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
-	part core.Partitioner[K], codec serde.Codec[core.Pair[K, C]], mapSideCombine bool,
-	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
+	part core.Partitioner[K], codec serde.Codec[core.Pair[K, C]],
+	createCombiner func(V) C, mergeCombiners func(C, C) C,
 	less func(a, b K) bool, normKey func(dst []byte, k K) []byte) *mapWriter[K, V, C] {
-	_ = mergeValue
 	w := &mapWriter[K, V, C]{
 		tc:             tc,
 		sd:             sd,
@@ -61,7 +59,7 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 		spec.Less = func(a, b core.Pair[K, C]) bool { return less(a.Key, b.Key) }
 		spec.NormKey = serde.PairNormKeyer[K, C](normKey)
 	}
-	if mapSideCombine {
+	if mergeCombiners != nil {
 		spec.Merge = func(a, b core.Pair[K, C]) core.Pair[K, C] {
 			return core.KV(a.Key, mergeCombiners(a.Value, b.Value))
 		}

@@ -84,19 +84,25 @@ type ext10Cell struct {
 // slope — the split sim.Estimate's constants are fitted to (make calibrate).
 func ext10Cells() []ext10Cell {
 	return []ext10Cell{
-		{label: "WordCount 192KiB", wl: "WordCount", text: datagen.Text(33, ext10SmallBytes, 10),
-			spec: planner.PlanSpec{Workload: "WordCount", Shape: planner.Aggregate,
-				Input: planner.InputStats{Bytes: ext10SmallBytes}}},
-		{label: "WordCount 768KiB", wl: "WordCount", text: datagen.Text(33, ext10LargeBytes, 10),
-			spec: planner.PlanSpec{Workload: "WordCount", Shape: planner.Aggregate,
-				Input: planner.InputStats{Bytes: ext10LargeBytes}}},
-		{label: "TeraSort 4000r", wl: "TeraSort", tera: datagen.TeraGen(7, ext10SmallTera),
-			spec: planner.PlanSpec{Workload: "TeraSort", Shape: planner.Sort,
-				Input: planner.InputStats{Bytes: 100 * ext10SmallTera, Records: ext10SmallTera}}},
-		{label: "TeraSort 16000r", wl: "TeraSort", tera: datagen.TeraGen(7, ext10LargeTera),
-			spec: planner.PlanSpec{Workload: "TeraSort", Shape: planner.Sort,
-				Input: planner.InputStats{Bytes: 100 * ext10LargeTera, Records: ext10LargeTera}}},
+		wordCountCell(ext10SmallBytes), wordCountCell(ext10LargeBytes),
+		teraSortCell(ext10SmallTera), teraSortCell(ext10LargeTera),
 	}
+}
+
+// wordCountCell is the WordCount cell over bytes of generated text.
+func wordCountCell(bytes int) ext10Cell {
+	return ext10Cell{label: fmt.Sprintf("WordCount %dKiB", bytes/1024), wl: "WordCount",
+		text: datagen.Text(33, bytes, 10),
+		spec: planner.PlanSpec{Workload: "WordCount", Shape: planner.Aggregate,
+			Input: planner.InputStats{Bytes: int64(bytes)}}}
+}
+
+// teraSortCell is the TeraSort cell over records TeraGen records.
+func teraSortCell(records int) ext10Cell {
+	return ext10Cell{label: fmt.Sprintf("TeraSort %dr", records), wl: "TeraSort",
+		tera: datagen.TeraGen(7, records),
+		spec: planner.PlanSpec{Workload: "TeraSort", Shape: planner.Sort,
+			Input: planner.InputStats{Bytes: 100 * int64(records), Records: int64(records)}}}
 }
 
 // run measures one configuration on the cell once.

@@ -27,8 +27,8 @@ type NIC struct {
 }
 
 // NewNIC creates a NIC with the given throughput in MiB/s.
-func NewNIC(sim *des.Simulator, name string, miBps float64) *NIC {
-	return &NIC{res: des.NewResource(sim, name, miBps)}
+func NewNIC(sim *des.Simulator, miBps float64) *NIC {
+	return &NIC{res: des.NewResource(sim, miBps)}
 }
 
 // TransferStep returns a Step receiving the given bytes over `streams`

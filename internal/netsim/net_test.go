@@ -11,7 +11,7 @@ import (
 
 func TestNICTransfer(t *testing.T) {
 	sim := des.New()
-	nic := NewNIC(sim, "nic", 100) // 100 MiB/s
+	nic := NewNIC(sim, 100) // 100 MiB/s
 	var doneAt float64
 	nic.TransferStep(200*(1<<20), 1)(func() { doneAt = sim.Now() })
 	sim.Run()
@@ -25,7 +25,7 @@ func TestNICTransfer(t *testing.T) {
 
 func TestNICStreamsShareByWeight(t *testing.T) {
 	sim := des.New()
-	nic := NewNIC(sim, "nic", 90)
+	nic := NewNIC(sim, 90)
 	var tMany, tOne float64
 	// A fetch with 2 parallel streams gets twice the share of a 1-stream
 	// fetch under contention.

@@ -160,17 +160,19 @@ func TestTeraSortCopiesNoRecord(t *testing.T) {
 // a few backing arrays, its messages are appended to one slice per
 // partition and folded map-side, and the edges and vertex states stay
 // cached where they are: nothing in a superstep allocates per edge or per
-// vertex. What is left is per call, not per superstep: seven in ten are
-// the out-edge lists Pregel groups once (a growing slice per source
-// vertex), the rest per-task and per-partition bookkeeping. Measured: 0.072
-// (0.073 under -race) on the benchmark's PageRank size; the plan that
-// shuffled and re-grouped the edges through per-key slices every superstep,
-// and tagged every vertex and message for a union, read 3.99. The bound
-// fails one more allocation per vertex and superstep (+0.125), let alone
-// one per edge.
+// vertex. The out-edge lists Pregel groups once per call are full slices
+// of one backing array per partition, under a tenth of what is counted; the
+// rest is per-task and per-partition bookkeeping (the cogroups' key
+// numbering, the combine tables, the map writers). Measured: 0.0194
+// (0.0195 under -race) on the benchmark's PageRank size; grouping the out-
+// edges into a growing slice per source vertex read 0.072, and the plan
+// that shuffled and re-grouped the edges through per-key slices every
+// superstep, and tagged every vertex and message for a union, read 3.99.
+// The bound fails that per-vertex grouping, let alone one allocation per
+// edge.
 func TestSparkPageRankAllocatesPerPartitionNotPerEdge(t *testing.T) {
 	const supersteps = 5
-	const bound = 0.1
+	const bound = 0.03
 	edges := datagen.RMAT(16, datagen.GraphSpec{Name: "allocs", Vertices: 5000, Edges: 40000})
 	s := paritySessionConf(t, "spark", func(c *core.Config) {
 		c.SetInt(core.SparkDefaultParallelism, 2)
@@ -230,16 +232,15 @@ func TestFlinkPageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 // states a block (exec.batch.size records) at a time and hand the map
 // function one batch of joined edges per block; the apply tasks decode,
 // fold and re-encode the states a block at a time too. Nothing the lowering
-// does allocates per edge or per vertex: its blocks and waves are under 5 %
-// of what is counted. Two thirds are the engine's map-side combiner, one
-// value slice per distinct destination per map task and superstep, and a
-// fifth the out-degree job PageRank runs first. Measured: 0.195 on the
-// benchmark's PageRank size; the plan that decoded the edges and the states
-// into driver maps every superstep and ran vprog in a driver loop read
-// 0.265. The bound holds under the race detector too: 0.053 there, where
-// the staged files' record-at-a-time encode still passes a derived codec's
-// pooled cell, which the detector drops now and then. It fails one more
-// allocation per vertex and superstep (+0.125), and the old plan.
+// does allocates per edge or per vertex: what is counted is per block and
+// per task, about half of it decoding and writing the staged files' blocks.
+// Measured: 0.026 on the benchmark's PageRank size; the plan that decoded
+// the edges and the states into driver maps every superstep and ran vprog
+// in a driver loop read 0.265. The bound holds under the race detector too:
+// 0.054 there, where the staged files' record-at-a-time encode still passes
+// a derived codec's pooled cell, which the detector drops now and then. It
+// fails one more allocation per vertex and superstep (+0.125), and the old
+// plan.
 func TestMapReducePageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 	const supersteps = 5
 	const bound = 0.25
