@@ -169,7 +169,8 @@ reach:
 # on top of its seeded corpus
 # (arbitrary bytes into derived struct/slice/map decoders,
 # arbitrary bytes into the block decode every engine fetches through — values
-# that never alias their input and re-encode —, arbitrary keys through the
+# that never alias their input and re-encode, and the same values appended
+# by AppendDecode after an untouched prefix —, arbitrary keys through the
 # shuffle's run sorter against a stable sort, arbitrary sorted segments
 # (shared prefixes, short, empty and duplicate keys, with and without a
 # normalized-key writer) through its prefix-first merge against a

@@ -200,9 +200,6 @@ func (c *Config) SetBytes(key string, v ByteSize) *Config {
 	return c.Set(key, strconv.FormatInt(int64(v), 10))
 }
 
-// SetBool stores a boolean value.
-func (c *Config) SetBool(key string, v bool) *Config { return c.Set(key, strconv.FormatBool(v)) }
-
 // String returns the raw value or def when absent.
 func (c *Config) String(key, def string) string {
 	c.mu.RLock()
@@ -224,14 +221,6 @@ func (c *Config) Int(key string, def int) int {
 // Float returns the float value or def when absent/invalid.
 func (c *Config) Float(key string, def float64) float64 {
 	if v, err := strconv.ParseFloat(c.String(key, ""), 64); err == nil {
-		return v
-	}
-	return def
-}
-
-// Bool returns the boolean value or def when absent/invalid.
-func (c *Config) Bool(key string, def bool) bool {
-	if v, err := strconv.ParseBool(c.String(key, "")); err == nil {
 		return v
 	}
 	return def

@@ -29,10 +29,9 @@ func TestConfigTypedAccessors(t *testing.T) {
 	c := NewEmptyConfig()
 	c.SetInt("i", 42)
 	c.SetFloat("f", 2.5)
-	c.SetBool("b", true)
 	c.SetBytes("sz", 64*KB)
 	c.Set("raw", "128MB")
-	if c.Int("i", 0) != 42 || c.Float("f", 0) != 2.5 || !c.Bool("b", false) {
+	if c.Int("i", 0) != 42 || c.Float("f", 0) != 2.5 {
 		t.Error("typed round-trips failed")
 	}
 	if c.Bytes("sz", 0) != 64*KB {

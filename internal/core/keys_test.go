@@ -63,7 +63,7 @@ func TestEveryConfigKeyIsRead(t *testing.T) {
 				return true
 			}
 			switch sel.Sel.Name {
-			case "String", "Int", "Float", "Bool", "Bytes":
+			case "String", "Int", "Float", "Bytes":
 				switch arg := call.Args[0].(type) {
 				case *ast.Ident:
 					read[pkg+"."+arg.Name] = true

@@ -451,6 +451,43 @@ func TestConsumersCopyBorrowedBatches(t *testing.T) {
 			}
 		}
 	}
+
+	for _, c := range borrowConsumers {
+		if !slices.Contains(receivedRows, c.name) {
+			continue
+		}
+		s := vectorSession(t, "flink", 256)
+		want, err := c.run(s, dataflow.FromSlice(s, borrowChainOutput(), 2))
+		if err != nil {
+			t.Fatalf("received, %s, reference: %v", c.name, err)
+		}
+		for _, width := range []int{3, 256} {
+			s := receivingSession(t, width)
+			got, err := c.run(s, borrowChain(s))
+			if err != nil {
+				t.Fatalf("received, %s, width %d: %v", c.name, width, err)
+			}
+			if got != want {
+				t.Errorf("received over 64-byte buffers, %s, width %d: the consumer produced\n%.300s\nthe same consumer over stable slices\n%.300s",
+					c.name, width, got, want)
+			}
+		}
+	}
+}
+
+// The receive side lends its batch too: a flink consumer task decodes every
+// packet it receives into one batch it reuses. Over 64-byte network buffers
+// every consumer task of these rows receives many packets — the rebalance
+// push into SortPartition (SortByKey), the fold consumer (ReduceByKey),
+// GroupReduce (GroupByKey), and a join's build and probe sides — so a
+// consumer that keeps the batch it is handed finds later packets' records in
+// it.
+var receivedRows = []string{"SortByKey", "ReduceByKey", "GroupByKey", "Join, chain on the left", "Join, chain on the right"}
+
+// receivingSession is a flink session whose exchanges flush 64-byte network
+// buffers.
+func receivingSession(t *testing.T, width int) *dataflow.Session {
+	return vectorSessionConf(t, "flink", width, func(c *core.Config) { c.SetBytes(core.BufferSize, 64) })
 }
 
 // TestKeptBatchIsOverwritten shows what the test above is sensitive to: a

@@ -432,18 +432,34 @@ func (w *blockWriter[T]) commit(c *mapreduce.Cluster, name string) {
 }
 
 // eachBlock decodes a blockWriter's file one block at a time and hands each
-// to fn.
+// to fn. The batch is borrowed (see decodeBlock): fn copies what it keeps.
 func eachBlock[T any](f *dfs.File, codec serde.Codec[T], width int, fn func([]T) error) error {
+	var batch []T
 	for p := 0; p < f.NumParts(); p++ {
-		recs, err := serde.DecodeAllN(codec, f.Part(p), width)
-		if err != nil {
+		var err error
+		if batch, err = decodeBlock(codec, batch, f.Part(p), width); err != nil {
 			return err
 		}
-		if err := fn(recs); err != nil {
+		if err := fn(batch); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// decodeBlock decodes one block of a blockWriter's file. A string-free
+// codec decodes into batch's storage, which a reader reuses block after
+// block, so a superstep's scan of its edge and state files allocates per
+// reader, not per block. A codec that Aliases gets DecodeAllN's block copy
+// and a batch of its own.
+func decodeBlock[T any](codec serde.Codec[T], batch []T, src []byte, width int) ([]T, error) {
+	if codec.Aliases {
+		return serde.DecodeAllN(codec, src, width)
+	}
+	if cap(batch) < width {
+		batch = make([]T, 0, width)
+	}
+	return serde.AppendDecode(codec, batch[:0], src)
 }
 
 // blockReader is eachBlock as a cursor, for the side of a merge join that
@@ -463,7 +479,7 @@ func (r *blockReader[T]) next() (v T, ok bool, err error) {
 		if r.part == r.f.NumParts() {
 			return v, false, nil
 		}
-		if r.recs, err = serde.DecodeAllN(r.codec, r.f.Part(r.part), r.width); err != nil {
+		if r.recs, err = decodeBlock(r.codec, r.recs, r.f.Part(r.part), r.width); err != nil {
 			return v, false, err
 		}
 		r.part, r.i = r.part+1, 0

@@ -16,6 +16,13 @@ import (
 // narrow chains drive batches of exactly that width.
 func vectorSession(t *testing.T, engine string, width int) *dataflow.Session {
 	t.Helper()
+	return vectorSessionConf(t, engine, width, nil)
+}
+
+// vectorSessionConf is vectorSession with edit applied to the configuration
+// last.
+func vectorSessionConf(t *testing.T, engine string, width int, edit func(*core.Config)) *dataflow.Session {
+	t.Helper()
 	spec := cluster.Spec{Nodes: 2, CoresPerNode: 4, MemPerNode: core.GB, DiskSeqMiBps: 200, NetMiBps: 200}
 	rt, err := cluster.NewRuntime(spec, 4)
 	if err != nil {
@@ -24,6 +31,9 @@ func vectorSession(t *testing.T, engine string, width int) *dataflow.Session {
 	conf := core.NewConfig().SetInt(core.ExecBatchSize, width)
 	if engine == "flink" {
 		conf.SetInt(core.FlinkDefaultParallelism, 4).SetInt(core.FlinkNetworkBuffers, 8192)
+	}
+	if edit != nil {
+		edit(conf)
 	}
 	s, err := dataflow.Open(engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt), dataflow.WithFS(dfs.New(spec.Nodes, 16*core.KB, 1)))
 	if err != nil {

@@ -16,7 +16,8 @@ import (
 //
 // A pushed batch is BORROWED until push returns. The producer may hand the
 // same storage out again with the next batch (a fused chain pushes its
-// operators' scratch, a source a view of its input), so a sink that keeps
+// operators' scratch, a source a view of its input, an exchange's consumer
+// the one batch it decodes every packet into), so a sink that keeps
 // records past the call copies them: the exchange writers serialize, or fold
 // record by record into their combine tables, SortPartition, runLocal and
 // Collect append into storage of their own, sinkParts encodes. Pushing a slice

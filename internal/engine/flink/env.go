@@ -12,6 +12,10 @@
 //     fold on arrival in the producing subtask's combine table (the shuffle
 //     core's, shared with spark and mapreduce), which is charged to managed
 //     memory and drains downstream when a grant is refused;
+//   - receivers that keep what arrives in memory they own: a consumer task
+//     decodes every packet into one batch it reuses, and records with
+//     strings into an arena of growing chunks, so a received packet costs
+//     no allocation;
 //   - managed memory segments; operators that can spill do, while
 //     CoGroup's solution set must fit and kills the job otherwise — the
 //     paper's Table VII failure;

@@ -50,7 +50,7 @@ type keyed[T any] struct {
 // sorted runs when the managed-memory grant is refused, and ships merged
 // segments at end-of-input — a pipeline breaker, which is exactly what a
 // sort-based exchange is. Consumer side: one task per partition decodes
-// packets as they arrive and hands them to the consumer built by
+// packets as they arrive (drainSide) and hands them to the consumer built by
 // makeConsumer; each packet carries its producer's node, so reads classify
 // local vs remote under the shared accounting rule in internal/metrics (the
 // same classification spark's shuffle reader uses).
@@ -170,37 +170,8 @@ func newExchange[T, U any](parent *DataSet[T], label string, kind core.OpKind, q
 			node := ctx.place(part, nil)
 			ctx.addTask(node, func() error {
 				cons := makeConsumer(part, sinks[part])
-				// On error, keep draining the channel: producers block on the
-				// bounded sends, and RunTasks only returns once every task
-				// finishes.
-				var failed error
-				for pkt := range chans[part] {
-					if failed != nil {
-						pkt.Block.Release()
-						continue
-					}
-					e.metrics.AddShuffleRead(int64(pkt.Block.Len()), pkt.From == node)
-					raw, err := shuffle.Unpack(set, pkt.Block.Bytes())
-					if err != nil {
-						pkt.Block.Release()
-						failed = fmt.Errorf("flink: %s: %w", label, err)
-						continue
-					}
-					recs, err := serde.DecodeAllN(codec, raw, int(pkt.Block.Recs))
-					pkt.Block.Release() // recs never alias the block; recycle it
-					if err != nil {
-						failed = fmt.Errorf("flink: %s decode: %w", label, err)
-						continue
-					}
-					if len(recs) == 0 {
-						continue
-					}
-					if err := guard(func() error { return cons.accept(recs) }); err != nil {
-						failed = err
-					}
-				}
-				if failed != nil {
-					return endFailed(ctx, sinks[part], failed)
+				if err := drainSide(e, node, label, chans[part], codec, set, cons.accept); err != nil {
+					return endFailed(ctx, sinks[part], err)
 				}
 				if err := guard(cons.finish); err != nil {
 					return endFailed(ctx, sinks[part], err)
@@ -225,4 +196,74 @@ func rebalanceExchange[T any](parent *DataSet[T], label string, kind core.OpKind
 				finish: func() error { return nil },
 			}
 		})
+}
+
+// arenaCap is the largest chunk a receiver's arena grows to. Chunks start at
+// the first packet's size and double, so a consumer that receives a few
+// packets — a combined wordcount, a pagerank superstep — pays for what it
+// receives, and one that receives hundreds — a sort's repartition — pays one
+// allocation a mebibyte instead of one a packet.
+const arenaCap = 1 << 20
+
+// drainSide is the receive side of one consumer task's input: it decodes the
+// packets of ch as they arrive into memory the task owns and hands each
+// decoded batch to each, accounting reads local vs remote by the producing
+// node each packet carries. It is Flink's input gate over the task's own
+// buffers, in two parts:
+//   - one batch, sized from the packets' record counts and reused for every
+//     packet: what each is handed is borrowed, by the partSink contract, and
+//     must be copied, folded or encoded before each returns;
+//   - for a codec that Aliases, an arena every packet's bytes are appended to
+//     before they are decoded, so decoded strings are views of the arena and
+//     the pooled block goes back to the pool at once. The arena grows in
+//     chunks (see arenaCap) and is never reused, so a kept string stays valid
+//     and keeps its chunk alive.
+//
+// On error — a corrupt packet, each's error or a panic in it — it keeps
+// draining the channel (producers block on the bounded sends, and RunTasks
+// only returns once every task finishes), then reports the first error.
+func drainSide[T any](e *Env, node int, label string, ch <-chan shuffle.Packet, codec serde.Codec[T],
+	set shuffle.Settings, each func([]T) error) error {
+	var (
+		failed error
+		batch  []T
+		arena  []byte
+	)
+	for pkt := range ch {
+		if failed != nil {
+			pkt.Block.Release()
+			continue
+		}
+		e.metrics.AddShuffleRead(int64(pkt.Block.Len()), pkt.From == node)
+		raw, err := shuffle.Unpack(set, pkt.Block.Bytes())
+		if err == nil {
+			if codec.Aliases {
+				arena, raw = keep(arena, raw)
+			}
+			if n := int(pkt.Block.Recs); cap(batch) < n {
+				batch = make([]T, 0, n)
+			}
+			batch, err = serde.AppendDecode(codec, batch[:0], raw)
+		}
+		pkt.Block.Release() // the batch never aliases the block; recycle it
+		if err != nil {
+			failed = fmt.Errorf("flink: %s: %w", label, err)
+			continue
+		}
+		if len(batch) > 0 {
+			failed = guard(func() error { return each(batch) })
+		}
+	}
+	return failed
+}
+
+// keep appends b to arena's current chunk, opening the next chunk when b does
+// not fit, and returns the arena and b's copy in it.
+func keep(arena, b []byte) (grown, kept []byte) {
+	if cap(arena)-len(arena) < len(b) {
+		arena = make([]byte, 0, max(len(b), min(2*cap(arena), arenaCap)))
+	}
+	off := len(arena)
+	arena = append(arena, b...)
+	return arena, arena[off:len(arena):len(arena)]
 }

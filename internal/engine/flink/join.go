@@ -106,7 +106,7 @@ func hashJoin[B, P any, K comparable, U any](build *DataSet[B], probe *DataSet[P
 					// Drain the build side first (its channels close when
 					// all its producers finish), then build the table.
 					var recs []B
-					if err := drainSide(e, node, bchans[part], bCodec, set, func(batch []B) error {
+					if err := drainSide(e, node, "Join", bchans[part], bCodec, set, func(batch []B) error {
 						recs = append(recs, batch...)
 						return nil
 					}); err != nil {
@@ -126,7 +126,7 @@ func hashJoin[B, P any, K comparable, U any](build *DataSet[B], probe *DataSet[P
 				// Stream the probe side through the table; matches gather in
 				// one batch buffer that is pushed whenever it fills.
 				buf := make([]U, 0, width)
-				err := drainSide(e, node, pchans[part], pCodec, set, func(batch []P) error {
+				err := drainSide(e, node, "Join", pchans[part], pCodec, set, func(batch []P) error {
 					for _, p := range batch {
 						k := pk(p)
 						for _, b := range t.group(k) {
@@ -264,7 +264,7 @@ func CoGroup[L, R any, K comparable, U any](left *DataSet[L], right *DataSet[R],
 				}
 				// Drain the left side first (its channel closes when all
 				// producers finish), then the right side.
-				if err := drainSide(e, node, lchans[part], lCodec, set, func(batch []L) error {
+				if err := drainSide(e, node, "CoGroup", lchans[part], lCodec, set, func(batch []L) error {
 					for _, v := range batch {
 						k := lk(v)
 						if err := note(k); err != nil {
@@ -281,7 +281,7 @@ func CoGroup[L, R any, K comparable, U any](left *DataSet[L], right *DataSet[R],
 					}
 					return endFailed(ctx, sinks[part], err)
 				}
-				if err := drainSide(e, node, rchans[part], rCodec, set, func(batch []R) error {
+				if err := drainSide(e, node, "CoGroup", rchans[part], rCodec, set, func(batch []R) error {
 					for _, v := range batch {
 						k := rk(v)
 						if err := note(k); err != nil {
@@ -363,35 +363,4 @@ func produceSide[T any](ctx *jobCtx, parent *DataSet[T], codec serde.Codec[T],
 		}
 	}
 	return parent.produce(ctx, sinks)
-}
-
-// drainSide consumes one input's packets on a consumer task, handing each
-// decoded batch to each and accounting reads local vs remote by the producing
-// node each packet carries. On error — each's, or a panic in it — it keeps
-// draining the channel (producers block on the bounded sends, and RunTasks
-// only returns once every task finishes), then reports the first error.
-func drainSide[T any](e *Env, node int, ch <-chan shuffle.Packet, codec serde.Codec[T],
-	set shuffle.Settings, each func([]T) error) error {
-	var failed error
-	for pkt := range ch {
-		if failed != nil {
-			pkt.Block.Release()
-			continue
-		}
-		e.metrics.AddShuffleRead(int64(pkt.Block.Len()), pkt.From == node)
-		raw, err := shuffle.Unpack(set, pkt.Block.Bytes())
-		if err != nil {
-			pkt.Block.Release()
-			failed = err
-			continue
-		}
-		recs, err := serde.DecodeAllN(codec, raw, int(pkt.Block.Recs))
-		pkt.Block.Release()
-		if err != nil {
-			failed = err
-			continue
-		}
-		failed = guard(func() error { return each(recs) })
-	}
-	return failed
 }

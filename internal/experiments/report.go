@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -145,11 +144,4 @@ func Get(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// sortedCopy returns ids sorted (for deterministic listings).
-func sortedCopy(ids []string) []string {
-	out := append([]string{}, ids...)
-	sort.Strings(out)
-	return out
 }

@@ -113,9 +113,11 @@ func TestAliasesMarksStringParts(t *testing.T) {
 // TestBlockDecodeAllocations: a block with strings costs one copy however
 // many string fields it holds, and a codec without strings — pagerank's
 // and k-means' shapes — gets no copy at all: nothing but the result slice.
-// The counts hold under the race detector too: DecodeAllN decodes a derived
-// codec's records in place through its pointer form, never through the
-// pooled cell the detector drops now and then.
+// AppendDecode onto a slice with room allocates nothing, strings included:
+// it copies no src, so its strings are views of src itself. The counts hold
+// under the race detector too: both decode a derived codec's records in
+// place through its pointer form, never through the pooled cell the
+// detector drops now and then.
 func TestBlockDecodeAllocations(t *testing.T) {
 	const n = 256
 	check := func(name string, decode func(), want float64) {
@@ -138,6 +140,24 @@ func TestBlockDecodeAllocations(t *testing.T) {
 		}
 		ssrc := EncodeAll(strs, nil, recs)
 		check(s.String()+" Pair[string,string]", func() { _, _ = DecodeAllN(strs, ssrc, n) }, 2)
+
+		fdst := make([]core.Pair[int64, fixedVertex], 0, n)
+		check(s.String()+" AppendDecode Pair[int64,fixedVertex]", func() { _, _ = AppendDecode(fixed, fdst, fsrc) }, 0)
+		ndst := make([]core.Pair[int64, float64], 0, n)
+		check(s.String()+" AppendDecode Pair[int64,float64]", func() { _, _ = AppendDecode(nums, ndst, nsrc) }, 0)
+		sdst := make([]core.Pair[string, string], 0, n)
+		check(s.String()+" AppendDecode Pair[string,string]", func() { _, _ = AppendDecode(strs, sdst, ssrc) }, 0)
+
+		// No copy of src: overwriting it shows through the decoded strings.
+		src := bytes.Clone(ssrc)
+		views, err := AppendDecode(strs, sdst, src)
+		if err != nil || len(views) != n {
+			t.Fatalf("%s: AppendDecode = %d values, %v; want %d", s, len(views), err, n)
+		}
+		clear(src)
+		if views[0].Key == recs[0].Key {
+			t.Errorf("%s: AppendDecode's strings survived their src being cleared; they are copies, not views", s)
+		}
 	}
 }
 
@@ -148,7 +168,9 @@ func TestBlockDecodeAllocations(t *testing.T) {
 // alias the input. Wire forms are not canonical (a varint may be overlong, a
 // bool any non-zero byte, a Java header is skipped unread), so the values
 // must re-encode to bytes no longer than those consumed, which decode back
-// to the same values and re-encode to themselves.
+// to the same values and re-encode to themselves. The same bytes through
+// AppendDecode onto a non-empty slice leave its prefix as it was and append
+// the values DecodeAllN returns.
 func FuzzDecodeAll(f *testing.F) {
 	for _, s := range allStyles {
 		f.Add(uint8(s), uint16(2), EncodeAll(Of[core.Pair[string, string]](s), nil,
@@ -162,7 +184,34 @@ func FuzzDecodeAll(f *testing.F) {
 		s := Style(style % 3)
 		reencodes(t, Of[core.Pair[string, string]](s), data, int(count))
 		reencodes(t, Of[inner](s), data, int(count))
+		appends(t, Of[core.Pair[string, string]](s), data, int(count), []core.Pair[string, string]{core.KV("kept", "prefix")})
+		appends(t, Of[inner](s), data, int(count), []inner{{Name: "kept", Tags: []string{"prefix"}}})
 	})
+}
+
+// appends is FuzzDecodeAll's property for AppendDecode: onto a copy of
+// prefix with room to spare, it fails exactly when DecodeAllN does, never
+// writes the prefix, and appends DecodeAllN's values.
+func appends[T any](t *testing.T, c Codec[T], data []byte, count int, prefix []T) {
+	t.Helper()
+	want, wantErr := DecodeAllN(c, data, count)
+	dst := append(make([]T, 0, len(prefix)+4), prefix...)
+	got, err := AppendDecode(c, dst, bytes.Clone(data))
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%T: AppendDecode says %v, DecodeAllN %v", prefix, err, wantErr)
+	}
+	if !reflect.DeepEqual(dst, prefix) || !reflect.DeepEqual(got[:len(prefix)], prefix) {
+		t.Fatalf("%T: AppendDecode wrote the prefix: %v, then %v, want %v", prefix, dst, got[:len(prefix)], prefix)
+	}
+	if err != nil {
+		if len(got) != len(prefix) {
+			t.Fatalf("%T: a failed AppendDecode returned %d values, want the prefix's %d", prefix, len(got), len(prefix))
+		}
+		return
+	}
+	if added := got[len(prefix):]; len(added) != len(want) || (len(want) > 0 && !reflect.DeepEqual(added, want)) {
+		t.Fatalf("%T: AppendDecode appended %v, DecodeAllN returns %v", prefix, added, want)
+	}
 }
 
 // reencodes is FuzzDecodeAll's property for one codec.

@@ -30,7 +30,8 @@
 //     encode. On decode a string is a view, not a copy: DecodeAllN copies
 //     a block that holds strings once into an immutable arena and every
 //     string decoded from it points there, so a block costs one
-//     allocation however many string fields it holds, and only slices
+//     allocation however many string fields it holds (AppendDecode skips
+//     even that for bytes a receiver already keeps), and only slices
 //     and maps allocate per value (maps through reflect, the only way to
 //     build one).
 //

@@ -53,7 +53,8 @@ var ErrShortBuffer = errors.New("serde: short buffer")
 //
 // A string Decode returns is a view of src, not a copy (see Aliases): src
 // must never be written while the value is in use. Decode a block through
-// DecodeAll or DecodeAllN, which make that hold for any src.
+// DecodeAll or DecodeAllN, which make that hold for any src, or through
+// AppendDecode from bytes the caller never writes again.
 type Codec[T any] struct {
 	Encode func(dst []byte, v T) []byte
 	Decode func(src []byte) (T, int, error)
@@ -122,13 +123,13 @@ func DecodeAll[T any](c Codec[T], src []byte) ([]T, error) {
 // that size instead of grown by doubling. count is a hint — 0 means unknown,
 // and a wrong one costs only the growth it failed to save.
 //
-// It is the entry point of every block decode. When the codec Aliases, src
-// is first copied once, and the values' strings are views of that copy: one
-// allocation and one sequential copy a block instead of one allocation per
-// string field, the way Spark's and Flink's binary rows read fields in
-// place. Nothing but the decoded values ever refers to the copy, so it is
-// as immutable as a string. A decoded value keeps its block's copy alive
-// for as long as it is referenced.
+// When the codec Aliases, src is first copied once, and the values' strings
+// are views of that copy: one allocation and one sequential copy a block
+// instead of one allocation per string field, the way Spark's and Flink's
+// binary rows read fields in place. Nothing but the decoded values ever
+// refers to the copy, so it is as immutable as a string. A decoded value
+// keeps its block's copy alive for as long as it is referenced. The decoding
+// itself is AppendDecode's.
 func DecodeAllN[T any](c Codec[T], src []byte, count int) ([]T, error) {
 	if c.Aliases && len(src) > 0 {
 		src = bytes.Clone(src)
@@ -137,17 +138,35 @@ func DecodeAllN[T any](c Codec[T], src []byte, count int) ([]T, error) {
 	if count > 0 {
 		out = make([]T, 0, min(count, len(src))) // a value takes at least a byte
 	}
+	out, err := AppendDecode(c, out, src)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendDecode decodes every value in src onto the end of dst and returns
+// the extended slice; dst[:len(dst)] is never written. It is the one decode
+// loop under every block decode: DecodeAllN is a copy when the codec Aliases,
+// then this. It copies nothing, so when the codec Aliases the values' strings
+// are views of src, and src must be bytes the caller owns and never writes
+// again — a receiver's arena, not a pooled block. Beyond what the codec
+// allocates per value (slices, maps), it allocates only when dst runs out of
+// room, so decoding into a batch the caller reuses costs nothing per block.
+// On error it returns dst's values only.
+func AppendDecode[T any](c Codec[T], dst []T, src []byte) ([]T, error) {
+	n0 := len(dst)
 	var zero T
 	for len(src) > 0 {
-		out = append(out, zero)
-		n, err := c.DecodeAt(src, &out[len(out)-1])
+		dst = append(dst, zero)
+		n, err := c.DecodeAt(src, &dst[len(dst)-1])
 		if err != nil {
-			return nil, err
+			return dst[:n0], err
 		}
 		if n <= 0 {
-			return nil, errors.New("serde: decoder made no progress")
+			return dst[:n0], errors.New("serde: decoder made no progress")
 		}
 		src = src[n:]
 	}
-	return out, nil
+	return dst, nil
 }

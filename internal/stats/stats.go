@@ -46,15 +46,6 @@ func Summarize(xs []float64) Summary {
 // Mean returns the arithmetic mean, 0 for empty input.
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
-// Ratio returns a/b, guarding against a zero denominator; experiments use
-// it to report "Flink is 1.5x faster" style factors.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return a / b
-}
-
 // CoefficientOfVariation returns std/mean, the paper's notion of run
 // variance (high for Flink Tera Sort).
 func CoefficientOfVariation(xs []float64) float64 {

@@ -47,15 +47,6 @@ func TestSummaryBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(3, 2) != 1.5 {
-		t.Error("Ratio(3,2) != 1.5")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Error("Ratio(1,0) should be +Inf")
-	}
-}
-
 func TestCoefficientOfVariation(t *testing.T) {
 	cv := CoefficientOfVariation([]float64{100, 100, 100})
 	if cv != 0 {

@@ -114,12 +114,16 @@ func TestGrepAllocatesPerBlockNotPerLine(t *testing.T) {
 // function splits each record into key and value strings that are views of
 // the stored input (dfs.RecordString), and the shuffle writer's block, the
 // merge, mapreduce's identity reducer, the sink's encode and commit allocate
-// per block or per task. The reduce side costs one allocation per fetched
-// block: serde.DecodeAllN copies a block once and the decoded key and value
-// are views of that copy. Measured: 0.024–0.032 on all three engines at this
-// size, where per-task and per-block costs weigh more than on the benchmark's
-// input (0.003–0.011 there). The map function's two string copies read 2.02
-// here; a single allocation per record anywhere on the path fails the bound.
+// per block or per task. On spark and mapreduce the reduce side costs one
+// allocation per fetched block: serde.DecodeAllN copies a block once and the
+// decoded key and value are views of that copy. Flink's consumer tasks pay
+// nothing per packet: each decodes into one reused batch, from an arena of
+// chunks that double up to a mebibyte. Measured: 0.023 / 0.016 / 0.031 on
+// spark / flink / mapreduce at this size (flink read 0.020 while it copied
+// every packet), where per-task and per-block costs weigh more than on the
+// benchmark's input (0.001–0.005 there). The map function's two string
+// copies read 2.02 here; a single allocation per record anywhere on the path
+// fails the bound.
 // The bound holds under the race detector too: block buffers come from a
 // pool the detector cannot empty, and flink's derived codec encodes and
 // decodes the records in place through its pointer form.
@@ -233,14 +237,16 @@ func TestFlinkPageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 // function one batch of joined edges per block; the apply tasks decode,
 // fold and re-encode the states a block at a time too. Nothing the lowering
 // does allocates per edge or per vertex: what is counted is per block and
-// per task, about half of it decoding and writing the staged files' blocks.
-// Measured: 0.026 on the benchmark's PageRank size; the plan that decoded
-// the edges and the states into driver maps every superstep and ran vprog
-// in a driver loop read 0.265. The bound holds under the race detector too:
-// 0.054 there, where the staged files' record-at-a-time encode still passes
-// a derived codec's pooled cell, which the detector drops now and then. It
-// fails one more allocation per vertex and superstep (+0.125), and the old
-// plan.
+// per task. The staged files' codecs hold no string, so each reader decodes
+// every block into one batch it reuses, and reading a block costs no
+// allocation. Measured: 0.021 on the benchmark's PageRank size
+// (0.026 while every block was decoded into a fresh slice); the plan that
+// decoded the edges and the states into driver maps every superstep and ran
+// vprog in a driver loop read 0.265. The bound holds under the race
+// detector too: 0.049 there (0.054 with a fresh slice per block), where the
+// staged files' record-at-a-time encode still passes a derived codec's
+// pooled cell, which the detector drops now and then. It fails one more
+// allocation per vertex and superstep (+0.125), and the old plan.
 func TestMapReducePageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 	const supersteps = 5
 	const bound = 0.25
