@@ -16,7 +16,7 @@ import (
 	"repro/internal/metrics"
 )
 
-func session(t *testing.T, engine string) *dataflow.Session {
+func session(t *testing.T, engine string, tune ...func(*core.Config)) *dataflow.Session {
 	t.Helper()
 	spec := cluster.Spec{Nodes: 2, CoresPerNode: 8, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
 	rt, err := cluster.NewRuntime(spec, 8)
@@ -31,6 +31,9 @@ func session(t *testing.T, engine string) *dataflow.Session {
 		// Joins pipeline both producer chains concurrently; parallelism 2
 		// keeps the widest plan within the 8 slots per node.
 		conf.SetInt(core.FlinkDefaultParallelism, 2).SetInt(core.FlinkNetworkBuffers, 8192)
+	}
+	for _, f := range tune {
+		f(conf)
 	}
 	s, err := dataflow.Open(engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt), dataflow.WithFS(dfs.New(spec.Nodes, 16*core.KB, 1)))
 	if err != nil {
@@ -378,6 +381,52 @@ func TestMapReduceSuperstepRoundTripsThroughTheDFS(t *testing.T) {
 			t.Errorf("the driver handled %d records, want the %d edges it handed out and the %d states it returned",
 				got, len(edges), len(verts))
 		}
+	}
+}
+
+// TestPregelStringStatesOutliveTheirFiles runs Pregel with string vertex
+// values and messages. On mapreduce every superstep writes the states to dfs
+// files of 4-record blocks and reads them back block by block, and a decoded
+// string is a view of the file's bytes. Each final value names its own
+// vertex, so a reader that decoded a block from a buffer it later refills
+// would hand back strings that change under the caller: the values are
+// checked after a second run on the same session has read and written its
+// own files.
+func TestPregelStringStatesOutliveTheirFiles(t *testing.T) {
+	const n = 24
+	run := func(t *testing.T, s *dataflow.Session) map[int64]string {
+		t.Helper()
+		label := func(v string) string { return v[strings.LastIndexByte(v, '=')+1:] }
+		verts, _, err := Pregel(FromEdges[string](dataflow.FromSlice(s, datagen.ChainGraph(n), 0)),
+			func(id int64) string { return fmt.Sprintf("id=%03d min=%03d", id, n-1-id) },
+			func(id int64, v, msg string) (string, bool) {
+				if msg < label(v) {
+					return fmt.Sprintf("id=%03d min=%s", id, msg), true
+				}
+				return v, false
+			},
+			func(_ int64, v string, _ int64) (string, bool) { return label(v), true },
+			func(a, b string) string { return min(a, b) },
+			2*n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return verts
+	}
+	for _, engine := range dataflow.Names() {
+		t.Run(engine, func(t *testing.T) {
+			s := session(t, engine, func(c *core.Config) { c.SetInt(core.ExecBatchSize, 4) })
+			first := run(t, s)
+			run(t, s)
+			if len(first) != n {
+				t.Fatalf("%d vertices, want %d", len(first), n)
+			}
+			for id, v := range first {
+				if want := fmt.Sprintf("id=%03d min=000", id); v != want {
+					t.Errorf("vertex %d = %q, want %q", id, v, want)
+				}
+			}
+		})
 	}
 }
 

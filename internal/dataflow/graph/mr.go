@@ -447,15 +447,13 @@ func eachBlock[T any](f *dfs.File, codec serde.Codec[T], width int, fn func([]T)
 	return nil
 }
 
-// decodeBlock decodes one block of a blockWriter's file. A string-free
-// codec decodes into batch's storage, which a reader reuses block after
-// block, so a superstep's scan of its edge and state files allocates per
-// reader, not per block. A codec that Aliases gets DecodeAllN's block copy
-// and a batch of its own.
+// decodeBlock decodes one block of a blockWriter's file into batch's
+// storage, which a reader reuses block after block, so a superstep's scan of
+// its edge and state files allocates per reader, not per block. It decodes
+// straight from the dfs part, with no copy: a blockWriter's parts are
+// buffers it allocated and dropped, and a dfs file is never written again,
+// so decoded strings are views of the part, as dfs.RecordString's are.
 func decodeBlock[T any](codec serde.Codec[T], batch []T, src []byte, width int) ([]T, error) {
-	if codec.Aliases {
-		return serde.DecodeAllN(codec, src, width)
-	}
 	if cap(batch) < width {
 		batch = make([]T, 0, width)
 	}

@@ -237,9 +237,8 @@ func TestFlinkPageRankAllocatesPerBatchNotPerEdge(t *testing.T) {
 // function one batch of joined edges per block; the apply tasks decode,
 // fold and re-encode the states a block at a time too. Nothing the lowering
 // does allocates per edge or per vertex: what is counted is per block and
-// per task. The staged files' codecs hold no string, so each reader decodes
-// every block into one batch it reuses, and reading a block costs no
-// allocation. Measured: 0.021 on the benchmark's PageRank size
+// per task. Each reader decodes every block, straight from the file's
+// bytes, into one batch it reuses, so reading a block costs no allocation. Measured: 0.021 on the benchmark's PageRank size
 // (0.026 while every block was decoded into a fresh slice); the plan that
 // decoded the edges and the states into driver maps every superstep and ran
 // vprog in a driver loop read 0.265. The bound holds under the race
