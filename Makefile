@@ -127,17 +127,21 @@ bench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair BASE=<ref> WORKLOAD=<name>[,<name>...]|all"; exit 2; }
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD)
 
-# Traffic reachability report. The traffic is what the repo ships to run:
+# Traffic reachability check. The traffic is what the repo ships to run:
 # bench, cmd/... and examples/.... This builds them with inlining off
 # (-gcflags=all=-l, so every function a binary calls is a symbol of it), reads
-# their symbol tables with go tool nm and prints every func declared in a
+# their symbol tables with go tool nm and finds every func declared in a
 # non-test internal/ file (the files go list selects for this platform) that
-# no binary links, as `file:line symbol`. Generic instantiations ([...]),
-# closures (.funcN, .gowrapN, .deferwrapN), method values (-fm) and receiver
-# pointer marks fold into the declaring func's name. It reports and never
-# fails on what it prints: each printed func is reached only from tests (a
+# no binary links. Generic instantiations ([...]), closures (.funcN, .gowrapN,
+# .deferwrapN), method values (-fm) and receiver pointer marks fold into the
+# declaring func's name. Each such func is reached only from tests (a
 # fault-injection or test hook, a reference a test compares against, a
-# read-only accessor a test inspects) or by nothing at all.
+# read-only accessor a test inspects, ...) or by nothing at all, and must be
+# listed in reach.allow with its keep category and a reason. The check fails
+# on an unlisted func (printed as `file:line symbol`), on an entry a binary
+# links again or that is gone, on an entry without a known category and a
+# reason, and on more than REACH_MAX entries. CI runs it in the test job.
+REACH_MAX = 60
 reach:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; export LC_ALL=C; \
 	$(GO) build -gcflags=all=-l -o "$$tmp/bin/" ./bench ./cmd/... ./examples/... || exit 1; \
@@ -162,7 +166,27 @@ reach:
 		}' | sort > "$$tmp/declared"; \
 	awk '{ print $$1 }' "$$tmp/declared" | sort -u | comm -23 - "$$tmp/linked" > "$$tmp/unlinked"; \
 	awk 'NR == FNR { u[$$1] = 1; next } ($$1 in u) && $$1 !~ /\.init$$/ { print $$2 " " $$1 }' "$$tmp/unlinked" "$$tmp/declared" \
-		| sed 's| repro/internal/| |' | sort -t: -k1,1 -k2,2n
+		| sed 's| repro/internal/| |' | sort -t: -k1,1 -k2,2n > "$$tmp/report"; \
+	awk -v max=$(REACH_MAX) ' \
+		FNR == NR { \
+			if (/^#/ || NF == 0) next; \
+			n++; \
+			if (NF < 3 || $$2 !~ /^(accessor|hook|reference|fixture|api)$$/) { \
+				print "reach.allow: " $$1 ": want a symbol, a known category and a reason"; bad = 1; \
+			} \
+			if ($$1 in allow) { print "reach.allow: " $$1 " is listed twice"; bad = 1 } \
+			allow[$$1] = 1; next; \
+		} \
+		{ \
+			seen[$$2] = 1; \
+			if (!($$2 in allow)) { print "reach: " $$1 " " $$2 " is linked by no traffic binary and not listed in reach.allow"; bad = 1 } \
+		} \
+		END { \
+			for (s in allow) if (!(s in seen)) { print "reach.allow: " s " is linked by a traffic binary or gone; remove the entry"; bad = 1 } \
+			if (n > max) { print "reach.allow: " n " entries, at most " max; bad = 1 } \
+			if (bad) exit 1; \
+			print "reach: " n " funcs no traffic binary links, every one listed in reach.allow"; \
+		}' reach.allow "$$tmp/report"
 
 # Short fuzz smoke over the byte decoders, the sort kernel, the split
 # reader and WordCount's tokenizer: each fuzz target runs for a few seconds

@@ -81,7 +81,7 @@ func printTableI(w io.Writer) error {
 // printDecisions runs the static planner over one representative spec per
 // plan shape and renders each decision: chosen candidate, cost table, trace.
 func printDecisions(spec cluster.Spec) {
-	pl := &planner.Planner{Provider: &planner.SimCost{Base: core.NewConfig()}, Spec: spec}
+	pl := &planner.Planner{Provider: &planner.SimCost{}, Spec: spec}
 	specs := []planner.PlanSpec{
 		{Workload: "WordCount", Shape: planner.Aggregate,
 			Input: planner.InputStats{Bytes: 768 * 1024}},

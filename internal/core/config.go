@@ -1,40 +1,38 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Parameter names. These follow the paper's Section IV taxonomy: task
 // parallelism, shuffle tuning, memory management and data serialization,
-// plus the graph-specific edge partitioning of Section VI-E.
+// plus the graph-specific edge partitioning of Section VI-E. Each key's
+// default and legal values are declared once, in Config.settings.
 const (
 	// SparkDefaultParallelism is the default number of partitions in RDDs
-	// returned by transformations (spark.def.parallelism in the paper).
+	// returned by transformations (spark.def.parallelism in the paper);
+	// 0 derives it from the cluster's cores.
 	SparkDefaultParallelism = "spark.default.parallelism"
 	// SparkExecutorMemory is the executor JVM heap size; Spark allocates
 	// all executor memory on the heap.
 	SparkExecutorMemory = "spark.executor.memory"
-	// SparkStorageFraction is the heap fraction reserved for cached RDDs.
-	SparkStorageFraction = "spark.storage.fraction"
-	// SparkShuffleFraction is the heap fraction reserved for shuffle
-	// buffers and spill staging.
-	SparkShuffleFraction = "spark.shuffle.fraction"
 	// SparkShuffleManager selects the shuffle implementation; the paper
 	// pins it to "tungsten-sort" for fairness with Flink's sort-based
-	// aggregation. Accepted values: "hash", "sort", "tungsten-sort".
+	// aggregation.
 	SparkShuffleManager = "spark.shuffle.manager"
-	// SparkSerializer selects the serializer: "java" (default) or "kryo".
+	// SparkSerializer selects the serializer: Java or Kryo.
 	SparkSerializer = "spark.serializer"
 	// SparkEdgePartitions is the GraphX edge partition count
-	// (spark.edge.partition in the paper's graph experiments).
+	// (spark.edge.partition in the paper's graph experiments); 0 uses the
+	// default parallelism.
 	SparkEdgePartitions = "spark.edge.partitions"
 
-	// FlinkDefaultParallelism is the operator parallelism; Flink sizes it
-	// to the available task slots.
+	// FlinkDefaultParallelism is the operator parallelism; 0 sizes it to
+	// the available task slots.
 	FlinkDefaultParallelism = "flink.default.parallelism"
 	// FlinkTaskManagerMemory is the total memory per task manager.
 	FlinkTaskManagerMemory = "flink.taskmanager.memory"
@@ -44,17 +42,32 @@ const (
 	// FlinkNetworkBuffers is the number of network buffers (logical
 	// connections between mappers and reducers); too few fails the job.
 	FlinkNetworkBuffers = "flink.network.buffers"
-	// FlinkTaskSlots is the number of task slots per task manager.
+	// FlinkTaskSlots is the number of task slots per task manager; 0 is
+	// one per core.
 	FlinkTaskSlots = "flink.taskmanager.slots"
+	// FlinkCombineStrategy bounds the GroupCombine's table: "sort" (the
+	// 0.10 combiner the paper analyzes) charges it to the node's managed
+	// memory and drains it whenever a grant is refused, "hash" (the
+	// strategy the paper notes Flink was investigating) never asks the
+	// pool and drains once at end-of-input.
+	FlinkCombineStrategy = "flink.combine.strategy"
+
+	// MRReduceTasks is the number of reduce tasks per job
+	// (mapreduce.job.reduces); 0 derives one per node.
+	MRReduceTasks = "mapreduce.job.reduces"
+	// MRSortRecords is the map-side sort buffer capacity in records (the
+	// io.sort.mb analog). A map task spills a sorted run every time its
+	// buffer fills.
+	MRSortRecords = "mapreduce.task.io.sort.records"
 
 	// ShuffleStrategy selects the shared shuffle implementation for every
 	// engine: "hash" (bucketed, pipelined repartition) or "sort"
-	// (spill-and-merge with map-side combine). Empty keeps each engine's
+	// (spill-and-merge with map-side combine). Unset keeps each engine's
 	// native default — sort for Spark (tungsten-sort) and MapReduce,
 	// hash for Flink's pipelined exchange. See internal/shuffle.
 	ShuffleStrategy = "shuffle.strategy"
-	// ShuffleCompress selects shuffle block compression: "none" (default)
-	// or "lz", the built-in LZ codec ("true" is an alias for "lz").
+	// ShuffleCompress selects shuffle block compression: "none" or "lz",
+	// the built-in LZ codec.
 	ShuffleCompress = "shuffle.compress"
 	// ShuffleSpillThreshold caps the serialized bytes a sort-shuffle task
 	// buffers before spilling a sorted run, on top of the engine's own
@@ -65,198 +78,215 @@ const (
 	// vectorized dataflow path: fused narrow chains invoke their compiled
 	// kernel once per batch of this many records (selection vectors carry
 	// filters), and the engines feed the shuffle map side batch-at-a-time.
-	// 0 keeps DefaultExecBatchSize. See internal/dataflow/fuse.go.
+	// See internal/dataflow/fuse.go.
 	ExecBatchSize = "exec.batch.size"
 
 	// BufferSize is the network/shuffle buffer size shared by both
-	// frameworks in the paper's tables (buffer.size, default 32KB).
+	// frameworks in the paper's tables (buffer.size).
 	BufferSize = "buffer.size"
 	// HDFSBlockSize is the DFS block size (HDFS.block.size in the paper).
 	HDFSBlockSize = "hdfs.block.size"
 )
 
-// DefaultExecBatchSize is the execution batch width used when
-// exec.batch.size is unset or non-positive: wide enough to amortize
-// per-batch kernel dispatch and shuffle-emit bookkeeping to noise, small
-// enough that a batch of typical records stays cache-resident.
+// DefaultExecBatchSize is the default execution batch width: wide enough
+// to amortize per-batch kernel dispatch and shuffle-emit bookkeeping to
+// noise, small enough that a batch of typical records stays cache-resident.
 const DefaultExecBatchSize = 256
 
-// ExecBatch resolves the execution batch width: exec.batch.size when
-// positive, DefaultExecBatchSize otherwise —
-// including for a nil Config, so engines constructed without one still
-// batch at the default width.
-func ExecBatch(c *Config) int {
-	if c != nil {
-		if n := c.Int(ExecBatchSize, 0); n > 0 {
-			return n
-		}
-	}
-	return DefaultExecBatchSize
-}
-
-// Config is a typed view over string-keyed settings, mirroring both
-// frameworks' configuration objects. The zero value is not usable; call
-// NewConfig (paper defaults) or NewEmptyConfig.
+// Config holds one value per setting, mirroring both frameworks'
+// configuration objects: a field per key, named as the key's constant.
+// The zero value is not usable; call NewConfig (paper defaults).
 //
-// Keys written through Set (and its typed variants) after construction are
-// EXPLICIT: the user pinned them, and automatic tuning layers (the planner)
-// must not override them. Defaults loaded by NewConfig and values written
-// through SetDerived are not explicit. Explicit reports the distinction.
+// Set parses a value through the key's declaration. An unknown key or an
+// illegal value leaves the field unchanged and is recorded; Err returns
+// what was recorded, and dataflow.Open refuses a Config that has any. An
+// engine copies the Config when it is built, so a Set afterwards does not
+// reach it, and a value copy is an independent Config.
 type Config struct {
-	mu sync.RWMutex
-	m  map[string]string
-	// explicit marks keys the user set after construction; sealed flips on
-	// once the constructor's defaults are loaded.
-	explicit map[string]bool
-	sealed   bool
+	SparkDefaultParallelism int
+	SparkExecutorMemory     ByteSize
+	SparkShuffleManager     string
+	SparkSerializer         string
+	SparkEdgePartitions     int
+
+	FlinkDefaultParallelism int
+	FlinkTaskManagerMemory  ByteSize
+	FlinkMemoryFraction     float64
+	FlinkNetworkBuffers     int
+	FlinkTaskSlots          int
+	FlinkCombineStrategy    string
+
+	MRReduceTasks int
+	MRSortRecords int
+
+	ShuffleStrategy       string
+	ShuffleCompress       string
+	ShuffleSpillThreshold ByteSize
+
+	ExecBatchSize int
+	BufferSize    ByteSize
+	HDFSBlockSize ByteSize
+
+	err error
 }
 
-// NewConfig returns a Config pre-loaded with the defaults both frameworks
-// ship (32KB buffers, java serialization for Spark, 0.7 memory fraction for
-// Flink) as described in Section IV.
+// settings declares every key once, bound to c: the field it sets, the
+// default both frameworks ship (Section IV) and the values it accepts.
+func (c *Config) settings() []setting {
+	return []setting{
+		intKey(SparkDefaultParallelism, &c.SparkDefaultParallelism, 0, 0),
+		bytesKey(SparkExecutorMemory, &c.SparkExecutorMemory, 22*GB, 1),
+		choiceKey(SparkShuffleManager, &c.SparkShuffleManager, "tungsten-sort", "tungsten-sort", "sort", "hash"),
+		choiceKey(SparkSerializer, &c.SparkSerializer, "java", "java", "kryo"),
+		intKey(SparkEdgePartitions, &c.SparkEdgePartitions, 0, 0),
+
+		intKey(FlinkDefaultParallelism, &c.FlinkDefaultParallelism, 0, 0),
+		bytesKey(FlinkTaskManagerMemory, &c.FlinkTaskManagerMemory, 4*GB, 1),
+		fractionKey(FlinkMemoryFraction, &c.FlinkMemoryFraction, 0.7),
+		intKey(FlinkNetworkBuffers, &c.FlinkNetworkBuffers, 2048, 1),
+		intKey(FlinkTaskSlots, &c.FlinkTaskSlots, 0, 0),
+		choiceKey(FlinkCombineStrategy, &c.FlinkCombineStrategy, "sort", "sort", "hash"),
+
+		intKey(MRReduceTasks, &c.MRReduceTasks, 0, 0),
+		intKey(MRSortRecords, &c.MRSortRecords, 1<<16, 1),
+
+		choiceKey(ShuffleStrategy, &c.ShuffleStrategy, "", "hash", "sort"),
+		choiceKey(ShuffleCompress, &c.ShuffleCompress, "none", "none", "lz"),
+		bytesKey(ShuffleSpillThreshold, &c.ShuffleSpillThreshold, 0, 0),
+
+		intKey(ExecBatchSize, &c.ExecBatchSize, DefaultExecBatchSize, 1),
+		bytesKey(BufferSize, &c.BufferSize, 32*KB, 1),
+		bytesKey(HDFSBlockSize, &c.HDFSBlockSize, 256*MB, 1),
+	}
+}
+
+// NewConfig returns a Config holding every key's paper default.
 func NewConfig() *Config {
-	c := &Config{m: make(map[string]string), explicit: make(map[string]bool)}
-	c.Set(SparkShuffleManager, "tungsten-sort")
-	c.Set(SparkSerializer, "java")
-	c.SetFloat(SparkStorageFraction, 0.6)
-	c.SetFloat(SparkShuffleFraction, 0.2)
-	c.SetBytes(SparkExecutorMemory, 22*GB)
-	c.SetInt(SparkDefaultParallelism, 0) // 0 = derive from cluster
-	c.SetInt(FlinkDefaultParallelism, 0)
-	c.SetBytes(FlinkTaskManagerMemory, 4*GB)
-	c.SetFloat(FlinkMemoryFraction, 0.7)
-	c.SetInt(FlinkNetworkBuffers, 2048)
-	c.SetInt(FlinkTaskSlots, 0) // 0 = one per core
-	c.SetBytes(BufferSize, 32*KB)
-	c.SetBytes(HDFSBlockSize, 256*MB)
-	c.mu.Lock()
-	c.sealed = true // everything above is defaults, not user intent
-	c.mu.Unlock()
+	c := &Config{}
+	for _, s := range c.settings() {
+		s.reset()
+	}
 	return c
 }
 
-// NewEmptyConfig returns a Config with no entries. Every subsequent Set is
-// explicit (there are no defaults to distinguish from).
-func NewEmptyConfig() *Config {
-	return &Config{m: make(map[string]string), explicit: make(map[string]bool), sealed: true}
-}
-
-// Clone returns an independent copy; experiments derive per-run configs
-// from a shared base without interference. Explicitness carries over.
-func (c *Config) Clone() *Config {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := NewEmptyConfig()
-	for k, v := range c.m {
-		out.m[k] = v
-	}
-	for k, v := range c.explicit {
-		out.explicit[k] = v
-	}
-	return out
-}
-
-// Set stores a raw string value, marking the key explicit (user-pinned).
+// Set parses value into key's field. An unknown key or a value the key
+// does not accept leaves the Config unchanged and is recorded for Err.
 func (c *Config) Set(key, value string) *Config {
-	c.mu.Lock()
-	c.m[key] = value
-	if c.sealed {
-		c.explicit[key] = true
+	s, ok := c.setting(key)
+	if !ok {
+		c.err = errors.Join(c.err, fmt.Errorf("core: unknown setting %q", key))
+	} else if err := s.parse(value); err != nil {
+		c.err = errors.Join(c.err, fmt.Errorf("core: %s=%q: %w", key, value, err))
 	}
-	c.mu.Unlock()
 	return c
 }
 
-// SetDerived stores a value WITHOUT marking the key explicit — the write
-// path for automatic tuning layers (the planner), so later layers can still
-// tell machine choices from user pins. It never overwrites an explicit key.
-func (c *Config) SetDerived(key, value string) *Config {
-	c.mu.Lock()
-	if !c.explicit[key] {
-		c.m[key] = value
-	}
-	c.mu.Unlock()
-	return c
-}
-
-// Explicit reports whether the user pinned the key via Set after
-// construction (constructor defaults and SetDerived writes don't count).
-func (c *Config) Explicit(key string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.explicit[key]
-}
-
-// SetInt stores an integer value.
+// SetInt sets an integer value.
 func (c *Config) SetInt(key string, v int) *Config { return c.Set(key, strconv.Itoa(v)) }
 
-// SetFloat stores a float value.
-func (c *Config) SetFloat(key string, v float64) *Config {
-	return c.Set(key, strconv.FormatFloat(v, 'g', -1, 64))
+// SetFloat sets a float value.
+func (c *Config) SetFloat(key string, v float64) *Config { return c.Set(key, formatFloat(v)) }
+
+// SetBytes sets a byte size value.
+func (c *Config) SetBytes(key string, v ByteSize) *Config { return c.Set(key, formatBytes(v)) }
+
+// Err returns every unknown key and illegal value Set was given, or nil.
+func (c *Config) Err() error { return c.err }
+
+// Format renders key's value as Set accepts it (byte sizes as byte
+// counts), for the paper's configuration tables; "" for an unknown key.
+func (c *Config) Format(key string) string {
+	if s, ok := c.setting(key); ok {
+		return s.show()
+	}
+	return ""
 }
 
-// SetBytes stores a byte size value.
-func (c *Config) SetBytes(key string, v ByteSize) *Config {
-	return c.Set(key, strconv.FormatInt(int64(v), 10))
+// Legal returns the values a string setting accepts, in declaration
+// order; nil for a numeric or unknown key.
+func Legal(key string) []string {
+	s, _ := new(Config).setting(key)
+	return s.legal
 }
 
-// String returns the raw value or def when absent.
-func (c *Config) String(key, def string) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if v, ok := c.m[key]; ok {
-		return v
+func (c *Config) setting(key string) (setting, bool) {
+	for _, s := range c.settings() {
+		if s.key == key {
+			return s, true
+		}
 	}
-	return def
+	return setting{}, false
 }
 
-// Int returns the integer value or def when absent/invalid.
-func (c *Config) Int(key string, def int) int {
-	if v, err := strconv.Atoi(c.String(key, "")); err == nil {
-		return v
-	}
-	return def
+// A setting is one key's declaration bound to the field of one Config.
+type setting struct {
+	key   string
+	legal []string // the values a string setting accepts
+	reset func()   // stores the default
+	parse func(string) error
+	show  func() string
 }
 
-// Float returns the float value or def when absent/invalid.
-func (c *Config) Float(key string, def float64) float64 {
-	if v, err := strconv.ParseFloat(c.String(key, ""), 64); err == nil {
-		return v
+// declare binds key to field f: reset stores def, parse stores a value
+// that read parses and check accepts.
+func declare[T any](key string, f *T, def T, read func(string) (T, error), show func(T) string, check func(T) error) setting {
+	return setting{
+		key:   key,
+		reset: func() { *f = def },
+		parse: func(s string) error {
+			v, err := read(s)
+			if err == nil {
+				err = check(v)
+			}
+			if err == nil {
+				*f = v
+			}
+			return err
+		},
+		show: func() string { return show(*f) },
 	}
-	return def
 }
 
-// Bytes returns the byte-size value or def when absent/invalid. Values may
-// be raw byte counts or suffixed sizes ("64KB").
-func (c *Config) Bytes(key string, def ByteSize) ByteSize {
-	s := c.String(key, "")
-	if s == "" {
-		return def
-	}
-	if v, err := ParseByteSize(s); err == nil {
-		return v
-	}
-	return def
+func intKey(key string, f *int, def, lo int) setting {
+	return declare(key, f, def, strconv.Atoi, strconv.Itoa, atLeast(lo))
 }
 
-// Keys returns the sorted parameter names present in the config.
-func (c *Config) Keys() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+func bytesKey(key string, f *ByteSize, def, lo ByteSize) setting {
+	return declare(key, f, def, ParseByteSize, formatBytes, atLeast(lo))
 }
 
-// Describe renders the configuration as "key=value" lines for experiment
-// logs, the counterpart of the paper's configuration tables.
-func (c *Config) Describe() string {
-	var b strings.Builder
-	for _, k := range c.Keys() {
-		fmt.Fprintf(&b, "%s=%s\n", k, c.String(k, ""))
-	}
-	return b.String()
+// fractionKey declares a share of a whole, in (0, 1].
+func fractionKey(key string, f *float64, def float64) setting {
+	return declare(key, f, def, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) },
+		formatFloat, func(v float64) error {
+			if v <= 0 || v > 1 {
+				return errors.New("want a fraction in (0, 1]")
+			}
+			return nil
+		})
 }
+
+// choiceKey declares a string setting that accepts def and legal.
+func choiceKey(key string, f *string, def string, legal ...string) setting {
+	s := declare(key, f, def, func(s string) (string, error) { return s, nil },
+		func(v string) string { return v }, func(v string) error {
+			if v != def && !slices.Contains(legal, v) {
+				return fmt.Errorf("want one of %s", strings.Join(legal, ", "))
+			}
+			return nil
+		})
+	s.legal = legal
+	return s
+}
+
+func atLeast[T int | ByteSize](lo T) func(T) error {
+	return func(v T) error {
+		if v < lo {
+			return fmt.Errorf("want at least %d", lo)
+		}
+		return nil
+	}
+}
+
+func formatFloat(v float64) string  { return strconv.FormatFloat(v, 'g', -1, 64) }
+func formatBytes(v ByteSize) string { return strconv.FormatInt(int64(v), 10) }

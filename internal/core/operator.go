@@ -74,15 +74,3 @@ func (k OpKind) String() string {
 	}
 	return "Unknown"
 }
-
-// ShuffleBoundary reports whether the operator kind forces a repartitioning
-// exchange. In the spark engine these kinds start a new stage; in the flink
-// engine they break an operator chain (but not the pipeline).
-func (k OpKind) ShuffleBoundary() bool {
-	switch k {
-	case OpGroupBy, OpGroupReduce, OpReduceByKey, OpDistinct, OpJoin,
-		OpCoGroup, OpPartition:
-		return true
-	}
-	return false
-}

@@ -95,18 +95,3 @@ func TestOpKindString(t *testing.T) {
 		t.Error("out-of-range OpKind should be Unknown")
 	}
 }
-
-func TestShuffleBoundaries(t *testing.T) {
-	boundary := []OpKind{OpGroupBy, OpReduceByKey, OpDistinct, OpJoin, OpCoGroup, OpPartition, OpGroupReduce}
-	for _, k := range boundary {
-		if !k.ShuffleBoundary() {
-			t.Errorf("%v should be a shuffle boundary", k)
-		}
-	}
-	local := []OpKind{OpMap, OpFlatMap, OpFilter, OpSortPartition, OpSink, OpSource}
-	for _, k := range local {
-		if k.ShuffleBoundary() {
-			t.Errorf("%v should not be a shuffle boundary", k)
-		}
-	}
-}

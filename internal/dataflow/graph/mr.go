@@ -117,7 +117,7 @@ func stageMapReduce[V any](g *Graph[V], initial func(int64) V) (*mrGraph[V], err
 		c:          c,
 		dir:        fmt.Sprintf("dataflow/graph-%d", g.edges.Node().ID),
 		parts:      c.DefaultReduces(),
-		width:      core.ExecBatch(c.Conf()),
+		width:      c.Conf().ExecBatchSize,
 		edgeCodec:  serde.Of[datagen.Edge](c.Style()),
 		stateCodec: serde.OfPair[int64, mrVertex[V]](c.Style()),
 	}

@@ -36,8 +36,8 @@ func sparkGraphOf[V any](g *Graph[V]) (*sparkGraph[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := ctx.Conf().Int(core.SparkEdgePartitions, 0)
-	if parts <= 0 {
+	parts := ctx.Conf().SparkEdgePartitions
+	if parts == 0 {
 		parts = ctx.DefaultParallelism()
 	}
 	sg := &sparkGraph[V]{part: core.NewHashPartitioner[int64](parts), parts: parts}

@@ -219,7 +219,7 @@ func (it *Iteration[T, K, V, S]) runMapReduce() ([]core.Pair[K, S], error) {
 	df := c.FS().WriteParts(dataFile, staged.bufs)
 	c.Metrics().DiskBytesWritten.Add(df.Size())
 
-	width := core.ExecBatch(c.Conf())
+	width := c.Conf().ExecBatchSize
 	state := it.clonedState()
 	err = mapreduce.Iterate(c, it.iters, func(round int) error {
 		senc := serde.EncodeAll(stateCodec, nil, state)

@@ -24,9 +24,10 @@ type openSettings struct {
 }
 
 // WithConfig supplies the engine configuration. Omitted: core.NewConfig()
-// paper defaults. The engine resolves its parallelism and shuffle settings
-// from it once, in Open; a Set on it afterwards does not reach the session.
-// A planned configuration is applied before Open (planner.Decision.Apply).
+// paper defaults. Open refuses a configuration that recorded an unknown key
+// or an illegal value, and the engine copies it, so a Set on it afterwards
+// does not reach the session. A planned configuration is written before
+// Open (planner.Candidate.Configure).
 func WithConfig(conf *core.Config) Option {
 	return func(o *openSettings) { o.conf = conf }
 }
@@ -55,7 +56,8 @@ var defaultSpec = cluster.Spec{
 }
 
 // Open builds a Session on the named engine, erroring with the engine
-// names when the engine is unknown. Substrate pieces not supplied via
+// names when the engine is unknown and with the configuration's recorded
+// errors (each names its key) when it has any. Substrate pieces not supplied via
 // options are constructed with defaults:
 //
 //	s, err := dataflow.Open("spark")                       // all defaults
@@ -71,6 +73,9 @@ func Open(name string, opts ...Option) (*Session, error) {
 	}
 	if o.conf == nil {
 		o.conf = core.NewConfig()
+	}
+	if err := o.conf.Err(); err != nil {
+		return nil, fmt.Errorf("dataflow: %s: %w", name, err)
 	}
 	if o.rt == nil {
 		rt, err := cluster.NewRuntime(defaultSpec, defaultSpec.CoresPerNode)

@@ -42,7 +42,7 @@ func Names() []string { return []string{"spark", "flink", "mapreduce"} }
 // *mapreduce.Cluster) have in common: the shared substrate and the
 // observability surface.
 type engine interface {
-	Conf() *core.Config
+	Conf() core.Config
 	FS() *dfs.FS
 	Metrics() *metrics.JobMetrics
 	Timeline() *metrics.Timeline
@@ -98,9 +98,8 @@ func (s *Session) Timeline() *metrics.Timeline { return s.h.Timeline() }
 // metrics.JobMetrics.DriverRecords — one add per call site, never per record.
 func (s *Session) driverRecords(n int) { s.Metrics().DriverRecords.Add(int64(n)) }
 
-// batchWidth resolves the execution batch width: exec.batch.size when
-// positive, DefaultExecBatchSize otherwise.
-func (s *Session) batchWidth() int { return core.ExecBatch(s.h.Conf()) }
+// batchWidth is the engine's exec.batch.size.
+func (s *Session) batchWidth() int { return s.h.Conf().ExecBatchSize }
 
 // newNode allocates a logical plan node.
 func (s *Session) newNode(kind core.OpKind, label string, inputs ...*Node) *Node {

@@ -47,7 +47,7 @@ import (
 
 // Env is the execution environment, playing ExecutionEnvironment's role.
 type Env struct {
-	conf    *core.Config
+	conf    core.Config
 	rt      *cluster.Runtime
 	fs      *dfs.FS
 	style   serde.Style
@@ -69,59 +69,51 @@ type Env struct {
 	nextID atomic.Int64
 }
 
-// FlinkCombineStrategy bounds the GroupCombine's table: "sort" (the default,
-// standing in for the 0.10 combiner the paper analyzes) charges it to the
-// node's managed memory and drains it whenever a grant is refused, "hash"
-// (the strategy the paper notes Flink was investigating) never asks the pool
-// and drains once at end-of-input. It lives here, not in core, because it is
-// an engine-internal knob used by the ablation benchmarks.
-const FlinkCombineStrategy = "flink.combine.strategy"
+// FlinkCombineStrategy is core.FlinkCombineStrategy, the key that picks
+// the GroupCombine's table bound ("sort" or "hash").
+const FlinkCombineStrategy = core.FlinkCombineStrategy
 
-// NewEnv builds an environment over a runtime and DFS. Managed memory per
-// node is taskmanager.memory × memory.fraction; serialization is always
-// TypeInfo (Flink needs no serializer config). The default parallelism is
-// parallelism.default, or the cluster's task slots when unset. The shuffle
-// settings go through the shared shuffle core: flink's native idiom is the
-// pipelined hash repartition; shuffle.strategy=sort turns keyed exchanges
-// into sort-based pipeline breakers. Buckets flush at the configured
-// network buffer size, the pipelining grain.
+// NewEnv builds an environment over a runtime and DFS, on its own copy of
+// conf. Managed memory per node is taskmanager.memory × memory.fraction;
+// serialization is always TypeInfo (Flink needs no serializer config). The
+// default parallelism is parallelism.default, or the cluster's task slots
+// when 0. The shuffle settings go through the shared shuffle core: flink's
+// native idiom is the pipelined hash repartition; shuffle.strategy=sort
+// turns keyed exchanges into sort-based pipeline breakers. Buckets flush at
+// the configured network buffer size, the pipelining grain.
 func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 	if conf == nil {
 		conf = core.NewConfig()
 	}
 	spec := rt.Spec()
-	total := int64(conf.Bytes(core.FlinkTaskManagerMemory, 4*core.GB))
-	fraction := conf.Float(core.FlinkMemoryFraction, 0.7)
 	env := &Env{
-		conf:     conf,
-		rt:       rt,
-		fs:       fs,
-		style:    serde.TypeInfo,
-		metrics:  &metrics.JobMetrics{},
-		timeline: metrics.NewTimeline(),
-		pool: netsim.NewBufferPool(
-			conf.Int(core.FlinkNetworkBuffers, 2048),
-			conf.Bytes(core.BufferSize, 32*core.KB)),
-		combineSort: conf.String(FlinkCombineStrategy, "sort") == "sort",
+		conf:        *conf,
+		rt:          rt,
+		fs:          fs,
+		style:       serde.TypeInfo,
+		metrics:     &metrics.JobMetrics{},
+		timeline:    metrics.NewTimeline(),
+		pool:        netsim.NewBufferPool(conf.FlinkNetworkBuffers, conf.BufferSize),
+		combineSort: conf.FlinkCombineStrategy == "sort",
 	}
 	for i := 0; i < spec.Nodes; i++ {
-		env.managed = append(env.managed, memory.NewManaged(total, fraction))
+		env.managed = append(env.managed, memory.NewManaged(int64(conf.FlinkTaskManagerMemory), conf.FlinkMemoryFraction))
 	}
-	env.slotsPerNode = conf.Int(core.FlinkTaskSlots, 0)
-	if env.slotsPerNode <= 0 {
+	env.slotsPerNode = conf.FlinkTaskSlots
+	if env.slotsPerNode == 0 {
 		env.slotsPerNode = rt.SlotsPerNode()
 	}
-	env.parallelism = conf.Int(core.FlinkDefaultParallelism, 0)
-	if env.parallelism <= 0 {
+	env.parallelism = conf.FlinkDefaultParallelism
+	if env.parallelism == 0 {
 		env.parallelism = env.slotsPerNode * spec.Nodes
 	}
 	env.shuffleSet = shuffle.FromConf(conf, shuffle.Hash)
-	env.shuffleSet.FlushBytes = int64(conf.Bytes(core.BufferSize, 32*core.KB))
+	env.shuffleSet.FlushBytes = int64(conf.BufferSize)
 	return env
 }
 
-// Conf returns the configuration.
-func (e *Env) Conf() *core.Config { return e.conf }
+// Conf returns the environment's configuration, fixed when it was built.
+func (e *Env) Conf() core.Config { return e.conf }
 
 // FS returns the distributed filesystem.
 func (e *Env) FS() *dfs.FS { return e.fs }
@@ -202,7 +194,7 @@ func splitSource[T any](e *Env, f *dfs.File,
 	read func(split int, buf []T, yield func([]T) error) error) *DataSet[T] {
 	n := f.NumBlocks()
 	p := sourceParallelism(e, n)
-	width := core.ExecBatch(e.conf)
+	width := e.conf.ExecBatchSize
 	return newSource(e, "DataSource", p, f.PreferredNode,
 		func(task int, emit func([]T) error) error {
 			buf := make([]T, width)

@@ -58,7 +58,7 @@ func hashJoin[B, P any, K comparable, U any](build *DataSet[B], probe *DataSet[P
 	e.metrics.CodecFallbacks.Add(int64(bCodec.Fallbacks + pCodec.Fallbacks))
 	sc := probe.scope
 	cached := sc != nil && build.scope == nil && build.id <= sc.outer
-	width := core.ExecBatch(e.conf)
+	width := e.conf.ExecBatchSize
 
 	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
 		// tables are the cached build side when there is one; fresh is

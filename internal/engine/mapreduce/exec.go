@@ -235,7 +235,7 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 	// shuffle writer in batches — one WriteBatch per full buffer instead of
 	// one Write per emitted pair.
 	var emitErr error
-	batch := make([]core.Pair[K, V], 0, core.ExecBatch(c.conf))
+	batch := make([]core.Pair[K, V], 0, c.conf.ExecBatchSize)
 	flush := func() {
 		if emitErr == nil && len(batch) > 0 {
 			emitErr = w.WriteBatch(batch)

@@ -87,7 +87,7 @@ func TextInput(c *Cluster, name string) (Input[string], error) {
 // The records themselves are views of the stored file and may be kept.
 func fileInput[I any](c *Cluster, f *dfs.File,
 	read func(split int, buf []I, yield func([]I) error) error) Input[I] {
-	width := core.ExecBatch(c.conf)
+	width := c.conf.ExecBatchSize
 	scan := func(m int, yield func([]I) error) error { return read(m, make([]I, width), yield) }
 	return Input[I]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}
 }

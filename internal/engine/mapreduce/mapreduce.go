@@ -36,27 +36,17 @@ import (
 	"repro/internal/shuffle"
 )
 
-// Engine-internal configuration keys, following the Hadoop property names.
-// They live here, not in core, because they only concern this engine (the
-// same convention as flink.FlinkCombineStrategy).
+// The engine's configuration keys, following the Hadoop property names:
+// core.MRReduceTasks and core.MRSortRecords.
 const (
-	// MRReduceTasks is the number of reduce tasks per job
-	// (mapreduce.job.reduces). 0 derives one per node.
-	MRReduceTasks = "mapreduce.job.reduces"
-	// MRSortRecords is the map-side sort buffer capacity in records (the
-	// io.sort.mb analog). A map task spills a sorted run every time its
-	// buffer fills.
-	MRSortRecords = "mapreduce.task.io.sort.records"
+	MRReduceTasks = core.MRReduceTasks
+	MRSortRecords = core.MRSortRecords
 )
-
-// defaultSortRecords is the default spill threshold. Large enough that
-// laptop-scale jobs spill only once per map unless tests shrink it.
-const defaultSortRecords = 1 << 16
 
 // Cluster is the engine entry point, playing the JobTracker/Cluster role:
 // it owns the configuration, the runtime, the DFS and the job counters.
 type Cluster struct {
-	conf *core.Config
+	conf core.Config
 	rt   *cluster.Runtime
 	fs   *dfs.FS
 
@@ -72,38 +62,35 @@ type Cluster struct {
 	nextJob atomic.Int64
 }
 
-// NewCluster builds a cluster over a runtime and DFS. A job without its
-// own reducer count runs mapreduce.job.reduces reduce tasks, one per node
-// when unset. The shuffle settings go through the shared shuffle core:
-// classic Hadoop IS the sort strategy (sorted spills, merged segments,
-// sort-merge reduce), with the io.sort buffer as the record-count spill
-// trigger; shuffle.strategy=hash keeps segments unsorted and moves the sort
-// after the reduce-side fetch.
+// NewCluster builds a cluster over a runtime and DFS, on its own copy of
+// conf. A job without its own reducer count runs mapreduce.job.reduces
+// reduce tasks, one per node when 0. The shuffle settings go through the
+// shared shuffle core: classic Hadoop IS the sort strategy (sorted spills,
+// merged segments, sort-merge reduce), with the io.sort buffer as the
+// record-count spill trigger; shuffle.strategy=hash keeps segments unsorted
+// and moves the sort after the reduce-side fetch.
 func NewCluster(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Cluster {
 	if conf == nil {
 		conf = core.NewConfig()
 	}
 	c := &Cluster{
-		conf:       conf,
+		conf:       *conf,
 		rt:         rt,
 		fs:         fs,
 		metrics:    &metrics.JobMetrics{},
 		timeline:   metrics.NewTimeline(),
-		reduces:    conf.Int(MRReduceTasks, 0),
+		reduces:    conf.MRReduceTasks,
 		shuffleSet: shuffle.FromConf(conf, shuffle.Sort),
 	}
-	if c.reduces <= 0 {
+	if c.reduces == 0 {
 		c.reduces = rt.Spec().Nodes
 	}
-	c.shuffleSet.SpillRecs = conf.Int(MRSortRecords, 0)
-	if c.shuffleSet.SpillRecs <= 0 {
-		c.shuffleSet.SpillRecs = defaultSortRecords
-	}
+	c.shuffleSet.SpillRecs = conf.MRSortRecords
 	return c
 }
 
-// Conf returns the configuration.
-func (c *Cluster) Conf() *core.Config { return c.conf }
+// Conf returns the cluster's configuration, fixed when it was built.
+func (c *Cluster) Conf() core.Config { return c.conf }
 
 // FS returns the distributed filesystem.
 func (c *Cluster) FS() *dfs.FS { return c.fs }

@@ -42,7 +42,7 @@ import (
 // configuration, the executor heaps, the shuffle service, the block
 // manager and the DAG scheduler state.
 type Context struct {
-	conf  *core.Config
+	conf  core.Config
 	rt    *cluster.Runtime
 	fs    *dfs.FS
 	style serde.Style
@@ -65,49 +65,49 @@ type Context struct {
 	shuffleSet  shuffle.Settings
 }
 
-// NewContext builds a context over a runtime and DFS. The executor heap per
-// node is sized by spark.executor.memory with the configured storage and
-// shuffle fractions; the serializer comes from spark.serializer. The
-// default parallelism is spark.default.parallelism, or two tasks per core
-// (Spark's documented recommendation) when unset. The shuffle settings
-// follow spark.shuffle.manager ("hash" = hash-bucketed, anything else = the
-// paper's tungsten-sort, i.e. the sort strategy); shuffle.strategy
-// overrides.
+// The executor heap's storage and shuffle fractions, Spark 1.5's
+// spark.storage.memoryFraction and spark.shuffle.memoryFraction defaults.
+const (
+	storageFraction = 0.6
+	shuffleFraction = 0.2
+)
+
+// NewContext builds a context over a runtime and DFS, on its own copy of
+// conf. The executor heap per node is sized by spark.executor.memory with
+// the storage and shuffle fractions above; the serializer comes from
+// spark.serializer. The default parallelism is spark.default.parallelism,
+// or two tasks per core (Spark's documented recommendation) when 0. The
+// shuffle settings follow spark.shuffle.manager ("hash" = hash-bucketed,
+// "sort" and the paper's tungsten-sort = the sort strategy);
+// shuffle.strategy overrides.
 func NewContext(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Context {
 	if conf == nil {
 		conf = core.NewConfig()
 	}
-	heapSize := int64(conf.Bytes(core.SparkExecutorMemory, 22*core.GB))
-	storageFrac := conf.Float(core.SparkStorageFraction, 0.6)
-	shuffleFrac := conf.Float(core.SparkShuffleFraction, 0.2)
 	spec := rt.Spec()
 	ctx := &Context{
-		conf:     conf,
+		conf:     *conf,
 		rt:       rt,
 		fs:       fs,
-		style:    serde.ParseStyle(conf.String(core.SparkSerializer, "java")),
+		style:    serde.ParseStyle(conf.SparkSerializer),
 		metrics:  &metrics.JobMetrics{},
 		timeline: metrics.NewTimeline(),
 	}
 	for i := 0; i < spec.Nodes; i++ {
-		ctx.heaps = append(ctx.heaps, memory.NewHeap(heapSize, storageFrac, shuffleFrac))
+		ctx.heaps = append(ctx.heaps, memory.NewHeap(int64(conf.SparkExecutorMemory), storageFraction, shuffleFraction))
 	}
-	ctx.parallelism = conf.Int(core.SparkDefaultParallelism, 0)
-	if ctx.parallelism <= 0 {
+	ctx.parallelism = conf.SparkDefaultParallelism
+	if ctx.parallelism == 0 {
 		ctx.parallelism = spec.TotalCores() * 2
 	}
-	def := shuffle.Sort
-	if conf.String(core.SparkShuffleManager, "tungsten-sort") == "hash" {
-		def = shuffle.Hash
-	}
-	ctx.shuffleSet = shuffle.FromConf(conf, def)
+	ctx.shuffleSet = shuffle.FromConf(conf, shuffle.ParseKind(conf.SparkShuffleManager, shuffle.Sort))
 	ctx.shuffles = newShuffleService(ctx)
 	ctx.blocks = newBlockManager(ctx)
 	return ctx
 }
 
-// Conf returns the configuration.
-func (c *Context) Conf() *core.Config { return c.conf }
+// Conf returns the context's configuration, fixed when it was built.
+func (c *Context) Conf() core.Config { return c.conf }
 
 // FS returns the distributed filesystem.
 func (c *Context) FS() *dfs.FS { return c.fs }
@@ -181,7 +181,7 @@ func BinaryRecords(c *Context, name string, recSize int) (*RDD[[]byte], error) {
 // kept.
 func fileRDD[T any](c *Context, name string, f *dfs.File,
 	read func(block int, buf []T, yield func([]T) error) error) *RDD[T] {
-	width := core.ExecBatch(c.conf)
+	width := c.conf.ExecBatchSize
 	r := newStreamRDD(c, name, core.OpSource, f.NumBlocks(), nil,
 		func(p int, tc *taskContext, sink func(int, []T) error) error {
 			return read(p, make([]T, width), func(batch []T) error {

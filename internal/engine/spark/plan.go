@@ -40,29 +40,3 @@ func PlanOf(workload string, sinks ...Sink) *core.Plan {
 	}
 	return plan
 }
-
-// Stages counts the stages a job on r would run: one per distinct ancestor
-// shuffle plus the result stage. The paper's figures show Spark executions
-// as clearly separated stages; this is that number.
-func Stages(r anyRDD) int {
-	seenRDD := make(map[int]bool)
-	seenShuffle := make(map[int]bool)
-	var visit func(r anyRDD)
-	visit = func(r anyRDD) {
-		if seenRDD[r.rddID()] {
-			return
-		}
-		seenRDD[r.rddID()] = true
-		if r.fullyCached() {
-			return
-		}
-		for _, d := range r.deps() {
-			visit(d.parent)
-			if d.shuffle != nil {
-				seenShuffle[d.shuffle.id] = true
-			}
-		}
-	}
-	visit(r)
-	return len(seenShuffle) + 1
-}

@@ -425,17 +425,26 @@ func TestTransientTaskRetry(t *testing.T) {
 	}
 }
 
+// TestStagesCount: the scheduler runs one stage per shuffle plus the
+// result stage, the clearly separated stages of the paper's figures.
 func TestStagesCount(t *testing.T) {
 	c := testContext(t, nil)
 	r := Parallelize(c, []string{"a b", "b c"}, 2)
 	words := FlatMap(r, func(s string) []string { return strings.Fields(s) })
 	pairs := MapToPair(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 	counts := ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 2)
-	if got := Stages(counts); got != 2 {
+	stages := func(run func() error) int64 {
+		before := c.Metrics().Stages.Load()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Metrics().Stages.Load() - before
+	}
+	if got := stages(func() error { _, err := Collect(counts); return err }); got != 2 {
 		t.Errorf("word count stages = %d, want 2 (map + reduce)", got)
 	}
 	grep := Filter(r, func(s string) bool { return true })
-	if got := Stages(grep); got != 1 {
+	if got := stages(func() error { _, err := Collect(grep); return err }); got != 1 {
 		t.Errorf("grep stages = %d, want 1", got)
 	}
 }

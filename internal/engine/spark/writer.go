@@ -30,8 +30,7 @@ type mapWriter[K comparable, V, C any] struct {
 	buckets []shuffle.Block
 	raw     int64
 	// lift is addBatch's combiner-lift scratch, one exec.batch.size chunk,
-	// reused. The width is read from the configuration here, once: an unset
-	// key costs Config.Int a strconv error, and addBatch runs per batch.
+	// reused.
 	lift []core.Pair[K, C]
 }
 
@@ -47,7 +46,7 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 		sd:             sd,
 		createCombiner: createCombiner,
 		buckets:        make([]shuffle.Block, sd.numParts),
-		lift:           make([]core.Pair[K, C], 0, core.ExecBatch(tc.ctx.conf)),
+		lift:           make([]core.Pair[K, C], 0, tc.ctx.conf.ExecBatchSize),
 	}
 	spec := shuffle.Spec[core.Pair[K, C]]{
 		NumParts: sd.numParts,

@@ -26,29 +26,28 @@ const calibrateTrials = 7
 // comments say which rows each is read from.
 func Calibrate(w io.Writer) error {
 	cost := planner.SimCost{Base: ext10BaseConf()}
-	estimate := func(spec planner.PlanSpec, c ext10Cand) (float64, error) {
-		est, err := cost.Estimate(spec, planner.Candidate{
-			Engine: c.engine, Strategy: c.strat, Compress: "none", Parallelism: c.par}, ext10Spec)
+	estimate := func(spec planner.PlanSpec, c planner.Candidate) (float64, error) {
+		est, err := cost.Estimate(spec, c, ext10Spec)
 		return est.Seconds, err
 	}
 	relErr := map[string][]float64{} // engine → |est/meas − 1| per cell
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-	row := func(label string, c ext10Cand, meas, est float64) {
+	row := func(label string, c planner.Candidate, meas, est float64) {
 		fmt.Fprintf(tw, "%s\t%s\t%.4f\t%.4f\t%+.1f\t%.2f\n", label, c, meas, est, (est-meas)*1e3, est/meas)
-		relErr[c.engine] = append(relErr[c.engine], math.Abs(est/meas-1))
+		relErr[c.Engine] = append(relErr[c.Engine], math.Abs(est/meas-1))
 	}
 
 	fmt.Fprintf(w, "== measured (best of %d) vs sim.Estimate ==\n", calibrateTrials)
 	fmt.Fprintln(tw, "cell\tconfig\tmeasured s\testimate s\tresidual ms\test/meas")
 	type point struct{ miB, meas, est float64 }
-	points := map[string]map[ext10Cand][]point{} // workload → config → sizes, ascending
+	points := map[string]map[planner.Candidate][]point{} // workload → config → sizes, ascending
 	for _, c := range ext10Cells() {
 		measured, err := ext10Sweep(calibrateTrials, c.run)
 		if err != nil {
 			return err
 		}
 		if points[c.wl] == nil {
-			points[c.wl] = map[ext10Cand][]point{}
+			points[c.wl] = map[planner.Candidate][]point{}
 		}
 		for _, cand := range ext10Candidates() {
 			est, err := estimate(c.spec, cand)

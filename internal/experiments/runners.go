@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -350,6 +349,8 @@ func runTab1() (*Report, error) {
 	return rep, nil
 }
 
+// configTable renders one of the paper's configuration tables: a row per
+// key, a column per node count, each cell the key's value as Set takes it.
 func configTable(id, title string, nodeCounts []int, confFor func(int) *core.Config, keys []string) *Report {
 	rep := &Report{ID: id, Title: title}
 	header := append([]string{"parameter"}, make([]string, len(nodeCounts))...)
@@ -360,7 +361,7 @@ func configTable(id, title string, nodeCounts []int, confFor func(int) *core.Con
 	for _, key := range keys {
 		row := []string{key}
 		for _, n := range nodeCounts {
-			row = append(row, confFor(n).String(key, "-"))
+			row = append(row, confFor(n).Format(key))
 		}
 		rep.Table = append(rep.Table, row)
 	}
@@ -418,12 +419,4 @@ func runTab6() (*Report, error) {
 		[]string{core.SparkDefaultParallelism, core.FlinkDefaultParallelism,
 			core.SparkExecutorMemory, core.FlinkTaskManagerMemory,
 			core.SparkEdgePartitions}), nil
-}
-
-// Ratio reports flink/spark for a row (helper for tests and docs).
-func (r Row) Ratio() float64 {
-	if math.IsNaN(r.Spark) || math.IsNaN(r.Flink) || r.Spark == 0 {
-		return math.NaN()
-	}
-	return r.Flink / r.Spark
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
-	"repro/internal/engine/mapreduce"
 	"repro/internal/planner"
 	"repro/internal/workloads"
 )
@@ -49,25 +48,23 @@ const (
 // oracle's cost without moving the regret).
 var ext10Parallelisms = []int{2, 8}
 
-// ext10Cand is one cell of the oracle sweep.
-type ext10Cand struct {
-	engine string
-	strat  string
-	par    int
-}
-
-func (c ext10Cand) String() string { return fmt.Sprintf("%s/%s/p=%d", c.engine, c.strat, c.par) }
-
-func ext10Candidates() []ext10Cand {
-	var out []ext10Cand
-	for _, engine := range []string{"spark", "flink", "mapreduce"} {
-		for _, strat := range []string{"hash", "sort"} {
+// ext10Candidates are the cells of the oracle sweep: every engine under
+// every shuffle strategy at every ext10Parallelisms count, uncompressed.
+func ext10Candidates() []planner.Candidate {
+	var out []planner.Candidate
+	for _, engine := range dataflow.Names() {
+		for _, strat := range core.Legal(core.ShuffleStrategy) {
 			for _, par := range ext10Parallelisms {
-				out = append(out, ext10Cand{engine: engine, strat: strat, par: par})
+				out = append(out, ext10Cand(engine, strat, par))
 			}
 		}
 	}
 	return out
+}
+
+// ext10Cand is one uncompressed configuration of the sweep.
+func ext10Cand(engine, strat string, par int) planner.Candidate {
+	return planner.Candidate{Engine: engine, Strategy: strat, Compress: "none", Parallelism: par}
 }
 
 // ext10Cell is one (workload × size) point of the static sweep.
@@ -106,7 +103,7 @@ func teraSortCell(records int) ext10Cell {
 }
 
 // run measures one configuration on the cell once.
-func (c ext10Cell) run(cand ext10Cand) (float64, error) {
+func (c ext10Cell) run(cand planner.Candidate) (float64, error) {
 	sec, err := ext10Run(cand, c.wl, c.text, c.tera)
 	if err != nil {
 		return 0, fmt.Errorf("ext10 %s %s: %w", c.label, cand, err)
@@ -116,8 +113,8 @@ func (c ext10Cell) run(cand ext10Cand) (float64, error) {
 
 // ext10Sweep measures run on every candidate configuration, best of trials
 // runs each.
-func ext10Sweep(trials int, run func(ext10Cand) (float64, error)) (map[ext10Cand]float64, error) {
-	measured := map[ext10Cand]float64{}
+func ext10Sweep(trials int, run func(planner.Candidate) (float64, error)) (map[planner.Candidate]float64, error) {
+	measured := map[planner.Candidate]float64{}
 	for _, cand := range ext10Candidates() {
 		measured[cand] = math.Inf(1)
 		for i := 0; i < trials; i++ {
@@ -132,7 +129,7 @@ func ext10Sweep(trials int, run func(ext10Cand) (float64, error)) (map[ext10Cand
 }
 
 // ext10Extremes picks the fastest and slowest configuration of a sweep.
-func ext10Extremes(measured map[ext10Cand]float64) (best, worst ext10Cand) {
+func ext10Extremes(measured map[planner.Candidate]float64) (best, worst planner.Candidate) {
 	bestSec, worstSec := math.Inf(1), math.Inf(-1)
 	for _, cand := range ext10Candidates() {
 		if sec := measured[cand]; sec < bestSec {
@@ -169,7 +166,7 @@ func runExt10() (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ext10 %s: %w", c.label, err)
 		}
-		chosen := ext10Cand{engine: d.Chosen.Engine, strat: d.Chosen.Strategy, par: d.Chosen.Parallelism}
+		chosen := d.Chosen
 		chosenSec, ok := measured[chosen]
 		if !ok {
 			return nil, fmt.Errorf("ext10 %s: planner chose %s outside the oracle sweep", c.label, chosen)
@@ -208,8 +205,8 @@ var ext10Spec = cluster.Spec{Nodes: ext10ClusterNode, CoresPerNode: ext10Cluster
 	MemPerNode: core.GB, DiskSeqMiBps: 200, NetMiBps: 200}
 
 // ext10BaseConf is the shared substrate configuration — memory and buffer
-// sizing only, no planner-controlled keys, so the planner (and explicit
-// Set calls in fixed-config runs) decide strategy and parallelism.
+// sizing only, no planner-controlled keys, so the planner and the
+// fixed-config runs (Candidate.Configure) decide strategy and parallelism.
 func ext10BaseConf() *core.Config {
 	return core.NewConfig().
 		SetInt(core.FlinkNetworkBuffers, 8192).
@@ -230,23 +227,20 @@ func ext10Plan(spec planner.PlanSpec) (*planner.Decision, error) {
 }
 
 // ext10Session opens a fresh session on one fixed configuration.
-func ext10Session(cand ext10Cand) (*dataflow.Session, error) {
+func ext10Session(cand planner.Candidate) (*dataflow.Session, error) {
 	rt, err := cluster.NewRuntime(ext10Spec, ext10ClusterCore)
 	if err != nil {
 		return nil, err
 	}
-	conf := ext10BaseConf().
-		Set(core.ShuffleStrategy, cand.strat).
-		SetInt(core.SparkDefaultParallelism, cand.par).
-		SetInt(core.FlinkDefaultParallelism, cand.par).
-		SetInt(mapreduce.MRReduceTasks, cand.par)
-	return dataflow.Open(cand.engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
+	conf := ext10BaseConf()
+	cand.Configure(conf)
+	return dataflow.Open(cand.Engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
 		dataflow.WithFS(dfs.New(ext10Spec.Nodes, 16*core.KB, 1)))
 }
 
 // ext10Run measures one workload once on one fixed configuration over a
 // fresh session.
-func ext10Run(cand ext10Cand, wl string, text, tera []byte) (float64, error) {
+func ext10Run(cand planner.Candidate, wl string, text, tera []byte) (float64, error) {
 	s, err := ext10Session(cand)
 	if err != nil {
 		return 0, err
@@ -261,7 +255,7 @@ func ext10Run(cand ext10Cand, wl string, text, tera []byte) (float64, error) {
 		return time.Since(start).Seconds(), nil
 	case "TeraSort":
 		s.FS().WriteFile("ext10-tera", tera)
-		part := workloads.TeraPartitioner(tera, cand.par)
+		part := workloads.TeraPartitioner(tera, cand.Parallelism)
 		start := time.Now()
 		if err := workloads.TeraSort(s, "ext10-tera", "ext10-tera-out", part); err != nil {
 			return 0, err
@@ -276,8 +270,8 @@ func ext10Run(cand ext10Cand, wl string, text, tera []byte) (float64, error) {
 
 // ext10FixedWaves measures ext10Waves chained WordCounts of wave, one
 // session per run, on a fixed configuration.
-func ext10FixedWaves(wave []byte) func(ext10Cand) (float64, error) {
-	return func(cand ext10Cand) (float64, error) {
+func ext10FixedWaves(wave []byte) func(planner.Candidate) (float64, error) {
+	return func(cand planner.Candidate) (float64, error) {
 		s, err := ext10Session(cand)
 		if err != nil {
 			return 0, err

@@ -44,7 +44,7 @@ func runExt6() (*Report, error) {
 				for _, engine := range enabled(sim.Engines()) {
 					times := make([]float64, 0, ext6Trials)
 					for i := 0; i < ext6Trials; i++ {
-						sec, err := c.run(ext10Cand{engine: engine.String(), strat: strat, par: par})
+						sec, err := c.run(ext10Cand(engine.String(), strat, par))
 						if err != nil {
 							return nil, fmt.Errorf("ext6: %w", err)
 						}

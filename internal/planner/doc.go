@@ -12,34 +12,30 @@
 //	PlanSpec{workload, Shape, InputStats}          cluster.Spec
 //	        │                                           │
 //	        ▼                                           ▼
-//	Planner.Plan ── enumerates engine × {hash,sort} × {none,lz} × parallelism
-//	        │        and prices each through a CostProvider (SimCost wraps
-//	        │        the calibrated sim.Estimate model)
+//	Planner.Plan ── enumerates engine × shuffle.strategy × shuffle.compress
+//	        │        × parallelism (the strategies and codecs core.Config
+//	        │        declares legal) and prices each through a CostProvider
+//	        │        (SimCost wraps the calibrated sim.Estimate model)
 //	        ▼
-//	Decision{Chosen, Est, Table, Trace} ── Apply(conf) writes the choice
-//	                                       into the engine conf keys
+//	Decision{Chosen, Est, Table, Trace} ── Chosen.Configure(conf) writes the
+//	                                       choice into the engine conf keys
 //
-// A caller that has already picked a backend plans with PlanFor(engine,
-// spec), applies the decision to its configuration and opens the session
-// on it:
+// A caller that has already picked a backend lists it in Planner.Engines,
+// writes the decision into its configuration and opens the session on it:
 //
-//	d, err := (&planner.Planner{Provider: &planner.SimCost{Base: conf}, Spec: rt.Spec()}).
-//	        PlanFor("mapreduce", spec)
-//	d.Apply(conf)
+//	pl := &planner.Planner{Provider: &planner.SimCost{Base: conf}, Spec: rt.Spec(),
+//	        Engines: []string{"mapreduce"}}
+//	d, err := pl.Plan(spec)
+//	d.Chosen.Configure(conf)
 //	s, err := dataflow.Open("mapreduce", dataflow.WithConfig(conf), dataflow.WithRuntime(rt))
 //
-// The engines resolve their settings once, when the session opens, so the
-// configuration a decision writes is the configuration every job of the
-// session runs; nothing revises it mid-run. The record path
-// (internal/dataflow and the engines) does not import this package.
-//
-// # Conf-key precedence
-//
-// The planner NEVER overrides a key the user set explicitly. core.Config
-// marks every post-construction Set as explicit; Decision.Apply writes
-// through SetDerived, which yields to explicit values, and records an
-// EvSkip trace event for each key it leaves alone. Planner writes lose,
-// user writes win — always.
+// Configure writes five keys: shuffle.strategy, shuffle.compress and the
+// candidate's parallelism as every engine's reduce-side task count. SimCost
+// prices a candidate on a copy of Base configured the same way, so the
+// configuration a decision was priced on is the one the session opens
+// with. The engines copy their settings when the session opens, so every
+// job of the session runs under it; nothing revises it mid-run. The record
+// path (internal/dataflow and the engines) does not import this package.
 //
 // The ext10 experiment family measures the planner's static choices
 // against an oracle sweep of every candidate on the real engines, and

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine/mapreduce"
 )
 
 // Shape classifies a logical plan by the physical work its shuffle does —
@@ -72,6 +71,17 @@ type Candidate struct {
 	Cache       bool   // cache the reused input (engines without persistence ignore it)
 }
 
+// Configure writes the candidate's settings into conf: its shuffle strategy
+// and codec, and its parallelism as every engine's reduce-side task count.
+// The engine is not a setting; the caller opens the candidate's engine.
+func (c Candidate) Configure(conf *core.Config) {
+	conf.Set(core.ShuffleStrategy, c.Strategy).
+		Set(core.ShuffleCompress, c.Compress).
+		SetInt(core.SparkDefaultParallelism, c.Parallelism).
+		SetInt(core.FlinkDefaultParallelism, c.Parallelism).
+		SetInt(core.MRReduceTasks, c.Parallelism)
+}
+
 // String renders the candidate compactly for traces and cost tables.
 func (c Candidate) String() string {
 	s := fmt.Sprintf("%s/%s/p=%d", c.Engine, c.Strategy, c.Parallelism)
@@ -116,7 +126,8 @@ type Planner struct {
 	// Parallelisms are the candidate reduce-side task counts; nil derives
 	// {cores/2, cores, 2×cores} from Spec (cores = total slots).
 	Parallelisms []int
-	// Compressions are the candidate shuffle codecs; nil tries none and lz.
+	// Compressions are the candidate shuffle codecs; nil tries every value
+	// shuffle.compress accepts.
 	Compressions []string
 }
 
@@ -146,17 +157,18 @@ func (p *Planner) compressions() []string {
 	if len(p.Compressions) > 0 {
 		return p.Compressions
 	}
-	return []string{"none", "lz"}
+	return core.Legal(core.ShuffleCompress)
 }
 
-// Plan scores every candidate and returns the decision: the cheapest
+// Plan scores every candidate, each engine under every strategy
+// shuffle.strategy accepts, and returns the decision: the cheapest
 // candidate, the full cost table (cheapest first) and a Trace seeded with
 // the estimation events. It fails only if every candidate fails to
 // estimate.
 func (p *Planner) Plan(spec PlanSpec) (*Decision, error) {
 	var table []Scored
 	for _, engine := range p.engines() {
-		for _, strat := range []string{"hash", "sort"} {
+		for _, strat := range core.Legal(core.ShuffleStrategy) {
 			for _, comp := range p.compressions() {
 				for _, par := range p.parallelisms() {
 					cand := Candidate{
@@ -193,15 +205,6 @@ func (p *Planner) Plan(spec PlanSpec) (*Decision, error) {
 	return d, nil
 }
 
-// PlanFor is Plan with the engine pinned, for a caller that has already
-// picked the backend it will open: apply the decision to the configuration
-// and pass that to dataflow.Open.
-func (p *Planner) PlanFor(engine string, spec PlanSpec) (*Decision, error) {
-	sub := *p
-	sub.Engines = []string{engine}
-	return sub.Plan(spec)
-}
-
 // Decision is the planner's output: the chosen physical configuration, its
 // predicted cost, the scored alternatives and the decision trail.
 type Decision struct {
@@ -210,30 +213,6 @@ type Decision struct {
 	Est    Cost
 	Table  []Scored
 	Trace  *Trace
-}
-
-// Apply writes the chosen configuration into conf through SetDerived, so
-// EXPLICITLY set keys always win: a key the user pinned with Set is left
-// untouched and the skip is recorded in the trace. The engine choice is not
-// a conf key — callers open the chosen backend themselves.
-func (d *Decision) Apply(conf *core.Config) {
-	type kv struct{ key, val string }
-	writes := []kv{
-		{core.ShuffleStrategy, d.Chosen.Strategy},
-		{core.ShuffleCompress, d.Chosen.Compress},
-		{core.SparkDefaultParallelism, fmt.Sprint(d.Chosen.Parallelism)},
-		{core.FlinkDefaultParallelism, fmt.Sprint(d.Chosen.Parallelism)},
-		{mapreduce.MRReduceTasks, fmt.Sprint(d.Chosen.Parallelism)},
-	}
-	for _, w := range writes {
-		if conf.Explicit(w.key) {
-			d.Trace.add(EvSkip, fmt.Sprintf("%s explicitly set, planner keeps user value %q",
-				w.key, conf.String(w.key, "")))
-			continue
-		}
-		conf.SetDerived(w.key, w.val)
-	}
-	d.Trace.add(EvChoose, fmt.Sprintf("applied %s", d.Chosen))
 }
 
 // CostTable renders the scored candidates as rows (candidate, est seconds,

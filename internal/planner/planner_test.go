@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine/mapreduce"
 )
 
 func laptopSpec() cluster.Spec {
@@ -87,16 +86,22 @@ func TestPlanFailsWhenNothingEstimable(t *testing.T) {
 	}
 }
 
-func TestPlanForPinsEngine(t *testing.T) {
-	p := &Planner{Spec: laptopSpec(), Provider: SimCost{}}
-	d, err := p.PlanFor("mapreduce", PlanSpec{Workload: "WordCount", Shape: Aggregate, Input: InputStats{Bytes: 768 * 1024}})
+// TestPlanPinnedEngine: a caller that has picked its backend lists it in
+// Engines, and the planner scores that engine's candidates only, every
+// strategy and codec the configuration declares legal.
+func TestPlanPinnedEngine(t *testing.T) {
+	p := &Planner{Spec: laptopSpec(), Provider: SimCost{}, Engines: []string{"mapreduce"}}
+	d, err := p.Plan(PlanSpec{Workload: "WordCount", Shape: Aggregate, Input: InputStats{Bytes: 768 * 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range d.Table {
 		if s.Cand.Engine != "mapreduce" {
-			t.Fatalf("PlanFor(mapreduce) scored %+v", s.Cand)
+			t.Fatalf("Plan with Engines = [mapreduce] scored %+v", s.Cand)
 		}
+	}
+	if want := 2 * 2 * len(p.parallelisms()); len(d.Table) != want {
+		t.Errorf("scored %d candidates, want %d (hash/sort × none/lz × parallelisms)", len(d.Table), want)
 	}
 }
 
@@ -138,7 +143,9 @@ func TestSimCostDecisions(t *testing.T) {
 			!(c.Engine == "flink" || c.Engine == "spark" && c.Strategy == "sort") {
 			t.Errorf("TeraSort bytes=%d: chose %s, want flink/*/p=2/none or spark/sort/p=2/none", bytes, c)
 		}
-		ts, err = p.PlanFor("spark", tera)
+		sparkOnly := *p
+		sparkOnly.Engines = []string{"spark"}
+		ts, err = sparkOnly.Plan(tera)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,45 +155,23 @@ func TestSimCostDecisions(t *testing.T) {
 	}
 }
 
-// TestApplyNeverOverridesExplicitKeys is the precedence pin: a key the user
-// set explicitly survives Apply untouched, and the skip shows in the trace.
-func TestApplyNeverOverridesExplicitKeys(t *testing.T) {
-	p := &Planner{Spec: laptopSpec(), Provider: SimCost{}, Parallelisms: []int{2, 8}}
-	d, err := p.Plan(PlanSpec{Workload: "WordCount", Shape: Aggregate, Input: InputStats{Bytes: 768 * 1024}})
-	if err != nil {
-		t.Fatal(err)
+// TestCandidateConfigure: a candidate writes its strategy, codec and
+// parallelism (as all three engines' task counts) into a configuration and
+// leaves the rest alone; SimCost prices a candidate the configuration
+// refuses as an error, not as the default it would fall back to.
+func TestCandidateConfigure(t *testing.T) {
+	conf := core.NewConfig().SetInt(core.FlinkNetworkBuffers, 8192)
+	Candidate{Engine: "flink", Strategy: "sort", Compress: "lz", Parallelism: 6}.Configure(conf)
+	want := *core.NewConfig().SetInt(core.FlinkNetworkBuffers, 8192)
+	want.ShuffleStrategy, want.ShuffleCompress = "sort", "lz"
+	want.SparkDefaultParallelism, want.FlinkDefaultParallelism, want.MRReduceTasks = 6, 6, 6
+	if *conf != want {
+		t.Errorf("Configure wrote %+v\nwant          %+v", *conf, want)
 	}
-	pinned := "sort" // the opposite of the plan
-	if d.Chosen.Strategy == "sort" {
-		pinned = "hash"
-	}
-
-	conf := core.NewConfig().
-		Set(core.ShuffleStrategy, pinned).
-		SetInt(mapreduce.MRReduceTasks, 64)
-	d.Apply(conf)
-
-	if got := conf.String(core.ShuffleStrategy, ""); got != pinned {
-		t.Fatalf("planner overrode explicit %s: %q", core.ShuffleStrategy, got)
-	}
-	if got := conf.Int(mapreduce.MRReduceTasks, 0); got != 64 {
-		t.Fatalf("planner overrode explicit %s: %d", mapreduce.MRReduceTasks, got)
-	}
-	// Non-explicit keys do get the planner's values.
-	if got := conf.Int(core.SparkDefaultParallelism, 0); got != d.Chosen.Parallelism {
-		t.Fatalf("planner did not set %s: %d", core.SparkDefaultParallelism, got)
-	}
-	if got := conf.String(core.ShuffleCompress, ""); got != d.Chosen.Compress {
-		t.Fatalf("planner did not set %s: %q", core.ShuffleCompress, got)
-	}
-	var skips int
-	for _, e := range d.Trace.Events() {
-		if e.Kind == EvSkip {
-			skips++
-		}
-	}
-	if skips != 2 {
-		t.Fatalf("want 2 skip events for the 2 explicit keys, got %d\n%s", skips, d.Trace.Events())
+	bad := Candidate{Engine: "spark", Strategy: "merge", Compress: "none", Parallelism: 2}
+	if _, err := (SimCost{}).Estimate(PlanSpec{Workload: "w", Input: InputStats{Bytes: 1}}, bad, laptopSpec()); err == nil ||
+		!strings.Contains(err.Error(), core.ShuffleStrategy) {
+		t.Errorf("SimCost.Estimate(%s) = %v, want an error naming %s", bad, err, core.ShuffleStrategy)
 	}
 }
 

@@ -5,15 +5,13 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine/mapreduce"
 	"repro/internal/sim"
 )
 
 // SimCost is the default CostProvider: it asks the calibrated analytic
 // model (sim.Estimate) to price each candidate. Base, when set, is the
-// session configuration the candidate keys overlay — via SetDerived, so a
-// key the user pinned explicitly constrains every candidate the same way
-// and the planner can only rank what it is allowed to change.
+// session configuration a copy of which each candidate configures
+// (Candidate.Configure); nil is the paper defaults.
 type SimCost struct {
 	Base *core.Config
 }
@@ -26,13 +24,13 @@ func (s SimCost) Estimate(spec PlanSpec, cand Candidate, clusterSpec cluster.Spe
 	}
 	conf := core.NewConfig()
 	if s.Base != nil {
-		conf = s.Base.Clone()
+		base := *s.Base
+		conf = &base
 	}
-	conf.SetDerived(core.ShuffleStrategy, cand.Strategy)
-	conf.SetDerived(core.ShuffleCompress, cand.Compress)
-	conf.SetDerived(core.SparkDefaultParallelism, fmt.Sprint(cand.Parallelism))
-	conf.SetDerived(core.FlinkDefaultParallelism, fmt.Sprint(cand.Parallelism))
-	conf.SetDerived(mapreduce.MRReduceTasks, fmt.Sprint(cand.Parallelism))
+	cand.Configure(conf)
+	if err := conf.Err(); err != nil {
+		return Cost{}, err
+	}
 
 	est, err := sim.Estimate(
 		sim.PlanStats{Workload: spec.Workload, Shape: estShape(spec.Shape), Iterations: spec.Iterations},

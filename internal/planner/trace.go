@@ -5,15 +5,10 @@ import "fmt"
 // EventKind classifies one entry in a Decision's trail.
 type EventKind int
 
-// Trace event kinds, in rough lifecycle order.
+// Trace event kinds.
 const (
 	// EvEstimate records the initial candidate scoring.
 	EvEstimate EventKind = iota
-	// EvChoose records a configuration being applied to a Config.
-	EvChoose
-	// EvSkip records a conf key the planner left alone because the user
-	// set it explicitly.
-	EvSkip
 )
 
 // String implements fmt.Stringer.
@@ -21,10 +16,6 @@ func (k EventKind) String() string {
 	switch k {
 	case EvEstimate:
 		return "estimate"
-	case EvChoose:
-		return "choose"
-	case EvSkip:
-		return "skip"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -41,8 +32,7 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%s] %s", e.Kind, e.Detail)
 }
 
-// Trace is a decision trail: every estimate, choice and skipped key, in
-// order.
+// Trace is a decision trail: every estimate, in order.
 type Trace struct {
 	events []Event
 }

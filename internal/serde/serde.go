@@ -22,7 +22,7 @@ func ParseStyle(s string) Style {
 	switch s {
 	case "kryo":
 		return Kryo
-	case "typeinfo", "flink":
+	case "typeinfo":
 		return TypeInfo
 	default:
 		return Java

@@ -15,12 +15,11 @@ type Compressor interface {
 	Decompress(src []byte, rawLen int) ([]byte, error)
 }
 
-// CompressorFor maps a core.ShuffleCompress value to a codec: "lz" (and the
-// alias "true") selects the built-in LZ codec; everything else disables
-// compression.
+// CompressorFor maps a core.ShuffleCompress value to a codec: "lz" selects
+// the built-in LZ codec; everything else disables compression.
 func CompressorFor(name string) Compressor {
 	switch name {
-	case "lz", "true":
+	case "lz":
 		return lzCodec{}
 	default:
 		return nil

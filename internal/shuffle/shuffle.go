@@ -29,7 +29,7 @@ func (k Kind) String() string {
 }
 
 // ParseKind maps a configuration string to a Kind; anything but "hash" and
-// "sort" (including "") keeps the engine's default.
+// "sort" (an unset shuffle.strategy, spark's tungsten-sort) keeps def.
 func ParseKind(s string, def Kind) Kind {
 	switch s {
 	case "hash":
@@ -66,9 +66,9 @@ type Settings struct {
 // their own knobs.
 func FromConf(conf *core.Config, def Kind) Settings {
 	return Settings{
-		Kind:       ParseKind(conf.String(core.ShuffleStrategy, ""), def),
-		Compress:   CompressorFor(conf.String(core.ShuffleCompress, "none")),
-		SpillBytes: int64(conf.Bytes(core.ShuffleSpillThreshold, 0)),
+		Kind:       ParseKind(conf.ShuffleStrategy, def),
+		Compress:   CompressorFor(conf.ShuffleCompress),
+		SpillBytes: int64(conf.ShuffleSpillThreshold),
 	}
 }
 

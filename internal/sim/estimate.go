@@ -406,7 +406,7 @@ func Estimate(plan PlanStats, in InputStats, p Params) (CostEstimate, error) {
 
 	par := engineParallelism(p)
 	strat := effectiveStrategy(p)
-	compress := shuffle.CompressorFor(p.Conf.String(core.ShuffleCompress, "none")) != nil
+	compress := shuffle.CompressorFor(p.Conf.ShuffleCompress) != nil
 
 	var fixed, cpu float64
 	switch p.Engine {
@@ -613,12 +613,12 @@ func estFlinkCPU(s EstShape) float64 {
 func engineParallelism(p Params) int {
 	switch p.Engine {
 	case Flink:
-		if par := p.Conf.Int(core.FlinkDefaultParallelism, 0); par > 0 {
+		if par := p.Conf.FlinkDefaultParallelism; par > 0 {
 			return par
 		}
 		return p.Spec.TotalCores()
 	case MapReduce:
-		if par := p.Conf.Int("mapreduce.job.reduces", 0); par > 0 {
+		if par := p.Conf.MRReduceTasks; par > 0 {
 			return par
 		}
 		return p.Spec.Nodes
@@ -635,9 +635,7 @@ func effectiveStrategy(p Params) shuffle.Kind {
 	case Flink:
 		def = shuffle.Hash
 	case Spark:
-		if p.Conf.String(core.SparkShuffleManager, "tungsten-sort") == "hash" {
-			def = shuffle.Hash
-		}
+		def = shuffle.ParseKind(p.Conf.SparkShuffleManager, def)
 	}
-	return shuffle.ParseKind(p.Conf.String(core.ShuffleStrategy, ""), def)
+	return shuffle.ParseKind(p.Conf.ShuffleStrategy, def)
 }

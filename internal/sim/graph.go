@@ -77,9 +77,7 @@ func (j GraphJob) mVertsPerNode(p Params) float64 {
 // need, which is how the paper got the 97-node run through at ¾ of the
 // cores.
 func (j GraphJob) flinkMemoryCheck(p Params) error {
-	tm := float64(p.Conf.Bytes(core.FlinkTaskManagerMemory, 4*core.GB))
-	fraction := p.Conf.Float(core.FlinkMemoryFraction, 0.7)
-	managed := tm * fraction
+	managed := flinkManaged(p)
 	slots := j.flinkSlotsPerNode(p)
 	perNodeBytes := float64(j.SizeBytes)/float64(p.Spec.Nodes) +
 		float64(j.Graph.Vertices)/float64(p.Spec.Nodes)*16
@@ -95,8 +93,7 @@ func (j GraphJob) flinkMemoryCheck(p Params) error {
 // memory limit (more than half the pool taken by the solution set) — the
 // regime where reduced parallelism costs throughput.
 func (j GraphJob) memPressured(p Params) bool {
-	tm := float64(p.Conf.Bytes(core.FlinkTaskManagerMemory, 4*core.GB))
-	managed := tm * p.Conf.Float(core.FlinkMemoryFraction, 0.7)
+	managed := flinkManaged(p)
 	slots := j.flinkSlotsPerNode(p)
 	perNodeBytes := float64(j.SizeBytes)/float64(p.Spec.Nodes) +
 		float64(j.Graph.Vertices)/float64(p.Spec.Nodes)*16
@@ -104,11 +101,17 @@ func (j GraphJob) memPressured(p Params) bool {
 	return need > 0.5*managed
 }
 
+// flinkManaged is a node's managed memory, taskmanager.memory ×
+// memory.fraction, as flink.NewEnv sizes it.
+func flinkManaged(p Params) float64 {
+	return float64(p.Conf.FlinkTaskManagerMemory) * p.Conf.FlinkMemoryFraction
+}
+
 // flinkSlotsPerNode derives the active slots from the configured
 // parallelism (parallelism / nodes), defaulting to all cores.
 func (j GraphJob) flinkSlotsPerNode(p Params) int {
-	par := p.Conf.Int(core.FlinkDefaultParallelism, 0)
-	if par <= 0 {
+	par := p.Conf.FlinkDefaultParallelism
+	if par == 0 {
 		return p.Spec.CoresPerNode
 	}
 	slots := int(math.Ceil(float64(par) / float64(p.Spec.Nodes)))
@@ -126,9 +129,9 @@ func (j GraphJob) flinkSlotsPerNode(p Params) int {
 // concurrently processed partitions (slots × partition bytes × JVM object
 // overhead) fit the executor heap.
 func (j GraphJob) sparkMemoryCheck(p Params) error {
-	heap := float64(p.Conf.Bytes(core.SparkExecutorMemory, 22*core.GB))
-	edgeParts := p.Conf.Int(core.SparkEdgePartitions, 0)
-	if edgeParts <= 0 {
+	heap := float64(p.Conf.SparkExecutorMemory)
+	edgeParts := p.Conf.SparkEdgePartitions
+	if edgeParts == 0 {
 		edgeParts = p.Spec.TotalCores()
 	}
 	partBytes := float64(j.SizeBytes) / float64(edgeParts)
@@ -277,8 +280,8 @@ func (j GraphJob) runSpark(r *run) Result {
 	// spark.edge.partitions sensitivity (Section VI-E): increasing it
 	// means more files to handle, decreasing it means inefficient
 	// resource usage — up to ~50% at 6× cores on the medium graph.
-	edgeParts := p.Conf.Int(core.SparkEdgePartitions, 0)
-	if edgeParts <= 0 {
+	edgeParts := p.Conf.SparkEdgePartitions
+	if edgeParts == 0 {
 		edgeParts = spec.TotalCores()
 	}
 	partsPerCore := float64(edgeParts) / float64(spec.TotalCores())

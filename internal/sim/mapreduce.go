@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/des"
 )
 
@@ -38,7 +37,7 @@ func runMRJob(r *run, label string, job mrJob, done func()) {
 	spec := r.p.Spec
 	cores := float64(spec.CoresPerNode)
 	remote := 1 - 1/float64(spec.Nodes)
-	blockMiB := float64(r.p.Conf.Bytes(core.HDFSBlockSize, 256*core.MB)) / (1 << 20)
+	blockMiB := float64(r.p.Conf.HDFSBlockSize) / (1 << 20)
 	tasksPerNode := job.readMiB / blockMiB
 	if tasksPerNode < 1 {
 		tasksPerNode = 1

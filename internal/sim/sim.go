@@ -196,17 +196,17 @@ func (r *run) serdeFactor() float64 {
 	if r.p.Engine == MapReduce {
 		return serdeFactorWritable
 	}
-	if serde.ParseStyle(r.p.Conf.String(core.SparkSerializer, "java")) == serde.Kryo {
+	if serde.ParseStyle(r.p.Conf.SparkSerializer) == serde.Kryo {
 		return serdeFactorKryo
 	}
 	return serdeFactorJava
 }
 
 // sparkParallelism resolves spark.default.parallelism, falling back to the
-// documented 2×cores recommendation when unset or zero.
+// documented 2×cores recommendation when zero.
 func sparkParallelism(p Params) int {
-	par := p.Conf.Int(core.SparkDefaultParallelism, 0)
-	if par <= 0 {
+	par := p.Conf.SparkDefaultParallelism
+	if par == 0 {
 		par = p.Spec.TotalCores() * 2
 	}
 	return par

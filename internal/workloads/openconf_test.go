@@ -7,23 +7,27 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/datagen"
-	"repro/internal/engine/mapreduce"
 )
 
-// TestSettingsAreFixedAtOpen pins that an engine resolves its settings
-// once, when the session opens: setting shuffle.strategy and the engine's
+// TestSettingsAreFixedAtOpen pins that an engine takes its settings once,
+// when the session opens: setting shuffle.strategy and the engine's
 // parallelism key on the Config after Open changes nothing. The job runs the
 // same tasks and stages and writes the same output parts as a run on a
 // session whose Config was never touched. Flink's parts are compared as
 // sorted lines: a pipelined reducer emits in arrival order, which differs
-// between two untouched runs too.
+// between two untouched runs too. The spark/pagerank row does the same for
+// spark.edge.partitions, which the graph lowering reads. Every engine copies
+// the Config when it is built and lowering reads only that copy, so the rows
+// stand for every key; exec.batch.size, read while lowering each operator,
+// is fixed by construction the same way.
 func TestSettingsAreFixedAtOpen(t *testing.T) {
 	text := datagen.Text(5, 64<<10, 10)
 	parKey := map[string]string{
 		"spark":     core.SparkDefaultParallelism,
 		"flink":     core.FlinkDefaultParallelism,
-		"mapreduce": mapreduce.MRReduceTasks,
+		"mapreduce": core.MRReduceTasks,
 	}
 	type run struct {
 		tasks, stages int64
@@ -71,5 +75,48 @@ func TestSettingsAreFixedAtOpen(t *testing.T) {
 					len(got.parts), len(want.parts))
 			}
 		})
+	}
+	t.Run("spark/pagerank", func(t *testing.T) {
+		edges := datagen.RMAT(29, datagen.GraphSpec{Name: "fixed", Vertices: 96, Edges: 400})
+		pageRank := func(afterOpen func(*core.Config)) (tasks, stages int64) {
+			var conf *core.Config
+			s := paritySessionConf(t, "spark", func(c *core.Config) { conf = c })
+			afterOpen(conf)
+			if _, _, err := PageRank(s, edges, 3); err != nil {
+				t.Fatal(err)
+			}
+			m := s.Metrics()
+			return m.TasksLaunched.Load(), m.Stages.Load()
+		}
+		wantTasks, wantStages := pageRank(func(*core.Config) {})
+		gotTasks, gotStages := pageRank(func(conf *core.Config) { conf.SetInt(core.SparkEdgePartitions, 3) })
+		if gotTasks != wantTasks || gotStages != wantStages {
+			t.Errorf("after setting %s on the opened Config: %d tasks in %d stages, want %d in %d",
+				core.SparkEdgePartitions, gotTasks, gotStages, wantTasks, wantStages)
+		}
+	})
+}
+
+// TestOpenRejectsBadSettings: a typo is an error, not a different
+// experiment. An unknown key or a value its key does not accept makes
+// dataflow.Open fail on every engine, with an error that names the key.
+func TestOpenRejectsBadSettings(t *testing.T) {
+	for _, kv := range [][2]string{
+		{"spark.serialiser", "kryo"},
+		{core.SparkSerializer, "kyro"},
+		{core.FlinkCombineStrategy, "Sort"},
+		{core.ShuffleStrategy, "merge"},
+		{core.ShuffleCompress, "zstd"},
+		{core.ExecBatchSize, "-1"},
+		{core.FlinkMemoryFraction, "1.5"},
+		{core.BufferSize, "12XB"},
+	} {
+		for _, engine := range dataflow.Names() {
+			conf := core.NewConfig().Set(kv[0], kv[1])
+			_, err := dataflow.Open(engine, dataflow.WithConfig(conf))
+			if err == nil || !strings.Contains(err.Error(), kv[0]) {
+				t.Errorf("%s with %s=%s: Open error %v, want one naming %s", engine, kv[0], kv[1], err, kv[0])
+			}
+		}
 	}
 }

@@ -27,8 +27,8 @@ func paritySession(t *testing.T, engine string) *dataflow.Session {
 var paritySpec = cluster.Spec{Nodes: 2, CoresPerNode: 8, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
 
 // paritySessionConf is paritySession with a configuration hook, run on the
-// configuration before the session opens (the non-default shuffle strategy
-// runs and the planner-chosen configuration runs use it), and extra Open
+// configuration before the session opens (the shuffle, serializer and
+// planner-chosen configuration rows use it), and extra Open
 // options (a test that needs another block size passes its own WithFS).
 func paritySessionConf(t *testing.T, engine string, edit func(*core.Config), extra ...dataflow.Option) *dataflow.Session {
 	t.Helper()
@@ -259,45 +259,73 @@ func TestCrossEngineParity(t *testing.T) {
 		}
 	}
 
-	// The shuffle subsystem's contract: forcing each engine onto its
-	// NON-default strategy (plus the lz block codec) must not change one
-	// byte of workload output — same logical plan, same answer, different
-	// shuffle physics.
+	// sameOutput runs WordCount and TeraSort on s and requires both outputs
+	// to be byte-identical to the default runs above.
+	sameOutput := func(t *testing.T, s *dataflow.Session, setting string) {
+		t.Helper()
+		s.FS().WriteFile("wiki", text)
+		s.FS().WriteFile("tera-in", tera)
+		if err := WordCount(s, "wiki", "wc-out"); err != nil {
+			t.Fatalf("wordcount under %s: %v", setting, err)
+		}
+		if got := sortedLines(t, s, "wc-out"); got != want.wordCounts {
+			t.Errorf("%s word counts under %s differ from the default runs", s.Name(), setting)
+		}
+		if err := TeraSort(s, "tera-in", "tera-out", teraPart); err != nil {
+			t.Fatalf("terasort under %s: %v", setting, err)
+		}
+		if err := VerifyTeraSorted(s.FS(), "tera-out", teraRecords); err != nil {
+			t.Fatalf("terasort validate under %s: %v", setting, err)
+		}
+		tf, err := s.FS().Open("tera-out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tf.Contents(), want.teraBytes) {
+			t.Errorf("%s terasort output under %s is not byte-identical", s.Name(), setting)
+		}
+	}
+
+	// The shuffle subsystem's contract: every strategy shuffle.strategy
+	// accepts, each under every block codec shuffle.compress accepts but
+	// the default, must not change one byte of workload output on any
+	// engine — same logical plan, same answer, different shuffle physics.
+	defaults := core.NewConfig()
 	for _, engine := range engines {
 		engine := engine
-		strat := nonDefaultStrategy(engine)
-		t.Run(engine+"/shuffle="+strat, func(t *testing.T) {
-			s := paritySessionConf(t, engine, func(conf *core.Config) {
-				conf.Set(core.ShuffleStrategy, strat).Set(core.ShuffleCompress, "lz")
+		for _, strat := range core.Legal(core.ShuffleStrategy) {
+			strat := strat
+			t.Run(engine+"/shuffle="+strat, func(t *testing.T) {
+				for _, codec := range core.Legal(core.ShuffleCompress) {
+					if codec == defaults.ShuffleCompress {
+						continue
+					}
+					s := paritySessionConf(t, engine, func(conf *core.Config) {
+						conf.Set(core.ShuffleStrategy, strat).Set(core.ShuffleCompress, codec)
+					})
+					sameOutput(t, s, "shuffle="+strat+", compress="+codec)
+					// The codec was really on: wire bytes beat raw bytes on
+					// this compressible text/key data.
+					m := s.Metrics()
+					if m.ShuffleBytesWritten.Load() >= m.ShuffleRawBytesWritten.Load() {
+						t.Errorf("%s: shuffle compressed by %s wrote %d wire bytes for %d raw bytes",
+							engine, codec, m.ShuffleBytesWritten.Load(), m.ShuffleRawBytesWritten.Load())
+					}
+				}
 			})
-			s.FS().WriteFile("wiki", text)
-			s.FS().WriteFile("tera-in", tera)
-			if err := WordCount(s, "wiki", "wc-out"); err != nil {
-				t.Fatalf("wordcount under %s shuffle: %v", strat, err)
-			}
-			if got := sortedLines(t, s, "wc-out"); got != want.wordCounts {
-				t.Errorf("%s word counts under %s shuffle differ from the default strategy", engine, strat)
-			}
-			if err := TeraSort(s, "tera-in", "tera-out", teraPart); err != nil {
-				t.Fatalf("terasort under %s shuffle: %v", strat, err)
-			}
-			if err := VerifyTeraSorted(s.FS(), "tera-out", teraRecords); err != nil {
-				t.Fatalf("terasort validate under %s shuffle: %v", strat, err)
-			}
-			tf, err := s.FS().Open("tera-out")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(tf.Contents(), want.teraBytes) {
-				t.Errorf("%s terasort output under %s shuffle is not byte-identical", engine, strat)
-			}
-			// The lz codec was really on: wire bytes beat raw bytes on
-			// this compressible text/key data.
-			m := s.Metrics()
-			if m.ShuffleBytesWritten.Load() >= m.ShuffleRawBytesWritten.Load() {
-				t.Errorf("%s: compressed shuffle wrote %d wire bytes for %d raw bytes",
-					engine, m.ShuffleBytesWritten.Load(), m.ShuffleRawBytesWritten.Load())
-			}
+		}
+	}
+
+	// Serialization is physics too (Sec. IV-D): every serializer spark
+	// accepts writes the same answer.
+	for _, ser := range core.Legal(core.SparkSerializer) {
+		if ser == defaults.SparkSerializer {
+			continue
+		}
+		ser := ser
+		t.Run("spark/serializer="+ser, func(t *testing.T) {
+			sameOutput(t, paritySessionConf(t, "spark", func(conf *core.Config) { conf.Set(core.SparkSerializer, ser) }),
+				"serializer="+ser)
 		})
 	}
 
@@ -324,25 +352,26 @@ func TestCrossEngineParity(t *testing.T) {
 
 	// The planner's contract: whatever physical configuration the cost
 	// model picks — strategy, codec, parallelism — the workload output
-	// stays byte-identical to the hand-tuned runs above. The parallelism
-	// keys are deliberately NOT pinned here, so the planner genuinely
+	// stays byte-identical to the hand-tuned runs above. The candidate
+	// overwrites the session's parallelism keys, so the planner genuinely
 	// decides them.
 	for _, engine := range engines {
 		engine := engine
 		t.Run(engine+"/planner", func(t *testing.T) {
 			// planned opens a session on the configuration the planner
-			// picks for spec: plan, apply the decision, then open.
+			// picks for spec on this engine: plan, configure, then open.
 			planned := func(spec planner.PlanSpec) (*dataflow.Session, planner.Candidate) {
 				var chosen planner.Candidate
 				s := paritySessionConf(t, engine, func(conf *core.Config) {
 					conf.SetBytes(core.SparkExecutorMemory, 256*core.MB).
 						SetBytes(core.FlinkTaskManagerMemory, 256*core.MB).
 						SetInt(core.FlinkNetworkBuffers, 8192)
-					d, err := (&planner.Planner{Provider: &planner.SimCost{Base: conf}, Spec: paritySpec}).PlanFor(engine, spec)
+					pl := &planner.Planner{Provider: &planner.SimCost{Base: conf}, Spec: paritySpec, Engines: []string{engine}}
+					d, err := pl.Plan(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					d.Apply(conf)
+					d.Chosen.Configure(conf)
 					chosen = d.Chosen
 				})
 				return s, chosen
