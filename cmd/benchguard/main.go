@@ -10,8 +10,8 @@
 // field name; only numeric lower-is-better fields compare. A worsening
 // past -max-worsen (default 25%) on an experiment named in -fail fails the
 // run; on any other experiment it only warns — the real-engine families
-// (ext6..ext10) measure wall-clock on shared CI runners and are too noisy to
-// gate on, while ext4's simulated cells are deterministic. A gated
+// (ext6 and ext10) measure wall-clock on shared CI runners and are too
+// noisy to gate on, while ext4's simulated cells are deterministic. A gated
 // experiment present in both files that compares no numeric cell fails too:
 // tab1, whose report is an operator table with no numeric row, would pass
 // any change (cmd/planviz's golden test pins Table I instead).

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "", "experiment ids (fig1..fig17, tab1..tab7, ext1..ext10), comma-separated, or 'all'")
+	runID := flag.String("run", "", "experiment ids (fig1..fig17, tab1..tab7, ext1..ext6, ext10), comma-separated, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids")
 	calibrate := flag.Bool("calibrate", false, "run the ext10 size sweep and print measured vs sim.Estimate with residuals")
 	md := flag.String("md", "", "also write a markdown report to this file")

@@ -184,9 +184,6 @@ func (c *Config) Set(key, value string) *Config {
 // SetInt sets an integer value.
 func (c *Config) SetInt(key string, v int) *Config { return c.Set(key, strconv.Itoa(v)) }
 
-// SetFloat sets a float value.
-func (c *Config) SetFloat(key string, v float64) *Config { return c.Set(key, formatFloat(v)) }
-
 // SetBytes sets a byte size value.
 func (c *Config) SetBytes(key string, v ByteSize) *Config { return c.Set(key, formatBytes(v)) }
 

@@ -55,7 +55,6 @@ func TestConfigTypedAccessors(t *testing.T) {
 		raw   string
 	}{
 		{FlinkNetworkBuffers, func(c *Config) *Config { return c.SetInt(FlinkNetworkBuffers, 4096) }, "4096"},
-		{FlinkMemoryFraction, func(c *Config) *Config { return c.SetFloat(FlinkMemoryFraction, 0.5) }, "0.5"},
 		{BufferSize, func(c *Config) *Config { return c.SetBytes(BufferSize, 64*KB) }, "64KB"},
 		{HDFSBlockSize, func(c *Config) *Config { return c.SetBytes(HDFSBlockSize, 128*MB) }, "134217728"},
 	} {

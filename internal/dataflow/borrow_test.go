@@ -139,26 +139,12 @@ var borrowConsumers = []borrowConsumer{
 		state, err := it.Run()
 		return fmt.Sprint(state), err
 	}},
-	{name: "GroupByKey", engines: ownAPI, run: func(s *dataflow.Session, d *dataflow.Dataset[kv]) (string, error) {
+	{name: "GroupByKey", engines: []string{"spark"}, run: func(s *dataflow.Session, d *dataflow.Dataset[kv]) (string, error) {
+		// Only spark's API has a GroupByKey operator.
 		var groups []core.Pair[int64, []int64]
-		var err error
-		if s.Name() == "spark" {
-			var r *spark.RDD[kv]
-			if r, err = dataflow.SparkRDDOf(d); err == nil {
-				groups, err = spark.Collect(spark.GroupByKey(r, 2))
-			}
-		} else {
-			var ds *flink.DataSet[kv]
-			if ds, err = dataflow.FlinkDataSetOf(d); err == nil {
-				groups, err = flink.Collect(flink.GroupReduce(flink.GroupBy(ds, func(p kv) int64 { return p.Key }),
-					func(k int64, ps []kv) []core.Pair[int64, []int64] {
-						vs := make([]int64, len(ps))
-						for i, p := range ps {
-							vs[i] = p.Value
-						}
-						return []core.Pair[int64, []int64]{core.KV(k, vs)}
-					}))
-			}
+		r, err := dataflow.SparkRDDOf(d)
+		if err == nil {
+			groups, err = spark.Collect(spark.GroupByKey(r, 2))
 		}
 		for _, g := range groups {
 			slices.Sort(g.Value)
@@ -199,7 +185,8 @@ func borrowDistinct(s *dataflow.Session, five *dataflow.Dataset[int64]) (string,
 }
 
 // borrowJoin joins the chain with a small keyed table on the engine's own
-// join, the chain as the left (build) or the right (probe) input.
+// join — spark's is a CoGroup whose groups pair up — the chain as the left
+// (build) or the right (probe) input.
 func borrowJoin(s *dataflow.Session, d *dataflow.Dataset[kv], chainLeft bool) (string, error) {
 	table := []kv{{Key: 3, Value: -3}, {Key: 50, Value: -50}, {Key: 96, Value: -96}, {Key: 500, Value: -500}}
 	var rows []string
@@ -212,12 +199,16 @@ func borrowJoin(s *dataflow.Session, d *dataflow.Dataset[kv], chainLeft bool) (s
 		if !chainLeft {
 			left, right = right, left
 		}
-		joined, err := spark.Collect(spark.Join(left, right, 2))
+		groups, err := spark.Collect(spark.CoGroup(left, right, core.NewHashPartitioner[int64](2)))
 		if err != nil {
 			return "", err
 		}
-		for _, j := range joined {
-			rows = append(rows, fmt.Sprint(j.Key, j.Value.Left, j.Value.Right))
+		for _, g := range groups {
+			for _, l := range g.Value.Left {
+				for _, r := range g.Value.Right {
+					rows = append(rows, fmt.Sprint(g.Key, l, r))
+				}
+			}
 		}
 	} else {
 		ds, err := dataflow.FlinkDataSetOf(d)
@@ -478,11 +469,10 @@ func TestConsumersCopyBorrowedBatches(t *testing.T) {
 // The receive side lends its batch too: a flink consumer task decodes every
 // packet it receives into one batch it reuses. Over 64-byte network buffers
 // every consumer task of these rows receives many packets — the rebalance
-// push into SortPartition (SortByKey), the fold consumer (ReduceByKey),
-// GroupReduce (GroupByKey), and a join's build and probe sides — so a
-// consumer that keeps the batch it is handed finds later packets' records in
-// it.
-var receivedRows = []string{"SortByKey", "ReduceByKey", "GroupByKey", "Join, chain on the left", "Join, chain on the right"}
+// push into SortPartition (SortByKey), the fold consumer (ReduceByKey), and a
+// join's build and probe sides — so a consumer that keeps the batch it is
+// handed finds later packets' records in it.
+var receivedRows = []string{"SortByKey", "ReduceByKey", "Join, chain on the left", "Join, chain on the right"}
 
 // receivingSession is a flink session whose exchanges flush 64-byte network
 // buffers.

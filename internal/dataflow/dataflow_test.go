@@ -2,6 +2,7 @@ package dataflow_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -373,5 +374,39 @@ func TestNarrowChainRunsInsideTasks(t *testing.T) {
 				t.Errorf("%s fused=%v: FlatMap ran before any task was launched", engine, fused)
 			}
 		}
+	}
+}
+
+// TestTextFileReadsInMapTasks pins where mapreduce reads a split: building
+// TextFile → Map touches no block (no record counted, a handful of
+// allocations however many lines and blocks the file has); map task m reads
+// split m after it has been launched, and counts every line it read.
+func TestTextFileReadsInMapTasks(t *testing.T) {
+	s := session(t, "mapreduce")
+	text := []byte(strings.Repeat("a line of some forty bytes, give or take\n", 1<<20/41))
+	lines := int64(len(text) / 41)
+	s.FS().WriteFile("big", text)
+	var launchedAtFirstMap atomic.Int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lens := dataflow.Map(dataflow.TextFile(s, "big"), func(l string) int {
+		launchedAtFirstMap.CompareAndSwap(0, s.Metrics().TasksLaunched.Load())
+		return len(l)
+	})
+	runtime.ReadMemStats(&after)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 32 || b > 16<<10 {
+		t.Errorf("building TextFile→Map allocated %d times, %d bytes; want O(1)", n, b)
+	}
+	if got := s.Metrics().RecordsRead.Load(); got != 0 {
+		t.Errorf("RecordsRead = %d before the job, want 0", got)
+	}
+	if n, err := dataflow.Count(lens); err != nil || n != lines {
+		t.Fatalf("Count = %d, %v; want %d", n, err, lines)
+	}
+	if got := s.Metrics().RecordsRead.Load(); got != lines {
+		t.Errorf("RecordsRead = %d after the job, want %d", got, lines)
+	}
+	if launchedAtFirstMap.Load() == 0 {
+		t.Error("Map ran before any task was launched")
 	}
 }

@@ -5,9 +5,9 @@
 // O(workloads × engines). Every operator has one lowering, a switch over the
 // three engines, so adding an engine touches each operator once.
 //
-// A Session binds one engine (spark, flink or mapreduce: Open builds it by
-// name, NewSession wraps an existing engine handle). Sources,
-// transformations and actions mirror the common core of Table I:
+// A Session binds one engine (spark, flink or mapreduce); Open, the only way
+// to get one, builds it by name. Sources, transformations and actions mirror
+// the common core of Table I:
 //
 //	s, _ := dataflow.Open("flink", WithConfig(conf), WithRuntime(rt), WithFS(fs))
 //	lines := dataflow.TextFile(s, "wiki")

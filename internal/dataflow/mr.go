@@ -171,8 +171,8 @@ func binaryFrag(s *Session, name string, recSize int) *mrFrag[[]byte] {
 	})
 }
 
-// sliceFrag splits an in-memory slice with the engine's own rule, so the
-// dataflow path partitions identically to native SliceInput jobs.
+// sliceFrag splits an in-memory slice with the engine's own rule,
+// mapreduce.SplitSlice.
 func sliceFrag[T any](s *Session, data []T, parallelism int) *mrFrag[T] {
 	c := mrCluster(s)
 	return &mrFrag[T]{c: c, plan: inputSplit, load: func() (mrSplits[T], error) {

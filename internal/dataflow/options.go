@@ -87,12 +87,14 @@ func Open(name string, opts ...Option) (*Session, error) {
 	if o.fs == nil {
 		o.fs = dfs.New(o.rt.Spec().Nodes, 64*core.KB, 1)
 	}
+	s := &Session{reps: map[int]any{}}
 	switch name {
 	case "spark":
-		return NewSession(spark.NewContext(o.conf, o.rt, o.fs)), nil
+		s.kind, s.h = Spark, spark.NewContext(o.conf, o.rt, o.fs)
 	case "flink":
-		return NewSession(flink.NewEnv(o.conf, o.rt, o.fs)), nil
+		s.kind, s.h = Flink, flink.NewEnv(o.conf, o.rt, o.fs)
 	default:
-		return NewSession(mapreduce.NewCluster(o.conf, o.rt, o.fs)), nil
+		s.kind, s.h = MapReduce, mapreduce.NewCluster(o.conf, o.rt, o.fs)
 	}
+	return s, nil
 }

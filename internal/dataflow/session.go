@@ -3,9 +3,6 @@ package dataflow
 import (
 	"repro/internal/core"
 	"repro/internal/dfs"
-	"repro/internal/engine/flink"
-	"repro/internal/engine/mapreduce"
-	"repro/internal/engine/spark"
 	"repro/internal/metrics"
 )
 
@@ -58,20 +55,6 @@ type Session struct {
 	h      engine
 	nextID int
 	reps   map[int]any
-}
-
-// NewSession binds an engine handle the caller built.
-func NewSession[H *spark.Context | *flink.Env | *mapreduce.Cluster](h H) *Session {
-	s := &Session{reps: map[int]any{}}
-	switch e := any(h).(type) {
-	case *spark.Context:
-		s.kind, s.h = Spark, e
-	case *flink.Env:
-		s.kind, s.h = Flink, e
-	default:
-		s.kind, s.h = MapReduce, e.(*mapreduce.Cluster)
-	}
-	return s
 }
 
 // Kind returns the engine kind the session lowers onto.

@@ -197,36 +197,6 @@ func Map[T, U any](d *DataSet[T], f func(T) U) *DataSet[U] {
 	})
 }
 
-// FlatMap applies f and flattens, chained.
-func FlatMap[T, U any](d *DataSet[T], f func(T) []U) *DataSet[U] {
-	return chainOp(d, "FlatMap", core.OpFlatMap, func(in []T, emit func([]U) error) error {
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		return emit(out)
-	})
-}
-
-// Filter keeps records where f is true, chained.
-func Filter[T any](d *DataSet[T], f func(T) bool) *DataSet[T] {
-	return chainOp(d, "Filter", core.OpFilter, func(in []T, emit func([]T) error) error {
-		var out []T
-		for _, v := range in {
-			if f(v) {
-				out = append(out, v)
-			}
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		return emit(out)
-	})
-}
-
 // MapPartition transforms a whole partition; f sees batches as they stream
 // through (Flink's mapPartition receives an iterator).
 func MapPartition[T, U any](d *DataSet[T], f func([]T) []U) *DataSet[U] {

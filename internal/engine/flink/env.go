@@ -16,9 +16,9 @@
 //     decodes every packet into one batch it reuses, and records with
 //     strings into an arena of growing chunks, so a received packet costs
 //     no allocation;
-//   - managed memory segments; operators that can spill do, while
-//     CoGroup's solution set must fit and kills the job otherwise — the
-//     paper's Table VII failure;
+//   - managed memory segments; operators that can spill do, while the
+//     delta iteration's solution set must fit and kills the job otherwise —
+//     the paper's Table VII failure;
 //   - native iterations: bulk and delta iteration operators whose body is
 //     scheduled once and whose state stays resident across supersteps; the
 //     static path is cached per iteration run — a join input that does not
@@ -80,10 +80,15 @@ const FlinkCombineStrategy = core.FlinkCombineStrategy
 // when 0. The shuffle settings go through the shared shuffle core: flink's
 // native idiom is the pipelined hash repartition; shuffle.strategy=sort
 // turns keyed exchanges into sort-based pipeline breakers. Buckets flush at
-// the configured network buffer size, the pipelining grain.
+// the configured network buffer size, the pipelining grain. It panics with
+// conf.Err() when Set recorded an unknown key or an illegal value:
+// dataflow.Open returns that error instead.
 func NewEnv(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Env {
 	if conf == nil {
 		conf = core.NewConfig()
+	}
+	if err := conf.Err(); err != nil {
+		panic(err)
 	}
 	spec := rt.Spec()
 	env := &Env{
@@ -128,8 +133,8 @@ func (e *Env) Timeline() *metrics.Timeline { return e.timeline }
 func (e *Env) Managed(n int) *memory.Managed { return e.managed[n] }
 
 // keysPerSegment approximates how many keyed records fit in one 32 KiB
-// managed segment: the cadence at which CoGroup and the delta iteration's
-// solution set charge the pool.
+// managed segment: the cadence at which the delta iteration's solution set
+// charges the pool.
 const keysPerSegment = 1024
 
 // nodeOf maps a partition to its executing node.

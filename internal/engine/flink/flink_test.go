@@ -37,6 +37,34 @@ func testEnv(t *testing.T, confEdit func(*core.Config)) *Env {
 	return NewEnv(conf, rt, fs)
 }
 
+// fields splits a batch of lines into their words: a FlatMap as the
+// MapPartition it lowers to.
+func fields(lines []string) []string {
+	var words []string
+	for _, l := range lines {
+		words = append(words, strings.Fields(l)...)
+	}
+	return words
+}
+
+// filterPart is a Filter as the MapPartition it lowers to.
+func filterPart[T any](f func(T) bool) func([]T) []T {
+	return func(in []T) []T {
+		var out []T
+		for _, v := range in {
+			if f(v) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+}
+
+// sumValues adds the values of two pairs with one key.
+func sumValues[K comparable](a, b core.Pair[K, int64]) core.Pair[K, int64] {
+	return core.KV(a.Key, a.Value+b.Value)
+}
+
 func TestFromSliceCollect(t *testing.T) {
 	e := testEnv(t, nil)
 	data := make([]int64, 64)
@@ -66,9 +94,10 @@ func TestWordCountGroupBySum(t *testing.T) {
 		"the quick dog dog dog brown",
 	}
 	ds := FromSlice(e, lines, 3)
-	words := FlatMap(ds, func(l string) []string { return strings.Fields(l) })
+	words := MapPartition(ds, fields)
 	pairs := Map(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
-	counts := Sum(GroupBy(pairs, func(p core.Pair[string, int64]) string { return p.Key }).WithParallelism(4))
+	counts := Reduce(GroupBy(pairs, func(p core.Pair[string, int64]) string { return p.Key }).WithParallelism(4),
+		sumValues[string])
 	got, err := Collect(counts)
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +136,9 @@ func TestPipelineIsOneSchedulingRound(t *testing.T) {
 func TestChainLabels(t *testing.T) {
 	e := testEnv(t, nil)
 	ds := FromSlice(e, []string{"a b"}, 1)
-	words := FlatMap(ds, func(l string) []string { return strings.Fields(l) })
-	filtered := Filter(words, func(w string) bool { return w != "" })
-	if got := filtered.ChainLabel(); got != "DataSource->FlatMap->Filter" {
+	words := MapPartition(ds, fields)
+	lens := Map(words, func(w string) int { return len(w) })
+	if got := lens.ChainLabel(); got != "DataSource->MapPartition->Map" {
 		t.Errorf("chain label = %q", got)
 	}
 }
@@ -117,17 +146,17 @@ func TestChainLabels(t *testing.T) {
 func TestPlanMatchesPaperWordCount(t *testing.T) {
 	e := testEnv(t, nil)
 	ds := FromSlice(e, []string{"a a b"}, 2)
-	words := FlatMap(ds, func(l string) []string { return strings.Fields(l) })
+	words := MapPartition(ds, fields)
 	pairs := Map(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
-	counts := Sum(GroupBy(pairs, func(p core.Pair[string, int64]) string { return p.Key }))
+	counts := Reduce(GroupBy(pairs, func(p core.Pair[string, int64]) string { return p.Key }), sumValues[string])
 	plan := PlanOf("WordCount", SinkOf(counts, "DataSink"))
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan invalid: %v", err)
 	}
 	ops := plan.Operators()
 	// The paper's Figure 3 chains: DataSource->FlatMap->GroupCombine,
-	// GroupReduce, DataSink.
-	want := []string{"DataSource->FlatMap->Map->GroupCombine", "GroupReduce(Sum)", "DataSink"}
+	// GroupReduce, DataSink — the FlatMap here is a MapPartition.
+	want := []string{"DataSource->MapPartition->Map->GroupCombine", "GroupReduce", "DataSink"}
 	if fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Errorf("plan operators = %v, want %v", ops, want)
 	}
@@ -144,7 +173,7 @@ func TestGrepFilterCount(t *testing.T) {
 		}
 	}
 	ds := FromSlice(e, lines, 4)
-	matched := Filter(ds, func(l string) bool { return strings.HasPrefix(l, "pattern") })
+	matched := MapPartition(ds, filterPart(func(l string) bool { return strings.HasPrefix(l, "pattern") }))
 	n, err := Count(matched)
 	if err != nil {
 		t.Fatal(err)
@@ -240,28 +269,6 @@ func TestJoin(t *testing.T) {
 		if j.Key != "x" || j.Value.Right.Value != "A" {
 			t.Errorf("unexpected join record %+v", j)
 		}
-	}
-}
-
-func TestCoGroup(t *testing.T) {
-	e := testEnv(t, nil)
-	left := FromSlice(e, []int64{1, 2, 2, 3}, 2)
-	right := FromSlice(e, []int64{2, 3, 3, 4}, 2)
-	cg := CoGroup(left, right,
-		func(v int64) int64 { return v },
-		func(v int64) int64 { return v },
-		2, false,
-		func(k int64, ls, rs []int64) []string {
-			return []string{fmt.Sprintf("%d:%d-%d", k, len(ls), len(rs))}
-		})
-	got, err := Collect(cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	want := []string{"1:1-0", "2:2-1", "3:1-2", "4:0-1"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("cogroup = %v, want %v", got, want)
 	}
 }
 
@@ -361,10 +368,12 @@ func TestDeltaIterationConvergesAndShrinks(t *testing.T) {
 	final := IterateDelta(sol, ws, 20,
 		func(cur *DataSet[core.Pair[int64, int64]], lookup func(int64) (int64, bool)) (*DataSet[core.Pair[int64, int64]], *DataSet[core.Pair[int64, int64]]) {
 			// Scatter: each workset vertex offers its label to neighbors.
-			offers := FlatMap(cur, func(p core.Pair[int64, int64]) []core.Pair[int64, int64] {
+			offers := MapPartition(cur, func(ps []core.Pair[int64, int64]) []core.Pair[int64, int64] {
 				var out []core.Pair[int64, int64]
-				for _, nb := range edges[p.Key] {
-					out = append(out, core.KV(nb, p.Value))
+				for _, p := range ps {
+					for _, nb := range edges[p.Key] {
+						out = append(out, core.KV(nb, p.Value))
+					}
 				}
 				return out
 			})
@@ -376,10 +385,10 @@ func TestDeltaIterationConvergesAndShrinks(t *testing.T) {
 					}
 					return a
 				})
-			improved := Filter(best, func(p core.Pair[int64, int64]) bool {
+			improved := MapPartition(best, filterPart(func(p core.Pair[int64, int64]) bool {
 				curLabel, ok := lookup(p.Key)
 				return ok && p.Value < curLabel
-			})
+			}))
 			return improved, improved
 		})
 	got, err := Collect(final)
@@ -401,7 +410,7 @@ func TestDeltaIterationSolutionSetOOM(t *testing.T) {
 	// several: the job must die like Flink's large-graph runs (Table VII).
 	e := testEnv(t, func(conf *core.Config) {
 		conf.SetBytes(core.FlinkTaskManagerMemory, core.ByteSize(2*memory.SegmentSize))
-		conf.SetFloat(core.FlinkMemoryFraction, 1.0)
+		conf.Set(core.FlinkMemoryFraction, "1.0")
 	})
 	var initial []core.Pair[int64, int64]
 	for i := int64(0); i < 5*keysPerSegment; i++ {
@@ -463,7 +472,7 @@ func reduceUnderOneSegment(t *testing.T, strategy string, recs []core.Pair[int64
 	t.Helper()
 	e := testEnv(t, func(conf *core.Config) {
 		conf.SetBytes(core.FlinkTaskManagerMemory, core.ByteSize(memory.SegmentSize))
-		conf.SetFloat(core.FlinkMemoryFraction, 1.0)
+		conf.Set(core.FlinkMemoryFraction, "1.0")
 		conf.Set(FlinkCombineStrategy, strategy)
 	})
 	red := Reduce(GroupBy(FromSlice(e, recs, 2), func(p core.Pair[int64, int64]) int64 { return p.Key }).WithParallelism(2),
@@ -574,31 +583,6 @@ func TestReduceFoldsKeysDrainedMidStream(t *testing.T) {
 	}
 }
 
-func TestGroupReduce(t *testing.T) {
-	e := testEnv(t, nil)
-	ds := FromSlice(e, []core.Pair[string, int64]{
-		core.KV("a", int64(3)), core.KV("b", int64(1)), core.KV("a", int64(5)),
-	}, 2)
-	maxes := GroupReduce(GroupBy(ds, func(p core.Pair[string, int64]) string { return p.Key }).WithParallelism(2),
-		func(k string, vs []core.Pair[string, int64]) []string {
-			best := vs[0].Value
-			for _, v := range vs {
-				if v.Value > best {
-					best = v.Value
-				}
-			}
-			return []string{fmt.Sprintf("%s=%d", k, best)}
-		})
-	got, err := Collect(maxes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	if fmt.Sprint(got) != "[a=5 b=1]" {
-		t.Errorf("group reduce = %v", got)
-	}
-}
-
 func TestBackpressureSmallBuffers(t *testing.T) {
 	// A tiny buffer pool forces flushes and channel blocking; the job must
 	// still complete correctly (backpressure, not deadlock).
@@ -610,7 +594,7 @@ func TestBackpressureSmallBuffers(t *testing.T) {
 		recs[i] = core.KV(int64(i%37), int64(1))
 	}
 	ds := FromSlice(e, recs, 4)
-	red := Sum(GroupBy(ds, func(p core.Pair[int64, int64]) int64 { return p.Key }).WithParallelism(4))
+	red := Reduce(GroupBy(ds, func(p core.Pair[int64, int64]) int64 { return p.Key }).WithParallelism(4), sumValues[int64])
 	got, err := Collect(red)
 	if err != nil {
 		t.Fatal(err)
@@ -625,7 +609,7 @@ func TestBackpressureSmallBuffers(t *testing.T) {
 }
 
 // TestReadTextFileReadsInSubtasks pins where a split is read: building
-// DataSource → Filter touches no block (no record counted, a handful of
+// DataSource → MapPartition touches no block (no record counted, a handful of
 // allocations however many lines and blocks the file has); the source
 // subtasks of the first job read the splits they pull.
 func TestReadTextFileReadsInSubtasks(t *testing.T) {
@@ -639,10 +623,10 @@ func TestReadTextFileReadsInSubtasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := Filter(ds, func(l string) bool { return len(l) > 0 })
+	kept := MapPartition(ds, filterPart(func(l string) bool { return len(l) > 0 }))
 	runtime.ReadMemStats(&after)
 	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 32 || b > 16<<10 {
-		t.Errorf("building DataSource→Filter allocated %d times, %d bytes; want O(1)", n, b)
+		t.Errorf("building DataSource→MapPartition allocated %d times, %d bytes; want O(1)", n, b)
 	}
 	if got := e.Metrics().RecordsRead.Load(); got != 0 {
 		t.Errorf("RecordsRead = %d before any job, want 0", got)
@@ -680,13 +664,6 @@ func TestFailedFinalPushStillClosesTheExchange(t *testing.T) {
 			// The Reduce consumer's finish pushes into the failing exchange;
 			// the combiner ahead of it flushes from close.
 			return Reduce(GroupBy(FromSlice(e, in, 2), id), func(a, _ int64) int64 { return a })
-		},
-		"GroupReduce": func(e *Env) *DataSet[int64] {
-			return GroupReduce(GroupBy(FromSlice(e, in, 2), id), func(k int64, _ []int64) []int64 { return []int64{k} })
-		},
-		"CoGroup": func(e *Env) *DataSet[int64] {
-			return CoGroup(FromSlice(e, in, 2), FromSlice(e, in, 2), id, id, 2, false,
-				func(k int64, _, _ []int64) []int64 { return []int64{k} })
 		},
 	} {
 		e := testEnv(t, nil)

@@ -6,7 +6,7 @@ import (
 )
 
 // Grouped is a keyed view of a DataSet, produced by GroupBy and consumed
-// by Sum/Reduce/GroupReduce — Flink's groupBy→aggregate pattern.
+// by Reduce and Distinct — Flink's groupBy→aggregate pattern.
 type Grouped[K comparable, T any] struct {
 	ds          *DataSet[T]
 	key         func(T) K
@@ -70,50 +70,6 @@ func Reduce[K comparable, T any](g *Grouped[K, T], f func(T, T) T) *DataSet[T] {
 				finish: func() error {
 					if vals := fold.Drain(); len(vals) > 0 {
 						return out.push(vals)
-					}
-					return nil
-				},
-			}
-		})
-}
-
-// Sum reduces pairs by adding their int64 values — the groupBy→sum of the
-// paper's Word Count.
-func Sum[K comparable](g *Grouped[K, core.Pair[K, int64]]) *DataSet[core.Pair[K, int64]] {
-	out := Reduce(g, func(a, b core.Pair[K, int64]) core.Pair[K, int64] {
-		return core.KV(a.Key, a.Value+b.Value)
-	})
-	out.chain = []string{"GroupReduce(Sum)"}
-	return out
-}
-
-// GroupReduce gathers all records of a key and applies f once per group
-// (no combiner — Flink only combines when the function is combinable).
-func GroupReduce[K comparable, T, U any](g *Grouped[K, T], f func(K, []T) []U) *DataSet[U] {
-	key, kd := g.key, g.keyed()
-	return newExchange[T, U](g.ds, "GroupReduce", core.OpGroupReduce, g.parallelism,
-		g.route(kd), kd, nil,
-		func(part int, out partSink[U]) recordConsumer[T] {
-			groups := make(map[K][]T)
-			var order []K
-			return recordConsumer[T]{
-				accept: func(batch []T) error {
-					for _, v := range batch {
-						k := key(v)
-						if _, ok := groups[k]; !ok {
-							order = append(order, k)
-						}
-						groups[k] = append(groups[k], v)
-					}
-					return nil
-				},
-				finish: func() error {
-					var outRecs []U
-					for _, k := range order {
-						outRecs = append(outRecs, f(k, groups[k])...)
-					}
-					if len(outRecs) > 0 {
-						return out.push(outRecs)
 					}
 					return nil
 				},

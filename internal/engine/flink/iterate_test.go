@@ -17,6 +17,10 @@ func keyOf(p kv) int64 { return p.Key }
 
 func pair(k, v int64) kv { return core.KV(k, v) }
 
+// keepLeft maps a record to itself whatever the broadcast set holds: it puts
+// a DataSet into the step's output without adding its records.
+func keepLeft(p kv, _ []kv) kv { return p }
+
 type joinedKV = core.Pair[int64, Joined[kv, kv]]
 
 // Which input of the join under test is on the iteration's static path.
@@ -67,11 +71,11 @@ func iteratedJoins(e *Env, dyn, static []kv, mode, parDyn, parStatic, q, n int) 
 				return nil
 			})
 		}
-		// The joins reach the next state through a co-group that keeps only
-		// the shifted records: the step's output depends on them, so every
-		// superstep runs them.
+		// The joins reach the next state as the broadcast set of a map that
+		// keeps only the shifted records: the step's output depends on them,
+		// so every superstep whose state is not empty runs them.
 		shifted := Map(cur, func(p kv) kv { return pair(p.Key+1, p.Value) })
-		return CoGroup(shifted, seen, keyOf, keyOf, parDyn, false, func(_ int64, ls, _ []kv) []kv { return ls })
+		return MapWithBroadcast(shifted, seen, keepLeft)
 	})
 	if _, err := Collect(final); err != nil {
 		return nil, err
@@ -267,7 +271,7 @@ func TestCachedJoinFailsWhenTheStepChangesShape(t *testing.T) {
 			next := cur
 			for _, j := range joins(superstep, cur, a, b) {
 				seen := Map(j, func(j joinedKV) kv { return j.Value.Left })
-				next = CoGroup(next, seen, keyOf, keyOf, 2, false, func(_ int64, ls, _ []kv) []kv { return ls })
+				next = MapWithBroadcast(next, seen, keepLeft)
 			}
 			return next
 		})

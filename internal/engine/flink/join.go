@@ -206,117 +206,8 @@ func (t *joinTable[K, B]) group(k K) []B {
 	return t.recs[t.bounds[g]:t.bounds[g+1]]
 }
 
-// CoGroup groups both inputs by key and applies f once per key present on
-// either side. When mustFit is set the left side is held with MustAcquire
-// semantics — the delta-iteration solution set behaviour whose exhaustion
-// crashes the job (the paper's Table VII "no" entries). Both sides route by
-// key hash to q consumer tasks; each consumer gathers the left side and the
-// right side, then emits f per key.
-func CoGroup[L, R any, K comparable, U any](left *DataSet[L], right *DataSet[R],
-	lk func(L) K, rk func(R) K, q int, mustFit bool,
-	f func(K, []L, []R) []U) *DataSet[U] {
-	if q <= 0 {
-		q = left.env.parallelism
-	}
-	e := left.env
-	ds := newDataSet[U](e, []string{"CoGroup"}, core.OpCoGroup, q, nil,
-		planParent{ds: left, exchange: true}, planParent{ds: right, exchange: true})
-	lCodec := serde.Of[L](e.style)
-	rCodec := serde.Of[R](e.style)
-	e.metrics.CodecFallbacks.Add(int64(lCodec.Fallbacks + rCodec.Fallbacks))
-
-	ds.produce = func(ctx *jobCtx, sinks []partSink[U]) error {
-		lchans := ctx.makeChannels(left.parallelism, q)
-		rchans := ctx.makeChannels(right.parallelism, q)
-		set := e.shuffleSet
-
-		if err := produceSide(ctx, left, lCodec, lchans, set, func(v L) int {
-			return int(core.HashKey(lk(v)) % uint64(q))
-		}); err != nil {
-			return err
-		}
-		if err := produceSide(ctx, right, rCodec, rchans, set, func(v R) int {
-			return int(core.HashKey(rk(v)) % uint64(q))
-		}); err != nil {
-			return err
-		}
-
-		for part := 0; part < q; part++ {
-			part := part
-			node := ctx.place(part, nil)
-			ctx.addTask(node, func() error {
-				pool := e.managed[node]
-				builds := make(map[K][]L)
-				probes := make(map[K][]R)
-				var order []K
-				seen := make(map[K]bool)
-				note := func(k K) error {
-					if !seen[k] {
-						seen[k] = true
-						order = append(order, k)
-						if mustFit && len(order)%keysPerSegment == 0 {
-							if err := pool.MustAcquire(1, "CoGroup (solution set)"); err != nil {
-								return err
-							}
-						}
-					}
-					return nil
-				}
-				// Drain the left side first (its channel closes when all
-				// producers finish), then the right side.
-				if err := drainSide(e, node, "CoGroup", lchans[part], lCodec, set, func(batch []L) error {
-					for _, v := range batch {
-						k := lk(v)
-						if err := note(k); err != nil {
-							return err
-						}
-						builds[k] = append(builds[k], v)
-					}
-					return nil
-				}); err != nil {
-					// Still drain the right side so its producers can finish
-					// (the Table VII MustAcquire failure lands here).
-					for pkt := range rchans[part] {
-						pkt.Block.Release()
-					}
-					return endFailed(ctx, sinks[part], err)
-				}
-				if err := drainSide(e, node, "CoGroup", rchans[part], rCodec, set, func(batch []R) error {
-					for _, v := range batch {
-						k := rk(v)
-						if err := note(k); err != nil {
-							return err
-						}
-						probes[k] = append(probes[k], v)
-					}
-					return nil
-				}); err != nil {
-					return endFailed(ctx, sinks[part], err)
-				}
-				var outRecs []U
-				err := guard(func() error {
-					for _, k := range order {
-						outRecs = append(outRecs, f(k, builds[k], probes[k])...)
-					}
-					return nil
-				})
-				if mustFit {
-					pool.Release(len(order) / keysPerSegment)
-				}
-				if err != nil {
-					return endFailed(ctx, sinks[part], err)
-				}
-				return flushAndClose(ctx, sinks[part], outRecs)
-			})
-		}
-		return nil
-	}
-	return ds
-}
-
-// produceSide wires one input of a two-input operator into its channels
-// through the shared shuffle core. Both inputs of a hash join/co-group are
-// pipelined hash repartitions on every strategy — the consumer builds hash
+// produceSide wires one input of a hash join into its channels through the
+// shared shuffle core. Both inputs are pipelined hash repartitions on every strategy — the consumer builds hash
 // tables, so there is no order to sort by.
 func produceSide[T any](ctx *jobCtx, parent *DataSet[T], codec serde.Codec[T],
 	chans []chan shuffle.Packet, set shuffle.Settings, route func(T) int) error {

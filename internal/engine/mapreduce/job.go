@@ -71,38 +71,9 @@ type Input[I any] struct {
 // NumSplits returns the number of map tasks the input produces.
 func (in Input[I]) NumSplits() int { return in.n }
 
-// TextInput reads a DFS file as lines, one split per block with HDFS
-// record-boundary conventions (TextInputFormat).
-func TextInput(c *Cluster, name string) (Input[string], error) {
-	f, err := c.fs.Open(name)
-	if err != nil {
-		return Input[string]{}, fmt.Errorf("mapreduce: textInput: %w", err)
-	}
-	return fileInput(c, f, f.LineBatches), nil
-}
-
-// fileInput is the file InputFormat: one split per block of f, which map
-// task m streams through read (a dfs split reader) exec.batch.size records
-// at a time from the task's one buffer — the RecordReader's reused buffer.
-// The records themselves are views of the stored file and may be kept.
-func fileInput[I any](c *Cluster, f *dfs.File,
-	read func(split int, buf []I, yield func([]I) error) error) Input[I] {
-	width := c.conf.ExecBatchSize
-	scan := func(m int, yield func([]I) error) error { return read(m, make([]I, width), yield) }
-	return Input[I]{n: f.NumBlocks(), scan: scan, pref: f.PreferredNode, bytes: f.Size()}
-}
-
-// SliceInput splits an in-memory slice over numSplits map tasks
-// (the testing analog of spark.Parallelize; placement is round-robin).
-func SliceInput[I any](c *Cluster, data []I, numSplits int) Input[I] {
-	splits := SplitSlice(c, data, numSplits)
-	return SplitsInput(c, len(splits), func(m int, yield func([]I) error) error { return yield(splits[m]) }, nil, 0)
-}
-
 // SplitSlice is the engine's slice-partitioning rule: one split per map
 // task, clamped so no split is empty; numSplits ≤ 0 derives one per node.
-// It is exported so layers that build their own inputs (the dataflow
-// lowering) partition identically to native jobs.
+// It is exported so the dataflow lowering's slice sources partition by it.
 func SplitSlice[I any](c *Cluster, data []I, numSplits int) [][]I {
 	if numSplits <= 0 {
 		numSplits = c.rt.Spec().Nodes
@@ -128,8 +99,7 @@ func SplitSlice[I any](c *Cluster, data []I, numSplits int) [][]I {
 // record pipelines into the map phase (the dataflow layer's lowering):
 // scan(m, yield) runs inside map task m, concurrently with the other
 // splits', and pushes the split to yield in as many batches as it likes
-// (see Input for the terms). A nil pref places splits round-robin like
-// SliceInput.
+// (see Input for the terms). A nil pref places splits round-robin.
 func SplitsInput[I any](c *Cluster, n int, scan func(m int, yield func([]I) error) error,
 	pref func(split int) int, bytes int64) Input[I] {
 	if pref == nil {
@@ -139,7 +109,7 @@ func SplitsInput[I any](c *Cluster, n int, scan func(m int, yield func([]I) erro
 }
 
 // Output is one job's reduce output, kept per reduce partition in key
-// order. The driver reads it back or writes it to the DFS.
+// order, for the caller to read back.
 type Output[K cmp.Ordered, V any] struct {
 	Partitions [][]core.Pair[K, V]
 }
@@ -151,28 +121,6 @@ func (o *Output[K, V]) Pairs() []core.Pair[K, V] {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// WriteText stores the output on the DFS as one "key\tvalue" line per
-// record (TextOutputFormat) and charges the write.
-func (o *Output[K, V]) WriteText(c *Cluster, name string) {
-	var buf []byte
-	for _, part := range o.Partitions {
-		for _, kv := range part {
-			buf = append(buf, fmt.Sprintf("%v\t%v\n", kv.Key, kv.Value)...)
-		}
-	}
-	c.fs.WriteFile(name, buf)
-	c.metrics.DiskBytesWritten.Add(int64(len(buf)))
-	c.metrics.RecordsWritten.Add(int64(countRecords(o.Partitions)))
-}
-
-func countRecords[K cmp.Ordered, V any](parts [][]core.Pair[K, V]) int {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	return n
 }
 
 // defaultPartition hashes the key's string form, the HashPartitioner

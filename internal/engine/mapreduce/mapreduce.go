@@ -68,10 +68,15 @@ type Cluster struct {
 // shared shuffle core: classic Hadoop IS the sort strategy (sorted spills,
 // merged segments, sort-merge reduce), with the io.sort buffer as the
 // record-count spill trigger; shuffle.strategy=hash keeps segments unsorted
-// and moves the sort after the reduce-side fetch.
+// and moves the sort after the reduce-side fetch. It panics with conf.Err()
+// when Set recorded an unknown key or an illegal value: dataflow.Open
+// returns that error instead.
 func NewCluster(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Cluster {
 	if conf == nil {
 		conf = core.NewConfig()
+	}
+	if err := conf.Err(); err != nil {
+		panic(err)
 	}
 	c := &Cluster{
 		conf:       *conf,

@@ -28,6 +28,27 @@ func fixture(t testing.TB, conf *core.Config) *Cluster {
 	return NewCluster(conf, rt, dfs.New(2, 4*core.KB, 1))
 }
 
+// textInput reads a DFS file as lines, one split per block, the way the
+// dataflow layer's text source feeds a job: SplitsInput over the file's
+// LineBatches, each map task streaming its split through one buffer.
+func textInput(t testing.TB, c *Cluster, name string) Input[string] {
+	t.Helper()
+	f, err := c.FS().Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SplitsInput(c, f.NumBlocks(), func(m int, yield func([]string) error) error {
+		return f.LineBatches(m, make([]string, c.Conf().ExecBatchSize), yield)
+	}, f.PreferredNode, f.Size())
+}
+
+// sliceInput splits data over numSplits map tasks by the engine's rule, the
+// way the dataflow layer's slice source does: SplitsInput over SplitSlice.
+func sliceInput[I any](c *Cluster, data []I, numSplits int) Input[I] {
+	splits := SplitSlice(c, data, numSplits)
+	return SplitsInput(c, len(splits), func(m int, yield func([]I) error) error { return yield(splits[m]) }, nil, 0)
+}
+
 func wordCountJob() Job[string, string, int64] {
 	return Job[string, string, int64]{
 		Name: "WordCount",
@@ -57,11 +78,7 @@ func TestWordCountCorrect(t *testing.T) {
 	c := fixture(t, nil)
 	text := strings.Repeat("the quick brown fox jumps over the lazy dog\nthe end\n", 200)
 	c.FS().WriteFile("in", []byte(text))
-	in, err := TextInput(c, "in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(c, wordCountJob(), in)
+	out, err := Run(c, wordCountJob(), textInput(t, c, "in"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +110,7 @@ func TestSpillsWithTinySortBuffer(t *testing.T) {
 	conf := core.NewConfig().SetInt(MRSortRecords, 16)
 	c := fixture(t, conf)
 	c.FS().WriteFile("in", []byte(strings.Repeat("a b c d e f g h\n", 100)))
-	in, err := TextInput(c, "in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(c, wordCountJob(), in); err != nil {
+	if _, err := Run(c, wordCountJob(), textInput(t, c, "in")); err != nil {
 		t.Fatal(err)
 	}
 	if c.Metrics().SpillCount.Load() < 2 {
@@ -111,8 +124,7 @@ func TestSpillsWithTinySortBuffer(t *testing.T) {
 func TestBarrierBetweenPhases(t *testing.T) {
 	c := fixture(t, nil)
 	c.FS().WriteFile("in", []byte("x y z\n"))
-	in, _ := TextInput(c, "in")
-	if _, err := Run(c, wordCountJob(), in); err != nil {
+	if _, err := Run(c, wordCountJob(), textInput(t, c, "in")); err != nil {
 		t.Fatal(err)
 	}
 	// One job = exactly two scheduling waves: the map wave drains fully
@@ -149,7 +161,7 @@ func TestIdentityReduceWithRangePartitionerSorts(t *testing.T) {
 			return part.Partition(k)
 		},
 	}
-	out, err := Run(c, job, SliceInput(c, recs, 6))
+	out, err := Run(c, job, sliceInput(c, recs, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +182,7 @@ func TestNoCachingAcrossChainedJobs(t *testing.T) {
 	c.FS().WriteFile("in", []byte(strings.Repeat("a b c\n", 500)))
 	var reads []int64
 	err := Iterate(c, 3, func(round int) error {
-		in, err := TextInput(c, "in")
-		if err != nil {
-			return err
-		}
-		if _, err := Run(c, wordCountJob(), in); err != nil {
+		if _, err := Run(c, wordCountJob(), textInput(t, c, "in")); err != nil {
 			return err
 		}
 		reads = append(reads, c.Metrics().DiskBytesRead.Load())
@@ -199,18 +207,17 @@ func TestNoCachingAcrossChainedJobs(t *testing.T) {
 	}
 }
 
+// TestMissingInputAndIdentityJob runs a job without a reducer. A missing
+// input fails where a file is opened, in the dataflow text source:
+// TestFailedSinkWritesNoFile (internal/dataflow) reads one on every engine.
 func TestMissingInputAndIdentityJob(t *testing.T) {
 	c := fixture(t, nil)
-	if _, err := TextInput(c, "missing-file"); err == nil {
-		t.Error("opening a missing input should fail")
-	}
 	identity := Job[string, string, int64]{
 		Name: "Identity",
 		Map:  func(r string, emit func(string, int64)) { emit(r, 1) },
 	}
 	c.FS().WriteFile("in", []byte("a\nb\n"))
-	in, _ := TextInput(c, "in")
-	out, err := Run(c, identity, in)
+	out, err := Run(c, identity, textInput(t, c, "in"))
 	if err != nil {
 		t.Fatalf("identity job should pass: %v", err)
 	}
@@ -249,25 +256,6 @@ func TestOperatorsChain(t *testing.T) {
 	ident := Job[string, string, bool]{Name: "ident"}
 	if ops := strings.Join(ident.Operators(), "→"); !strings.Contains(ops, "IdentityReduce") {
 		t.Errorf("identity chain missing IdentityReduce: %s", ops)
-	}
-}
-
-func TestWriteTextOutput(t *testing.T) {
-	c := fixture(t, nil)
-	c.FS().WriteFile("in", []byte("b a\n"))
-	in, _ := TextInput(c, "in")
-	out, err := Run(c, wordCountJob(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.WriteText(c, "wc-out")
-	f, err := c.FS().Open("wc-out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(f.Contents())
-	if !strings.Contains(body, "a\t1") || !strings.Contains(body, "b\t1") {
-		t.Errorf("unexpected text output: %q", body)
 	}
 }
 
@@ -318,60 +306,6 @@ func TestDefaultPartitionMatchesFmtForm(t *testing.T) {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("defaultPartition(%s) allocates %v times per record", name, n)
 		}
-	}
-}
-
-// TestTextInputReadsInMapTasks pins where a split is read: TextInput
-// touches no block (no record counted, a handful of allocations however
-// many lines and blocks the file has); map task m reads split m, after it
-// has been launched.
-func TestTextInputReadsInMapTasks(t *testing.T) {
-	c := fixture(t, nil)
-	text := []byte(strings.Repeat("a line of some forty bytes, give or take\n", 1<<20/41))
-	lines := int64(len(text) / 41)
-	c.FS().WriteFile("big", text)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	in, err := TextInput(c, "big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n > 32 || b > 16<<10 {
-		t.Errorf("TextInput over %d splits allocated %d times, %d bytes; want O(1)", in.NumSplits(), n, b)
-	}
-	if got := c.Metrics().RecordsRead.Load(); got != 0 {
-		t.Errorf("RecordsRead = %d before the job, want 0", got)
-	}
-	var launchedAtFirstMap atomic.Int64
-	job := Job[string, int, int64]{
-		Name:    "Count",
-		Reduces: 1,
-		Map: func(_ string, emit func(int, int64)) {
-			launchedAtFirstMap.CompareAndSwap(0, c.Metrics().TasksLaunched.Load())
-			emit(0, 1)
-		},
-		Combine: func(_ int, vs []int64) int64 { return int64(len(vs)) },
-		Reduce: func(k int, vs []int64, emit func(int, int64)) {
-			var n int64
-			for _, v := range vs {
-				n += v
-			}
-			emit(k, n)
-		},
-	}
-	out, err := Run(c, job, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.Pairs(); len(got) != 1 || got[0].Value != lines {
-		t.Errorf("count = %v, want %d", got, lines)
-	}
-	if got := c.Metrics().RecordsRead.Load(); got != lines {
-		t.Errorf("RecordsRead = %d after the job, want %d", got, lines)
-	}
-	if launchedAtFirstMap.Load() == 0 {
-		t.Error("Map ran before any task was launched")
 	}
 }
 
@@ -510,11 +444,7 @@ func TestUserPanicsBecomeJobErrors(t *testing.T) {
 			job.Reduce = func(string, []int64, func(string, int64)) { panic("reduce blew up") }
 		}
 		c.FS().WriteFile("in", []byte(strings.Repeat("a b a c\n", 300)))
-		in, err := TextInput(c, "in")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Run(c, job, in)
+		_, err := Run(c, job, textInput(t, c, "in"))
 		if err == nil {
 			t.Fatalf("%s: a panicking job succeeded", where)
 		}
@@ -557,7 +487,7 @@ func TestCombinerAllocatesPerSpillNotPerKey(t *testing.T) {
 		Combine: func(_ int64, vs []int64) int64 { return sum(vs) },
 		Reduce:  func(k int64, vs []int64, emit func(int64, int64)) { emit(k, sum(vs)) },
 	}
-	in := SliceInput(c, recs, 2)
+	in := sliceInput(c, recs, 2)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -612,7 +542,7 @@ func TestJobReturnsEveryBufferToThePool(t *testing.T) {
 				},
 			}
 			gets0, puts0, _ := memory.DefaultPool.Stats()
-			_, err := Run(c, job, SliceInput(c, recs, 4))
+			_, err := Run(c, job, sliceInput(c, recs, 4))
 			gets, puts, _ := memory.DefaultPool.Stats()
 			if (err != nil) != fail {
 				t.Fatalf("%s: Run = %v", name, err)

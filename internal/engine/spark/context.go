@@ -9,9 +9,9 @@
 //   - partition control (Section II-C): an RDD records the partitioner its
 //     keys were shuffled by, Filter and MapValues keep it, and a keyed
 //     operator (CombineByKey and its ReduceByKey / GroupByKey, PartitionBy,
-//     CoGroup and Join) over inputs that already have the partitioner it
-//     needs takes a narrow dependency instead of a shuffle — what keeps
-//     GraphX's joins of cached vertices and edges narrow;
+//     CoGroup) over inputs that already have the partitioner it needs takes
+//     a narrow dependency instead of a shuffle — what keeps GraphX's joins
+//     of cached vertices and edges narrow;
 //   - staged execution: the DAG scheduler cuts stages at shuffle
 //     dependencies and inserts a full barrier between stages;
 //   - a tungsten-sort-style shuffle with map-side combine that spills when
@@ -79,10 +79,14 @@ const (
 // or two tasks per core (Spark's documented recommendation) when 0. The
 // shuffle settings follow spark.shuffle.manager ("hash" = hash-bucketed,
 // "sort" and the paper's tungsten-sort = the sort strategy);
-// shuffle.strategy overrides.
+// shuffle.strategy overrides. It panics with conf.Err() when Set recorded an
+// unknown key or an illegal value: dataflow.Open returns that error instead.
 func NewContext(conf *core.Config, rt *cluster.Runtime, fs *dfs.FS) *Context {
 	if conf == nil {
 		conf = core.NewConfig()
+	}
+	if err := conf.Err(); err != nil {
+		panic(err)
 	}
 	spec := rt.Spec()
 	ctx := &Context{

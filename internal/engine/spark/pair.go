@@ -242,38 +242,6 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 	return out
 }
 
-// Joined is the result element of an inner join.
-type Joined[V, W any] struct {
-	Left  V
-	Right W
-}
-
-// Join inner-joins two pair RDDs on their keys, hash-partitioned over
-// numParts: Spark's join, a CoGroup whose groups are flattened into every
-// left × right pairing. A side that already has that partitioner is read
-// in place; the result keeps it.
-func Join[K comparable, V, W any](left *RDD[core.Pair[K, V]], right *RDD[core.Pair[K, W]],
-	numParts int) *RDD[core.Pair[K, Joined[V, W]]] {
-	cg := CoGroup(left, right, hashPartitioner[K](left.ctx, numParts))
-	out := narrow(cg, "Join", core.OpJoin, func(in []core.Pair[K, CoGrouped[V, W]], _ *taskContext) ([]core.Pair[K, Joined[V, W]], error) {
-		n := 0
-		for _, g := range in {
-			n += len(g.Value.Left) * len(g.Value.Right)
-		}
-		recs := make([]core.Pair[K, Joined[V, W]], 0, n)
-		for _, g := range in {
-			for _, lv := range g.Value.Left {
-				for _, rv := range g.Value.Right {
-					recs = append(recs, core.KV(g.Key, Joined[V, W]{Left: lv, Right: rv}))
-				}
-			}
-		}
-		return recs, nil
-	})
-	out.partitioner = cg.partitioner
-	return out
-}
-
 // CoGrouped is one key's values on the two sides of a CoGroup, each side in
 // partition order. Both slices are full (capacity = length), so appending
 // to one copies instead of overwriting its neighbour's values.

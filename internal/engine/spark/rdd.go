@@ -222,17 +222,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	})
 }
 
-// FlatMap applies f and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return narrow(r, "FlatMap", core.OpFlatMap, func(in []T, tc *taskContext) ([]U, error) {
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		return out, nil
-	})
-}
-
 // Filter keeps records where f is true. No record moves, so the result
 // keeps r's partitioner.
 func Filter[T any](r *RDD[T], f func(T) bool) *RDD[T] {

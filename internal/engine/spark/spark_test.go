@@ -34,6 +34,16 @@ func testContext(t *testing.T, confEdit func(*core.Config)) *Context {
 	return NewContext(conf, rt, fs)
 }
 
+// fields splits a partition's lines into their words: a FlatMap as the
+// MapPartitions it lowers to.
+func fields(lines []string) []string {
+	var words []string
+	for _, l := range lines {
+		words = append(words, strings.Fields(l)...)
+	}
+	return words
+}
+
 func TestParallelizeCollect(t *testing.T) {
 	c := testContext(t, nil)
 	data := make([]int64, 100)
@@ -66,7 +76,7 @@ func TestWordCountPipeline(t *testing.T) {
 		"the quick dog dog dog brown",
 	}
 	rdd := Parallelize(c, lines, 3)
-	words := FlatMap(rdd, func(l string) []string { return strings.Fields(l) })
+	words := MapPartitions(rdd, fields)
 	pairs := MapToPair(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 	counts := ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 4)
 	got, err := Collect(counts)
@@ -207,18 +217,23 @@ func TestGroupByKeyAndJoin(t *testing.T) {
 	right := Parallelize(c, []core.Pair[string, string]{
 		core.KV("x", "A"), core.KV("z", "C"),
 	}, 2)
-	joined, err := Collect(Join(left, right, 4))
+	groups, err := Collect(CoGroup(left, right, core.NewHashPartitioner[string](4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inner join: only key "x" matches, with 2 left values × 1 right value.
-	if len(joined) != 2 {
-		t.Fatalf("join produced %d records, want 2: %v", len(joined), joined)
-	}
-	for _, j := range joined {
-		if j.Key != "x" || j.Value.Right != "A" {
-			t.Errorf("unexpected join record %v", j)
+	// The inner join is every left × right pairing of a key's groups: only
+	// key "x" matches, with 2 left values × 1 right value.
+	var joined []string
+	for _, g := range groups {
+		for _, l := range g.Value.Left {
+			for _, r := range g.Value.Right {
+				joined = append(joined, fmt.Sprintf("%s %d %s", g.Key, l, r))
+			}
 		}
+	}
+	sort.Strings(joined)
+	if fmt.Sprint(joined) != "[x 1 A x 2 A]" || len(groups) != 3 {
+		t.Errorf("cogroup %v joins to %v, want [x 1 A x 2 A] from 3 keys", groups, joined)
 	}
 }
 
@@ -430,7 +445,7 @@ func TestTransientTaskRetry(t *testing.T) {
 func TestStagesCount(t *testing.T) {
 	c := testContext(t, nil)
 	r := Parallelize(c, []string{"a b", "b c"}, 2)
-	words := FlatMap(r, func(s string) []string { return strings.Fields(s) })
+	words := MapPartitions(r, fields)
 	pairs := MapToPair(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 	counts := ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 2)
 	stages := func(run func() error) int64 {
@@ -452,7 +467,7 @@ func TestStagesCount(t *testing.T) {
 func TestPlanOf(t *testing.T) {
 	c := testContext(t, nil)
 	r := Parallelize(c, []string{"a"}, 1)
-	words := FlatMap(r, func(s string) []string { return strings.Fields(s) })
+	words := MapPartitions(r, fields)
 	pairs := MapToPair(words, func(w string) core.Pair[string, int64] { return core.KV(w, int64(1)) })
 	counts := ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 1)
 	plan := PlanOf("WordCount", SinkOf(counts, "SaveAsTextFile"))
@@ -460,7 +475,7 @@ func TestPlanOf(t *testing.T) {
 		t.Fatalf("plan invalid: %v", err)
 	}
 	ops := plan.Operators()
-	want := []string{"Parallelize", "FlatMap", "MapToPair", "ReduceByKey", "SaveAsTextFile"}
+	want := []string{"Parallelize", "MapPartitions", "MapToPair", "ReduceByKey", "SaveAsTextFile"}
 	if fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Errorf("plan operators = %v, want %v", ops, want)
 	}

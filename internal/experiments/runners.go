@@ -5,10 +5,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
-	"repro/internal/engine/flink"
-	"repro/internal/engine/spark"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -318,17 +317,19 @@ func runTab7() (*Report, error) {
 
 func runTab1() (*Report, error) {
 	spec := cluster.Spec{Nodes: 2, CoresPerNode: 4, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
-	srt, err := cluster.NewRuntime(spec, 4)
-	if err != nil {
-		return nil, err
+	var sessions []*dataflow.Session
+	for _, engine := range []string{"spark", "flink"} {
+		rt, err := cluster.NewRuntime(spec, 4)
+		if err != nil {
+			return nil, err
+		}
+		s, err := dataflow.Open(engine, dataflow.WithRuntime(rt), dataflow.WithFS(dfs.New(2, 64*core.KB, 1)))
+		if err != nil {
+			return nil, fmt.Errorf("tab1: %w", err)
+		}
+		sessions = append(sessions, s)
 	}
-	frt, err := cluster.NewRuntime(spec, 4)
-	if err != nil {
-		return nil, err
-	}
-	ctx := spark.NewContext(core.NewConfig(), srt, dfs.New(2, 64*core.KB, 1))
-	env := flink.NewEnv(core.NewConfig(), frt, dfs.New(2, 64*core.KB, 1))
-	plans, err := workloads.Plans(ctx, env)
+	plans, err := workloads.Plans(sessions...)
 	if err != nil {
 		return nil, fmt.Errorf("tab1: %w", err)
 	}

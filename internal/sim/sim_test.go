@@ -266,6 +266,43 @@ func TestDeltaVsBulkCCAblation(t *testing.T) {
 	}
 }
 
+// TestStagedTeraSortSlowerThanPipelined is the pipelining ablation: Flink's
+// Tera Sort of 3.5 TB on 55 nodes runs slower with its pipeline cut into
+// stages than pipelined (6338 s against 4743 s), so the pipeline is where
+// its advantage over Spark comes from.
+func TestStagedTeraSortSlowerThanPipelined(t *testing.T) {
+	p := params(Flink, 55, nil)
+	piped := TeraSortJob{TotalBytes: 3584 * core.GB}.Run(p)
+	staged := TeraSortJob{TotalBytes: 3584 * core.GB, DisablePipeline: true}.Run(p)
+	if piped.Failed() || staged.Failed() {
+		t.Fatalf("runs failed: %v %v", piped.Err, staged.Err)
+	}
+	if staged.Seconds <= piped.Seconds {
+		t.Errorf("staged flink (%.0f s) should be slower than pipelined (%.0f s)", staged.Seconds, piped.Seconds)
+	}
+}
+
+// TestEdgePartitionSweepIsUShaped is §VI-E: Spark's Page Rank on the medium
+// graph slows down when spark.edge.partitions goes far below one partition a
+// core (idle cores) or far above it (more files to handle) — 440.7 s at a
+// quarter, 419.6 s at one, 472.3 s at six partitions a core.
+func TestEdgePartitionSweepIsUShaped(t *testing.T) {
+	run := func(parts int) float64 {
+		r := GraphJob{Algo: PageRank, Graph: datagen.MediumGraph, SizeBytes: 30822 * core.MB, Iterations: 20}.
+			Run(params(Spark, 27, func(c *core.Config) {
+				c.SetBytes(core.SparkExecutorMemory, 96*core.GB).SetInt(core.SparkEdgePartitions, parts)
+			}))
+		if r.Failed() {
+			t.Fatalf("%d edge partitions: %v", parts, r.Err)
+		}
+		return r.Seconds
+	}
+	low, tuned, high := run(27*4), run(27*16), run(27*16*6)
+	if high <= tuned || low <= tuned {
+		t.Errorf("edge-partition sweep should be U-shaped: low=%.1f tuned=%.1f high=%.1f", low, tuned, high)
+	}
+}
+
 func TestDeterministicGivenSeed(t *testing.T) {
 	job := TeraSortJob{TotalBytes: 512 * core.GB}
 	a := job.Run(params(Flink, 16, nil))

@@ -65,7 +65,7 @@ func TestFlinkCombineStrategiesKeepParity(t *testing.T) {
 			for _, budget := range []core.ByteSize{256 * core.MB, core.ByteSize(memory.SegmentSize)} {
 				s := paritySessionConf(t, "flink", func(conf *core.Config) {
 					conf.Set(flink.FlinkCombineStrategy, combine).Set(core.ShuffleStrategy, strategy).
-						SetBytes(core.FlinkTaskManagerMemory, budget).SetFloat(core.FlinkMemoryFraction, 1.0)
+						SetBytes(core.FlinkTaskManagerMemory, budget).Set(core.FlinkMemoryFraction, "1.0")
 				})
 				s.FS().WriteFile("wiki", text)
 				if err := WordCount(s, "wiki", "wc-out"); err != nil {

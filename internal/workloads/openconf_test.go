@@ -1,14 +1,20 @@
 package workloads
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
+	"repro/internal/dfs"
+	"repro/internal/engine/flink"
+	"repro/internal/engine/mapreduce"
+	"repro/internal/engine/spark"
 )
 
 // TestSettingsAreFixedAtOpen pins that an engine takes its settings once,
@@ -118,5 +124,40 @@ func TestOpenRejectsBadSettings(t *testing.T) {
 				t.Errorf("%s with %s=%s: Open error %v, want one naming %s", engine, kv[0], kv[1], err, kv[0])
 			}
 		}
+	}
+}
+
+// TestEnginesRefuseBadSettings: an engine built without dataflow.Open refuses
+// the Config Open refuses. Each constructor panics with the Config's error,
+// which names the key, instead of running on the key's old value.
+func TestEnginesRefuseBadSettings(t *testing.T) {
+	for _, row := range []struct {
+		engine, key, value string
+		build              func(*core.Config, *cluster.Runtime, *dfs.FS)
+	}{
+		{"spark", core.SparkSerializer, "kyro", func(c *core.Config, rt *cluster.Runtime, fs *dfs.FS) {
+			spark.NewContext(c, rt, fs)
+		}},
+		{"flink", core.FlinkCombineStrategy, "Sort", func(c *core.Config, rt *cluster.Runtime, fs *dfs.FS) {
+			flink.NewEnv(c, rt, fs)
+		}},
+		{"mapreduce", core.MRSortRecords, "0", func(c *core.Config, rt *cluster.Runtime, fs *dfs.FS) {
+			mapreduce.NewCluster(c, rt, fs)
+		}},
+	} {
+		spec := cluster.Spec{Nodes: 2, CoresPerNode: 2, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
+		rt, err := cluster.NewRuntime(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf := core.NewConfig().Set(row.key, row.value)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), row.key) {
+					t.Errorf("%s with %s=%s: constructor panic %v, want one naming %s", row.engine, row.key, row.value, r, row.key)
+				}
+			}()
+			row.build(conf, rt, dfs.New(spec.Nodes, 64*core.KB, 1))
+		}()
 	}
 }

@@ -3,18 +3,16 @@ package workloads
 import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/engine/flink"
-	"repro/internal/engine/spark"
 )
 
 // Plans builds (without executing) the logical plans of every workload on
-// both in-memory frameworks — the data behind the paper's Table I, one row
-// per workload and framework. Every row renders what the workload runs: the
-// batch rows from the unified dataflow pipelines as each engine lowers them,
-// the graph rows from dataflow/graph's Pregel builders.
+// each session's engine — the data behind the paper's Table I, one row per
+// workload and session, workload by workload. Every row renders what the
+// workload runs: the batch rows from the unified dataflow pipelines as each
+// engine lowers them, the graph rows from dataflow/graph's Pregel builders,
+// so the sessions are spark and flink ones (graph plans render on no other).
 // cmd/planviz additionally prints the MapReduce column via UnifiedPlans.
-func Plans(ctx *spark.Context, env *flink.Env) ([]*core.Plan, error) {
-	sessions := []*dataflow.Session{dataflow.NewSession(ctx), dataflow.NewSession(env)}
+func Plans(sessions ...*dataflow.Session) ([]*core.Plan, error) {
 	var plans []*core.Plan
 	for _, build := range []func(*dataflow.Session) (*core.Plan, error){
 		WordCountPlan, GrepPlan, TeraSortPlan, KMeansPlan, PageRankPlan, ConnectedComponentsPlan,

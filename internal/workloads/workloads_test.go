@@ -13,38 +13,38 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
-	"repro/internal/engine/flink"
-	"repro/internal/engine/spark"
 )
 
-// pairCtx builds matched spark and flink runtimes over the same topology
-// with separate filesystems holding identical inputs.
-func pairCtx(t *testing.T) (*spark.Context, *flink.Env) {
+// pairSessions opens matched spark and flink sessions over the same topology
+// with separate filesystems, for identical inputs.
+func pairSessions(t *testing.T) (sp, fl *dataflow.Session) {
 	t.Helper()
 	spec := cluster.Spec{Nodes: 2, CoresPerNode: 8, MemPerNode: core.GB, DiskSeqMiBps: 100, NetMiBps: 100}
-	srt, err := cluster.NewRuntime(spec, 8)
-	if err != nil {
-		t.Fatal(err)
+	open := func(engine string, conf *core.Config) *dataflow.Session {
+		rt, err := cluster.NewRuntime(spec, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := dataflow.Open(engine, dataflow.WithConfig(conf), dataflow.WithRuntime(rt),
+			dataflow.WithFS(dfs.New(spec.Nodes, 16*core.KB, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	frt, err := cluster.NewRuntime(spec, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sconf := core.NewConfig()
-	sconf.SetInt(core.SparkDefaultParallelism, 8)
-	sconf.SetBytes(core.SparkExecutorMemory, 256*core.MB)
-	fconf := core.NewConfig()
-	fconf.SetInt(core.FlinkDefaultParallelism, 4)
-	fconf.SetBytes(core.FlinkTaskManagerMemory, 256*core.MB)
-	fconf.SetInt(core.FlinkNetworkBuffers, 8192)
-	ctx := spark.NewContext(sconf, srt, dfs.New(spec.Nodes, 16*core.KB, 1))
-	env := flink.NewEnv(fconf, frt, dfs.New(spec.Nodes, 16*core.KB, 1))
-	return ctx, env
+	sp = open("spark", core.NewConfig().
+		SetInt(core.SparkDefaultParallelism, 8).
+		SetBytes(core.SparkExecutorMemory, 256*core.MB))
+	fl = open("flink", core.NewConfig().
+		SetInt(core.FlinkDefaultParallelism, 4).
+		SetBytes(core.FlinkTaskManagerMemory, 256*core.MB).
+		SetInt(core.FlinkNetworkBuffers, 8192))
+	return sp, fl
 }
 
-func writeBoth(ctx *spark.Context, env *flink.Env, name string, data []byte) {
-	ctx.FS().WriteFile(name, data)
-	env.FS().WriteFile(name, data)
+func writeBoth(sp, fl *dataflow.Session, name string, data []byte) {
+	sp.FS().WriteFile(name, data)
+	fl.FS().WriteFile(name, data)
 }
 
 // parseCounts reads "(word,N)"-ish save output into a map. Both engines
@@ -72,18 +72,18 @@ func parseCounts(t *testing.T, fs *dfs.FS, name string) map[string]int64 {
 }
 
 func TestWordCountBothEnginesAgree(t *testing.T) {
-	ctx, env := pairCtx(t)
+	sp, fl := pairSessions(t)
 	text := datagen.Text(1, 64*1024, 10)
-	writeBoth(ctx, env, "wiki", text)
+	writeBoth(sp, fl, "wiki", text)
 
-	if err := WordCount(dataflow.NewSession(ctx), "wiki", "out-s"); err != nil {
+	if err := WordCount(sp, "wiki", "out-s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WordCount(dataflow.NewSession(env), "wiki", "out-f"); err != nil {
+	if err := WordCount(fl, "wiki", "out-f"); err != nil {
 		t.Fatal(err)
 	}
-	sc := parseCounts(t, ctx.FS(), "out-s")
-	fc := parseCounts(t, env.FS(), "out-f")
+	sc := parseCounts(t, sp.FS(), "out-s")
+	fc := parseCounts(t, fl.FS(), "out-f")
 	if len(sc) == 0 || len(sc) != len(fc) {
 		t.Fatalf("distinct words: spark=%d flink=%d", len(sc), len(fc))
 	}
@@ -103,22 +103,22 @@ func TestWordCountBothEnginesAgree(t *testing.T) {
 		}
 	}
 	// Both use a map-side combiner (the paper's aggregation component).
-	if ctx.Metrics().CombineRatio() <= 1 || env.Metrics().CombineRatio() <= 1 {
+	if sp.Metrics().CombineRatio() <= 1 || fl.Metrics().CombineRatio() <= 1 {
 		t.Error("both engines should combine map-side on zipf text")
 	}
 }
 
 func TestGrepBothEnginesAgree(t *testing.T) {
-	ctx, env := pairCtx(t)
+	sp, fl := pairSessions(t)
 	text := datagen.GrepText(2, 5000, "NEEDLE", 0.07)
-	writeBoth(ctx, env, "logs", text)
+	writeBoth(sp, fl, "logs", text)
 	want := int64(strings.Count(string(text), "NEEDLE"))
 
-	sn, err := Grep(dataflow.NewSession(ctx), "logs", "NEEDLE")
+	sn, err := Grep(sp, "logs", "NEEDLE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := Grep(dataflow.NewSession(env), "logs", "NEEDLE")
+	fn, err := Grep(fl, "logs", "NEEDLE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +128,18 @@ func TestGrepBothEnginesAgree(t *testing.T) {
 }
 
 func TestGrepMultiFilterCachingAdvantage(t *testing.T) {
-	ctx, env := pairCtx(t)
+	sp, fl := pairSessions(t)
 	text := datagen.GrepText(3, 3000, "alpha", 0.1)
-	writeBoth(ctx, env, "logs", text)
+	writeBoth(sp, fl, "logs", text)
 	patterns := []string{"alpha", "ba", "re"}
 
 	// One definition, two engines: the caching asymmetry comes from the
 	// lowering of the Cached() hint, not from per-engine code.
-	sres, err := GrepMultiFilter(dataflow.NewSession(ctx), "logs", patterns)
+	sres, err := GrepMultiFilter(sp, "logs", patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := GrepMultiFilter(dataflow.NewSession(env), "logs", patterns)
+	fres, err := GrepMultiFilter(fl, "logs", patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,38 +150,38 @@ func TestGrepMultiFilterCachingAdvantage(t *testing.T) {
 	}
 	// Spark read the input once (cache hits thereafter); Flink re-read it
 	// per pattern — the persistence-control advantage of Section VI-B.
-	if ctx.Metrics().CacheHits.Load() == 0 {
+	if sp.Metrics().CacheHits.Load() == 0 {
 		t.Error("spark multi-filter should hit its cache")
 	}
-	sparkReads := ctx.Metrics().RecordsRead.Load()
-	flinkReads := env.Metrics().RecordsRead.Load()
+	sparkReads := sp.Metrics().RecordsRead.Load()
+	flinkReads := fl.Metrics().RecordsRead.Load()
 	if flinkReads < 2*sparkReads {
 		t.Errorf("flink should re-read input per filter: flink=%d spark=%d records", flinkReads, sparkReads)
 	}
 }
 
 func TestTeraSortBothEnginesProduceSortedOutput(t *testing.T) {
-	ctx, env := pairCtx(t)
+	sp, fl := pairSessions(t)
 	const records = 3000
 	data := datagen.TeraGen(7, records)
-	writeBoth(ctx, env, "tera-in", data)
+	writeBoth(sp, fl, "tera-in", data)
 	part := TeraPartitioner(data, 4)
 
-	if err := TeraSort(dataflow.NewSession(ctx), "tera-in", "tera-out", part); err != nil {
+	if err := TeraSort(sp, "tera-in", "tera-out", part); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTeraSorted(ctx.FS(), "tera-out", records); err != nil {
+	if err := VerifyTeraSorted(sp.FS(), "tera-out", records); err != nil {
 		t.Errorf("spark terasort: %v", err)
 	}
-	if err := TeraSort(dataflow.NewSession(env), "tera-in", "tera-out", part); err != nil {
+	if err := TeraSort(fl, "tera-in", "tera-out", part); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTeraSorted(env.FS(), "tera-out", records); err != nil {
+	if err := VerifyTeraSorted(fl.FS(), "tera-out", records); err != nil {
 		t.Errorf("flink terasort: %v", err)
 	}
 	// Identical input and partitioner ⇒ byte-identical sorted output...
-	sf, _ := ctx.FS().Open("tera-out")
-	ff, _ := env.FS().Open("tera-out")
+	sf, _ := sp.FS().Open("tera-out")
+	ff, _ := fl.FS().Open("tera-out")
 	sKeys := keysOf(sf.Contents())
 	fKeys := keysOf(ff.Contents())
 	if fmt.Sprint(sKeys[:10]) != fmt.Sprint(fKeys[:10]) {
@@ -198,14 +198,14 @@ func keysOf(data []byte) []string {
 }
 
 func TestKMeansBothEnginesConverge(t *testing.T) {
-	ctx, env := pairCtx(t)
+	sp, fl := pairSessions(t)
 	points, _ := datagen.KMeansPoints(11, 3000, 3, 2.0)
 
-	sc, err := KMeans(dataflow.NewSession(ctx), points, 3, 10)
+	sc, err := KMeans(sp, points, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := KMeans(dataflow.NewSession(env), points, 3, 10)
+	fc, err := KMeans(fl, points, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,17 +220,17 @@ func TestKMeansBothEnginesConverge(t *testing.T) {
 		t.Errorf("clustering failed: cost %v vs single-center %v", sCost, single)
 	}
 	// Spark scheduled stages per iteration; Flink one round.
-	if ctx.Metrics().SchedulingRounds.Load() < 10 {
+	if sp.Metrics().SchedulingRounds.Load() < 10 {
 		t.Error("spark k-means should schedule per iteration (loop unrolling)")
 	}
-	if env.Metrics().SchedulingRounds.Load() > 3 {
+	if fl.Metrics().SchedulingRounds.Load() > 3 {
 		t.Errorf("flink k-means used %d scheduling rounds, expected ≤3 (bulk iteration)",
-			env.Metrics().SchedulingRounds.Load())
+			fl.Metrics().SchedulingRounds.Load())
 	}
 }
 
 func TestPageRankBothEnginesAgree(t *testing.T) {
-	ctx, env := pairCtx(t)
+	sp, fl := pairSessions(t)
 	// Strongly connected graph so both engines' sink handling is
 	// irrelevant: a bidirected RMAT graph.
 	base := datagen.RMAT(17, datagen.GraphSpec{Name: "pr", Vertices: 64, Edges: 200})
@@ -239,11 +239,11 @@ func TestPageRankBothEnginesAgree(t *testing.T) {
 		edges = append(edges, e, datagen.Edge{Src: e.Dst, Dst: e.Src})
 	}
 	const iters = 25
-	sr, _, err := PageRank(dataflow.NewSession(ctx), edges, iters)
+	sr, _, err := PageRank(sp, edges, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, _, err := PageRank(dataflow.NewSession(env), edges, iters)
+	fr, _, err := PageRank(fl, edges, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,8 @@ func TestConnectedComponentsAllVariantsAgree(t *testing.T) {
 }
 
 func TestPlansRegenerateTableI(t *testing.T) {
-	ctx, env := pairCtx(t)
-	plans, err := Plans(ctx, env)
+	sp, fl := pairSessions(t)
+	plans, err := Plans(sp, fl)
 	if err != nil {
 		t.Fatal(err)
 	}
