@@ -90,6 +90,19 @@ bench-tiny:
 # maphash.String (≈ 8 %) and memeqbody (≈ 3 %) under it; a core.HashKey or
 # fnv1a frame under it means a combine path went back to the deterministic
 # routing hash (it was 9 % of samples on its own).
+# The sort-and-move path: `make profile PROFILE_BENCH=EngineTeraSortFlink`
+# (or EngineTeraSortMapReduce) as it is, and EngineTeraSortSpark with a
+# bounded count, `make profile PROFILE_BENCH=EngineTeraSortSpark
+# PROFILE_TIME=150x` — a spark session's shuffle service never drops map
+# outputs, so a timed run grows until it is killed for memory. Then
+# `go tool pprof -peek 'runtime.growslice$|serde.AppendDecode' repro.test
+# cpu.pprof`: every buffer that collects a whole partition grows by
+# memory.Grow, at least doubling, and a fetched segment decodes into a slice
+# sized from its record count, so runtime.growslice under
+# combineTable.addAll (spark's and mapreduce's map side) or under flink's
+# SortPartitionNormalized, or a growslice under serde.AppendDecode below
+# mapreduce's runReduceTask, means a buffer went back to append's ≈ 1.25×
+# steps or a segment lost its count.
 PROFILE_BENCH ?= EngineWordCountSpark
 PROFILE_TIME ?= 5s
 profile:

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/shuffle"
 )
 
@@ -228,7 +229,7 @@ func SortPartitionNormalized[T any](d *DataSet[T], less func(a, b T) bool,
 			var buf []T
 			wrapped[p] = partSink[T]{
 				push: func(batch []T) error {
-					buf = append(buf, batch...)
+					buf = append(memory.Grow(buf, len(batch)), batch...)
 					return nil
 				},
 				close: func() error {

@@ -95,7 +95,7 @@ func Run[I any, K cmp.Ordered, V any](c *Cluster, job Job[I, K, V], in Input[I])
 	for r := range reduceTasks {
 		r := r
 		reduceTasks[r] = cluster.Task{Node: c.rt.NodeFor(r), Fn: func() error {
-			part, err := runReduceTask(c, jobID, name, r, in.NumSplits(), job, codec)
+			part, err := runReduceTask(c, jobID, name, r, reduces, segs, job, codec)
 			if err != nil {
 				return err
 			}
@@ -276,8 +276,11 @@ func runMapTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name strin
 // segments runs as parallel subtasks on the reduce node through
 // cluster.Runtime (Hadoop's merge threads) instead of one sequential pass;
 // hash-strategy segments carry no order and are sorted after the fetch.
-func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, r, maps int,
-	job Job[I, K, V], codec serde.Codec[core.Pair[K, V]]) (_ []core.Pair[K, V], err error) {
+// segs are the map side's kept blocks, segs[m*reduces+r]: a fetched segment
+// takes its record count from the block it was written from, so it decodes
+// into one slice of its size.
+func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name string, r, reduces int,
+	segs []shuffle.Block, job Job[I, K, V], codec serde.Codec[core.Pair[K, V]]) (_ []core.Pair[K, V], err error) {
 	c.metrics.TasksLaunched.Add(1)
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -285,6 +288,7 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		}
 	}()
 	node := c.rt.NodeFor(r)
+	maps := len(segs) / reduces
 	blocks := make([]shuffle.Block, 0, maps)
 	for m := 0; m < maps; m++ {
 		f, err := c.fs.Open(segmentFile(jobID, m, r))
@@ -297,12 +301,13 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		// segment is read zero-copy (borrowing the DFS storage); anything
 		// remote — or spanning blocks — copies into a pooled buffer.
 		local := replicaNode(f, 0) == node
+		recs := segs[m*reduces+r].Recs
 		var blk shuffle.Block
 		if data, ok := f.Contiguous(); ok && local {
-			blk = shuffle.OwnedBlock(data, f.Size(), 0)
+			blk = shuffle.OwnedBlock(data, f.Size(), recs)
 		} else {
 			buf := f.AppendTo(memory.DefaultPool.Get(int(f.Size())))
-			blk = shuffle.PooledBlock(buf, f.Size(), 0)
+			blk = shuffle.PooledBlock(buf, f.Size(), recs)
 		}
 		c.metrics.AddShuffleRead(int64(blk.Len()), local)
 		c.metrics.DiskBytesRead.Add(int64(blk.Len()))

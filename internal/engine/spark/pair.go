@@ -148,13 +148,20 @@ func PartitionBy[K comparable, V any](r *RDD[core.Pair[K, V]], part core.Partiti
 }
 
 // RepartitionAndSortNormalized is the Tera Sort primitive, Spark's
-// repartitionAndSortWithinPartitions: shuffle by the partitioner, then sort
-// each reduce partition by key — Spark performs the sort during the shuffle
-// read. With a nil normKey the sort calls less per comparison; otherwise
-// the map-side sort compares packed key bytes with memcmp (the tungsten
-// UnsafeShuffleWriter trick). normKey MUST be total and order exactly as
-// less does — serde.NormKeyerFor builds conforming writers for
-// natural-ordered scalar keys.
+// repartitionAndSortWithinPartitions: shuffle by the partitioner and hand
+// each reduce partition over sorted by key. The lowering follows Hadoop's
+// recipe, not Spark's: the map-side sort writer is given less and the key
+// writer, so every map output segment is sorted by key, and the reduce side
+// merges the fetched segments (shuffle.ParallelMerge). Under
+// shuffle.strategy=hash the segments arrive unsorted and the reduce side
+// sorts them whole. With a nil normKey the sorts call less per comparison;
+// otherwise they compare packed key bytes with memcmp. Spark itself gives its
+// map-side ExternalSorter no key ordering when nothing combines map-side
+// (SortShuffleWriter, or BypassMergeSortShuffleWriter at 200 partitions or
+// fewer; UnsafeShuffleWriter sorts by partition id only), and
+// BlockStoreShuffleReader sorts each partition on read. normKey MUST be total
+// and order exactly as less does — serde.NormKeyerFor builds conforming
+// writers for natural-ordered scalar keys.
 func RepartitionAndSortNormalized[K comparable, V any](r *RDD[core.Pair[K, V]],
 	part core.Partitioner[K], less func(a, b K) bool,
 	normKey func(dst []byte, k K) []byte) *RDD[core.Pair[K, V]] {

@@ -2,6 +2,7 @@ package spark
 
 import (
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/serde"
 )
 
@@ -107,7 +108,7 @@ func newStreamRDD[T any](c *Context, name string, kind core.OpKind, numParts int
 	r := newRDD[T](c, name, kind, numParts, parents, func(p int, tc *taskContext) ([]T, error) {
 		var part []T
 		err := stream(p, tc, func(_ int, batch []T) error {
-			part = append(part, batch...)
+			part = append(memory.Grow(part, len(batch)), batch...)
 			return nil
 		})
 		return part, err

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 )
 
 // combineTable is the one pairwise keyed fold in the shuffle core, under all
@@ -23,7 +24,7 @@ import (
 // With merge nil, add and addAll append and no index is built: entries is
 // then a plain arrival buffer, for the no-combine path (TeraSort) and the
 // run-level CombineRun path, which folds whole runs at cut time. Writers read
-// entries; only this file writes it.
+// entries; only this file writes it, growing it by memory.Grow.
 type combineTable[R any] struct {
 	key   Key[R]
 	merge func(a, b R) R
@@ -47,7 +48,7 @@ func (t *combineTable[R]) lookup(rec R) (e int, seen bool) {
 		t.idx = t.key.index()
 	}
 	if e, seen = t.idx.lookup(rec); !seen {
-		t.entries = append(t.entries, rec)
+		t.entries = append(memory.Grow(t.entries, 1), rec)
 	}
 	return e, seen
 }
@@ -56,7 +57,7 @@ func (t *combineTable[R]) lookup(rec R) (e int, seen bool) {
 // the table does not combine pairwise.
 func (t *combineTable[R]) add(rec R) {
 	if t.merge == nil {
-		t.entries = append(t.entries, rec)
+		t.entries = append(memory.Grow(t.entries, 1), rec)
 	} else if e, seen := t.lookup(rec); seen {
 		t.entries[e] = t.merge(t.entries[e], rec)
 	}
@@ -66,7 +67,7 @@ func (t *combineTable[R]) add(rec R) {
 // pairwise.
 func (t *combineTable[R]) addAll(recs []R) {
 	if t.merge == nil {
-		t.entries = append(t.entries, recs...)
+		t.entries = append(memory.Grow(t.entries, len(recs)), recs...)
 		return
 	}
 	for _, rec := range recs {
