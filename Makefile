@@ -97,7 +97,7 @@ bench-tiny:
 # outputs, so a timed run grows until it is killed for memory. Then
 # `go tool pprof -peek 'runtime.growslice$|serde.AppendDecode' repro.test
 # cpu.pprof`: every buffer that collects a whole partition grows by
-# memory.Grow, at least doubling, and a fetched segment decodes into a slice
+# memory.Append, at least doubling, and a fetched segment decodes into a slice
 # sized from its record count, so runtime.growslice under
 # combineTable.addAll (spark's and mapreduce's map side) or under flink's
 # SortPartitionNormalized, or a growslice under serde.AppendDecode below

@@ -229,7 +229,7 @@ func SortPartitionNormalized[T any](d *DataSet[T], less func(a, b T) bool,
 			var buf []T
 			wrapped[p] = partSink[T]{
 				push: func(batch []T) error {
-					buf = append(memory.Grow(buf, len(batch)), batch...)
+					buf = memory.Append(buf, batch...)
 					return nil
 				},
 				close: func() error {

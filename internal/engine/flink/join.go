@@ -108,7 +108,7 @@ func hashJoin[B, P any, K comparable, U any](build *DataSet[B], probe *DataSet[P
 					// all its producers finish), then build the table.
 					var recs []B
 					if err := drainSide(e, node, "Join", bchans[part], bCodec, set, func(batch []B) error {
-						recs = append(memory.Grow(recs, len(batch)), batch...)
+						recs = memory.Append(recs, batch...)
 						return nil
 					}); err != nil {
 						// Still drain the probe side so its producers can finish.

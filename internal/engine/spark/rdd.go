@@ -108,7 +108,7 @@ func newStreamRDD[T any](c *Context, name string, kind core.OpKind, numParts int
 	r := newRDD[T](c, name, kind, numParts, parents, func(p int, tc *taskContext) ([]T, error) {
 		var part []T
 		err := stream(p, tc, func(_ int, batch []T) error {
-			part = append(memory.Grow(part, len(batch)), batch...)
+			part = memory.Append(part, batch...)
 			return nil
 		})
 		return part, err

@@ -1,21 +1,20 @@
 package memory
 
-// Grow returns s with room for n more elements. It is the one growth rule of
-// the buffers that collect a whole partition's records: a shuffle writer's
-// held records and the reduce-side fold, the run sorter's keys, flink's sort
-// buffer and join build side, spark's gathered partition. When the room is
-// there it returns s itself; otherwise it copies s into a new array of at
-// least twice its capacity, so a buffer of N records has been reallocated
+// Append appends xs to s by the one growth rule of the buffers that collect a
+// whole partition's records: a shuffle writer's held records and the
+// reduce-side fold, flink's sort buffer and join build side, spark's gathered
+// partition. When s has no room for xs it is first copied into a new array of
+// at least twice its capacity, so a buffer of N records has been reallocated
 // about log2 N times and everything allocated for it stays under twice its
 // final capacity. (Go's append grows a large slice by ≈ 1.25× a step: a
 // 42 k-record buffer is then reallocated 17 times, five times its final size
-// in all, every new array zeroed and, for records with pointers, filled
-// under write barriers.)
-func Grow[T any](s []T, n int) []T {
-	if n <= cap(s)-len(s) {
-		return s
+// in all, every new array zeroed and, for records with pointers, filled under
+// write barriers.)
+func Append[T any](s []T, xs ...T) []T {
+	if len(xs) > cap(s)-len(s) {
+		grown := make([]T, len(s), max(2*cap(s), len(s)+len(xs)))
+		copy(grown, s)
+		s = grown
 	}
-	out := make([]T, len(s), max(2*cap(s), len(s)+n))
-	copy(out, s)
-	return out
+	return append(s, xs...)
 }

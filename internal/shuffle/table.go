@@ -24,7 +24,7 @@ import (
 // With merge nil, add and addAll append and no index is built: entries is
 // then a plain arrival buffer, for the no-combine path (TeraSort) and the
 // run-level CombineRun path, which folds whole runs at cut time. Writers read
-// entries; only this file writes it, growing it by memory.Grow.
+// entries; only this file writes it, growing it by memory.Append.
 type combineTable[R any] struct {
 	key   Key[R]
 	merge func(a, b R) R
@@ -48,7 +48,7 @@ func (t *combineTable[R]) lookup(rec R) (e int, seen bool) {
 		t.idx = t.key.index()
 	}
 	if e, seen = t.idx.lookup(rec); !seen {
-		t.entries = append(memory.Grow(t.entries, 1), rec)
+		t.entries = memory.Append(t.entries, rec)
 	}
 	return e, seen
 }
@@ -57,7 +57,7 @@ func (t *combineTable[R]) lookup(rec R) (e int, seen bool) {
 // the table does not combine pairwise.
 func (t *combineTable[R]) add(rec R) {
 	if t.merge == nil {
-		t.entries = append(memory.Grow(t.entries, 1), rec)
+		t.entries = memory.Append(t.entries, rec)
 	} else if e, seen := t.lookup(rec); seen {
 		t.entries[e] = t.merge(t.entries[e], rec)
 	}
@@ -67,7 +67,7 @@ func (t *combineTable[R]) add(rec R) {
 // pairwise.
 func (t *combineTable[R]) addAll(recs []R) {
 	if t.merge == nil {
-		t.entries = append(memory.Grow(t.entries, len(recs)), recs...)
+		t.entries = memory.Append(t.entries, recs...)
 		return
 	}
 	for _, rec := range recs {

@@ -179,9 +179,9 @@ func TestWarmLookupAllocatesNothing(t *testing.T) {
 
 // TestHeldRecordsGrowByDoubling feeds a no-combine sort writer 100 000
 // records in 256-record batches, as a TeraSort map task feeds its writer, and
-// watches the buffer that holds them. Grown by memory.Grow it takes 10
+// watches the buffer that holds them. Grown by memory.Append it takes 10
 // arrays (256 up to 131 072 records), 2.6 times the records held in all.
-// Grown by append, ≈ 1.25× a step past 256 elements, it took 21 arrays, 5.9
+// Grown by Go's append, ≈ 1.25× a step past 256 elements, it took 21 arrays, 5.9
 // times the records held.
 func TestHeldRecordsGrowByDoubling(t *testing.T) {
 	const batches, batch = 391, 256

@@ -577,13 +577,10 @@ func (s *runSorter[R]) sortByKey(recs []R, key func(v R, dst []byte) []byte) []R
 	s.entries = sized(s.entries, len(recs))
 	s.ends = sized(s.ends, len(recs))
 	keys := s.keys[:0]
-	klen := 0 // the last key's length: keys keeps room for one more like it
 	for i, rec := range recs {
-		keys = memory.Grow(keys, klen)
 		off := len(keys)
 		keys = key(rec, keys)
 		k := keys[off:]
-		klen = len(k)
 		prefix := keyPrefix(k)
 		if len(k) <= 8 {
 			keys = keys[:off]
