@@ -577,6 +577,15 @@ func (s *runSorter[R]) sortByKey(recs []R, key func(v R, dst []byte) []byte) []R
 	s.entries = sized(s.entries, len(recs))
 	s.ends = sized(s.ends, len(recs))
 	keys := s.keys[:0]
+	if len(recs) > 0 {
+		// Room for every key as long as the first, made once (keys of at most
+		// eight bytes are not kept). Grown by append, ≈ 1.25× a step, keys
+		// took ≈ 30 arrays in every new sorter: every flink sort, every sort
+		// writer's first cut.
+		if k := len(key(recs[0], keys)); k > 8 {
+			keys = slices.Grow(keys, len(recs)*k)
+		}
+	}
 	for i, rec := range recs {
 		off := len(keys)
 		keys = key(rec, keys)
