@@ -97,12 +97,12 @@ bench-tiny:
 # outputs, so a timed run grows until it is killed for memory. Then
 # `go tool pprof -peek 'runtime.growslice$|serde.AppendDecode' repro.test
 # cpu.pprof`: every buffer that collects a whole partition grows by
-# memory.Append, at least doubling, and a fetched segment decodes into a slice
-# sized from its record count, so runtime.growslice under
-# combineTable.addAll (spark's and mapreduce's map side) or under flink's
-# SortPartitionNormalized, or a growslice under serde.AppendDecode below
-# mapreduce's runReduceTask, means a buffer went back to append's ≈ 1.25×
-# steps or a segment lost its count.
+# memory.Append, at least doubling, the run sorter sizes its keys once, and a
+# fetched segment decodes into a slice sized from its record count, so
+# runtime.growslice under combineTable.addAll (spark's and mapreduce's map
+# side), flink's SortPartitionNormalized or runSorter.sortByKey, or under
+# serde.AppendDecode below mapreduce's runReduceTask, means a buffer went
+# back to append's ≈ 1.25× steps or a segment lost its count.
 PROFILE_BENCH ?= EngineWordCountSpark
 PROFILE_TIME ?= 5s
 profile:

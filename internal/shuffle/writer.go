@@ -582,8 +582,8 @@ func (s *runSorter[R]) sortByKey(recs []R, key func(v R, dst []byte) []byte) []R
 		// eight bytes are not kept). Grown by append, ≈ 1.25× a step, keys
 		// took ≈ 30 arrays in every new sorter: every flink sort, every sort
 		// writer's first cut.
-		if k := len(key(recs[0], keys)); k > 8 {
-			keys = slices.Grow(keys, len(recs)*k)
+		if k := len(key(recs[0], keys)); k > 8 && cap(keys) < len(recs)*k {
+			keys = make([]byte, 0, len(recs)*k)
 		}
 	}
 	for i, rec := range recs {
