@@ -154,7 +154,7 @@ func TestTeraSortCopiesNoRecord(t *testing.T) {
 		const bound = 0.045
 		perRec, _ := teraSortAllocs(t, engine, 20000, 512*core.KB)
 		if perRec > bound {
-			t.Errorf("%s: TeraSort allocates %.3f times per record, want at most %.2f", engine, perRec, bound)
+			t.Errorf("%s: TeraSort allocates %.3f times per record, want at most %.3f", engine, perRec, bound)
 		}
 		_, bytesPerRec := teraSortAllocs(t, engine, 80000, 4*core.MB)
 		if limit := bytesBound[engine]; bytesPerRec > limit {
