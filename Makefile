@@ -207,7 +207,11 @@ reach:
 # (arbitrary bytes into derived struct/slice/map decoders,
 # arbitrary bytes into the block decode every engine fetches through — values
 # that never alias their input and re-encode, and the same values appended
-# by AppendDecode after an untouched prefix —, arbitrary keys through the
+# by AppendDecode after an untouched prefix —, arbitrary bytes into the
+# shuffle's block frame unpack with and without the lz codec — no panic,
+# Pack→Unpack round trips, a decompressed frame in a buffer of its own
+# (DecodeBlocks decodes it in place), cut-short, over-long and unknown-tag
+# frames rejected —, arbitrary keys through the
 # shuffle's run sorter against a stable sort, arbitrary sorted segments
 # (shared prefixes, short, empty and duplicate keys, with and without a
 # normalized-key writer) through its prefix-first merge against a
@@ -230,6 +234,7 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivedDecode$$' -fuzztime $(FUZZTIME) ./internal/serde
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime $(FUZZTIME) ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzSortByNormKey$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime $(FUZZTIME) ./internal/shuffle
 	$(GO) test -run '^$$' -fuzz '^FuzzCombineTable$$' -fuzztime $(FUZZTIME) ./internal/shuffle

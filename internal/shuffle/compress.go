@@ -35,46 +35,62 @@ const (
 
 // Pack produces a block's wire form. Without a codec the raw bytes pass
 // through unframed (byte-compatible with the pre-subsystem engines); with
-// one, the smaller of stored/compressed is framed.
+// one, the smaller of stored/compressed is framed, in a buffer of exactly
+// the frame's size.
 func Pack(set Settings, raw []byte) []byte {
 	if set.Compress == nil {
 		return raw
 	}
-	hdr := make([]byte, 1, 1+binary.MaxVarintLen64+len(raw))
-	hdr = binary.AppendUvarint(hdr, uint64(len(raw)))
+	tag, payload := frameStored, raw
 	if comp := set.Compress.Compress(raw); len(comp) < len(raw) {
-		hdr[0] = frameLZ
-		return append(hdr, comp...)
+		tag, payload = frameLZ, comp
 	}
-	hdr[0] = frameStored
-	return append(hdr, raw...)
+	var rawLen [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(rawLen[:], uint64(len(raw)))
+	frame := make([]byte, 0, 1+n+len(payload))
+	frame = append(append(append(frame, tag), rawLen[:n]...), payload...)
+	return frame
 }
 
 // Unpack recovers a block's raw bytes. It must run with the same Settings
 // that packed the block (both sides of an edge share one resolved config).
 func Unpack(set Settings, data []byte) ([]byte, error) {
+	raw, _, err := unpack(set, data)
+	return raw, err
+}
+
+// unpack is Unpack that also reports whether raw is fresh: decompressed into
+// a buffer nothing else refers to, rather than a view of data.
+func unpack(set Settings, data []byte) (raw []byte, fresh bool, err error) {
 	if set.Compress == nil {
-		return data, nil
+		return data, false, nil
 	}
 	if len(data) == 0 {
-		return nil, nil
+		return nil, false, nil
 	}
 	tag := data[0]
 	rawLen, n := binary.Uvarint(data[1:])
 	if n <= 0 {
-		return nil, fmt.Errorf("shuffle: corrupt block frame")
+		return nil, false, fmt.Errorf("shuffle: corrupt block frame")
 	}
 	payload := data[1+n:]
 	switch tag {
 	case frameStored:
 		if uint64(len(payload)) != rawLen {
-			return nil, fmt.Errorf("shuffle: stored block is %d bytes, frame says %d", len(payload), rawLen)
+			return nil, false, fmt.Errorf("shuffle: stored block is %d bytes, frame says %d", len(payload), rawLen)
 		}
-		return payload, nil
+		return payload, false, nil
 	case frameLZ:
-		return set.Compress.Decompress(payload, int(rawLen))
+		// A match token is three bytes and expands to at most lzMaxMatch,
+		// so a frame that claims more cannot be honest — and must not size
+		// the output buffer.
+		if rawLen > uint64(len(payload))/3*lzMaxMatch+uint64(len(payload)) {
+			return nil, false, fmt.Errorf("shuffle: %d compressed bytes cannot hold the %d the frame says", len(payload), rawLen)
+		}
+		raw, err := set.Compress.Decompress(payload, int(rawLen))
+		return raw, err == nil, err
 	default:
-		return nil, fmt.Errorf("shuffle: unknown block frame tag %d", tag)
+		return nil, false, fmt.Errorf("shuffle: unknown block frame tag %d", tag)
 	}
 }
 

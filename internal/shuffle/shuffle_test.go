@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -458,6 +459,58 @@ func TestUnpackRejectsCorruptFrames(t *testing.T) {
 			t.Errorf("corrupt frame %v... accepted", corrupt[:min(3, len(corrupt))])
 		}
 	}
+}
+
+// FuzzUnpack: arbitrary bytes into Unpack, with and without the lz codec,
+// return raw bytes or an error and never panic — a frame's raw length must
+// not size a buffer it cannot fill. The same bytes Packed come back from
+// Unpack unchanged; a decompressed frame comes back in a buffer of its own,
+// since DecodeBlocks decodes it in place (clearing the frame afterwards must
+// not show through); and a frame cut short by a byte, re-framed with a
+// raw length one too long, or given an unknown tag is an error.
+func FuzzUnpack(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte("a"))
+	f.Add(bytes.Repeat([]byte("the quick brown fox "), 50))
+	f.Add([]byte{0, 1, 2, 3, 255, 254, 0, 0, 0, 7})
+	f.Add([]byte{frameLZ, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x80, 1, 0})
+	f.Add([]byte{frameLZ, 8, 0, 'a', 0x84, 1, 0})
+	lz := Settings{Compress: CompressorFor("lz")}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, set := range []Settings{{}, lz} {
+			if raw, err := Unpack(set, data); err == nil && set.Compress == nil && !bytes.Equal(raw, data) {
+				t.Fatal("Unpack without a codec changed the bytes")
+			}
+		}
+
+		frame := Pack(lz, data)
+		if len(frame) != cap(frame) {
+			t.Fatalf("Pack left a %d-byte frame in a %d-byte buffer", len(frame), cap(frame))
+		}
+		raw, err := Unpack(lz, frame)
+		if err != nil || !bytes.Equal(raw, data) {
+			t.Fatalf("Pack→Unpack = %d bytes, %v; want the %d packed", len(raw), err, len(data))
+		}
+		if frame[0] == frameLZ {
+			clear(frame[1:])
+			if !bytes.Equal(raw, data) {
+				t.Fatal("a decompressed frame's bytes alias the frame")
+			}
+			frame = Pack(lz, data)
+		}
+
+		n := len(frame) - len(binary.AppendUvarint(nil, uint64(len(data)))) - 1
+		payload := frame[len(frame)-n:]
+		longer := append(binary.AppendUvarint([]byte{frame[0]}, uint64(len(data))+1), payload...)
+		unknown := append([]byte{frameLZ + 1}, frame[1:]...)
+		for name, corrupt := range map[string][]byte{
+			"cut short": frame[:len(frame)-1], "one byte too long": longer, "of an unknown tag": unknown,
+		} {
+			if _, err := Unpack(lz, corrupt); err == nil {
+				t.Errorf("a frame %s was accepted", name)
+			}
+		}
+	})
 }
 
 func TestMergeStableAndSorted(t *testing.T) {
