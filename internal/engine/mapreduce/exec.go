@@ -154,7 +154,7 @@ func (s *dfsSpillStore) Read(name string) (shuffle.Block, error) {
 	}
 	s.c.metrics.DiskBytesRead.Add(f.Size())
 	if data, ok := f.Contiguous(); ok {
-		return shuffle.OwnedBlock(data, f.Size(), 0), nil
+		return shuffle.LentBlock(data, f.Size(), 0), nil
 	}
 	return shuffle.PooledBlock(f.AppendTo(memory.DefaultPool.Get(int(f.Size()))), f.Size(), 0), nil
 }
@@ -304,7 +304,7 @@ func runReduceTask[I any, K cmp.Ordered, V any](c *Cluster, jobID int64, name st
 		recs := segs[m*reduces+r].Recs
 		var blk shuffle.Block
 		if data, ok := f.Contiguous(); ok && local {
-			blk = shuffle.OwnedBlock(data, f.Size(), recs)
+			blk = shuffle.LentBlock(data, f.Size(), recs)
 		} else {
 			buf := f.AppendTo(memory.DefaultPool.Get(int(f.Size())))
 			blk = shuffle.PooledBlock(buf, f.Size(), recs)

@@ -215,7 +215,7 @@ func shuffledRDD[K comparable, V, C any](r *RDD[core.Pair[K, V]], name string, k
 		}
 		segs, err := shuffle.DecodeBlocks(ctx.shuffleSet, pairCodec, blocks)
 		for i := range blocks {
-			blocks[i].Release() // borrows no-op; remote copies recycle
+			blocks[i].Release() // drops the reference; the service keeps its own
 		}
 		if err != nil {
 			return nil, fmt.Errorf("spark: shuffle decode: %w", err)

@@ -23,11 +23,14 @@ type shuffleDep struct {
 	write    func(mapPart int, tc *taskContext) error
 }
 
-// mapOutput is one map task's contribution: one sealed block per reduce
-// partition, tagged with the node that produced it so reads can be
-// classified local or remote. The service owns the blocks' storage — map
-// outputs outlive the producing stage for lineage-based retries, so they
-// are never released back to the pool while registered.
+// mapOutput is one map task's contribution: one block per reduce partition,
+// tagged with the node that produced it so reads can be classified local or
+// remote. Map outputs outlive the producing stage for lineage-based retries,
+// so the service keeps them in storage allocated for them (shuffle.KeepAll):
+// one exact-size array per map task, never from the buffer pool, written
+// once. The writers' pooled buffers go back to the pool at Close, and a
+// reader may decode the kept bytes in place — the decoded strings are views
+// of them and keep them alive after dropNode forgets them.
 type mapOutput struct {
 	node    int
 	buckets []shuffle.Block
@@ -93,10 +96,10 @@ func (s *shuffleService) missingMaps(shuffleID, numMaps int) []int {
 // fetch returns one reduce partition's blocks, one per map task, in map
 // order. A block produced on the reader's own node is BORROWED — a
 // zero-copy view of the service's storage; a block from any other node is
-// COPIED into a fresh pooled buffer, modeling the network transfer a real
-// remote fetch performs. Bytes are accounted local or remote accordingly;
-// the caller releases every returned block after decoding (borrows no-op,
-// remote copies recycle).
+// COPIED once into bytes the reader owns, modeling the network transfer a
+// real remote fetch performs. Bytes are accounted local or remote
+// accordingly. Neither kind is pooled, so shuffle.DecodeBlocks decodes both
+// in place and releasing them after the decode only drops the reference.
 func (s *shuffleService) fetch(shuffleID, reducePart int, tc *taskContext) ([]shuffle.Block, error) {
 	s.mu.Lock()
 	outs, ok := s.outputs[shuffleID]
@@ -116,7 +119,7 @@ func (s *shuffleService) fetch(shuffleID, reducePart int, tc *taskContext) ([]sh
 			blocks = append(blocks, b.Borrow())
 			local += int64(b.Len())
 		} else {
-			blocks = append(blocks, b.CopyPooled())
+			blocks = append(blocks, b.Copy())
 			remote += int64(b.Len())
 		}
 	}

@@ -71,7 +71,7 @@ func newMapWriter[K comparable, V, C any](tc *taskContext, sd *shuffleDep,
 		Emit: func(p int, b shuffle.Block) error {
 			// FlushBytes is zero for spark (a materialized shuffle), so
 			// every partition gets exactly one Close-time block, whose
-			// ownership passes through to the shuffle service.
+			// ownership passes through to close.
 			w.buckets[p] = b
 			w.raw += b.Raw
 			return nil
@@ -101,11 +101,14 @@ func (w *mapWriter[K, V, C]) addBatch(in []core.Pair[K, V]) error {
 	return nil
 }
 
-// close flushes the shuffle writer and registers the map output.
+// close flushes the shuffle writer and registers the map output: the blocks
+// move into one array of their own, the map task's shuffle file, and the
+// writer's pooled buffers go back to the pool.
 func (w *mapWriter[K, V, C]) close(mapPart int) error {
 	if err := w.w.Close(); err != nil {
 		return err
 	}
+	shuffle.KeepAll(w.buckets)
 	w.tc.ctx.shuffles.put(w.sd.id, mapPart, w.tc.node, w.buckets, w.raw)
 	return nil
 }

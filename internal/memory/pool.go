@@ -39,12 +39,19 @@ const (
 	poolClasses = poolMaxBits - poolMinBits + 1
 )
 
-// PoolCap bounds the bytes a BufPool retains: 64 MiB, the network memory of
-// this repo's flink configuration (flink.network.buffers 2048 × buffer.size
-// 32 KiB). That is what Flink allocates once and recycles for its exchanges;
-// held to the same budget, the pool keeps a job's blocks in flight across
-// every stage without pinning more than a real task manager would.
-const PoolCap = 64 << 20
+// PoolCap bounds the bytes a BufPool retains: 192 MiB, one flink network
+// budget for each of the three engines a process may host. That budget is
+// 64 MiB, the network memory of this repo's flink configuration
+// (flink.network.buffers 2048 × buffer.size 32 KiB): what Flink allocates
+// once and recycles for its exchanges. DefaultPool is shared, so the cap has
+// to hold every engine's working set at once; a cap one engine's set can fill
+// lets that engine's buffers evict the next one's, and every engine's
+// allocation counts then depend on what ran before it. Measured on the
+// benchmark's terasort (4 MiB blocks), flink keeps ≈ 32 MiB in flight (≈ 514
+// network buffers of 64 KiB) and mapreduce ≈ 62 MiB of 4 MiB sort blocks;
+// spark's map outputs leave the pool (shuffle.KeepAll), so it needs only
+// its writers' scratch; wordcount peaks at ≈ 42 MiB.
+const PoolCap = 3 * (64 << 20)
 
 // DefaultPool is the process-wide buffer pool the serde and shuffle layers
 // draw from. Engines share it deliberately: a buffer sealed by a shuffle

@@ -147,6 +147,12 @@ func TestBlockDecodeAllocations(t *testing.T) {
 		check(s.String()+" AppendDecode Pair[int64,float64]", func() { _, _ = AppendDecode(nums, ndst, nsrc) }, 0)
 		sdst := make([]core.Pair[string, string], 0, n)
 		check(s.String()+" AppendDecode Pair[string,string]", func() { _, _ = AppendDecode(strs, sdst, ssrc) }, 0)
+		// shuffle.DecodeBlocks on bytes nothing writes again — a
+		// decompressed frame, a kept block: one slice of the block's record
+		// count and no copy, where DecodeAllN above clones the block too.
+		check(s.String()+" AppendDecode Pair[string,string] of a decompressed block", func() {
+			_, _ = AppendDecode(strs, make([]core.Pair[string, string], 0, n), ssrc)
+		}, 1)
 
 		// No copy of src: overwriting it shows through the decoded strings.
 		src := bytes.Clone(ssrc)

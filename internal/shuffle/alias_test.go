@@ -62,3 +62,51 @@ func TestDecodedRecordsOutliveTheirBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeBlocksCopiesOnlyRecycledBytes: DecodeBlocks copies a block with
+// strings before decoding it only when its bytes may be written again — a
+// pooled block, or a lent view of one. A kept block (a remote fetch's Copy,
+// spark's kept map output, a view of either) and a frame decompressed into a
+// fresh buffer are decoded in place. Counted per block decode: the result's
+// slice of segments, the record slice, and then the copy or the
+// decompressed buffer.
+func TestDecodeBlocksCopiesOnlyRecycledBytes(t *testing.T) {
+	recs := make([]core.Pair[string, string], 256)
+	for i := range recs {
+		recs[i] = core.KV(fmt.Sprintf("key%07d", i), "a ninety byte payload, repeated to compress well ........")
+	}
+	codec := serde.OfPair[string, string](serde.Java)
+	wire := serde.EncodeAll(codec, nil, recs)
+	lz := Settings{Compress: CompressorFor("lz")}
+	pooled := PooledBlock(append(memory.DefaultPool.Get(len(wire)), wire...), int64(len(wire)), int64(len(recs)))
+	defer pooled.Release()
+	kept := pooled.Copy()
+	framed := seal(lz, append(memory.DefaultPool.Get(len(wire)), wire...), int64(len(recs)))
+	frame := framed.Bytes()
+	if frame[0] != frameLZ {
+		t.Fatal("the records did not compress")
+	}
+	for _, c := range []struct {
+		name string
+		set  Settings
+		blk  Block
+		want float64
+	}{
+		{"pooled", Settings{}, pooled, 3},
+		{"lent view of a pooled block", Settings{}, pooled.Borrow(), 3},
+		{"kept", Settings{}, kept, 2},
+		{"borrowed view of a kept block", Settings{}, kept.Borrow(), 2},
+		{"lz frame", lz, framed, 3},
+		{"lent lz frame", lz, LentBlock(frame, int64(len(wire)), int64(len(recs))), 3},
+	} {
+		blocks := []Block{c.blk}
+		segs, err := DecodeBlocks(c.set, codec, blocks)
+		if err != nil || !reflect.DeepEqual(segs[0], recs) {
+			t.Fatalf("%s: the decoded records differ (%v)", c.name, err)
+		}
+		got := testing.AllocsPerRun(20, func() { _, _ = DecodeBlocks(c.set, codec, blocks) })
+		if got != c.want {
+			t.Errorf("%s: %v allocations to decode a block, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -160,27 +160,35 @@
 // # Block ownership
 //
 // A shuffle block is no longer a bare []byte: Block pairs the payload with
-// its byte accounting and an ownership bit, so the pooled-buffer recycling
-// in internal/memory stays safe across engine boundaries. The contract:
+// its byte accounting and its storage — pooled, kept or lent — so the
+// pooled-buffer recycling in internal/memory stays safe across engine
+// boundaries. The contract:
 //
 //   - Writers emit sealed Blocks through Env.Emit. Emit TRANSFERS ownership:
 //     after the call returns, the writer never touches the payload again.
-//     Blocks sealed from pooled buffers (PooledBlock) carry release rights;
-//     Blocks wrapping storage owned by someone else (OwnedBlock — e.g. a DFS
-//     block or a retained map output) do not.
+//     Blocks sealed from pooled buffers (PooledBlock) carry release rights. A
+//     compressed frame is kept storage: exact-size, outside the pool, written
+//     once. Blocks viewing storage someone else owns and may recycle
+//     (LentBlock — e.g. a DFS file whose storage is a pooled block) carry no
+//     rights.
 //   - Borrow returns a zero-copy view WITHOUT release rights — the local
-//     fast path. CopyPooled clones into a fresh pooled buffer WITH release
-//     rights — the remote path, which is also what keeps the local/remote
-//     byte-accounting rule honest (remote reads really move bytes).
+//     fast path. Copy copies once into kept storage the reader owns — the
+//     remote path, which is also what keeps the local/remote
+//     byte-accounting rule honest (remote reads really move bytes). KeepAll
+//     moves a map task's blocks into one kept array and releases their
+//     pooled buffers.
 //   - Release returns a pooled payload to memory.DefaultPool and clears the
-//     Block; on a borrowed or owned Block it is a safe no-op. Call it once,
-//     after the last read. DecodeBlocks and serde.DecodeAll never return
-//     values that alias the block (a block with strings is copied once into
-//     an immutable arena its records' strings view), so releasing right
-//     after them is safe.
+//     Block; on any other Block it only drops the reference. Call it once,
+//     after the last read. DecodeBlocks decodes kept bytes and decompressed
+//     frames in place — nothing writes them again, and the decoded strings
+//     keep them alive — and copies pooled and lent bytes with strings once
+//     into an immutable arena its records' strings view, so releasing right
+//     after it is safe.
 //
 // Who releases what, per engine — every transient buffer goes back to
-// memory.DefaultPool, whose free lists the collector cannot empty:
+// memory.DefaultPool, whose free lists the collector cannot empty. The pool
+// holds each engine's working set at once (memory.PoolCap), so one engine's
+// traffic does not evict another's buffers:
 //
 //   - Every writer: a hash bucket travels in its emitted block (or goes back
 //     at Abort); a sort writer's spilled run is a pooled block too. A run it
@@ -188,19 +196,23 @@
 //     SpillStore (SpillStore.Write) is the store's, released at Remove, which
 //     the writer calls after the run's last Read — at Close or at Abort.
 //   - Spark: the shuffle service keeps emitted map outputs for lineage
-//     retries and never releases them — the staged-materialisation mechanism,
-//     and the pool misses spark shows. Fetches borrow locally and copy
-//     remotely; the reader releases after decode.
+//     retries — the staged-materialisation mechanism — in storage of their
+//     own: KeepAll copies a map task's blocks into one exact-size array, its
+//     shuffle file, and the writer's pooled buffers go back at Close, so a
+//     spark job takes from the pool only what its writers have in flight and
+//     returns all of it. Fetches borrow locally and copy remotely, and the
+//     reduce side decodes both in place.
 //   - Flink: exchanges ship Blocks inside Packets over the bounded channels;
 //     the consumer releases each after decoding it — including on the
 //     error/drain paths — so flink's buffers go round as fast as its packets.
 //   - MapReduce: an emitted block becomes a map-output segment on the DFS
 //     (the file is the block's storage). Run keeps the block and releases it
 //     after its cleanup deletes the segment, when every reduce task has
-//     decoded it. Reduce reads borrow a local single-block segment zero-copy
-//     via dfs.File.Contiguous and copy into a pooled buffer otherwise. Its
-//     SpillStore keeps a run's block as the spill file's storage, hands the
-//     run back to the final merge the same way (SpillStore.Read returns a
-//     Block, released once decoded) and releases the stored block when the
-//     writer removes the run.
+//     decoded it. Reduce reads lend a local single-block segment zero-copy
+//     via dfs.File.Contiguous and copy into a pooled buffer otherwise; both
+//     are copied once by the decode, because the segment's buffer goes back
+//     to the pool. Its SpillStore keeps a run's block as the spill file's
+//     storage, hands the run back to the final merge the same way
+//     (SpillStore.Read returns a Block, released once decoded) and releases
+//     the stored block when the writer removes the run.
 package shuffle

@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/core"
@@ -9,23 +10,38 @@ import (
 
 // DecodeBlocks unpacks and decodes fetched blocks into one record slice per
 // block, in block (map-output) order. It must run with the Settings that
-// wrote the blocks — both sides of an edge resolve the same conf. Decoding
-// goes through serde.DecodeAllN, whose values never alias the wire bytes (a
-// block with strings is copied once into an immutable arena its records'
-// strings view), so the caller may Release the blocks as soon as this
-// returns.
+// wrote the blocks — both sides of an edge resolve the same conf. The slices
+// are full (capacity = length) subslices of one array sized from the blocks'
+// record counts. Bytes that nothing writes again are decoded in place
+// (serde.AppendDecode): a kept block (Block.Copy, KeepAll, a compressed
+// frame) or a frame decompressed into a fresh buffer. Their decoded strings
+// are views of those bytes and keep them alive. Pooled and lent bytes may be
+// recycled once the block is released, so a block of them with strings is
+// copied once first and its strings are views of the copy, as
+// serde.DecodeAllN does. Either way the caller may Release the blocks as soon
+// as this returns.
 func DecodeBlocks[R any](set Settings, codec serde.Codec[R], blocks []Block) ([][]R, error) {
+	var n int64
+	for _, b := range blocks {
+		n += b.Recs
+	}
+	all := make([]R, n)
 	out := make([][]R, len(blocks))
 	for i, b := range blocks {
-		raw, err := Unpack(set, b.Bytes())
+		raw, fresh, err := unpack(set, b.Bytes())
 		if err != nil {
 			return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
 		}
-		recs, err := serde.DecodeAllN(codec, raw, int(b.Recs))
+		if codec.Aliases && !fresh && b.store != kept {
+			raw = bytes.Clone(raw)
+		}
+		// A block holding more records than it says appends past its part
+		// of the array into one of its own.
+		out[i], err = serde.AppendDecode(codec, all[:0:b.Recs], raw)
 		if err != nil {
 			return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
 		}
-		out[i] = recs
+		all = all[b.Recs:]
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package shuffle
 
 import (
+	"bytes"
+
 	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/metrics"
@@ -81,27 +83,50 @@ func FromConf(conf *core.Config, def Kind) Settings {
 //   - A writer SEALS a pool-backed block and hands ownership to Emit.
 //   - A local read BORROWS the sealed bytes (Borrow): no copy, no release
 //     rights — the owner's buffer stays live.
-//   - A remote (or simulated-remote) read COPIES (CopyPooled) into a fresh
-//     pooled buffer, keeping the local/remote byte-accounting rule honest.
+//   - A remote (or simulated-remote) read COPIES (Copy) into storage the
+//     reader owns, keeping the local/remote byte-accounting rule honest.
 //   - Whoever holds ownership calls Release when done; pool-backed storage
 //     returns to memory.DefaultPool for the next writer.
+//
+// A block also knows whether anything writes its bytes again (its storage),
+// which decides whether DecodeBlocks may leave the decoded strings as views
+// of them.
 type Block struct {
-	data   []byte
-	Raw    int64 // serialized bytes before compression
-	Recs   int64 // record count
-	pooled bool  // storage came from memory.DefaultPool; Release recycles it
+	data  []byte
+	Raw   int64 // serialized bytes before compression
+	Recs  int64 // record count
+	store storage
 }
 
-// OwnedBlock wraps bytes the caller owns outright (e.g. borrowed DFS block
-// storage). Release is a no-op.
-func OwnedBlock(data []byte, raw, recs int64) Block {
+// storage says who owns a block's bytes: what Release does with them, and
+// whether a decode may keep views of them.
+type storage uint8
+
+const (
+	// lent bytes are a view of storage someone else owns and may recycle: a
+	// borrowed pooled block, a DFS file whose storage is a pooled block.
+	// Release does nothing; a decode copies them first.
+	lent storage = iota
+	// pooled bytes are a memory.DefaultPool buffer the block owns. Release
+	// recycles it; a decode copies it first.
+	pooled
+	// kept bytes are write-once storage outside the pool that nothing
+	// recycles: a compressed frame, spark's kept map outputs, a remote
+	// fetch's copy. Release only drops the reference; a decode reads them in
+	// place, and the decoded strings keep them alive.
+	kept
+)
+
+// LentBlock wraps a view of storage someone else owns and may recycle (e.g.
+// a DFS file whose storage is a pooled block). Release is a no-op.
+func LentBlock(data []byte, raw, recs int64) Block {
 	return Block{data: data, Raw: raw, Recs: recs}
 }
 
 // PooledBlock wraps a buffer obtained from memory.DefaultPool; Release
 // returns the storage to the pool.
 func PooledBlock(data []byte, raw, recs int64) Block {
-	return Block{data: data, Raw: raw, Recs: recs, pooled: true}
+	return Block{data: data, Raw: raw, Recs: recs, store: pooled}
 }
 
 // Bytes exposes the wire form. The slice is valid until the block's owner
@@ -113,33 +138,65 @@ func (b Block) Len() int { return len(b.data) }
 
 // Borrow returns a zero-copy view without release rights — the local-read
 // path. Releasing the borrow is a no-op; the owner's Release still governs
-// the storage.
+// the storage. A view of kept bytes is itself kept: nothing recycles them.
 func (b Block) Borrow() Block {
-	return Block{data: b.data, Raw: b.Raw, Recs: b.Recs}
+	v := Block{data: b.data, Raw: b.Raw, Recs: b.Recs}
+	if b.store == kept {
+		v.store = kept
+	}
+	return v
 }
 
-// CopyPooled deep-copies the block into a fresh pooled buffer — the remote
-// fetch path. The copy is independently releasable.
-func (b Block) CopyPooled() Block {
-	buf := memory.DefaultPool.Get(len(b.data))
-	buf = append(buf, b.data...)
-	return Block{data: buf, Raw: b.Raw, Recs: b.Recs, pooled: true}
+// Copy copies the block once into exact-size storage of its own, outside
+// the pool — the remote fetch path. Nothing recycles the copy, so a decode
+// reads it in place.
+func (b Block) Copy() Block {
+	data := make([]byte, len(b.data))
+	copy(data, b.data)
+	return Block{data: data, Raw: b.Raw, Recs: b.Recs, store: kept}
+}
+
+// KeepAll moves a map task's blocks into storage nothing recycles, in one
+// allocation: their bytes are copied into one exact-size array, each block
+// becomes a kept view of its part of it, and their pooled buffers go back to
+// the pool at once — as Spark's sort shuffle writes one data file per map
+// task and indexes its partitions' offsets. Blocks already kept (compressed
+// frames) stay as they are. Spark's shuffle service keeps its map outputs
+// this way, so they hold their bytes and no more, and the writers' pooled
+// buffers keep circulating.
+func KeepAll(blocks []Block) {
+	var small [16][]byte
+	parts := small[:0]
+	for _, b := range blocks {
+		if b.store != kept {
+			parts = append(parts, b.data)
+		}
+	}
+	all := bytes.Join(parts, nil) // copies without zeroing first
+	for i := range blocks {
+		if b := &blocks[i]; b.store != kept {
+			n := len(b.data)
+			b.Release()
+			b.data, b.store, all = all[:n:n], kept, all[n:]
+		}
+	}
 }
 
 // Release returns pool-backed storage to memory.DefaultPool and clears the
-// block. Releasing a borrowed or owned block is a no-op apart from the
+// block. Releasing a borrowed, lent or kept block is a no-op apart from the
 // clear; Release is not idempotent-safe across aliases — exactly one owner.
 func (b *Block) Release() {
-	if b.pooled {
+	if b.store == pooled {
 		memory.DefaultPool.Put(b.data)
 	}
 	b.data = nil
-	b.pooled = false
+	b.store = lent
 }
 
 // seal packs a pooled raw buffer into its wire form and transfers ownership
 // into the returned block. With compression enabled the raw buffer is
-// recycled immediately and the framed copy (also pooled) ships instead.
+// recycled immediately and the frame, fresh exact-size storage, ships
+// instead.
 func seal(set Settings, raw []byte, recs int64) Block {
 	if set.Compress == nil {
 		return PooledBlock(raw, int64(len(raw)), recs)
@@ -147,7 +204,7 @@ func seal(set Settings, raw []byte, recs int64) Block {
 	data := Pack(set, raw)
 	rawLen := int64(len(raw))
 	memory.DefaultPool.Put(raw)
-	return Block{data: data, Raw: rawLen, Recs: recs}
+	return Block{data: data, Raw: rawLen, Recs: recs, store: kept}
 }
 
 // Packet is one in-flight block of a pipelined exchange, tagged with the
@@ -219,7 +276,7 @@ type SpillStore interface {
 	Write(run, part int, b Block) (string, error)
 	// Read loads a segment back for the final merge. The writer releases
 	// the block once the segment is decoded, so a store may hand out a
-	// view of its own storage (OwnedBlock) or a pooled copy (PooledBlock).
+	// view of its own storage (LentBlock) or a pooled copy (PooledBlock).
 	Read(handle string) (Block, error)
 	// Remove deletes a segment and releases the block Write stored. The
 	// writer calls it once per handle, after the segment's last Read.
