@@ -23,11 +23,12 @@
 // capped at PoolCap, 192 MiB: three budgets of 64 MiB, the network memory of
 // this repo's flink configuration (2048 buffers of 32 KiB), one for each
 // engine a process may host. That holds the engines' working sets side by
-// side — on the benchmark's terasort flink's ≈ 32 MiB of network buffers and
-// mapreduce's ≈ 62 MiB of sort blocks, while spark's kept map outputs live
-// outside the pool — so no engine's buffers evict another's. A release past
-// the cap is left to the GC. The retained bytes are charged to no engine's
-// budget, though the collector counts them as live heap.
+// side — ≈ 114 MiB on the benchmark's terasort, flink's ≈ 32 MiB of network
+// buffers and mapreduce's ≈ 69 MiB of sort blocks among them, while spark's
+// kept map outputs live outside the pool — so no engine's buffers evict
+// another's. A release past the cap is left to the GC. The retained bytes
+// are charged to no engine's budget, though the collector counts them as
+// live heap.
 //
 // A pooled buffer has one owner at a time. The owner releases it once, after
 // the last read through it or any slice of it; handing it on (a shuffle

@@ -47,10 +47,11 @@ const (
 // to hold every engine's working set at once; a cap one engine's set can fill
 // lets that engine's buffers evict the next one's, and every engine's
 // allocation counts then depend on what ran before it. Measured on the
-// benchmark's terasort (4 MiB blocks), flink keeps ≈ 32 MiB in flight (≈ 514
-// network buffers of 64 KiB) and mapreduce ≈ 62 MiB of 4 MiB sort blocks;
-// spark's map outputs leave the pool (shuffle.KeepAll), so it needs only
-// its writers' scratch; wordcount peaks at ≈ 42 MiB.
+// benchmark's terasort (4 MiB blocks), what each engine's first job leaves
+// in the pool: spark ≈ 13 MiB of its writers' buffers (its map outputs leave
+// the pool, shuffle.KeepAll), flink ≈ 32 MiB (≈ 514 network buffers of 64
+// KiB) and mapreduce ≈ 69 MiB, mostly 4 MiB sort blocks; ≈ 114 MiB in all.
+// On wordcount the three leave ≈ 46 MiB.
 const PoolCap = 3 * (64 << 20)
 
 // DefaultPool is the process-wide buffer pool the serde and shuffle layers

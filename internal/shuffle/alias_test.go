@@ -68,7 +68,7 @@ func TestDecodedRecordsOutliveTheirBlock(t *testing.T) {
 // pooled block, or a lent view of one. A kept block (a remote fetch's Copy,
 // spark's kept map output, a view of either) and a frame decompressed into a
 // fresh buffer are decoded in place. Counted per block decode: the result's
-// slice of segments, the record slice, and then the copy or the
+// slice of segments, the records' array, and then the copy or the
 // decompressed buffer.
 func TestDecodeBlocksCopiesOnlyRecycledBytes(t *testing.T) {
 	recs := make([]core.Pair[string, string], 256)

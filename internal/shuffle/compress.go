@@ -48,8 +48,7 @@ func Pack(set Settings, raw []byte) []byte {
 	var rawLen [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(rawLen[:], uint64(len(raw)))
 	frame := make([]byte, 0, 1+n+len(payload))
-	frame = append(append(append(frame, tag), rawLen[:n]...), payload...)
-	return frame
+	return append(append(append(frame, tag), rawLen[:n]...), payload...)
 }
 
 // Unpack recovers a block's raw bytes. It must run with the same Settings

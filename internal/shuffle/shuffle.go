@@ -140,11 +140,10 @@ func (b Block) Len() int { return len(b.data) }
 // path. Releasing the borrow is a no-op; the owner's Release still governs
 // the storage. A view of kept bytes is itself kept: nothing recycles them.
 func (b Block) Borrow() Block {
-	v := Block{data: b.data, Raw: b.Raw, Recs: b.Recs}
-	if b.store == kept {
-		v.store = kept
+	if b.store != kept {
+		b.store = lent
 	}
-	return v
+	return b
 }
 
 // Copy copies the block once into exact-size storage of its own, outside
