@@ -164,7 +164,7 @@ func (b Block) Copy() Block {
 // this way, so they hold their bytes and no more, and the writers' pooled
 // buffers keep circulating.
 func KeepAll(blocks []Block) {
-	var small [16][]byte
+	var small [16][]byte // parts stays off the heap up to 16 partitions
 	parts := small[:0]
 	for _, b := range blocks {
 		if b.store != kept {
